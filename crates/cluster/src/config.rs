@@ -237,6 +237,11 @@ pub struct Cluster {
     config: ClusterConfig,
     placement: Placement,
     failed: BTreeSet<NodeId>,
+    /// Alive storage nodes, ascending — the complement of `failed`, kept
+    /// current by `fail_node`/`heal_node` so the per-request key mapping
+    /// and the planners' candidate scans borrow it instead of rebuilding
+    /// it from `failed` (a probe per storage node, per foreground request).
+    alive: Vec<NodeId>,
 }
 
 impl Cluster {
@@ -262,6 +267,7 @@ impl Cluster {
             config.placement,
         );
         Ok(Cluster {
+            alive: (0..config.storage_nodes).collect(),
             config,
             placement,
             failed: BTreeSet::new(),
@@ -326,13 +332,25 @@ impl Cluster {
         if node >= self.config.storage_nodes {
             return Err(ClusterError::UnknownNode);
         }
-        self.failed.insert(node);
+        if self.failed.insert(node) {
+            let at = self
+                .alive
+                .binary_search(&node)
+                .expect("a storage node not failed is alive");
+            self.alive.remove(at);
+        }
         Ok(())
     }
 
     /// Restores a failed node (post-repair bookkeeping).
     pub fn heal_node(&mut self, node: NodeId) {
-        self.failed.remove(&node);
+        if self.failed.remove(&node) {
+            let at = self
+                .alive
+                .binary_search(&node)
+                .expect_err("a failed node is not alive");
+            self.alive.insert(at, node);
+        }
     }
 
     /// Currently failed storage nodes.
@@ -346,10 +364,8 @@ impl Cluster {
     }
 
     /// Alive storage nodes, ascending.
-    pub fn alive_storage_nodes(&self) -> Vec<NodeId> {
-        (0..self.config.storage_nodes)
-            .filter(|n| !self.failed.contains(n))
-            .collect()
+    pub fn alive_storage_nodes(&self) -> &[NodeId] {
+        &self.alive
     }
 
     /// Chunks lost if the given nodes fail (regardless of current failure
@@ -409,9 +425,8 @@ impl Cluster {
     ///
     /// Panics if every storage node has failed.
     pub fn key_to_node(&self, key: u64) -> NodeId {
-        let alive = self.alive_storage_nodes();
-        assert!(!alive.is_empty(), "all storage nodes failed");
-        alive[(key % alive.len() as u64) as usize]
+        assert!(!self.alive.is_empty(), "all storage nodes failed");
+        self.alive[(key % self.alive.len() as u64) as usize]
     }
 }
 

@@ -1,12 +1,10 @@
 //! Closed-loop foreground clients replaying a workload.
 
-use std::collections::HashMap;
-
 use chameleon_simnet::{Event, FlowId, FlowSpec, ResourceKind, Simulator, TimerId, Traffic};
 use chameleon_traces::{Op, Workload};
 
 use crate::config::Cluster;
-use crate::stats::{self, LatencySummary};
+use crate::stats::LatencySummary;
 
 /// Summary of a finished (or in-progress) foreground run.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,7 +34,10 @@ pub struct ForegroundReport {
 struct Client {
     workload: Box<dyn Workload>,
     remaining: usize,
-    in_flight: Option<FlowId>,
+    /// The request in flight and the time it was issued.
+    request: Option<(FlowId, f64)>,
+    /// The think-time timer between a completion and the next issue.
+    think: Option<TimerId>,
 }
 
 /// Drives closed-loop clients: each client keeps exactly one request in
@@ -59,11 +60,18 @@ struct Client {
 /// }
 /// let report = fg.report(&sim);
 /// ```
+///
+/// A client has at most one request or one think-time timer outstanding,
+/// so both live on the client. Flows carry the client index as their owner
+/// key and timers as their dispatch key; the engine echoes it on the
+/// event, and the id stored on the client decides whether the event is
+/// this driver's — no lookup table.
 pub struct ForegroundDriver {
     clients: Vec<Client>,
-    flow_map: HashMap<FlowId, (usize, f64)>,
-    /// Think-time timers between a completion and the next issue.
-    timer_map: HashMap<TimerId, usize>,
+    /// Clients with a request in flight.
+    requests_in_flight: usize,
+    /// Clients waiting on a think-time timer.
+    thinking: usize,
     /// Fixed per-request overhead (RTT + server processing), seconds.
     request_overhead: f64,
     latencies: Vec<f64>,
@@ -79,7 +87,7 @@ impl std::fmt::Debug for ForegroundDriver {
         f.debug_struct("ForegroundDriver")
             .field("clients", &self.clients.len())
             .field("completed", &self.latencies.len())
-            .field("in_flight", &self.flow_map.len())
+            .field("in_flight", &self.requests_in_flight)
             .finish()
     }
 }
@@ -121,13 +129,14 @@ impl ForegroundDriver {
             .map(|workload| Client {
                 workload,
                 remaining: requests_per_client,
-                in_flight: None,
+                request: None,
+                think: None,
             })
             .collect();
         ForegroundDriver {
             clients,
-            flow_map: HashMap::new(),
-            timer_map: HashMap::new(),
+            requests_in_flight: 0,
+            thinking: 0,
             request_overhead,
             latencies: Vec::new(),
             total_bytes: 0.0,
@@ -161,11 +170,20 @@ impl ForegroundDriver {
     /// Handles a simulator event. Returns `true` if the event belonged to
     /// this driver (a foreground request completion or think-time timer).
     pub fn on_event(&mut self, cluster: &Cluster, sim: &mut Simulator, event: &Event) -> bool {
-        match event {
-            Event::FlowCompleted { id, outcome, .. } => {
-                let Some((client, started)) = self.flow_map.remove(id) else {
+        match *event {
+            Event::FlowCompleted {
+                id,
+                tag: Traffic::Foreground,
+                outcome,
+                owner,
+            } => {
+                let Some((client, state)) = self.client_mut(owner) else {
                     return false;
                 };
+                let Some((_, started)) = state.request.take_if(|(flow, _)| *flow == id) else {
+                    return false;
+                };
+                self.requests_in_flight -= 1;
                 let now = sim.now().as_secs();
                 if outcome.is_delivered() {
                     // Recorded latency includes the fixed request overhead.
@@ -175,30 +193,44 @@ impl ForegroundDriver {
                     // budget is spent; the closed loop moves on.
                     self.aborted += 1;
                 }
-                self.clients[client].in_flight = None;
                 let more = self.clients[client].remaining > 0 && !self.stopped;
                 if more && self.request_overhead > 0.0 {
-                    let t = sim.schedule_in(self.request_overhead, 0);
-                    self.timer_map.insert(t, client);
+                    let t = sim.schedule_in(self.request_overhead, client as u64);
+                    self.clients[client].think = Some(t);
+                    self.thinking += 1;
                 } else if more {
                     self.issue_next(cluster, sim, client);
                 }
                 self.check_finished(sim);
                 true
             }
-            Event::Timer { id, .. } => {
-                let Some(client) = self.timer_map.remove(id) else {
+            Event::Timer { id, key } => {
+                let Some((client, state)) = self.client_mut(key) else {
                     return false;
                 };
+                if state.think.take_if(|timer| *timer == id).is_none() {
+                    return false;
+                }
+                self.thinking -= 1;
                 self.issue_next(cluster, sim, client);
                 self.check_finished(sim);
                 true
             }
+            // Another class's flow can never be a foreground request.
+            Event::FlowCompleted { .. } => false,
         }
     }
 
+    /// The client an event's echoed key names, if it names one. The key
+    /// alone proves nothing (other drivers choose keys too): the caller
+    /// still compares the id stored on the client.
+    fn client_mut(&mut self, key: u64) -> Option<(usize, &mut Client)> {
+        let client = usize::try_from(key).ok()?;
+        Some((client, self.clients.get_mut(client)?))
+    }
+
     fn check_finished(&mut self, sim: &Simulator) {
-        if self.in_flight_count() == 0 && self.timer_map.is_empty() && self.finished_at.is_none() {
+        if self.requests_in_flight == 0 && self.thinking == 0 && self.finished_at.is_none() {
             self.finished_at = Some(sim.now().as_secs());
         }
     }
@@ -225,16 +257,18 @@ impl ForegroundDriver {
 
     /// Requests currently in flight.
     pub fn in_flight_count(&self) -> usize {
-        self.flow_map.len()
+        self.requests_in_flight
     }
 
     /// The report so far (final once [`ForegroundDriver::is_done`]).
     pub fn report(&self, _sim: &Simulator) -> ForegroundReport {
+        // One sort of the latency vector serves every percentile.
+        let latency = LatencySummary::from_samples(&self.latencies);
         ForegroundReport {
             completed: self.latencies.len(),
-            mean_latency: stats::mean(&self.latencies).unwrap_or(0.0),
-            p99_latency: stats::percentile(&self.latencies, 0.99).unwrap_or(0.0),
-            latency: LatencySummary::from_samples(&self.latencies),
+            mean_latency: latency.map_or(0.0, |l| l.mean),
+            p99_latency: latency.map_or(0.0, |l| l.p99),
+            latency,
             total_bytes: self.total_bytes,
             aborted: self.aborted,
             execution_time: match (self.started_at, self.finished_at) {
@@ -260,7 +294,7 @@ impl ForegroundDriver {
         let spec = match req.op {
             Op::Get => FlowSpec::custom(
                 bytes,
-                vec![
+                [
                     (storage_node, ResourceKind::DiskRead),
                     (storage_node, ResourceKind::Uplink),
                     (client_node, ResourceKind::Downlink),
@@ -269,7 +303,7 @@ impl ForegroundDriver {
             ),
             Op::Put => FlowSpec::custom(
                 bytes,
-                vec![
+                [
                     (client_node, ResourceKind::Uplink),
                     (storage_node, ResourceKind::Downlink),
                     (storage_node, ResourceKind::DiskWrite),
@@ -278,9 +312,9 @@ impl ForegroundDriver {
             ),
         };
         self.total_bytes += bytes as f64;
-        let id = sim.start_flow(spec);
-        self.flow_map.insert(id, (client, sim.now().as_secs()));
-        self.clients[client].in_flight = Some(id);
+        let id = sim.start_flow(spec.with_owner(client as u64));
+        self.clients[client].request = Some((id, sim.now().as_secs()));
+        self.requests_in_flight += 1;
     }
 }
 

@@ -22,10 +22,19 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
     if samples.is_empty() {
         return None;
     }
+    Some(nearest_rank(&sorted_copy(samples), p))
+}
+
+fn sorted_copy(samples: &[f64]) -> Vec<f64> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
+    sorted
+}
+
+/// The nearest-rank `p`-quantile of a non-empty ascending sample.
+fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     let rank = ((p * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    Some(sorted[rank - 1])
+    sorted[rank - 1]
 }
 
 /// Arithmetic mean (`None` for an empty sample).
@@ -83,13 +92,15 @@ impl LatencySummary {
     /// percentile of nothing).
     pub fn from_samples(samples: &[f64]) -> Option<Self> {
         let mean = mean(samples)?;
+        // One sort serves all four ranks.
+        let sorted = sorted_copy(samples);
         Some(LatencySummary {
             count: samples.len(),
             mean,
-            p50: percentile(samples, 0.50)?,
-            p95: percentile(samples, 0.95)?,
-            p99: percentile(samples, 0.99)?,
-            max: percentile(samples, 1.0)?,
+            p50: nearest_rank(&sorted, 0.50),
+            p95: nearest_rank(&sorted, 0.95),
+            p99: nearest_rank(&sorted, 0.99),
+            max: nearest_rank(&sorted, 1.0),
         })
     }
 }

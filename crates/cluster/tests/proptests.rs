@@ -77,4 +77,36 @@ proptest! {
         }
         prop_assert_eq!(cluster.alive_storage_nodes().len(), 20);
     }
+
+    #[test]
+    fn cached_alive_list_matches_the_filter_oracle(
+        ops in proptest::collection::vec((any::<bool>(), 0usize..26), 0..80),
+    ) {
+        // `Cluster` keeps the ascending alive list current across
+        // `fail_node`/`heal_node` instead of rebuilding it per request.
+        // Whatever the sequence — repeated fails, heals of healthy nodes,
+        // client and out-of-range ids (20..26) — it must equal the list
+        // the old implementation filtered out of `is_alive` every time.
+        let mut cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
+        let storage = cluster.storage_nodes();
+        for (fail, node) in ops {
+            if fail {
+                prop_assert_eq!(cluster.fail_node(node).is_ok(), node < storage);
+            } else {
+                cluster.heal_node(node);
+            }
+            let oracle: Vec<usize> = (0..storage).filter(|&n| cluster.is_alive(n)).collect();
+            prop_assert_eq!(cluster.alive_storage_nodes(), &oracle[..]);
+            let failed: Vec<usize> = cluster.failed_nodes().collect();
+            prop_assert_eq!(failed.len() + oracle.len(), storage);
+            if oracle.is_empty() {
+                continue;
+            }
+            for key in (0..64u64).chain([u64::MAX, u64::MAX - 1]) {
+                let node = cluster.key_to_node(key);
+                prop_assert!(cluster.is_alive(node));
+                prop_assert_eq!(node, oracle[(key % oracle.len() as u64) as usize]);
+            }
+        }
+    }
 }

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use chameleon_cluster::ChunkId;
-use chameleon_simnet::{Event, FaultEvent, NodeId, Simulator, TimerId};
+use chameleon_simnet::{Event, FaultEvent, IdMap, NodeId, Simulator, TimerId, Traffic};
 
 use crate::coding::{CodingStats, PlanCoder};
 use crate::context::RepairContext;
@@ -13,6 +13,7 @@ use crate::exec::{ExecStatus, PlanExecutor};
 use crate::metrics::{GivenUpChunk, RepairOutcome, RepairSpan};
 use crate::plan::RepairPlan;
 use crate::recovery::{RecoveryPolicy, RecoveryStats};
+use crate::roster::Roster;
 use crate::select::SourceSelector;
 use crate::{cr, ecpipe, ppr, RepairDriver};
 
@@ -67,7 +68,7 @@ pub struct StaticRepairDriver {
     boosted: bool,
     concurrency: usize,
     pending: VecDeque<ChunkId>,
-    running: Vec<RunningAttempt>,
+    running: Roster<RunningAttempt>,
     /// stripe → destinations promised to in-flight sibling chunks.
     stripe_destinations: HashMap<usize, Vec<NodeId>>,
     per_chunk_secs: Vec<f64>,
@@ -84,7 +85,7 @@ pub struct StaticRepairDriver {
     /// Dispatch attempts made so far per chunk (first dispatch counts).
     attempts: HashMap<ChunkId, u32>,
     /// Backoff timers of chunks waiting to be re-dispatched.
-    retry_timers: HashMap<TimerId, ChunkId>,
+    retry_timers: IdMap<TimerId, ChunkId>,
     stall_timer: Option<TimerId>,
     errors: Vec<RepairError>,
     /// When true, crash faults update the failure view but do not enqueue
@@ -133,7 +134,7 @@ impl StaticRepairDriver {
             boosted,
             concurrency: Self::DEFAULT_CONCURRENCY,
             pending: VecDeque::new(),
-            running: Vec::new(),
+            running: Roster::new(),
             stripe_destinations: HashMap::new(),
             per_chunk_secs: Vec::new(),
             spans: Vec::new(),
@@ -147,7 +148,7 @@ impl StaticRepairDriver {
             policy,
             recovery: RecoveryStats::default(),
             attempts: HashMap::new(),
-            retry_timers: HashMap::new(),
+            retry_timers: IdMap::default(),
             stall_timer: None,
             errors: Vec::new(),
             external_admission: false,
@@ -225,7 +226,8 @@ impl StaticRepairDriver {
                 .entry(chunk.stripe)
                 .or_default()
                 .push(selection.destination);
-            let mut exec = PlanExecutor::new(plan, self.ctx.chunk_size(), self.ctx.slice_size());
+            let mut exec = PlanExecutor::new(plan, self.ctx.chunk_size(), self.ctx.slice_size())
+                .with_owner(self.running.next_key());
             exec.start(sim);
             let n = self.attempts.entry(chunk).or_insert(0);
             *n += 1;
@@ -271,6 +273,54 @@ impl StaticRepairDriver {
         } else {
             let t = sim.schedule_in(self.policy.backoff_secs(chunk, attempts), RETRY_TIMER_KEY);
             self.retry_timers.insert(t, chunk);
+        }
+        self.fill_slots(sim);
+    }
+
+    /// Books the completed attempt at `i`: latency, span, coding stats,
+    /// the relocation in the cluster view, and the freed slot.
+    fn finish_attempt(&mut self, sim: &mut Simulator, i: usize) {
+        let mut a = self.running.swap_remove(i);
+        let exec = &mut a.exec;
+        let (finished, started) = match (exec.finished_at(), exec.started_at()) {
+            (Some(f), Some(s)) => (f, s),
+            _ => {
+                // Internally inconsistent attempt: record it instead of
+                // panicking and drop the attempt.
+                self.errors
+                    .push(RepairError::ExecutorState("finish time of a done attempt"));
+                self.fill_slots(sim);
+                return;
+            }
+        };
+        self.per_chunk_secs.push(finished - started);
+        self.coding.merge(&exec.run_coding(&mut self.coder));
+        self.completed_plans.push(exec.plan().clone());
+        let chunk = exec.plan().chunk();
+        self.spans.push(RepairSpan {
+            stripe: chunk.stripe,
+            index: chunk.index,
+            started_secs: started,
+            finished_secs: finished,
+            attempts: self.attempts.get(&chunk).copied().unwrap_or(1),
+        });
+        if let Some(dests) = self.stripe_destinations.get_mut(&chunk.stripe) {
+            if let Some(pos) = dests.iter().position(|&d| d == exec.plan().destination()) {
+                dests.swap_remove(pos);
+            }
+        }
+        // The repaired chunk now lives on its destination: record the
+        // relocation so later failure accounting (cascading crashes,
+        // redundancy counts) sees it.
+        let dest = exec.plan().destination();
+        if !self
+            .ctx
+            .cluster
+            .placement()
+            .stripe_nodes(chunk.stripe)
+            .contains(&dest)
+        {
+            let _ = self.ctx.cluster.apply_repair(chunk, dest);
         }
         self.fill_slots(sim);
     }
@@ -329,86 +379,52 @@ impl RepairDriver for StaticRepairDriver {
     }
 
     fn on_event(&mut self, sim: &mut Simulator, event: &Event) -> bool {
-        if let Event::Timer { id, .. } = event {
-            if let Some(chunk) = self.retry_timers.remove(id) {
-                self.pending.push_front(chunk);
-                self.fill_slots(sim);
-                return true;
-            }
-            if Some(*id) == self.stall_timer {
-                self.stall_timer = None;
-                self.stall_sweep(sim);
-                if !self.is_done() {
-                    self.stall_timer =
-                        Some(sim.schedule_in(self.policy.stall_timeout_secs, STALL_TIMER_KEY));
-                }
-                return true;
-            }
-            return false;
-        }
-        for i in 0..self.running.len() {
-            match self.running[i].exec.on_event(sim, event) {
-                ExecStatus::NotMine => continue,
-                ExecStatus::InProgress => {
-                    self.running[i].last_activity = activity_of(&self.running[i].exec);
-                    return true;
-                }
-                ExecStatus::Done => {
-                    let mut a = self.running.swap_remove(i);
-                    let exec = &mut a.exec;
-                    let (finished, started) = match (exec.finished_at(), exec.started_at()) {
-                        (Some(f), Some(s)) => (f, s),
-                        _ => {
-                            // Internally inconsistent attempt: record it
-                            // instead of panicking and drop the attempt.
-                            self.errors
-                                .push(RepairError::ExecutorState("finish time of a done attempt"));
-                            self.fill_slots(sim);
-                            return true;
-                        }
-                    };
-                    self.per_chunk_secs.push(finished - started);
-                    self.coding.merge(&exec.run_coding(&mut self.coder));
-                    self.completed_plans.push(exec.plan().clone());
-                    let chunk = exec.plan().chunk();
-                    self.spans.push(RepairSpan {
-                        stripe: chunk.stripe,
-                        index: chunk.index,
-                        started_secs: started,
-                        finished_secs: finished,
-                        attempts: self.attempts.get(&chunk).copied().unwrap_or(1),
-                    });
-                    if let Some(dests) = self.stripe_destinations.get_mut(&chunk.stripe) {
-                        if let Some(pos) =
-                            dests.iter().position(|&d| d == exec.plan().destination())
-                        {
-                            dests.swap_remove(pos);
-                        }
+        // The driver is offered every event of the run, most of them not
+        // its own (each foreground request completes a flow and fires a
+        // timer), so a foreign event is turned away without a lookup:
+        // timers by dispatch key, flows by class and then owner key.
+        let owner = match *event {
+            Event::Timer { id, key } => {
+                if Some(id) == self.stall_timer {
+                    self.stall_timer = None;
+                    self.stall_sweep(sim);
+                    if !self.is_done() {
+                        self.stall_timer =
+                            Some(sim.schedule_in(self.policy.stall_timeout_secs, STALL_TIMER_KEY));
                     }
-                    // The repaired chunk now lives on its destination:
-                    // record the relocation so later failure accounting
-                    // (cascading crashes, redundancy counts) sees it.
-                    let dest = exec.plan().destination();
-                    if !self
-                        .ctx
-                        .cluster
-                        .placement()
-                        .stripe_nodes(chunk.stripe)
-                        .contains(&dest)
-                    {
-                        let _ = self.ctx.cluster.apply_repair(chunk, dest);
-                    }
+                } else if let Some(chunk) = (key == RETRY_TIMER_KEY)
+                    .then(|| self.retry_timers.remove(&id))
+                    .flatten()
+                {
+                    self.pending.push_front(chunk);
                     self.fill_slots(sim);
-                    return true;
+                } else {
+                    return false;
                 }
-                ExecStatus::Failed => {
-                    let a = self.running.swap_remove(i);
-                    self.handle_failed_attempt(sim, &a.exec);
-                    return true;
-                }
+                return true;
+            }
+            Event::FlowCompleted {
+                tag: Traffic::Repair,
+                owner,
+                ..
+            } => owner,
+            Event::FlowCompleted { .. } => return false,
+        };
+        let Some(i) = self.running.position(owner) else {
+            return false;
+        };
+        match self.running[i].exec.on_event(sim, event) {
+            ExecStatus::NotMine => return false,
+            ExecStatus::InProgress => {
+                self.running[i].last_activity = activity_of(&self.running[i].exec);
+            }
+            ExecStatus::Done => self.finish_attempt(sim, i),
+            ExecStatus::Failed => {
+                let a = self.running.swap_remove(i);
+                self.handle_failed_attempt(sim, &a.exec);
             }
         }
-        false
+        true
     }
 
     fn on_fault(&mut self, sim: &mut Simulator, fault: &FaultEvent) {
@@ -557,6 +573,14 @@ mod tests {
         assert_eq!(pipe.algorithm, "ECPipe");
         assert!(ppr.throughput() > 0.0);
         assert!(pipe.throughput() > 0.0);
+    }
+
+    #[test]
+    fn foreign_events_are_refused_without_touching_an_executor() {
+        crate::roster::testing::assert_foreign_events_are_refused(
+            |ctx| StaticRepairDriver::new(ctx, PlanShape::Tree, 1).with_concurrency(4),
+            |d| d.running.iter().map(|a| format!("{:?}", a.exec)).collect(),
+        );
     }
 
     #[test]

@@ -352,7 +352,8 @@ pub fn dispatch_chunk_for(
     let destination = ctx
         .cluster
         .alive_storage_nodes()
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|n| !stripe_nodes.contains(n) && !forbidden_destinations.contains(n))
         .min_by(|&a, &b| {
             phase

@@ -4,7 +4,7 @@
 use std::collections::{HashMap, VecDeque};
 
 use chameleon_cluster::ChunkId;
-use chameleon_simnet::{Event, FaultEvent, NodeId, Simulator, TimerId};
+use chameleon_simnet::{Event, FaultEvent, IdMap, NodeId, Simulator, TimerId, Traffic};
 
 use crate::chameleon::dispatch::{dispatch_chunk_for, PhaseState, TaskAssignment};
 use crate::chameleon::tunable::establish_plan;
@@ -14,6 +14,7 @@ use crate::error::RepairError;
 use crate::exec::{ExecStatus, PlanExecutor};
 use crate::metrics::{RepairOutcome, RepairSpan};
 use crate::recovery::{RecoveryPolicy, RecoveryStats};
+use crate::roster::Roster;
 use crate::select::SelectError;
 use crate::RepairDriver;
 
@@ -132,7 +133,7 @@ pub struct ChameleonDriver {
     ctx: RepairContext,
     config: ChameleonConfig,
     pending: VecDeque<ChunkId>,
-    active: Vec<ActiveChunk>,
+    active: Roster<ActiveChunk>,
     /// stripe → destinations promised to in-flight sibling chunks.
     stripe_destinations: HashMap<usize, Vec<NodeId>>,
     phase_state: Option<PhaseState>,
@@ -154,7 +155,7 @@ pub struct ChameleonDriver {
     /// Dispatch attempts made so far per chunk (first dispatch counts).
     attempts: HashMap<ChunkId, u32>,
     /// Backoff timers of chunks waiting to be re-dispatched.
-    retry_timers: HashMap<TimerId, ChunkId>,
+    retry_timers: IdMap<TimerId, ChunkId>,
     stall_timer: Option<TimerId>,
     errors: Vec<RepairError>,
     /// When true, crash faults update the failure view but do not enqueue
@@ -183,7 +184,7 @@ impl ChameleonDriver {
             ctx,
             config,
             pending: VecDeque::new(),
-            active: Vec::new(),
+            active: Roster::new(),
             stripe_destinations: HashMap::new(),
             phase_state: None,
             phase_started_at: 0.0,
@@ -202,7 +203,7 @@ impl ChameleonDriver {
             policy,
             recovery: RecoveryStats::default(),
             attempts: HashMap::new(),
-            retry_timers: HashMap::new(),
+            retry_timers: IdMap::default(),
             stall_timer: None,
             errors: Vec::new(),
             external_admission: false,
@@ -284,7 +285,7 @@ impl ChameleonDriver {
         self.stats.phases += 1;
         self.phase_started_at = sim.now().as_secs();
         // Wake everything postponed into this phase.
-        for a in &mut self.active {
+        for a in self.active.iter_mut() {
             a.exec.resume(sim);
         }
         self.phase_state = Some(PhaseState::measure(sim, &self.ctx, self.config.resources));
@@ -360,7 +361,8 @@ impl ChameleonDriver {
                         .or_default()
                         .push(assignment.destination);
                     let mut exec =
-                        PlanExecutor::new(plan, self.ctx.chunk_size(), self.ctx.slice_size());
+                        PlanExecutor::new(plan, self.ctx.chunk_size(), self.ctx.slice_size())
+                            .with_owner(self.active.next_key());
                     exec.start(sim);
                     let n = self.attempts.entry(chunk).or_insert(0);
                     *n += 1;
@@ -437,7 +439,7 @@ impl ChameleonDriver {
             self.retry_timers.insert(t, chunk);
         }
         // The failed attempt released capacity; wake postponed siblings.
-        for other in &mut self.active {
+        for other in self.active.iter_mut() {
             other.exec.resume(sim);
         }
         if !self.pending.is_empty() {
@@ -479,7 +481,7 @@ impl ChameleonDriver {
         let now = sim.now().as_secs();
         let unpaused = self.active.iter().filter(|a| !a.exec.is_paused()).count();
         let mut pauses_available = unpaused.saturating_sub(1);
-        for a in &mut self.active {
+        for a in self.active.iter_mut() {
             if a.exec.is_paused() || a.exec.is_done() {
                 continue;
             }
@@ -588,7 +590,7 @@ impl ChameleonDriver {
         }
         // Opportunistic wake-up of postponed chunks (§III-C): capacity has
         // just been released.
-        for other in &mut self.active {
+        for other in self.active.iter_mut() {
             other.exec.resume(sim);
         }
         // Use the freed phase budget for more chunks.
@@ -634,65 +636,70 @@ impl RepairDriver for ChameleonDriver {
     }
 
     fn on_event(&mut self, sim: &mut Simulator, event: &Event) -> bool {
-        match event {
-            Event::Timer { id, .. } => {
-                if Some(*id) == self.phase_timer {
+        // The driver is offered every event of the run, most of them not
+        // its own (each foreground request completes a flow and fires a
+        // timer), so a foreign event is turned away without a lookup:
+        // timers by id comparison and dispatch key, flows by class and
+        // then owner key.
+        let owner = match *event {
+            Event::Timer { id, key } => {
+                if Some(id) == self.phase_timer {
                     self.phase_timer = None;
                     if !self.is_done() {
                         self.start_phase(sim);
                     }
-                    true
-                } else if Some(*id) == self.check_timer {
+                } else if Some(id) == self.check_timer {
                     self.check_timer = None;
                     if !self.is_done() {
                         self.straggler_check(sim);
                         self.check_timer =
                             Some(sim.schedule_in(self.config.check_interval_secs, 0));
                     }
-                    true
-                } else if let Some(chunk) = self.retry_timers.remove(id) {
-                    self.pending.push_front(chunk);
-                    if self.active.is_empty() {
-                        self.start_phase(sim);
-                    } else {
-                        self.admit(sim);
-                    }
-                    true
-                } else if Some(*id) == self.stall_timer {
+                } else if Some(id) == self.stall_timer {
                     self.stall_timer = None;
                     self.stall_sweep(sim);
                     if !self.is_done() {
                         self.stall_timer =
                             Some(sim.schedule_in(self.policy.stall_timeout_secs, STALL_TIMER_KEY));
                     }
-                    true
-                } else {
-                    false
-                }
-            }
-            Event::FlowCompleted { .. } => {
-                for i in 0..self.active.len() {
-                    match self.active[i].exec.on_event(sim, event) {
-                        ExecStatus::NotMine => continue,
-                        ExecStatus::InProgress => {
-                            self.active[i].last_activity =
-                                self.active[i].exec.sent_bytes() + self.active[i].exec.progress();
-                            return true;
-                        }
-                        ExecStatus::Done => {
-                            self.finish_chunk(sim, i);
-                            return true;
-                        }
-                        ExecStatus::Failed => {
-                            let a = self.active.swap_remove(i);
-                            self.handle_failed_attempt(sim, a);
-                            return true;
-                        }
+                } else if let Some(chunk) = (key == RETRY_TIMER_KEY)
+                    .then(|| self.retry_timers.remove(&id))
+                    .flatten()
+                {
+                    self.pending.push_front(chunk);
+                    if self.active.is_empty() {
+                        self.start_phase(sim);
+                    } else {
+                        self.admit(sim);
                     }
+                } else {
+                    return false;
                 }
-                false
+                return true;
+            }
+            Event::FlowCompleted {
+                tag: Traffic::Repair,
+                owner,
+                ..
+            } => owner,
+            Event::FlowCompleted { .. } => return false,
+        };
+        let Some(i) = self.active.position(owner) else {
+            return false;
+        };
+        match self.active[i].exec.on_event(sim, event) {
+            ExecStatus::NotMine => return false,
+            ExecStatus::InProgress => {
+                self.active[i].last_activity =
+                    self.active[i].exec.sent_bytes() + self.active[i].exec.progress();
+            }
+            ExecStatus::Done => self.finish_chunk(sim, i),
+            ExecStatus::Failed => {
+                let a = self.active.swap_remove(i);
+                self.handle_failed_attempt(sim, a);
             }
         }
+        true
     }
 
     fn on_fault(&mut self, sim: &mut Simulator, fault: &FaultEvent) {
@@ -784,6 +791,14 @@ mod tests {
         assert_eq!(outcome.chunks_repaired + driver.skipped(), lost.len());
         assert_eq!(driver.skipped(), 0);
         (outcome, driver.stats())
+    }
+
+    #[test]
+    fn foreign_events_are_refused_without_touching_an_executor() {
+        crate::roster::testing::assert_foreign_events_are_refused(
+            |ctx| ChameleonDriver::new(ctx, ChameleonConfig::default()),
+            |d| d.active.iter().map(|a| format!("{:?}", a.exec)).collect(),
+        );
     }
 
     #[test]

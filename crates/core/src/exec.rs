@@ -15,9 +15,7 @@
 //! actually executed* (including any re-tuned edges), so drivers can
 //! report per-stage coding nanoseconds alongside the simulated timings.
 
-use std::collections::HashMap;
-
-use chameleon_simnet::{Event, FlowId, FlowSpec, NodeId, Simulator, Traffic};
+use chameleon_simnet::{Event, FlowId, FlowSpec, IdMap, NodeId, Simulator, Traffic};
 
 use crate::coding::{CodingStats, PlanCoder};
 use crate::plan::RepairPlan;
@@ -106,7 +104,10 @@ pub struct PlanExecutor {
     /// Destination write progress.
     write_done: usize,
     writing: Option<FlowId>,
-    flow_map: HashMap<FlowId, Step>,
+    flow_map: IdMap<FlowId, Step>,
+    /// Routing key stamped on every flow this executor starts and echoed
+    /// back on its completion ([`PlanExecutor::with_owner`]).
+    owner: u64,
     paused: bool,
     started_at: Option<f64>,
     finished_at: Option<f64>,
@@ -185,7 +186,8 @@ impl PlanExecutor {
             edges,
             write_done: 0,
             writing: None,
-            flow_map: HashMap::new(),
+            flow_map: IdMap::default(),
+            owner: 0,
             paused: false,
             started_at: None,
             finished_at: None,
@@ -194,6 +196,16 @@ impl PlanExecutor {
             sent_bytes: 0.0,
             aborted_flows: 0,
         }
+    }
+
+    /// Stamps `owner` on every flow the executor starts, so the driver
+    /// can route [`Event::FlowCompleted`] to this executor by the echoed
+    /// key instead of offering the event to each executor in turn. The
+    /// key only routes: [`PlanExecutor::on_event`] still answers
+    /// [`ExecStatus::NotMine`] for a flow it did not start.
+    pub fn with_owner(mut self, owner: u64) -> Self {
+        self.owner = owner;
+        self
     }
 
     /// The plan being executed (reflects any re-tuning applied so far).
@@ -465,7 +477,9 @@ impl PlanExecutor {
             };
             if !reading && read_done < self.reads_needed() {
                 let bytes = (self.slice_len(read_done) as f64 * fraction).ceil() as u64;
-                let id = sim.start_flow(FlowSpec::disk_read(node, bytes.max(1), Traffic::Repair));
+                let id = sim.start_flow(
+                    FlowSpec::disk_read(node, bytes.max(1), Traffic::Repair).with_owner(self.owner),
+                );
                 self.flow_map.insert(id, Step::Read { source: i });
                 self.sources[i].reading = Some(id);
             }
@@ -492,12 +506,10 @@ impl PlanExecutor {
             };
             let edge = &self.edges[eidx];
             let bytes = (self.slice_len(slice) as f64 * edge.bytes_factor).ceil() as u64;
-            let id = sim.start_flow(FlowSpec::network(
-                edge.from,
-                edge.to,
-                bytes.max(1),
-                Traffic::Repair,
-            ));
+            let id = sim.start_flow(
+                FlowSpec::network(edge.from, edge.to, bytes.max(1), Traffic::Repair)
+                    .with_owner(self.owner),
+            );
             self.flow_map.insert(
                 id,
                 Step::Send {
@@ -514,11 +526,10 @@ impl PlanExecutor {
             && self.inputs_ready(self.plan.destination(), self.write_done)
         {
             let bytes = self.slice_len(self.write_done);
-            let id = sim.start_flow(FlowSpec::disk_write(
-                self.plan.destination(),
-                bytes,
-                Traffic::Repair,
-            ));
+            let id = sim.start_flow(
+                FlowSpec::disk_write(self.plan.destination(), bytes, Traffic::Repair)
+                    .with_owner(self.owner),
+            );
             self.flow_map.insert(id, Step::Write);
             self.writing = Some(id);
         }

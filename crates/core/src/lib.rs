@@ -48,6 +48,7 @@ mod plan;
 pub mod ppr;
 pub mod recovery;
 pub mod repairboost;
+mod roster;
 mod select;
 
 pub use coding::{CodingStats, PlanCoder};

@@ -479,7 +479,7 @@ impl Orchestrator {
         // The last *complete* window is the freshest full observation;
         // the current (partial) window under-reports rates.
         let complete = monitor.window_count().checked_sub(2);
-        for node in self.view.cluster.alive_storage_nodes() {
+        for &node in self.view.cluster.alive_storage_nodes() {
             capacity += sim.capacity(node, ResourceKind::Uplink);
             if let Some(w) = complete {
                 foreground += monitor

@@ -155,7 +155,8 @@ impl SourceSelector {
         let mut dest_candidates: Vec<NodeId> = ctx
             .cluster
             .alive_storage_nodes()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|n| !stripe_nodes.contains(n) && !forbidden_destinations.contains(n))
             .collect();
         if dest_candidates.is_empty() {
@@ -292,7 +293,8 @@ mod tests {
         let all_off_stripe: Vec<NodeId> = ctx
             .cluster
             .alive_storage_nodes()
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|n| !ctx.cluster.placement().stripe_nodes(0).contains(n))
             .collect();
         // Forbid all but one.

@@ -35,9 +35,10 @@
 //! test suite and as the baseline for the simulator-throughput benchmark.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::flow::{Flow, FlowId, FlowOutcome, FlowSpec, TimerId, MAX_CONSTRAINTS};
+use crate::idmap::IdMap;
 use crate::maxmin::{reference, IncrementalSolver, MaxMinSolver};
 use crate::monitor::Monitor;
 use crate::node::{NodeCaps, NodeId, ResourceKind, Traffic};
@@ -183,6 +184,9 @@ pub enum Event {
         tag: Traffic,
         /// Whether the flow delivered all of its bytes or was aborted.
         outcome: FlowOutcome,
+        /// The routing key the flow was started with
+        /// ([`FlowSpec::with_owner`]; 0 by default), echoed unchanged.
+        owner: u64,
     },
     /// A timer fired.
     Timer {
@@ -218,10 +222,10 @@ pub struct Simulator {
     /// Nodes currently failed ([`Simulator::fail_node`]): new flows that
     /// touch them abort on admission, existing ones were killed.
     failed_nodes: Vec<bool>,
-    /// Abort notifications queued by `fail_node`, delivered (in flow-id
-    /// order) by `next_event` ahead of any heap event, without advancing
-    /// time.
-    pending_aborts: VecDeque<(u64, Traffic)>,
+    /// Abort notifications (flow id, class, owner key) queued by
+    /// `fail_node`, delivered (in flow-id order) by `next_event` ahead of
+    /// any heap event, without advancing time.
+    pending_aborts: VecDeque<(u64, Traffic, u64)>,
     /// Flattened capacities: `caps[node * 4 + kind]` for node resources,
     /// followed by `links` shared link capacities starting at `link_base`.
     caps: Vec<f64>,
@@ -238,18 +242,16 @@ pub struct Simulator {
     /// Free-slot stack; reuse is LIFO and therefore deterministic.
     free_slots: Vec<u32>,
     /// Flow id → slab slot, the O(1) public-lookup path.
-    id_to_slot: HashMap<u64, u32>,
+    id_to_slot: IdMap<u64, u32>,
     live_flows: usize,
     next_flow_id: u64,
     next_timer_id: u64,
     /// Min-heap of (fire time, timer id, key).
     timers: BinaryHeap<Reverse<(SimTime, u64, u64)>>,
-    /// Ids of pending timers that have been cancelled. Only ids still in
-    /// `pending_timers` are ever inserted, so the set cannot leak ids of
-    /// timers that already fired.
-    cancelled_timers: HashSet<u64>,
-    /// Ids of scheduled timers that have not yet fired or been discarded.
-    pending_timers: HashSet<u64>,
+    /// Scheduled timers that have not yet fired or been discarded, each
+    /// with its cancelled flag. Cancelling only flags ids still present,
+    /// so ids of timers that already fired cannot leak.
+    pending_timers: IdMap<u64, bool>,
     rates_stale: bool,
     monitor: Monitor,
     /// Opt-in flow-lifecycle trace ([`Simulator::set_trace_enabled`]);
@@ -280,7 +282,7 @@ pub struct Simulator {
     groups: Vec<FlowGroup>,
     free_groups: Vec<u32>,
     /// Cell sequence → group index (unused key slots are `u32::MAX`).
-    group_ids: HashMap<[u32; MAX_CONSTRAINTS], u32>,
+    group_ids: IdMap<[u32; MAX_CONSTRAINTS], u32>,
     /// Per-group min-heaps of members by (completion-target bits, flow
     /// id); parallel to `groups`, cleared when a slot frees. Dead members
     /// linger lazily and are discarded when they surface at the head.
@@ -363,13 +365,12 @@ impl Simulator {
             flows: Vec::new(),
             slot_ids: Vec::new(),
             free_slots: Vec::new(),
-            id_to_slot: HashMap::new(),
+            id_to_slot: IdMap::default(),
             live_flows: 0,
             next_flow_id: 0,
             next_timer_id: 0,
             timers: BinaryHeap::new(),
-            cancelled_timers: HashSet::new(),
-            pending_timers: HashSet::new(),
+            pending_timers: IdMap::default(),
             rates_stale: true,
             monitor,
             trace: None,
@@ -382,7 +383,7 @@ impl Simulator {
             solver,
             groups: Vec::new(),
             free_groups: Vec::new(),
-            group_ids: HashMap::new(),
+            group_ids: IdMap::default(),
             grp_members: Vec::new(),
             touched_groups: Vec::new(),
             scr_changed: Vec::new(),
@@ -542,21 +543,14 @@ impl Simulator {
                     remaining: spec.bytes(),
                 },
             );
-            self.pending_aborts.push_back((id.0, spec.tag()));
+            self.pending_aborts
+                .push_back((id.0, spec.tag(), spec.owner()));
             return id;
         }
         // Dedupe repeated (node, kind) pairs: a duplicate would
         // double-count the flow's load in the solver and double-record its
         // bytes in the monitor.
-        let c = &mut spec.constraints;
-        let mut i = 1;
-        while i < c.len() {
-            if c[..i].contains(&c[i]) {
-                c.remove(i);
-            } else {
-                i += 1;
-            }
-        }
+        spec.constraints.dedup();
         let id = FlowId(self.next_flow_id);
         self.next_flow_id += 1;
         self.trace_flow(
@@ -573,15 +567,12 @@ impl Simulator {
         // see the extra constraints. Same-rack (and disk-only) flows take
         // no link cells and behave exactly as in the rackless engine.
         if let Some(topo) = &self.topology {
-            let src = flow
-                .spec
-                .constraints
+            let constraints = flow.spec.constraints();
+            let src = constraints
                 .iter()
                 .find(|&&(_, k)| k == ResourceKind::Uplink)
                 .map(|&(n, _)| n);
-            let dst = flow
-                .spec
-                .constraints
+            let dst = constraints
                 .iter()
                 .find(|&&(_, k)| k == ResourceKind::Downlink)
                 .map(|&(n, _)| n);
@@ -894,7 +885,8 @@ impl Simulator {
                     remaining: wasted,
                 },
             );
-            self.pending_aborts.push_back((id, flow.spec.tag));
+            self.pending_aborts
+                .push_back((id, flow.spec.tag, flow.spec.owner));
             self.rates_stale = true;
         }
     }
@@ -1006,7 +998,7 @@ impl Simulator {
     /// account for sibling flows the same failure already killed
     /// (cancelling them is a no-op — they are gone from the engine).
     pub fn abort_pending(&self, id: FlowId) -> bool {
-        self.pending_aborts.iter().any(|&(fid, _)| fid == id.0)
+        self.pending_aborts.iter().any(|&(fid, ..)| fid == id.0)
     }
 
     /// Instantaneous aggregate rate of one traffic class through one node
@@ -1023,7 +1015,7 @@ impl Simulator {
                 .iter()
                 .flatten()
                 .filter(|f| f.spec.tag == tag)
-                .filter(|f| f.spec.constraints.contains(&(node, kind)))
+                .filter(|f| f.spec.constraints().contains(&(node, kind)))
                 .map(|f| f.rate)
                 .sum()
         } else {
@@ -1132,7 +1124,7 @@ impl Simulator {
         let id = TimerId(self.next_timer_id);
         self.next_timer_id += 1;
         self.timers.push(Reverse((at, id.0, key)));
-        self.pending_timers.insert(id.0);
+        self.pending_timers.insert(id.0, false);
         self.profile.timers_scheduled += 1;
         id
     }
@@ -1140,9 +1132,11 @@ impl Simulator {
     /// Cancels a pending timer (no effect if it already fired or never
     /// existed — stale ids are not retained).
     pub fn cancel_timer(&mut self, id: TimerId) {
-        if self.pending_timers.contains(&id.0) {
-            self.cancelled_timers.insert(id.0);
-            self.profile.timers_cancelled += 1;
+        if let Some(cancelled) = self.pending_timers.get_mut(&id.0) {
+            if !*cancelled {
+                *cancelled = true;
+                self.profile.timers_cancelled += 1;
+            }
         }
     }
 
@@ -1158,19 +1152,20 @@ impl Simulator {
         // Queued abort notifications outrank everything: they happened at
         // the current time (when `fail_node` struck), so they are
         // delivered before any heap event and without advancing the clock.
-        if let Some((id, tag)) = self.pending_aborts.pop_front() {
+        if let Some((id, tag, owner)) = self.pending_aborts.pop_front() {
             self.profile.events += 1;
             self.profile.flow_aborts += 1;
             return Some(Event::FlowCompleted {
                 id: FlowId(id),
                 tag,
                 outcome: FlowOutcome::Aborted,
+                owner,
             });
         }
 
         // Discard cancelled timers at the head.
         while let Some(Reverse((_, id, _))) = self.timers.peek() {
-            if self.cancelled_timers.remove(id) {
+            if self.pending_timers.get(id) == Some(&true) {
                 self.pending_timers.remove(id);
                 self.timers.pop();
             } else {
@@ -1279,6 +1274,7 @@ impl Simulator {
                 id: FlowId(id),
                 tag: flow.spec.tag,
                 outcome: FlowOutcome::Delivered,
+                owner: flow.spec.owner,
             })
         } else {
             let Reverse((_, id, key)) = self.timers.pop().expect("timer event chosen");
@@ -1325,14 +1321,8 @@ impl Simulator {
                 // flows — O(busy cells) per event, independent of both
                 // flow and node count. Monitor cells are accounted
                 // independently, so the active-list order is immaterial.
-                for &ct in &self.active_cells {
-                    let rate = self.class_rate_tbl[ct as usize];
-                    if rate > 0.0 {
-                        let ct = ct as usize;
-                        let tag = Traffic::ALL[ct % TAGS];
-                        self.monitor.record_cell(start, end, rate, ct / TAGS, tag);
-                    }
-                }
+                self.monitor
+                    .record_cells(start, end, &self.active_cells, &self.class_rate_tbl);
             }
         }
         self.now = t;
@@ -1605,6 +1595,7 @@ mod tests {
                 id: f,
                 tag: Traffic::Repair,
                 outcome: FlowOutcome::Delivered,
+                owner: 0,
             }
         );
         assert!((sim.now().as_secs() - 2.0).abs() < 1e-9);
@@ -1662,8 +1653,25 @@ mod tests {
         assert!(matches!(ev, Event::Timer { key: 2, .. }));
         assert_eq!(sim.next_event(), None);
         // The cancelled id was discarded along the way; nothing lingers.
-        assert!(sim.cancelled_timers.is_empty());
         assert!(sim.pending_timers.is_empty());
+    }
+
+    #[test]
+    fn cancelling_a_timer_twice_counts_once() {
+        // Regression: every cancel of a still-pending timer used to bump
+        // `timers_cancelled`, so a repeated cancel double-counted.
+        let mut sim = two_node_sim();
+        let t = sim.schedule_in(1.0, 1);
+        sim.schedule_in(2.0, 2);
+        sim.cancel_timer(t);
+        sim.cancel_timer(t);
+        assert_eq!(sim.profile().timers_cancelled, 1);
+        let ev = sim.next_event().unwrap();
+        assert!(matches!(ev, Event::Timer { key: 2, .. }));
+        // Cancelling after the discard is as inert as it always was.
+        sim.cancel_timer(t);
+        assert_eq!(sim.profile().timers_cancelled, 1);
+        assert_eq!(sim.profile().timers_scheduled, 2);
     }
 
     #[test]
@@ -1674,11 +1682,11 @@ mod tests {
         assert_eq!(ev, Event::Timer { id: t, key: 9 });
         // Fire-then-cancel: the id is gone, so nothing must be retained.
         sim.cancel_timer(t);
-        assert!(sim.cancelled_timers.is_empty());
+        assert!(sim.pending_timers.is_empty());
         // Cancelling a never-existing timer is equally inert.
         sim.cancel_timer(TimerId(12345));
-        assert!(sim.cancelled_timers.is_empty());
         assert!(sim.pending_timers.is_empty());
+        assert_eq!(sim.profile().timers_cancelled, 0);
     }
 
     #[test]
@@ -1752,12 +1760,13 @@ mod tests {
         let mut sim = two_node_sim();
         let spec = FlowSpec {
             bytes: 200.0,
-            constraints: vec![
+            constraints: crate::flow::Constraints::from_slice(&[
                 (0, ResourceKind::Uplink),
                 (0, ResourceKind::Uplink),
                 (1, ResourceKind::Downlink),
-            ],
+            ]),
             tag: Traffic::Repair,
+            owner: 0,
         };
         let f = sim.start_flow(spec);
         sim.refresh();
@@ -1833,14 +1842,15 @@ mod tests {
     #[test]
     fn fail_node_aborts_flows_and_releases_capacity() {
         let mut sim = Simulator::new(SimConfig::uniform(3, NodeCaps::symmetric(100.0, 50.0)));
-        let doomed = sim.start_flow(FlowSpec::network(0, 1, 1000, Traffic::Repair));
+        let doomed = sim.start_flow(FlowSpec::network(0, 1, 1000, Traffic::Repair).with_owner(7));
         let doomed2 = sim.start_flow(FlowSpec::network(2, 1, 1000, Traffic::Repair));
         let survivor = sim.start_flow(FlowSpec::network(2, 0, 100, Traffic::Repair));
         sim.schedule_in(1.0, 0);
         let _ = sim.next_event();
         sim.fail_node(1);
         assert!(sim.is_node_failed(1));
-        // Aborts are delivered in flow-id order, at the current time.
+        // Aborts are delivered in flow-id order, at the current time, and
+        // echo the owner key like any other completion.
         let ev = sim.next_event().unwrap();
         assert_eq!(
             ev,
@@ -1848,6 +1858,7 @@ mod tests {
                 id: doomed,
                 tag: Traffic::Repair,
                 outcome: FlowOutcome::Aborted,
+                owner: 7,
             }
         );
         let ev = sim.next_event().unwrap();

@@ -42,11 +42,13 @@ use std::collections::HashMap;
 
 use crate::engine::{Event, Simulator};
 use crate::flow::TimerId;
+use crate::idmap::IdMap;
 use crate::node::NodeId;
 
-/// Dispatch key carried by every fault timer, so fault firings are
-/// recognizable in event logs (drivers match timers by id, not key, and
-/// ignore it).
+/// Dispatch key carried by every fault timer: fault firings are
+/// recognizable in event logs, and the injector turns away a timer with
+/// any other key before looking its id up (a key match alone claims
+/// nothing — the id still decides).
 pub const FAULT_TIMER_KEY: u64 = 0xFA17;
 
 /// One scheduled fault.
@@ -566,7 +568,7 @@ impl FaultPlan {
     /// being fine, the panic surfaces when the fault fires — prefer
     /// validating node ids against the cluster before injecting).
     pub fn inject(&self, sim: &mut Simulator) -> FaultInjector {
-        let mut by_timer = HashMap::new();
+        let mut by_timer = IdMap::default();
         // Each scale fault is a *window*: its start and end timers carry the
         // same window id so the injector can retire exactly that window when
         // the end fires, instead of blindly resetting the node to factor 1.0
@@ -680,7 +682,7 @@ enum FaultAction {
 /// window (or the configured capacities once none remain).
 #[derive(Debug)]
 pub struct FaultInjector {
-    by_timer: HashMap<TimerId, FaultAction>,
+    by_timer: IdMap<TimerId, FaultAction>,
     /// Active network scale windows per node, in start order (the last
     /// entry's factor is in force; empty/absent = 1.0).
     net_windows: HashMap<NodeId, Vec<(u64, f64)>>,
@@ -697,7 +699,13 @@ impl FaultInjector {
     /// before handing the event to the drivers, and forward the returned
     /// [`FaultEvent`] to any subscriber that re-plans around faults.
     pub fn on_event(&mut self, sim: &mut Simulator, event: &Event) -> Option<FaultEvent> {
-        let Event::Timer { id, .. } = event else {
+        // Every fault timer carries `FAULT_TIMER_KEY`, so foreign timers
+        // (one per foreground request) are turned away without a lookup.
+        let Event::Timer {
+            id,
+            key: FAULT_TIMER_KEY,
+        } = event
+        else {
             return None;
         };
         let action = self.by_timer.remove(id)?;

@@ -55,6 +55,64 @@ pub(crate) const MAX_SPEC_CONSTRAINTS: usize = 4;
 /// cross-rack flows under a [`Topology`](crate::Topology).
 pub(crate) const MAX_CONSTRAINTS: usize = 8;
 
+/// The node resources a [`FlowSpec`] names, stored inline (at most
+/// [`MAX_SPEC_CONSTRAINTS`]) so building and dropping a spec never touches
+/// the heap — the engine admits on the order of a million flows per run.
+#[derive(Clone, Copy)]
+pub(crate) struct Constraints {
+    items: [(NodeId, ResourceKind); MAX_SPEC_CONSTRAINTS],
+    len: u8,
+}
+
+impl Constraints {
+    /// Copies `items` inline.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `items` is longer than [`MAX_SPEC_CONSTRAINTS`].
+    pub(crate) fn from_slice(items: &[(NodeId, ResourceKind)]) -> Self {
+        assert!(
+            items.len() <= MAX_SPEC_CONSTRAINTS,
+            "at most {MAX_SPEC_CONSTRAINTS} constraints fit a flow spec"
+        );
+        let mut out = Constraints {
+            items: [(0, ResourceKind::Uplink); MAX_SPEC_CONSTRAINTS],
+            len: items.len() as u8,
+        };
+        out.items[..items.len()].copy_from_slice(items);
+        out
+    }
+
+    pub(crate) fn as_slice(&self) -> &[(NodeId, ResourceKind)] {
+        &self.items[..self.len as usize]
+    }
+
+    /// Drops repeated (node, kind) pairs, keeping each first occurrence in
+    /// order.
+    pub(crate) fn dedup(&mut self) {
+        let mut kept = 0;
+        for i in 0..self.len as usize {
+            if !self.items[..kept].contains(&self.items[i]) {
+                self.items[kept] = self.items[i];
+                kept += 1;
+            }
+        }
+        self.len = kept as u8;
+    }
+}
+
+impl PartialEq for Constraints {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl core::fmt::Debug for Constraints {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
 /// Specification of a byte transfer through one or more node resources.
 ///
 /// Use the constructors for the common shapes:
@@ -73,11 +131,21 @@ pub(crate) const MAX_CONSTRAINTS: usize = 8;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlowSpec {
     pub(crate) bytes: f64,
-    pub(crate) constraints: Vec<(NodeId, ResourceKind)>,
+    pub(crate) constraints: Constraints,
     pub(crate) tag: Traffic,
+    pub(crate) owner: u64,
 }
 
 impl FlowSpec {
+    fn new(bytes: u64, constraints: &[(NodeId, ResourceKind)], tag: Traffic) -> Self {
+        FlowSpec {
+            bytes: bytes as f64,
+            constraints: Constraints::from_slice(constraints),
+            tag,
+            owner: 0,
+        }
+    }
+
     /// A network transfer from `src` to `dst`, constrained by the source
     /// uplink and destination downlink.
     ///
@@ -87,39 +155,37 @@ impl FlowSpec {
     /// if `bytes` is negative.
     pub fn network(src: NodeId, dst: NodeId, bytes: u64, tag: Traffic) -> Self {
         assert_ne!(src, dst, "network flow needs distinct endpoints");
-        FlowSpec {
-            bytes: bytes as f64,
-            constraints: vec![(src, ResourceKind::Uplink), (dst, ResourceKind::Downlink)],
+        Self::new(
+            bytes,
+            &[(src, ResourceKind::Uplink), (dst, ResourceKind::Downlink)],
             tag,
-        }
+        )
     }
 
     /// A disk read of `bytes` on `node`.
     pub fn disk_read(node: NodeId, bytes: u64, tag: Traffic) -> Self {
-        FlowSpec {
-            bytes: bytes as f64,
-            constraints: vec![(node, ResourceKind::DiskRead)],
-            tag,
-        }
+        Self::new(bytes, &[(node, ResourceKind::DiskRead)], tag)
     }
 
     /// A disk write of `bytes` on `node`.
     pub fn disk_write(node: NodeId, bytes: u64, tag: Traffic) -> Self {
-        FlowSpec {
-            bytes: bytes as f64,
-            constraints: vec![(node, ResourceKind::DiskWrite)],
-            tag,
-        }
+        Self::new(bytes, &[(node, ResourceKind::DiskWrite)], tag)
     }
 
     /// A flow constrained by an arbitrary set of resources (at most
-    /// [`MAX_CONSTRAINTS`](crate::FlowSpec::custom) = 4).
+    /// [`MAX_CONSTRAINTS`](crate::FlowSpec::custom) = 4), given as a `Vec`,
+    /// an array or a slice; the pairs are copied inline.
     ///
     /// # Panics
     ///
     /// Panics if `constraints` is empty, longer than 4, or contains
     /// duplicates.
-    pub fn custom(bytes: u64, constraints: Vec<(NodeId, ResourceKind)>, tag: Traffic) -> Self {
+    pub fn custom(
+        bytes: u64,
+        constraints: impl AsRef<[(NodeId, ResourceKind)]>,
+        tag: Traffic,
+    ) -> Self {
+        let constraints = constraints.as_ref();
         assert!(
             !constraints.is_empty() && constraints.len() <= MAX_SPEC_CONSTRAINTS,
             "1..=4 constraints required"
@@ -130,11 +196,17 @@ impl FlowSpec {
                 "duplicate constraint {a:?}"
             );
         }
-        FlowSpec {
-            bytes: bytes as f64,
-            constraints,
-            tag,
-        }
+        Self::new(bytes, constraints, tag)
+    }
+
+    /// Returns the spec carrying `owner`, a caller-chosen routing key the
+    /// engine echoes on the flow's [`Event::FlowCompleted`](crate::Event)
+    /// (as timers echo their `key`), so a driver finds the state a
+    /// completion belongs to without a lookup. The engine never interprets
+    /// it; the default is 0.
+    pub fn with_owner(mut self, owner: u64) -> Self {
+        self.owner = owner;
+        self
     }
 
     /// Total size of the transfer in bytes.
@@ -147,17 +219,23 @@ impl FlowSpec {
         self.tag
     }
 
+    /// The routing key set by [`FlowSpec::with_owner`] (0 if none).
+    pub fn owner(&self) -> u64 {
+        self.owner
+    }
+
     /// The resources this flow traverses.
     pub fn constraints(&self) -> &[(NodeId, ResourceKind)] {
-        &self.constraints
+        self.constraints.as_slice()
     }
 
     /// The (first, last) constraint nodes — (src, dst) for a network flow,
     /// the same node twice for a single-resource disk flow. Used by the
     /// trace layer to label lifecycle events.
     pub(crate) fn endpoints(&self) -> (NodeId, NodeId) {
-        let first = self.constraints.first().map_or(0, |&(n, _)| n);
-        let last = self.constraints.last().map_or(first, |&(n, _)| n);
+        let c = self.constraints();
+        let first = c.first().map_or(0, |&(n, _)| n);
+        let last = c.last().map_or(first, |&(n, _)| n);
         (first, last)
     }
 }
@@ -197,10 +275,10 @@ impl Flow {
     pub(crate) fn new(spec: FlowSpec) -> Self {
         let remaining = spec.bytes;
         let mut cells = [0u32; MAX_CONSTRAINTS];
-        for (c, &(node, kind)) in cells.iter_mut().zip(&spec.constraints) {
+        for (c, &(node, kind)) in cells.iter_mut().zip(spec.constraints()) {
             *c = (node * 4 + kind.index()) as u32;
         }
-        let ncells = spec.constraints.len() as u8;
+        let ncells = spec.constraints().len() as u8;
         Flow {
             spec,
             remaining,

@@ -61,6 +61,7 @@
 mod engine;
 pub mod faults;
 mod flow;
+mod idmap;
 pub mod maxmin;
 mod monitor;
 mod node;
@@ -71,6 +72,7 @@ pub mod trace;
 pub use engine::{Event, SimConfig, Simulator, StaleRatesError};
 pub use faults::{FaultEvent, FaultInjector, FaultPlan, FaultSpec};
 pub use flow::{FlowId, FlowOutcome, FlowSpec, TimerId};
+pub use idmap::{IdHasher, IdMap};
 pub use maxmin::{allocate_rates, IncrementalSolver, MaxMinSolver, SolveOutcome};
 pub use monitor::{Monitor, UsageSample};
 pub use node::{NodeCaps, NodeId, ResourceKind, Traffic};

@@ -121,6 +121,37 @@ impl Monitor {
         if rate <= 0.0 || end <= start {
             return;
         }
+        self.for_each_window(start, end, |row, overlap| row[idx] += rate * overlap);
+    }
+
+    /// Accounts one constant-rate segment `[start, end)` on many cells at
+    /// once: `cells` are flattened `cell × TAGS + tag` indices and
+    /// `rates[cell]` their aggregate rates (cells at rate ≤ 0 are skipped).
+    /// The segment is split into windows once and each cell receives the
+    /// same `rate × overlap` additions, in the same order, as one
+    /// `record_cell` call per positive-rate cell would make — every window
+    /// sum, the horizon and the window count are bit-identical, at one
+    /// window split per engine advance instead of one per active cell.
+    pub(crate) fn record_cells(&mut self, start: f64, end: f64, cells: &[u32], rates: &[f64]) {
+        debug_assert!(end >= start);
+        if !cells.iter().any(|&c| rates[c as usize] > 0.0) {
+            return;
+        }
+        self.horizon = self.horizon.max(end);
+        self.for_each_window(start, end, |row, overlap| {
+            for &c in cells {
+                let rate = rates[c as usize];
+                if rate > 0.0 {
+                    row[c as usize] += rate * overlap;
+                }
+            }
+        });
+    }
+
+    /// Calls `credit(window row, overlap seconds)` for every window the
+    /// segment `[start, end)` overlaps (none when it is empty), growing
+    /// the window list as needed.
+    fn for_each_window(&mut self, start: f64, end: f64, mut credit: impl FnMut(&mut [f64], f64)) {
         let win = self.window_secs;
         // Iterate over *integer* window indices. The previous float-stepping
         // loop (`t = seg_end` with `seg_end = (w+1)*win`) could truncate
@@ -141,7 +172,7 @@ impl Monitor {
                     self.windows
                         .push(vec![0.0; (self.nodes * KINDS + self.links) * TAGS]);
                 }
-                self.windows[w][idx] += rate * overlap;
+                credit(&mut self.windows[w], overlap);
             }
             w += 1;
         }
@@ -353,6 +384,96 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn batched_recording_is_bitwise_equal_to_per_cell(
+            seed in any::<u64>(),
+            window_decis in 1u32..40,
+            far in any::<bool>(),
+        ) {
+            // `record_cells` against the loop it replaced in the engine:
+            // one `record_cell` per active cell with a positive rate.
+            // Segments are empty, inside one window, end exactly on a
+            // (float-computed) boundary, or span several windows; with
+            // `far` they sit thousands of windows out, where a window of
+            // 0.1 s is not representable and the old float-stepping loop
+            // livelocked.
+            let (nodes, links) = (3usize, 2usize);
+            let flat_cells = (nodes * KINDS + links) * TAGS;
+            let win = window_decis as f64 * 0.1;
+            let mut per_cell = Monitor::new(nodes, links, win);
+            let mut batched = Monitor::new(nodes, links, win);
+            let mut state = seed | 1;
+            let mut next = move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                state >> 33
+            };
+            let mut w = if far { 4321 } else { 0 };
+            let mut start = w as f64 * win;
+            for _ in 0..40 {
+                let end = match next() % 5 {
+                    0 => start,
+                    1 => start + win * (next() % 1000) as f64 / 1000.0,
+                    2 => {
+                        w += 1 + (next() % 3) as usize;
+                        w as f64 * win
+                    }
+                    _ => start + win * (next() % 4000) as f64 / 1000.0,
+                }
+                .max(start);
+                let mut rates = vec![0.0f64; flat_cells];
+                let mut active: Vec<u32> = Vec::new();
+                // Now and then nothing moves: neither path may then extend
+                // the horizon or grow the window list.
+                let all_starved = next() % 6 == 0;
+                for (c, rate) in rates.iter_mut().enumerate() {
+                    match (next() % 4, all_starved) {
+                        // Active at a positive rate.
+                        (0 | 1, false) => {
+                            *rate = 1.0 + (next() % 100_000) as f64 / 7.0;
+                            active.push(c as u32);
+                        }
+                        // Active but starved, or drifted just below zero.
+                        (0..=2, _) => {
+                            *rate = if next() % 2 == 0 { 0.0 } else { -1e-9 };
+                            active.push(c as u32);
+                        }
+                        // Idle: holds a stale rate the list must mask.
+                        _ => *rate = 5.0,
+                    }
+                }
+                // The engine's active list is in no particular order.
+                for i in (1..active.len()).rev() {
+                    active.swap(i, (next() % (i as u64 + 1)) as usize);
+                }
+                for &c in &active {
+                    let c = c as usize;
+                    if rates[c] > 0.0 {
+                        per_cell.record_cell(start, end, rates[c], c / TAGS, Traffic::ALL[c % TAGS]);
+                    }
+                }
+                batched.record_cells(start, end, &active, &rates);
+                prop_assert_eq!(batched.horizon.to_bits(), per_cell.horizon.to_bits());
+                prop_assert_eq!(batched.window_count(), per_cell.window_count());
+                start = end;
+                w = w.max((start / win).floor() as usize);
+            }
+            for (wi, (b, p)) in batched.windows.iter().zip(&per_cell.windows).enumerate() {
+                for c in 0..flat_cells {
+                    prop_assert_eq!(
+                        b[c].to_bits(),
+                        p[c].to_bits(),
+                        "window {} cell {}: batched {} vs per-cell {}",
+                        wi, c, b[c], p[c]
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn records_split_across_windows() {
