@@ -40,6 +40,9 @@ pub enum ExecStatus {
 struct Edge {
     from: NodeId,
     to: NodeId,
+    /// Slot of `to`: its participant index, or the participant count for
+    /// the destination.
+    to_slot: usize,
     /// First slice this edge carries.
     start: usize,
     /// One past the last slice this edge carries.
@@ -101,6 +104,12 @@ pub struct PlanExecutor {
     last_slice_bytes: u64,
     sources: Vec<SourceState>,
     edges: Vec<Edge>,
+    /// Edge indices leaving each participant: its plan edge, then the
+    /// redirected remainder if the edge was re-tuned.
+    out_edges: Vec<Vec<usize>>,
+    /// Edge indices entering each slot (participants by index, the
+    /// destination last).
+    in_edges: Vec<Vec<usize>>,
     /// Destination write progress.
     write_done: usize,
     writing: Option<FlowId>,
@@ -122,6 +131,10 @@ pub struct PlanExecutor {
     /// Flows of this attempt killed by node failures or cancelled on
     /// abort.
     aborted_flows: usize,
+    /// Re-examine every source after each event instead of the two slots
+    /// the event touched: the oracle of the indexed pump.
+    #[cfg(test)]
+    full_scan: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -162,21 +175,28 @@ impl PlanExecutor {
                 sending: None,
             })
             .collect();
-        let edges = plan
-            .participants()
-            .iter()
-            .map(|p| {
-                let is_relay = !plan.inputs_of(p.node).is_empty();
-                Edge {
-                    from: p.node,
-                    to: p.send_to,
-                    start: 0,
-                    end: slices,
-                    delivered: 0,
-                    bytes_factor: if is_relay { 1.0 } else { p.read_fraction },
-                }
-            })
-            .collect();
+        let count = sources.len();
+        let mut in_edges = vec![Vec::new(); count + 1];
+        let mut edges = Vec::with_capacity(count);
+        for (i, p) in plan.participants().iter().enumerate() {
+            let to_slot = plan.participant_on(p.send_to).unwrap_or(count);
+            in_edges[to_slot].push(i);
+            edges.push(Edge {
+                from: p.node,
+                to: p.send_to,
+                to_slot,
+                start: 0,
+                end: slices,
+                delivered: 0,
+                bytes_factor: p.read_fraction,
+            });
+        }
+        // Relays forward full slices whatever fraction they read.
+        for (edge, inputs) in edges.iter_mut().zip(&in_edges) {
+            if !inputs.is_empty() {
+                edge.bytes_factor = 1.0;
+            }
+        }
         PlanExecutor {
             plan,
             slices,
@@ -184,6 +204,8 @@ impl PlanExecutor {
             last_slice_bytes,
             sources,
             edges,
+            out_edges: (0..count).map(|i| vec![i]).collect(),
+            in_edges,
             write_done: 0,
             writing: None,
             flow_map: IdMap::default(),
@@ -195,6 +217,8 @@ impl PlanExecutor {
             failed: false,
             sent_bytes: 0.0,
             aborted_flows: 0,
+            #[cfg(test)]
+            full_scan: false,
         }
     }
 
@@ -269,7 +293,7 @@ impl PlanExecutor {
                 }
             }
         }
-        self.pump(sim);
+        self.advance(sim, step);
         ExecStatus::InProgress
     }
 
@@ -335,8 +359,8 @@ impl PlanExecutor {
     }
 
     /// Runs the real coding stages of the plan *as executed* (any
-    /// re-tuned edges included) through the word-wide striped kernels, at
-    /// most once per executor; repeated calls return the recorded stats.
+    /// re-tuned edges included) on `coder`, at most once per executor;
+    /// repeated calls return the recorded stats.
     pub fn run_coding(&mut self, coder: &mut PlanCoder) -> CodingStats {
         if let Some(stats) = self.coding {
             return stats;
@@ -425,18 +449,20 @@ impl PlanExecutor {
         }
         self.edges[eidx].end = cutover;
         let factor = self.edges[eidx].bytes_factor;
+        let redirected = self.edges.len();
+        self.out_edges[sender].push(redirected);
+        self.in_edges[self.sources.len()].push(redirected);
         self.edges.push(Edge {
             from,
             to: dst,
+            to_slot: self.sources.len(),
             start: cutover,
             end: old_end,
             delivered: cutover,
             bytes_factor: factor,
         });
         // Keep the plan view in sync for observers.
-        if let Some(pidx) = self.plan.participant_on(from) {
-            self.plan.redirect_to_destination(pidx);
-        }
+        self.plan.redirect_to_destination(sender);
         self.pump(sim);
         true
     }
@@ -455,84 +481,136 @@ impl PlanExecutor {
         self.slices
     }
 
-    /// Whether `node` has received slice `t` from every input edge that
+    /// Whether `slot` has received `slice` on every input edge that
     /// carries it.
-    fn inputs_ready(&self, node: NodeId, slice: usize) -> bool {
-        self.edges
+    fn inputs_ready(&self, slot: usize, slice: usize) -> bool {
+        self.in_edges[slot]
             .iter()
-            .filter(|e| e.to == node && e.covers(slice))
+            .map(|&e| &self.edges[e])
+            .filter(|e| e.covers(slice))
             .all(|e| e.delivered > slice)
     }
 
-    /// Starts every action that is currently unblocked.
+    /// Whether the executor may not start flows (postponed, or over).
+    fn is_stopped(&self) -> bool {
+        self.paused || self.is_done() || self.failed
+    }
+
+    /// Starts every action that is currently unblocked: the full scan,
+    /// for the calls after which any source may be (start, resume,
+    /// re-tune).
     fn pump(&mut self, sim: &mut Simulator) {
-        if self.paused || self.is_done() || self.failed {
+        if self.is_stopped() {
             return;
         }
-        // Disk reads: one outstanding per source, sequential.
         for i in 0..self.sources.len() {
-            let (node, fraction, read_done, reading) = {
-                let s = &self.sources[i];
-                (s.node, s.read_fraction, s.read_done, s.reading.is_some())
-            };
-            if !reading && read_done < self.reads_needed() {
-                let bytes = (self.slice_len(read_done) as f64 * fraction).ceil() as u64;
-                let id = sim.start_flow(
-                    FlowSpec::disk_read(node, bytes.max(1), Traffic::Repair).with_owner(self.owner),
-                );
-                self.flow_map.insert(id, Step::Read { source: i });
-                self.sources[i].reading = Some(id);
-            }
+            self.try_read(sim, i);
         }
-        // Network sends: one outstanding per source, in slice order.
-        for i in 0..self.sources.len() {
-            let (node, read_done, sent, sending) = {
-                let s = &self.sources[i];
-                (s.node, s.read_done, s.sent, s.sending.is_some())
-            };
-            if sending || sent >= self.slices {
-                continue;
-            }
-            let slice = sent;
-            if read_done <= slice || !self.inputs_ready(node, slice) {
-                continue;
-            }
-            let Some(eidx) = self
-                .edges
-                .iter()
-                .position(|e| e.from == node && e.covers(slice))
-            else {
-                continue;
-            };
-            let edge = &self.edges[eidx];
-            let bytes = (self.slice_len(slice) as f64 * edge.bytes_factor).ceil() as u64;
-            let id = sim.start_flow(
-                FlowSpec::network(edge.from, edge.to, bytes.max(1), Traffic::Repair)
-                    .with_owner(self.owner),
-            );
-            self.flow_map.insert(
-                id,
-                Step::Send {
-                    source: i,
-                    edge: eidx,
-                    slice,
-                },
-            );
-            self.sources[i].sending = Some((id, slice));
+        for slot in 0..=self.sources.len() {
+            self.try_slot(sim, slot);
         }
-        // Destination write: sequential, gated on all inputs.
-        if self.writing.is_none()
-            && self.write_done < self.slices
-            && self.inputs_ready(self.plan.destination(), self.write_done)
+    }
+
+    /// Starts what the completion of `step` unblocked. That can only be
+    /// the source the step belongs to and the slot it fed; they are
+    /// examined in the order the full scan visits them (the read, sends by
+    /// ascending source, the write), because flow ids break completion
+    /// ties and so the order is part of the schedule.
+    fn advance(&mut self, sim: &mut Simulator, step: Step) {
+        #[cfg(test)]
+        if self.full_scan {
+            return self.pump(sim);
+        }
+        if self.is_stopped() {
+            return;
+        }
+        match step {
+            Step::Read { source } => {
+                self.try_read(sim, source);
+                self.try_send(sim, source);
+            }
+            Step::Send { source, edge, .. } => {
+                let fed = self.edges[edge].to_slot;
+                self.try_slot(sim, source.min(fed));
+                self.try_slot(sim, source.max(fed));
+            }
+            Step::Write => self.try_write(sim),
+        }
+    }
+
+    /// Starts the next send of participant `slot`, or the next write for
+    /// the destination's slot, if unblocked.
+    fn try_slot(&mut self, sim: &mut Simulator, slot: usize) {
+        if slot < self.sources.len() {
+            self.try_send(sim, slot);
+        } else {
+            self.try_write(sim);
+        }
+    }
+
+    /// Disk reads: one outstanding per source, sequential.
+    fn try_read(&mut self, sim: &mut Simulator, i: usize) {
+        let s = &self.sources[i];
+        if s.reading.is_some() || s.read_done >= self.reads_needed() {
+            return;
+        }
+        let bytes = (self.slice_len(s.read_done) as f64 * s.read_fraction).ceil() as u64;
+        let id = sim.start_flow(
+            FlowSpec::disk_read(s.node, bytes.max(1), Traffic::Repair).with_owner(self.owner),
+        );
+        self.flow_map.insert(id, Step::Read { source: i });
+        self.sources[i].reading = Some(id);
+    }
+
+    /// Network sends: one outstanding per source, in slice order.
+    fn try_send(&mut self, sim: &mut Simulator, i: usize) {
+        let s = &self.sources[i];
+        let slice = s.sent;
+        if s.sending.is_some()
+            || slice >= self.slices
+            || s.read_done <= slice
+            || !self.inputs_ready(i, slice)
         {
-            let bytes = self.slice_len(self.write_done);
-            let id = sim.start_flow(
-                FlowSpec::disk_write(self.plan.destination(), bytes, Traffic::Repair)
-                    .with_owner(self.owner),
-            );
-            self.flow_map.insert(id, Step::Write);
-            self.writing = Some(id);
+            return;
         }
+        let Some(&eidx) = self.out_edges[i]
+            .iter()
+            .find(|&&e| self.edges[e].covers(slice))
+        else {
+            return;
+        };
+        let edge = &self.edges[eidx];
+        let bytes = (self.slice_len(slice) as f64 * edge.bytes_factor).ceil() as u64;
+        let id = sim.start_flow(
+            FlowSpec::network(edge.from, edge.to, bytes.max(1), Traffic::Repair)
+                .with_owner(self.owner),
+        );
+        self.flow_map.insert(
+            id,
+            Step::Send {
+                source: i,
+                edge: eidx,
+                slice,
+            },
+        );
+        self.sources[i].sending = Some((id, slice));
+    }
+
+    /// Destination write: sequential, gated on all inputs.
+    fn try_write(&mut self, sim: &mut Simulator) {
+        if self.writing.is_some()
+            || self.write_done >= self.slices
+            || !self.inputs_ready(self.sources.len(), self.write_done)
+        {
+            return;
+        }
+        let bytes = self.slice_len(self.write_done);
+        let id = sim.start_flow(
+            FlowSpec::disk_write(self.plan.destination(), bytes, Traffic::Repair)
+                .with_owner(self.owner),
+        );
+        self.flow_map.insert(id, Step::Write);
+        self.writing = Some(id);
     }
 }
 
@@ -830,5 +908,105 @@ mod tests {
             s.monitor()
                 .total_bytes(1, chameleon_simnet::ResourceKind::Downlink, Traffic::Repair);
         assert!((moved - (5.0 * MB as f64 + 123.0)).abs() < 1.0);
+    }
+    /// The script one proptest case plays against an executor: the plan
+    /// shape and, at every event, whether to re-tune, pause, resume or
+    /// crash a helper — all drawn from one seeded stream, so the indexed
+    /// executor and its full-scan oracle are driven identically.
+    struct Script {
+        state: u64,
+    }
+
+    impl Script {
+        fn next(&mut self, bound: usize) -> usize {
+            self.state = self
+                .state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.state >> 33) as usize) % bound
+        }
+    }
+
+    /// Plays the seeded script and returns the simulator's flow-lifecycle
+    /// log (ids, endpoints, bytes, times) with the statuses seen.
+    fn play(
+        seed: u64,
+        k: usize,
+        shape: u8,
+        slices: u64,
+        full_scan: bool,
+    ) -> (String, Vec<ExecStatus>) {
+        let mut script = Script { state: seed };
+        // Participant i sits on node i and the destination on node k;
+        // forwarding only to higher nodes keeps the graph an in-tree.
+        let participants = (0..k)
+            .map(|i| {
+                let send_to = match shape {
+                    0 => k,
+                    1 => i + 1,
+                    _ => i + 1 + script.next(k - i),
+                };
+                let mut p = part(i, send_to);
+                if shape == 0 && script.next(3) == 0 {
+                    p.read_fraction = 0.5;
+                }
+                p
+            })
+            .collect();
+        let plan = RepairPlan::new(chunk(), k, participants).unwrap();
+        // Equal capacities make completions tie (flow ids decide), skewed
+        // ones spread them out; the script draws which.
+        let skew = script.next(2) == 1;
+        let mut config = SimConfig::uniform(k + 1, NodeCaps::default());
+        for (n, caps) in config.nodes.iter_mut().enumerate() {
+            let scale = if skew { 1.0 + (n % 3) as f64 } else { 1.0 };
+            caps.uplink = 100.0 * MB as f64 * scale;
+            caps.downlink = 150.0 * MB as f64 / scale;
+        }
+        let mut s = Simulator::new(config);
+        s.set_trace_enabled(true);
+        // Whole slices, or a short last one.
+        let chunk_size = slices * MB + 123 * script.next(2) as u64;
+        let mut exec = PlanExecutor::new(plan, chunk_size, MB).with_owner(seed);
+        exec.full_scan = full_scan;
+        exec.start(&mut s);
+        let mut statuses = Vec::new();
+        while let Some(ev) = s.next_event() {
+            let status = exec.on_event(&mut s, &ev);
+            statuses.push(status);
+            // The indexed pump left nothing a full scan would start.
+            let started = exec.flow_map.len();
+            exec.pump(&mut s);
+            assert_eq!(exec.flow_map.len(), started, "after {ev:?}");
+            match script.next(12) {
+                0 => {
+                    exec.retune_input(&mut s, script.next(k), script.next(k));
+                }
+                1 => exec.pause(),
+                2 | 3 => exec.resume(&mut s),
+                4 if script.next(8) == 0 => s.fail_node(script.next(k + 1)),
+                _ => {}
+            }
+            if exec.is_paused() && s.active_flows() == 0 {
+                exec.resume(&mut s);
+            }
+        }
+        assert!(exec.is_done() || exec.is_failed());
+        let log = s.take_trace().expect("tracing is on").to_jsonl();
+        (log, statuses)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn indexed_pump_equals_the_full_scan(
+            seed in proptest::prelude::any::<u64>(),
+            k in 1usize..=8,
+            shape in 0u8..3,
+            slices in 1u64..=5,
+        ) {
+            let indexed = play(seed, k, shape, slices, false);
+            let oracle = play(seed, k, shape, slices, true);
+            proptest::prop_assert_eq!(indexed, oracle);
+        }
     }
 }

@@ -1,0 +1,105 @@
+//! `PlanCoder::run` owns its buffers: once a coder has served a plan
+//! shape, coding another chunk of it costs kernel calls only — no heap
+//! allocation, and therefore no thread spawn either.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use chameleonec::cluster::ChunkId;
+use chameleonec::core::{Participant, PlanCoder, RepairPlan};
+use chameleonec::gf::Gf256;
+
+thread_local! {
+    /// Allocations made by the current thread (other test threads and the
+    /// harness do not disturb the count).
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// only addition is a thread-local counter bump, which itself never
+// allocates (const-initialised `Cell`, no destructor) and is skipped if
+// the thread-local is already torn down.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// Participant `i` sits on node `i` and forwards to `send_to[i]`; the
+/// destination is the node after the last participant.
+fn plan(send_to: &[usize], read_fraction: f64) -> RepairPlan {
+    let participants = send_to
+        .iter()
+        .enumerate()
+        .map(|(i, &send_to)| Participant {
+            node: i,
+            chunk_index: i,
+            coeff: Gf256::new(if read_fraction < 1.0 {
+                1
+            } else {
+                2 * i as u8 + 3
+            }),
+            send_to,
+            read_fraction,
+        })
+        .collect();
+    let chunk = ChunkId {
+        stripe: 0,
+        index: 0,
+    };
+    RepairPlan::new(chunk, send_to.len(), participants).expect("a valid in-tree")
+}
+
+#[test]
+fn coding_a_second_chunk_allocates_nothing() {
+    let counted = allocations_during(|| drop(std::hint::black_box(Box::new(7u8))));
+    assert!(counted > 0, "the counting allocator is not installed");
+    let shapes = [
+        ("star", plan(&[10; 10], 1.0)),
+        ("tree", plan(&[1, 3, 3, 7, 5, 7, 7, 10, 9, 10], 1.0)),
+        ("chain", plan(&[1, 2, 3, 4, 5, 6, 7, 8, 9, 10], 1.0)),
+        ("sub-chunk", plan(&[3, 3, 3], 0.5)),
+    ];
+    // Four blocks per chunk, as in a repair campaign's sampled chunks.
+    let mut shared = PlanCoder::new(256 * 1024);
+    for (name, plan) in &shapes {
+        let mut coder = PlanCoder::new(256 * 1024);
+        let first = coder.run(plan);
+        shared.run(plan);
+        let allocations = allocations_during(|| {
+            for _ in 0..3 {
+                let again = coder.run(plan);
+                assert_eq!(again.bytes_coded, first.bytes_coded);
+            }
+        });
+        assert_eq!(allocations, 0, "{name}: later chunks on a fresh coder");
+    }
+    // One coder alternating between shapes it has already served.
+    let allocations = allocations_during(|| {
+        for (_, plan) in shapes.iter().rev() {
+            shared.run(plan);
+        }
+    });
+    assert_eq!(allocations, 0, "alternating shapes on one coder");
+}
