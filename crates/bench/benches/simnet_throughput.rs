@@ -19,7 +19,7 @@
 //! Both modes end with the oversubscribed-spine gate point: the
 //! 1000-node cluster racked as 25 ToRs behind a 1:4 spine, ~90%
 //! rack-local traffic, indexed engine only. `bench_gate` holds it to an
-//! absolute 500 ev/s floor (see `gate::SPINE_MIN_EVENTS_PER_SEC`).
+//! absolute floor (see `gate::SPINE_MIN_EVENTS_PER_SEC`).
 
 use std::time::Instant;
 
@@ -103,10 +103,11 @@ fn spine_spec(rng: &mut Rng, nodes: usize, racks: usize) -> FlowSpec {
 /// only (the gate holds an absolute floor; there is no reference race).
 ///
 /// The point the measurement makes: shared link cells join the solver's
-/// constraint rows for every cross-rack flow, yet the incremental
-/// dirty-set closure must not conduct through an unsaturated spine — if
-/// it did, every completion would dirty the whole cluster and events/sec
-/// would collapse far below the gate floor.
+/// constraint rows for every cross-rack flow, yet the incremental closure
+/// must not conduct through an unsaturated spine, nor through node cells
+/// that have slack — if it did, every completion would dirty its racks or
+/// the whole cluster and events/sec would collapse far below the gate
+/// floor.
 fn measure_spine(nodes: usize, flows: usize, budget_secs: f64, min_events: u64) -> f64 {
     let racks = 25;
     let caps = NodeCaps::default();
@@ -205,9 +206,9 @@ fn main() {
         ));
     }
     // The oversubscribed-spine gate point runs in smoke mode too: the CI
-    // bench gate holds an absolute >= 500 ev/s floor on it (the proof
-    // that spine cells stay out of the dirty-closure seed set unless
-    // saturated — a conducting spine would collapse this number).
+    // bench gate holds an absolute floor on it (the proof that only
+    // saturated resources conduct the dirty closure — a conducting spine
+    // would collapse this number).
     let spine = measure_spine(1_000, 1_500, budget, 512);
     rows.push(vec![
         "1000 (25 racks, 1:4 spine)".to_string(),

@@ -5,9 +5,9 @@
 //!   at the gate point (20 nodes, 10k flows), >20% drop of indexed
 //!   events/sec fails. Run `cargo bench --bench simnet_throughput` first.
 //! - the same document's oversubscribed-spine point (1000 nodes, 25
-//!   racks, 1:4 spine, 100k flows) must clear an absolute 500 ev/s floor
-//!   — no baseline, the floor proves the dirty-set closure does not
-//!   conduct through unsaturated spine cells.
+//!   racks, 1:4 spine, 1.5k flows) must clear the absolute
+//!   `gate::SPINE_MIN_EVENTS_PER_SEC` floor — no baseline, the floor proves
+//!   the dirty closure conducts only through saturated resources.
 //! - `results/BENCH_gf.json` vs `results/BENCH_gf.baseline.json` at the
 //!   active GF kernel's 1 MiB `mul_slice_xor` point, >30% drop fails.
 //!   Run `cargo bench --bench gf_throughput` first.
@@ -86,7 +86,7 @@ fn main() {
         eprintln!(
             "bench_gate: the oversubscribed-spine point fell below the absolute \
              {:.0} ev/s floor — the incremental solver is likely conducting its \
-             dirty-set closure through unsaturated spine cells",
+             dirty closure through resources that have slack",
             gate::SPINE_MIN_EVENTS_PER_SEC
         );
         failed = true;

@@ -199,13 +199,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let profile = sim.profile();
     println!(
         "\nengine: {} events, {} solves ({} full, {} incremental, {} dirty groups, \
-         {} rounds), {} heap rebuilds, {} timers ({} cancelled)",
+         {} rounds, {} retries) + {} elided, {} heap rebuilds, {} timers ({} cancelled)",
         profile.events,
         profile.solves,
         profile.full_solves,
         profile.incremental_solves,
         profile.dirty_groups,
         profile.solver_rounds,
+        profile.solve_retries,
+        profile.elided_solves,
         profile.heap_rebuilds,
         profile.timers_scheduled,
         profile.timers_cancelled,

@@ -16,11 +16,13 @@ use chameleon_cluster::stats::LatencySummary;
 use crate::args::Flags;
 
 /// The engine counters summed from `"event":"profile"` footers.
-const PROFILE_KEYS: [&str; 9] = [
+const PROFILE_KEYS: [&str; 11] = [
     "events",
     "solves",
     "full_solves",
     "incremental_solves",
+    "elided_solves",
+    "solve_retries",
     "dirty_groups",
     "solver_rounds",
     "heap_rebuilds",
@@ -207,7 +209,7 @@ impl TraceSummary {
             let n = |key: &str| self.profile.get(key).copied().unwrap_or(0.0);
             out.push_str(&format!(
                 "  engine profile  : {} run(s): {} events, {} solves ({} full, \
-                 {} incremental, {} dirty groups, {} rounds), \
+                 {} incremental, {} dirty groups, {} rounds, {} retries) + {} elided, \
                  {} heap rebuilds, {} timers ({} cancelled)\n",
                 self.profile_runs,
                 n("events"),
@@ -216,6 +218,8 @@ impl TraceSummary {
                 n("incremental_solves"),
                 n("dirty_groups"),
                 n("solver_rounds"),
+                n("solve_retries"),
+                n("elided_solves"),
                 n("heap_rebuilds"),
                 n("timers_scheduled"),
                 n("timers_cancelled")
@@ -280,7 +284,7 @@ mod tests {
 {\"event\":\"data_loss\",\"stripe\":7,\"t\":3.5,\"erasures\":3}\n\
 {\"event\":\"ledger\",\"stripe\":0,\"chunk\":1,\"state\":\"repaired\",\"attempts\":1,\"enqueued\":0.5,\"updated\":2,\"requeues\":0}\n\
 {\"event\":\"ledger\",\"stripe\":7,\"chunk\":2,\"state\":\"lost\",\"attempts\":0,\"enqueued\":3.5,\"updated\":3.5,\"requeues\":0}\n\
-{\"event\":\"profile\",\"events\":10,\"flow_completions\":1,\"flow_aborts\":1,\"timer_fires\":0,\"solves\":4,\"full_solves\":1,\"incremental_solves\":3,\"dirty_groups\":5,\"solver_rounds\":6,\"heap_rebuilds\":1,\"timers_scheduled\":0,\"timers_cancelled\":0}\n";
+{\"event\":\"profile\",\"events\":10,\"flow_completions\":1,\"flow_aborts\":1,\"timer_fires\":0,\"solves\":4,\"full_solves\":1,\"incremental_solves\":3,\"elided_solves\":2,\"solve_retries\":1,\"dirty_groups\":5,\"solver_rounds\":6,\"heap_rebuilds\":1,\"timers_scheduled\":0,\"timers_cancelled\":0}\n";
         let s = summarize(text).unwrap();
         assert_eq!(s.lines, 11);
         let repair = s.classes["repair"];
@@ -307,10 +311,13 @@ mod tests {
         assert_eq!(s.profile["solver_rounds"], 6.0);
         assert_eq!(s.profile["full_solves"], 1.0);
         assert_eq!(s.profile["incremental_solves"], 3.0);
+        assert_eq!(s.profile["elided_solves"], 2.0);
+        assert_eq!(s.profile["solve_retries"], 1.0);
         assert_eq!(s.profile["dirty_groups"], 5.0);
         let rendered = s.render("t.jsonl");
         assert!(rendered.contains("repair spans"), "{rendered}");
         assert!(rendered.contains("engine profile"), "{rendered}");
+        assert!(rendered.contains("1 retries) + 2 elided"), "{rendered}");
         assert!(rendered.contains("given up"), "{rendered}");
         assert!(
             rendered.contains("lost=1, repaired=1") && rendered.contains("over 1 campaign(s)"),

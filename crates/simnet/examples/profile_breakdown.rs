@@ -3,7 +3,7 @@
 
 use std::time::Instant;
 
-use chameleon_simnet::{FlowSpec, MaxMinSolver, NodeCaps, SimConfig, Simulator, Traffic};
+use chameleon_simnet::{FlowSpec, IncrementalSolver, NodeCaps, SimConfig, Simulator, Traffic};
 
 const NODES: usize = 20;
 const FLOWS: usize = 10_000;
@@ -29,27 +29,47 @@ fn random_spec(rng: &mut Rng) -> FlowSpec {
 fn main() {
     let mut rng = Rng(7);
 
-    // --- solver alone on a 10k-flow CSR ---
+    // --- solver alone: one member leaves a group, one joins another ---
+    // 10k flows over 20 saturated nodes are ~380 groups in one contention
+    // component, so every solve here is a genuinely full one.
     let caps = vec![125_000_000.0f64; NODES * 4];
-    let mut offsets = vec![0u32];
-    let mut targets = Vec::new();
+    let mut solver = IncrementalSolver::new();
+    solver.set_capacities(&caps);
+    let mut weights = vec![0u32; NODES * NODES];
+    let join = |solver: &mut IncrementalSolver, weights: &mut [u32], src: usize, dst: usize| {
+        let slot = src * NODES + dst;
+        weights[slot] += 1;
+        if weights[slot] == 1 {
+            let cells = [(src * 4) as u32, (dst * 4 + 1) as u32];
+            solver.insert_group(slot as u32, &cells, 1);
+        } else {
+            solver.set_weight(slot as u32, weights[slot]);
+        }
+    };
+    let mut pairs = Vec::new();
     for _ in 0..FLOWS {
         let src = (rng.next() as usize) % NODES;
         let dst = (src + 1 + (rng.next() as usize) % (NODES - 1)) % NODES;
-        targets.push((src * 4) as u32);
-        targets.push((dst * 4 + 1) as u32);
-        offsets.push(targets.len() as u32);
+        join(&mut solver, &mut weights, src, dst);
+        pairs.push((src, dst));
     }
-    let mut rates = vec![0.0; FLOWS];
-    let mut solver = MaxMinSolver::new();
-    solver.solve_into(&caps, &offsets, &targets, &mut rates); // warm
-    let t = Instant::now();
+    let mut changed = Vec::new();
+    solver.solve(&mut changed); // warm
     let iters = 200;
-    for _ in 0..iters {
-        solver.solve_into(&caps, &offsets, &targets, &mut rates);
+    let t = Instant::now();
+    for pair in pairs.iter_mut().take(iters) {
+        let slot = pair.0 * NODES + pair.1;
+        weights[slot] -= 1;
+        solver.set_weight(slot as u32, weights[slot]);
+        let src = (rng.next() as usize) % NODES;
+        let dst = (src + 1 + (rng.next() as usize) % (NODES - 1)) % NODES;
+        join(&mut solver, &mut weights, src, dst);
+        *pair = (src, dst);
+        changed.clear();
+        solver.solve(&mut changed);
     }
     println!(
-        "solve_into:      {:>8.1} us",
+        "solve:           {:>8.1} us",
         t.elapsed().as_secs_f64() * 1e6 / iters as f64
     );
 

@@ -223,14 +223,21 @@ pub struct EngineProfile {
     pub flow_aborts: u64,
     /// Timers that fired.
     pub timer_fires: u64,
-    /// Rate solves performed (indexed engine).
+    /// Rate solves that re-solved at least one group (indexed engine).
     pub solves: u64,
     /// Solves whose dirty closure covered every live group (indexed
-    /// engine; includes the first solve).
+    /// engine; includes the first solve over a populated cluster).
     pub full_solves: u64,
     /// Solves that re-solved only a proper subset of the live groups
     /// (indexed engine). `full_solves + incremental_solves == solves`.
     pub incremental_solves: u64,
+    /// Stale rate refreshes that re-solved nothing: the mutations since the
+    /// last solve had cancelled out, or left only slack behind (indexed
+    /// engine). `solves + elided_solves` is the number of stale refreshes.
+    pub elided_solves: u64,
+    /// Fill attempts discarded and redone because a resource that entered
+    /// the closure with slack came out saturated (indexed engine).
+    pub solve_retries: u64,
     /// Cumulative flow groups re-solved across all solves (the dirty
     /// closure sizes); `dirty_groups / solves` is the mean re-solve
     /// footprint (indexed engine).
@@ -252,6 +259,7 @@ impl EngineProfile {
         format!(
             "{{\"event\":\"profile\",\"events\":{},\"flow_completions\":{},\"flow_aborts\":{},\
              \"timer_fires\":{},\"solves\":{},\"full_solves\":{},\"incremental_solves\":{},\
+             \"elided_solves\":{},\"solve_retries\":{},\
              \"dirty_groups\":{},\"solver_rounds\":{},\"heap_rebuilds\":{},\
              \"timers_scheduled\":{},\"timers_cancelled\":{}}}",
             self.events,
@@ -261,6 +269,8 @@ impl EngineProfile {
             self.solves,
             self.full_solves,
             self.incremental_solves,
+            self.elided_solves,
+            self.solve_retries,
             self.dirty_groups,
             self.solver_rounds,
             self.heap_rebuilds,
@@ -327,12 +337,15 @@ mod tests {
         let p = EngineProfile {
             events: 10,
             solves: 3,
+            elided_solves: 2,
+            solve_retries: 1,
             ..Default::default()
         };
         let line = p.to_json_line();
         assert!(line.starts_with("{\"event\":\"profile\""));
         assert!(line.contains("\"events\":10"));
         assert!(line.contains("\"solves\":3"));
+        assert!(line.contains("\"elided_solves\":2,\"solve_retries\":1,"));
         assert!(line.ends_with('}'));
     }
 }

@@ -5,10 +5,88 @@
 //! engine event for event.
 
 use chameleon_simnet::{
-    allocate_rates, maxmin, Event, FlowSpec, NodeCaps, ResourceKind, SimConfig, Simulator,
-    Topology, Traffic,
+    allocate_rates, maxmin, Event, FlowId, FlowOutcome, FlowSpec, IncrementalSolver, MaxMinSolver,
+    NodeCaps, ResourceKind, SimConfig, Simulator, Topology, Traffic,
 };
 use proptest::prelude::*;
+
+/// One step of a random solver schedule: what to do to `slot` if it is
+/// free (register `cells` × `weight`) or live (`kind` picks remove /
+/// re-weight / remove-and-re-register / a capacity edit on `res`), and
+/// whether to solve afterwards.
+#[derive(Debug, Clone)]
+struct SolverOp {
+    kind: u8,
+    slot: u32,
+    cells: Vec<u32>,
+    weight: u32,
+    res: usize,
+    cap: f64,
+    solve: bool,
+}
+
+const SOLVER_RESOURCES: usize = 8;
+
+fn solver_op_strategy() -> impl Strategy<Value = SolverOp> {
+    (
+        (
+            0u8..5,
+            0u32..12,
+            proptest::collection::btree_set(0..SOLVER_RESOURCES as u32, 1..=3),
+            1u32..5,
+        ),
+        // Mostly ordinary capacities, now and then a dead resource; solve
+        // after three steps in five.
+        (0..SOLVER_RESOURCES, 0u8..10, 0.5f64..100.0, 0u8..5),
+    )
+        .prop_map(
+            |((kind, slot, cells, weight), (res, dead, cap, solve))| SolverOp {
+                kind,
+                slot,
+                cells: cells.into_iter().collect(),
+                weight,
+                res,
+                cap: if dead == 0 { 0.0 } else { cap },
+                solve: solve < 3,
+            },
+        )
+}
+
+/// The max–min invariants, checked on an allocation directly (no second
+/// implementation involved): (i) no resource is over capacity; (ii) every
+/// group crosses a saturated resource on which no resident has a higher
+/// rate — its bottleneck. Returns each resource's total allocation.
+fn check_maxmin_invariants(
+    caps: &[f64],
+    groups: &[(&[u32], u32, f64)],
+) -> Result<Vec<f64>, TestCaseError> {
+    let mut alloc = vec![0.0f64; caps.len()];
+    let mut top = vec![0.0f64; caps.len()];
+    for &(cells, weight, rate) in groups {
+        prop_assert!(rate >= 0.0 && rate.is_finite(), "rate {rate}");
+        for &c in cells {
+            alloc[c as usize] += rate * weight as f64;
+            top[c as usize] = top[c as usize].max(rate);
+        }
+    }
+    for (r, (&a, &cap)) in alloc.iter().zip(caps).enumerate() {
+        prop_assert!(
+            a <= cap * (1.0 + 1e-9),
+            "resource {r} over capacity: {a} > {cap}"
+        );
+    }
+    for &(cells, _, rate) in groups {
+        let bottlenecked = cells.iter().any(|&c| {
+            let c = c as usize;
+            alloc[c] >= caps[c] * (1.0 - 1e-9) && rate >= top[c] * (1.0 - 1e-9)
+        });
+        prop_assert!(
+            bottlenecked,
+            "group on {cells:?} at {rate} has no bottleneck"
+        );
+    }
+    Ok(alloc)
+}
 
 /// Random flow sets over a small resource graph.
 fn flows_strategy(resources: usize) -> impl Strategy<Value = Vec<Vec<usize>>> {
@@ -184,6 +262,87 @@ proptest! {
     }
 
     #[test]
+    fn solvers_keep_maxmin_invariants_under_random_schedules(
+        init_caps in proptest::collection::vec(0.5f64..100.0, SOLVER_RESOURCES),
+        ops in proptest::collection::vec(solver_op_strategy(), 1..48),
+    ) {
+        // Invariants, not a comparison: a bug shared by the incremental and
+        // the batch solver cannot hide here. After every solve of a random
+        // insert / re-weight / remove / re-register / `set_capacity`
+        // schedule both solvers' allocations must be feasible and give every
+        // group a bottleneck, and every saturation flag of the incremental
+        // solver must equal the flag recomputed from the registry.
+        let mut caps = init_caps;
+        let mut inc = IncrementalSolver::new();
+        inc.set_capacities(&caps);
+        let mut batch = MaxMinSolver::new();
+        let mut live: Vec<Option<(Vec<u32>, u32)>> = vec![None; 12];
+        let mut changed = Vec::new();
+        for op in &ops {
+            let s = op.slot as usize;
+            match (live[s].clone(), op.kind) {
+                (None, _) => {
+                    inc.insert_group(op.slot, &op.cells, op.weight);
+                    live[s] = Some((op.cells.clone(), op.weight));
+                }
+                (Some(_), 0) => {
+                    inc.set_weight(op.slot, 0);
+                    live[s] = None;
+                }
+                (Some((cells, _)), 1) => {
+                    inc.set_weight(op.slot, op.weight);
+                    live[s] = Some((cells, op.weight));
+                }
+                (Some((cells, weight)), 2) => {
+                    // Torn down and re-registered as it was.
+                    inc.set_weight(op.slot, 0);
+                    inc.insert_group(op.slot, &cells, weight);
+                }
+                (Some(_), _) => {
+                    caps[op.res] = op.cap;
+                    inc.set_capacity(op.res, op.cap);
+                }
+            }
+            if !op.solve {
+                continue;
+            }
+            changed.clear();
+            inc.solve(&mut changed);
+            let slots: Vec<usize> = (0..live.len()).filter(|&s| live[s].is_some()).collect();
+            let shape = |s: usize| live[s].as_ref().expect("live slot");
+            let incremental: Vec<(&[u32], u32, f64)> = slots
+                .iter()
+                .map(|&s| (shape(s).0.as_slice(), shape(s).1, inc.rate(s as u32)))
+                .collect();
+            let alloc = check_maxmin_invariants(&caps, &incremental)?;
+            for (r, (&a, &cap)) in alloc.iter().zip(&caps).enumerate() {
+                prop_assert_eq!(
+                    inc.is_saturated(r),
+                    a >= cap * (1.0 - maxmin::SATURATION_MARGIN),
+                    "saturation flag of resource {} (allocated {} of {})", r, a, cap
+                );
+            }
+
+            let mut offsets = vec![0u32];
+            let mut targets = Vec::new();
+            let mut weights = Vec::new();
+            for &s in &slots {
+                targets.extend_from_slice(&shape(s).0);
+                offsets.push(targets.len() as u32);
+                weights.push(shape(s).1);
+            }
+            let mut rates = vec![0.0; slots.len()];
+            batch.solve_weighted_into(&caps, &offsets, &targets, &weights, &mut rates);
+            let batched: Vec<(&[u32], u32, f64)> = slots
+                .iter()
+                .zip(&rates)
+                .map(|(&s, &rate)| (shape(s).0.as_slice(), shape(s).1, rate))
+                .collect();
+            check_maxmin_invariants(&caps, &batched)?;
+        }
+    }
+
+    #[test]
     fn indexed_solver_matches_reference(
         caps in proptest::collection::vec(0.0f64..100.0, 4..10),
         flows in flows_strategy(8),
@@ -316,14 +475,25 @@ proptest! {
     fn incremental_solve_is_bit_identical_to_full_solve(
         seed in any::<u64>(),
         op_count in 4usize..32,
+        racks in 1usize..4,
     ) {
-        // The tentpole invariant of the incremental dirty-set solver: after
-        // ANY prefix of a randomized admit / complete / cancel / fault /
-        // rescale schedule, re-solving only the dirty closure leaves every
-        // group rate bit-identical to a from-scratch full solve over the
-        // entire live flow set. `verify_against_full_solve` refreshes and
-        // asserts bitwise equality (it panics on the first divergence).
-        let mut sim = Simulator::new(SimConfig::uniform(6, NodeCaps::symmetric(40.0, 25.0)));
+        // The tentpole invariant of the incremental solver: after ANY
+        // prefix of a randomized admit / complete / restart / cancel /
+        // fault / rescale schedule, diffing the mutations and re-solving
+        // only the closure of the genuine ones leaves every group rate —
+        // as the engine's groups hold it — bit-identical to a from-scratch
+        // full solve over the entire live flow set.
+        // `verify_against_full_solve` refreshes and asserts bitwise
+        // equality (it panics on the first divergence). With `racks > 1`
+        // the cluster sits behind ToR links and a spine narrow enough to
+        // saturate, so cross-rack flows form one genuinely merged
+        // component.
+        let caps = NodeCaps::symmetric(40.0, 25.0);
+        let mut cfg = SimConfig::uniform(6, caps);
+        if racks > 1 {
+            cfg.topology = Some(Topology::round_robin(6, racks, 90.0, 90.0, Some(60.0)));
+        }
+        let mut sim = Simulator::new(cfg);
         let mut state = seed | 1;
         let mut next = move || {
             state = state
@@ -332,10 +502,11 @@ proptest! {
             state >> 33
         };
         let tags = [Traffic::Foreground, Traffic::Repair, Traffic::Background];
-        let mut started = Vec::new();
+        // Live flows by id, with the spec to restart them from.
+        let mut started: Vec<(FlowId, FlowSpec)> = Vec::new();
         let mut failed = [false; 6];
         for i in 0..op_count {
-            match next() % 8 {
+            match next() % 10 {
                 // Mostly admissions: singles and read-and-send customs.
                 0..=4 => {
                     let src = (next() % 6) as usize;
@@ -355,11 +526,11 @@ proptest! {
                     } else {
                         FlowSpec::network(src, dst, bytes, tag)
                     };
-                    started.push(sim.start_flow(spec));
+                    started.push((sim.start_flow(spec.clone()), spec));
                 }
                 5 => {
                     if !started.is_empty() {
-                        let victim = started[(next() as usize) % started.len()];
+                        let victim = started[(next() as usize) % started.len()].0;
                         let _ = sim.cancel_flow(victim);
                     }
                 }
@@ -371,28 +542,64 @@ proptest! {
                         sim.fail_node(node);
                     }
                 }
-                _ => {
+                7 => {
                     let node = (next() % 6) as usize;
                     let net = 0.25 + (next() % 150) as f64 / 100.0;
                     let disk = 0.25 + (next() % 150) as f64 / 100.0;
                     sim.scale_node_caps(node, net, disk);
                 }
+                8 => {
+                    // Re-rate a node whose uplink has slack: a trim that
+                    // keeps the slack, or a cut below what its flows get.
+                    sim.refresh();
+                    let slack = (0..6).find(|&n| {
+                        sim.residual_capacity(n, ResourceKind::Uplink, &Traffic::ALL) > 1.0
+                    });
+                    if let Some(node) = slack {
+                        let net = if next() % 2 == 0 { 0.98 } else { 0.3 };
+                        sim.scale_node_caps(node, net, 1.0);
+                    }
+                }
+                _ => {
+                    // A slice ends and the next slice of the same pair
+                    // starts before rates are read again: the group is torn
+                    // down and re-created, usually as it was.
+                    if !started.is_empty() {
+                        let k = (next() as usize) % started.len();
+                        let (victim, spec) = started[k].clone();
+                        if sim.cancel_flow(victim).is_some() {
+                            started[k].0 = sim.start_flow(spec);
+                        }
+                    }
+                }
             }
             // Verify after the mutation itself...
             sim.verify_against_full_solve();
             // ...and after draining a couple of events (completions and
-            // aborts dirty resources through a different path).
+            // aborts reach the solver through a different path), each
+            // completion restarting its pair.
             if i % 3 == 0 {
                 for _ in 0..2 {
-                    if sim.next_event().is_none() {
-                        break;
+                    match sim.next_event() {
+                        None => break,
+                        Some(Event::FlowCompleted { id, outcome, .. }) => {
+                            let k = started.iter().position(|(f, _)| *f == id);
+                            if let (Some(k), FlowOutcome::Delivered) = (k, outcome) {
+                                if next() % 2 == 0 {
+                                    started[k].0 = sim.start_flow(started[k].1.clone());
+                                }
+                            }
+                        }
+                        Some(Event::Timer { .. }) => {}
                     }
                     sim.verify_against_full_solve();
                 }
             }
         }
-        while sim.next_event().is_some() {
+        let mut budget = 200;
+        while sim.next_event().is_some() && budget > 0 {
             sim.verify_against_full_solve();
+            budget -= 1;
         }
     }
 
