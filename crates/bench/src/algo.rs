@@ -41,6 +41,26 @@ impl AlgoKind {
     /// The three §II-D baselines.
     pub const BASELINES: [AlgoKind; 3] = [AlgoKind::Cr, AlgoKind::Ppr, AlgoKind::EcPipe];
 
+    /// The nine algorithms that have a command-line name, with that name.
+    pub const NAMED: [(&'static str, AlgoKind); 9] = [
+        ("cr", AlgoKind::Cr),
+        ("ppr", AlgoKind::Ppr),
+        ("ecpipe", AlgoKind::EcPipe),
+        ("rb-cr", AlgoKind::RbCr),
+        ("rb-ppr", AlgoKind::RbPpr),
+        ("rb-ecpipe", AlgoKind::RbEcPipe),
+        ("chameleon", AlgoKind::Chameleon),
+        ("chameleon-io", AlgoKind::ChameleonIo),
+        ("etrp", AlgoKind::Etrp),
+    ];
+
+    /// The algorithm a command-line name (`--algo`, `--algos`) stands for.
+    pub fn from_name(name: &str) -> Option<AlgoKind> {
+        Self::NAMED
+            .iter()
+            .find_map(|&(n, kind)| (n == name).then_some(kind))
+    }
+
     /// Builds the driver for a context.
     pub fn driver(self, ctx: RepairContext, seed: u64) -> Box<dyn RepairDriver> {
         match self {
@@ -90,21 +110,14 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn every_kind_builds_a_driver_with_matching_name() {
-        let kinds = [
-            (AlgoKind::Cr, "CR"),
-            (AlgoKind::Ppr, "PPR"),
-            (AlgoKind::EcPipe, "ECPipe"),
-            (AlgoKind::RbCr, "RB+CR"),
-            (AlgoKind::Chameleon, "ChameleonEC"),
-            (AlgoKind::Etrp, "ETRP"),
-            (AlgoKind::ChameleonIo, "ChameleonEC-IO"),
-        ];
-        for (kind, expect) in kinds {
+    fn every_named_kind_builds_a_driver_with_its_label() {
+        for (name, kind) in AlgoKind::NAMED {
+            assert_eq!(AlgoKind::from_name(name), Some(kind));
             let cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
             let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
-            let driver = kind.driver(ctx, 1);
-            assert_eq!(driver.name(), expect);
+            assert_eq!(kind.driver(ctx, 1).name(), kind.label(), "{name}");
         }
+        assert_eq!(AlgoKind::from_name("bogus"), None);
+        assert_eq!(AlgoKind::from_name("CR"), None);
     }
 }

@@ -13,10 +13,10 @@
 //!   --list          print the experiment names and exit
 //! ```
 //!
-//! The scale is `CHAMELEON_SCALE` (small | paper), as for the individual
-//! `cargo bench` harnesses. Experiment stdout is unchanged by `--jobs`
-//! (the grid determinism contract), so this binary's own timing lines go
-//! to stderr and only the JSON summary lands in `results/`.
+//! The scale is `CHAMELEON_SCALE` (small | paper). Experiment stdout is
+//! unchanged by `--jobs` (the grid determinism contract), so this binary's
+//! own timing lines go to stderr and only the JSON summary lands in
+//! `results/`.
 
 use std::time::Instant;
 

@@ -7,9 +7,8 @@
 //! ([`crate::grid::run_grid`]), and formats the results — tables to
 //! stdout, CSVs under `results/`.
 //!
-//! The `benches/exp*.rs` / `fig*.rs` binaries are thin wrappers over these
-//! modules; the `suite` binary runs them all and records the perf
-//! trajectory in `results/BENCH_experiments.json`.
+//! The `suite` binary runs them — all, or the ones named with `--only` —
+//! and records the perf trajectory in `results/BENCH_experiments.json`.
 
 pub mod exp01;
 pub mod exp02;
@@ -34,10 +33,9 @@ pub mod fig04;
 pub mod fig05;
 pub mod fig06;
 
-use crate::grid;
 use crate::scale::Scale;
 
-/// One experiment of the suite: a name (the CSV/binary stem) and its
+/// One experiment of the suite: a name (the CSV stem) and its
 /// entry point.
 #[derive(Clone, Copy)]
 pub struct Experiment {
@@ -166,13 +164,4 @@ pub const ALL: [Experiment; 22] = [
 /// Looks an experiment up by name (exact match on [`Experiment::name`]).
 pub fn find(name: &str) -> Option<&'static Experiment> {
     ALL.iter().find(|e| e.name == name)
-}
-
-/// Shared `main` of the per-experiment bench binaries: resolve the scale
-/// (`CHAMELEON_SCALE`) and worker count (`--jobs` / `CHAMELEON_JOBS` /
-/// available parallelism), then run.
-pub fn bench_main(run: fn(&Scale, usize)) {
-    let scale = Scale::from_env();
-    let jobs = grid::jobs_from_env();
-    run(&scale, jobs);
 }

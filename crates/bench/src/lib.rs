@@ -1,5 +1,5 @@
-//! Experiment harness library: shared scaffolding for the per-figure and
-//! per-table benchmark binaries in `benches/`.
+//! Experiment harness library: the per-figure and per-table experiments
+//! the `suite` binary runs, and the scaffolding they share.
 //!
 //! Every harness reproduces one artifact from the paper's evaluation
 //! (§II-D and §V). They all run at a configurable [`Scale`]:

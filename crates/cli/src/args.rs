@@ -49,6 +49,17 @@ impl Flags {
         }
     }
 
+    /// A rate or size flag the simulator divides by: positive and finite,
+    /// or an error (`NodeCaps::symmetric` panics on anything else).
+    pub fn positive_or(&self, key: &str, default: f64) -> Result<f64, String> {
+        let v: f64 = self.num_or(key, default)?;
+        if v.is_finite() && v > 0.0 {
+            Ok(v)
+        } else {
+            Err(format!("--{key} must be positive and finite, got `{v}`"))
+        }
+    }
+
     /// A comma-separated list of floats.
     pub fn f64_list_or(&self, key: &str, default: &[f64]) -> Result<Vec<f64>, String> {
         match self.values.get(key) {
@@ -132,6 +143,17 @@ mod tests {
         assert!(Flags::parse(&argv(&["--a", "1", "--a", "2"])).is_err());
         let f = Flags::parse(&argv(&["--bad", "x"])).unwrap();
         assert!(f.ensure_known(&["good"]).is_err());
+    }
+
+    #[test]
+    fn positive_flags_reject_zero_negative_and_non_finite() {
+        for bad in ["0", "-1", "nan", "inf", "x"] {
+            let f = Flags::parse(&argv(&["--gbps", bad])).unwrap();
+            assert!(f.positive_or("gbps", 10.0).is_err(), "--gbps {bad}");
+        }
+        let f = Flags::parse(&argv(&["--gbps", "2.5"])).unwrap();
+        assert_eq!(f.positive_or("gbps", 10.0).unwrap(), 2.5);
+        assert_eq!(f.positive_or("disk-mbps", 500.0).unwrap(), 500.0);
     }
 
     #[test]

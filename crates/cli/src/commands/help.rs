@@ -12,8 +12,8 @@ USAGE:
 COMMANDS:
     repair        Simulate a full-node repair, optionally under foreground load
                     --code       rs:K,M | lrc:K,L,M | butterfly   (default rs:10,4)
-                    --algo       cr | ppr | ecpipe | rb-cr | rb-ppr | rb-ecpipe |
-                                 chameleon | chameleon-io | etrp  (default chameleon)
+                    --algo       {algos}
+                                                                  (default chameleon)
                     --failures   number of failed nodes            (default 1)
                     --chunks     chunks lost per failed node       (default 20)
                     --clients    foreground YCSB clients           (default 0)
@@ -76,6 +76,9 @@ COMMANDS:
                     --throughput comma-separated MB/s list (default 10,50,100,500,1000)
 
     help          This message
-"
+",
+        algos = chameleon_bench::AlgoKind::NAMED
+            .map(|(name, _)| name)
+            .join(" | ")
     );
 }

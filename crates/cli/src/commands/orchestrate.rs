@@ -51,8 +51,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let chunks: usize = flags.num_or("chunks", 20)?;
     let clients: usize = flags.num_or("clients", 0)?;
     let requests: usize = flags.num_or("requests", 4000)?;
-    let gbps: f64 = flags.num_or("gbps", 10.0)?;
-    let disk_mbps: f64 = flags.num_or("disk-mbps", 500.0)?;
+    let gbps = flags.positive_or("gbps", 10.0)?;
+    let disk_mbps = flags.positive_or("disk-mbps", 500.0)?;
     let chunk_mb: u64 = flags.num_or("chunk-mb", 64)?;
     let seed: u64 = flags.num_or("seed", 7)?;
     let ledger_path = flags.str_or("ledger", "");
@@ -60,6 +60,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
     if !duration.is_finite() || duration <= 0.0 || !mttf.is_finite() || mttf <= 0.0 {
         return Err("--duration and --mttf must be positive seconds".into());
+    }
+    if max_in_flight == 0 {
+        return Err("--max-in-flight must be at least 1".into());
     }
     let queue = match policy.as_str() {
         "fifo" => QueuePolicy::Fifo,
@@ -246,6 +249,20 @@ fn parse_budget(spec: &str) -> Result<BudgetPolicy, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn run_with(args: &[&str]) -> Result<(), String> {
+        run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn flags_that_used_to_panic_are_errors() {
+        let err = run_with(&["--max-in-flight", "0"]).unwrap_err();
+        assert!(err.contains("--max-in-flight"), "{err}");
+        for (flag, bad) in [("--gbps", "0"), ("--gbps", "-1"), ("--disk-mbps", "nan")] {
+            let err = run_with(&[flag, bad]).unwrap_err();
+            assert!(err.contains("must be positive"), "{flag} {bad}: {err}");
+        }
+    }
 
     #[test]
     fn parses_budget_specs() {

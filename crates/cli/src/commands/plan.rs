@@ -13,7 +13,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
     flags.ensure_known(&["code", "gbps", "seed"])?;
     let code = parse_code(&flags.str_or("code", "rs:10,4"))?;
-    let gbps: f64 = flags.num_or("gbps", 10.0)?;
+    let gbps = flags.positive_or("gbps", 10.0)?;
     let seed: u64 = flags.num_or("seed", 7)?;
 
     let storage_nodes = 20.max(code.n() + 1);

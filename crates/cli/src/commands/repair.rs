@@ -1,10 +1,9 @@
 //! The `repair` subcommand: a full experiment run from the command line.
 
+use chameleon_bench::AlgoKind;
 use chameleon_cluster::{
     Cluster, ClusterConfig, ForegroundDriver, PlacementStrategy, TopologySpec,
 };
-use chameleon_core::baseline::{PlanShape, StaticRepairDriver};
-use chameleon_core::chameleon::{ChameleonConfig, ChameleonDriver};
 use chameleon_core::{RepairContext, RepairDriver};
 use chameleon_simnet::{FaultPlan, NodeCaps};
 use chameleon_traces::{Workload, YcsbA};
@@ -35,8 +34,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let chunks: usize = flags.num_or("chunks", 20)?;
     let clients: usize = flags.num_or("clients", 0)?;
     let requests: usize = flags.num_or("requests", 4000)?;
-    let gbps: f64 = flags.num_or("gbps", 10.0)?;
-    let disk_mbps: f64 = flags.num_or("disk-mbps", 500.0)?;
+    let gbps = flags.positive_or("gbps", 10.0)?;
+    let disk_mbps = flags.positive_or("disk-mbps", 500.0)?;
     let chunk_mb: u64 = flags.num_or("chunk-mb", 64)?;
     let seed: u64 = flags.num_or("seed", 7)?;
     let trace_path = flags.str_or("trace", "");
@@ -118,6 +117,15 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let outcome = driver.outcome(&sim);
     println!("\nrepair: {}", outcome.algorithm);
     println!("  chunks repaired : {}", outcome.chunks_repaired);
+    if outcome.chunks_repaired < outcome.chunks_total {
+        let given_up = &outcome.given_up_chunks;
+        let unrepairable = given_up.iter().filter(|g| g.attempts == 0).count();
+        println!(
+            "  given up        : {} (unrepairable {unrepairable}, retries exhausted {})",
+            given_up.len(),
+            given_up.len() - unrepairable
+        );
+    }
     println!(
         "  duration        : {:.2} s",
         outcome.duration.unwrap_or(f64::NAN)
@@ -247,18 +255,8 @@ pub(crate) fn make_driver(
     ctx: RepairContext,
     seed: u64,
 ) -> Result<Box<dyn RepairDriver>, String> {
-    Ok(match algo {
-        "cr" => Box::new(StaticRepairDriver::new(ctx, PlanShape::Star, seed)),
-        "ppr" => Box::new(StaticRepairDriver::new(ctx, PlanShape::Tree, seed)),
-        "ecpipe" => Box::new(StaticRepairDriver::new(ctx, PlanShape::Chain, seed)),
-        "rb-cr" => Box::new(StaticRepairDriver::boosted(ctx, PlanShape::Star, seed)),
-        "rb-ppr" => Box::new(StaticRepairDriver::boosted(ctx, PlanShape::Tree, seed)),
-        "rb-ecpipe" => Box::new(StaticRepairDriver::boosted(ctx, PlanShape::Chain, seed)),
-        "chameleon" => Box::new(ChameleonDriver::new(ctx, ChameleonConfig::default())),
-        "chameleon-io" => Box::new(ChameleonDriver::new(ctx, ChameleonConfig::io())),
-        "etrp" => Box::new(ChameleonDriver::new(ctx, ChameleonConfig::etrp_only())),
-        other => return Err(format!("unknown algorithm `{other}`")),
-    })
+    let kind = AlgoKind::from_name(algo).ok_or_else(|| format!("unknown algorithm `{algo}`"))?;
+    Ok(kind.driver(ctx, seed))
 }
 
 #[cfg(test)]
@@ -284,6 +282,33 @@ mod tests {
                 err.contains("bad fault spec"),
                 "--faults {faults} must fail cleanly, got: {err}"
             );
+        }
+    }
+
+    #[test]
+    fn non_positive_bandwidths_are_errors_not_panics() {
+        for (flag, bad) in [("--gbps", "0"), ("--gbps", "-1"), ("--disk-mbps", "nan")] {
+            let err = run_with(&[flag, bad]).unwrap_err();
+            assert!(err.contains("must be positive"), "{flag} {bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_algorithm_is_rejected() {
+        let err = run_with(&["--algo", "bogus"]).unwrap_err();
+        assert!(err.contains("unknown algorithm `bogus`"), "{err}");
+    }
+
+    /// RS(16,4) runs on 21 nodes, so a stripe has one off-stripe node; with
+    /// two victims that node is either down or wanted by two chunks, and
+    /// some chunks have nowhere to go. ChameleonEC used to re-queue them
+    /// for ever; every algorithm must end the run.
+    #[test]
+    fn a_cluster_without_spare_nodes_terminates_for_every_algorithm() {
+        for (name, _) in AlgoKind::NAMED {
+            let args = format!("--code rs:16,4 --failures 2 --chunks 2 --chunk-mb 1 --algo {name}");
+            run_with(&args.split(' ').collect::<Vec<_>>())
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
     }
 

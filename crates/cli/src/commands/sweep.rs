@@ -134,17 +134,10 @@ pub fn run(args: &[String]) -> Result<(), String> {
 
 fn parse_algos(spec: &str) -> Result<Vec<AlgoKind>, String> {
     spec.split(',')
-        .map(|s| match s.trim() {
-            "cr" => Ok(AlgoKind::Cr),
-            "ppr" => Ok(AlgoKind::Ppr),
-            "ecpipe" => Ok(AlgoKind::EcPipe),
-            "rb-cr" => Ok(AlgoKind::RbCr),
-            "rb-ppr" => Ok(AlgoKind::RbPpr),
-            "rb-ecpipe" => Ok(AlgoKind::RbEcPipe),
-            "chameleon" => Ok(AlgoKind::Chameleon),
-            "chameleon-io" => Ok(AlgoKind::ChameleonIo),
-            "etrp" => Ok(AlgoKind::Etrp),
-            other => Err(format!("unknown algorithm `{other}` in --algos")),
+        .map(|s| {
+            let name = s.trim();
+            AlgoKind::from_name(name)
+                .ok_or_else(|| format!("unknown algorithm `{name}` in --algos"))
         })
         .collect()
 }

@@ -25,16 +25,22 @@
 //!   straggler-aware re-scheduling (§III-C), plus the storage-bottleneck
 //!   variant ChameleonEC-IO (§III-D).
 //!
-//! Full-node repair campaigns are run by [`RepairDriver`]s
-//! ([`baseline::StaticRepairDriver`] and [`chameleon::ChameleonDriver`]),
-//! which produce a [`RepairOutcome`] (repair throughput, per-chunk
-//! latencies, link-utilization statistics, and the wall-clock cost of the
-//! real GF(2^8) coding stages measured by [`coding::PlanCoder`]).
+//! Full-node repair campaigns are run by [`RepairDriver`]s. There is one
+//! campaign loop — work queue, in-flight roster, retry/backoff and stall
+//! timers, failed-attempt booking, relocation, spans, outcome — and the
+//! algorithms are two *planners* consulted only where they differ:
+//! [`baseline::StaticRepairDriver`] (a fixed [`baseline::PlanShape`] over a
+//! [`SourceSelector`]) and [`chameleon::ChameleonDriver`] (phase dispatch,
+//! tunable plans, straggler re-scheduling) are that loop over each of them.
+//! A campaign produces a [`RepairOutcome`] (repair throughput, per-chunk
+//! latencies, recovery counters, and the wall-clock cost of the real
+//! GF(2^8) coding stages measured by [`coding::PlanCoder`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod baseline;
+mod campaign;
 pub mod chameleon;
 pub mod coding;
 mod context;

@@ -1,22 +1,27 @@
-//! Failure-aware recovery shared by every repair driver.
+//! The retry/backoff policy and the recovery counters of the campaign
+//! loop.
 //!
 //! When an attempt dies (a helper or the destination crashed, or the
-//! per-attempt stall watchdog expired), the driver:
+//! per-attempt stall watchdog expired), the loop — once, for every
+//! algorithm —
 //!
-//! 1. aborts the attempt's remaining flows and books the wasted work,
-//! 2. re-runs source selection against the *surviving* nodes — when the
-//!    failed node held stripe data this naturally escalates to a cascaded
-//!    two-erasure repair (the selector simply sees one more erasure),
-//! 3. waits out a capped exponential backoff in virtual time, with
-//!    seeded jitter so concurrent retries de-synchronize, then
-//! 4. re-dispatches, up to [`RecoveryPolicy::max_attempts`] per chunk.
+//! 1. aborts the attempt's remaining flows and books the wasted work
+//!    ([`RecoveryStats::book_failed_attempt`]),
+//! 2. waits out a capped exponential backoff in virtual time
+//!    ([`RecoveryPolicy::backoff_secs`]), with seeded jitter so concurrent
+//!    retries de-synchronize, then
+//! 3. asks the planner for a fresh plan against the *surviving* nodes —
+//!    when the failed node held stripe data this naturally escalates to a
+//!    cascaded two-erasure repair (the planner simply sees one more
+//!    erasure) — and re-dispatches, up to
+//!    [`RecoveryPolicy::max_attempts`] per chunk.
 //!
 //! The whole state machine runs on simulator timers — no wall clock, no
 //! global RNG — so runs with faults stay byte-deterministic.
 
 use chameleon_cluster::ChunkId;
 
-/// Retry/backoff policy of a repair driver.
+/// Retry/backoff policy of a repair campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Maximum attempts per chunk (the first dispatch counts as one);
@@ -30,7 +35,7 @@ pub struct RecoveryPolicy {
     /// Seeded jitter added to each backoff, uniform in `[0, jitter_secs)`.
     pub jitter_secs: f64,
     /// An attempt making no progress for this long is aborted and
-    /// re-planned — how drivers observe helper loss even without an abort
+    /// re-planned — how the loop observes helper loss even without an abort
     /// notification (e.g. a helper slowed to a crawl).
     pub stall_timeout_secs: f64,
     /// Seed for the jitter stream (mixed per chunk and attempt).

@@ -14,24 +14,7 @@
 use chameleon_cluster::ChunkId;
 use chameleon_simnet::NodeId;
 
-use crate::baseline::{PlanShape, StaticRepairDriver};
 use crate::context::RepairContext;
-
-/// Convenience constructor for `RB+CR`, `RB+PPR`, and `RB+ECPipe`
-/// (Exp#6).
-///
-/// # Examples
-///
-/// ```no_run
-/// # use chameleon_core::{repairboost, baseline::PlanShape, RepairContext, RepairDriver};
-/// # fn f(ctx: RepairContext) {
-/// let driver = repairboost::boost(ctx, PlanShape::Chain, 7);
-/// assert_eq!(driver.name(), "RB+ECPipe");
-/// # }
-/// ```
-pub fn boost(ctx: RepairContext, shape: PlanShape, seed: u64) -> StaticRepairDriver {
-    StaticRepairDriver::boosted(ctx, shape, seed)
-}
 
 /// Measures how evenly a set of per-node loads is spread: the ratio of the
 /// maximum to the mean (1.0 = perfectly balanced). Used by the Exp#6
@@ -68,31 +51,6 @@ pub fn node_touch_counts(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RepairDriver;
-    use chameleon_cluster::{Cluster, ClusterConfig};
-    use chameleon_codes::ReedSolomon;
-    use std::sync::Arc;
-
-    #[test]
-    fn boosted_driver_runs_coding_stages() {
-        let mut cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
-        cluster.fail_node(0).unwrap();
-        let lost = cluster.lost_chunks(&[0]);
-        let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
-        let mut sim = ctx.cluster.build_simulator();
-        let mut driver = boost(ctx, PlanShape::Chain, 3);
-        driver.start(&mut sim, lost.clone());
-        while let Some(ev) = sim.next_event() {
-            driver.on_event(&mut sim, &ev);
-        }
-        let outcome = driver.outcome(&sim);
-        assert_eq!(outcome.chunks_repaired, lost.len());
-        // The boosting layer changes selection, not arithmetic: every
-        // repaired chunk still runs the split-table coding stages.
-        assert_eq!(outcome.coding.chunks_coded, outcome.chunks_repaired);
-        assert!(outcome.coding.relay_merge_nanos > 0);
-        assert!(outcome.coding.bytes_coded > 0);
-    }
 
     #[test]
     fn imbalance_of_uniform_loads_is_one() {

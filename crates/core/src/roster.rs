@@ -23,7 +23,7 @@ use std::ops::{Index, IndexMut};
 /// key of a newer attempt. That is harmless: the key only routes, and the
 /// executor it reaches still checks the flow id against its own table.
 #[derive(Debug)]
-pub(crate) struct Roster<T> {
+pub struct Roster<T> {
     /// `(key, attempt)` in visiting order.
     items: Vec<(u32, T)>,
     /// Key → index into `items` (stale for keys on the free list).
@@ -115,111 +115,6 @@ impl<T> Index<usize> for Roster<T> {
 impl<T> IndexMut<usize> for Roster<T> {
     fn index_mut(&mut self, index: usize) -> &mut T {
         &mut self.items[index].1
-    }
-}
-
-#[cfg(test)]
-pub(crate) mod testing {
-    use std::sync::Arc;
-
-    use chameleon_cluster::{Cluster, ClusterConfig, ForegroundDriver};
-    use chameleon_codes::ReedSolomon;
-    use chameleon_simnet::{Event, FlowSpec, Traffic};
-    use chameleon_traces::{Workload, YcsbA};
-
-    use crate::{RepairContext, RepairDriver};
-
-    /// Runs a full-node repair next to two foreground clients and a stream
-    /// of *hostile* events — test-owned Repair-class flows stamped with the
-    /// owner keys live executors hold, and timers carrying the drivers'
-    /// own dispatch keys — and checks that the driver refuses every event
-    /// that is not its own without touching an executor (`executors`
-    /// renders them), while both campaigns still run to completion.
-    pub(crate) fn assert_foreign_events_are_refused<D: RepairDriver>(
-        make: impl FnOnce(RepairContext) -> D,
-        executors: impl Fn(&D) -> Vec<String>,
-    ) {
-        const FG_REQUESTS: usize = 40;
-        const HOSTILE_FLOWS: usize = 24;
-        let mut cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
-        cluster.fail_node(0).unwrap();
-        let lost = cluster.lost_chunks(&[0]);
-        let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
-        let mut sim = ctx.cluster.build_simulator();
-        let mut driver = make(ctx.clone());
-        let workloads: Vec<Box<dyn Workload>> = (0..2)
-            .map(|i| Box::new(YcsbA::new(i)) as Box<dyn Workload>)
-            .collect();
-        let mut fg = ForegroundDriver::new(workloads, FG_REQUESTS);
-        fg.start(&ctx.cluster, &mut sim);
-        driver.start(&mut sim, lost.clone());
-
-        let hostile_flow = |n: usize| {
-            FlowSpec::network(5 + n % 3, 9, 2 << 20, Traffic::Repair).with_owner(n as u64 % 4)
-        };
-        let mut hostile_flows = vec![sim.start_flow(hostile_flow(0))];
-        // Retry key, stall key, and the 0 the phase and check timers use.
-        let hostile_timers = [
-            sim.schedule_in(0.01, 0x9E77),
-            sim.schedule_in(0.02, 0x57A1),
-            sim.schedule_in(0.03, 0),
-        ];
-
-        let (mut refused_flows, mut refused_timers, mut refused_beside_two) = (0, 0, 0);
-        while let Some(ev) = sim.next_event() {
-            let before = executors(&driver);
-            let handled = driver.on_event(&mut sim, &ev);
-            let hostile = match ev {
-                Event::FlowCompleted { id, .. } => hostile_flows.contains(&id),
-                Event::Timer { id, .. } => hostile_timers.contains(&id),
-            };
-            if handled {
-                assert!(!hostile, "driver claimed a hostile event: {ev:?}");
-                assert!(
-                    !matches!(
-                        ev,
-                        Event::FlowCompleted {
-                            tag: Traffic::Foreground,
-                            ..
-                        }
-                    ),
-                    "driver claimed a foreground flow: {ev:?}"
-                );
-                continue;
-            }
-            assert_eq!(
-                executors(&driver),
-                before,
-                "a refused event mutated an executor: {ev:?}"
-            );
-            if before.len() >= 2 {
-                refused_beside_two += 1;
-            }
-            if !hostile {
-                assert!(
-                    fg.on_event(&ctx.cluster, &mut sim, &ev),
-                    "nobody owns {ev:?}"
-                );
-            } else if matches!(ev, Event::Timer { .. }) {
-                refused_timers += 1;
-            } else {
-                refused_flows += 1;
-                if hostile_flows.len() < HOSTILE_FLOWS {
-                    hostile_flows.push(sim.start_flow(hostile_flow(hostile_flows.len())));
-                }
-            }
-        }
-        assert_eq!(refused_flows, HOSTILE_FLOWS);
-        assert_eq!(refused_timers, hostile_timers.len());
-        assert!(
-            refused_beside_two > HOSTILE_FLOWS,
-            "too few refusals next to >= 2 live executors: {refused_beside_two}"
-        );
-        assert!(driver.is_done());
-        assert_eq!(driver.outcome(&sim).chunks_repaired, lost.len());
-        assert!(fg.is_done());
-        let report = fg.report(&sim);
-        assert_eq!(report.completed + report.aborted, 2 * FG_REQUESTS);
     }
 }
 
