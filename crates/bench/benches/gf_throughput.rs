@@ -1,9 +1,8 @@
 //! GF(2^8) kernel throughput benchmark: MB/s of `mul_slice` /
-//! `mul_slice_xor` for every kernel path the host can run — the portable
-//! split (256-entry row) and wide (65 536-entry double table) loops plus
-//! each runtime-detected SIMD kernel — and the stripe-level encode
-//! pipeline (per-destination vs fused coefficient-outer vs fused striped)
-//! at the paper's RS(10,4) geometry.
+//! `mul_slice_xor` for every rung of the kernel ladder the host can run
+//! (`chameleon_gf::available_kernels`: the runtime-detected SIMD kernels
+//! and the portable row loop), and the RS(10,4) encode at the paper's
+//! geometry.
 //!
 //! Every repair byte in the evaluation flows through these kernels, so
 //! their throughput bounds how aggressively ChameleonEC's tuner can trade
@@ -21,10 +20,7 @@ use std::time::Instant;
 
 use chameleon_bench::table::{print_table, write_json};
 use chameleon_codes::ErasureCode;
-use chameleon_gf::{
-    active_kernel, available_simd_kernels, mul_add_slice, mul_slice_with_portable,
-    mul_slice_xor_with_portable, Gf256, Matrix, MulTable,
-};
+use chameleon_gf::{active_kernel, available_kernels, Gf256, MulTable};
 
 /// The gate geometry: RS(10,4) with 1 MiB chunks (the workspace default
 /// chunk slice), matching the ISSUE acceptance point.
@@ -64,122 +60,15 @@ fn measure(budget_secs: f64, bytes_per_op: usize, mut op: impl FnMut()) -> f64 {
     bytes as f64 / start.elapsed().as_secs_f64() / 1e6
 }
 
-/// One multiply-kernel row: name, whether the dispatcher would pick it,
-/// and the two ops' MB/s at `len`.
-struct KernelPoint {
-    kernel: &'static str,
-    active: bool,
-    len: usize,
-    mul_mbps: f64,
-    mul_xor_mbps: f64,
-}
-
-fn kernel_points(len: usize, budget: f64) -> Vec<KernelPoint> {
-    let coeff = Gf256::new(0x53);
-    let src = fill(len, 0xBEEF);
-    let mut dst = fill(len, 0xF00D);
-    let mut points = Vec::new();
-
-    // Which path does `mul_slice_with` take on this host/process? SIMD
-    // kernels match by name; with the scalar fallback the dispatcher
-    // lands on the wide table at the gate length (>= the auto-build bar).
-    let dispatched = active_kernel();
-    let marks_active =
-        |name: &str| name == dispatched || (dispatched == "scalar" && name == "wide");
-
-    // Portable split path: a fresh table per measurement so the wide
-    // table never materialises (SIMD-active processes never auto-build
-    // it, but keep the bench meaningful under CHAMELEON_GF_KERNEL=scalar
-    // too, where priming would widen at this length).
-    let split_table = MulTable::new(coeff);
-    points.push(KernelPoint {
-        kernel: "split",
-        active: false,
-        len,
-        mul_mbps: measure(budget, len, || {
-            mul_slice_with_portable(&split_table, &src, &mut dst)
-        }),
-        mul_xor_mbps: measure(budget, len, || {
-            mul_slice_xor_with_portable(&split_table, &src, &mut dst)
-        }),
-    });
-
-    // Portable wide path: the pre-PR best bulk kernel, and the ISSUE's
-    // >=3x comparison baseline.
-    let wide_table = MulTable::new(coeff);
-    wide_table.ensure_wide();
-    points.push(KernelPoint {
-        kernel: "wide",
-        active: marks_active("wide"),
-        len,
-        mul_mbps: measure(budget, len, || {
-            mul_slice_with_portable(&wide_table, &src, &mut dst)
-        }),
-        mul_xor_mbps: measure(budget, len, || {
-            mul_slice_xor_with_portable(&wide_table, &src, &mut dst)
-        }),
-    });
-
-    let table = MulTable::new(coeff);
-    for kernel in available_simd_kernels() {
-        points.push(KernelPoint {
-            kernel: kernel.name(),
-            active: marks_active(kernel.name()),
-            len,
-            mul_mbps: measure(budget, len, || kernel.mul_slice(&table, &src, &mut dst)),
-            mul_xor_mbps: measure(budget, len, || kernel.mul_slice_xor(&table, &src, &mut dst)),
-        });
-    }
-    points
-}
-
-/// One encode-pipeline row: strategy name and data MB/s (source bytes per
-/// encode over wall time) at RS(10,4), 1 MiB chunks.
-struct EncodePoint {
-    strategy: &'static str,
-    mbps: f64,
-}
-
-fn encode_points(budget: f64) -> Vec<EncodePoint> {
+/// RS(10,4) `encode` at 1 MiB chunks: data MB/s (source bytes per encode
+/// over wall time).
+fn encode_mbps(budget: f64) -> f64 {
     let data: Vec<Vec<u8>> = (0..K).map(|j| fill(GATE_LEN, 0xABC0 + j as u64)).collect();
     let refs: Vec<&[u8]> = data.iter().map(|c| c.as_slice()).collect();
     let rs = chameleon_codes::ReedSolomon::new(K, M).expect("RS(10,4)");
-    let bytes_per_op = K * GATE_LEN;
-    let mut points = Vec::new();
-
-    // The pre-PR shape, same output contract as `encode` (systematic
-    // copies + parity): one full pass over all k sources per parity row,
-    // so every source is streamed from memory m times.
-    let cauchy = Matrix::cauchy(M, K);
-    points.push(EncodePoint {
-        strategy: "per_dest",
-        mbps: measure(budget, bytes_per_op, || {
-            let mut stripe: Vec<Vec<u8>> = refs.iter().map(|s| s.to_vec()).collect();
-            for i in 0..M {
-                let mut parity = vec![0u8; GATE_LEN];
-                for (j, src) in refs.iter().enumerate() {
-                    mul_add_slice(cauchy[(i, j)], src, &mut parity);
-                }
-                stripe.push(parity);
-            }
-            std::hint::black_box(stripe);
-        }),
-    });
-
-    points.push(EncodePoint {
-        strategy: "fused",
-        mbps: measure(budget, bytes_per_op, || {
-            std::hint::black_box(rs.encode(&refs).expect("encode"));
-        }),
-    });
-
-    points.push(EncodePoint {
-        strategy: "fused_striped",
-        mbps: measure(budget, bytes_per_op, || {
-            std::hint::black_box(rs.encode_striped(&refs, 0).expect("encode"));
-        }),
-    });
-    points
+    measure(budget, K * GATE_LEN, || {
+        std::hint::black_box(rs.encode(&refs).expect("encode"));
+    })
 }
 
 fn main() {
@@ -193,19 +82,25 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_levels = Vec::new();
+    let table = MulTable::new(Gf256::new(0x53));
     for len in [64 * 1024usize, GATE_LEN] {
-        for p in kernel_points(len, budget) {
+        let src = fill(len, 0xBEEF);
+        let mut dst = fill(len, 0xF00D);
+        for kernel in available_kernels() {
+            let active = kernel.name() == active_kernel();
+            let mul = measure(budget, len, || kernel.mul_slice(&table, &src, &mut dst));
+            let mul_xor = measure(budget, len, || kernel.mul_slice_xor(&table, &src, &mut dst));
             rows.push(vec![
-                p.kernel.to_string(),
-                if p.active { "yes" } else { "" }.to_string(),
-                format!("{} KiB", p.len / 1024),
-                format!("{:.0}", p.mul_mbps),
-                format!("{:.0}", p.mul_xor_mbps),
+                kernel.name().to_string(),
+                if active { "yes" } else { "" }.to_string(),
+                format!("{} KiB", len / 1024),
+                format!("{mul:.0}"),
+                format!("{mul_xor:.0}"),
             ]);
             json_levels.push(format!(
-                "    {{\"kernel\": \"{}\", \"active\": {}, \"len\": {}, \
-                 \"mul_mbps\": {:.1}, \"mul_xor_mbps\": {:.1}}}",
-                p.kernel, p.active, p.len, p.mul_mbps, p.mul_xor_mbps
+                "    {{\"kernel\": \"{}\", \"active\": {active}, \"len\": {len}, \
+                 \"mul_mbps\": {mul:.1}, \"mul_xor_mbps\": {mul_xor:.1}}}",
+                kernel.name()
             ));
         }
     }
@@ -215,20 +110,12 @@ fn main() {
         &rows,
     );
 
-    let mut encode_rows = Vec::new();
-    for p in encode_points(budget) {
-        encode_rows.push(vec![p.strategy.to_string(), format!("{:.0}", p.mbps)]);
-        json_levels.push(format!(
-            "    {{\"encode\": \"{}\", \"k\": {K}, \"m\": {M}, \"chunk_bytes\": {GATE_LEN}, \
-             \"mbps\": {:.1}}}",
-            p.strategy, p.mbps
-        ));
-    }
-    print_table(
-        "RS(10,4) encode at 1 MiB chunks (data MB/s)",
-        &["strategy", "MB/s"],
-        &encode_rows,
-    );
+    let encode = encode_mbps(budget);
+    json_levels.push(format!(
+        "    {{\"encode\": \"fused\", \"k\": {K}, \"m\": {M}, \"chunk_bytes\": {GATE_LEN}, \
+         \"mbps\": {encode:.1}}}"
+    ));
+    println!("RS(10,4) encode at 1 MiB chunks: {encode:.0} data MB/s");
 
     let json = format!(
         "{{\n  \"bench\": \"gf_throughput\",\n  \"active_kernel\": \"{}\",\n  \"levels\": [\n{}\n  ]\n}}\n",

@@ -4,6 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use chameleon_codes::{Butterfly, ErasureCode, Lrc, ReedSolomon};
+use chameleon_simnet::FaultPlan;
 
 /// Parsed `--key value` flags.
 #[derive(Debug, Default)]
@@ -117,6 +118,25 @@ pub fn parse_code(spec: &str) -> Result<Arc<dyn ErasureCode>, String> {
             .map(|c| Arc::new(c) as Arc<dyn ErasureCode>)
             .map_err(|e| e.to_string()),
         _ => Err(format!("invalid code spec `{spec}`")),
+    }
+}
+
+/// Parses `--faults` for a cluster of `total_nodes` simulator nodes (storage
+/// and clients). A spec naming a node outside the cluster is rejected here:
+/// the simulator would only notice when the fault's timer fires, and panic.
+pub fn parse_faults(flags: &Flags, total_nodes: usize) -> Result<Option<FaultPlan>, String> {
+    let spec = flags.str_or("faults", "");
+    if spec.is_empty() {
+        return Ok(None);
+    }
+    let plan = FaultPlan::parse_list(&spec)?;
+    match plan.specs().iter().find(|s| s.node() >= total_nodes) {
+        Some(bad) => Err(format!(
+            "--faults names node {}, but the cluster has {total_nodes} nodes (0..={})",
+            bad.node(),
+            total_nodes - 1
+        )),
+        None => Ok(Some(plan)),
     }
 }
 

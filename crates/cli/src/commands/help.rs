@@ -25,6 +25,8 @@ COMMANDS:
                     --faults     comma list of scheduled faults:
                                  crash:NODE@T | recover:NODE@T |
                                  slow:NODE@TxF+D | disk:NODE@TxF+D (default none)
+                                 NODE is a cluster node id: storage nodes
+                                 first, then clients; others are rejected
                     --trace      write a JSONL observability trace
                                  (flow events + repair spans +
                                  engine profile) to this path       (default off)

@@ -5,10 +5,10 @@ use chameleon_cluster::{
     Cluster, ClusterConfig, ForegroundDriver, PlacementStrategy, TopologySpec,
 };
 use chameleon_core::{RepairContext, RepairDriver};
-use chameleon_simnet::{FaultPlan, NodeCaps};
+use chameleon_simnet::NodeCaps;
 use chameleon_traces::{Workload, YcsbA};
 
-use crate::args::{parse_code, Flags};
+use crate::args::{parse_code, parse_faults, Flags};
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -40,10 +40,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let seed: u64 = flags.num_or("seed", 7)?;
     let trace_path = flags.str_or("trace", "");
     let topology = TopologySpec::parse(&flags.str_or("topology", "flat"))?;
-    let faults = match flags.str_or("faults", "") {
-        s if s.is_empty() => None,
-        s => Some(FaultPlan::parse_list(&s)?),
-    };
 
     if failures == 0 || failures > code.fault_tolerance() {
         return Err(format!(
@@ -66,6 +62,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         monitor_window_secs: 15.0,
         topology,
     };
+    let faults = parse_faults(&flags, cfg.total_nodes())?;
     let mut cluster = Cluster::new(cfg).map_err(|e| e.to_string())?;
     let victims: Vec<usize> = (0..failures).collect();
     for &v in &victims {
@@ -283,6 +280,26 @@ mod tests {
                 "--faults {faults} must fail cleanly, got: {err}"
             );
         }
+    }
+
+    /// 20 storage nodes and one client node: ids 0..=20. The simulator
+    /// panics on a fault for any other node when its timer fires.
+    #[test]
+    fn faults_outside_the_cluster_are_errors_not_panics() {
+        for faults in [
+            "crash:99@0.1",
+            "slow:99@0.1x0.5+1",
+            "recover:21@1,crash:99@2",
+        ] {
+            let err = run_with(&["--code", "rs:4,2", "--chunks", "2", "--faults", faults])
+                .expect_err(faults);
+            assert!(
+                err.contains("node") && err.contains("the cluster has 21 nodes"),
+                "--faults {faults}: {err}"
+            );
+        }
+        let on_the_client = "--code rs:4,2 --chunks 2 --chunk-mb 1 --faults crash:20@0.1";
+        run_with(&on_the_client.split(' ').collect::<Vec<_>>()).expect("node 20 exists");
     }
 
     #[test]

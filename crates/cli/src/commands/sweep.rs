@@ -10,9 +10,8 @@ use chameleon_bench::grid::{self, RunSpec};
 use chameleon_bench::runner::FgSpec;
 use chameleon_bench::table::print_table;
 use chameleon_bench::{AlgoKind, Scale};
-use chameleon_simnet::FaultPlan;
 
-use crate::args::{parse_code, Flags};
+use crate::args::{parse_code, parse_faults, Flags};
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -34,10 +33,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if seeds == 0 {
         return Err("--seeds must be at least 1".into());
     }
-    let faults = match flags.str_or("faults", "") {
-        s if s.is_empty() => None,
-        s => Some(FaultPlan::parse_list(&s)?),
-    };
     let trace_path = flags.str_or("trace", "");
 
     let topology = chameleon_cluster::TopologySpec::parse(&flags.str_or("topology", "flat"))?;
@@ -48,6 +43,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     scale.requests_per_client = requests;
     let mut cfg = scale.cluster_config(code.n());
     cfg.topology = topology;
+    let faults = parse_faults(&flags, cfg.total_nodes())?;
 
     let mut cells = Vec::new();
     let mut specs = Vec::new();
@@ -140,4 +136,22 @@ fn parse_algos(spec: &str) -> Result<Vec<AlgoKind>, String> {
                 .ok_or_else(|| format!("unknown algorithm `{name}` in --algos"))
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The grid runs cells on worker threads; a fault the simulator cannot
+    /// apply used to panic there, after the sweep had started.
+    #[test]
+    fn a_fault_outside_the_cluster_is_rejected_before_any_cell_runs() {
+        let args = "--seeds 1 --chunks 1 --requests 10 --faults crash:99@0.1";
+        let argv: Vec<String> = args.split(' ').map(String::from).collect();
+        let err = run(&argv).unwrap_err();
+        assert!(
+            err.contains("node 99") && err.contains("the cluster has"),
+            "{err}"
+        );
+    }
 }

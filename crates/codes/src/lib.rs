@@ -89,19 +89,12 @@ pub trait ErasureCode: Send + Sync {
     /// [`CodeError::ChunkSizeMismatch`] for malformed input.
     fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, CodeError>;
 
-    /// Like [`Self::encode`], but implementations may fan the parity
-    /// computation across parallel worker threads in cache-sized stripes.
-    ///
-    /// `stripe_bytes` is the stripe granularity (`0` picks the
-    /// implementation default). The output is byte-identical to
-    /// [`Self::encode`]; the default implementation simply delegates to
-    /// it, which is also the correct fallback for codes whose parity mixes
-    /// sub-chunk positions (Butterfly) and therefore cannot be split
-    /// positionally.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::encode`].
+    /// Vestigial: [`Self::encode`] under its former striped name. There is
+    /// one encode path and `stripe_bytes` is ignored; the method survives
+    /// only because the repository benchmark (`benchmark/src/probes.rs`,
+    /// frozen while product code changes) still calls it. Remove it together
+    /// with that probe and the per-layer row it feeds.
+    #[doc(hidden)]
     fn encode_striped(
         &self,
         data: &[&[u8]],
@@ -119,29 +112,6 @@ pub trait ErasureCode: Send + Sync {
     /// Returns [`CodeError::NotEnoughChunks`] if the available set cannot
     /// determine the wanted chunk.
     fn decode(&self, available: &[(usize, &[u8])], wanted: usize) -> Result<Vec<u8>, CodeError>;
-
-    /// Like [`Self::decode`], but implementations may split the chunk into
-    /// cache-sized stripes and decode them on parallel worker threads.
-    ///
-    /// `stripe_bytes` is the stripe granularity (`0` picks the
-    /// implementation default). The output is byte-identical to
-    /// [`Self::decode`]; the default implementation simply delegates to it,
-    /// which is also the correct fallback for codes whose repair mixes
-    /// sub-chunk positions (Butterfly) and therefore cannot be split
-    /// positionally.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Self::decode`].
-    fn decode_striped(
-        &self,
-        available: &[(usize, &[u8])],
-        wanted: usize,
-        stripe_bytes: usize,
-    ) -> Result<Vec<u8>, CodeError> {
-        let _ = stripe_bytes;
-        self.decode(available, wanted)
-    }
 
     /// Describes what a *single-chunk* repair of `failed` needs, given the
     /// currently alive chunk indices. Schedulers use this to pick sources.

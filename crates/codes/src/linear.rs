@@ -4,10 +4,10 @@ use chameleon_gf::{mul_slice_with, mul_slice_xor_with, Gf256, Matrix, MulTable, 
 
 use crate::CodeError;
 
-/// Stripe granularity for [`LinearCode::decode_striped`]: big enough to
-/// amortise per-stripe overhead, small enough that one stripe of every
-/// source plus the output stays cache-resident.
-pub(crate) const DEFAULT_STRIPE_BYTES: usize = 64 * 1024;
+/// Bytes of each chunk one step of [`LinearCode::encode`] covers: one
+/// source block plus the `m` parity blocks it feeds stay L2-resident for
+/// any practical `m`.
+const ENCODE_BLOCK_BYTES: usize = 64 * 1024;
 
 /// A systematic linear code: `n x k` generator matrix whose first `k` rows
 /// are the identity. Chunk `i` of a stripe equals `G[i] * data`.
@@ -52,37 +52,10 @@ impl LinearCode {
     /// Encodes data chunks into the full stripe (data chunks are copied).
     ///
     /// Parity is produced by a fused coefficient-outer pass: the chunk is
-    /// walked in cache-sized blocks, and within each block every source is
-    /// read **once** and immediately applied to all `m` parity rows. The
-    /// older per-destination shape (`for each parity: for each source`)
-    /// re-streamed every source chunk from memory `m` times; fusing keeps
-    /// the working set at one source block plus `m` parity blocks — L2-
-    /// resident at [`DEFAULT_STRIPE_BYTES`] for any practical `m`.
+    /// walked in [`ENCODE_BLOCK_BYTES`] blocks, and within each block every
+    /// source is read **once** and immediately applied to all `m` parity
+    /// rows, so no source is streamed from memory once per parity.
     pub(crate) fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, CodeError> {
-        self.encode_inner(data, DEFAULT_STRIPE_BYTES, false)
-    }
-
-    /// Like [`LinearCode::encode`], but fans the fused parity pass across
-    /// scoped worker threads, mirroring [`LinearCode::decode_striped`]:
-    /// each worker owns the same disjoint, stripe-aligned byte region of
-    /// **every** parity buffer and runs the coefficient-outer block pass
-    /// over it. Byte-identical to [`LinearCode::encode`].
-    ///
-    /// `stripe_bytes == 0` selects [`DEFAULT_STRIPE_BYTES`].
-    pub(crate) fn encode_striped(
-        &self,
-        data: &[&[u8]],
-        stripe_bytes: usize,
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
-        self.encode_inner(data, stripe_or_default(stripe_bytes), true)
-    }
-
-    fn encode_inner(
-        &self,
-        data: &[&[u8]],
-        stripe: usize,
-        fan_out: bool,
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
         if data.len() != self.k {
             return Err(CodeError::WrongChunkCount);
         }
@@ -90,25 +63,13 @@ impl LinearCode {
         if data.iter().any(|c| c.len() != len) {
             return Err(CodeError::ChunkSizeMismatch);
         }
-        let m = self.n() - self.k;
-        let mut stripe_out: Vec<Vec<u8>> = data.iter().map(|c| c.to_vec()).collect();
-        if m == 0 || len == 0 {
-            stripe_out.extend((0..m).map(|_| Vec::new()));
-            return Ok(stripe_out);
-        }
+        let mut stripe: Vec<Vec<u8>> = data.iter().map(|c| c.to_vec()).collect();
 
-        // One table per generator coefficient, shared read-only across
-        // workers. Priming mirrors decode_striped: wide tables only pay
-        // off on big chunks, and only when no SIMD kernel is active
-        // (prime_wide itself degrades to prime in that case).
+        // One table per distinct generator coefficient.
         let mut cache = MulTableCache::new();
-        let coeffs =
-            (self.k..self.n()).flat_map(|i| (0..self.k).map(move |j| self.generator[(i, j)]));
-        if len >= chameleon_gf::WIDE_BUILD_THRESHOLD {
-            cache.prime_wide(coeffs);
-        } else {
-            cache.prime(coeffs);
-        }
+        cache.prime(
+            (self.k..self.n()).flat_map(|i| (0..self.k).map(move |j| self.generator[(i, j)])),
+        );
         // tables[pi][j] multiplies source j into parity row pi.
         let tables: Vec<Vec<&MulTable>> = (self.k..self.n())
             .map(|i| {
@@ -122,53 +83,17 @@ impl LinearCode {
             })
             .collect();
 
-        let mut parity: Vec<Vec<u8>> = (0..m).map(|_| vec![0u8; len]).collect();
-
-        // The fused block pass over one contiguous byte region, shared by
-        // the single-threaded and fanned-out paths. `regions[pi]` is the
-        // [base, base + region_len) window of parity row `pi`.
-        let apply_region = |base: usize, regions: &mut [&mut [u8]]| {
-            let region_len = regions.first().map_or(0, |r| r.len());
-            let mut off = 0;
-            while off < region_len {
-                let block = stripe.min(region_len - off);
-                for (j, src) in data.iter().enumerate() {
-                    let src_block = &src[base + off..base + off + block];
-                    for (row_tables, region) in tables.iter().zip(regions.iter_mut()) {
-                        mul_slice_xor_with(row_tables[j], src_block, &mut region[off..off + block]);
-                    }
-                }
-                off += block;
-            }
-        };
-
-        let workers = worker_count(fan_out, len, stripe);
-
-        if workers <= 1 {
-            let mut regions: Vec<&mut [u8]> = parity.iter_mut().map(Vec::as_mut_slice).collect();
-            apply_region(0, &mut regions);
-        } else {
-            // Split every parity buffer at the same stripe-aligned cuts and
-            // regroup by worker, so each worker's mutable borrows are
-            // disjoint by construction.
-            let region = len.div_ceil(workers).div_ceil(stripe).max(1) * stripe;
-            let mut per_worker: Vec<Vec<&mut [u8]>> =
-                (0..len.div_ceil(region)).map(|_| Vec::new()).collect();
-            for row in parity.iter_mut() {
-                for (t, seg) in row.chunks_mut(region).enumerate() {
-                    per_worker[t].push(seg);
+        let mut parity: Vec<Vec<u8>> = tables.iter().map(|_| vec![0u8; len]).collect();
+        for start in (0..len).step_by(ENCODE_BLOCK_BYTES) {
+            let span = start..len.min(start + ENCODE_BLOCK_BYTES);
+            for (j, src) in data.iter().enumerate() {
+                for (row_tables, out) in tables.iter().zip(parity.iter_mut()) {
+                    mul_slice_xor_with(row_tables[j], &src[span.clone()], &mut out[span.clone()]);
                 }
             }
-            std::thread::scope(|s| {
-                for (t, mut segments) in per_worker.into_iter().enumerate() {
-                    let apply_region = &apply_region;
-                    s.spawn(move || apply_region(t * region, &mut segments));
-                }
-            });
         }
-
-        stripe_out.extend(parity);
-        Ok(stripe_out)
+        stripe.extend(parity);
+        Ok(stripe)
     }
 
     /// Expresses chunk `wanted` as a linear combination of the available
@@ -201,31 +126,6 @@ impl LinearCode {
         available: &[(usize, &[u8])],
         wanted: usize,
     ) -> Result<Vec<u8>, CodeError> {
-        self.decode_inner(available, wanted, DEFAULT_STRIPE_BYTES, false)
-    }
-
-    /// Like [`LinearCode::decode`], but fans stripe-aligned contiguous
-    /// regions of the output across scoped worker threads, each owning a
-    /// disjoint region by construction. Byte-identical to
-    /// [`LinearCode::decode`].
-    ///
-    /// `stripe_bytes == 0` selects [`DEFAULT_STRIPE_BYTES`].
-    pub(crate) fn decode_striped(
-        &self,
-        available: &[(usize, &[u8])],
-        wanted: usize,
-        stripe_bytes: usize,
-    ) -> Result<Vec<u8>, CodeError> {
-        self.decode_inner(available, wanted, stripe_or_default(stripe_bytes), true)
-    }
-
-    fn decode_inner(
-        &self,
-        available: &[(usize, &[u8])],
-        wanted: usize,
-        stripe: usize,
-        fan_out: bool,
-    ) -> Result<Vec<u8>, CodeError> {
         let len = available.first().map(|(_, c)| c.len()).unwrap_or(0);
         if available.iter().any(|(_, c)| c.len() != len) {
             return Err(CodeError::ChunkSizeMismatch);
@@ -233,32 +133,13 @@ impl LinearCode {
         let indices: Vec<usize> = available.iter().map(|(i, _)| *i).collect();
         let combo = self.decode_combination(&indices, wanted)?;
         let mut cache = MulTableCache::new();
-        if len >= chameleon_gf::WIDE_BUILD_THRESHOLD {
-            // Every coefficient sweeps the whole chunk in stripe-sized
-            // pieces; the wide double table pays for itself per chunk even
-            // though no single kernel call crosses the auto-build bar.
-            cache.prime_wide(combo.iter().map(|&(_, c)| c));
-        } else {
-            cache.prime(combo.iter().map(|&(_, c)| c));
-        }
+        cache.prime(combo.iter().map(|&(_, c)| c));
         let terms: Vec<(&MulTable, &[u8])> = combo
             .iter()
             .map(|&(pos, c)| (cache.cached(c).expect("cache was primed"), available[pos].1))
             .collect();
-
         let mut out = vec![0u8; len];
-        let workers = worker_count(fan_out, len, stripe);
-        if workers <= 1 {
-            combine_blocked(&terms, 0, &mut out);
-            return Ok(out);
-        }
-        let region = len.div_ceil(workers).div_ceil(stripe).max(1) * stripe;
-        std::thread::scope(|s| {
-            for (t, chunk) in out.chunks_mut(region).enumerate() {
-                let terms = &terms;
-                s.spawn(move || combine_blocked(terms, t * region, chunk));
-            }
-        });
+        combine_blocked(&terms, &mut out);
         Ok(out)
     }
 
@@ -279,27 +160,6 @@ impl LinearCode {
     }
 }
 
-/// The stripe granularity a `*_striped` caller asked for (0: the default).
-fn stripe_or_default(stripe_bytes: usize) -> usize {
-    if stripe_bytes == 0 {
-        DEFAULT_STRIPE_BYTES
-    } else {
-        stripe_bytes
-    }
-}
-
-/// Worker threads for a pass over `len` bytes: one unless fanning out, and
-/// never more than there are stripes.
-fn worker_count(fan_out: bool, len: usize, stripe: usize) -> usize {
-    if !fan_out {
-        return 1;
-    }
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
-        .min(len.div_ceil(stripe).max(1))
-}
-
 /// Output bytes [`combine_blocked`] finishes at a time. One page: the block
 /// being accumulated stays in L1 while every term streams through it.
 /// Measured inside the repository benchmark's `codec` workload (8 MiB
@@ -309,16 +169,16 @@ fn worker_count(fan_out: bool, len: usize, stripe: usize) -> usize {
 /// passes when a neighbour was competing for the core's L2.
 const COMBINE_BLOCK_BYTES: usize = 4096;
 
-/// Writes `sum_i c_i * src_i[base..base + region.len()]` into `region`, one
-/// block at a time: the first term writes the block and the others
-/// accumulate into it while it is cache-resident, so the output is neither
-/// zero-filled first nor streamed from memory once per term.
-fn combine_blocked(terms: &[(&MulTable, &[u8])], base: usize, region: &mut [u8]) {
+/// Writes `sum_i c_i * src_i` into `out`, one block at a time: the first
+/// term writes the block and the others accumulate into it while it is
+/// cache-resident, so the output is neither zero-filled first nor streamed
+/// from memory once per term.
+fn combine_blocked(terms: &[(&MulTable, &[u8])], out: &mut [u8]) {
     let Some((&(first, first_src), rest)) = terms.split_first() else {
         return; // an empty sum: the zeroed output is the answer
     };
-    for (i, block) in region.chunks_mut(COMBINE_BLOCK_BYTES).enumerate() {
-        let start = base + i * COMBINE_BLOCK_BYTES;
+    for (i, block) in out.chunks_mut(COMBINE_BLOCK_BYTES).enumerate() {
+        let start = i * COMBINE_BLOCK_BYTES;
         let span = start..start + block.len();
         mul_slice_with(first, &first_src[span.clone()], block);
         for &(table, src) in rest {
@@ -459,60 +319,10 @@ mod tests {
     }
 
     #[test]
-    fn decode_striped_matches_decode() {
-        let code = toy_code();
-        // Long enough for several stripes at the tiny stripe size below,
-        // with a tail that is not a multiple of the stripe or word size.
-        let len = 3 * 1024 + 5;
-        let data: Vec<Vec<u8>> = (0..3)
-            .map(|j| {
-                (0..len)
-                    .map(|i| ((i * 31 + j * 7 + 1) % 256) as u8)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = data.iter().map(|c| c.as_slice()).collect();
-        let stripe = code.encode(&refs).unwrap();
-        for lost in 0..5usize {
-            let avail: Vec<(usize, &[u8])> = (0..5)
-                .filter(|&i| i != lost)
-                .take(3)
-                .map(|i| (i, stripe[i].as_slice()))
-                .collect();
-            let plain = code.decode(&avail, lost).unwrap();
-            for stripe_bytes in [0usize, 64, 1024, 1 << 20] {
-                let striped = code.decode_striped(&avail, lost, stripe_bytes).unwrap();
-                assert_eq!(striped, plain, "lost={lost} stripe={stripe_bytes}");
-            }
-        }
-    }
-
-    #[test]
-    fn encode_striped_matches_encode() {
-        let code = toy_code();
-        // Several stripes at the tiny stripe sizes below, plus a ragged
-        // tail that is not a multiple of the stripe or word size.
-        let len = 3 * 1024 + 5;
-        let data: Vec<Vec<u8>> = (0..3)
-            .map(|j| {
-                (0..len)
-                    .map(|i| ((i * 37 + j * 11 + 2) % 256) as u8)
-                    .collect()
-            })
-            .collect();
-        let refs: Vec<&[u8]> = data.iter().map(|c| c.as_slice()).collect();
-        let plain = code.encode(&refs).unwrap();
-        for stripe_bytes in [0usize, 64, 1024, 1 << 20] {
-            let striped = code.encode_striped(&refs, stripe_bytes).unwrap();
-            assert_eq!(striped, plain, "stripe={stripe_bytes}");
-        }
-    }
-
-    #[test]
-    fn encode_striped_handles_empty_chunks() {
+    fn encode_handles_empty_chunks() {
         let code = toy_code();
         let data = [&[][..], &[][..], &[][..]];
-        let stripe = code.encode_striped(&data, 64).unwrap();
+        let stripe = code.encode(&data).unwrap();
         assert_eq!(stripe.len(), 5);
         assert!(stripe.iter().all(Vec::is_empty));
     }

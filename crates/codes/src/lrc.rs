@@ -154,25 +154,8 @@ impl ErasureCode for Lrc {
         self.inner.encode(data)
     }
 
-    fn encode_striped(
-        &self,
-        data: &[&[u8]],
-        stripe_bytes: usize,
-    ) -> Result<Vec<Vec<u8>>, CodeError> {
-        self.inner.encode_striped(data, stripe_bytes)
-    }
-
     fn decode(&self, available: &[(usize, &[u8])], wanted: usize) -> Result<Vec<u8>, CodeError> {
         self.inner.decode(available, wanted)
-    }
-
-    fn decode_striped(
-        &self,
-        available: &[(usize, &[u8])],
-        wanted: usize,
-        stripe_bytes: usize,
-    ) -> Result<Vec<u8>, CodeError> {
-        self.inner.decode_striped(available, wanted, stripe_bytes)
     }
 
     fn repair_requirement(

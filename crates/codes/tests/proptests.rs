@@ -125,41 +125,6 @@ proptest! {
         }
     }
 
-    // The fused striped encode must be byte-identical to the sequential
-    // fused encode for every geometry, chunk length (including stripe
-    // straddles), and stripe size — the stripe fan-out is a pure
-    // scheduling change.
-    #[test]
-    fn rs_encode_striped_matches_encode(
-        k in 2usize..10,
-        m in 1usize..5,
-        len in 0usize..2048,
-        stripe_idx in 0usize..5,
-        seed in any::<u64>(),
-    ) {
-        let stripe = [0usize, 64, 100, 1024, 1 << 20][stripe_idx];
-        let rs = ReedSolomon::new(k, m).unwrap();
-        let data = make_data(k, len, seed);
-        let refs: Vec<&[u8]> = data.iter().map(|c| c.as_slice()).collect();
-        prop_assert_eq!(rs.encode_striped(&refs, stripe).unwrap(), rs.encode(&refs).unwrap());
-    }
-
-    #[test]
-    fn lrc_encode_striped_matches_encode(
-        l in 1usize..4,
-        group in 2usize..5,
-        m in 1usize..4,
-        len in 0usize..1024,
-        stripe_idx in 0usize..4,
-        seed in any::<u64>(),
-    ) {
-        let stripe = [0usize, 64, 100, 1024][stripe_idx];
-        let lrc = Lrc::new(l * group, l, m).unwrap();
-        let data = make_data(l * group, len, seed);
-        let refs: Vec<&[u8]> = data.iter().map(|c| c.as_slice()).collect();
-        prop_assert_eq!(lrc.encode_striped(&refs, stripe).unwrap(), lrc.encode(&refs).unwrap());
-    }
-
     #[test]
     fn requirement_traffic_never_exceeds_k(
         k in 2usize..10,

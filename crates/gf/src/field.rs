@@ -1,15 +1,10 @@
-//! The field GF(2^8) and bulk slice kernels.
+//! The field GF(2^8).
 
 use core::fmt;
 use core::iter::{Product, Sum};
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use crate::kernels;
 use crate::tables::{EXP, LOG};
-
-/// Below this length the split-table build cost outweighs its per-byte
-/// win over the log/exp loop, so the slice kernels stay scalar.
-const SPLIT_TABLE_THRESHOLD: usize = 128;
 
 /// An element of GF(2^8).
 ///
@@ -260,80 +255,6 @@ impl Product for Gf256 {
     }
 }
 
-/// Multiplies every byte of `src` by `coeff`, writing into `dst`.
-///
-/// This is the bulk kernel behind chunk encoding: `dst[i] = coeff * src[i]`.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` have different lengths.
-///
-/// # Examples
-///
-/// ```
-/// use chameleon_gf::{mul_slice, Gf256};
-/// let src = [1u8, 2, 3];
-/// let mut dst = [0u8; 3];
-/// mul_slice(Gf256::ONE, &src, &mut dst);
-/// assert_eq!(dst, src);
-/// ```
-pub fn mul_slice(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
-    if src.len() >= SPLIT_TABLE_THRESHOLD && !coeff.is_zero() && coeff != Gf256::ONE {
-        kernels::mul_slice_split(coeff, src, dst);
-    } else {
-        kernels::scalar::mul_slice(coeff, src, dst);
-    }
-}
-
-/// Multiplies every byte of `src` by `coeff` and XOR-accumulates into `dst`:
-/// `dst[i] ^= coeff * src[i]`.
-///
-/// This is the inner loop of Equation (1) in the paper — accumulating
-/// `alpha_i * C_i` into a partially decoded chunk.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` have different lengths.
-///
-/// # Examples
-///
-/// ```
-/// use chameleon_gf::{mul_add_slice, Gf256};
-/// let src = [0xAAu8; 4];
-/// let mut acc = [0u8; 4];
-/// mul_add_slice(Gf256::ONE, &src, &mut acc);
-/// mul_add_slice(Gf256::ONE, &src, &mut acc);
-/// assert_eq!(acc, [0u8; 4]); // x + x = 0
-/// ```
-pub fn mul_add_slice(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
-    if coeff == Gf256::ONE {
-        kernels::xor_slice(src, dst);
-    } else if src.len() >= SPLIT_TABLE_THRESHOLD && !coeff.is_zero() {
-        kernels::mul_slice_xor_split(coeff, src, dst);
-    } else {
-        kernels::scalar::mul_slice_xor(coeff, src, dst);
-    }
-}
-
-/// XOR-accumulates `src` into `dst` (`dst[i] ^= src[i]`), i.e. field addition
-/// of whole chunks.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` have different lengths.
-///
-/// # Examples
-///
-/// ```
-/// use chameleon_gf::add_assign_slice;
-/// let mut a = [1u8, 2, 3];
-/// add_assign_slice(&[1u8, 2, 3], &mut a);
-/// assert_eq!(a, [0u8; 3]);
-/// ```
-pub fn add_assign_slice(src: &[u8], dst: &mut [u8]) {
-    kernels::xor_slice(src, dst);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -390,44 +311,6 @@ mod tests {
             xs.iter().copied().product::<Gf256>(),
             Gf256::new(3) * Gf256::new(5) * Gf256::new(3)
         );
-    }
-
-    #[test]
-    fn mul_slice_matches_scalar() {
-        let src: Vec<u8> = (0..=255).collect();
-        for c in [0u8, 1, 2, 0x53, 0xFF] {
-            let c = Gf256::new(c);
-            let mut dst = vec![0u8; src.len()];
-            mul_slice(c, &src, &mut dst);
-            for (i, &s) in src.iter().enumerate() {
-                assert_eq!(Gf256::new(dst[i]), c * Gf256::new(s));
-            }
-        }
-    }
-
-    #[test]
-    fn mul_add_slice_matches_scalar() {
-        let src: Vec<u8> = (0..=255).collect();
-        let mut acc: Vec<u8> = src.iter().rev().copied().collect();
-        let expect: Vec<u8> = acc
-            .iter()
-            .zip(&src)
-            .map(|(&a, &s)| (Gf256::new(a) + Gf256::new(0x1D) * Gf256::new(s)).value())
-            .collect();
-        mul_add_slice(Gf256::new(0x1D), &src, &mut acc);
-        assert_eq!(acc, expect);
-    }
-
-    #[test]
-    fn slice_kernels_handle_zero_and_one_fast_paths() {
-        let src = [9u8, 8, 7];
-        let mut dst = [1u8, 1, 1];
-        mul_slice(Gf256::ZERO, &src, &mut dst);
-        assert_eq!(dst, [0u8; 3]);
-        mul_add_slice(Gf256::ZERO, &src, &mut dst);
-        assert_eq!(dst, [0u8; 3]);
-        mul_slice(Gf256::ONE, &src, &mut dst);
-        assert_eq!(dst, src);
     }
 
     #[test]

@@ -1,56 +1,32 @@
-//! Word-wide GF(2^8) slice kernels.
+//! GF(2^8) slice kernels: `dst = c·src`, `dst ^= c·src` and `dst ^= src`.
 //!
-//! The byte-at-a-time log/exp loops in [`crate::field`] pay two table
-//! lookups, an integer add, and a zero-test per byte. The kernels here use
-//! the SPLIT_TABLE(8, 4) layout popularised by GF-Complete: each constant
-//! `c` gets two 16-entry nibble tables (`c * low_nibble` and
-//! `c * high_nibble`), from which a full 256-entry product row is derived
-//! once. The hot loop is then a single dependency-free table lookup per
-//! byte, unrolled eight bytes at a time, and pure XOR passes run eight
-//! bytes per step on `u64` words.
+//! Each constant `c` gets a [`MulTable`] in the SPLIT_TABLE(8, 4) layout
+//! popularised by GF-Complete: two 16-entry nibble tables (`c * low_nibble`
+//! and `c * high_nibble`) and the 256-entry product row derived from them.
+//! [`MulTableCache`] memoises the tables so a decode or a matrix–chunk
+//! product that reuses a coefficient never rebuilds one.
 //!
-//! On top of the 256-entry row, a table can lazily widen to a 65 536-entry
-//! `u16 → u16` product table (GF-Complete's "double table"): one lookup
-//! then covers **two** bytes, halving table-load traffic in the
-//! load-bound inner loop. The wide table costs 128 KiB per constant, so
-//! it is built on first use — either explicitly via
-//! [`MulTable::ensure_wide`] (what the decode paths do after priming a
-//! cache) or automatically once a single call processes
-//! [`WIDE_BUILD_THRESHOLD`] bytes or more.
+//! [`mul_slice_with`] and [`mul_slice_xor_with`] are the only bulk multiply
+//! entry points: a length assert, the zero / one fast paths, and one
+//! indirect call into the kernel [`crate::simd::active`] selected for the
+//! process — a byte-shuffle SIMD kernel reading the nibble tables where
+//! the CPU has one, otherwise the portable loop below ([`mul_row`] /
+//! [`mul_xor_row`]: one dependency-free row lookup per byte, unrolled
+//! eight bytes at a time), which is the last rung of the same ladder.
+//! [`xor_slice`] is a plain `u64`-wide XOR pass.
 //!
-//! [`MulTable`] holds the per-constant tables; [`MulTableCache`] memoises
-//! them so Gauss–Jordan decodes and matrix–chunk products that reuse the
-//! same coefficients never rebuild a table.
-//!
-//! When the host CPU has a byte-shuffle SIMD kernel (see
-//! [`crate::simd`]), the bulk entry points [`mul_slice_with`] and
-//! [`mul_slice_xor_with`] dispatch to it instead of the table loops: the
-//! same nibble tables, but 16/32 lookups per instruction. The portable
-//! split/wide path survives unchanged as the fallback (and is reachable
-//! explicitly via [`mul_slice_with_portable`] /
-//! [`mul_slice_xor_with_portable`] for benchmarks and differential
-//! tests, or process-wide via `CHAMELEON_GF_KERNEL=scalar`).
-//!
-//! The [`scalar`] module keeps the original byte-at-a-time loops as the
-//! reference implementation for equivalence tests and benchmarks.
-
-use std::sync::OnceLock;
+//! The [`scalar`] module keeps the byte-at-a-time log/exp loops as the
+//! oracle every rung is tested against.
 
 use crate::field::Gf256;
-
-/// Byte count at which a single kernel call amortises building the
-/// 65 536-entry wide table on its own: below this, the call sticks to the
-/// 256-entry row unless the wide table was already built (explicitly via
-/// [`MulTable::ensure_wide`], or by an earlier large call).
-pub const WIDE_BUILD_THRESHOLD: usize = 256 * 1024;
 
 /// Per-constant multiplication tables in SPLIT_TABLE(8, 4) layout.
 ///
 /// For a constant `c`, `lo[x & 0xF] = c * (x & 0xF)` and
 /// `hi[x >> 4] = c * (x & 0xF0)`; since multiplication distributes over
-/// XOR, `c * x = lo[x & 0xF] ^ hi[x >> 4]`. The full 256-entry `row` is
-/// materialised from the nibble tables so the bulk kernels do one lookup
-/// per byte.
+/// XOR, `c * x = lo[x & 0xF] ^ hi[x >> 4]`. The SIMD kernels shuffle through
+/// the nibble tables; the full 256-entry `row` is materialised from them so
+/// the portable loop and the SIMD tails do one lookup per byte.
 ///
 /// # Examples
 ///
@@ -66,10 +42,6 @@ pub struct MulTable {
     lo: [u8; 16],
     hi: [u8; 16],
     row: [u8; 256],
-    /// Lazily-built `u16 → u16` double table: entry `x` is the packed
-    /// little-endian product of both bytes of `x`. 128 KiB, so only worth
-    /// materialising for constants that see bulk traffic.
-    wide: OnceLock<Box<[u16; 65536]>>,
 }
 
 impl MulTable {
@@ -85,13 +57,7 @@ impl MulTable {
         for (x, r) in row.iter_mut().enumerate() {
             *r = lo[x & 0xF] ^ hi[x >> 4];
         }
-        MulTable {
-            coeff,
-            lo,
-            hi,
-            row,
-            wide: OnceLock::new(),
-        }
+        MulTable { coeff, lo, hi, row }
     }
 
     /// The constant these tables multiply by.
@@ -111,38 +77,6 @@ impl MulTable {
     #[inline]
     pub fn nibble_tables(&self) -> (&[u8; 16], &[u8; 16]) {
         (&self.lo, &self.hi)
-    }
-
-    /// Builds the 65 536-entry wide table now (no-op if already built),
-    /// so subsequent bulk kernels of any length take the two-bytes-per-
-    /// lookup path. Safe to call from multiple threads.
-    pub fn ensure_wide(&self) -> &[u16; 65536] {
-        self.wide.get_or_init(|| {
-            let mut wide = vec![0u16; 1 << 16].into_boxed_slice();
-            for (x, w) in wide.iter_mut().enumerate() {
-                *w = self.row[x & 0xFF] as u16 | (self.row[x >> 8] as u16) << 8;
-            }
-            wide.try_into().expect("exactly 65536 entries")
-        })
-    }
-
-    /// The wide table to use for a bulk call over `len` bytes: an
-    /// existing one, one built on the spot when `len` amortises the build,
-    /// or `None` (stay on the 256-entry row).
-    ///
-    /// When a SIMD kernel is active the 128 KiB build is never triggered
-    /// automatically — bulk calls go through the SIMD path, so the wide
-    /// table would be dead weight (an already-built one is still used by
-    /// the explicit portable entry points).
-    #[inline]
-    fn wide_for(&self, len: usize) -> Option<&[u16; 65536]> {
-        if let Some(w) = self.wide.get() {
-            Some(w)
-        } else if len >= WIDE_BUILD_THRESHOLD && crate::simd::active().is_none() {
-            Some(self.ensure_wide())
-        } else {
-            None
-        }
     }
 }
 
@@ -182,30 +116,10 @@ impl MulTableCache {
     }
 
     /// Builds tables for every coefficient up front, so later shared
-    /// (read-only) access via [`MulTableCache::cached`] — e.g. from worker
-    /// threads — always hits.
+    /// (read-only) access via [`MulTableCache::cached`] always hits.
     pub fn prime(&mut self, coeffs: impl IntoIterator<Item = Gf256>) {
         for c in coeffs {
             self.get(c);
-        }
-    }
-
-    /// Like [`MulTableCache::prime`], but also materialises each table's
-    /// wide double table. Worth it when every coefficient will be applied
-    /// to bulk data in sub-[`WIDE_BUILD_THRESHOLD`] pieces (e.g. stripe-
-    /// sized kernel calls repeated across a whole chunk).
-    ///
-    /// When a SIMD kernel is active this degrades to plain
-    /// [`MulTableCache::prime`]: bulk calls take the SIMD path off the
-    /// 16-entry nibble tables, so the 128 KiB-per-coefficient wide tables
-    /// would double the cache's footprint for zero benefit.
-    pub fn prime_wide(&mut self, coeffs: impl IntoIterator<Item = Gf256>) {
-        let simd_active = crate::simd::active().is_some();
-        for c in coeffs {
-            let table = self.get(c);
-            if !simd_active {
-                table.ensure_wide();
-            }
         }
     }
 
@@ -246,10 +160,8 @@ pub fn xor_slice(src: &[u8], dst: &mut [u8]) {
 }
 
 /// Multiplies every byte of `src` by the table's constant, writing into
-/// `dst`: `dst[i] = c * src[i]`.
-///
-/// Dispatches to the process-wide SIMD kernel when one is active (see
-/// [`crate::simd::active`]), otherwise takes the portable split/wide path.
+/// `dst`: `dst[i] = c * src[i]`, through the process-wide kernel
+/// ([`crate::simd::active`]).
 ///
 /// # Panics
 ///
@@ -264,41 +176,56 @@ pub fn mul_slice_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         dst.copy_from_slice(src);
         return;
     }
-    if let Some(kernel) = crate::simd::active() {
-        kernel.mul_slice(table, src, dst);
-        return;
-    }
-    mul_slice_with_row(table, src, dst);
+    crate::simd::active().mul_slice(table, src, dst);
 }
 
-/// Portable `dst[i] = c * src[i]` — the split/wide table path, never the
-/// SIMD kernels. The regular [`mul_slice_with`] entry point should be
-/// preferred; this exists so benchmarks and differential tests can pin the
-/// code path regardless of host CPU or `CHAMELEON_GF_KERNEL`.
+/// Multiplies every byte of `src` by the table's constant and
+/// XOR-accumulates into `dst`: `dst[i] ^= c * src[i]` — Equation (1) of
+/// the paper — through the process-wide kernel ([`crate::simd::active`]).
 ///
 /// # Panics
 ///
 /// Panics if `src` and `dst` have different lengths.
-pub fn mul_slice_with_portable(table: &MulTable, src: &[u8], dst: &mut [u8]) {
+pub fn mul_slice_xor_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "slice length mismatch");
     if table.coeff.is_zero() {
-        dst.fill(0);
         return;
     }
     if table.coeff == Gf256::ONE {
-        dst.copy_from_slice(src);
+        xor_slice(src, dst);
         return;
     }
-    mul_slice_with_row(table, src, dst);
+    crate::simd::active().mul_slice_xor(table, src, dst);
 }
 
-/// Shared portable tail of [`mul_slice_with`]: wide table if available (or
-/// worth building), else the 256-entry row loop.
-fn mul_slice_with_row(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    if let Some(wide) = table.wide_for(src.len()) {
-        mul_wide(wide, src, dst);
-        return;
-    }
+/// Multiplies every byte of `src` by `coeff` and XOR-accumulates into `dst`:
+/// `dst[i] ^= coeff * src[i]` — one term of Equation (1) in the paper.
+///
+/// Builds the [`MulTable`] for `coeff` and calls [`mul_slice_xor_with`];
+/// for repeated use of one constant, build the table once (or use a
+/// [`MulTableCache`]) and call that directly.
+///
+/// # Panics
+///
+/// Panics if `src` and `dst` have different lengths.
+///
+/// # Examples
+///
+/// ```
+/// use chameleon_gf::{mul_add_slice, Gf256};
+/// let src = [0xAAu8; 4];
+/// let mut acc = [0u8; 4];
+/// mul_add_slice(Gf256::ONE, &src, &mut acc);
+/// mul_add_slice(Gf256::ONE, &src, &mut acc);
+/// assert_eq!(acc, [0u8; 4]); // x + x = 0
+/// ```
+pub fn mul_add_slice(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
+    mul_slice_xor_with(&MulTable::new(coeff), src, dst);
+}
+
+/// The portable rung's `dst[i] = c * src[i]`: one product-row lookup per
+/// byte, eight bytes per step.
+pub(crate) fn mul_row(table: &MulTable, src: &[u8], dst: &mut [u8]) {
     let row = &table.row;
     let mut d = dst.chunks_exact_mut(8);
     let mut s = src.chunks_exact(8);
@@ -321,98 +248,8 @@ fn mul_slice_with_row(table: &MulTable, src: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// Looks up the four packed `u16` products of a little-endian source
-/// word: two source bytes per table load.
-#[inline(always)]
-fn wide_word(wide: &[u16; 65536], w: u64) -> u64 {
-    wide[(w & 0xFFFF) as usize] as u64
-        | (wide[((w >> 16) & 0xFFFF) as usize] as u64) << 16
-        | (wide[((w >> 32) & 0xFFFF) as usize] as u64) << 32
-        | (wide[(w >> 48) as usize] as u64) << 48
-}
-
-/// `dst[i] = c * src[i]` through the wide double table.
-fn mul_wide(wide: &[u16; 65536], src: &[u8], dst: &mut [u8]) {
-    let mut d = dst.chunks_exact_mut(16);
-    let mut s = src.chunks_exact(16);
-    for (dw, sw) in (&mut d).zip(&mut s) {
-        let a = u64::from_le_bytes(sw[..8].try_into().expect("8-byte half"));
-        let b = u64::from_le_bytes(sw[8..].try_into().expect("8-byte half"));
-        dw[..8].copy_from_slice(&wide_word(wide, a).to_le_bytes());
-        dw[8..].copy_from_slice(&wide_word(wide, b).to_le_bytes());
-    }
-    for (db, &sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db = (wide[sb as usize] & 0xFF) as u8;
-    }
-}
-
-/// `dst[i] ^= c * src[i]` through the wide double table.
-fn mul_xor_wide(wide: &[u16; 65536], src: &[u8], dst: &mut [u8]) {
-    let mut d = dst.chunks_exact_mut(16);
-    let mut s = src.chunks_exact(16);
-    for (dw, sw) in (&mut d).zip(&mut s) {
-        let a = u64::from_le_bytes(sw[..8].try_into().expect("8-byte half"));
-        let b = u64::from_le_bytes(sw[8..].try_into().expect("8-byte half"));
-        let xa = u64::from_le_bytes(dw[..8].try_into().expect("8-byte half")) ^ wide_word(wide, a);
-        let xb = u64::from_le_bytes(dw[8..].try_into().expect("8-byte half")) ^ wide_word(wide, b);
-        dw[..8].copy_from_slice(&xa.to_le_bytes());
-        dw[8..].copy_from_slice(&xb.to_le_bytes());
-    }
-    for (db, &sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db ^= (wide[sb as usize] & 0xFF) as u8;
-    }
-}
-
-/// Multiplies every byte of `src` by the table's constant and
-/// XOR-accumulates into `dst`: `dst[i] ^= c * src[i]`.
-///
-/// Dispatches to the process-wide SIMD kernel when one is active (see
-/// [`crate::simd::active`]), otherwise takes the portable split/wide path.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` have different lengths.
-pub fn mul_slice_xor_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "slice length mismatch");
-    if table.coeff.is_zero() {
-        return;
-    }
-    if table.coeff == Gf256::ONE {
-        xor_slice(src, dst);
-        return;
-    }
-    if let Some(kernel) = crate::simd::active() {
-        kernel.mul_slice_xor(table, src, dst);
-        return;
-    }
-    mul_slice_xor_with_row(table, src, dst);
-}
-
-/// Portable `dst[i] ^= c * src[i]` — the split/wide table path, never the
-/// SIMD kernels. See [`mul_slice_with_portable`] for when to use this.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` have different lengths.
-pub fn mul_slice_xor_with_portable(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "slice length mismatch");
-    if table.coeff.is_zero() {
-        return;
-    }
-    if table.coeff == Gf256::ONE {
-        xor_slice(src, dst);
-        return;
-    }
-    mul_slice_xor_with_row(table, src, dst);
-}
-
-/// Shared portable tail of [`mul_slice_xor_with`]: wide table if available
-/// (or worth building), else the 256-entry row loop.
-fn mul_slice_xor_with_row(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    if let Some(wide) = table.wide_for(src.len()) {
-        mul_xor_wide(wide, src, dst);
-        return;
-    }
+/// The portable rung's `dst[i] ^= c * src[i]`.
+pub(crate) fn mul_xor_row(table: &MulTable, src: &[u8], dst: &mut [u8]) {
     let row = &table.row;
     let mut d = dst.chunks_exact_mut(8);
     let mut s = src.chunks_exact(8);
@@ -436,32 +273,10 @@ fn mul_slice_xor_with_row(table: &MulTable, src: &[u8], dst: &mut [u8]) {
     }
 }
 
-/// Builds a [`MulTable`] for `coeff` and runs [`mul_slice_with`].
-///
-/// For repeated use of the same constant, build the table once (or use a
-/// [`MulTableCache`]) and call [`mul_slice_with`] directly.
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` have different lengths.
-pub fn mul_slice_split(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
-    mul_slice_with(&MulTable::new(coeff), src, dst);
-}
-
-/// Builds a [`MulTable`] for `coeff` and runs [`mul_slice_xor_with`].
-///
-/// # Panics
-///
-/// Panics if `src` and `dst` have different lengths.
-pub fn mul_slice_xor_split(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
-    mul_slice_xor_with(&MulTable::new(coeff), src, dst);
-}
-
 /// Byte-at-a-time log/exp reference kernels.
 ///
-/// These are the original scalar loops, kept as the ground truth that the
-/// word-wide kernels above are property-tested against, and as the
-/// baseline the criterion microbenchmarks compare throughput with.
+/// The ground truth every rung of the kernel ladder is property-tested
+/// against.
 pub mod scalar {
     use crate::field::Gf256;
     use crate::tables::{EXP, LOG};
@@ -589,36 +404,26 @@ mod tests {
     }
 
     #[test]
-    fn wide_table_matches_row_kernels() {
-        for c in [2u8, 0x1D, 0x53, 0xFF] {
-            let c = Gf256::new(c);
-            let narrow = MulTable::new(c);
-            let widened = MulTable::new(c);
-            widened.ensure_wide();
-            for len in [0usize, 1, 15, 16, 17, 31, 33, 1000] {
-                let src: Vec<u8> = (0..len).map(|i| (i * 17 + 1) as u8).collect();
-                let init: Vec<u8> = (0..len).map(|i| (i * 43 + 9) as u8).collect();
-                let (mut a, mut b) = (vec![0u8; len], vec![0u8; len]);
-                mul_slice_with(&narrow, &src, &mut a);
-                mul_slice_with(&widened, &src, &mut b);
-                assert_eq!(a, b, "mul len={len} c={c}");
-                let (mut a, mut b) = (init.clone(), init.clone());
-                mul_slice_xor_with(&narrow, &src, &mut a);
-                mul_slice_xor_with(&widened, &src, &mut b);
-                assert_eq!(a, b, "mul_xor len={len} c={c}");
-            }
-        }
+    fn mul_add_slice_matches_scalar() {
+        let src: Vec<u8> = (0..=255).collect();
+        let mut acc: Vec<u8> = src.iter().rev().copied().collect();
+        let expect: Vec<u8> = acc
+            .iter()
+            .zip(&src)
+            .map(|(&a, &s)| (Gf256::new(a) + Gf256::new(0x1D) * Gf256::new(s)).value())
+            .collect();
+        mul_add_slice(Gf256::new(0x1D), &src, &mut acc);
+        assert_eq!(acc, expect);
     }
 
     #[test]
-    fn wide_table_packs_both_bytes() {
-        let t = MulTable::new(Gf256::new(0x8E));
-        let wide = t.ensure_wide();
-        for x in [0u16, 1, 0x00FF, 0xFF00, 0xABCD, 0xFFFF] {
-            let [lo, hi] = x.to_le_bytes();
-            let expect = u16::from_le_bytes([t.mul(lo), t.mul(hi)]);
-            assert_eq!(wide[x as usize], expect, "x={x:#06x}");
-        }
+    fn mul_add_slice_handles_zero_and_one_fast_paths() {
+        let src = [9u8, 8, 7];
+        let mut dst = [1u8, 1, 1];
+        mul_add_slice(Gf256::ZERO, &src, &mut dst);
+        assert_eq!(dst, [1u8; 3]);
+        mul_add_slice(Gf256::ONE, &src, &mut dst);
+        assert_eq!(dst, [8u8, 9, 6]);
     }
 
     #[test]
@@ -631,15 +436,5 @@ mod tests {
         cache.prime([Gf256::ZERO, Gf256::ONE, c]);
         assert!(cache.cached(Gf256::ZERO).is_some());
         assert!(cache.cached(Gf256::ONE).is_some());
-    }
-
-    #[test]
-    fn split_convenience_wrappers() {
-        let src = [3u8, 0, 0xFF, 9];
-        let mut a = [0u8; 4];
-        mul_slice_split(Gf256::new(7), &src, &mut a);
-        let mut b = a;
-        mul_slice_xor_split(Gf256::new(7), &src, &mut b);
-        assert_eq!(b, [0u8; 4]); // x ^ x = 0
     }
 }

@@ -6,18 +6,21 @@
 //! - [`Gf256`]: the field GF(2^8) with the primitive polynomial
 //!   `x^8 + x^4 + x^3 + x^2 + 1` (0x11D), implemented with compile-time
 //!   log/exp tables.
-//! - Bulk slice kernels ([`mul_slice`], [`mul_add_slice`], [`add_assign_slice`])
-//!   used to encode/decode whole chunks. Long slices are processed by the
-//!   word-wide split-table kernels in [`kernels`] ([`MulTable`],
-//!   [`mul_slice_with`], [`mul_slice_xor_with`], [`xor_slice`]); the
-//!   original byte-at-a-time loops survive as [`scalar`] for equivalence
-//!   tests and benchmarks.
+//! - [`kernels`]: the bulk slice operations every encoded, decoded or
+//!   repaired byte goes through — [`mul_slice_with`] (`dst = c·src`),
+//!   [`mul_slice_xor_with`] (`dst ^= c·src`, Equation (1) of the paper) and
+//!   [`xor_slice`], driven by a per-constant [`MulTable`]
+//!   ([`MulTableCache`] memoises them; [`mul_add_slice`] builds one on the
+//!   spot). The byte-at-a-time log/exp loops in [`scalar`] are the oracle
+//!   the tests compare everything else against.
 //! - [`Matrix`]: dense row-major matrices over GF(2^8) with Vandermonde and
 //!   Cauchy constructors and Gauss–Jordan inversion, the building blocks of
 //!   Reed–Solomon and LRC codes.
-//! - [`simd`]: arch-specific byte-shuffle multiply kernels (SSSE3 / AVX2 /
-//!   NEON) selected once per process by runtime feature detection, with a
-//!   `CHAMELEON_GF_KERNEL` override; [`active_kernel`] names the path in use.
+//! - [`simd`]: the kernel ladder those two multiplies dispatch into — AVX2,
+//!   SSSE3 or NEON byte-shuffle kernels where the CPU has them, a portable
+//!   table loop everywhere — one rung selected per process by runtime
+//!   feature detection, with a `CHAMELEON_GF_KERNEL` override;
+//!   [`active_kernel`] names the rung in use.
 //!
 //! # Examples
 //!
@@ -34,7 +37,7 @@
 
 // `unsafe` is denied crate-wide; the `simd` module is the single opt-out
 // (module-level `allow`) because `std::arch` intrinsics require it. Every
-// unsafe block there carries a safety argument (see DESIGN.md §3.11).
+// unsafe block there carries a safety argument (see DESIGN.md §3.1).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -44,11 +47,9 @@ mod matrix;
 pub mod simd;
 mod tables;
 
-pub use field::{add_assign_slice, mul_add_slice, mul_slice, Gf256};
+pub use field::Gf256;
 pub use kernels::{
-    mul_slice_split, mul_slice_with, mul_slice_with_portable, mul_slice_xor_split,
-    mul_slice_xor_with, mul_slice_xor_with_portable, scalar, xor_slice, MulTable, MulTableCache,
-    WIDE_BUILD_THRESHOLD,
+    mul_add_slice, mul_slice_with, mul_slice_xor_with, scalar, xor_slice, MulTable, MulTableCache,
 };
 pub use matrix::{Matrix, MatrixError};
-pub use simd::{active_kernel, available_simd_kernels, SimdKernel};
+pub use simd::{active_kernel, available_kernels, Kernel};

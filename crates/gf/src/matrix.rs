@@ -3,7 +3,6 @@
 use core::fmt;
 
 use crate::field::Gf256;
-use crate::kernels::{mul_slice_xor_with, MulTableCache};
 
 /// Errors produced by matrix operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -223,45 +222,6 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Applies this matrix to a set of equally sized byte chunks:
-    /// `out[i] = sum_j m[i][j] * chunks[j]`, element-wise over the bytes.
-    ///
-    /// This is how a generator (or decoding) matrix encodes whole chunks.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if `chunks.len() != cols`
-    /// or the chunks differ in length.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use chameleon_gf::Matrix;
-    /// let id = Matrix::identity(2);
-    /// let chunks = [vec![1u8, 2], vec![3u8, 4]];
-    /// let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-    /// let out = id.apply(&refs).unwrap();
-    /// assert_eq!(out, vec![vec![1u8, 2], vec![3u8, 4]]);
-    /// ```
-    pub fn apply(&self, chunks: &[&[u8]]) -> Result<Vec<Vec<u8>>, MatrixError> {
-        if chunks.len() != self.cols {
-            return Err(MatrixError::DimensionMismatch);
-        }
-        let len = chunks.first().map_or(0, |c| c.len());
-        if chunks.iter().any(|c| c.len() != len) {
-            return Err(MatrixError::DimensionMismatch);
-        }
-        // One split table per distinct coefficient, shared across all cells.
-        let mut tables = MulTableCache::new();
-        let mut out = vec![vec![0u8; len]; self.rows];
-        for (i, out_chunk) in out.iter_mut().enumerate() {
-            for (j, chunk) in chunks.iter().enumerate() {
-                mul_slice_xor_with(tables.get(self[(i, j)]), chunk, out_chunk);
-            }
-        }
-        Ok(out)
-    }
-
     /// Computes the inverse via Gauss–Jordan elimination.
     ///
     /// # Errors
@@ -447,21 +407,6 @@ mod tests {
         let direct = m.mul_vec(&v).unwrap();
         for i in 0..3 {
             assert_eq!(prod[(i, 0)], direct[i]);
-        }
-    }
-
-    #[test]
-    fn apply_matches_mul_vec_per_byte() {
-        let m = Matrix::cauchy(2, 3);
-        let chunks: Vec<Vec<u8>> = vec![vec![1, 10], vec![2, 20], vec![3, 30]];
-        let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-        let out = m.apply(&refs).unwrap();
-        for byte in 0..2 {
-            let v: Vec<Gf256> = chunks.iter().map(|c| Gf256::new(c[byte])).collect();
-            let expect = m.mul_vec(&v).unwrap();
-            for (i, e) in expect.iter().enumerate() {
-                assert_eq!(Gf256::new(out[i][byte]), *e);
-            }
         }
     }
 

@@ -1,11 +1,10 @@
 //! Property-based tests for GF(2^8) field axioms, matrix algebra, and
-//! the equivalence of the word-wide slice kernels with the byte-at-a-time
-//! scalar reference.
+//! the equivalence of every rung of the kernel ladder with the
+//! byte-at-a-time scalar reference.
 
 use chameleon_gf::{
-    add_assign_slice, available_simd_kernels, mul_add_slice, mul_slice, mul_slice_split,
-    mul_slice_with, mul_slice_with_portable, mul_slice_xor_split, mul_slice_xor_with,
-    mul_slice_xor_with_portable, scalar, xor_slice, Gf256, Matrix, MulTable,
+    active_kernel, available_kernels, mul_add_slice, mul_slice_with, mul_slice_xor_with, scalar,
+    xor_slice, Gf256, Matrix, MulTable,
 };
 use proptest::prelude::*;
 
@@ -67,15 +66,6 @@ proptest! {
     }
 
     #[test]
-    fn mul_slice_is_pointwise(c in elem(), data in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut dst = vec![0u8; data.len()];
-        mul_slice(c, &data, &mut dst);
-        for (d, s) in dst.iter().zip(&data) {
-            prop_assert_eq!(Gf256::new(*d), c * Gf256::new(*s));
-        }
-    }
-
-    #[test]
     fn mul_add_slice_accumulates(
         c in elem(),
         data in proptest::collection::vec(any::<u8>(), 1..64),
@@ -89,44 +79,6 @@ proptest! {
     }
 
     #[test]
-    fn add_assign_slice_is_xor(data in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut acc = data.clone();
-        add_assign_slice(&data, &mut acc);
-        prop_assert!(acc.iter().all(|&b| b == 0));
-    }
-
-    // Kernel equivalence: the split-table and word-wide kernels must be
-    // byte-identical to the scalar reference for arbitrary buffers —
-    // lengths deliberately straddle the 8- and 16-byte unroll widths so
-    // tail handling is always exercised.
-
-    #[test]
-    fn split_mul_matches_scalar(
-        c in elem(),
-        data in proptest::collection::vec(any::<u8>(), 0..200),
-    ) {
-        let mut fast = vec![0u8; data.len()];
-        let mut slow = vec![0u8; data.len()];
-        mul_slice_split(c, &data, &mut fast);
-        scalar::mul_slice(c, &data, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn split_mul_xor_matches_scalar(
-        c in elem(),
-        data in proptest::collection::vec(any::<u8>(), 0..200),
-        seed in any::<u8>(),
-    ) {
-        let init: Vec<u8> = data.iter().map(|&b| b.wrapping_add(seed)).collect();
-        let mut fast = init.clone();
-        let mut slow = init;
-        mul_slice_xor_split(c, &data, &mut fast);
-        scalar::mul_slice_xor(c, &data, &mut slow);
-        prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
     fn word_xor_matches_scalar(
         data in proptest::collection::vec(any::<u8>(), 0..200),
         init in proptest::collection::vec(any::<u8>(), 0..200),
@@ -137,25 +89,6 @@ proptest! {
         xor_slice(&data[..len], &mut fast);
         scalar::xor_slice(&data[..len], &mut slow);
         prop_assert_eq!(fast, slow);
-    }
-
-    #[test]
-    fn wide_table_kernels_match_scalar(
-        c in elem(),
-        data in proptest::collection::vec(any::<u8>(), 0..200),
-    ) {
-        let table = MulTable::new(c);
-        table.ensure_wide();
-        let mut fast = vec![0u8; data.len()];
-        let mut slow = vec![0u8; data.len()];
-        mul_slice_with(&table, &data, &mut fast);
-        scalar::mul_slice(c, &data, &mut slow);
-        prop_assert_eq!(&fast, &slow, "mul");
-        let mut facc = data.clone();
-        let mut sacc = data.clone();
-        mul_slice_xor_with(&table, &data, &mut facc);
-        scalar::mul_slice_xor(c, &data, &mut sacc);
-        prop_assert_eq!(facc, sacc);
     }
 
     #[test]
@@ -176,41 +109,41 @@ proptest! {
             rows.swap(i, j);
         }
         let sel = m.select_rows(&rows[..n]);
-        prop_assert!(sel.invert().is_ok());
-    }
-
-    #[test]
-    fn matrix_inverse_roundtrips_via_apply(
-        n in 1usize..6,
-        chunk_len in 1usize..32,
-        seed in any::<u64>(),
-    ) {
-        let m = Matrix::cauchy(n, n);
-        let inv = m.invert().unwrap();
-        // Deterministic pseudo-random chunks.
-        let mut state = seed | 1;
-        let mut next = || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 56) as u8
-        };
-        let chunks: Vec<Vec<u8>> = (0..n)
-            .map(|_| (0..chunk_len).map(|_| next()).collect())
-            .collect();
-        let refs: Vec<&[u8]> = chunks.iter().map(|c| c.as_slice()).collect();
-        let coded = m.apply(&refs).unwrap();
-        let coded_refs: Vec<&[u8]> = coded.iter().map(|c| c.as_slice()).collect();
-        let back = inv.apply(&coded_refs).unwrap();
-        prop_assert_eq!(back, chunks);
+        let inv = sel.invert().unwrap();
+        prop_assert_eq!(sel.mul(&inv).unwrap(), Matrix::identity(n));
+        prop_assert_eq!(inv.mul(&sel).unwrap(), Matrix::identity(n));
     }
 }
 
-// SIMD differential suite: every kernel the host exposes must be
-// byte-identical to the scalar reference on arbitrary buffers. Lengths
-// run to 4 KiB so multi-lane bodies plus odd tails are exercised, and
-// the buffers are re-sliced at every offset 0..16 so no alignment
-// assumption survives (the kernels use unaligned loads only). Fewer
-// cases than the default because each case sweeps all kernels × 17
-// offsets.
+/// `kernel` against the scalar oracle on `src`, for both operations;
+/// `acc` seeds the accumulator of the XOR form.
+fn assert_matches_scalar(
+    kernel: &chameleon_gf::Kernel,
+    table: &MulTable,
+    src: &[u8],
+    acc: &[u8],
+    what: &str,
+) {
+    let c = table.coeff();
+    let (mut fast, mut slow) = (vec![0u8; src.len()], vec![0u8; src.len()]);
+    kernel.mul_slice(table, src, &mut fast);
+    scalar::mul_slice(c, src, &mut slow);
+    assert_eq!(fast, slow, "{} mul c={c} {what}", kernel.name());
+    let (mut facc, mut sacc) = (acc.to_vec(), acc.to_vec());
+    kernel.mul_slice_xor(table, src, &mut facc);
+    scalar::mul_slice_xor(c, src, &mut sacc);
+    assert_eq!(facc, sacc, "{} mul_xor c={c} {what}", kernel.name());
+}
+
+// Differential suite: every rung of the ladder the host has — the SIMD
+// kernels and the portable row loop alike — must be byte-identical to the
+// scalar reference on arbitrary buffers. Lengths run to 4 KiB so
+// multi-lane bodies plus odd tails are exercised, each buffer is
+// re-sliced at every offset 0..=16 so no alignment assumption survives
+// (the kernels use unaligned loads only), and a short prefix of each
+// slice keeps lengths under 200 — around the 8-, 16- and 32-byte steps —
+// as densely sampled as the long ones. Fewer cases than the default
+// because each case sweeps all kernels × 17 offsets × 2 lengths.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -218,54 +151,29 @@ proptest! {
     fn simd_kernels_match_scalar_at_all_offsets(
         c in elem(),
         data in proptest::collection::vec(any::<u8>(), 0..=4096),
+        short in 0usize..200,
         init in any::<u8>(),
     ) {
         let table = MulTable::new(c);
-        let acc0: Vec<u8> = data.iter().map(|&b| b.wrapping_mul(31).wrapping_add(init)).collect();
-        for kernel in available_simd_kernels() {
+        let acc: Vec<u8> = data.iter().map(|&b| b.wrapping_mul(31).wrapping_add(init)).collect();
+        for kernel in available_kernels() {
             for off in 0..=16usize.min(data.len()) {
-                let src = &data[off..];
-                let mut fast = vec![0u8; src.len()];
-                let mut slow = vec![0u8; src.len()];
-                kernel.mul_slice(&table, src, &mut fast);
-                scalar::mul_slice(c, src, &mut slow);
-                prop_assert_eq!(&fast, &slow, "{} mul off={}", kernel.name(), off);
-                let mut facc = acc0[off..].to_vec();
-                let mut sacc = acc0[off..].to_vec();
-                kernel.mul_slice_xor(&table, src, &mut facc);
-                scalar::mul_slice_xor(c, src, &mut sacc);
-                prop_assert_eq!(&facc, &sacc, "{} mul_xor off={}", kernel.name(), off);
+                let (src, acc) = (&data[off..], &acc[off..]);
+                assert_matches_scalar(kernel, &table, src, acc, &format!("off={off}"));
+                let short = short.min(src.len());
+                assert_matches_scalar(
+                    kernel,
+                    &table,
+                    &src[..short],
+                    &acc[..short],
+                    &format!("off={off} len={short}"),
+                );
             }
         }
     }
 
-    // The portable entry points must stay equivalent too — they are the
-    // pinned-path baseline for benches and the CHAMELEON_GF_KERNEL=scalar
-    // escape hatch.
-    #[test]
-    fn portable_entry_points_match_scalar(
-        c in elem(),
-        wide in any::<bool>(),
-        data in proptest::collection::vec(any::<u8>(), 0..=4096),
-    ) {
-        let table = MulTable::new(c);
-        if wide {
-            table.ensure_wide();
-        }
-        let mut fast = vec![0u8; data.len()];
-        let mut slow = vec![0u8; data.len()];
-        mul_slice_with_portable(&table, &data, &mut fast);
-        scalar::mul_slice(c, &data, &mut slow);
-        prop_assert_eq!(&fast, &slow, "portable mul wide={}", wide);
-        let mut facc = data.clone();
-        let mut sacc = data.clone();
-        mul_slice_xor_with_portable(&table, &data, &mut facc);
-        scalar::mul_slice_xor(c, &data, &mut sacc);
-        prop_assert_eq!(facc, sacc, "portable mul_xor wide={}", wide);
-    }
-
-    // The public dispatcher (whatever path it picks on this host) agrees
-    // with scalar on the same arbitrary buffers.
+    // The public dispatcher (whichever rung it picked for this process)
+    // agrees with scalar on the same arbitrary buffers.
     #[test]
     fn dispatched_kernels_match_scalar(
         c in elem(),
@@ -285,38 +193,30 @@ proptest! {
     }
 }
 
-/// Exhaustive (not sampled): every one of the 256 field constants, on a
-/// buffer whose length is not a multiple of the 8- or 16-byte unrolls.
+/// Exhaustive (not sampled): every one of the 256 field constants through
+/// every rung, on a buffer whose length is not a multiple of the 8-, 16-
+/// or 32-byte steps.
 #[test]
 fn every_constant_matches_scalar_on_unaligned_buffer() {
     let len = 3 * 16 + 5;
     let data: Vec<u8> = (0..len).map(|i| (i * 89 + 41) as u8).collect();
     let init: Vec<u8> = (0..len).map(|i| (i * 23 + 7) as u8).collect();
     for c in 0..=255u8 {
-        let c = Gf256::new(c);
-        let table = MulTable::new(c);
-        table.ensure_wide();
-        let (mut fast, mut slow) = (vec![0u8; len], vec![0u8; len]);
-        mul_slice_split(c, &data, &mut fast);
-        scalar::mul_slice(c, &data, &mut slow);
-        assert_eq!(fast, slow, "row mul c={c}");
-        let (mut fast2, mut slow2) = (vec![0u8; len], vec![0u8; len]);
-        mul_slice_with(&table, &data, &mut fast2);
-        scalar::mul_slice(c, &data, &mut slow2);
-        assert_eq!(fast2, slow2, "wide mul c={c}");
-        let (mut facc, mut sacc) = (init.clone(), init.clone());
-        mul_slice_xor_with(&table, &data, &mut facc);
-        scalar::mul_slice_xor(c, &data, &mut sacc);
-        assert_eq!(facc, sacc, "wide mul_xor c={c}");
-        for kernel in available_simd_kernels() {
-            let (mut fast3, mut slow3) = (vec![0u8; len], vec![0u8; len]);
-            kernel.mul_slice(&table, &data, &mut fast3);
-            scalar::mul_slice(c, &data, &mut slow3);
-            assert_eq!(fast3, slow3, "{} mul c={c}", kernel.name());
-            let (mut facc3, mut sacc3) = (init.clone(), init.clone());
-            kernel.mul_slice_xor(&table, &data, &mut facc3);
-            scalar::mul_slice_xor(c, &data, &mut sacc3);
-            assert_eq!(facc3, sacc3, "{} mul_xor c={c}", kernel.name());
+        let table = MulTable::new(Gf256::new(c));
+        for kernel in available_kernels() {
+            assert_matches_scalar(kernel, &table, &data, &init, "");
         }
+    }
+}
+
+/// A leg that sets `CHAMELEON_GF_KERNEL` must run the kernel it names: a
+/// typo or an instruction set the host lacks makes the dispatcher fall back
+/// to auto-detection, which would otherwise pass as the wrong kernel.
+#[test]
+fn forced_kernel_is_honoured() {
+    let forced = std::env::var("CHAMELEON_GF_KERNEL").unwrap_or_default();
+    match forced.trim().to_ascii_lowercase().as_str() {
+        "" | "auto" => assert_eq!(active_kernel(), available_kernels()[0].name()),
+        name => assert_eq!(active_kernel(), name, "the dispatcher fell back"),
     }
 }
