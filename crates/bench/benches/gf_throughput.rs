@@ -1,16 +1,18 @@
 //! GF(2^8) kernel throughput benchmark: MB/s of `mul_slice` /
-//! `mul_slice_xor` for every rung of the kernel ladder the host can run
-//! (`chameleon_gf::available_kernels`: the runtime-detected SIMD kernels
-//! and the portable row loop), and the RS(10,4) encode at the paper's
-//! geometry.
+//! `mul_slice_xor` / a 10-term `combine` (the RS(10,4) decode shape, in
+//! source MB/s so it reads against `mul_slice_xor`) for every rung of the
+//! kernel ladder the host can run (`chameleon_gf::available_kernels`: the
+//! runtime-detected SIMD kernels and the portable row loop), and the
+//! RS(10,4) encode at the paper's geometry.
 //!
 //! Every repair byte in the evaluation flows through these kernels, so
 //! their throughput bounds how aggressively ChameleonEC's tuner can trade
 //! bandwidth for computation. The results land in
 //! `results/BENCH_gf.json` (one flat JSON level-object per line, like
 //! `BENCH_simnet.json`); the `bench_gate` CI job compares the *active*
-//! kernel's `mul_slice_xor` MB/s at 1 MiB against the committed
-//! `results/BENCH_gf.baseline.json`, failing on a >30% regression.
+//! kernel's `mul_slice_xor` MB/s at 1 MiB against the row of the same
+//! kernel in the committed `results/BENCH_gf.baseline.json`, failing on a
+//! >30% regression.
 //!
 //! Modes:
 //! - default: 0.4 s budget per measurement.
@@ -83,30 +85,49 @@ fn main() {
     let mut rows = Vec::new();
     let mut json_levels = Vec::new();
     let table = MulTable::new(Gf256::new(0x53));
+    let tables: Vec<MulTable> = (0..K as u8)
+        .map(|j| MulTable::new(Gf256::new(0x53 + 7 * j)))
+        .collect();
     for len in [64 * 1024usize, GATE_LEN] {
         let src = fill(len, 0xBEEF);
         let mut dst = fill(len, 0xF00D);
+        let sources: Vec<Vec<u8>> = (0..K).map(|j| fill(len, 0xABC0 + j as u64)).collect();
+        let terms: Vec<(&MulTable, &[u8])> = tables
+            .iter()
+            .zip(&sources)
+            .map(|(t, s)| (t, &s[..]))
+            .collect();
         for kernel in available_kernels() {
             let active = kernel.name() == active_kernel();
             let mul = measure(budget, len, || kernel.mul_slice(&table, &src, &mut dst));
             let mul_xor = measure(budget, len, || kernel.mul_slice_xor(&table, &src, &mut dst));
+            let combine = measure(budget, K * len, || kernel.combine(&terms, &mut dst));
             rows.push(vec![
                 kernel.name().to_string(),
                 if active { "yes" } else { "" }.to_string(),
                 format!("{} KiB", len / 1024),
                 format!("{mul:.0}"),
                 format!("{mul_xor:.0}"),
+                format!("{combine:.0}"),
             ]);
             json_levels.push(format!(
                 "    {{\"kernel\": \"{}\", \"active\": {active}, \"len\": {len}, \
-                 \"mul_mbps\": {mul:.1}, \"mul_xor_mbps\": {mul_xor:.1}}}",
+                 \"mul_mbps\": {mul:.1}, \"mul_xor_mbps\": {mul_xor:.1}, \
+                 \"combine10_mbps\": {combine:.1}}}",
                 kernel.name()
             ));
         }
     }
     print_table(
-        "GF multiply kernels (MB/s)",
-        &["kernel", "active", "len", "mul MB/s", "mul_xor MB/s"],
+        "GF multiply kernels (MB/s of source)",
+        &[
+            "kernel",
+            "active",
+            "len",
+            "mul MB/s",
+            "mul_xor MB/s",
+            "combine10 MB/s",
+        ],
         &rows,
     );
 
@@ -124,7 +145,7 @@ fn main() {
     );
     write_json("BENCH_gf", &json);
     println!(
-        "gate: the active kernel's mul_xor MB/s at 1 MiB must stay within 30% of \
+        "gate: the active kernel's mul_xor MB/s at 1 MiB must stay within 30% of its row in \
          results/BENCH_gf.baseline.json (run `bench_gate` to check)."
     );
 }

@@ -8,9 +8,9 @@
 //! - simnet: indexed events/sec at the gate point (20 nodes, 10k
 //!   concurrent flows) must stay within [`MAX_REGRESSION`].
 //! - gf: the *active* GF kernel's `mul_slice_xor` MB/s at 1 MiB must stay
-//!   within [`GF_MAX_REGRESSION`] (looser, because absolute kernel MB/s
-//!   varies more across runner microarchitectures than simulator
-//!   events/sec does).
+//!   within [`GF_MAX_REGRESSION`] of the baseline's row for the kernel of
+//!   the same name (looser, because absolute kernel MB/s varies more
+//!   across runner microarchitectures than simulator events/sec does).
 //!
 //! The parser is a line-oriented key extractor over the repo's own flat
 //! JSON-level schema (one level object per line), like the trace
@@ -88,27 +88,36 @@ pub fn extract_spine_events_per_sec(json: &str) -> Option<f64> {
     None
 }
 
-/// Extracts the active kernel's `mul_slice_xor` MB/s at buffer length
-/// `len` from a `BENCH_gf` JSON document.
-///
-/// Matches the level line carrying `"active": true` and `"len": len` —
-/// the kernel's *name* is deliberately not part of the match, so a
-/// baseline recorded on an AVX2 host still gates a run whose best kernel
-/// is SSSE3 or NEON (the gate asks "is the dispatched path still fast?",
-/// not "is it the same instruction set?").
-pub fn extract_gf_mbps(json: &str, len: u64) -> Option<f64> {
+/// The `(kernel, mul_slice_xor MB/s)` of the level line carrying
+/// `"active": true` and `"len": len` in a `BENCH_gf` JSON document: the
+/// rung the run that wrote it dispatched to.
+pub fn extract_gf_active(json: &str, len: u64) -> Option<(&str, f64)> {
+    let line = gf_line(json, len, "\"active\": true")?;
+    let pat = "\"kernel\": \"";
+    let name = &line[line.find(pat)? + pat.len()..];
+    Some((&name[..name.find('"')?], gf_mul_xor_mbps(line)?))
+}
+
+/// The `mul_slice_xor` MB/s of rung `kernel` at buffer length `len` in a
+/// `BENCH_gf` JSON document, active there or not (a document has one row
+/// per rung of the host it was taken on).
+pub fn extract_gf_kernel_mbps(json: &str, kernel: &str, len: u64) -> Option<f64> {
+    gf_mul_xor_mbps(gf_line(json, len, &format!("\"kernel\": \"{kernel}\""))?)
+}
+
+/// The first level line of a `BENCH_gf` document carrying `"len": len` and
+/// `marker`.
+fn gf_line<'a>(json: &'a str, len: u64, marker: &str) -> Option<&'a str> {
     let len_pat = format!("\"len\": {len},");
-    for line in json.lines() {
-        if !line.contains("\"active\": true") || !line.contains(&len_pat) {
-            continue;
-        }
-        let pat = "\"mul_xor_mbps\": ";
-        let start = line.find(pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        return rest[..end].trim().parse().ok();
-    }
-    None
+    json.lines()
+        .find(|line| line.contains(marker) && line.contains(&len_pat))
+}
+
+fn gf_mul_xor_mbps(line: &str) -> Option<f64> {
+    let pat = "\"mul_xor_mbps\": ";
+    let rest = &line[line.find(pat)? + pat.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
 }
 
 /// The gate's verdict on one (baseline, current) pair.
@@ -204,14 +213,22 @@ pub fn check_spine(current_json: &str) -> Result<GateReport, String> {
 }
 
 /// Compares a fresh `BENCH_gf` JSON against the committed baseline at the
-/// GF gate point. `Err` means a document was missing the active-kernel
-/// line entirely — that fails CI too, loudly, instead of silently
+/// GF gate point: the rung the fresh run dispatched to, against the
+/// baseline's row *of that name* — never "the active row" of each, which
+/// would hold an `avx2` runner to a `gfni` host's number and let a slow
+/// `gfni` hide behind an `avx2` one. `Err` means a document was missing
+/// its line entirely — that fails CI too, loudly, instead of silently
 /// passing.
 pub fn check_gf(current_json: &str, baseline_json: &str) -> Result<GateReport, String> {
-    let baseline = extract_gf_mbps(baseline_json, GF_GATE_LEN)
-        .ok_or_else(|| format!("gf baseline has no active-kernel {GF_GATE_LEN}-byte point"))?;
-    let current = extract_gf_mbps(current_json, GF_GATE_LEN)
+    let (kernel, current) = extract_gf_active(current_json, GF_GATE_LEN)
         .ok_or_else(|| format!("gf current run has no active-kernel {GF_GATE_LEN}-byte point"))?;
+    let baseline = extract_gf_kernel_mbps(baseline_json, kernel, GF_GATE_LEN).ok_or_else(|| {
+        format!(
+            "gf baseline has no `{kernel}` row at {} KiB — re-take it on a host that \
+                 has that kernel (recipe in .claude/skills/verify/SKILL.md)",
+            GF_GATE_LEN / 1024
+        )
+    })?;
     if baseline <= 0.0 {
         return Err(format!("gf baseline MB/s is not positive: {baseline}"));
     }
@@ -354,31 +371,43 @@ mod tests {
     }
 
     #[test]
-    fn gf_extracts_only_the_active_gate_length_line() {
+    fn gf_extracts_the_active_line_and_any_rung_by_name() {
         let json = gf_doc(&[
-            ("wide", false, 1 << 20, 900.0),
+            ("scalar", false, 1 << 20, 900.0),
             ("avx2", true, 64 * 1024, 7_000.0),
             ("avx2", true, 1 << 20, 5_500.5),
         ]);
-        assert_eq!(extract_gf_mbps(&json, 1 << 20), Some(5_500.5));
-        assert_eq!(extract_gf_mbps(&json, 64 * 1024), Some(7_000.0));
-        assert_eq!(extract_gf_mbps(&json, 32 * 1024), None);
+        let active = |len| extract_gf_active(&json, len);
+        assert_eq!(active(1 << 20), Some(("avx2", 5_500.5)));
+        assert_eq!(active(64 * 1024), Some(("avx2", 7_000.0)));
+        assert_eq!(active(32 * 1024), None);
+        assert_eq!(
+            extract_gf_kernel_mbps(&json, "scalar", 1 << 20),
+            Some(900.0)
+        );
+        assert_eq!(extract_gf_kernel_mbps(&json, "scalar", 64 * 1024), None);
+        assert_eq!(extract_gf_kernel_mbps(&json, "gfni", 1 << 20), None);
         // A document with no active line at all is a miss, not a fallback.
-        let inactive = gf_doc(&[("wide", false, 1 << 20, 900.0)]);
-        assert_eq!(extract_gf_mbps(&inactive, 1 << 20), None);
+        let inactive = gf_doc(&[("scalar", false, 1 << 20, 900.0)]);
+        assert_eq!(extract_gf_active(&inactive, 1 << 20), None);
     }
 
     #[test]
-    fn gf_gate_matches_cross_kernel_baselines_and_fails_regressions() {
-        // Baseline from an AVX2 host gates an SSSE3 run: the kernel name
-        // is not part of the match.
-        let baseline = gf_doc(&[("avx2", true, 1 << 20, 5_000.0)]);
-        let ssse3 = gf_doc(&[("ssse3", true, 1 << 20, 4_000.0)]);
-        let report = check_gf(&ssse3, &baseline).unwrap();
+    fn gf_gate_compares_the_current_kernel_with_its_namesake() {
+        // A baseline taken on a GFNI host: one row per rung, gfni active.
+        let baseline = gf_doc(&[
+            ("gfni", true, 1 << 20, 20_000.0),
+            ("avx2", false, 1 << 20, 5_000.0),
+        ]);
+        // A healthy AVX2 runner is held to the avx2 row, not to gfni's.
+        let runner = gf_doc(&[("avx2", true, 1 << 20, 4_000.0)]);
+        let report = check_gf(&runner, &baseline).unwrap();
+        assert_eq!(report.baseline, 5_000.0);
         assert!(report.pass(), "{}", report.render_gf());
-        // A >30% drop fails and the verdict says so.
-        let regressed = gf_doc(&[("avx2", true, 1 << 20, 3_000.0)]);
-        let report = check_gf(&regressed, &baseline).unwrap();
+        // A slow gfni cannot hide behind the avx2 number.
+        let slow = gf_doc(&[("gfni", true, 1 << 20, 6_000.0)]);
+        let report = check_gf(&slow, &baseline).unwrap();
+        assert_eq!(report.baseline, 20_000.0);
         assert!(!report.pass());
         assert!(
             report.render_gf().contains("FAIL"),
@@ -390,6 +419,17 @@ mod tests {
         assert!(!check_gf(&edge_fail, &baseline).unwrap().pass());
         let edge_pass = gf_doc(&[("avx2", true, 1 << 20, 3_501.0)]);
         assert!(check_gf(&edge_pass, &baseline).unwrap().pass());
+    }
+
+    #[test]
+    fn gf_baseline_without_the_current_kernel_is_a_loud_error() {
+        let baseline = gf_doc(&[("avx2", true, 1 << 20, 5_000.0)]);
+        let gfni = gf_doc(&[("gfni", true, 1 << 20, 20_000.0)]);
+        let err = check_gf(&gfni, &baseline).unwrap_err();
+        assert!(
+            err.contains("no `gfni` row") && err.contains("re-take"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -38,6 +38,10 @@ pub enum PlacementStrategy {
 /// that a stripe's `n` chunks land on `n` distinct nodes (so the stripe
 /// tolerates `m` *node* failures, §II-A).
 ///
+/// The map is one flat vector of `stripes × n` node ids — a stripe is the
+/// sub-slice `[stripe * n..][..n]` — so a placement costs `n` ids per
+/// stripe however many nodes the cluster has.
+///
 /// # Examples
 ///
 /// ```
@@ -52,8 +56,8 @@ pub enum PlacementStrategy {
 pub struct Placement {
     nodes: usize,
     n: usize,
-    /// `chunk_node[stripe][index]` = node.
-    chunk_node: Vec<Vec<NodeId>>,
+    /// `chunk_node[stripe * n + index]` = node.
+    chunk_node: Vec<NodeId>,
 }
 
 impl Placement {
@@ -65,23 +69,28 @@ impl Placement {
     pub fn new(nodes: usize, n: usize, stripes: usize, strategy: PlacementStrategy) -> Self {
         assert!(n > 0, "stripe width must be positive");
         assert!(nodes >= n, "need at least n nodes to place a stripe");
-        let chunk_node = match strategy {
-            PlacementStrategy::Rotation => (0..stripes)
-                .map(|s| (0..n).map(|i| (s + i) % nodes).collect())
-                .collect(),
+        let mut chunk_node = Vec::with_capacity(stripes * n);
+        match strategy {
+            PlacementStrategy::Rotation => {
+                for s in 0..stripes {
+                    chunk_node.extend((0..n).map(|i| (s + i) % nodes));
+                }
+            }
             PlacementStrategy::Random(seed) => {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let all: Vec<NodeId> = (0..nodes).collect();
-                (0..stripes)
-                    .map(|_| {
-                        let mut pick = all.clone();
-                        pick.shuffle(&mut rng);
-                        pick.truncate(n);
-                        pick
-                    })
-                    .collect()
+                // A stripe is the first n of a full shuffle of 0..nodes; the
+                // shuffle always starts from the identity and draws for all
+                // `nodes` positions, so the RNG stream — and with it every
+                // seeded placement — does not depend on `n`.
+                let mut pick: Vec<NodeId> = Vec::with_capacity(nodes);
+                for _ in 0..stripes {
+                    pick.clear();
+                    pick.extend(0..nodes);
+                    pick.shuffle(&mut rng);
+                    chunk_node.extend_from_slice(&pick[..n]);
+                }
             }
-        };
+        }
         Placement {
             nodes,
             n,
@@ -101,7 +110,7 @@ impl Placement {
 
     /// Number of stripes.
     pub fn stripes(&self) -> usize {
-        self.chunk_node.len()
+        self.chunk_node.len() / self.n
     }
 
     /// The node storing a chunk.
@@ -110,7 +119,7 @@ impl Placement {
     ///
     /// Panics if the chunk is out of range.
     pub fn node_of(&self, chunk: ChunkId) -> NodeId {
-        self.chunk_node[chunk.stripe][chunk.index]
+        self.stripe_nodes(chunk.stripe)[chunk.index]
     }
 
     /// The nodes of one stripe, indexed by chunk position.
@@ -119,20 +128,20 @@ impl Placement {
     ///
     /// Panics if the stripe is out of range.
     pub fn stripe_nodes(&self, stripe: usize) -> &[NodeId] {
-        &self.chunk_node[stripe]
+        &self.chunk_node[stripe * self.n..][..self.n]
     }
 
     /// All chunks stored on a node, in stripe order.
     pub fn chunks_on(&self, node: NodeId) -> Vec<ChunkId> {
-        let mut out = Vec::new();
-        for (stripe, nodes) in self.chunk_node.iter().enumerate() {
-            for (index, &nd) in nodes.iter().enumerate() {
-                if nd == node {
-                    out.push(ChunkId { stripe, index });
-                }
-            }
-        }
-        out
+        self.chunk_node
+            .iter()
+            .enumerate()
+            .filter(|&(_, &nd)| nd == node)
+            .map(|(at, _)| ChunkId {
+                stripe: at / self.n,
+                index: at % self.n,
+            })
+            .collect()
     }
 
     /// Moves a chunk to a new node (post-repair metadata update — the
@@ -145,7 +154,7 @@ impl Placement {
     /// the stripe's fault tolerance).
     pub fn relocate(&mut self, chunk: ChunkId, node: NodeId) {
         assert!(node < self.nodes, "node out of range");
-        let stripe = &self.chunk_node[chunk.stripe];
+        let stripe = &mut self.chunk_node[chunk.stripe * self.n..][..self.n];
         assert!(
             stripe
                 .iter()
@@ -154,13 +163,13 @@ impl Placement {
             "stripe {} already has a chunk on node {node}",
             chunk.stripe
         );
-        self.chunk_node[chunk.stripe][chunk.index] = node;
+        stripe[chunk.index] = node;
     }
 
     /// Verifies the one-chunk-per-node-per-stripe invariant (used by
     /// tests).
     pub fn is_valid(&self) -> bool {
-        self.chunk_node.iter().all(|nodes| {
+        self.chunk_node.chunks_exact(self.n).all(|nodes| {
             let mut seen = vec![false; self.nodes];
             nodes.iter().all(|&n| {
                 if n >= self.nodes || seen[n] {
@@ -208,6 +217,72 @@ mod tests {
             for chunk in p.chunks_on(node) {
                 assert_eq!(p.node_of(chunk), node);
             }
+        }
+    }
+
+    /// The layout `Placement::new` produced while it kept one vector per
+    /// stripe: clone `0..nodes`, shuffle all of it, keep the first `n`.
+    fn per_stripe_layout(
+        nodes: usize,
+        n: usize,
+        stripes: usize,
+        strategy: PlacementStrategy,
+    ) -> Vec<Vec<NodeId>> {
+        match strategy {
+            PlacementStrategy::Rotation => (0..stripes)
+                .map(|s| (0..n).map(|i| (s + i) % nodes).collect())
+                .collect(),
+            PlacementStrategy::Random(seed) => {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let all: Vec<NodeId> = (0..nodes).collect();
+                (0..stripes)
+                    .map(|_| {
+                        let mut pick = all.clone();
+                        pick.shuffle(&mut rng);
+                        pick.truncate(n);
+                        pick
+                    })
+                    .collect()
+            }
+        }
+    }
+
+    #[test]
+    fn flat_layout_is_bit_identical_to_the_per_stripe_layout() {
+        // Every seeded simulation, CSV and pin digest hangs off this.
+        for (nodes, n, stripes, strategy) in [
+            (20, 14, 86, PlacementStrategy::Random(0xC0DE)),
+            (1000, 14, 4286, PlacementStrategy::Random(0xC0DE)),
+            (20, 14, 86, PlacementStrategy::Rotation),
+        ] {
+            let old = per_stripe_layout(nodes, n, stripes, strategy);
+            let mut new = Placement::new(nodes, n, stripes, strategy);
+            assert_eq!(new.stripes(), stripes);
+            assert!(new.is_valid());
+            for (s, row) in old.iter().enumerate() {
+                assert_eq!(new.stripe_nodes(s), row, "{strategy:?} stripe {s}");
+            }
+            // The accessors agree with the rows they index into.
+            let last = ChunkId {
+                stripe: stripes - 1,
+                index: n - 1,
+            };
+            assert_eq!(new.node_of(last), old[stripes - 1][n - 1]);
+            let on_three: Vec<ChunkId> = (0..stripes)
+                .flat_map(|stripe| (0..n).map(move |index| ChunkId { stripe, index }))
+                .filter(|c| old[c.stripe][c.index] == 3)
+                .collect();
+            assert_eq!(new.chunks_on(3), on_three);
+            let free = (0..nodes)
+                .find(|node| !old[last.stripe].contains(node))
+                .expect("nodes > n");
+            new.relocate(last, free);
+            assert_eq!(new.node_of(last), free);
+            assert_eq!(
+                new.stripe_nodes(last.stripe)[..n - 1],
+                old[last.stripe][..n - 1]
+            );
+            assert!(new.chunks_on(free).contains(&last) && new.is_valid());
         }
     }
 

@@ -189,12 +189,11 @@ impl ErasureCode for Butterfly {
                 bytes.push(piece);
             }
         }
-        let row_refs: Vec<&[Gf256]> = rows.iter().map(|r| r.as_slice()).collect();
-
         let mut out = vec![0u8; len];
         for h in 0..ALPHA {
             let target = Self::sub_row(wanted * ALPHA + h);
-            let coeffs = solve_combination(&row_refs, &target).ok_or(CodeError::NotEnoughChunks)?;
+            let coeffs = solve_combination(rows.len(), |v| &rows[v], &target)
+                .ok_or(CodeError::NotEnoughChunks)?;
             let dst = &mut out[h * half..(h + 1) * half];
             for (src, &c) in bytes.iter().zip(&coeffs) {
                 // All coefficients are 0/1 over this XOR code.

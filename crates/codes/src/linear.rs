@@ -1,13 +1,16 @@
 //! Shared engine for systematic linear codes described by a generator matrix.
 
-use chameleon_gf::{mul_slice_with, mul_slice_xor_with, Gf256, Matrix, MulTable, MulTableCache};
+use chameleon_gf::{combine_into, Gf256, Matrix, MulTable};
 
 use crate::CodeError;
 
-/// Bytes of each chunk one step of [`LinearCode::encode`] covers: one
-/// source block plus the `m` parity blocks it feeds stay L2-resident for
-/// any practical `m`.
-const ENCODE_BLOCK_BYTES: usize = 64 * 1024;
+/// Bytes of each chunk one step of [`LinearCode::encode`] covers: the `k`
+/// source blocks of a step are copied into the stripe and then read once per
+/// parity row, so they should still be in L1 for the last row — 10 × 4 KiB
+/// fits a 48 KiB L1d. Swept inside the repository benchmark's `codec`
+/// workload at 4, 16 and 64 KiB: no resolvable difference (DESIGN.md §3.2
+/// has the readings), so the smallest footprint stays.
+const BLOCK_BYTES: usize = 4096;
 
 /// A systematic linear code: `n x k` generator matrix whose first `k` rows
 /// are the identity. Chunk `i` of a stripe equals `G[i] * data`.
@@ -15,6 +18,10 @@ const ENCODE_BLOCK_BYTES: usize = 64 * 1024;
 pub(crate) struct LinearCode {
     generator: Matrix,
     k: usize,
+    /// Per parity row `k..n`, its non-zero `(source, multiply-by-G[row][source])`
+    /// terms: an LRC local parity keeps only its group, and no `encode` call
+    /// builds a table.
+    parity_terms: Vec<Vec<(usize, MulTable)>>,
 }
 
 impl LinearCode {
@@ -32,7 +39,19 @@ impl LinearCode {
             Matrix::identity(k),
             "generator must be systematic"
         );
-        LinearCode { generator, k }
+        let parity_terms = (k..generator.rows())
+            .map(|i| {
+                let row = generator.row(i).iter().enumerate();
+                row.filter(|(_, c)| !c.is_zero())
+                    .map(|(j, &c)| (j, MulTable::new(c)))
+                    .collect()
+            })
+            .collect();
+        LinearCode {
+            generator,
+            k,
+            parity_terms,
+        }
     }
 
     pub(crate) fn n(&self) -> usize {
@@ -50,11 +69,6 @@ impl LinearCode {
     }
 
     /// Encodes data chunks into the full stripe (data chunks are copied).
-    ///
-    /// Parity is produced by a fused coefficient-outer pass: the chunk is
-    /// walked in [`ENCODE_BLOCK_BYTES`] blocks, and within each block every
-    /// source is read **once** and immediately applied to all `m` parity
-    /// rows, so no source is streamed from memory once per parity.
     pub(crate) fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, CodeError> {
         if data.len() != self.k {
             return Err(CodeError::WrongChunkCount);
@@ -63,37 +77,61 @@ impl LinearCode {
         if data.iter().any(|c| c.len() != len) {
             return Err(CodeError::ChunkSizeMismatch);
         }
-        let mut stripe: Vec<Vec<u8>> = data.iter().map(|c| c.to_vec()).collect();
+        let mut stripe: Vec<Vec<u8>> = (0..self.n()).map(|_| Vec::with_capacity(len)).collect();
+        self.encode_into(data, &mut stripe);
+        Ok(stripe)
+    }
 
-        // One table per distinct generator coefficient.
-        let mut cache = MulTableCache::new();
-        cache.prime(
-            (self.k..self.n()).flat_map(|i| (0..self.k).map(move |j| self.generator[(i, j)])),
-        );
-        // tables[pi][j] multiplies source j into parity row pi.
-        let tables: Vec<Vec<&MulTable>> = (self.k..self.n())
-            .map(|i| {
-                (0..self.k)
-                    .map(|j| {
-                        cache
-                            .cached(self.generator[(i, j)])
-                            .expect("cache was primed")
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let mut parity: Vec<Vec<u8>> = tables.iter().map(|_| vec![0u8; len]).collect();
-        for start in (0..len).step_by(ENCODE_BLOCK_BYTES) {
-            let span = start..len.min(start + ENCODE_BLOCK_BYTES);
-            for (j, src) in data.iter().enumerate() {
-                for (row_tables, out) in tables.iter().zip(parity.iter_mut()) {
-                    mul_slice_xor_with(row_tables[j], &src[span.clone()], &mut out[span.clone()]);
-                }
+    /// Appends the stripe of `data` (`k` chunks of one length) to the `n`
+    /// vectors of `stripe`, one [`BLOCK_BYTES`] step at a time: each source
+    /// block is appended to its systematic copy — the read that brings it
+    /// into cache — and each parity row then combines the `k` hot blocks
+    /// into its next block. Every output byte is written to memory once;
+    /// nothing is zero-filled and accumulated into.
+    fn encode_into(&self, data: &[&[u8]], stripe: &mut [Vec<u8>]) {
+        let len = data.first().map_or(0, |c| c.len());
+        let (systematic, parity) = stripe.split_at_mut(self.k);
+        let mut terms: Vec<(&MulTable, &[u8])> = Vec::with_capacity(self.k);
+        // A parity block is summed here, in L1, and appended whole: safe
+        // code cannot write into a vector's spare capacity in place.
+        let mut block = [0u8; BLOCK_BYTES];
+        for start in (0..len).step_by(BLOCK_BYTES) {
+            let span = start..len.min(start + BLOCK_BYTES);
+            for (copy, src) in systematic.iter_mut().zip(data) {
+                copy.extend_from_slice(&src[span.clone()]);
+            }
+            let block = &mut block[..span.len()];
+            for (row, out) in self.parity_terms.iter().zip(parity.iter_mut()) {
+                terms.clear();
+                terms.extend(
+                    row.iter()
+                        .map(|(j, table)| (table, &data[*j][span.clone()])),
+                );
+                combine_into(&terms, block);
+                out.extend_from_slice(block);
             }
         }
-        stripe.extend(parity);
-        Ok(stripe)
+    }
+
+    /// One coefficient per available chunk (`index_of(0..count)` are their
+    /// stripe indices), zeros included, whose combination is chunk `wanted`.
+    fn combination(
+        &self,
+        count: usize,
+        index_of: impl Fn(usize) -> usize,
+        wanted: usize,
+    ) -> Result<Vec<Gf256>, CodeError> {
+        if wanted >= self.n() || (0..count).any(|v| index_of(v) >= self.n()) {
+            return Err(CodeError::BadIndex);
+        }
+        // Fast path: the chunk is itself available.
+        if let Some(pos) = (0..count).position(|v| index_of(v) == wanted) {
+            let mut unit = vec![Gf256::ZERO; count];
+            unit[pos] = Gf256::ONE;
+            return Ok(unit);
+        }
+        solve_combination(count, |v| self.row(index_of(v)), self.row(wanted))
+            .ok_or(CodeError::NotEnoughChunks)
     }
 
     /// Expresses chunk `wanted` as a linear combination of the available
@@ -103,16 +141,7 @@ impl LinearCode {
         available: &[usize],
         wanted: usize,
     ) -> Result<Vec<(usize, Gf256)>, CodeError> {
-        if wanted >= self.n() || available.iter().any(|&i| i >= self.n()) {
-            return Err(CodeError::BadIndex);
-        }
-        // Fast path: the chunk is itself available.
-        if let Some(pos) = available.iter().position(|&i| i == wanted) {
-            return Ok(vec![(pos, Gf256::ONE)]);
-        }
-        let columns: Vec<&[Gf256]> = available.iter().map(|&i| self.row(i)).collect();
-        let coeffs =
-            solve_combination(&columns, self.row(wanted)).ok_or(CodeError::NotEnoughChunks)?;
+        let coeffs = self.combination(available.len(), |v| available[v], wanted)?;
         Ok(coeffs
             .into_iter()
             .enumerate()
@@ -130,17 +159,35 @@ impl LinearCode {
         if available.iter().any(|(_, c)| c.len() != len) {
             return Err(CodeError::ChunkSizeMismatch);
         }
-        let indices: Vec<usize> = available.iter().map(|(i, _)| *i).collect();
-        let combo = self.decode_combination(&indices, wanted)?;
-        let mut cache = MulTableCache::new();
-        cache.prime(combo.iter().map(|&(_, c)| c));
-        let terms: Vec<(&MulTable, &[u8])> = combo
-            .iter()
-            .map(|&(pos, c)| (cache.cached(c).expect("cache was primed"), available[pos].1))
-            .collect();
         let mut out = vec![0u8; len];
-        combine_blocked(&terms, &mut out);
+        self.decode_into(available, wanted, &mut out)?;
         Ok(out)
+    }
+
+    /// Overwrites `out` with chunk `wanted`: one solve, one table per
+    /// non-zero coefficient, one [`combine_into`] over the whole output.
+    /// Every available chunk must be as long as `out`.
+    fn decode_into(
+        &self,
+        available: &[(usize, &[u8])],
+        wanted: usize,
+        out: &mut [u8],
+    ) -> Result<(), CodeError> {
+        let coeffs = self.combination(available.len(), |v| available[v].0, wanted)?;
+        let used = || coeffs.iter().zip(available).filter(|(c, _)| !c.is_zero());
+        // Sized up front: a filtered iterator would grow either vector in
+        // steps, and the allocation count is pinned by `tests/coder_alloc.rs`.
+        let mut tables = Vec::with_capacity(coeffs.len());
+        tables.extend(used().map(|(&c, _)| MulTable::new(c)));
+        let mut terms: Vec<(&MulTable, &[u8])> = Vec::with_capacity(tables.len());
+        terms.extend(
+            tables
+                .iter()
+                .zip(used())
+                .map(|(t, (_, &(_, bytes)))| (t, bytes)),
+        );
+        combine_into(&terms, out);
+        Ok(())
     }
 
     /// Coefficients expressing `failed` over exactly the given sources.
@@ -155,94 +202,69 @@ impl LinearCode {
         if sources.contains(&failed) {
             return Err(CodeError::BadIndex);
         }
-        let columns: Vec<&[Gf256]> = sources.iter().map(|&i| self.row(i)).collect();
-        solve_combination(&columns, self.row(failed)).ok_or(CodeError::NotEnoughChunks)
+        solve_combination(sources.len(), |v| self.row(sources[v]), self.row(failed))
+            .ok_or(CodeError::NotEnoughChunks)
     }
 }
 
-/// Output bytes [`combine_blocked`] finishes at a time. One page: the block
-/// being accumulated stays in L1 while every term streams through it.
-/// Measured inside the repository benchmark's `codec` workload (8 MiB
-/// RS(10,4) chunks), 4–32 KiB blocks rebuilt a chunk 7–25 % faster than
-/// whole-buffer passes whatever the host was doing, while 64 KiB blocks
-/// were as fast on a quiet host and 20–35 % *slower* than whole-buffer
-/// passes when a neighbour was competing for the core's L2.
-const COMBINE_BLOCK_BYTES: usize = 4096;
-
-/// Writes `sum_i c_i * src_i` into `out`, one block at a time: the first
-/// term writes the block and the others accumulate into it while it is
-/// cache-resident, so the output is neither zero-filled first nor streamed
-/// from memory once per term.
-fn combine_blocked(terms: &[(&MulTable, &[u8])], out: &mut [u8]) {
-    let Some((&(first, first_src), rest)) = terms.split_first() else {
-        return; // an empty sum: the zeroed output is the answer
-    };
-    for (i, block) in out.chunks_mut(COMBINE_BLOCK_BYTES).enumerate() {
-        let start = i * COMBINE_BLOCK_BYTES;
-        let span = start..start + block.len();
-        mul_slice_with(first, &first_src[span.clone()], block);
-        for &(table, src) in rest {
-            mul_slice_xor_with(table, &src[span.clone()], block);
-        }
-    }
-}
-
-/// Solves `sum_i x_i * columns[i] = target` over GF(2^8); returns any
-/// solution (free variables set to zero), or `None` if the target is not in
-/// the span.
-#[allow(clippy::needless_range_loop)] // Gauss-Jordan is clearest with indices
-pub(crate) fn solve_combination(columns: &[&[Gf256]], target: &[Gf256]) -> Option<Vec<Gf256>> {
+/// Solves `sum_v x_v * column(v) = target` over GF(2^8) for `vars` columns;
+/// returns any solution (free variables set to zero), or `None` if the
+/// target is not in the span.
+pub(crate) fn solve_combination<'a>(
+    vars: usize,
+    column: impl Fn(usize) -> &'a [Gf256],
+    target: &[Gf256],
+) -> Option<Vec<Gf256>> {
     let rows = target.len();
-    let vars = columns.len();
-    debug_assert!(columns.iter().all(|c| c.len() == rows));
-    // Augmented matrix [A | target] where A[r][v] = columns[v][r].
-    let mut aug: Vec<Vec<Gf256>> = (0..rows)
-        .map(|r| {
-            let mut row: Vec<Gf256> = columns.iter().map(|c| c[r]).collect();
-            row.push(target[r]);
-            row
-        })
-        .collect();
+    debug_assert!((0..vars).all(|v| column(v).len() == rows));
+    // Augmented matrix [A | target], row-major, A[r][v] = column(v)[r].
+    let width = vars + 1;
+    let mut aug = vec![Gf256::ZERO; rows * width];
+    for (r, row) in aug.chunks_exact_mut(width).enumerate() {
+        for (v, cell) in row[..vars].iter_mut().enumerate() {
+            *cell = column(v)[r];
+        }
+        row[vars] = target[r];
+    }
 
-    let mut pivot_of_col: Vec<Option<usize>> = vec![None; vars];
     let mut pivot_row = 0;
     for col in 0..vars {
         if pivot_row == rows {
             break;
         }
-        let Some(pr) = (pivot_row..rows).find(|&r| !aug[r][col].is_zero()) else {
+        let Some(pr) = (pivot_row..rows).find(|&r| !aug[r * width + col].is_zero()) else {
             continue;
         };
-        aug.swap(pivot_row, pr);
-        let inv = aug[pivot_row][col].inv().expect("pivot nonzero");
-        for v in aug[pivot_row].iter_mut() {
+        if pr != pivot_row {
+            let (upper, lower) = aug.split_at_mut(pr * width);
+            upper[pivot_row * width..][..width].swap_with_slice(&mut lower[..width]);
+        }
+        let inv = aug[pivot_row * width + col].inv().expect("pivot nonzero");
+        for v in &mut aug[pivot_row * width..][..width] {
             *v *= inv;
         }
         for r in 0..rows {
-            if r != pivot_row && !aug[r][col].is_zero() {
-                let factor = aug[r][col];
-                for c in 0..=vars {
-                    let sub = aug[pivot_row][c] * factor;
-                    aug[r][c] += sub;
+            let factor = aug[r * width + col];
+            if r != pivot_row && !factor.is_zero() {
+                for c in 0..width {
+                    let sub = aug[pivot_row * width + c] * factor;
+                    aug[r * width + c] += sub;
                 }
             }
         }
-        pivot_of_col[col] = Some(pivot_row);
         pivot_row += 1;
     }
 
     // Inconsistent system: a zero row with nonzero RHS.
-    for r in pivot_row..rows {
-        if !aug[r][vars].is_zero() {
-            return None;
-        }
+    if (pivot_row..rows).any(|r| !aug[r * width + vars].is_zero()) {
+        return None;
     }
 
+    // Reduced row echelon form: a pivot row's leading entry is its pivot.
     let mut solution = vec![Gf256::ZERO; vars];
-    for (col, pivot) in pivot_of_col.iter().enumerate() {
-        if let Some(pr) = pivot {
-            solution[col] = aug[*pr][vars];
-        }
+    for row in aug.chunks_exact(width).take(pivot_row) {
+        let col = row.iter().position(|c| !c.is_zero()).expect("pivot is one");
+        solution[col] = row[vars];
     }
     Some(solution)
 }
@@ -330,8 +352,7 @@ mod tests {
     #[test]
     fn solve_combination_detects_inconsistency() {
         let a = [Gf256::ONE, Gf256::ZERO];
-        let cols: Vec<&[Gf256]> = vec![&a];
         let target = [Gf256::ZERO, Gf256::ONE];
-        assert!(solve_combination(&cols, &target).is_none());
+        assert!(solve_combination(1, |_| &a, &target).is_none());
     }
 }

@@ -1,21 +1,32 @@
 //! Oracle test across the codec's block boundaries.
 //!
-//! `LinearCode::encode` walks a chunk in 64 KiB blocks and `decode` /
-//! `repair` (through `combine_blocked`) in 4 KiB blocks. The chunk lengths
-//! here sit on, one short of, and just past both boundaries, plus a chunk of
-//! several blocks with a ragged tail, so a block that is skipped, doubled or
-//! mis-offset shows up as a wrong byte. Parity is checked against the
-//! byte-at-a-time `gf::scalar` oracle, never against the code under test.
+//! `LinearCode::encode` walks a chunk in 4 KiB blocks; `decode` / `repair`
+//! hand the whole chunk to `gf::combine_into`, which the `gfni` rung covers
+//! in 128- and 64-byte steps and every other rung in 4 KiB blocks of 32-,
+//! 16- or 8-byte steps. The chunk lengths here sit on, one short of, and
+//! just past each of those edges (and the 64 KiB one `encode` used to
+//! have), plus a chunk of several blocks with a ragged tail, so a block or
+//! vector step that is skipped, doubled or mis-offset shows up as a wrong
+//! byte. Parity is checked against the byte-at-a-time `gf::scalar` oracle,
+//! never against the code under test.
 
 use chameleon_codes::{Butterfly, ErasureCode, Lrc, ReedSolomon, RepairRequirement};
 use chameleon_gf::scalar;
 
-const LENGTHS: [usize; 9] = [
+const LENGTHS: [usize; 17] = [
     0,
     1,
+    63,
+    64,
+    65,
+    127,
+    128,
+    129,
+    191,
     4095,
     4096,
     4097,
+    4096 + 64,
     65_535,
     65_536,
     65_541,

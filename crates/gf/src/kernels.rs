@@ -1,32 +1,40 @@
-//! GF(2^8) slice kernels: `dst = c·src`, `dst ^= c·src` and `dst ^= src`.
+//! GF(2^8) slice kernels: `dst = c·src`, `dst ^= c·src`, `dst = Σ cᵢ·srcᵢ`
+//! and `dst ^= src`.
 //!
 //! Each constant `c` gets a [`MulTable`] in the SPLIT_TABLE(8, 4) layout
 //! popularised by GF-Complete: two 16-entry nibble tables (`c * low_nibble`
-//! and `c * high_nibble`) and the 256-entry product row derived from them.
-//! [`MulTableCache`] memoises the tables so a decode or a matrix–chunk
-//! product that reuses a coefficient never rebuilds one.
+//! and `c * high_nibble`), the 256-entry product row derived from them, and
+//! the same map once more as an 8×8 bit matrix for `GF2P8AFFINEQB`.
+//! [`MulTableCache`] memoises the tables so a matrix–chunk product that
+//! reuses a coefficient never rebuilds one.
 //!
-//! [`mul_slice_with`] and [`mul_slice_xor_with`] are the only bulk multiply
-//! entry points: a length assert, the zero / one fast paths, and one
-//! indirect call into the kernel [`crate::simd::active`] selected for the
-//! process — a byte-shuffle SIMD kernel reading the nibble tables where
-//! the CPU has one, otherwise the portable loop below ([`mul_row`] /
+//! [`mul_slice_with`], [`mul_slice_xor_with`] and [`combine_into`] are the
+//! only bulk multiply entry points: a length assert, the zero / one fast
+//! paths, and one indirect call into the kernel [`crate::simd::active`]
+//! selected for the process — a GFNI or byte-shuffle SIMD kernel where the
+//! CPU has one, otherwise the portable loop below ([`mul_row`] /
 //! [`mul_xor_row`]: one dependency-free row lookup per byte, unrolled
 //! eight bytes at a time), which is the last rung of the same ladder.
-//! [`xor_slice`] is a plain `u64`-wide XOR pass.
+//! [`combine_into`] is Equation (1) whole: the `gfni` rung keeps the sum in
+//! registers and writes `dst` once; every other rung runs
+//! `combine_blocked` over its own two multiplies. [`xor_slice`] is a
+//! plain `u64`-wide XOR pass.
 //!
 //! The [`scalar`] module keeps the byte-at-a-time log/exp loops as the
 //! oracle every rung is tested against.
 
 use crate::field::Gf256;
+use crate::simd::Kernel;
 
 /// Per-constant multiplication tables in SPLIT_TABLE(8, 4) layout.
 ///
 /// For a constant `c`, `lo[x & 0xF] = c * (x & 0xF)` and
 /// `hi[x >> 4] = c * (x & 0xF0)`; since multiplication distributes over
-/// XOR, `c * x = lo[x & 0xF] ^ hi[x >> 4]`. The SIMD kernels shuffle through
-/// the nibble tables; the full 256-entry `row` is materialised from them so
-/// the portable loop and the SIMD tails do one lookup per byte.
+/// XOR, `c * x = lo[x & 0xF] ^ hi[x >> 4]`. The shuffle kernels look up the
+/// nibble tables; the full 256-entry `row` is materialised from them so
+/// the portable loop and the SIMD tails do one lookup per byte; and the
+/// GFNI kernels read "multiply by `c`" as the GF(2)-linear map it is, the
+/// 8×8 bit matrix of [`MulTable::affine_matrix`].
 ///
 /// # Examples
 ///
@@ -42,6 +50,7 @@ pub struct MulTable {
     lo: [u8; 16],
     hi: [u8; 16],
     row: [u8; 256],
+    affine: u64,
 }
 
 impl MulTable {
@@ -57,7 +66,27 @@ impl MulTable {
         for (x, r) in row.iter_mut().enumerate() {
             *r = lo[x & 0xF] ^ hi[x >> 4];
         }
-        MulTable { coeff, lo, hi, row }
+        // Column j of the matrix is c * 2^j, already in the nibble tables;
+        // byte j of `m` holds it, so bit i of byte j is matrix[i][j].
+        let columns = [lo[1], lo[2], lo[4], lo[8], hi[1], hi[2], hi[4], hi[8]];
+        let mut m = u64::from_le_bytes(columns);
+        // 8x8 bit transpose (Hacker's Delight 7-3): swap the off-diagonal
+        // 1x1, 2x2 and 4x4 blocks, leaving byte i = row i.
+        for (shift, mask) in [
+            (7, 0x00AA_00AA_00AA_00AA),
+            (14, 0x0000_CCCC_0000_CCCC),
+            (28, 0x0000_0000_F0F0_F0F0u64),
+        ] {
+            let t = (m ^ (m >> shift)) & mask;
+            m ^= t ^ (t << shift);
+        }
+        MulTable {
+            coeff,
+            lo,
+            hi,
+            row,
+            affine: m.swap_bytes(),
+        }
     }
 
     /// The constant these tables multiply by.
@@ -77,6 +106,17 @@ impl MulTable {
     #[inline]
     pub fn nibble_tables(&self) -> (&[u8; 16], &[u8; 16]) {
         (&self.lo, &self.hi)
+    }
+
+    /// "Multiply by `coeff`" as an 8×8 matrix over GF(2), in the operand
+    /// layout of `GF2P8AFFINEQB`: byte `7 - i` of the word is row `i`, and
+    /// bit `j` of row `i` is bit `i` of `coeff * 2^j`, so bit `i` of
+    /// `coeff * x` is the parity of `row_i & x`. (`GF2P8MULB` is no use
+    /// here: it reduces by the AES polynomial 0x11B, this field by 0x11D;
+    /// the affine form carries the polynomial in the matrix.)
+    #[inline]
+    pub fn affine_matrix(&self) -> u64 {
+        self.affine
     }
 }
 
@@ -167,6 +207,11 @@ pub fn xor_slice(src: &[u8], dst: &mut [u8]) {
 ///
 /// Panics if `src` and `dst` have different lengths.
 pub fn mul_slice_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
+    mul_on(crate::simd::active(), table, src, dst);
+}
+
+/// [`mul_slice_with`] on a given rung.
+fn mul_on(kernel: &Kernel, table: &MulTable, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "slice length mismatch");
     if table.coeff.is_zero() {
         dst.fill(0);
@@ -176,7 +221,7 @@ pub fn mul_slice_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         dst.copy_from_slice(src);
         return;
     }
-    crate::simd::active().mul_slice(table, src, dst);
+    kernel.mul_slice(table, src, dst);
 }
 
 /// Multiplies every byte of `src` by the table's constant and
@@ -187,6 +232,11 @@ pub fn mul_slice_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
 ///
 /// Panics if `src` and `dst` have different lengths.
 pub fn mul_slice_xor_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
+    mul_xor_on(crate::simd::active(), table, src, dst);
+}
+
+/// [`mul_slice_xor_with`] on a given rung.
+fn mul_xor_on(kernel: &Kernel, table: &MulTable, src: &[u8], dst: &mut [u8]) {
     assert_eq!(src.len(), dst.len(), "slice length mismatch");
     if table.coeff.is_zero() {
         return;
@@ -195,7 +245,59 @@ pub fn mul_slice_xor_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
         xor_slice(src, dst);
         return;
     }
-    crate::simd::active().mul_slice_xor(table, src, dst);
+    kernel.mul_slice_xor(table, src, dst);
+}
+
+/// Equation (1) of the paper in one call: `dst[i] = Σ_t c_t * src_t[i]`
+/// over the `(table, source)` terms, through the process-wide kernel
+/// ([`crate::simd::active`]). `dst` is overwritten, never read — whatever
+/// it held is gone — and an empty sum fills it with zeros.
+///
+/// # Panics
+///
+/// Panics if any source's length differs from `dst`'s.
+///
+/// # Examples
+///
+/// ```
+/// use chameleon_gf::{combine_into, Gf256, MulTable};
+///
+/// let (two, three) = (MulTable::new(Gf256::new(2)), MulTable::new(Gf256::new(3)));
+/// let src = [1u8, 2, 4];
+/// let mut dst = [0xEEu8; 3];
+/// combine_into(&[(&two, &src), (&three, &src)], &mut dst);
+/// assert_eq!(dst, src); // 2x + 3x = x
+/// ```
+pub fn combine_into(terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
+    crate::simd::active().combine(terms, dst);
+}
+
+/// Output bytes [`combine_blocked`] finishes at a time. One page: the block
+/// being accumulated stays in L1 while every term streams through it.
+/// Measured inside the repository benchmark's `codec` workload (8 MiB
+/// RS(10,4) chunks, AVX2 rung), 4–32 KiB blocks rebuilt a chunk 7–25 %
+/// faster than whole-buffer passes whatever the host was doing, while
+/// 64 KiB blocks were as fast on a quiet host and 20–35 % *slower* than
+/// whole-buffer passes when a neighbour was competing for the core's L2.
+const COMBINE_BLOCK_BYTES: usize = 4096;
+
+/// The `combine` of every rung without a native one: per block, the first
+/// term writes it with the rung's `mul` and the others accumulate with its
+/// `mul_xor` while the block is cache-resident, so `dst` is neither
+/// zero-filled first nor streamed from memory once per term.
+pub(crate) fn combine_blocked(kernel: &Kernel, terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
+    let Some((&(first, first_src), rest)) = terms.split_first() else {
+        dst.fill(0);
+        return;
+    };
+    for (i, block) in dst.chunks_mut(COMBINE_BLOCK_BYTES).enumerate() {
+        let start = i * COMBINE_BLOCK_BYTES;
+        let span = start..start + block.len();
+        mul_on(kernel, first, &first_src[span.clone()], block);
+        for &(table, src) in rest {
+            mul_xor_on(kernel, table, &src[span.clone()], block);
+        }
+    }
 }
 
 /// Multiplies every byte of `src` by `coeff` and XOR-accumulates into `dst`:
@@ -359,6 +461,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// `GF2P8AFFINEQB` in software: bit `i` of the result is the parity of
+    /// the matrix's row `i` (byte `7 - i` of the word) ANDed with `x`.
+    fn apply_affine(matrix: u64, x: u8) -> u8 {
+        (0..8).fold(0, |out, i| {
+            let row = (matrix >> (8 * (7 - i))) as u8;
+            out | (((row & x).count_ones() as u8 & 1) << i)
+        })
+    }
+
+    #[test]
+    fn affine_matrix_multiplies_for_all_pairs() {
+        // Checked here, in software, so the matrix is verified on hosts
+        // whose CPU cannot run the kernel that reads it.
+        for c in 0..=255u8 {
+            let matrix = MulTable::new(Gf256::new(c)).affine_matrix();
+            for x in 0..=255u8 {
+                assert_eq!(
+                    Gf256::new(apply_affine(matrix, x)),
+                    Gf256::new(c) * Gf256::new(x),
+                    "c={c} x={x}"
+                );
+            }
+        }
+        assert_eq!(
+            MulTable::new(Gf256::ONE).affine_matrix(),
+            0x0102_0408_1020_4080,
+            "the identity in GF2P8AFFINEQB's row order"
+        );
     }
 
     #[test]

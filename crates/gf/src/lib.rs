@@ -8,19 +8,20 @@
 //!   log/exp tables.
 //! - [`kernels`]: the bulk slice operations every encoded, decoded or
 //!   repaired byte goes through — [`mul_slice_with`] (`dst = c·src`),
-//!   [`mul_slice_xor_with`] (`dst ^= c·src`, Equation (1) of the paper) and
-//!   [`xor_slice`], driven by a per-constant [`MulTable`]
+//!   [`mul_slice_xor_with`] (`dst ^= c·src`, one term of Equation (1) of the
+//!   paper), [`combine_into`] (`dst = Σ cᵢ·srcᵢ`, Equation (1) whole, `dst`
+//!   written once) and [`xor_slice`], driven by a per-constant [`MulTable`]
 //!   ([`MulTableCache`] memoises them; [`mul_add_slice`] builds one on the
 //!   spot). The byte-at-a-time log/exp loops in [`scalar`] are the oracle
 //!   the tests compare everything else against.
 //! - [`Matrix`]: dense row-major matrices over GF(2^8) with Vandermonde and
 //!   Cauchy constructors and Gauss–Jordan inversion, the building blocks of
 //!   Reed–Solomon and LRC codes.
-//! - [`simd`]: the kernel ladder those two multiplies dispatch into — AVX2,
-//!   SSSE3 or NEON byte-shuffle kernels where the CPU has them, a portable
-//!   table loop everywhere — one rung selected per process by runtime
-//!   feature detection, with a `CHAMELEON_GF_KERNEL` override;
-//!   [`active_kernel`] names the rung in use.
+//! - [`simd`]: the kernel ladder those three dispatch into — a GFNI /
+//!   AVX-512 affine kernel, AVX2, SSSE3 or NEON byte-shuffle kernels where
+//!   the CPU has them, a portable table loop everywhere — one rung selected
+//!   per process by runtime feature detection, with a `CHAMELEON_GF_KERNEL`
+//!   override; [`active_kernel`] names the rung in use.
 //!
 //! # Examples
 //!
@@ -49,7 +50,8 @@ mod tables;
 
 pub use field::Gf256;
 pub use kernels::{
-    mul_add_slice, mul_slice_with, mul_slice_xor_with, scalar, xor_slice, MulTable, MulTableCache,
+    combine_into, mul_add_slice, mul_slice_with, mul_slice_xor_with, scalar, xor_slice, MulTable,
+    MulTableCache,
 };
 pub use matrix::{Matrix, MatrixError};
 pub use simd::{active_kernel, available_kernels, Kernel};

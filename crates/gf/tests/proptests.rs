@@ -3,8 +3,8 @@
 //! byte-at-a-time scalar reference.
 
 use chameleon_gf::{
-    active_kernel, available_kernels, mul_add_slice, mul_slice_with, mul_slice_xor_with, scalar,
-    xor_slice, Gf256, Matrix, MulTable,
+    active_kernel, available_kernels, combine_into, mul_add_slice, mul_slice_with,
+    mul_slice_xor_with, scalar, xor_slice, Gf256, Matrix, MulTable,
 };
 use proptest::prelude::*;
 
@@ -194,11 +194,11 @@ proptest! {
 }
 
 /// Exhaustive (not sampled): every one of the 256 field constants through
-/// every rung, on a buffer whose length is not a multiple of the 8-, 16-
-/// or 32-byte steps.
+/// every rung, on a buffer that takes the widest rung through two 128-byte
+/// steps and one 64-byte step and leaves every rung a tail.
 #[test]
 fn every_constant_matches_scalar_on_unaligned_buffer() {
-    let len = 3 * 16 + 5;
+    let len = 2 * 128 + 64 + 5;
     let data: Vec<u8> = (0..len).map(|i| (i * 89 + 41) as u8).collect();
     let init: Vec<u8> = (0..len).map(|i| (i * 23 + 7) as u8).collect();
     for c in 0..=255u8 {
@@ -207,6 +207,69 @@ fn every_constant_matches_scalar_on_unaligned_buffer() {
             assert_matches_scalar(kernel, &table, &data, &init, "");
         }
     }
+}
+
+/// `combine` on every rung, and `combine_into` on the dispatched one, against
+/// term-by-term accumulation through the scalar oracle. Every length
+/// 0..=4096 plus three past the 4 KiB and 64 KiB block edges; the term count
+/// (0..=17) and the source offset (0..=16) are taken from the length, so all
+/// 18 x 17 pairings come round a dozen times. Sources are windows into one
+/// pool, three starts apart, so most sums use a source more than once;
+/// coefficients include 0 and 1; the destination sits at its own offset in a
+/// buffer of garbage that a correct combine overwrites without reading.
+#[test]
+fn combine_matches_scalar_accumulation_on_every_rung() {
+    const COEFFS: [u8; 9] = [0x53, 0, 1, 2, 0x1D, 0x8E, 0xFF, 1, 0xB7];
+    let tables: Vec<MulTable> = COEFFS
+        .iter()
+        .map(|&c| MulTable::new(Gf256::new(c)))
+        .collect();
+    let pool: Vec<u8> = (0..65_541 + 64)
+        .map(|i: usize| (i * 131 + i / 251 + 17) as u8)
+        .collect();
+    for len in (0..=4096usize).chain([4097, 65_535, 65_541]) {
+        let (count, off) = (len % 18, len % 17);
+        let terms: Vec<(&MulTable, &[u8])> = (0..count)
+            .map(|t| {
+                (
+                    &tables[(t + len) % COEFFS.len()],
+                    &pool[off + 13 * (t % 3)..][..len],
+                )
+            })
+            .collect();
+        let mut expect = vec![0u8; len];
+        for (table, src) in &terms {
+            scalar::mul_slice_xor(table.coeff(), src, &mut expect);
+        }
+        let dst_off = (off * 5 + 3) % 17;
+        let garbage = |i: usize| (i * 59 + 0xA5) as u8;
+        let check = |what: &str, combine: &dyn Fn(&mut [u8])| {
+            let mut backing: Vec<u8> = (0..dst_off + len).map(garbage).collect();
+            combine(&mut backing[dst_off..]);
+            assert!(
+                backing[dst_off..] == expect[..],
+                "{what}: len={len} terms={count} src offset={off} dst offset={dst_off}"
+            );
+            let before = backing[..dst_off].iter().enumerate();
+            assert!(
+                before.into_iter().all(|(i, &b)| b == garbage(i)),
+                "{what}: wrote before dst"
+            );
+        };
+        for kernel in available_kernels() {
+            check(kernel.name(), &|dst| kernel.combine(&terms, dst));
+        }
+        check("combine_into", &|dst| combine_into(&terms, dst));
+    }
+}
+
+#[test]
+#[should_panic(expected = "length mismatch")]
+fn combine_rejects_a_source_of_another_length() {
+    let table = MulTable::new(Gf256::new(3));
+    let (long, short) = ([0u8; 128], [0u8; 127]);
+    let mut dst = [0u8; 128];
+    combine_into(&[(&table, &long), (&table, &short)], &mut dst);
 }
 
 /// A leg that sets `CHAMELEON_GF_KERNEL` must run the kernel it names: a

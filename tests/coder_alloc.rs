@@ -1,11 +1,16 @@
 //! `PlanCoder::run` owns its buffers: once a coder has served a plan
 //! shape, coding another chunk of it costs kernel calls only — no heap
-//! allocation, and therefore no thread spawn either.
+//! allocation, and therefore no thread spawn either. One layer down, the
+//! allocating `encode` / `decode` / `repair` of the linear codes allocate
+//! what they return plus a fixed handful of small vectors, whatever the
+//! chunk length, and never a multiplication table per call on the encode
+//! side.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use chameleonec::cluster::ChunkId;
+use chameleonec::codes::{ErasureCode, Lrc, ReedSolomon};
 use chameleonec::core::{Participant, PlanCoder, RepairPlan};
 use chameleonec::gf::Gf256;
 
@@ -102,4 +107,57 @@ fn coding_a_second_chunk_allocates_nothing() {
         }
     });
     assert_eq!(allocations, 0, "alternating shapes on one coder");
+}
+
+/// Allocations of one `encode`, then of one `repair` and one `decode` of
+/// chunk 0 from every survivor, on `len`-byte chunks.
+fn codec_allocations(code: &dyn ErasureCode, len: usize) -> [u64; 3] {
+    let data: Vec<Vec<u8>> = (0..code.k())
+        .map(|i| (0..len).map(|j| (i * 31 + j * 7 + 1) as u8).collect())
+        .collect();
+    let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
+    let mut stripe = Vec::new();
+    let encode = allocations_during(|| stripe = code.encode(&refs).expect("encode"));
+    let survivors: Vec<(usize, &[u8])> = (1..code.n()).map(|i| (i, &stripe[i][..])).collect();
+    let mut rebuilt = Vec::new();
+    let repair = allocations_during(|| rebuilt = code.repair(0, &survivors).expect("repair"));
+    assert!(rebuilt == stripe[0]);
+    let decode = allocations_during(|| rebuilt = code.decode(&survivors, 0).expect("decode"));
+    assert!(rebuilt == stripe[0]);
+    [encode, repair, decode]
+}
+
+#[test]
+fn codec_allocations_do_not_depend_on_the_chunk_length() {
+    let codes: [Box<dyn ErasureCode>; 2] = [
+        Box::new(ReedSolomon::new(10, 4).expect("RS(10,4)")),
+        Box::new(Lrc::new(4, 2, 2).expect("LRC(4,2,2)")),
+    ];
+    for code in &codes {
+        let small = codec_allocations(code.as_ref(), 64 << 10);
+        // A second call on the same code: nothing was cached by the first,
+        // because nothing is built per call.
+        assert_eq!(
+            codec_allocations(code.as_ref(), 64 << 10),
+            small,
+            "{}",
+            code.name()
+        );
+        assert_eq!(
+            codec_allocations(code.as_ref(), 8 << 20),
+            small,
+            "{}",
+            code.name()
+        );
+        let [encode, repair, decode] = small;
+        // The n chunks, plus the stripe vector and the term list: no table.
+        assert!(
+            encode <= code.n() as u64 + 4,
+            "{}: encode {encode}",
+            code.name()
+        );
+        // The chunk, plus the solve (2), the <= k tables (1) and the terms (1).
+        assert!(repair <= 1 + 4, "{}: repair {repair}", code.name());
+        assert!(decode <= 1 + 4, "{}: decode {decode}", code.name());
+    }
 }
