@@ -1,8 +1,10 @@
 //! Simulator-throughput benchmark: sustained events/sec at 1k/10k/100k
-//! concurrent flows, for the indexed engine (incremental dirty-set max–min
-//! solver, group-level completion tracking, completion heap) against the
-//! original full-rescan reference engine — on the paper's 20-node cluster
-//! and on a 1000-node cluster the same workload generator scales up to.
+//! concurrent flows for the indexed engine (incremental dirty-set max–min
+//! solver, group-level completion tracking, completion heap) — on the
+//! paper's 20-node cluster and on a 1000-node cluster the same workload
+//! generator scales up to. (The full-rescan reference engine is a test
+//! oracle only — `simnet`'s `reference_engine_*` tests and proptests — and
+//! is not raced here.)
 //!
 //! Every ChameleonEC experiment replays a trace through `simnet`, so
 //! events/sec is the wall-clock ceiling of the whole evaluation. The
@@ -18,15 +20,15 @@
 //!
 //! Both modes end with the oversubscribed-spine gate point: the
 //! 1000-node cluster racked as 25 ToRs behind a 1:4 spine, ~90%
-//! rack-local traffic, indexed engine only. `bench_gate` holds it to an
-//! absolute floor (see `gate::SPINE_MIN_EVENTS_PER_SEC`).
+//! rack-local traffic. `bench_gate` holds it to an absolute floor (see
+//! `gate::SPINE_MIN_EVENTS_PER_SEC`).
 
 use std::time::Instant;
 
 use chameleon_bench::table::{print_table, write_json};
 use chameleon_simnet::{FlowSpec, NodeCaps, SimConfig, Simulator, Topology, Traffic};
 
-/// Deterministic LCG so both engines replay the identical workload.
+/// Deterministic LCG: every run replays the identical workload.
 struct Rng(u64);
 
 impl Rng {
@@ -52,30 +54,42 @@ fn random_spec(rng: &mut Rng, nodes: usize) -> FlowSpec {
     FlowSpec::network(src, dst, bytes, tag)
 }
 
+/// Events the closed loop pops before it may stop on its time budget.
+const MIN_EVENTS: u64 = 512;
+
 /// Runs a closed-loop workload at a fixed concurrency: every completion
-/// admits a replacement flow, so the solver always sees `flows` active
-/// flows. Returns sustained events/sec.
-fn measure(nodes: usize, flows: usize, reference: bool, budget_secs: f64, min_events: u64) -> f64 {
-    let mut sim = Simulator::new(SimConfig::uniform(nodes, NodeCaps::default()));
-    sim.use_reference_engine(reference);
-    let mut rng = Rng(0x5EED ^ flows as u64 ^ ((nodes as u64) << 32));
+/// admits a replacement flow drawn from `spec`, so the solver always sees
+/// `flows` active flows. Returns sustained events/sec.
+fn closed_loop(
+    mut sim: Simulator,
+    flows: usize,
+    budget_secs: f64,
+    mut spec: impl FnMut() -> FlowSpec,
+) -> f64 {
     // Batched admission: the initial burst costs one rate solve.
-    sim.start_flows((0..flows).map(|_| random_spec(&mut rng, nodes)));
+    sim.start_flows((0..flows).map(|_| spec()));
 
     let start = Instant::now();
     let mut events = 0u64;
     loop {
         sim.next_event().expect("closed loop never drains");
-        sim.start_flow(random_spec(&mut rng, nodes));
+        sim.start_flow(spec());
         events += 1;
         if events.is_multiple_of(32)
-            && events >= min_events
+            && events >= MIN_EVENTS
             && start.elapsed().as_secs_f64() > budget_secs
         {
             break;
         }
     }
     events as f64 / start.elapsed().as_secs_f64()
+}
+
+/// The flat sweep point: uniform random traffic over `nodes` nodes.
+fn measure(nodes: usize, flows: usize, budget_secs: f64) -> f64 {
+    let sim = Simulator::new(SimConfig::uniform(nodes, NodeCaps::default()));
+    let mut rng = Rng(0x5EED ^ flows as u64 ^ ((nodes as u64) << 32));
+    closed_loop(sim, flows, budget_secs, || random_spec(&mut rng, nodes))
 }
 
 /// A flow for the spine sweep: ~90% rack-local (round-robin rack
@@ -99,8 +113,8 @@ fn spine_spec(rng: &mut Rng, nodes: usize, racks: usize) -> FlowSpec {
 }
 
 /// The spine gate point: the 1000-node cluster of the scalability sweep,
-/// but racked — 25 ToRs behind a 1:4 oversubscribed spine. Indexed engine
-/// only (the gate holds an absolute floor; there is no reference race).
+/// but racked — 25 ToRs behind a 1:4 oversubscribed spine (the gate holds
+/// an absolute floor).
 ///
 /// The point the measurement makes: shared link cells join the solver's
 /// constraint rows for every cross-rack flow, yet the incremental closure
@@ -108,7 +122,7 @@ fn spine_spec(rng: &mut Rng, nodes: usize, racks: usize) -> FlowSpec {
 /// that have slack — if it did, every completion would dirty its racks or
 /// the whole cluster and events/sec would collapse far below the gate
 /// floor.
-fn measure_spine(nodes: usize, flows: usize, budget_secs: f64, min_events: u64) -> f64 {
+fn measure_spine(nodes: usize, flows: usize, budget_secs: f64) -> f64 {
     let racks = 25;
     let caps = NodeCaps::default();
     let tor = (nodes / racks) as f64 * caps.uplink;
@@ -120,65 +134,18 @@ fn measure_spine(nodes: usize, flows: usize, budget_secs: f64, min_events: u64) 
         tor,
         Some(racks as f64 * tor / 4.0),
     ));
-    let mut sim = Simulator::new(cfg);
     let mut rng = Rng(0x5EED ^ flows as u64 ^ ((nodes as u64) << 32));
-    sim.start_flows((0..flows).map(|_| spine_spec(&mut rng, nodes, racks)));
-
-    let start = Instant::now();
-    let mut events = 0u64;
-    loop {
-        sim.next_event().expect("closed loop never drains");
-        sim.start_flow(spine_spec(&mut rng, nodes, racks));
-        events += 1;
-        if events.is_multiple_of(32)
-            && events >= min_events
-            && start.elapsed().as_secs_f64() > budget_secs
-        {
-            break;
-        }
-    }
-    events as f64 / start.elapsed().as_secs_f64()
-}
-
-/// One sweep point: cluster size, concurrency, and the per-engine event
-/// floors (the reference engine is O(rounds x flows) per event; smaller
-/// floors keep the slow levels affordable).
-struct Point {
-    nodes: usize,
-    flows: usize,
-    indexed_floor: u64,
-    reference_floor: u64,
+    closed_loop(Simulator::new(cfg), flows, budget_secs, || {
+        spine_spec(&mut rng, nodes, racks)
+    })
 }
 
 fn main() {
     let smoke = std::env::var("CHAMELEON_BENCH_SMOKE").as_deref() == Ok("1");
-    let mut points = vec![
-        Point {
-            nodes: 20,
-            flows: 1_000,
-            indexed_floor: 512,
-            reference_floor: 32,
-        },
-        Point {
-            nodes: 20,
-            flows: 10_000,
-            indexed_floor: 512,
-            reference_floor: 32,
-        },
-        Point {
-            nodes: 20,
-            flows: 100_000,
-            indexed_floor: 512,
-            reference_floor: 32,
-        },
-    ];
+    // (nodes, concurrent flows)
+    let mut points = vec![(20, 1_000), (20, 10_000), (20, 100_000)];
     if !smoke {
-        points.push(Point {
-            nodes: 1_000,
-            flows: 100_000,
-            indexed_floor: 512,
-            reference_floor: 32,
-        });
+        points.push((1_000, 100_000));
     }
     let budget = if smoke { 0.4 } else { 1.0 };
 
@@ -188,34 +155,27 @@ fn main() {
     );
     let mut rows = Vec::new();
     let mut json_levels = Vec::new();
-    for p in &points {
-        let indexed = measure(p.nodes, p.flows, false, budget, p.indexed_floor);
-        let reference = measure(p.nodes, p.flows, true, budget, p.reference_floor);
-        let speedup = indexed / reference;
+    for &(nodes, flows) in &points {
+        let indexed = measure(nodes, flows, budget);
         rows.push(vec![
-            format!("{}", p.nodes),
-            format!("{}", p.flows),
+            format!("{nodes}"),
+            format!("{flows}"),
             format!("{indexed:.0}"),
-            format!("{reference:.0}"),
-            format!("{speedup:.1}x"),
         ]);
         json_levels.push(format!(
-            "    {{\"nodes\": {}, \"flows\": {}, \"indexed_events_per_sec\": {indexed:.1}, \
-             \"reference_events_per_sec\": {reference:.1}, \"speedup\": {speedup:.2}}}",
-            p.nodes, p.flows
+            "    {{\"nodes\": {nodes}, \"flows\": {flows}, \
+             \"indexed_events_per_sec\": {indexed:.1}}}"
         ));
     }
     // The oversubscribed-spine gate point runs in smoke mode too: the CI
     // bench gate holds an absolute floor on it (the proof that only
     // saturated resources conduct the dirty closure — a conducting spine
     // would collapse this number).
-    let spine = measure_spine(1_000, 1_500, budget, 512);
+    let spine = measure_spine(1_000, 1_500, budget);
     rows.push(vec![
         "1000 (25 racks, 1:4 spine)".to_string(),
         "1500".to_string(),
         format!("{spine:.0}"),
-        "-".to_string(),
-        "-".to_string(),
     ]);
     json_levels.push(format!(
         "    {{\"topology\": \"spine\", \"nodes\": 1000, \"flows\": 1500, \
@@ -223,14 +183,8 @@ fn main() {
     ));
 
     print_table(
-        "simulator throughput (indexed vs reference engine)",
-        &[
-            "nodes",
-            "concurrent flows",
-            "indexed ev/s",
-            "reference ev/s",
-            "speedup",
-        ],
+        "simulator throughput (indexed engine)",
+        &["nodes", "concurrent flows", "indexed ev/s"],
         &rows,
     );
     let json = format!(

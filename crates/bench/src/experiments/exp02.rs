@@ -11,8 +11,8 @@ use std::sync::Arc;
 use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_traces::TraceKind;
 
-use crate::grid::run_grid;
-use crate::runner::{run_foreground_only, run_repair, FgSpec};
+use crate::grid::{run_grid, RunSpec};
+use crate::runner::{run_foreground_only, FgSpec};
 use crate::table::{print_table, write_csv};
 use crate::{AlgoKind, Scale};
 
@@ -35,9 +35,8 @@ fn execute(cell: &Cell, scale: &Scale) -> f64 {
         }
         Cell::Repair(trace, algo) => {
             let spec = FgSpec::uniform(*trace, scale.clients, scale.requests_per_client);
-            let out = run_repair(code, cfg, &[0], |ctx| algo.driver(ctx, 7), Some(spec));
+            let out = RunSpec::new("", code, cfg, *algo, Some(spec)).execute();
             out.fg_report
-                .as_ref()
                 .and_then(|r| r.execution_time)
                 .expect("finished")
         }

@@ -7,16 +7,16 @@
 //! improves average throughput by 51.5% / 53.0% / 97.2% over CR / PPR /
 //! ECPipe.
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use chameleon_cluster::{Cluster, ForegroundDriver};
 use chameleon_codes::{ErasureCode, ReedSolomon};
-use chameleon_core::RepairContext;
+use chameleon_core::run::{stop_if, Routed};
 use chameleon_simnet::{Event, ResourceKind, Traffic};
-use chameleon_traces::{TraceKind, Workload};
+use chameleon_traces::TraceKind;
 
 use crate::grid::run_grid;
-use crate::runner::client_seed;
+use crate::runner::{client_seed, stage, FgSpec};
 use crate::table::{print_table, write_csv};
 use crate::{AlgoKind, Scale};
 
@@ -30,54 +30,42 @@ fn run_one(algo: AlgoKind, scale: &Scale) -> (Vec<f64>, f64) {
     // 15 s trace transitions.
     let mut cfg = scale.cluster_config_with_bandwidth(14, 1.25e8, 500e6);
     cfg.monitor_window_secs = 5.0;
-    let mut cluster = Cluster::new(cfg).expect("cluster");
-    cluster.fail_node(0).expect("fail");
-    let lost = cluster.lost_chunks(&[0]);
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-
     let sequence = TraceKind::ALL;
-    let workloads: Vec<Box<dyn Workload>> = (0..scale.clients)
-        .map(|c| sequence[0].build(client_seed(0xFACE, c as u64)))
-        .collect();
-    let mut fg = ForegroundDriver::new(workloads, usize::MAX);
-    fg.start(&ctx.cluster, &mut sim);
+    let fg = FgSpec::uniform(sequence[0], scale.clients, usize::MAX);
+    let (mut run, lost) = stage(code, cfg, &[0], Some(fg), None, false).expect("cluster");
 
-    let mut driver = algo.driver(ctx.clone(), 7);
-    driver.start(&mut sim, lost);
+    let mut driver = algo.driver(run.ctx.clone(), 7);
+    driver.start(&mut run.sim, lost);
 
-    let mut transition = sim.schedule_in(TRANSITION_SECS, 0);
-    let mut stage = 1usize;
-    while let Some(ev) = sim.next_event() {
-        if let Event::Timer { id, .. } = ev {
-            if id == transition {
-                let kind = sequence[stage % sequence.len()];
+    let mut transition = run.sim.schedule_in(TRANSITION_SECS, 0);
+    let mut phase = 1usize;
+    run.run(&mut *driver, |run, driver, ev, routed| {
+        let fg = run.foreground.as_mut().expect("started above");
+        match (routed, ev) {
+            (Routed::Unclaimed, Event::Timer { id, .. }) if *id == transition => {
+                let kind = sequence[phase % sequence.len()];
                 for c in 0..scale.clients {
                     fg.replace_workload(
                         c,
-                        kind.build(client_seed(0xFACE + 100 * stage as u64, c as u64)),
+                        kind.build(client_seed(0xFACE + 100 * phase as u64, c as u64)),
                     );
                 }
-                stage += 1;
-                transition = sim.schedule_in(TRANSITION_SECS, 0);
-                continue;
+                phase += 1;
+                transition = run.sim.schedule_in(TRANSITION_SECS, 0);
             }
-        }
-        if driver.on_event(&mut sim, &ev) {
-            if driver.is_done() {
-                fg.stop();
+            (Routed::Repair, _) => {
+                if driver.is_done() {
+                    fg.stop();
+                }
             }
-            continue;
+            _ => return stop_if(driver.is_done() && fg.in_flight_count() == 0),
         }
-        fg.on_event(&ctx.cluster, &mut sim, &ev);
-        if driver.is_done() && fg.in_flight_count() == 0 {
-            break;
-        }
-    }
-    assert!(driver.is_done(), "repair stuck");
+        ControlFlow::Continue(())
+    })
+    .expect("repair stuck");
 
     // Repaired data per window = repair-tagged disk writes.
-    let m = sim.monitor();
+    let m = run.sim.monitor();
     let series: Vec<f64> = (0..m.window_count())
         .map(|w| {
             (0..20)
@@ -90,7 +78,7 @@ fn run_one(algo: AlgoKind, scale: &Scale) -> (Vec<f64>, f64) {
                 / 1e6
         })
         .collect();
-    (series, driver.outcome(&sim).throughput() / 1e6)
+    (series, driver.outcome(&run.sim).throughput() / 1e6)
 }
 
 /// Runs the experiment at the given scale across `jobs` workers.

@@ -12,12 +12,12 @@
 
 use std::sync::Arc;
 
-use chameleon_cluster::Cluster;
 use chameleon_codes::{ErasureCode, ReedSolomon};
-use chameleon_core::RepairContext;
+use chameleon_core::run::stop_if;
 use chameleon_simnet::{Event, FlowSpec, Traffic};
 
 use crate::grid::run_grid;
+use crate::runner::stage;
 use crate::table::{improvement, pct, print_table, write_csv};
 use crate::{AlgoKind, Scale};
 
@@ -35,47 +35,37 @@ fn run_one(algo: AlgoKind, scale: &Scale, straggle_at: f64) -> f64 {
     // 20 s phase so mid-phase stragglers actually overlap it.
     let mut cfg = scale.cluster_config_with_bandwidth(14, 1.25e8, 500e6);
     cfg.monitor_window_secs = PHASE_SECS;
-    let mut cluster = Cluster::new(cfg).expect("cluster");
-    cluster.fail_node(0).expect("fail");
-    let lost = cluster.lost_chunks(&[0]);
+    let (mut run, lost) = stage(code, cfg, &[0], None, None, false).expect("cluster");
     let victim = 1usize; // a surviving node that will straggle
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-    let mut driver = algo.driver(ctx.clone(), 7);
-    driver.start(&mut sim, lost);
+    let mut driver = algo.driver(run.ctx.clone(), 7);
+    driver.start(&mut run.sim, lost);
 
-    let hog = sim.schedule_in(straggle_at, 0);
-    while let Some(ev) = sim.next_event() {
-        if let Event::Timer { id, .. } = ev {
-            if id == hog {
-                // Eight reader threads pulling from the straggler, and the
-                // symmetric write pressure (the paper's Redis readers).
-                for i in 0..8usize {
-                    let peer = 2 + (i % 8);
-                    sim.start_flow(FlowSpec::network(
-                        victim,
-                        peer,
-                        2 << 30,
-                        Traffic::Background,
-                    ));
-                    sim.start_flow(FlowSpec::network(
-                        peer,
-                        victim,
-                        2 << 30,
-                        Traffic::Background,
-                    ));
-                }
-                continue;
+    let hog = run.sim.schedule_in(straggle_at, 0);
+    run.run(&mut *driver, |run, driver, ev, _| {
+        if matches!(*ev, Event::Timer { id, .. } if id == hog) {
+            // Eight reader threads pulling from the straggler, and the
+            // symmetric write pressure (the paper's Redis readers).
+            for i in 0..8usize {
+                let peer = 2 + (i % 8);
+                run.sim.start_flow(FlowSpec::network(
+                    victim,
+                    peer,
+                    2 << 30,
+                    Traffic::Background,
+                ));
+                run.sim.start_flow(FlowSpec::network(
+                    peer,
+                    victim,
+                    2 << 30,
+                    Traffic::Background,
+                ));
             }
         }
-        driver.on_event(&mut sim, &ev);
-        if driver.is_done() {
-            break;
-        }
-    }
-    assert!(driver.is_done(), "repair stuck under straggler");
+        stop_if(driver.is_done())
+    })
+    .expect("repair stuck under straggler");
     // Repaired data written during the monitored phase.
-    let m = sim.monitor();
+    let m = run.sim.monitor();
     let written: f64 = (0..20)
         .map(|node| {
             m.usage(

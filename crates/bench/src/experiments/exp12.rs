@@ -13,13 +13,12 @@
 
 use std::sync::Arc;
 
-use chameleon_cluster::{Cluster, ForegroundDriver};
 use chameleon_codes::{ErasureCode, ReedSolomon};
-use chameleon_core::RepairContext;
+use chameleon_core::run::stop_if;
 use chameleon_simnet::{FlowSpec, Traffic};
 
 use crate::grid::run_grid;
-use crate::runner::FgSpec;
+use crate::runner::{stage, FgSpec, RunOutput};
 use crate::table::{improvement, pct, print_table, write_csv};
 use crate::{AlgoKind, Scale};
 
@@ -36,35 +35,25 @@ fn run_one(
     algo: AlgoKind,
     fg: FgSpec,
 ) -> (f64, f64) {
-    let mut cluster = Cluster::new(cfg.clone()).expect("cluster");
-    cluster.fail_node(0).expect("fail");
-    let lost = cluster.lost_chunks(&[0]);
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
+    let (mut run, lost) = stage(code, cfg.clone(), &[0], None, None, false).expect("cluster");
     // Long-running background disk readers+writers (compaction) that the
     // network monitor cannot see.
     for &node in &COMPACTING_NODES {
-        sim.start_flow(FlowSpec::disk_read(node, 1 << 40, Traffic::Background));
-        sim.start_flow(FlowSpec::disk_write(node, 1 << 40, Traffic::Background));
+        run.sim
+            .start_flow(FlowSpec::disk_read(node, 1 << 40, Traffic::Background));
+        run.sim
+            .start_flow(FlowSpec::disk_write(node, 1 << 40, Traffic::Background));
     }
-    let mut fgd = ForegroundDriver::new(fg.workloads(), fg.requests_per_client);
-    fgd.start(&ctx.cluster, &mut sim);
-    let mut driver = algo.driver(ctx.clone(), 7);
-    driver.start(&mut sim, lost);
-    while let Some(ev) = sim.next_event() {
-        if !driver.on_event(&mut sim, &ev) {
-            fgd.on_event(&ctx.cluster, &mut sim, &ev);
-        }
-        if driver.is_done() && fgd.is_done() {
-            break; // the immortal compaction flows never finish
-        }
-    }
-    assert!(driver.is_done(), "repair stuck");
-    let outcome = driver.outcome(&sim);
-    (
-        outcome.throughput() / 1e6,
-        fgd.report(&sim).p99_latency * 1e3,
-    )
+    run.start_foreground(fg.workloads(), fg.requests_per_client);
+    let mut driver = algo.driver(run.ctx.clone(), 7);
+    driver.start(&mut run.sim, lost);
+    // The immortal compaction flows never finish: stop once both sides have.
+    run.run(&mut *driver, |run, driver, _, _| {
+        stop_if(driver.is_done() && run.foreground.as_ref().is_some_and(|fg| fg.is_done()))
+    })
+    .expect("repair stuck");
+    let out = RunOutput::collect(driver.outcome(&run.sim), run);
+    (out.repair_mbps(), out.p99_ms())
 }
 
 /// Runs the experiment at the given scale across `jobs` workers.

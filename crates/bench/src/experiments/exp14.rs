@@ -10,14 +10,14 @@
 
 use std::sync::Arc;
 
-use chameleon_cluster::Cluster;
 use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_core::chameleon::{ChameleonConfig, ChameleonDriver, MultiNodePolicy};
-use chameleon_core::{RepairContext, RepairDriver};
+use chameleon_core::run::stop_if;
+use chameleon_core::RepairDriver;
 use chameleon_simnet::{Event, FlowSpec, Traffic};
 
 use crate::grid::{run_grid, run_specs, DriverSpec, RunSpec};
-use crate::runner::FgSpec;
+use crate::runner::{stage, FgSpec};
 use crate::table::{print_table, write_csv};
 use crate::Scale;
 
@@ -161,31 +161,23 @@ fn run_with_straggler(
     cfg: &chameleon_cluster::ClusterConfig,
     config: ChameleonConfig,
 ) -> (f64, usize, usize) {
-    let mut cluster = Cluster::new(cfg.clone()).expect("cluster");
-    cluster.fail_node(0).expect("fail");
-    let lost = cluster.lost_chunks(&[0]);
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-    let mut driver = ChameleonDriver::new(ctx, config);
-    driver.start(&mut sim, lost);
-    let hog = sim.schedule_in(1.0, 0);
-    while let Some(ev) = sim.next_event() {
-        if let Event::Timer { id, .. } = ev {
-            if id == hog {
-                for peer in 2..10usize {
-                    sim.start_flow(FlowSpec::network(1, peer, 1 << 30, Traffic::Background));
-                }
-                continue;
+    let (mut run, lost) = stage(code, cfg.clone(), &[0], None, None, false).expect("cluster");
+    let mut driver = ChameleonDriver::new(run.ctx.clone(), config);
+    driver.start(&mut run.sim, lost);
+    let hog = run.sim.schedule_in(1.0, 0);
+    run.run(&mut driver, |run, driver, ev, _| {
+        if matches!(*ev, Event::Timer { id, .. } if id == hog) {
+            for peer in 2..10usize {
+                run.sim
+                    .start_flow(FlowSpec::network(1, peer, 1 << 30, Traffic::Background));
             }
         }
-        driver.on_event(&mut sim, &ev);
-        if driver.is_done() {
-            break;
-        }
-    }
+        stop_if(driver.is_done())
+    })
+    .expect("repair stuck under straggler");
     let stats = driver.stats();
     (
-        driver.outcome(&sim).throughput() / 1e6,
+        driver.outcome(&run.sim).throughput() / 1e6,
         stats.retunes,
         stats.reorders,
     )

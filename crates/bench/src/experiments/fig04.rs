@@ -10,7 +10,7 @@ use std::sync::Arc;
 use chameleon_codes::{ErasureCode, ReedSolomon};
 
 use crate::grid::{run_grid, run_specs, RunSpec};
-use crate::runner::{run_foreground_only, run_repair, FgSpec};
+use crate::runner::{run_foreground_only, FgSpec};
 use crate::table::{improvement, pct, print_table, write_csv};
 use crate::{AlgoKind, Scale};
 
@@ -92,14 +92,10 @@ pub fn run(scale: &Scale, jobs: usize) {
             only.p99_latency * 1e3
         }
         CellB::Repair(clients, algo) => {
-            let out = run_repair(
-                code.clone(),
-                cfg.clone(),
-                &[0],
-                |ctx| algo.driver(ctx, 7),
-                Some(FgSpec::ycsb(*clients, scale.requests_per_client)),
-            );
-            out.p99_ms()
+            let fg = FgSpec::ycsb(*clients, scale.requests_per_client);
+            RunSpec::new("", code.clone(), cfg.clone(), *algo, Some(fg))
+                .execute()
+                .p99_ms()
         }
     });
 

@@ -247,10 +247,7 @@ mod tests {
         let levels: Vec<String> = points
             .iter()
             .map(|(n, f, ev)| {
-                format!(
-                    "    {{\"nodes\": {n}, \"flows\": {f}, \"indexed_events_per_sec\": {ev}, \
-                     \"reference_events_per_sec\": 10.0, \"speedup\": 1.0}}"
-                )
+                format!("    {{\"nodes\": {n}, \"flows\": {f}, \"indexed_events_per_sec\": {ev}}}")
             })
             .collect();
         format!(
@@ -276,8 +273,7 @@ mod tests {
     #[test]
     fn legacy_documents_without_per_level_nodes_match_on_flows() {
         let json = "{\n  \"bench\": \"simnet_throughput\",\n  \"nodes\": 20,\n  \"levels\": [\n\
-             {\"flows\": 10000, \"indexed_events_per_sec\": 5012.3, \
-              \"reference_events_per_sec\": 447.8, \"speedup\": 11.19}\n  ]\n}\n";
+             {\"flows\": 10000, \"indexed_events_per_sec\": 5012.3}\n  ]\n}\n";
         assert_eq!(extract_events_per_sec(json, 20, 10_000), Some(5012.3));
     }
 
@@ -316,8 +312,7 @@ mod tests {
         let json = "{\n  \"bench\": \"simnet_throughput\",\n  \"levels\": [\n\
              {\"topology\": \"spine\", \"nodes\": 1000, \"flows\": 100000, \
               \"indexed_events_per_sec\": 800.5},\n\
-             {\"nodes\": 1000, \"flows\": 100000, \"indexed_events_per_sec\": 1200.0, \
-              \"reference_events_per_sec\": 10.0, \"speedup\": 120.0}\n  ]\n}\n";
+             {\"nodes\": 1000, \"flows\": 100000, \"indexed_events_per_sec\": 1200.0}\n  ]\n}\n";
         assert_eq!(extract_events_per_sec(json, 1_000, 100_000), Some(1200.0));
         assert_eq!(extract_spine_events_per_sec(json), Some(800.5));
         // Smoke documents carry no flat 1000-node point at all.

@@ -33,16 +33,17 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use chameleon_cluster::{ChunkId, Cluster, ClusterConfig};
+use chameleon_cluster::{ChunkId, ClusterConfig};
 use chameleon_codes::ErasureCode;
 use chameleon_core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleon_core::run::{stop_if, Routed};
 use chameleon_core::{RepairContext, RepairDriver};
 use chameleon_simnet::{FaultPlan, Simulator};
 
 use std::sync::Arc;
 
 use crate::algo::AlgoKind;
-use crate::runner::{run_repair_traced, FgSpec, RunOutput, SimSummary};
+use crate::runner::{run_repair_traced, stage, FgSpec, RunOutput};
 
 /// How a [`RunSpec`] builds its repair driver.
 #[derive(Debug, Clone)]
@@ -203,40 +204,24 @@ impl RunSpec {
     /// Restores one chunk while the foreground keeps serving; stops as
     /// soon as the chunk is repaired (its restore latency is the result).
     fn execute_degraded_read(&self, chunk: ChunkId) -> RunOutput {
-        let mut cluster = Cluster::new(self.cfg.clone()).expect("valid cluster config");
-        for &v in &self.victims {
-            cluster.fail_node(v).expect("valid victim");
-        }
-        let ctx = RepairContext::new(cluster, self.code.clone());
-        let mut sim = ctx.cluster.build_simulator();
-        sim.set_trace_enabled(self.trace);
-        let mut fg_driver = self.fg.clone().map(|spec| {
-            let mut d = chameleon_cluster::ForegroundDriver::new(
-                spec.workloads(),
-                spec.requests_per_client,
-            );
-            d.start(&ctx.cluster, &mut sim);
-            d
-        });
-        let mut driver = self.driver.build(ctx.clone(), self.seed);
-        driver.start(&mut sim, vec![chunk]);
-        while let Some(ev) = sim.next_event() {
-            if driver.on_event(&mut sim, &ev) {
-                if driver.is_done() {
-                    break; // measure the read latency; the trace keeps running
-                }
-                continue;
-            }
-            if let Some(fgd) = fg_driver.as_mut() {
-                fgd.on_event(&ctx.cluster, &mut sim, &ev);
-            }
-        }
-        assert!(driver.is_done(), "degraded read did not finish");
-        RunOutput {
-            outcome: driver.outcome(&sim),
-            fg_report: None, // the foreground was cut short, not drained
-            sim: SimSummary::capture(sim),
-        }
+        let (mut run, _) = stage(
+            self.code.clone(),
+            self.cfg.clone(),
+            &self.victims,
+            self.fg.clone(),
+            None,
+            self.trace,
+        )
+        .expect("valid cluster");
+        let mut driver = self.driver.build(run.ctx.clone(), self.seed);
+        driver.start(&mut run.sim, vec![chunk]);
+        // Measure the read latency; the foreground trace keeps running.
+        run.run(&mut *driver, |_, driver, _, routed| {
+            stop_if(routed == Routed::Repair && driver.is_done())
+        })
+        .unwrap_or_else(|e| panic!("degraded read: {e}"));
+        run.foreground = None; // cut short, not drained: no report
+        RunOutput::collect(driver.outcome(&run.sim), run)
     }
 }
 

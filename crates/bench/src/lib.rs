@@ -27,7 +27,7 @@ pub mod table;
 pub use algo::AlgoKind;
 pub use grid::{run_grid, run_specs, DriverSpec, RunMode, RunSpec};
 pub use runner::{
-    client_seed, run_orchestrated, run_repair, run_repair_faulted, run_repair_traced, FgSpec,
-    OrchestratedRunOutput, RunOutput, SimSummary,
+    client_seed, run_orchestrated, run_repair_traced, FgSpec, OrchestratedRunOutput, RunOutput,
+    SimSummary,
 };
 pub use scale::Scale;

@@ -1,7 +1,9 @@
-//! The common repair-under-foreground experiment loop.
+//! Staging, running and collecting one repair-under-foreground experiment
+//! run on the product loop ([`chameleon_core::run`]).
 
-use chameleon_cluster::{Cluster, ForegroundDriver, ForegroundReport};
+use chameleon_cluster::{ChunkId, Cluster, ClusterConfig, ClusterError, ForegroundReport};
 use chameleon_codes::ErasureCode;
+use chameleon_core::run::{NoRepair, Run};
 use chameleon_core::{
     Orchestrator, OrchestratorConfig, OrchestratorReport, RepairContext, RepairDriver,
     RepairOutcome,
@@ -133,6 +135,15 @@ pub struct RunOutput {
 }
 
 impl RunOutput {
+    /// Closes a finished run around the repair side's `outcome`.
+    pub fn collect(outcome: RepairOutcome, run: Run) -> Self {
+        RunOutput {
+            outcome,
+            fg_report: run.foreground.map(|fg| fg.report(&run.sim)),
+            sim: SimSummary::capture(run.sim),
+        }
+    }
+
     /// Repair throughput in MB/s (10^6 bytes).
     pub fn repair_mbps(&self) -> f64 {
         self.outcome.throughput() / 1e6
@@ -191,6 +202,33 @@ pub struct OrchestratedRunOutput {
     pub ledger_jsonl: String,
 }
 
+/// Stages one run: the cluster with `victims` failed, its simulator
+/// (flow-traced if `trace`), then the fault timers, then the started
+/// foreground. Returns the run and the chunks the victims held.
+pub fn stage(
+    code: Arc<dyn ErasureCode>,
+    cfg: ClusterConfig,
+    victims: &[usize],
+    fg: Option<FgSpec>,
+    faults: Option<&FaultPlan>,
+    trace: bool,
+) -> Result<(Run, Vec<ChunkId>), ClusterError> {
+    let mut cluster = Cluster::new(cfg)?;
+    for &v in victims {
+        cluster.fail_node(v)?;
+    }
+    let lost = cluster.lost_chunks(victims);
+    let mut run = Run::new(RepairContext::new(cluster, code));
+    run.sim.set_trace_enabled(trace);
+    if let Some(plan) = faults {
+        run.inject(plan);
+    }
+    if let Some(spec) = fg {
+        run.start_foreground(spec.workloads(), spec.requests_per_client);
+    }
+    Ok((run, lost))
+}
+
 /// Runs a continuous repair campaign driven entirely by a fault stream:
 /// no initial victims — every repaired chunk was lost by a scheduled
 /// crash, admitted by the [`Orchestrator`], and dispatched to the inner
@@ -201,98 +239,30 @@ pub struct OrchestratedRunOutput {
 /// Panics if the campaign or foreground never quiesces (simulation bug).
 pub fn run_orchestrated(
     code: Arc<dyn ErasureCode>,
-    cfg: chameleon_cluster::ClusterConfig,
+    cfg: ClusterConfig,
     mut make_driver: impl FnMut(RepairContext) -> Box<dyn RepairDriver>,
     orch_config: OrchestratorConfig,
     fg: Option<FgSpec>,
     faults: &FaultPlan,
     trace: bool,
 ) -> OrchestratedRunOutput {
-    let cluster = Cluster::new(cfg).expect("valid cluster config");
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-    sim.set_trace_enabled(trace);
-    let mut injector = faults.inject(&mut sim);
-
-    let mut fg_driver = fg.map(|spec| {
-        let mut d = ForegroundDriver::new(spec.workloads(), spec.requests_per_client);
-        d.start(&ctx.cluster, &mut sim);
-        d
-    });
-
-    let driver = make_driver(ctx.clone());
-    let mut orchestrator = Orchestrator::new(ctx.clone(), driver, orch_config);
-
-    while let Some(ev) = sim.next_event() {
-        if let Some(fault) = injector.on_event(&mut sim, &ev) {
-            orchestrator.on_fault(&mut sim, &fault);
-            continue;
-        }
-        if orchestrator.on_event(&mut sim, &ev) {
-            continue;
-        }
-        if let Some(fgd) = fg_driver.as_mut() {
-            fgd.on_event(&ctx.cluster, &mut sim, &ev);
-        }
-    }
-    assert!(
-        orchestrator.is_done(),
-        "orchestrated campaign did not quiesce"
-    );
-    if let Some(fgd) = &fg_driver {
-        assert!(fgd.is_done(), "foreground did not finish");
-    }
-
+    let (mut run, _) = stage(code, cfg, &[], fg, Some(faults), trace).expect("valid cluster");
+    let driver = make_driver(run.ctx.clone());
+    let mut orchestrator = Orchestrator::new(run.ctx.clone(), driver, orch_config);
+    run.drain(&mut orchestrator)
+        .unwrap_or_else(|e| panic!("{e}"));
     OrchestratedRunOutput {
         report: orchestrator.report(),
         ledger_jsonl: orchestrator.ledger_jsonl(),
-        run: RunOutput {
-            outcome: orchestrator.outcome(&sim),
-            fg_report: fg_driver.map(|d| d.report(&sim)),
-            sim: SimSummary::capture(sim),
-        },
+        run: RunOutput::collect(orchestrator.outcome(&run.sim), run),
     }
 }
 
 /// Runs a repair of every chunk on `victims` to completion, concurrently
-/// with the optional foreground load, draining both.
-///
-/// # Panics
-///
-/// Panics if the repair or foreground never finishes (simulation bug).
-pub fn run_repair(
-    code: Arc<dyn ErasureCode>,
-    cfg: chameleon_cluster::ClusterConfig,
-    victims: &[usize],
-    make_driver: impl FnMut(RepairContext) -> Box<dyn RepairDriver>,
-    fg: Option<FgSpec>,
-) -> RunOutput {
-    run_repair_faulted(code, cfg, victims, make_driver, fg, None)
-}
-
-/// [`run_repair`] under a scheduled [`FaultPlan`]: fault timers fire inside
-/// the event loop, the simulator applies the crash/slowdown, and the
-/// resulting [`FaultEvent`](chameleon_simnet::FaultEvent) is forwarded to
-/// the repair driver's `on_fault` so it can re-plan around the loss.
-///
-/// # Panics
-///
-/// Panics if the repair or foreground never finishes (simulation bug).
-pub fn run_repair_faulted(
-    code: Arc<dyn ErasureCode>,
-    cfg: chameleon_cluster::ClusterConfig,
-    victims: &[usize],
-    make_driver: impl FnMut(RepairContext) -> Box<dyn RepairDriver>,
-    fg: Option<FgSpec>,
-    faults: Option<&FaultPlan>,
-) -> RunOutput {
-    run_repair_traced(code, cfg, victims, make_driver, fg, faults, false)
-}
-
-/// [`run_repair_faulted`] with the engine's flow trace switched on when
-/// `trace` is true: the returned [`SimSummary`] then carries every flow
-/// lifecycle event and [`RunOutput::trace_jsonl`] renders the full
-/// observability record.
+/// with the optional foreground load and under the optional [`FaultPlan`],
+/// draining everything. With `trace` the engine's flow trace is on: the
+/// returned [`SimSummary`] then carries every flow lifecycle event and
+/// [`RunOutput::trace_jsonl`] renders the full observability record.
 ///
 /// # Panics
 ///
@@ -300,56 +270,18 @@ pub fn run_repair_faulted(
 #[allow(clippy::too_many_arguments)]
 pub fn run_repair_traced(
     code: Arc<dyn ErasureCode>,
-    cfg: chameleon_cluster::ClusterConfig,
+    cfg: ClusterConfig,
     victims: &[usize],
     mut make_driver: impl FnMut(RepairContext) -> Box<dyn RepairDriver>,
     fg: Option<FgSpec>,
     faults: Option<&FaultPlan>,
     trace: bool,
 ) -> RunOutput {
-    let mut cluster = Cluster::new(cfg).expect("valid cluster config");
-    for &v in victims {
-        cluster.fail_node(v).expect("valid victim");
-    }
-    let lost = cluster.lost_chunks(victims);
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-    sim.set_trace_enabled(trace);
-    let mut injector = faults.map(|plan| plan.inject(&mut sim));
-
-    let mut fg_driver = fg.map(|spec| {
-        let mut d = ForegroundDriver::new(spec.workloads(), spec.requests_per_client);
-        d.start(&ctx.cluster, &mut sim);
-        d
-    });
-
-    let mut driver = make_driver(ctx.clone());
-    driver.start(&mut sim, lost);
-
-    while let Some(ev) = sim.next_event() {
-        if let Some(inj) = injector.as_mut() {
-            if let Some(fault) = inj.on_event(&mut sim, &ev) {
-                driver.on_fault(&mut sim, &fault);
-                continue;
-            }
-        }
-        if driver.on_event(&mut sim, &ev) {
-            continue;
-        }
-        if let Some(fgd) = fg_driver.as_mut() {
-            fgd.on_event(&ctx.cluster, &mut sim, &ev);
-        }
-    }
-    assert!(driver.is_done(), "repair driver did not finish");
-    if let Some(fgd) = &fg_driver {
-        assert!(fgd.is_done(), "foreground did not finish");
-    }
-
-    RunOutput {
-        outcome: driver.outcome(&sim),
-        fg_report: fg_driver.map(|d| d.report(&sim)),
-        sim: SimSummary::capture(sim),
-    }
+    let (mut run, lost) = stage(code, cfg, victims, fg, faults, trace).expect("valid cluster");
+    let mut driver = make_driver(run.ctx.clone());
+    driver.start(&mut run.sim, lost);
+    run.drain(&mut *driver).unwrap_or_else(|e| panic!("{e}"));
+    RunOutput::collect(driver.outcome(&run.sim), run)
 }
 
 /// Runs a foreground-only workload (no repair) and reports it — the
@@ -357,25 +289,20 @@ pub fn run_repair_traced(
 /// interference degree (Exp#2).
 pub fn run_foreground_only(
     code: Arc<dyn ErasureCode>,
-    cfg: chameleon_cluster::ClusterConfig,
+    cfg: ClusterConfig,
     spec: FgSpec,
 ) -> (ForegroundReport, SimSummary) {
-    let cluster = Cluster::new(cfg).expect("valid cluster config");
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-    let mut fg = ForegroundDriver::new(spec.workloads(), spec.requests_per_client);
-    fg.start(&ctx.cluster, &mut sim);
-    while let Some(ev) = sim.next_event() {
-        fg.on_event(&ctx.cluster, &mut sim, &ev);
-    }
-    assert!(fg.is_done());
-    (fg.report(&sim), SimSummary::capture(sim))
+    let (mut run, _) = stage(code, cfg, &[], Some(spec), None, false).expect("valid cluster");
+    run.drain(&mut NoRepair).unwrap_or_else(|e| panic!("{e}"));
+    let fg = run.foreground.as_ref().expect("staged with a foreground");
+    (fg.report(&run.sim), SimSummary::capture(run.sim))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::scale::Scale;
+    use crate::{AlgoKind, RunSpec};
     use chameleon_codes::ReedSolomon;
 
     #[test]
@@ -386,24 +313,13 @@ mod tests {
         let cfg = scale.cluster_config(6);
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).unwrap());
 
-        let out = run_repair(
-            code.clone(),
-            cfg.clone(),
-            &[0],
-            |ctx| crate::AlgoKind::Cr.driver(ctx, 1),
-            None,
-        );
+        let run = |algo, fg| RunSpec::new("", code.clone(), cfg.clone(), algo, fg).execute();
+        let out = run(AlgoKind::Cr, None);
         assert!(out.repair_mbps() > 0.0);
         assert!(out.fg_report.is_none());
         assert!(out.sim.end_secs() > 0.0);
 
-        let out = run_repair(
-            code.clone(),
-            cfg.clone(),
-            &[0],
-            |ctx| crate::AlgoKind::Chameleon.driver(ctx, 1),
-            Some(FgSpec::ycsb(2, 30)),
-        );
+        let out = run(AlgoKind::Chameleon, Some(FgSpec::ycsb(2, 30)));
         assert!(out.repair_mbps() > 0.0);
         assert!(out.p99_ms() > 0.0);
 

@@ -9,54 +9,34 @@
 //! threshold. The final report is the measured reliability of the
 //! configuration: repairs, quarantines, losses, and time to first loss.
 
-use chameleon_cluster::{
-    Cluster, ClusterConfig, ForegroundDriver, PlacementStrategy, TopologySpec,
-};
-use chameleon_core::{BudgetPolicy, Orchestrator, OrchestratorConfig, QueuePolicy, RepairContext};
-use chameleon_simnet::{FaultPlan, NodeCaps};
-use chameleon_traces::{Workload, YcsbA};
+use chameleon_bench::runner::stage;
+use chameleon_core::{BudgetPolicy, Orchestrator, OrchestratorConfig, QueuePolicy};
+use chameleon_simnet::FaultPlan;
 
-use crate::args::{parse_code, Flags};
+use super::repair::{drain, setup, SHARED_FLAGS};
+use crate::args::Flags;
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
     let flags = Flags::parse(args)?;
-    flags.ensure_known(&[
-        "code",
-        "algo",
+    let own = [
         "duration",
         "mttf",
         "recover",
         "policy",
         "budget",
         "max-in-flight",
-        "chunks",
-        "clients",
-        "requests",
-        "gbps",
-        "disk-mbps",
-        "chunk-mb",
-        "seed",
         "ledger",
-        "topology",
-    ])?;
-    let code = parse_code(&flags.str_or("code", "rs:4,2"))?;
-    let algo = flags.str_or("algo", "chameleon");
+    ];
+    flags.ensure_known(&[&SHARED_FLAGS[..], &own].concat())?;
+    let s = setup(&flags, "rs:4,2")?;
     let duration: f64 = flags.num_or("duration", 90.0)?;
     let mttf: f64 = flags.num_or("mttf", 150.0)?;
     let recover: f64 = flags.num_or("recover", 30.0)?;
     let policy = flags.str_or("policy", "priority");
     let budget_spec = flags.str_or("budget", "unlimited");
     let max_in_flight: usize = flags.num_or("max-in-flight", 8)?;
-    let chunks: usize = flags.num_or("chunks", 20)?;
-    let clients: usize = flags.num_or("clients", 0)?;
-    let requests: usize = flags.num_or("requests", 4000)?;
-    let gbps = flags.positive_or("gbps", 10.0)?;
-    let disk_mbps = flags.positive_or("disk-mbps", 500.0)?;
-    let chunk_mb: u64 = flags.num_or("chunk-mb", 64)?;
-    let seed: u64 = flags.num_or("seed", 7)?;
     let ledger_path = flags.str_or("ledger", "");
-    let topology = TopologySpec::parse(&flags.str_or("topology", "flat"))?;
 
     if !duration.is_finite() || duration <= 0.0 || !mttf.is_finite() || mttf <= 0.0 {
         return Err("--duration and --mttf must be positive seconds".into());
@@ -71,32 +51,23 @@ pub fn run(args: &[String]) -> Result<(), String> {
     };
     let budget = parse_budget(&budget_spec)?;
 
-    let storage_nodes = 20.max(code.n() + 1);
-    let cfg = ClusterConfig {
-        storage_nodes,
-        clients: clients.max(1),
-        node_caps: NodeCaps::symmetric(gbps * 1e9 / 8.0, disk_mbps * 1e6),
-        chunk_size: chunk_mb << 20,
-        slice_size: (1u64 << 20).min(chunk_mb << 20),
-        stripe_width: code.n(),
-        stripes: (chunks * storage_nodes).div_ceil(code.n()),
-        placement: PlacementStrategy::Random(seed),
-        monitor_window_secs: 15.0,
-        topology,
-    };
-    let cluster = Cluster::new(cfg).map_err(|e| e.to_string())?;
-    let candidates: Vec<usize> = (0..storage_nodes).collect();
+    let clients = s.fg.as_ref().map_or(0, |fg| fg.clients);
+    let candidates: Vec<usize> = (0..s.cfg.storage_nodes).collect();
     let faults = FaultPlan::seeded_poisson(
-        seed,
+        s.seed,
         &candidates,
         mttf,
         (0.0, duration),
         (recover > 0.0).then_some(recover),
     );
+    let (mut run, _) =
+        stage(s.code.clone(), s.cfg, &[], s.fg, Some(&faults), false).map_err(|e| e.to_string())?;
     println!(
-        "cluster: {storage_nodes} nodes, {gbps} Gb/s links, {disk_mbps} MB/s disks, \
-         code {}",
-        code.name()
+        "cluster: {} nodes, {} Gb/s links, {} MB/s disks, code {}",
+        run.ctx.cluster.storage_nodes(),
+        s.gbps,
+        s.disk_mbps,
+        s.code.name()
     );
     println!(
         "campaign: {} crashes over {duration:.0}s (MTTF {mttf:.0}s/node, {}), \
@@ -113,24 +84,9 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
     );
 
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-    let mut injector = faults.inject(&mut sim);
-
-    let mut fg = if clients > 0 {
-        let workloads: Vec<Box<dyn Workload>> = (0..clients)
-            .map(|i| Box::new(YcsbA::new(seed + i as u64)) as Box<dyn Workload>)
-            .collect();
-        let mut d = ForegroundDriver::new(workloads, requests);
-        d.start(&ctx.cluster, &mut sim);
-        Some(d)
-    } else {
-        None
-    };
-
-    let driver = super::repair::make_driver(&algo, ctx.clone(), seed)?;
+    let driver = s.algo.driver(run.ctx.clone(), s.seed);
     let mut orchestrator = Orchestrator::new(
-        ctx.clone(),
+        run.ctx.clone(),
         driver,
         OrchestratorConfig {
             queue,
@@ -139,24 +95,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
             window_secs: 15.0,
         },
     );
-    while let Some(ev) = sim.next_event() {
-        if let Some(fault) = injector.on_event(&mut sim, &ev) {
-            orchestrator.on_fault(&mut sim, &fault);
-            continue;
-        }
-        if orchestrator.on_event(&mut sim, &ev) {
-            continue;
-        }
-        if let Some(fgd) = fg.as_mut() {
-            fgd.on_event(&ctx.cluster, &mut sim, &ev);
-        }
-    }
-    if !orchestrator.is_done() {
-        return Err("campaign did not quiesce (simulation bug)".into());
-    }
+    drain(&mut run, &mut orchestrator)?;
+    let sim = &run.sim;
 
     let report = orchestrator.report();
-    let outcome = orchestrator.outcome(&sim);
+    let outcome = orchestrator.outcome(sim);
     println!(
         "\ncampaign: {} / {} queue / {} budget",
         report.algorithm, report.queue_policy, report.budget_policy
@@ -191,8 +134,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
         outcome.throughput() / 1e6,
         sim.now().as_secs()
     );
-    if let Some(fgd) = fg {
-        let fg_report = fgd.report(&sim);
+    if let Some(fgd) = &run.foreground {
+        let fg_report = fgd.report(sim);
         println!("\nforeground ({clients} YCSB-A clients):");
         println!("  requests        : {}", fg_report.completed);
         println!("  P99 latency     : {:.2} ms", fg_report.p99_latency * 1e3);
@@ -227,11 +170,15 @@ fn parse_budget(spec: &str) -> Result<BudgetPolicy, String> {
         let headroom: f64 = headroom
             .trim()
             .parse()
-            .map_err(|_| format!("invalid headroom in --budget `{spec}`"))?;
+            .ok()
+            .filter(|h: &f64| h.is_finite() && *h > 0.0)
+            .ok_or_else(|| format!("--budget `{spec}`: headroom must be positive and finite"))?;
         let floor: f64 = floor
             .trim()
             .parse()
-            .map_err(|_| format!("invalid floor in --budget `{spec}`"))?;
+            .ok()
+            .filter(|f: &f64| f.is_finite() && *f >= 0.0)
+            .ok_or_else(|| format!("--budget `{spec}`: floor must be finite MB/s, 0 or more"))?;
         return Ok(BudgetPolicy::Negotiated {
             headroom,
             floor: floor * 1e6,
@@ -282,5 +229,11 @@ mod tests {
         assert!(parse_budget("-3").is_err());
         assert!(parse_budget("nonsense").is_err());
         assert!(parse_budget("negotiated:x").is_err());
+        for bad in [
+            "nan,100", "-1,100", "0,100", "inf,1", "0.5,-5", "0.5,inf", "x,1",
+        ] {
+            let err = parse_budget(&format!("negotiated:{bad}")).unwrap_err();
+            assert!(err.contains("--budget"), "negotiated:{bad}: {err}");
+        }
     }
 }

@@ -1,36 +1,49 @@
 //! The `repair` subcommand: a full experiment run from the command line.
 
+use std::sync::Arc;
+
+use chameleon_bench::runner::{stage, FgSpec, RunOutput};
 use chameleon_bench::AlgoKind;
-use chameleon_cluster::{
-    Cluster, ClusterConfig, ForegroundDriver, PlacementStrategy, TopologySpec,
-};
-use chameleon_core::{RepairContext, RepairDriver};
+use chameleon_cluster::{ClusterConfig, PlacementStrategy, TopologySpec};
+use chameleon_codes::ErasureCode;
+use chameleon_core::run::{RepairSide, Run};
 use chameleon_simnet::NodeCaps;
-use chameleon_traces::{Workload, YcsbA};
 
 use crate::args::{parse_code, parse_faults, Flags};
 
-/// Runs the subcommand.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.ensure_known(&[
-        "code",
-        "algo",
-        "failures",
-        "chunks",
-        "clients",
-        "requests",
-        "gbps",
-        "disk-mbps",
-        "chunk-mb",
-        "seed",
-        "faults",
-        "trace",
-        "topology",
-    ])?;
-    let code = parse_code(&flags.str_or("code", "rs:10,4"))?;
+/// The flags `repair` and `orchestrate` share: code, algorithm, cluster
+/// and foreground.
+pub(crate) const SHARED_FLAGS: [&str; 10] = [
+    "code",
+    "algo",
+    "chunks",
+    "clients",
+    "requests",
+    "gbps",
+    "disk-mbps",
+    "chunk-mb",
+    "seed",
+    "topology",
+];
+
+/// What [`SHARED_FLAGS`] describe.
+pub(crate) struct Setup {
+    pub code: Arc<dyn ErasureCode>,
+    pub algo: AlgoKind,
+    pub seed: u64,
+    pub cfg: ClusterConfig,
+    /// `--clients` YCSB-A clients (None for 0).
+    pub fg: Option<FgSpec>,
+    /// `--gbps` and `--disk-mbps` as given, for the banner.
+    pub gbps: f64,
+    pub disk_mbps: f64,
+}
+
+/// Reads [`SHARED_FLAGS`]; `default_code` is the command's `--code` default.
+pub(crate) fn setup(flags: &Flags, default_code: &str) -> Result<Setup, String> {
+    let code = parse_code(&flags.str_or("code", default_code))?;
     let algo = flags.str_or("algo", "chameleon");
-    let failures: usize = flags.num_or("failures", 1)?;
+    let algo = AlgoKind::from_name(&algo).ok_or_else(|| format!("unknown algorithm `{algo}`"))?;
     let chunks: usize = flags.num_or("chunks", 20)?;
     let clients: usize = flags.num_or("clients", 0)?;
     let requests: usize = flags.num_or("requests", 4000)?;
@@ -38,16 +51,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let disk_mbps = flags.positive_or("disk-mbps", 500.0)?;
     let chunk_mb: u64 = flags.num_or("chunk-mb", 64)?;
     let seed: u64 = flags.num_or("seed", 7)?;
-    let trace_path = flags.str_or("trace", "");
     let topology = TopologySpec::parse(&flags.str_or("topology", "flat"))?;
-
-    if failures == 0 || failures > code.fault_tolerance() {
-        return Err(format!(
-            "--failures must be 1..={} for {}",
-            code.fault_tolerance(),
-            code.name()
-        ));
-    }
 
     let storage_nodes = 20.max(code.n() + 1);
     let cfg = ClusterConfig {
@@ -62,56 +66,71 @@ pub fn run(args: &[String]) -> Result<(), String> {
         monitor_window_secs: 15.0,
         topology,
     };
-    let faults = parse_faults(&flags, cfg.total_nodes())?;
-    let mut cluster = Cluster::new(cfg).map_err(|e| e.to_string())?;
-    let victims: Vec<usize> = (0..failures).collect();
-    for &v in &victims {
-        cluster.fail_node(v).map_err(|e| e.to_string())?;
-    }
-    let lost = cluster.lost_chunks(&victims);
-    println!(
-        "cluster: {storage_nodes} nodes, {} Gb/s links, {} MB/s disks, code {}, \
-         {} chunks lost",
+    let fg = (clients > 0).then(|| FgSpec {
+        seed,
+        ..FgSpec::ycsb(clients, requests)
+    });
+    Ok(Setup {
+        code,
+        algo,
+        seed,
+        cfg,
+        fg,
         gbps,
         disk_mbps,
-        code.name(),
+    })
+}
+
+/// Drains a staged run. One that stops with work outstanding is an error,
+/// not a report.
+pub(crate) fn drain(run: &mut Run, side: &mut (impl RepairSide + ?Sized)) -> Result<(), String> {
+    run.drain(side).map_err(|e| e.to_string())
+}
+
+/// Runs the subcommand.
+pub fn run(args: &[String]) -> Result<(), String> {
+    let flags = Flags::parse(args)?;
+    flags.ensure_known(&[&SHARED_FLAGS[..], &["failures", "faults", "trace"]].concat())?;
+    let s = setup(&flags, "rs:10,4")?;
+    let failures: usize = flags.num_or("failures", 1)?;
+    let trace_path = flags.str_or("trace", "");
+
+    if failures == 0 || failures > s.code.fault_tolerance() {
+        return Err(format!(
+            "--failures must be 1..={} for {}",
+            s.code.fault_tolerance(),
+            s.code.name()
+        ));
+    }
+
+    let faults = parse_faults(&flags, s.cfg.total_nodes())?;
+    let clients = s.fg.as_ref().map_or(0, |fg| fg.clients);
+    let victims: Vec<usize> = (0..failures).collect();
+    let traced = !trace_path.is_empty();
+    let (mut run, lost) = stage(
+        s.code.clone(),
+        s.cfg,
+        &victims,
+        s.fg,
+        faults.as_ref(),
+        traced,
+    )
+    .map_err(|e| e.to_string())?;
+    println!(
+        "cluster: {} nodes, {} Gb/s links, {} MB/s disks, code {}, {} chunks lost",
+        run.ctx.cluster.storage_nodes(),
+        s.gbps,
+        s.disk_mbps,
+        s.code.name(),
         lost.len()
     );
 
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-    sim.set_trace_enabled(!trace_path.is_empty());
-    let mut injector = faults.as_ref().map(|plan| plan.inject(&mut sim));
+    let mut driver = s.algo.driver(run.ctx.clone(), s.seed);
+    driver.start(&mut run.sim, lost);
+    drain(&mut run, &mut *driver)?;
+    let sim = &run.sim;
 
-    let mut fg = if clients > 0 {
-        let workloads: Vec<Box<dyn Workload>> = (0..clients)
-            .map(|i| Box::new(YcsbA::new(seed + i as u64)) as Box<dyn Workload>)
-            .collect();
-        let mut d = ForegroundDriver::new(workloads, requests);
-        d.start(&ctx.cluster, &mut sim);
-        Some(d)
-    } else {
-        None
-    };
-
-    let mut driver = make_driver(&algo, ctx.clone(), seed)?;
-    driver.start(&mut sim, lost);
-    while let Some(ev) = sim.next_event() {
-        if let Some(inj) = injector.as_mut() {
-            if let Some(fault) = inj.on_event(&mut sim, &ev) {
-                driver.on_fault(&mut sim, &fault);
-                continue;
-            }
-        }
-        if driver.on_event(&mut sim, &ev) {
-            continue;
-        }
-        if let Some(fgd) = fg.as_mut() {
-            fgd.on_event(&ctx.cluster, &mut sim, &ev);
-        }
-    }
-
-    let outcome = driver.outcome(&sim);
+    let outcome = driver.outcome(sim);
     println!("\nrepair: {}", outcome.algorithm);
     println!("  chunks repaired : {}", outcome.chunks_repaired);
     if outcome.chunks_repaired < outcome.chunks_total {
@@ -149,7 +168,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
         println!("  gf kernel       : {}", c.kernel);
     }
-    if let Some(inj) = &injector {
+    if let Some(inj) = &run.injector {
         let rec = &outcome.recovery;
         println!("\nfaults ({} applied):", inj.applied().len());
         println!("  re-plans        : {}", rec.replans);
@@ -161,8 +180,8 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
         println!("  given up        : {}", rec.given_up);
     }
-    if let Some(fgd) = fg {
-        let report = fgd.report(&sim);
+    if let Some(fgd) = &run.foreground {
+        let report = fgd.report(sim);
         println!("\nforeground ({clients} YCSB-A clients):");
         println!("  requests        : {}", report.completed);
         println!("  mean latency    : {:.2} ms", report.mean_latency * 1e3);
@@ -218,42 +237,21 @@ pub fn run(args: &[String]) -> Result<(), String> {
         profile.timers_cancelled,
     );
 
-    if !trace_path.is_empty() {
-        let sink = sim
-            .take_trace()
+    if traced {
+        let out = RunOutput::collect(outcome, run);
+        let jsonl = out
+            .trace_jsonl()
             .ok_or("tracing was enabled but the engine produced no trace")?;
-        let flow_events = sink.len();
-        let mut jsonl = sink.to_jsonl();
-        for span in &outcome.spans {
-            jsonl.push_str(&span.to_json_line());
-            jsonl.push('\n');
-        }
-        for given_up in &outcome.given_up_chunks {
-            jsonl.push_str(&given_up.to_json_line());
-            jsonl.push('\n');
-        }
-        jsonl.push_str(&profile.to_json_line());
-        jsonl.push('\n');
         std::fs::write(&trace_path, &jsonl)
             .map_err(|e| format!("cannot write --trace file `{trace_path}`: {e}"))?;
         println!(
             "trace: {} flow events + {} spans + {} given up + profile -> {trace_path}",
-            flow_events,
-            outcome.spans.len(),
-            outcome.given_up_chunks.len()
+            out.sim.trace().map_or(0, |sink| sink.len()),
+            out.outcome.spans.len(),
+            out.outcome.given_up_chunks.len()
         );
     }
     Ok(())
-}
-
-/// Builds a repair driver by algorithm name (shared with `orchestrate`).
-pub(crate) fn make_driver(
-    algo: &str,
-    ctx: RepairContext,
-    seed: u64,
-) -> Result<Box<dyn RepairDriver>, String> {
-    let kind = AlgoKind::from_name(algo).ok_or_else(|| format!("unknown algorithm `{algo}`"))?;
-    Ok(kind.driver(ctx, seed))
 }
 
 #[cfg(test)]
@@ -327,6 +325,19 @@ mod tests {
             run_with(&args.split(' ').collect::<Vec<_>>())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
+    }
+
+    /// A repair side that never finishes must end in the typed error both
+    /// commands return, not in a normal-looking report.
+    #[test]
+    fn a_run_that_does_not_quiesce_is_an_error_for_both_commands() {
+        let s = setup(&Flags::default(), "rs:4,2").unwrap();
+        let (mut run, lost) = stage(s.code, s.cfg, &[0], s.fg, None, false).unwrap();
+        let mut driver = s.algo.driver(run.ctx.clone(), s.seed);
+        // Its flows live in a simulator nobody drains.
+        driver.start(&mut run.ctx.cluster.build_simulator(), lost);
+        let err = drain(&mut run, &mut *driver).unwrap_err();
+        assert!(err.contains("repair side did not quiesce"), "{err}");
     }
 
     #[test]

@@ -551,16 +551,18 @@ impl<P: Planner> RepairDriver for Campaign<P> {
 mod tests {
     //! The driver contract, checked once for all nine algorithm constructors.
 
+    use std::ops::ControlFlow;
     use std::sync::Arc;
 
-    use chameleon_cluster::{Cluster, ClusterConfig, ForegroundDriver};
+    use chameleon_cluster::{Cluster, ClusterConfig};
     use chameleon_codes::ReedSolomon;
-    use chameleon_simnet::{FaultPlan, FaultSpec, FlowOutcome, FlowSpec};
+    use chameleon_simnet::{FaultPlan, FaultSpec, FlowSpec};
     use chameleon_traces::{Workload, YcsbA};
 
     use super::*;
     use crate::baseline::{PlanShape, StaticRepairDriver};
     use crate::chameleon::{ChameleonConfig, ChameleonDriver};
+    use crate::run::{stop_if, Routed, Run};
 
     /// Calls the generic `$check(name, constructor)` for CR, PPR, ECPipe,
     /// their RepairBoost variants, ChameleonEC, ETRP and ChameleonEC-IO.
@@ -582,12 +584,12 @@ mod tests {
     }
 
     /// A driver over RS(4,2) on `nodes` storage nodes with `victims`
-    /// already failed, its simulator, and the chunks the victims held.
+    /// already failed, its run, and the chunks the victims held.
     fn campaign<P: Planner>(
         make: impl FnOnce(RepairContext) -> Campaign<P>,
         nodes: usize,
         victims: &[usize],
-    ) -> (Campaign<P>, Simulator, RepairContext, Vec<ChunkId>) {
+    ) -> (Campaign<P>, Run, Vec<ChunkId>) {
         let mut cfg = ClusterConfig::small(6);
         cfg.storage_nodes = nodes;
         let mut cluster = Cluster::new(cfg).unwrap();
@@ -597,40 +599,28 @@ mod tests {
         let lost = cluster.lost_chunks(victims);
         assert!(!lost.is_empty());
         let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
-        let sim = ctx.cluster.build_simulator();
-        (make(ctx.clone()), sim, ctx, lost)
+        (make(ctx.clone()), Run::new(ctx), lost)
     }
 
-    /// Feeds the driver (and the injector, if any) until the campaign is
-    /// done, then checks the driver left no live timer behind — with it
-    /// detached, nothing fires any more — and lost track of no chunk.
+    /// Runs the product loop (under `faults`, if any) until the campaign is
+    /// done and every fault has fired, asserting that only the queued abort
+    /// notices of an attempt already torn down go unclaimed; then checks
+    /// the driver left no live timer behind — with it detached, nothing
+    /// fires any more — and lost track of no chunk.
     fn run_to_done<P: Planner>(
         driver: &mut Campaign<P>,
-        sim: &mut Simulator,
+        run: &mut Run,
         faults: Option<&FaultPlan>,
     ) -> RepairOutcome {
-        let mut injector = faults.map(|plan| plan.inject(sim));
-        while !(driver.is_done() && injector.as_ref().is_none_or(|i| i.pending() == 0)) {
-            let ev = sim
-                .next_event()
-                .unwrap_or_else(|| panic!("{} stuck: {driver:?}", driver.name()));
-            match injector.as_mut().and_then(|i| i.on_event(sim, &ev)) {
-                Some(fault) => driver.on_fault(sim, &fault),
-                // Only the queued abort notices of an attempt that was
-                // already torn down may go unclaimed.
-                None if driver.on_event(sim, &ev) => {}
-                None => assert!(
-                    matches!(
-                        ev,
-                        Event::FlowCompleted {
-                            outcome: FlowOutcome::Aborted,
-                            ..
-                        }
-                    ),
-                    "nobody owns {ev:?}"
-                ),
-            }
-        }
+        run.injector = faults.map(|plan| plan.inject(&mut run.sim));
+        run.run(driver, |run, driver, ev, routed| {
+            let aborted =
+                matches!(ev, Event::FlowCompleted { outcome, .. } if !outcome.is_delivered());
+            assert!(routed != Routed::Unclaimed || aborted, "nobody owns {ev:?}");
+            stop_if(driver.is_done() && run.injector.as_ref().is_none_or(|i| i.pending() == 0))
+        })
+        .unwrap_or_else(|e| panic!("{} stuck ({e}): {driver:?}", driver.name()));
+        let sim = &mut run.sim;
         assert_eq!(driver.stall_timer, None);
         assert!(driver.retry_timers.is_empty());
         assert_eq!(sim.next_event(), None, "{} left a timer", driver.name());
@@ -648,14 +638,14 @@ mod tests {
     #[test]
     fn a_fault_free_campaign_repairs_and_codes_every_chunk() {
         fn check<P: Planner>(name: &str, make: impl FnOnce(RepairContext) -> Campaign<P>) {
-            let (mut driver, mut sim, _, lost) = campaign(make, 20, &[0]);
+            let (mut driver, mut run, lost) = campaign(make, 20, &[0]);
             // No work is a finished campaign of zero length.
-            driver.start(&mut sim, vec![]);
+            driver.start(&mut run.sim, vec![]);
             assert!(driver.is_done());
-            assert_eq!(driver.outcome(&sim).duration, Some(0.0));
+            assert_eq!(driver.outcome(&run.sim).duration, Some(0.0));
 
-            driver.start(&mut sim, lost.clone());
-            let outcome = run_to_done(&mut driver, &mut sim, None);
+            driver.start(&mut run.sim, lost.clone());
+            let outcome = run_to_done(&mut driver, &mut run, None);
             assert_eq!(outcome.algorithm, name);
             assert_eq!(outcome.chunks_repaired, lost.len());
             assert!(outcome.throughput() > 0.0);
@@ -682,15 +672,15 @@ mod tests {
     #[test]
     fn helper_crash_mid_repair_replans_and_completes() {
         fn check<P: Planner>(_: &str, make: impl FnOnce(RepairContext) -> Campaign<P>) {
-            let (mut driver, mut sim, _, lost) = campaign(make, 20, &[0]);
-            driver.start(&mut sim, lost.clone());
+            let (mut driver, mut run, lost) = campaign(make, 20, &[0]);
+            driver.start(&mut run.sim, lost.clone());
             // Whatever the selection policy, this node is helping now.
             let helper = driver.running[0].exec.plan().participants()[0].node;
             let plan = FaultPlan::new(vec![FaultSpec::Crash {
                 node: helper,
                 at_secs: 0.003,
             }]);
-            let outcome = run_to_done(&mut driver, &mut sim, Some(&plan));
+            let outcome = run_to_done(&mut driver, &mut run, Some(&plan));
             // The crash killed at least one in-flight attempt, which was
             // re-planned against the survivors and retried.
             assert!(outcome.recovery.replans >= 1, "{:?}", outcome.recovery);
@@ -712,13 +702,13 @@ mod tests {
     fn unrepairable_and_stranded_chunks_are_given_up() {
         fn check<P: Planner>(_: &str, make: impl Fn(RepairContext) -> Campaign<P>) {
             // Three failures against m = 2: some stripes lose too much.
-            let (mut driver, mut sim, _, lost) = campaign(&make, 20, &[0, 1, 2]);
-            driver.start(&mut sim, lost);
-            run_to_done(&mut driver, &mut sim, None);
+            let (mut driver, mut run, lost) = campaign(&make, 20, &[0, 1, 2]);
+            driver.start(&mut run.sim, lost);
+            run_to_done(&mut driver, &mut run, None);
 
-            let (mut driver, mut sim, _, lost) = campaign(&make, 7, &[0, 1]);
-            driver.start(&mut sim, lost);
-            let outcome = run_to_done(&mut driver, &mut sim, None);
+            let (mut driver, mut run, lost) = campaign(&make, 7, &[0, 1]);
+            driver.start(&mut run.sim, lost);
+            let outcome = run_to_done(&mut driver, &mut run, None);
             assert!(outcome.chunks_repaired > 0, "{}", outcome.algorithm);
             let stranded = driver
                 .errors()
@@ -734,25 +724,25 @@ mod tests {
     #[test]
     fn a_crash_reopening_a_finished_campaign_rearms_the_stall_timer_once() {
         fn check<P: Planner>(_: &str, make: impl FnOnce(RepairContext) -> Campaign<P>) {
-            let (mut driver, mut sim, _, lost) = campaign(make, 20, &[0]);
-            driver.start(&mut sim, lost);
-            let total = run_to_done(&mut driver, &mut sim, None).chunks_total;
+            let (mut driver, mut run, lost) = campaign(make, 20, &[0]);
+            driver.start(&mut run.sim, lost);
+            let total = run_to_done(&mut driver, &mut run, None).chunks_total;
 
             // A direct fault notification (no flows touched) grows the
             // work queue; a repeat for the same node is idempotent.
-            driver.on_fault(&mut sim, &FaultEvent::Crash { node: 5 });
+            driver.on_fault(&mut run.sim, &FaultEvent::Crash { node: 5 });
             assert!(!driver.is_done());
-            let reopened = driver.outcome(&sim).chunks_total;
+            let reopened = driver.outcome(&run.sim).chunks_total;
             assert!(reopened > total);
-            driver.on_fault(&mut sim, &FaultEvent::Crash { node: 5 });
-            assert_eq!(driver.outcome(&sim).chunks_total, reopened);
+            driver.on_fault(&mut run.sim, &FaultEvent::Crash { node: 5 });
+            assert_eq!(driver.outcome(&run.sim).chunks_total, reopened);
             let armed = driver.stall_timer;
             assert!(armed.is_some());
             // More work while the campaign is open keeps the armed timer
             // (`run_to_done` would see a second one fire detached).
-            driver.on_fault(&mut sim, &FaultEvent::Crash { node: 6 });
+            driver.on_fault(&mut run.sim, &FaultEvent::Crash { node: 6 });
             assert_eq!(driver.stall_timer, armed);
-            assert!(run_to_done(&mut driver, &mut sim, None).chunks_total > reopened);
+            assert!(run_to_done(&mut driver, &mut run, None).chunks_total > reopened);
         }
         for_each_algorithm!(check);
     }
@@ -760,22 +750,22 @@ mod tests {
     #[test]
     fn a_stall_swept_attempt_releases_its_promised_destination() {
         fn check<P: Planner>(_: &str, make: impl FnOnce(RepairContext) -> Campaign<P>) {
-            let (mut driver, mut sim, _, lost) = campaign(make, 20, &[0]);
+            let (mut driver, mut run, lost) = campaign(make, 20, &[0]);
             // Fewer chunks than slots, so nothing refills what the sweep
             // frees and the promises can be inspected.
-            driver.start(&mut sim, lost[..3].to_vec());
+            driver.start(&mut run.sim, lost[..3].to_vec());
             let promised = |d: &Campaign<P>| d.stripe_destinations.values().flatten().count();
             assert_eq!((driver.active_chunks(), promised(&driver)), (3, 3));
             // No event was delivered since dispatch: nothing moved, so the
             // sweep declares all three attempts stalled.
-            driver.stall_sweep(&mut sim);
+            driver.stall_sweep(&mut run.sim);
             assert_eq!((driver.active_chunks(), promised(&driver)), (0, 0));
             assert_eq!(driver.retry_timers.len(), 3);
-            let recovery = driver.outcome(&sim).recovery;
+            let recovery = driver.outcome(&run.sim).recovery;
             assert_eq!(recovery.replans, 3);
             assert!(recovery.aborted_flows >= 3);
             // The retries go out after their backoff and complete.
-            let outcome = run_to_done(&mut driver, &mut sim, None);
+            let outcome = run_to_done(&mut driver, &mut run, None);
             assert_eq!((outcome.chunks_repaired, outcome.recovery.retries), (3, 3));
             assert!(outcome.spans.iter().all(|s| s.attempts == 2));
         }
@@ -785,15 +775,15 @@ mod tests {
     #[test]
     fn the_in_flight_cap_is_respected_throughout() {
         fn check<P: Planner>(make: impl FnOnce(RepairContext) -> Campaign<P>) {
-            let (mut driver, mut sim, _, lost) = campaign(make, 20, &[0]);
+            let (mut driver, mut run, lost) = campaign(make, 20, &[0]);
             assert!(lost.len() > 2);
-            driver.start(&mut sim, lost);
+            driver.start(&mut run.sim, lost);
             assert_eq!(driver.active_chunks(), 2);
-            while let Some(ev) = sim.next_event() {
-                driver.on_event(&mut sim, &ev);
+            run.run(&mut driver, |_, driver, _, _| {
                 assert!(driver.active_chunks() <= 2, "cap exceeded");
-            }
-            assert!(driver.is_done());
+                ControlFlow::Continue(())
+            })
+            .expect("campaign finishes");
         }
         check(|ctx| StaticRepairDriver::new(ctx, PlanShape::Tree, 1).with_concurrency(2));
         let config = ChameleonConfig {
@@ -814,13 +804,12 @@ mod tests {
         fn check<P: Planner>(_: &str, make: impl FnOnce(RepairContext) -> Campaign<P>) {
             const FG_REQUESTS: usize = 40;
             const HOSTILE_FLOWS: usize = 24;
-            let (mut driver, mut sim, ctx, lost) = campaign(make, 20, &[0]);
-            let workloads: Vec<Box<dyn Workload>> = (0..2)
+            let (mut driver, mut run, lost) = campaign(make, 20, &[0]);
+            let workloads = (0..2)
                 .map(|i| Box::new(YcsbA::new(i)) as Box<dyn Workload>)
                 .collect();
-            let mut fg = ForegroundDriver::new(workloads, FG_REQUESTS);
-            fg.start(&ctx.cluster, &mut sim);
-            driver.start(&mut sim, lost.clone());
+            run.start_foreground(workloads, FG_REQUESTS);
+            driver.start(&mut run.sim, lost.clone());
             let executors = |d: &Campaign<P>| -> Vec<String> {
                 d.running.iter().map(|a| format!("{:?}", a.exec)).collect()
             };
@@ -828,23 +817,25 @@ mod tests {
             let hostile_flow = |n: usize| {
                 FlowSpec::network(5 + n % 3, 9, 2 << 20, Traffic::Repair).with_owner(n as u64 % 4)
             };
-            let mut hostile_flows = vec![sim.start_flow(hostile_flow(0))];
+            let mut hostile_flows = vec![run.sim.start_flow(hostile_flow(0))];
             // Retry key, stall key, and the 0 the phase and check timers use.
             let hostile_timers = [
-                sim.schedule_in(0.01, RETRY_TIMER_KEY),
-                sim.schedule_in(0.02, STALL_TIMER_KEY),
-                sim.schedule_in(0.03, 0),
+                run.sim.schedule_in(0.01, RETRY_TIMER_KEY),
+                run.sim.schedule_in(0.02, STALL_TIMER_KEY),
+                run.sim.schedule_in(0.03, 0),
             ];
 
             let (mut refused_flows, mut refused_timers, mut refused_beside_two) = (0, 0, 0);
-            while let Some(ev) = sim.next_event() {
-                let before = executors(&driver);
-                let handled = driver.on_event(&mut sim, &ev);
-                let hostile = match ev {
+            // Nothing but the driver touches an executor, so its state
+            // after one event is its state before the next.
+            let mut before = executors(&driver);
+            run.run(&mut driver, |run, driver, ev, routed| {
+                let prev = std::mem::replace(&mut before, executors(driver));
+                let hostile = match *ev {
                     Event::FlowCompleted { id, .. } => hostile_flows.contains(&id),
                     Event::Timer { id, .. } => hostile_timers.contains(&id),
                 };
-                if handled {
+                if routed == Routed::Repair {
                     assert!(!hostile, "driver claimed a hostile event: {ev:?}");
                     assert!(
                         !matches!(
@@ -856,40 +847,34 @@ mod tests {
                         ),
                         "driver claimed a foreground flow: {ev:?}"
                     );
-                    continue;
+                    return ControlFlow::Continue(());
                 }
-                assert_eq!(
-                    executors(&driver),
-                    before,
-                    "a refused event mutated an executor: {ev:?}"
-                );
-                if before.len() >= 2 {
+                assert_eq!(before, prev, "a refused event mutated an executor: {ev:?}");
+                if prev.len() >= 2 {
                     refused_beside_two += 1;
                 }
                 if !hostile {
-                    assert!(
-                        fg.on_event(&ctx.cluster, &mut sim, &ev),
-                        "nobody owns {ev:?}"
-                    );
+                    assert_eq!(routed, Routed::Foreground, "nobody owns {ev:?}");
                 } else if matches!(ev, Event::Timer { .. }) {
                     refused_timers += 1;
                 } else {
                     refused_flows += 1;
                     if hostile_flows.len() < HOSTILE_FLOWS {
-                        hostile_flows.push(sim.start_flow(hostile_flow(hostile_flows.len())));
+                        let next = hostile_flow(hostile_flows.len());
+                        hostile_flows.push(run.sim.start_flow(next));
                     }
                 }
-            }
+                ControlFlow::Continue(())
+            })
+            .expect("both campaigns finish");
             assert_eq!(refused_flows, HOSTILE_FLOWS);
             assert_eq!(refused_timers, hostile_timers.len());
             assert!(
                 refused_beside_two > HOSTILE_FLOWS,
                 "too few refusals next to >= 2 live executors: {refused_beside_two}"
             );
-            assert!(driver.is_done());
-            assert_eq!(driver.outcome(&sim).chunks_repaired, lost.len());
-            assert!(fg.is_done());
-            let report = fg.report(&sim);
+            assert_eq!(driver.outcome(&run.sim).chunks_repaired, lost.len());
+            let report = run.foreground.expect("started above").report(&run.sim);
             assert_eq!(report.completed + report.aborted, 2 * FG_REQUESTS);
         }
         for_each_algorithm!(check);

@@ -360,71 +360,62 @@ impl Planner for ChameleonPlanner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::Run;
     use crate::{RepairDriver, RepairOutcome};
     use chameleon_cluster::{Cluster, ClusterConfig};
     use chameleon_codes::{Butterfly, ReedSolomon};
     use std::sync::Arc;
 
-    fn run(config: ChameleonConfig) -> (RepairOutcome, ChameleonStats) {
-        let mut cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
-        cluster.fail_node(0).unwrap();
-        let lost = cluster.lost_chunks(&[0]);
-        let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
-        let mut sim = ctx.cluster.build_simulator();
-        let mut driver = ChameleonDriver::new(ctx, config);
-        driver.start(&mut sim, lost.clone());
-        while let Some(ev) = sim.next_event() {
-            driver.on_event(&mut sim, &ev);
+    /// Repairs, to the last chunk, everything `victims` held.
+    fn repair(
+        cfg: ClusterConfig,
+        code: Arc<dyn chameleon_codes::ErasureCode>,
+        victims: &[usize],
+        config: ChameleonConfig,
+    ) -> (RepairOutcome, ChameleonStats) {
+        let mut cluster = Cluster::new(cfg).unwrap();
+        for &v in victims {
+            cluster.fail_node(v).unwrap();
         }
-        assert!(driver.is_done(), "driver stuck");
-        let outcome = driver.outcome(&sim);
-        assert_eq!(outcome.chunks_repaired + driver.skipped(), lost.len());
+        let lost = cluster.lost_chunks(victims);
+        let ctx = RepairContext::new(cluster, code);
+        let mut run = Run::new(ctx.clone());
+        let mut driver = ChameleonDriver::new(ctx, config);
+        driver.start(&mut run.sim, lost.clone());
+        run.drain(&mut driver).expect("driver stuck");
+        let outcome = driver.outcome(&run.sim);
+        assert_eq!(outcome.chunks_repaired, lost.len(), "{config:?}");
         assert_eq!(driver.skipped(), 0);
         (outcome, driver.stats())
     }
 
+    fn rs42() -> Arc<ReedSolomon> {
+        Arc::new(ReedSolomon::new(4, 2).unwrap())
+    }
+
     #[test]
     fn small_t_phase_still_completes() {
-        let (outcome, stats) = run(ChameleonConfig {
+        let config = ChameleonConfig {
             t_phase_secs: 1.0,
             ..ChameleonConfig::default()
-        });
+        };
+        let (outcome, stats) = repair(ClusterConfig::small(6), rs42(), &[0], config);
         assert!(outcome.throughput() > 0.0);
         assert!(stats.phases >= 1);
     }
 
     #[test]
     fn multi_node_policies_complete() {
-        for policy in [
+        for multi_node_policy in [
             MultiNodePolicy::Sequential,
             MultiNodePolicy::MostFailedFirst,
             MultiNodePolicy::FastestFirst,
         ] {
-            let mut cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
-            cluster.fail_node(0).unwrap();
-            cluster.fail_node(1).unwrap();
-            let lost = cluster.lost_chunks(&[0, 1]);
-            let total = lost.len();
-            let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
-            let mut sim = ctx.cluster.build_simulator();
-            let mut driver = ChameleonDriver::new(
-                ctx,
-                ChameleonConfig {
-                    multi_node_policy: policy,
-                    ..ChameleonConfig::default()
-                },
-            );
-            driver.start(&mut sim, lost);
-            while let Some(ev) = sim.next_event() {
-                driver.on_event(&mut sim, &ev);
-            }
-            assert!(driver.is_done(), "{policy:?} stuck");
-            let outcome = driver.outcome(&sim);
-            assert_eq!(
-                outcome.chunks_repaired + driver.skipped(),
-                total,
-                "{policy:?}"
-            );
+            let config = ChameleonConfig {
+                multi_node_policy,
+                ..ChameleonConfig::default()
+            };
+            repair(ClusterConfig::small(6), rs42(), &[0, 1], config);
         }
     }
 
@@ -479,18 +470,7 @@ mod tests {
     fn butterfly_repair_works_without_relaying() {
         let mut cfg = ClusterConfig::small(4);
         cfg.stripes = 12;
-        let mut cluster = Cluster::new(cfg).unwrap();
-        cluster.fail_node(0).unwrap();
-        let lost = cluster.lost_chunks(&[0]);
-        let total = lost.len();
-        let ctx = RepairContext::new(cluster, Arc::new(Butterfly::new()));
-        let mut sim = ctx.cluster.build_simulator();
-        let mut driver = ChameleonDriver::new(ctx, ChameleonConfig::default());
-        driver.start(&mut sim, lost);
-        while let Some(ev) = sim.next_event() {
-            driver.on_event(&mut sim, &ev);
-        }
-        assert!(driver.is_done());
-        assert_eq!(driver.outcome(&sim).chunks_repaired, total);
+        let code = Arc::new(Butterfly::new());
+        repair(cfg, code, &[0], ChameleonConfig::default());
     }
 }

@@ -55,6 +55,7 @@ pub mod ppr;
 pub mod recovery;
 pub mod repairboost;
 mod roster;
+pub mod run;
 mod select;
 
 pub use coding::{CodingStats, PlanCoder};
@@ -75,8 +76,9 @@ use chameleon_simnet::{Event, FaultEvent, Simulator};
 
 /// A driver that repairs a set of lost chunks to completion.
 ///
-/// Drivers are fed simulator events by the experiment loop (alongside the
-/// foreground driver) so repair and foreground traffic contend naturally.
+/// Drivers are fed simulator events by [`run::Run`], after the fault
+/// injector and before the foreground driver, so repair and foreground
+/// traffic contend naturally.
 ///
 /// Drivers are `Send` so whole experiment runs (driver + simulator) can be
 /// farmed out to worker threads by the parallel experiment grid in

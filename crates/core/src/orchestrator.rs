@@ -942,6 +942,7 @@ impl Orchestrator {
 mod tests {
     use super::*;
     use crate::baseline::{PlanShape, StaticRepairDriver};
+    use crate::run::Run;
     use chameleon_cluster::{Cluster, ClusterConfig};
     use chameleon_codes::ReedSolomon;
     use chameleon_simnet::{FaultPlan, FaultSpec, NodeId};
@@ -957,28 +958,30 @@ mod tests {
         budget: BudgetPolicy,
         plan: &FaultPlan,
     ) -> (Orchestrator, Simulator) {
+        run_orchestrator(queue, budget, 4, plan)
+    }
+
+    /// Drains `plan` through a CR-driving orchestrator to quiescence.
+    fn run_orchestrator(
+        queue: QueuePolicy,
+        budget: BudgetPolicy,
+        max_in_flight: usize,
+        plan: &FaultPlan,
+    ) -> (Orchestrator, Simulator) {
+        let config = OrchestratorConfig {
+            queue,
+            budget,
+            max_in_flight,
+            window_secs: 5.0,
+        };
         let ctx = ctx_rs42();
-        let mut sim = ctx.cluster.build_simulator();
+        let mut run = Run::new(ctx.clone());
         let driver = Box::new(StaticRepairDriver::new(ctx.clone(), PlanShape::Star, 7));
-        let mut orch = Orchestrator::new(
-            ctx,
-            driver,
-            OrchestratorConfig {
-                queue,
-                budget,
-                max_in_flight: 4,
-                window_secs: 5.0,
-            },
-        );
-        let mut injector = plan.inject(&mut sim);
-        while let Some(ev) = sim.next_event() {
-            if let Some(fault) = injector.on_event(&mut sim, &ev) {
-                orch.on_fault(&mut sim, &fault);
-                continue;
-            }
-            orch.on_event(&mut sim, &ev);
-        }
-        (orch, sim)
+        let mut orch = Orchestrator::new(ctx, driver, config);
+        run.inject(plan);
+        run.drain(&mut orch)
+            .unwrap_or_else(|e| panic!("{e}: {orch:?}"));
+        (orch, run.sim)
     }
 
     #[test]
@@ -990,7 +993,6 @@ mod tests {
             BudgetPolicy::Unlimited,
             &plan,
         );
-        assert!(orch.is_done(), "campaign did not quiesce: {orch:?}");
         let outcome = orch.outcome(&sim);
         let report = orch.report();
         assert!(report.enqueued > 0, "the stream lost no chunks at all");
@@ -1059,7 +1061,6 @@ mod tests {
             BudgetPolicy::Unlimited,
             &plan,
         );
-        assert!(orch.is_done(), "campaign did not quiesce: {orch:?}");
         let report = orch.report();
         assert!(
             orch.data_loss_events().iter().any(|e| e.stripe == 0),
@@ -1103,7 +1104,6 @@ mod tests {
             BudgetPolicy::Unlimited,
             &plan,
         );
-        assert!(orch.is_done(), "campaign did not quiesce: {orch:?}");
         let report = orch.report();
         assert!(orch.data_loss_events().iter().any(|e| e.stripe == 0));
         // After the recovery no chunk of stripe 0 may end lost.
@@ -1146,33 +1146,9 @@ mod tests {
                 at_secs: 0.01,
             },
         ]);
-        let run = |queue| {
-            let ctx = ctx_rs42();
-            let mut sim = ctx.cluster.build_simulator();
-            let driver = Box::new(StaticRepairDriver::new(ctx.clone(), PlanShape::Star, 7));
-            let mut orch = Orchestrator::new(
-                ctx,
-                driver,
-                OrchestratorConfig {
-                    queue,
-                    budget: BudgetPolicy::Unlimited,
-                    max_in_flight: 2,
-                    window_secs: 5.0,
-                },
-            );
-            let mut injector = plan.inject(&mut sim);
-            while let Some(ev) = sim.next_event() {
-                if let Some(fault) = injector.on_event(&mut sim, &ev) {
-                    orch.on_fault(&mut sim, &fault);
-                    continue;
-                }
-                orch.on_event(&mut sim, &ev);
-            }
-            orch
-        };
+        let run = |queue| run_orchestrator(queue, BudgetPolicy::Unlimited, 2, &plan).0;
         let fifo = run(QueuePolicy::Fifo);
         let prio = run(QueuePolicy::RedundancyPriority);
-        assert!(fifo.is_done() && prio.is_done());
         assert_ne!(
             fifo.dispatch_log(),
             prio.dispatch_log(),
@@ -1233,7 +1209,6 @@ mod tests {
             },
             &plan,
         );
-        assert!(orch.is_done(), "campaign did not quiesce: {orch:?}");
         let report = orch.report();
         assert!(report.enqueued > 0, "the stream lost no chunks at all");
         assert!(

@@ -10,6 +10,7 @@ use chameleonec::cluster::{Cluster, ClusterConfig};
 use chameleonec::codes::{ErasureCode, ReedSolomon};
 use chameleonec::core::baseline::{PlanShape, StaticRepairDriver};
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleonec::core::run::Run;
 use chameleonec::core::{RepairContext, RepairDriver};
 use chameleonec::simnet::NodeCaps;
 
@@ -33,17 +34,11 @@ fn degraded_read_secs(
     };
 
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(k, m).expect("code"));
-    let ctx = RepairContext::new(cluster, code);
-    let mut sim = ctx.cluster.build_simulator();
-    let mut driver = make(ctx.clone());
-    driver.start(&mut sim, vec![requested]);
-    while let Some(ev) = sim.next_event() {
-        driver.on_event(&mut sim, &ev);
-        if driver.is_done() {
-            break;
-        }
-    }
-    driver.outcome(&sim).duration.expect("finished")
+    let mut run = Run::new(RepairContext::new(cluster, code));
+    let mut driver = make(run.ctx.clone());
+    driver.start(&mut run.sim, vec![requested]);
+    run.drain(&mut *driver).expect("finished");
+    driver.outcome(&run.sim).duration.expect("finished")
 }
 
 fn main() {

@@ -7,10 +7,11 @@
 
 use std::sync::Arc;
 
-use chameleonec::cluster::{Cluster, ClusterConfig, ForegroundDriver};
+use chameleonec::cluster::{Cluster, ClusterConfig};
 use chameleonec::codes::ReedSolomon;
 use chameleonec::core::baseline::{PlanShape, StaticRepairDriver};
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleonec::core::run::Run;
 use chameleonec::core::{RepairContext, RepairDriver};
 use chameleonec::simnet::NodeCaps;
 use chameleonec::traces::{Workload, YcsbA};
@@ -30,23 +31,18 @@ fn run(make: &dyn Fn(RepairContext) -> Box<dyn RepairDriver>) -> (String, f64, f
     cluster.fail_node(0).expect("fail");
     let lost = cluster.lost_chunks(&[0]);
     let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(10, 4).expect("code")));
-    let mut sim = ctx.cluster.build_simulator();
+    let mut run = Run::new(ctx);
 
-    let workloads: Vec<Box<dyn Workload>> = (0..4)
+    let workloads = (0..4)
         .map(|i| Box::new(YcsbA::new(100 + i as u64)) as Box<dyn Workload>)
         .collect();
-    let mut fg = ForegroundDriver::new(workloads, 1500);
-    fg.start(&ctx.cluster, &mut sim);
+    run.start_foreground(workloads, 1500);
 
-    let mut driver = make(ctx.clone());
-    driver.start(&mut sim, lost);
-    while let Some(ev) = sim.next_event() {
-        if !driver.on_event(&mut sim, &ev) {
-            fg.on_event(&ctx.cluster, &mut sim, &ev);
-        }
-    }
-    let outcome = driver.outcome(&sim);
-    let report = fg.report(&sim);
+    let mut driver = make(run.ctx.clone());
+    driver.start(&mut run.sim, lost);
+    run.drain(&mut *driver).expect("repair and clients finish");
+    let outcome = driver.outcome(&run.sim);
+    let report = run.foreground.expect("started above").report(&run.sim);
     (
         driver.name(),
         outcome.throughput() / 1e6,

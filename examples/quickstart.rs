@@ -7,6 +7,7 @@ use std::sync::Arc;
 use chameleonec::cluster::{Cluster, ClusterConfig};
 use chameleonec::codes::{ErasureCode, ReedSolomon};
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleonec::core::run::Run;
 use chameleonec::core::{RepairContext, RepairDriver};
 use chameleonec::gf::mul_add_slice;
 
@@ -43,13 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2)?));
-    let mut sim = ctx.cluster.build_simulator();
+    let mut run = Run::new(ctx.clone());
     let mut driver = ChameleonDriver::new(ctx.clone(), ChameleonConfig::default());
-    driver.start(&mut sim, lost_chunks);
-    while let Some(ev) = sim.next_event() {
-        driver.on_event(&mut sim, &ev);
-    }
-    let outcome = driver.outcome(&sim);
+    driver.start(&mut run.sim, lost_chunks);
+    run.drain(&mut driver)?;
+    let outcome = driver.outcome(&run.sim);
     println!(
         "ChameleonEC repaired {} chunks in {:.3} s  ->  {:.1} MB/s repair throughput",
         outcome.chunks_repaired,

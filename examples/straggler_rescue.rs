@@ -11,6 +11,7 @@ use std::sync::Arc;
 use chameleonec::cluster::{Cluster, ClusterConfig};
 use chameleonec::codes::ReedSolomon;
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleonec::core::run::{stop_if, Run};
 use chameleonec::core::{RepairContext, RepairDriver};
 use chameleonec::simnet::{Event, FlowSpec, NodeCaps, Traffic};
 
@@ -26,7 +27,7 @@ fn run(enable_sar: bool) -> (String, f64, usize, usize) {
     let hog_victim = 1usize; // a surviving node that will straggle
 
     let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).expect("code")));
-    let mut sim = ctx.cluster.build_simulator();
+    let mut run = Run::new(ctx.clone());
     let config = ChameleonConfig {
         check_interval_secs: 0.1,
         straggler_min_delay_secs: 0.2,
@@ -34,38 +35,34 @@ fn run(enable_sar: bool) -> (String, f64, usize, usize) {
         enable_sar,
         ..ChameleonConfig::default()
     };
-    let mut driver = ChameleonDriver::new(ctx.clone(), config);
-    driver.start(&mut sim, lost);
+    let mut driver = ChameleonDriver::new(ctx, config);
+    driver.start(&mut run.sim, lost);
 
     // After 0.3 s, eight background readers hammer the straggler's links
     // (the paper mimics this with a Redis client reading 1 MB objects).
-    let hog_at = sim.schedule_in(0.3, 0);
-    while let Some(ev) = sim.next_event() {
-        if let Event::Timer { id, .. } = ev {
-            if id == hog_at {
-                for peer in [2usize, 3, 4, 5] {
-                    sim.start_flow(FlowSpec::network(
-                        hog_victim,
-                        peer,
-                        256 << 20,
-                        Traffic::Background,
-                    ));
-                    sim.start_flow(FlowSpec::network(
-                        peer,
-                        hog_victim,
-                        256 << 20,
-                        Traffic::Background,
-                    ));
-                }
-                continue;
+    // Their timer is nobody's: the run loop reports it as unclaimed.
+    let hog_at = run.sim.schedule_in(0.3, 0);
+    run.run(&mut driver, |run, driver, ev, _| {
+        if matches!(*ev, Event::Timer { id, .. } if id == hog_at) {
+            for peer in [2usize, 3, 4, 5] {
+                run.sim.start_flow(FlowSpec::network(
+                    hog_victim,
+                    peer,
+                    256 << 20,
+                    Traffic::Background,
+                ));
+                run.sim.start_flow(FlowSpec::network(
+                    peer,
+                    hog_victim,
+                    256 << 20,
+                    Traffic::Background,
+                ));
             }
         }
-        driver.on_event(&mut sim, &ev);
-        if driver.is_done() {
-            break;
-        }
-    }
-    let outcome = driver.outcome(&sim);
+        stop_if(driver.is_done())
+    })
+    .expect("repair finishes");
+    let outcome = driver.outcome(&run.sim);
     let stats = driver.stats();
     (
         driver.name(),

@@ -20,6 +20,7 @@
 //! use chameleonec::cluster::{Cluster, ClusterConfig};
 //! use chameleonec::codes::ReedSolomon;
 //! use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+//! use chameleonec::core::run::Run;
 //! use chameleonec::core::{RepairContext, RepairDriver};
 //! use std::sync::Arc;
 //!
@@ -28,16 +29,14 @@
 //! cluster.fail_node(0)?;
 //! let lost = cluster.lost_chunks(&[0]);
 //!
-//! let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2)?));
-//! let mut sim = ctx.cluster.build_simulator();
-//! let mut driver = ChameleonDriver::new(ctx, ChameleonConfig::default());
-//! driver.start(&mut sim, lost);
-//! while let Some(ev) = sim.next_event() {
-//!     driver.on_event(&mut sim, &ev);
-//! }
-//! assert!(driver.is_done());
+//! // `core::run` routes every simulator event: fault injector, then the
+//! // repair side, then the foreground (neither of the other two here).
+//! let mut run = Run::new(RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2)?)));
+//! let mut driver = ChameleonDriver::new(run.ctx.clone(), ChameleonConfig::default());
+//! driver.start(&mut run.sim, lost);
+//! run.drain(&mut driver)?;
 //! println!("repair throughput: {:.1} MB/s",
-//!          driver.outcome(&sim).throughput() / 1e6);
+//!          driver.outcome(&run.sim).throughput() / 1e6);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 

@@ -1,13 +1,14 @@
 //! Shared helpers for the cross-crate integration tests.
 #![allow(dead_code)] // each test binary uses a different subset
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use chameleonec::cluster::{Cluster, ClusterConfig};
 use chameleonec::codes::ErasureCode;
+use chameleonec::core::run::Run;
 use chameleonec::core::{RepairContext, RepairDriver, RepairOutcome};
 use chameleonec::gf::mul_add_slice;
-use chameleonec::simnet::Simulator;
 
 /// A tiny cluster configuration for byte-level tests (small chunks keep
 /// simulations fast).
@@ -55,55 +56,32 @@ pub fn encode_all(code: &dyn ErasureCode, stripes: usize, chunk_len: usize) -> V
         .collect()
 }
 
-/// Runs a repair driver to completion against an otherwise idle cluster.
+/// Runs a repair driver to completion against an otherwise idle cluster,
+/// under `faults` if given: fault events are applied to the simulator and
+/// forwarded to the driver's `on_fault`.
 pub fn run_driver(
     ctx: &RepairContext,
     driver: &mut dyn RepairDriver,
-) -> (RepairOutcome, Simulator) {
-    let mut sim = ctx.cluster.build_simulator();
+    faults: Option<&chameleonec::simnet::FaultPlan>,
+) -> RepairOutcome {
+    let mut run = Run::new(ctx.clone());
+    if let Some(plan) = faults {
+        run.inject(plan);
+    }
     let lost: Vec<_> = ctx
         .cluster
         .failed_nodes()
         .flat_map(|n| ctx.cluster.placement().chunks_on(n))
         .collect();
-    driver.start(&mut sim, lost);
+    driver.start(&mut run.sim, lost);
     let mut guard = 0u64;
-    while let Some(ev) = sim.next_event() {
-        driver.on_event(&mut sim, &ev);
+    run.run(driver, |_, _, _, _| {
         guard += 1;
         assert!(guard < 50_000_000, "simulation runaway");
-    }
-    assert!(driver.is_done(), "driver did not finish");
-    (driver.outcome(&sim), sim)
-}
-
-/// Like [`run_driver`], but with a fault plan injected: fault events are
-/// applied to the simulator and forwarded to the driver's `on_fault`.
-pub fn run_driver_with_faults(
-    ctx: &RepairContext,
-    driver: &mut dyn RepairDriver,
-    faults: &chameleonec::simnet::FaultPlan,
-) -> (RepairOutcome, Simulator) {
-    let mut sim = ctx.cluster.build_simulator();
-    let mut injector = faults.inject(&mut sim);
-    let lost: Vec<_> = ctx
-        .cluster
-        .failed_nodes()
-        .flat_map(|n| ctx.cluster.placement().chunks_on(n))
-        .collect();
-    driver.start(&mut sim, lost);
-    let mut guard = 0u64;
-    while let Some(ev) = sim.next_event() {
-        if let Some(fault) = injector.on_event(&mut sim, &ev) {
-            driver.on_fault(&mut sim, &fault);
-            continue;
-        }
-        driver.on_event(&mut sim, &ev);
-        guard += 1;
-        assert!(guard < 50_000_000, "simulation runaway");
-    }
-    assert!(driver.is_done(), "driver did not finish under faults");
-    (driver.outcome(&sim), sim)
+        ControlFlow::Continue(())
+    })
+    .expect("driver did not finish");
+    driver.outcome(&run.sim)
 }
 
 /// Verifies that an executed plan reconstructs the failed chunk's bytes:

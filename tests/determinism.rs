@@ -6,10 +6,10 @@ mod common;
 
 use std::sync::Arc;
 
-use chameleonec::cluster::ForegroundDriver;
 use chameleonec::codes::{ErasureCode, ReedSolomon};
 use chameleonec::core::baseline::{PlanShape, StaticRepairDriver};
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleonec::core::run::Run;
 use chameleonec::core::{RepairDriver, RepairOutcome};
 use chameleonec::traces::{Workload, YcsbA};
 
@@ -18,21 +18,18 @@ use common::{failed_context, tiny_config};
 fn one_run(seed: u64) -> (RepairOutcome, f64) {
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).unwrap());
     let ctx = failed_context(code, tiny_config(6, 8), &[0]);
-    let mut sim = ctx.cluster.build_simulator();
     let lost = ctx.cluster.placement().chunks_on(0);
-    let workloads: Vec<Box<dyn Workload>> = (0..2)
+    let mut run = Run::new(ctx.clone());
+    let workloads = (0..2)
         .map(|i| Box::new(YcsbA::new(seed + i)) as Box<dyn Workload>)
         .collect();
-    let mut fg = ForegroundDriver::new(workloads, 150);
-    fg.start(&ctx.cluster, &mut sim);
-    let mut driver = StaticRepairDriver::new(ctx.clone(), PlanShape::Tree, seed);
-    driver.start(&mut sim, lost);
-    while let Some(ev) = sim.next_event() {
-        if !driver.on_event(&mut sim, &ev) {
-            fg.on_event(&ctx.cluster, &mut sim, &ev);
-        }
-    }
-    (driver.outcome(&sim), fg.report(&sim).p99_latency)
+    run.start_foreground(workloads, 150);
+    let mut driver = StaticRepairDriver::new(ctx, PlanShape::Tree, seed);
+    driver.start(&mut run.sim, lost);
+    run.drain(&mut driver)
+        .expect("repair and foreground finish");
+    let fg = run.foreground.expect("started above");
+    (driver.outcome(&run.sim), fg.report(&run.sim).p99_latency)
 }
 
 #[test]
@@ -57,14 +54,12 @@ fn chameleon_runs_are_reproducible() {
     let run = || {
         let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).unwrap());
         let ctx = failed_context(code, tiny_config(6, 8), &[0]);
-        let mut sim = ctx.cluster.build_simulator();
         let lost = ctx.cluster.placement().chunks_on(0);
+        let mut run = Run::new(ctx.clone());
         let mut driver = ChameleonDriver::new(ctx, ChameleonConfig::default());
-        driver.start(&mut sim, lost);
-        while let Some(ev) = sim.next_event() {
-            driver.on_event(&mut sim, &ev);
-        }
-        driver.outcome(&sim)
+        driver.start(&mut run.sim, lost);
+        run.drain(&mut driver).expect("repair finishes");
+        driver.outcome(&run.sim)
     };
     let a = run();
     let b = run();

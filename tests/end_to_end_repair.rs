@@ -27,7 +27,7 @@ fn check_static(ctx: RepairContext, code: Arc<dyn ErasureCode>, shape: PlanShape
     } else {
         StaticRepairDriver::new(ctx.clone(), shape, 42)
     };
-    let (outcome, _sim) = run_driver(&ctx, &mut driver);
+    let outcome = run_driver(&ctx, &mut driver, None);
     assert_eq!(
         outcome.chunks_repaired,
         expected_chunks,
@@ -49,7 +49,7 @@ fn check_chameleon(ctx: RepairContext, code: Arc<dyn ErasureCode>, config: Chame
         .map(|n| ctx.cluster.placement().chunks_on(n).len())
         .sum();
     let mut driver = ChameleonDriver::new(ctx.clone(), config);
-    let (outcome, _sim) = run_driver(&ctx, &mut driver);
+    let outcome = run_driver(&ctx, &mut driver, None);
     assert_eq!(
         outcome.chunks_repaired,
         expected_chunks,
@@ -135,7 +135,7 @@ fn repaired_stripes_keep_fault_tolerance() {
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).unwrap());
     let ctx = failed_context(code.clone(), tiny_config(6, 12), &[0]);
     let mut driver = ChameleonDriver::new(ctx.clone(), ChameleonConfig::default());
-    let (_, _) = run_driver(&ctx, &mut driver);
+    run_driver(&ctx, &mut driver, None);
     for plan in driver.completed_plans() {
         let stripe_nodes = ctx.cluster.placement().stripe_nodes(plan.chunk().stripe);
         assert!(

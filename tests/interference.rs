@@ -6,10 +6,11 @@ mod common;
 
 use std::sync::Arc;
 
-use chameleonec::cluster::{ForegroundDriver, ForegroundReport};
+use chameleonec::cluster::ForegroundReport;
 use chameleonec::codes::{ErasureCode, ReedSolomon};
 use chameleonec::core::baseline::{PlanShape, StaticRepairDriver};
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleonec::core::run::{NoRepair, Run};
 use chameleonec::core::{RepairContext, RepairDriver, RepairOutcome};
 use chameleonec::traces::{Workload, YcsbA};
 
@@ -23,28 +24,24 @@ fn run_with_foreground(
     clients: usize,
     requests_per_client: usize,
 ) -> (RepairOutcome, ForegroundReport) {
-    let mut sim = ctx.cluster.build_simulator();
+    let mut run = Run::new(ctx.clone());
     let lost: Vec<_> = ctx
         .cluster
         .failed_nodes()
         .flat_map(|n| ctx.cluster.placement().chunks_on(n))
         .collect();
     assert!(!lost.is_empty(), "victim held no chunks");
-    let workloads: Vec<Box<dyn Workload>> = (0..clients)
-        .map(|i| Box::new(YcsbA::new(1000 + i as u64)) as Box<dyn Workload>)
-        .collect();
-    let mut fg = ForegroundDriver::new(workloads, requests_per_client);
-    fg.start(&ctx.cluster, &mut sim);
-    driver.start(&mut sim, lost);
-    while let Some(ev) = sim.next_event() {
-        if driver.on_event(&mut sim, &ev) {
-            continue;
-        }
-        fg.on_event(&ctx.cluster, &mut sim, &ev);
-    }
-    assert!(driver.is_done(), "repair did not finish");
-    assert!(fg.is_done(), "foreground did not finish");
-    (driver.outcome(&sim), fg.report(&sim))
+    run.start_foreground(ycsb_clients(clients, 1000), requests_per_client);
+    driver.start(&mut run.sim, lost);
+    run.drain(driver).expect("repair and foreground finish");
+    let fg = run.foreground.expect("started above");
+    (driver.outcome(&run.sim), fg.report(&run.sim))
+}
+
+fn ycsb_clients(clients: usize, seed: u64) -> Vec<Box<dyn Workload>> {
+    (0..clients)
+        .map(|i| Box::new(YcsbA::new(seed + i as u64)) as Box<dyn Workload>)
+        .collect()
 }
 
 #[test]
@@ -77,16 +74,10 @@ fn repair_prolongs_foreground_latency() {
 
     // Foreground only (no failed node).
     let ctx_clean = failed_context(code.clone(), contended_config(6, 30), &[]);
-    let mut sim = ctx_clean.cluster.build_simulator();
-    let workloads: Vec<Box<dyn Workload>> = (0..2)
-        .map(|i| Box::new(YcsbA::new(1000 + i as u64)) as Box<dyn Workload>)
-        .collect();
-    let mut fg = ForegroundDriver::new(workloads, 500);
-    fg.start(&ctx_clean.cluster, &mut sim);
-    while let Some(ev) = sim.next_event() {
-        fg.on_event(&ctx_clean.cluster, &mut sim, &ev);
-    }
-    let clean = fg.report(&sim);
+    let mut clean = Run::new(ctx_clean);
+    clean.start_foreground(ycsb_clients(2, 1000), 500);
+    clean.drain(&mut NoRepair).expect("foreground finishes");
+    let clean = clean.foreground.expect("started above").report(&clean.sim);
 
     // Foreground + CR repair.
     let (ctx, _) = failed_context_busiest(code.clone(), contended_config(6, 30));
@@ -129,18 +120,14 @@ fn repair_and_foreground_bytes_are_accounted_separately() {
     use chameleonec::simnet::{ResourceKind, Traffic};
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).unwrap());
     let (ctx, victim) = failed_context_busiest(code.clone(), contended_config(6, 20));
-    let mut sim = ctx.cluster.build_simulator();
+    let mut run = Run::new(ctx.clone());
     let lost = ctx.cluster.placement().chunks_on(victim);
-    let workloads: Vec<Box<dyn Workload>> = vec![Box::new(YcsbA::new(3)) as Box<dyn Workload>];
-    let mut fg = ForegroundDriver::new(workloads, 100);
-    fg.start(&ctx.cluster, &mut sim);
+    run.start_foreground(ycsb_clients(1, 3), 100);
     let mut driver = StaticRepairDriver::new(ctx.clone(), PlanShape::Star, 7);
-    driver.start(&mut sim, lost.clone());
-    while let Some(ev) = sim.next_event() {
-        if !driver.on_event(&mut sim, &ev) {
-            fg.on_event(&ctx.cluster, &mut sim, &ev);
-        }
-    }
+    driver.start(&mut run.sim, lost.clone());
+    run.drain(&mut driver)
+        .expect("repair and foreground finish");
+    let (sim, fg) = (&run.sim, run.foreground.as_ref().expect("started above"));
     let m = sim.monitor();
     let mut repair_down = 0.0;
     let mut fg_down = 0.0;
@@ -154,5 +141,5 @@ fn repair_and_foreground_bytes_are_accounted_separately() {
         (repair_down - expected_repair).abs() / expected_repair < 0.01,
         "repair bytes {repair_down} vs expected {expected_repair}"
     );
-    assert!((fg_down - fg.report(&sim).total_bytes).abs() < 1.0);
+    assert!((fg_down - fg.report(sim).total_bytes).abs() < 1.0);
 }

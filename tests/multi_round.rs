@@ -10,6 +10,7 @@ use std::sync::Arc;
 use chameleonec::cluster::Cluster;
 use chameleonec::codes::{ErasureCode, ReedSolomon};
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleonec::core::run::Run;
 use chameleonec::core::{RepairContext, RepairDriver};
 
 use common::tiny_config;
@@ -18,14 +19,10 @@ fn repair_round(cluster: &mut Cluster, code: &Arc<dyn ErasureCode>, victim: usiz
     cluster.fail_node(victim).unwrap();
     let lost = cluster.lost_chunks(&[victim]);
     let count = lost.len();
-    let ctx = RepairContext::new(cluster.clone(), code.clone());
-    let mut sim = ctx.cluster.build_simulator();
-    let mut driver = ChameleonDriver::new(ctx, ChameleonConfig::default());
-    driver.start(&mut sim, lost);
-    while let Some(ev) = sim.next_event() {
-        driver.on_event(&mut sim, &ev);
-    }
-    assert!(driver.is_done());
+    let mut run = Run::new(RepairContext::new(cluster.clone(), code.clone()));
+    let mut driver = ChameleonDriver::new(run.ctx.clone(), ChameleonConfig::default());
+    driver.start(&mut run.sim, lost);
+    run.drain(&mut driver).expect("repair finishes");
     // Feed the repaired locations back into the metadata.
     for plan in driver.completed_plans() {
         cluster

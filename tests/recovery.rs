@@ -13,9 +13,7 @@ use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
 use chameleonec::core::{RepairContext, RepairDriver, RepairOutcome};
 use chameleonec::simnet::{FaultPlan, FaultSpec};
 
-use common::{
-    encode_all, failed_context, run_driver, run_driver_with_faults, tiny_config, verify_plan_bytes,
-};
+use common::{encode_all, failed_context, run_driver, tiny_config, verify_plan_bytes};
 
 fn mix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -82,7 +80,7 @@ where
     let partner = crash_partner(ctx, victim);
 
     let mut dry = make_driver();
-    let (fault_free, _) = run_driver(ctx, &mut dry);
+    let fault_free = run_driver(ctx, &mut dry, None);
     let at_secs = seeded_crash_at(&fault_free, seed);
     let faults = FaultPlan::new(vec![FaultSpec::Crash {
         node: partner,
@@ -90,7 +88,7 @@ where
     }]);
 
     let mut driver = make_driver();
-    let (outcome, _) = run_driver_with_faults(ctx, &mut driver, &faults);
+    let outcome = run_driver(ctx, &mut driver, Some(&faults));
     assert!(
         outcome.chunks_total > initial_chunks,
         "the crash must enqueue the partner's chunks"

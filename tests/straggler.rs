@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use chameleonec::codes::{ErasureCode, ReedSolomon};
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
+use chameleonec::core::run::{stop_if, Run};
 use chameleonec::core::{RepairContext, RepairDriver, RepairOutcome};
-use chameleonec::simnet::{FlowSpec, Traffic};
+use chameleonec::simnet::{Event, FlowSpec, Traffic};
 
 use common::{encode_all, failed_context, tiny_config, verify_plan_bytes};
 
@@ -22,44 +23,38 @@ fn run_with_straggler(
     hogs: usize,
     delay: f64,
 ) -> (RepairOutcome, ChameleonDriver) {
-    let mut sim = ctx.cluster.build_simulator();
+    let mut run = Run::new(ctx.clone());
     let lost: Vec<_> = ctx
         .cluster
         .failed_nodes()
         .flat_map(|n| ctx.cluster.placement().chunks_on(n))
         .collect();
     let mut driver = ChameleonDriver::new(ctx.clone(), config);
-    driver.start(&mut sim, lost);
-    let hog_timer = sim.schedule_in(delay, 99);
+    driver.start(&mut run.sim, lost);
+    let hog_timer = run.sim.schedule_in(delay, 99);
     let other = (victim + 1) % ctx.cluster.storage_nodes();
-    while let Some(ev) = sim.next_event() {
-        if let chameleonec::simnet::Event::Timer { id, .. } = ev {
-            if id == hog_timer {
-                for _ in 0..hogs {
-                    // Large but finite hogs through both directions.
-                    sim.start_flow(FlowSpec::network(
-                        victim,
-                        other,
-                        512 << 20,
-                        Traffic::Background,
-                    ));
-                    sim.start_flow(FlowSpec::network(
-                        other,
-                        victim,
-                        512 << 20,
-                        Traffic::Background,
-                    ));
-                }
-                continue;
+    run.run(&mut driver, |run, driver, ev, _| {
+        if matches!(*ev, Event::Timer { id, .. } if id == hog_timer) {
+            for _ in 0..hogs {
+                // Large but finite hogs through both directions.
+                run.sim.start_flow(FlowSpec::network(
+                    victim,
+                    other,
+                    512 << 20,
+                    Traffic::Background,
+                ));
+                run.sim.start_flow(FlowSpec::network(
+                    other,
+                    victim,
+                    512 << 20,
+                    Traffic::Background,
+                ));
             }
         }
-        driver.on_event(&mut sim, &ev);
-        if driver.is_done() {
-            break;
-        }
-    }
-    assert!(driver.is_done(), "repair never finished under straggler");
-    (driver.outcome(&sim), driver)
+        stop_if(driver.is_done())
+    })
+    .expect("repair never finished under straggler");
+    (driver.outcome(&run.sim), driver)
 }
 
 #[test]
