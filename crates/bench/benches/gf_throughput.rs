@@ -10,9 +10,9 @@
 //! bandwidth for computation. The results land in
 //! `results/BENCH_gf.json` (one flat JSON level-object per line, like
 //! `BENCH_simnet.json`); the `bench_gate` CI job compares the *active*
-//! kernel's `mul_slice_xor` MB/s at 1 MiB against the row of the same
-//! kernel in the committed `results/BENCH_gf.baseline.json`, failing on a
-//! >30% regression.
+//! kernel's `mul_slice_xor` and `combine` MB/s at 1 MiB against the row of
+//! the same kernel in the committed `results/BENCH_gf.baseline.json`,
+//! failing on a >30% regression of either.
 //!
 //! Modes:
 //! - default: 0.4 s budget per measurement.
@@ -145,7 +145,7 @@ fn main() {
     );
     write_json("BENCH_gf", &json);
     println!(
-        "gate: the active kernel's mul_xor MB/s at 1 MiB must stay within 30% of its row in \
-         results/BENCH_gf.baseline.json (run `bench_gate` to check)."
+        "gate: the active kernel's mul_xor and combine10 MB/s at 1 MiB must each stay within 30% \
+         of its row in results/BENCH_gf.baseline.json (run `bench_gate` to check)."
     );
 }

@@ -9,7 +9,8 @@
 //!   `gate::SPINE_MIN_EVENTS_PER_SEC` floor — no baseline, the floor proves
 //!   the dirty closure conducts only through saturated resources.
 //! - `results/BENCH_gf.json` vs `results/BENCH_gf.baseline.json` at the
-//!   active GF kernel's 1 MiB `mul_slice_xor` point, >30% drop fails.
+//!   active GF kernel's 1 MiB `mul_slice_xor` and 10-term `combine` points;
+//!   a >30% drop of either fails.
 //!   Run `cargo bench --bench gf_throughput` first.
 //!
 //! Usage: `bench_gate [--current <path>] [--baseline <path>]
@@ -79,7 +80,9 @@ fn main() {
             std::process::exit(2);
         }
     };
-    println!("{}", gf.render_gf());
+    for (column, report) in &gf {
+        println!("{}", report.render_gf(column));
+    }
 
     let mut failed = false;
     if !spine.pass() {
@@ -100,7 +103,7 @@ fn main() {
         );
         failed = true;
     }
-    if !gf.pass() {
+    if gf.iter().any(|(_, report)| !report.pass()) {
         eprintln!(
             "bench_gate: active GF kernel MB/s regressed more than {:.0}% at 1 MiB; \
              if this slowdown is intentional, refresh results/BENCH_gf.baseline.json \

@@ -7,9 +7,10 @@
 //!
 //! - simnet: indexed events/sec at the gate point (20 nodes, 10k
 //!   concurrent flows) must stay within [`MAX_REGRESSION`].
-//! - gf: the *active* GF kernel's `mul_slice_xor` MB/s at 1 MiB must stay
-//!   within [`GF_MAX_REGRESSION`] of the baseline's row for the kernel of
-//!   the same name (looser, because absolute kernel MB/s varies more
+//! - gf: the *active* GF kernel's `mul_slice_xor` and 10-term `combine`
+//!   MB/s at 1 MiB (the latter is the operation `codes` calls) must each
+//!   stay within [`GF_MAX_REGRESSION`] of the baseline's row for the kernel
+//!   of the same name (looser, because absolute kernel MB/s varies more
 //!   across runner microarchitectures than simulator events/sec does).
 //!
 //! The parser is a line-oriented key extractor over the repo's own flat
@@ -24,9 +25,12 @@ pub const GATE_FLOWS: u64 = 10_000;
 /// Largest tolerated drop of indexed events/sec vs the baseline (0.2 =
 /// 20%); absorbs runner noise while catching real regressions.
 pub const MAX_REGRESSION: f64 = 0.20;
-/// The GF gate point: buffer length whose active-kernel `mul_slice_xor`
-/// MB/s is gated (1 MiB, the ISSUE acceptance length).
+/// The GF gate point: buffer length whose active-kernel MB/s is gated
+/// (1 MiB, the ISSUE acceptance length).
 pub const GF_GATE_LEN: u64 = 1 << 20;
+/// The `BENCH_gf` columns gated there: one term of Equation (1), and the
+/// whole sum `codes` encodes, decodes and repairs through.
+const GF_GATE_COLUMNS: [&str; 2] = ["mul_xor_mbps", "combine10_mbps"];
 /// Largest tolerated drop of the active GF kernel's MB/s vs the baseline.
 pub const GF_MAX_REGRESSION: f64 = 0.30;
 /// Absolute floor for the oversubscribed-spine 1000-node sweep point
@@ -63,11 +67,7 @@ pub fn extract_events_per_sec(json: &str, nodes: u64, flows: u64) -> Option<f64>
         if line.contains("\"nodes\":") && !line.contains(&nodes_pat) {
             continue;
         }
-        let pat = "\"indexed_events_per_sec\": ";
-        let start = line.find(pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        return rest[..end].trim().parse().ok();
+        return number(line, "indexed_events_per_sec");
     }
     None
 }
@@ -79,30 +79,38 @@ pub fn extract_spine_events_per_sec(json: &str) -> Option<f64> {
         if !line.contains("\"topology\": \"spine\"") {
             continue;
         }
-        let pat = "\"indexed_events_per_sec\": ";
-        let start = line.find(pat)? + pat.len();
-        let rest = &line[start..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        return rest[..end].trim().parse().ok();
+        return number(line, "indexed_events_per_sec");
     }
     None
 }
 
-/// The `(kernel, mul_slice_xor MB/s)` of the level line carrying
-/// `"active": true` and `"len": len` in a `BENCH_gf` JSON document: the
-/// rung the run that wrote it dispatched to.
-pub fn extract_gf_active(json: &str, len: u64) -> Option<(&str, f64)> {
+/// The kernel named on the level line carrying `"active": true` and
+/// `"len": len` in a `BENCH_gf` JSON document: the rung the run that wrote
+/// it dispatched to.
+pub fn extract_gf_active(json: &str, len: u64) -> Option<&str> {
     let line = gf_line(json, len, "\"active\": true")?;
     let pat = "\"kernel\": \"";
     let name = &line[line.find(pat)? + pat.len()..];
-    Some((&name[..name.find('"')?], gf_mul_xor_mbps(line)?))
+    Some(&name[..name.find('"')?])
 }
 
-/// The `mul_slice_xor` MB/s of rung `kernel` at buffer length `len` in a
-/// `BENCH_gf` JSON document, active there or not (a document has one row
-/// per rung of the host it was taken on).
-pub fn extract_gf_kernel_mbps(json: &str, kernel: &str, len: u64) -> Option<f64> {
-    gf_mul_xor_mbps(gf_line(json, len, &format!("\"kernel\": \"{kernel}\""))?)
+/// The MB/s in `column` (`mul_mbps`, `mul_xor_mbps`, `combine10_mbps`) of
+/// rung `kernel` at buffer length `len` in a `BENCH_gf` JSON document,
+/// active there or not (a document has one row per rung of the host it was
+/// taken on).
+pub fn extract_gf_kernel_mbps(json: &str, kernel: &str, len: u64, column: &str) -> Option<f64> {
+    number(
+        gf_line(json, len, &format!("\"kernel\": \"{kernel}\""))?,
+        column,
+    )
+}
+
+/// The number under `key` on one level line.
+fn number(line: &str, key: &str) -> Option<f64> {
+    let pat = format!("\"{key}\": ");
+    let rest = &line[line.find(&pat)? + pat.len()..];
+    let end = rest.find([',', '}']).unwrap_or(rest.len());
+    rest[..end].trim().parse().ok()
 }
 
 /// The first level line of a `BENCH_gf` document carrying `"len": len` and
@@ -111,13 +119,6 @@ fn gf_line<'a>(json: &'a str, len: u64, marker: &str) -> Option<&'a str> {
     let len_pat = format!("\"len\": {len},");
     json.lines()
         .find(|line| line.contains(marker) && line.contains(&len_pat))
-}
-
-fn gf_mul_xor_mbps(line: &str) -> Option<f64> {
-    let pat = "\"mul_xor_mbps\": ";
-    let rest = &line[line.find(pat)? + pat.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
 
 /// The gate's verdict on one (baseline, current) pair.
@@ -166,10 +167,10 @@ impl GateReport {
         )
     }
 
-    /// Human verdict for the GF kernel gate.
-    pub fn render_gf(&self) -> String {
+    /// Human verdict for the GF kernel gate on one `BENCH_gf` column.
+    pub fn render_gf(&self, column: &str) -> String {
         format!(
-            "bench-gate @ gf active kernel / {} KiB: \
+            "bench-gate @ gf active kernel `{column}` / {} KiB: \
              current {:.1} MB/s vs baseline {:.1} MB/s ({:.2}x, floor {:.1}) -> {}",
             GF_GATE_LEN / 1024,
             self.current,
@@ -213,30 +214,40 @@ pub fn check_spine(current_json: &str) -> Result<GateReport, String> {
 }
 
 /// Compares a fresh `BENCH_gf` JSON against the committed baseline at the
-/// GF gate point: the rung the fresh run dispatched to, against the
-/// baseline's row *of that name* — never "the active row" of each, which
-/// would hold an `avx2` runner to a `gfni` host's number and let a slow
-/// `gfni` hide behind an `avx2` one. `Err` means a document was missing
-/// its line entirely — that fails CI too, loudly, instead of silently
-/// passing.
-pub fn check_gf(current_json: &str, baseline_json: &str) -> Result<GateReport, String> {
-    let (kernel, current) = extract_gf_active(current_json, GF_GATE_LEN)
+/// GF gate point, one `(column, report)` per gated column: the rung the
+/// fresh run dispatched to, against the baseline's row *of that name* —
+/// never "the active row" of each, which would hold an `avx2` runner to a
+/// `gfni` host's number and let a slow `gfni` hide behind an `avx2` one.
+/// `Err` means a document was missing its line or a column entirely — that
+/// fails CI too, loudly, instead of silently passing.
+pub fn check_gf(
+    current_json: &str,
+    baseline_json: &str,
+) -> Result<Vec<(&'static str, GateReport)>, String> {
+    let kernel = extract_gf_active(current_json, GF_GATE_LEN)
         .ok_or_else(|| format!("gf current run has no active-kernel {GF_GATE_LEN}-byte point"))?;
-    let baseline = extract_gf_kernel_mbps(baseline_json, kernel, GF_GATE_LEN).ok_or_else(|| {
-        format!(
-            "gf baseline has no `{kernel}` row at {} KiB — re-take it on a host that \
-                 has that kernel (recipe in .claude/skills/verify/SKILL.md)",
-            GF_GATE_LEN / 1024
-        )
-    })?;
-    if baseline <= 0.0 {
-        return Err(format!("gf baseline MB/s is not positive: {baseline}"));
-    }
-    Ok(GateReport {
-        baseline,
-        current,
-        max_regression: GF_MAX_REGRESSION,
-    })
+    let hold = |column: &'static str| {
+        let current = extract_gf_kernel_mbps(current_json, kernel, GF_GATE_LEN, column)
+            .ok_or_else(|| format!("gf current run's `{kernel}` row has no `{column}`"))?;
+        let baseline = extract_gf_kernel_mbps(baseline_json, kernel, GF_GATE_LEN, column)
+            .ok_or_else(|| {
+                format!(
+                    "gf baseline has no `{kernel}` row with `{column}` at {} KiB — re-take it \
+                     on a host that has that kernel (recipe in .claude/skills/verify/SKILL.md)",
+                    GF_GATE_LEN / 1024
+                )
+            })?;
+        if baseline <= 0.0 {
+            return Err(format!("gf baseline MB/s is not positive: {baseline}"));
+        }
+        let report = GateReport {
+            baseline,
+            current,
+            max_regression: GF_MAX_REGRESSION,
+        };
+        Ok((column, report))
+    };
+    GF_GATE_COLUMNS.into_iter().map(hold).collect()
 }
 
 #[cfg(test)]
@@ -355,7 +366,7 @@ mod tests {
             .map(|(kernel, active, len, mbps)| {
                 format!(
                     "    {{\"kernel\": \"{kernel}\", \"active\": {active}, \"len\": {len}, \
-                     \"mul_mbps\": {mbps}, \"mul_xor_mbps\": {mbps}}}"
+                     \"mul_mbps\": {mbps}, \"mul_xor_mbps\": {mbps}, \"combine10_mbps\": {mbps}}}"
                 )
             })
             .collect();
@@ -363,6 +374,11 @@ mod tests {
             "{{\n  \"bench\": \"gf_throughput\",\n  \"levels\": [\n{}\n  ]\n}}\n",
             levels.join(",\n")
         )
+    }
+
+    /// [`check_gf`]'s `mul_xor_mbps` verdict ([`gf_doc`] fills every column alike).
+    fn gf_report(current: &str, baseline: &str) -> GateReport {
+        check_gf(current, baseline).unwrap()[0].1
     }
 
     #[test]
@@ -373,15 +389,16 @@ mod tests {
             ("avx2", true, 1 << 20, 5_500.5),
         ]);
         let active = |len| extract_gf_active(&json, len);
-        assert_eq!(active(1 << 20), Some(("avx2", 5_500.5)));
-        assert_eq!(active(64 * 1024), Some(("avx2", 7_000.0)));
+        assert_eq!(active(1 << 20), Some("avx2"));
+        assert_eq!(active(64 * 1024), Some("avx2"));
         assert_eq!(active(32 * 1024), None);
-        assert_eq!(
-            extract_gf_kernel_mbps(&json, "scalar", 1 << 20),
-            Some(900.0)
-        );
-        assert_eq!(extract_gf_kernel_mbps(&json, "scalar", 64 * 1024), None);
-        assert_eq!(extract_gf_kernel_mbps(&json, "gfni", 1 << 20), None);
+        let mbps = |kernel, len, column| extract_gf_kernel_mbps(&json, kernel, len, column);
+        assert_eq!(mbps("avx2", 1 << 20, "mul_xor_mbps"), Some(5_500.5));
+        assert_eq!(mbps("avx2", 64 * 1024, "combine10_mbps"), Some(7_000.0));
+        assert_eq!(mbps("scalar", 1 << 20, "mul_xor_mbps"), Some(900.0));
+        assert_eq!(mbps("scalar", 1 << 20, "xor_mbps"), None);
+        assert_eq!(mbps("scalar", 64 * 1024, "mul_xor_mbps"), None);
+        assert_eq!(mbps("gfni", 1 << 20, "mul_xor_mbps"), None);
         // A document with no active line at all is a miss, not a fallback.
         let inactive = gf_doc(&[("scalar", false, 1 << 20, 900.0)]);
         assert_eq!(extract_gf_active(&inactive, 1 << 20), None);
@@ -396,24 +413,44 @@ mod tests {
         ]);
         // A healthy AVX2 runner is held to the avx2 row, not to gfni's.
         let runner = gf_doc(&[("avx2", true, 1 << 20, 4_000.0)]);
-        let report = check_gf(&runner, &baseline).unwrap();
+        let report = gf_report(&runner, &baseline);
         assert_eq!(report.baseline, 5_000.0);
-        assert!(report.pass(), "{}", report.render_gf());
+        assert!(report.pass(), "{}", report.render_gf("mul_xor_mbps"));
         // A slow gfni cannot hide behind the avx2 number.
         let slow = gf_doc(&[("gfni", true, 1 << 20, 6_000.0)]);
-        let report = check_gf(&slow, &baseline).unwrap();
+        let report = gf_report(&slow, &baseline);
         assert_eq!(report.baseline, 20_000.0);
         assert!(!report.pass());
-        assert!(
-            report.render_gf().contains("FAIL"),
-            "{}",
-            report.render_gf()
-        );
+        let verdict = report.render_gf("mul_xor_mbps");
+        assert!(verdict.contains("FAIL"), "{verdict}");
         // Edge cases around the 30% floor.
         let edge_fail = gf_doc(&[("avx2", true, 1 << 20, 3_499.0)]);
-        assert!(!check_gf(&edge_fail, &baseline).unwrap().pass());
+        assert!(!gf_report(&edge_fail, &baseline).pass());
         let edge_pass = gf_doc(&[("avx2", true, 1 << 20, 3_501.0)]);
-        assert!(check_gf(&edge_pass, &baseline).unwrap().pass());
+        assert!(gf_report(&edge_pass, &baseline).pass());
+    }
+
+    #[test]
+    fn gf_gate_holds_combine_as_well_as_mul_xor() {
+        // `codes` reaches the ladder through `combine` alone: a run whose
+        // `mul_xor` holds while its `combine10` halves must fail, by name.
+        let baseline = gf_doc(&[("avx2", true, 1 << 20, 5_000.0)]);
+        let halved = baseline.replace("\"combine10_mbps\": 5000", "\"combine10_mbps\": 2500");
+        assert_ne!(halved, baseline);
+        let reports = check_gf(&halved, &baseline).unwrap();
+        let failed: Vec<_> = reports.iter().filter(|(_, r)| !r.pass()).collect();
+        let [(column, report)] = failed[..] else {
+            panic!("one column regressed, {} failed", failed.len());
+        };
+        assert_eq!(*column, "combine10_mbps");
+        let verdict = report.render_gf(column);
+        assert!(
+            verdict.contains("`combine10_mbps`") && verdict.contains("FAIL"),
+            "{verdict}"
+        );
+        // A document from before the column existed is a loud error.
+        let old = baseline.replace("combine10_mbps", "combine_mbps");
+        assert!(check_gf(&baseline, &old).is_err());
     }
 
     #[test]

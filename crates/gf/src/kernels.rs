@@ -9,22 +9,19 @@
 //! reuses a coefficient never rebuilds one.
 //!
 //! [`mul_slice_with`], [`mul_slice_xor_with`] and [`combine_into`] are the
-//! only bulk multiply entry points: a length assert, the zero / one fast
-//! paths, and one indirect call into the kernel [`crate::simd::active`]
-//! selected for the process — a GFNI or byte-shuffle SIMD kernel where the
-//! CPU has one, otherwise the portable loop below ([`mul_row`] /
-//! [`mul_xor_row`]: one dependency-free row lookup per byte, unrolled
-//! eight bytes at a time), which is the last rung of the same ladder.
-//! [`combine_into`] is Equation (1) whole: the `gfni` rung keeps the sum in
-//! registers and writes `dst` once; every other rung runs
-//! `combine_blocked` over its own two multiplies. [`xor_slice`] is a
-//! plain `u64`-wide XOR pass.
+//! only bulk multiply entry points: the zero / one fast paths, then one
+//! indirect call into the kernel [`crate::simd::active`] selected for the
+//! process — a GFNI or byte-shuffle SIMD rung where the CPU has one,
+//! otherwise the portable product-row rung — which checks the lengths and
+//! runs the one loop of [`crate::simd`]. [`combine_into`] is Equation (1)
+//! whole: on every rung the sum is kept in registers and `dst` is written
+//! once; the two multiplies are its one-term cases. [`xor_slice`] is a plain
+//! `u64`-wide XOR pass.
 //!
 //! The [`scalar`] module keeps the byte-at-a-time log/exp loops as the
 //! oracle every rung is tested against.
 
 use crate::field::Gf256;
-use crate::simd::Kernel;
 
 /// Per-constant multiplication tables in SPLIT_TABLE(8, 4) layout.
 ///
@@ -32,8 +29,8 @@ use crate::simd::Kernel;
 /// `hi[x >> 4] = c * (x & 0xF0)`; since multiplication distributes over
 /// XOR, `c * x = lo[x & 0xF] ^ hi[x >> 4]`. The shuffle kernels look up the
 /// nibble tables; the full 256-entry `row` is materialised from them so
-/// the portable loop and the SIMD tails do one lookup per byte; and the
-/// GFNI kernels read "multiply by `c`" as the GF(2)-linear map it is, the
+/// the portable rung and every rung's tail do one lookup per byte; and the
+/// GFNI rung reads "multiply by `c`" as the GF(2)-linear map it is, the
 /// 8×8 bit matrix of [`MulTable::affine_matrix`].
 ///
 /// # Examples
@@ -207,21 +204,16 @@ pub fn xor_slice(src: &[u8], dst: &mut [u8]) {
 ///
 /// Panics if `src` and `dst` have different lengths.
 pub fn mul_slice_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    mul_on(crate::simd::active(), table, src, dst);
-}
-
-/// [`mul_slice_with`] on a given rung.
-fn mul_on(kernel: &Kernel, table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "slice length mismatch");
-    if table.coeff.is_zero() {
-        dst.fill(0);
-        return;
+    // Each arm checks the lengths once: `copy_from_slice` and the kernel
+    // wrapper do it themselves.
+    match table.coeff.value() {
+        0 => {
+            assert_eq!(src.len(), dst.len(), "slice length mismatch");
+            dst.fill(0);
+        }
+        1 => dst.copy_from_slice(src),
+        _ => crate::simd::active().mul_slice(table, src, dst),
     }
-    if table.coeff == Gf256::ONE {
-        dst.copy_from_slice(src);
-        return;
-    }
-    kernel.mul_slice(table, src, dst);
 }
 
 /// Multiplies every byte of `src` by the table's constant and
@@ -232,20 +224,12 @@ fn mul_on(kernel: &Kernel, table: &MulTable, src: &[u8], dst: &mut [u8]) {
 ///
 /// Panics if `src` and `dst` have different lengths.
 pub fn mul_slice_xor_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    mul_xor_on(crate::simd::active(), table, src, dst);
-}
-
-/// [`mul_slice_xor_with`] on a given rung.
-fn mul_xor_on(kernel: &Kernel, table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    assert_eq!(src.len(), dst.len(), "slice length mismatch");
-    if table.coeff.is_zero() {
-        return;
+    // As above: `xor_slice` and the kernel wrapper check for themselves.
+    match table.coeff.value() {
+        0 => assert_eq!(src.len(), dst.len(), "slice length mismatch"),
+        1 => xor_slice(src, dst),
+        _ => crate::simd::active().mul_slice_xor(table, src, dst),
     }
-    if table.coeff == Gf256::ONE {
-        xor_slice(src, dst);
-        return;
-    }
-    kernel.mul_slice_xor(table, src, dst);
 }
 
 /// Equation (1) of the paper in one call: `dst[i] = Σ_t c_t * src_t[i]`
@@ -272,34 +256,6 @@ pub fn combine_into(terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
     crate::simd::active().combine(terms, dst);
 }
 
-/// Output bytes [`combine_blocked`] finishes at a time. One page: the block
-/// being accumulated stays in L1 while every term streams through it.
-/// Measured inside the repository benchmark's `codec` workload (8 MiB
-/// RS(10,4) chunks, AVX2 rung), 4–32 KiB blocks rebuilt a chunk 7–25 %
-/// faster than whole-buffer passes whatever the host was doing, while
-/// 64 KiB blocks were as fast on a quiet host and 20–35 % *slower* than
-/// whole-buffer passes when a neighbour was competing for the core's L2.
-const COMBINE_BLOCK_BYTES: usize = 4096;
-
-/// The `combine` of every rung without a native one: per block, the first
-/// term writes it with the rung's `mul` and the others accumulate with its
-/// `mul_xor` while the block is cache-resident, so `dst` is neither
-/// zero-filled first nor streamed from memory once per term.
-pub(crate) fn combine_blocked(kernel: &Kernel, terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
-    let Some((&(first, first_src), rest)) = terms.split_first() else {
-        dst.fill(0);
-        return;
-    };
-    for (i, block) in dst.chunks_mut(COMBINE_BLOCK_BYTES).enumerate() {
-        let start = i * COMBINE_BLOCK_BYTES;
-        let span = start..start + block.len();
-        mul_on(kernel, first, &first_src[span.clone()], block);
-        for &(table, src) in rest {
-            mul_xor_on(kernel, table, &src[span.clone()], block);
-        }
-    }
-}
-
 /// Multiplies every byte of `src` by `coeff` and XOR-accumulates into `dst`:
 /// `dst[i] ^= coeff * src[i]` — one term of Equation (1) in the paper.
 ///
@@ -323,56 +279,6 @@ pub(crate) fn combine_blocked(kernel: &Kernel, terms: &[(&MulTable, &[u8])], dst
 /// ```
 pub fn mul_add_slice(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
     mul_slice_xor_with(&MulTable::new(coeff), src, dst);
-}
-
-/// The portable rung's `dst[i] = c * src[i]`: one product-row lookup per
-/// byte, eight bytes per step.
-pub(crate) fn mul_row(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    let row = &table.row;
-    let mut d = dst.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (dw, sw) in (&mut d).zip(&mut s) {
-        let sb: [u8; 8] = sw.try_into().expect("8-byte chunk");
-        let looked = [
-            row[sb[0] as usize],
-            row[sb[1] as usize],
-            row[sb[2] as usize],
-            row[sb[3] as usize],
-            row[sb[4] as usize],
-            row[sb[5] as usize],
-            row[sb[6] as usize],
-            row[sb[7] as usize],
-        ];
-        dw.copy_from_slice(&looked);
-    }
-    for (db, &sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db = row[sb as usize];
-    }
-}
-
-/// The portable rung's `dst[i] ^= c * src[i]`.
-pub(crate) fn mul_xor_row(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-    let row = &table.row;
-    let mut d = dst.chunks_exact_mut(8);
-    let mut s = src.chunks_exact(8);
-    for (dw, sw) in (&mut d).zip(&mut s) {
-        let sb: [u8; 8] = sw.try_into().expect("8-byte chunk");
-        let looked = u64::from_le_bytes([
-            row[sb[0] as usize],
-            row[sb[1] as usize],
-            row[sb[2] as usize],
-            row[sb[3] as usize],
-            row[sb[4] as usize],
-            row[sb[5] as usize],
-            row[sb[6] as usize],
-            row[sb[7] as usize],
-        ]);
-        let x = u64::from_le_bytes(dw.try_into().expect("8-byte chunk")) ^ looked;
-        dw.copy_from_slice(&x.to_le_bytes());
-    }
-    for (db, &sb) in d.into_remainder().iter_mut().zip(s.remainder()) {
-        *db ^= row[sb as usize];
-    }
 }
 
 /// Byte-at-a-time log/exp reference kernels.

@@ -17,9 +17,10 @@
 //! - [`Matrix`]: dense row-major matrices over GF(2^8) with Vandermonde and
 //!   Cauchy constructors and Gauss–Jordan inversion, the building blocks of
 //!   Reed–Solomon and LRC codes.
-//! - [`simd`]: the kernel ladder those three dispatch into — a GFNI /
-//!   AVX-512 affine kernel, AVX2, SSSE3 or NEON byte-shuffle kernels where
-//!   the CPU has them, a portable table loop everywhere — one rung selected
+//! - [`simd`]: the kernel ladder those three dispatch into — one
+//!   `dst (^)= Σ cᵢ·srcᵢ` loop over a lane type per rung: a GFNI / AVX-512
+//!   affine register, AVX2, SSSE3 or NEON byte-shuffle registers where the
+//!   CPU has them, a `u64` of table lookups everywhere — one rung selected
 //!   per process by runtime feature detection, with a `CHAMELEON_GF_KERNEL`
 //!   override; [`active_kernel`] names the rung in use.
 //!
@@ -37,8 +38,9 @@
 //! ```
 
 // `unsafe` is denied crate-wide; the `simd` module is the single opt-out
-// (module-level `allow`) because `std::arch` intrinsics require it. Every
-// unsafe block there carries a safety argument (see DESIGN.md §3.1).
+// (module-level `allow`) because `std::arch` intrinsics require it. Its one
+// unsafe block and one pointer-walking loop carry the safety argument (see
+// DESIGN.md §3.1).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -1,7 +1,8 @@
-//! The GF(2^8) multiply-kernel ladder and its one dispatch point.
+//! The GF(2^8) multiply-kernel ladder: one loop, one lane type per rung,
+//! one dispatch point.
 //!
-//! A [`MulTable`] describes "multiply by `c`" twice. Two 16-entry nibble
-//! tables fit exactly into one SIMD register each, so a byte-shuffle
+//! A [`MulTable`] describes "multiply by `c`" three ways. Two 16-entry
+//! nibble tables fit exactly into one SIMD register each, so a byte-shuffle
 //! instruction (`PSHUFB` on x86, `TBL` on AArch64) performs sixteen (or
 //! thirty-two) table lookups per instruction — the 4-bit lookup of
 //! GF-Complete, ISA-L and the `reed_solomon_erasure` crate:
@@ -10,29 +11,31 @@
 //! product = shuffle(lo_table, src & 0x0F) ^ shuffle(hi_table, src >> 4)
 //! ```
 //!
-//! And because the map is linear over GF(2), it is also an 8×8 bit matrix
+//! Because the map is linear over GF(2), it is also an 8×8 bit matrix
 //! ([`MulTable::affine_matrix`]) that `VGF2P8AFFINEQB` applies to 64 bytes
 //! in one instruction. (`VGF2P8MULB`, the obvious candidate, is hard-wired
 //! to the AES polynomial 0x11B; this field is 0x11D. The affine form does
-//! not care which polynomial built the matrix.)
+//! not care which polynomial built the matrix.) And it is a 256-entry
+//! product row ([`MulTable::mul`]) any CPU can index.
 //!
-//! [`available_kernels`] is the ladder, best rung first; the SIMD rungs are
-//! compiled only for their architecture and listed only when runtime
-//! feature detection finds the instruction set:
+//! Every rung runs the same loop, `accumulate`: `dst = Σ cᵢ·srcᵢ`
+//! ([`Kernel::combine`]) or `dst ^= Σ cᵢ·srcᵢ`, summed in registers — each
+//! source vector loaded once, `dst` stored once and, unless it seeds the
+//! sum, never read. [`Kernel::mul_slice`] and [`Kernel::mul_slice_xor`] are
+//! its one-term cases. A rung is a `Lanes` type — a register, a table made
+//! ready for it and six operations — and an entry function that enables its
+//! instruction set around the loop. [`available_kernels`] is the ladder,
+//! best rung first; the SIMD rungs are compiled only for their architecture
+//! and listed only when runtime feature detection finds the instruction
+//! set:
 //!
-//! - **gfni** — 64 bytes per step via `_mm512_gf2p8affine_epi64_epi8`
+//! - **gfni** — 64 bytes per register via `_mm512_gf2p8affine_epi64_epi8`
 //!   (needs `avx512f`, `avx512bw` and `gfni`)
-//! - **avx2** — 32 bytes per step via `_mm256_shuffle_epi8`
-//! - **ssse3** — 16 bytes per step via `_mm_shuffle_epi8`
-//! - **neon** — 16 bytes per step via `vqtbl1q_u8`
-//! - **scalar** — the portable 256-entry-row loop of [`crate::kernels`],
-//!   always present and always last
-//!
-//! A rung is three routines: `dst = c·src`, `dst ^= c·src` and
-//! `dst = Σ cᵢ·srcᵢ` ([`Kernel::combine`]). The `gfni` rung sums in
-//! registers — each source vector loaded once, `dst` stored once and never
-//! read; the others share `kernels::combine_blocked`, which runs
-//! the rung's own two multiplies over one 4 KiB block of `dst` at a time.
+//! - **avx2** — 32 bytes per register via `_mm256_shuffle_epi8`
+//! - **ssse3** — 16 bytes per register via `_mm_shuffle_epi8`
+//! - **neon** — 16 bytes per register via `vqtbl1q_u8`
+//! - **scalar** — a `u64` as eight byte lanes, one product-row lookup each;
+//!   no instruction-set requirement, always present and always last
 //!
 //! [`active`] picks one rung per process: the first, unless the
 //! `CHAMELEON_GF_KERNEL` environment variable (`auto` or a rung's name)
@@ -45,33 +48,40 @@
 //! # Safety
 //!
 //! This module is the only place in the workspace that uses `unsafe`
-//! (the crate root is `#![deny(unsafe_code)]`). The argument, kernel by
-//! kernel:
+//! (the crate root is `#![deny(unsafe_code)]`), and `accumulate` (with its
+//! `step`) is the only code in it that does pointer arithmetic. The
+//! argument:
 //!
-//! - Every intrinsic is gated at the call site: the `unsafe fn`s carrying
-//!   `#[target_feature(...)]` are reachable only through [`Kernel`]
-//!   values constructed after the matching
+//! - Every intrinsic is gated at the call site: a rung's entry function
+//!   carries `#[target_feature(...)]` and is reachable only through a
+//!   [`Kernel`] value constructed after the matching
 //!   `is_x86_feature_detected!`/`is_aarch64_feature_detected!` check
 //!   passed (all three of `avx512f`, `avx512bw` and `gfni` for the `gfni`
-//!   rung), so an illegal instruction can never be executed. The portable
-//!   rung's functions, and the shared blocked `combine`, are safe code with
-//!   no precondition at all.
+//!   rung), so an illegal instruction can never be executed. The `Lanes`
+//!   methods are called from `accumulate` alone, inlined into that entry.
+//!   The `scalar` rung's lane type uses no intrinsic.
 //! - No alignment is assumed: all loads/stores use the unaligned
 //!   variants (`_mm_loadu_si128`/`_mm256_loadu_si256`/`_mm512_loadu_si512`/
-//!   `vld1q_u8` — the AArch64 `vld1q_u8` has no alignment requirement), so
-//!   arbitrary sub-slices are fine.
-//! - All pointer arithmetic stays inside `src`/`dst`: the safe wrappers
-//!   assert equal lengths — [`Kernel::combine`] asserts
-//!   `terms[i].1.len() == dst.len()` for every term — the vector loops
-//!   cover `len - len % LANE` bytes and the remainder is handled by a safe
-//!   scalar tail loop over the 256-entry product row.
-//! - `src` and `dst` never alias (`&[u8]` vs `&mut [u8]` guarantees it).
+//!   `vld1q_u8` — the AArch64 `vld1q_u8` has no alignment requirement — and
+//!   `read_unaligned`/`write_unaligned` for the `u64`), so arbitrary
+//!   sub-slices are fine.
+//! - All pointer arithmetic stays inside the sources and `dst`: the one
+//!   assertion in `Kernel::run` — `terms[i].1.len() == dst.len()` for every
+//!   term, whichever of the three operations was asked for — is the bound
+//!   every offset in `accumulate` relies on. The vector steps cover
+//!   `at + n * BYTES <= dst.len()` bytes of each slice and the remainder is
+//!   a safe, bounds-checked byte loop over the 256-entry product row.
+//! - Sources and `dst` never alias (`&[u8]` vs `&mut [u8]` guarantees it).
+//!
+//! The `scalar` rung is the same `accumulate` over another lane type, so the
+//! offsets, tails and accumulators of a rung this host cannot execute (or,
+//! for `neon`, compile) are the ones the differential tests drive here.
 
 #![allow(unsafe_code)]
 
 use std::sync::OnceLock;
 
-use crate::kernels::{combine_blocked, mul_row, mul_xor_row, MulTable};
+use crate::kernels::MulTable;
 
 /// One rung of the ladder: a name plus `dst = c*src`, `dst ^= c*src` and
 /// `dst = sum_i c_i*src_i` slice routines driven by [`MulTable`]s.
@@ -83,18 +93,17 @@ use crate::kernels::{combine_blocked, mul_row, mul_xor_row, MulTable};
 #[derive(Clone, Copy)]
 pub struct Kernel {
     name: &'static str,
-    mul: MulFn,
-    mul_xor: MulFn,
-    combine: CombineFn,
+    entry: Entry,
 }
 
-/// `dst = c*src` or `dst ^= c*src`; `src` and `dst` of one length.
-type MulFn = unsafe fn(&MulTable, &[u8], &mut [u8]);
-
-/// `dst = sum_i c_i*src_i`; every source as long as `dst`. Takes the rung
-/// itself so [`combine_blocked`] can run on its `mul` and `mul_xor`; a
-/// native combine ignores it.
-type CombineFn = unsafe fn(&Kernel, &[(&MulTable, &[u8])], &mut [u8]);
+/// A rung's entry: `dst = sum_i c_i*src_i`, or `dst ^= sum_i c_i*src_i`
+/// when the flag (`keep`) is set.
+///
+/// # Safety
+///
+/// The CPU must have the rung's instruction set, and every source must be
+/// exactly as long as `dst`.
+type Entry = unsafe fn(&[(&MulTable, &[u8])], &mut [u8], bool);
 
 impl std::fmt::Debug for Kernel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -116,11 +125,7 @@ impl Kernel {
     ///
     /// Panics if `src` and `dst` have different lengths.
     pub fn mul_slice(&self, table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len(), dst.len(), "slice length mismatch");
-        // SAFETY: this Kernel was constructed only after runtime feature
-        // detection confirmed the instruction set is available (the
-        // portable rung needs none), and the lengths are equal.
-        unsafe { (self.mul)(table, src, dst) }
+        self.run(&[(table, src)], dst, false);
     }
 
     /// `dst[i] ^= c * src[i]` for the table's constant, any length and
@@ -130,9 +135,7 @@ impl Kernel {
     ///
     /// Panics if `src` and `dst` have different lengths.
     pub fn mul_slice_xor(&self, table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        assert_eq!(src.len(), dst.len(), "slice length mismatch");
-        // SAFETY: as above — construction implies the feature is present.
-        unsafe { (self.mul_xor)(table, src, dst) }
+        self.run(&[(table, src)], dst, true);
     }
 
     /// `dst[i] = sum_t c_t * src_t[i]` over the `(table, source)` terms,
@@ -143,12 +146,19 @@ impl Kernel {
     ///
     /// Panics if any source's length differs from `dst`'s.
     pub fn combine(&self, terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
+        self.run(terms, dst, false);
+    }
+
+    /// The one way into the rung's entry, and the one length check.
+    fn run(&self, terms: &[(&MulTable, &[u8])], dst: &mut [u8], keep: bool) {
         for (_, src) in terms {
             assert_eq!(src.len(), dst.len(), "slice length mismatch");
         }
-        // SAFETY: construction implies the feature is present, and every
-        // source is exactly as long as `dst`.
-        unsafe { (self.combine)(self, terms, dst) }
+        // SAFETY: this Kernel was constructed only after runtime feature
+        // detection confirmed the instruction set is available (the
+        // `scalar` rung needs none), and every source was just checked to
+        // be exactly as long as `dst`.
+        unsafe { (self.entry)(terms, dst, keep) }
     }
 }
 
@@ -162,9 +172,7 @@ pub fn available_kernels() -> &'static [Kernel] {
         let mut ladder = detect();
         ladder.push(Kernel {
             name: "scalar",
-            mul: mul_row,
-            mul_xor: mul_xor_row,
-            combine: combine_blocked,
+            entry: entry::<Row>,
         });
         ladder
     })
@@ -179,25 +187,19 @@ fn detect() -> Vec<Kernel> {
     {
         kernels.push(Kernel {
             name: "gfni",
-            mul: x86::mul_slice_gfni_entry,
-            mul_xor: x86::mul_slice_xor_gfni_entry,
-            combine: x86::combine_gfni_entry,
+            entry: x86::gfni,
         });
     }
     if is_x86_feature_detected!("avx2") {
         kernels.push(Kernel {
             name: "avx2",
-            mul: x86::mul_slice_avx2_entry,
-            mul_xor: x86::mul_slice_xor_avx2_entry,
-            combine: combine_blocked,
+            entry: x86::avx2,
         });
     }
     if is_x86_feature_detected!("ssse3") {
         kernels.push(Kernel {
             name: "ssse3",
-            mul: x86::mul_slice_ssse3_entry,
-            mul_xor: x86::mul_slice_xor_ssse3_entry,
-            combine: combine_blocked,
+            entry: x86::ssse3,
         });
     }
     kernels
@@ -209,9 +211,7 @@ fn detect() -> Vec<Kernel> {
     if std::arch::is_aarch64_feature_detected!("neon") {
         kernels.push(Kernel {
             name: "neon",
-            mul: arm::mul_slice_neon_entry,
-            mul_xor: arm::mul_slice_xor_neon_entry,
-            combine: combine_blocked,
+            entry: arm::neon,
         });
     }
     kernels
@@ -266,308 +266,338 @@ pub fn active_kernel() -> &'static str {
     active().name
 }
 
-/// Scalar tail after the vector loop: one product-row lookup per byte.
+/// What a rung brings to [`accumulate`]: a register of `BYTES` byte lanes
+/// (`V`), a [`MulTable`] in the form its multiply reads (`C`), and the six
+/// operations the loop is written in.
+///
+/// # Safety
+///
+/// Every method may execute the rung's instructions, so all of them are
+/// called only from [`accumulate`] inlined into the rung's entry; `load`
+/// reads and `store` writes `BYTES` bytes at a pointer of any alignment,
+/// which the caller keeps inside a live slice.
+trait Lanes {
+    const BYTES: usize;
+    type V: Copy;
+    type C<'t>: Copy;
+    unsafe fn constant(table: &MulTable) -> Self::C<'_>;
+    unsafe fn load(from: *const u8) -> Self::V;
+    unsafe fn store(to: *mut u8, v: Self::V);
+    unsafe fn zero() -> Self::V;
+    unsafe fn xor(a: Self::V, b: Self::V) -> Self::V;
+    /// `c * v` in every byte lane.
+    unsafe fn mul(c: Self::C<'_>, v: Self::V) -> Self::V;
+}
+
+/// Equation (1) on any rung: `dst = sum_t c_t*src_t`, or with `KEEP`
+/// `dst ^= sum_t c_t*src_t`. Four registers of every source are loaded once
+/// per step, multiplied and XORed into four accumulators (then one register
+/// at a time, then single bytes through the product row), and `dst` is
+/// stored once — and loaded only under `KEEP`, to seed the accumulators.
+///
+/// # Safety
+///
+/// The CPU must have `L`'s instruction set and every source must be exactly
+/// as long as `dst` ([`Kernel::run`] asserts it).
 #[inline(always)]
-fn row_tail(table: &MulTable, src: &[u8], dst: &mut [u8], done: usize) {
-    for (d, &s) in dst[done..].iter_mut().zip(&src[done..]) {
-        *d = table.mul(s);
+unsafe fn accumulate<L: Lanes, const KEEP: bool>(terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
+    let len = dst.len();
+    let mut at = 0;
+    while at + 4 * L::BYTES <= len {
+        step::<L, KEEP, 4>(terms, dst.as_mut_ptr(), at);
+        at += 4 * L::BYTES;
+    }
+    while at + L::BYTES <= len {
+        step::<L, KEEP, 1>(terms, dst.as_mut_ptr(), at);
+        at += L::BYTES;
+    }
+    for (i, d) in dst.iter_mut().enumerate().skip(at) {
+        let seed = if KEEP { *d } else { 0 };
+        *d = terms
+            .iter()
+            .fold(seed, |sum, (table, src)| sum ^ table.mul(src[i]));
     }
 }
 
-/// XOR-accumulating scalar tail.
+/// One step of [`accumulate`]: bytes `at..at + L::BYTES * N` of the sum,
+/// one accumulator per register. Every source, and `dst`, must reach
+/// `at + L::BYTES * N`.
 #[inline(always)]
-fn row_tail_xor(table: &MulTable, src: &[u8], dst: &mut [u8], done: usize) {
-    for (d, &s) in dst[done..].iter_mut().zip(&src[done..]) {
-        *d ^= table.mul(s);
+unsafe fn step<L: Lanes, const KEEP: bool, const N: usize>(
+    terms: &[(&MulTable, &[u8])],
+    dst: *mut u8,
+    at: usize,
+) {
+    let mut acc = [L::zero(); N];
+    if KEEP {
+        for (lane, sum) in acc.iter_mut().enumerate() {
+            *sum = L::load(dst.add(at + L::BYTES * lane));
+        }
+    }
+    for &(table, src) in terms {
+        let c = L::constant(table);
+        let sp = src.as_ptr().add(at);
+        for (lane, sum) in acc.iter_mut().enumerate() {
+            *sum = L::xor(*sum, L::mul(c, L::load(sp.add(L::BYTES * lane))));
+        }
+    }
+    for (lane, sum) in acc.iter().enumerate() {
+        L::store(dst.add(at + L::BYTES * lane), *sum);
+    }
+}
+
+/// What every entry is: [`accumulate`] with `keep` lifted into the type
+/// (and [`accumulate`]'s safety contract).
+#[inline(always)]
+unsafe fn entry<L: Lanes>(terms: &[(&MulTable, &[u8])], dst: &mut [u8], keep: bool) {
+    if keep {
+        accumulate::<L, true>(terms, dst)
+    } else {
+        accumulate::<L, false>(terms, dst)
+    }
+}
+
+/// The `scalar` rung: a `u64` as eight byte lanes, each multiplied by one
+/// lookup in the 256-entry product row.
+struct Row;
+
+impl Lanes for Row {
+    const BYTES: usize = 8;
+    type V = u64;
+    type C<'t> = &'t MulTable;
+    #[inline(always)]
+    unsafe fn constant(table: &MulTable) -> &MulTable {
+        table
+    }
+    #[inline(always)]
+    unsafe fn load(from: *const u8) -> u64 {
+        from.cast::<u64>().read_unaligned()
+    }
+    #[inline(always)]
+    unsafe fn store(to: *mut u8, v: u64) {
+        to.cast::<u64>().write_unaligned(v)
+    }
+    #[inline(always)]
+    unsafe fn zero() -> u64 {
+        0
+    }
+    #[inline(always)]
+    unsafe fn xor(a: u64, b: u64) -> u64 {
+        a ^ b
+    }
+    #[inline(always)]
+    unsafe fn mul(c: &MulTable, v: u64) -> u64 {
+        u64::from_ne_bytes(v.to_ne_bytes().map(|b| c.mul(b)))
     }
 }
 
 #[cfg(any(target_arch = "x86_64", target_arch = "x86"))]
 mod x86 {
-    //! SSSE3 / AVX2 nibble-shuffle kernels and the GFNI affine kernels.
+    //! The GFNI affine rung and the AVX2 / SSSE3 nibble-shuffle rungs.
     //!
-    //! SAFETY (whole module): every `#[target_feature]` function here is
-    //! called only through the `*_entry` trampolines (or, for the two GFNI
-    //! helpers, from a function enabling the same features), which in turn
-    //! are reachable only via [`super::Kernel`] values built after the
-    //! matching `is_x86_feature_detected!` checks. All loads/stores are
-    //! the unaligned (`loadu`/`storeu`) variants, and all offsets stay
-    //! within the slice bounds established by the exact-length loops —
-    //! for `combine_gfni`, bounds on `dst` that hold for every source
-    //! because [`super::Kernel::combine`] asserted the lengths equal.
+    //! SAFETY (whole module): the three entries are reachable only via
+    //! [`super::Kernel`] values built after the matching
+    //! `is_x86_feature_detected!` checks, and the lane methods only from
+    //! [`super::accumulate`] inlined into them. All loads/stores are the
+    //! unaligned (`loadu`/`storeu`) variants, at offsets `accumulate` keeps
+    //! inside slices [`super::Kernel::run`] asserted equally long.
 
     #[cfg(target_arch = "x86")]
     use std::arch::x86::*;
     #[cfg(target_arch = "x86_64")]
     use std::arch::x86_64::*;
 
-    use super::{row_tail, row_tail_xor, Kernel};
+    use super::{entry, Lanes};
     use crate::kernels::MulTable;
 
-    /// Plain-`unsafe fn` trampoline so the kernel can live in a fn
-    /// pointer (a `#[target_feature]` fn cannot be coerced directly).
-    pub(super) unsafe fn mul_slice_ssse3_entry(t: &MulTable, src: &[u8], dst: &mut [u8]) {
-        unsafe { mul_slice_ssse3(t, src, dst) }
-    }
-
-    pub(super) unsafe fn mul_slice_xor_ssse3_entry(t: &MulTable, src: &[u8], dst: &mut [u8]) {
-        unsafe { mul_slice_xor_ssse3(t, src, dst) }
-    }
-
-    pub(super) unsafe fn mul_slice_avx2_entry(t: &MulTable, src: &[u8], dst: &mut [u8]) {
-        unsafe { mul_slice_avx2(t, src, dst) }
-    }
-
-    pub(super) unsafe fn mul_slice_xor_avx2_entry(t: &MulTable, src: &[u8], dst: &mut [u8]) {
-        unsafe { mul_slice_xor_avx2(t, src, dst) }
-    }
-
-    pub(super) unsafe fn mul_slice_gfni_entry(t: &MulTable, src: &[u8], dst: &mut [u8]) {
-        unsafe { mul_slice_gfni(t, src, dst) }
-    }
-
-    pub(super) unsafe fn mul_slice_xor_gfni_entry(t: &MulTable, src: &[u8], dst: &mut [u8]) {
-        unsafe { mul_slice_xor_gfni(t, src, dst) }
-    }
-
-    pub(super) unsafe fn combine_gfni_entry(
-        _: &Kernel,
-        terms: &[(&MulTable, &[u8])],
-        dst: &mut [u8],
-    ) {
-        unsafe { combine_gfni(terms, dst) }
-    }
-
-    /// The table's bit matrix in all eight qwords, as `VGF2P8AFFINEQB`
-    /// wants it.
     #[target_feature(enable = "avx512f,avx512bw,gfni")]
-    unsafe fn affine_matrix(table: &MulTable) -> __m512i {
-        _mm512_set1_epi64(table.affine_matrix() as i64)
+    pub(super) unsafe fn gfni(terms: &[(&MulTable, &[u8])], dst: &mut [u8], keep: bool) {
+        entry::<Gfni>(terms, dst, keep)
     }
 
-    /// 64 GF multiplies per step: one `VGF2P8AFFINEQB`.
-    #[target_feature(enable = "avx512f,avx512bw,gfni")]
-    unsafe fn mul_slice_gfni(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        let matrix = affine_matrix(table);
-        let blocks = src.len() / 64;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..blocks {
-            let s = _mm512_loadu_si512(sp.add(i * 64).cast());
-            let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix);
-            _mm512_storeu_si512(dp.add(i * 64).cast(), prod);
-        }
-        row_tail(table, src, dst, blocks * 64);
+    #[target_feature(enable = "avx2")]
+    pub(super) unsafe fn avx2(terms: &[(&MulTable, &[u8])], dst: &mut [u8], keep: bool) {
+        entry::<Avx2>(terms, dst, keep)
     }
 
-    /// `dst ^= c*src`, 64 bytes per step.
-    #[target_feature(enable = "avx512f,avx512bw,gfni")]
-    unsafe fn mul_slice_xor_gfni(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        let matrix = affine_matrix(table);
-        let blocks = src.len() / 64;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..blocks {
-            let s = _mm512_loadu_si512(sp.add(i * 64).cast());
-            let prod = _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix);
-            let d = _mm512_loadu_si512(dp.add(i * 64).cast());
-            _mm512_storeu_si512(dp.add(i * 64).cast(), _mm512_xor_si512(d, prod));
-        }
-        row_tail_xor(table, src, dst, blocks * 64);
-    }
-
-    /// `dst = sum_t c_t*src_t` with the sum held in registers: 256 bytes of
-    /// every source are loaded once per step, multiplied and XORed into four
-    /// accumulators, and `dst` is stored once, never loaded. The caller
-    /// guarantees every source is as long as `dst`.
-    #[target_feature(enable = "avx512f,avx512bw,gfni")]
-    unsafe fn combine_gfni(terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
-        let len = dst.len();
-        let mut at = 0;
-        while at + 256 <= len {
-            combine_step_gfni::<4>(terms, dst.as_mut_ptr(), at);
-            at += 256;
-        }
-        while at + 64 <= len {
-            combine_step_gfni::<1>(terms, dst.as_mut_ptr(), at);
-            at += 64;
-        }
-        for (i, d) in dst.iter_mut().enumerate().skip(at) {
-            *d = terms
-                .iter()
-                .fold(0, |sum, (table, src)| sum ^ table.mul(src[i]));
-        }
-    }
-
-    /// One step of [`combine_gfni`]: bytes `at..at + 64 * LANES` of the sum,
-    /// one accumulator register per 64-byte lane. Every source, and `dst`,
-    /// must reach `at + 64 * LANES`.
-    #[inline]
-    #[target_feature(enable = "avx512f,avx512bw,gfni")]
-    unsafe fn combine_step_gfni<const LANES: usize>(
-        terms: &[(&MulTable, &[u8])],
-        dst: *mut u8,
-        at: usize,
-    ) {
-        let mut acc = [_mm512_setzero_si512(); LANES];
-        for &(table, src) in terms {
-            let matrix = affine_matrix(table);
-            let sp = src.as_ptr().add(at);
-            for (lane, sum) in acc.iter_mut().enumerate() {
-                let s = _mm512_loadu_si512(sp.add(64 * lane).cast());
-                *sum = _mm512_xor_si512(*sum, _mm512_gf2p8affine_epi64_epi8::<0>(s, matrix));
-            }
-        }
-        for (lane, sum) in acc.iter().enumerate() {
-            _mm512_storeu_si512(dst.add(at + 64 * lane).cast(), *sum);
-        }
-    }
-
-    /// 16 GF multiplies per step: two `PSHUFB` nibble lookups + XOR.
     #[target_feature(enable = "ssse3")]
-    unsafe fn mul_slice_ssse3(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        let (lo, hi) = table.nibble_tables();
-        let lo_v = _mm_loadu_si128(lo.as_ptr().cast());
-        let hi_v = _mm_loadu_si128(hi.as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let blocks = src.len() / 16;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..blocks {
-            let s = _mm_loadu_si128(sp.add(i * 16).cast());
-            let l = _mm_shuffle_epi8(lo_v, _mm_and_si128(s, mask));
-            let h = _mm_shuffle_epi8(hi_v, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
-            _mm_storeu_si128(dp.add(i * 16).cast(), _mm_xor_si128(l, h));
-        }
-        row_tail(table, src, dst, blocks * 16);
+    pub(super) unsafe fn ssse3(terms: &[(&MulTable, &[u8])], dst: &mut [u8], keep: bool) {
+        entry::<Ssse3>(terms, dst, keep)
     }
 
-    /// `dst ^= c*src`, 16 bytes per step.
-    #[target_feature(enable = "ssse3")]
-    unsafe fn mul_slice_xor_ssse3(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        let (lo, hi) = table.nibble_tables();
-        let lo_v = _mm_loadu_si128(lo.as_ptr().cast());
-        let hi_v = _mm_loadu_si128(hi.as_ptr().cast());
-        let mask = _mm_set1_epi8(0x0F);
-        let blocks = src.len() / 16;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..blocks {
-            let s = _mm_loadu_si128(sp.add(i * 16).cast());
-            let l = _mm_shuffle_epi8(lo_v, _mm_and_si128(s, mask));
-            let h = _mm_shuffle_epi8(hi_v, _mm_and_si128(_mm_srli_epi64(s, 4), mask));
-            let d = _mm_loadu_si128(dp.add(i * 16).cast());
-            let prod = _mm_xor_si128(l, h);
-            _mm_storeu_si128(dp.add(i * 16).cast(), _mm_xor_si128(d, prod));
+    /// 64 GF multiplies per register: one `VGF2P8AFFINEQB` by the table's
+    /// bit matrix, broadcast into all eight qwords as the instruction wants
+    /// it.
+    struct Gfni;
+
+    impl Lanes for Gfni {
+        const BYTES: usize = 64;
+        type V = __m512i;
+        type C<'t> = __m512i;
+        #[inline(always)]
+        unsafe fn constant(table: &MulTable) -> __m512i {
+            _mm512_set1_epi64(table.affine_matrix() as i64)
         }
-        row_tail_xor(table, src, dst, blocks * 16);
+        #[inline(always)]
+        unsafe fn load(from: *const u8) -> __m512i {
+            _mm512_loadu_si512(from.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(to: *mut u8, v: __m512i) {
+            _mm512_storeu_si512(to.cast(), v)
+        }
+        #[inline(always)]
+        unsafe fn zero() -> __m512i {
+            _mm512_setzero_si512()
+        }
+        #[inline(always)]
+        unsafe fn xor(a: __m512i, b: __m512i) -> __m512i {
+            _mm512_xor_si512(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(matrix: __m512i, v: __m512i) -> __m512i {
+            _mm512_gf2p8affine_epi64_epi8::<0>(v, matrix)
+        }
     }
 
-    /// 32 GF multiplies per step: the nibble tables are broadcast into
+    /// 32 GF multiplies per register: the nibble tables are broadcast into
     /// both 128-bit lanes (`VPSHUFB` shuffles within lanes, which is
     /// exactly what a 16-entry table lookup wants).
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_slice_avx2(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        let (lo, hi) = table.nibble_tables();
-        let lo_v = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-        let hi_v = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-        let mask = _mm256_set1_epi8(0x0F);
-        let blocks = src.len() / 32;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..blocks {
-            let s = _mm256_loadu_si256(sp.add(i * 32).cast());
-            let l = _mm256_shuffle_epi8(lo_v, _mm256_and_si256(s, mask));
-            let h = _mm256_shuffle_epi8(hi_v, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-            _mm256_storeu_si256(dp.add(i * 32).cast(), _mm256_xor_si256(l, h));
+    struct Avx2;
+
+    impl Lanes for Avx2 {
+        const BYTES: usize = 32;
+        type V = __m256i;
+        type C<'t> = (__m256i, __m256i);
+        #[inline(always)]
+        unsafe fn constant(table: &MulTable) -> (__m256i, __m256i) {
+            let (lo, hi) = table.nibble_tables();
+            (
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast())),
+                _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast())),
+            )
         }
-        row_tail(table, src, dst, blocks * 32);
+        #[inline(always)]
+        unsafe fn load(from: *const u8) -> __m256i {
+            _mm256_loadu_si256(from.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(to: *mut u8, v: __m256i) {
+            _mm256_storeu_si256(to.cast(), v)
+        }
+        #[inline(always)]
+        unsafe fn zero() -> __m256i {
+            _mm256_setzero_si256()
+        }
+        #[inline(always)]
+        unsafe fn xor(a: __m256i, b: __m256i) -> __m256i {
+            _mm256_xor_si256(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul((lo, hi): (__m256i, __m256i), v: __m256i) -> __m256i {
+            let mask = _mm256_set1_epi8(0x0F);
+            let l = _mm256_shuffle_epi8(lo, _mm256_and_si256(v, mask));
+            let h = _mm256_shuffle_epi8(hi, _mm256_and_si256(_mm256_srli_epi64(v, 4), mask));
+            _mm256_xor_si256(l, h)
+        }
     }
 
-    /// `dst ^= c*src`, 32 bytes per step.
-    #[target_feature(enable = "avx2")]
-    unsafe fn mul_slice_xor_avx2(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        let (lo, hi) = table.nibble_tables();
-        let lo_v = _mm256_broadcastsi128_si256(_mm_loadu_si128(lo.as_ptr().cast()));
-        let hi_v = _mm256_broadcastsi128_si256(_mm_loadu_si128(hi.as_ptr().cast()));
-        let mask = _mm256_set1_epi8(0x0F);
-        let blocks = src.len() / 32;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..blocks {
-            let s = _mm256_loadu_si256(sp.add(i * 32).cast());
-            let l = _mm256_shuffle_epi8(lo_v, _mm256_and_si256(s, mask));
-            let h = _mm256_shuffle_epi8(hi_v, _mm256_and_si256(_mm256_srli_epi64(s, 4), mask));
-            let d = _mm256_loadu_si256(dp.add(i * 32).cast());
-            let prod = _mm256_xor_si256(l, h);
-            _mm256_storeu_si256(dp.add(i * 32).cast(), _mm256_xor_si256(d, prod));
+    /// 16 GF multiplies per register: two `PSHUFB` nibble lookups + XOR.
+    struct Ssse3;
+
+    impl Lanes for Ssse3 {
+        const BYTES: usize = 16;
+        type V = __m128i;
+        type C<'t> = (__m128i, __m128i);
+        #[inline(always)]
+        unsafe fn constant(table: &MulTable) -> (__m128i, __m128i) {
+            let (lo, hi) = table.nibble_tables();
+            (Self::load(lo.as_ptr()), Self::load(hi.as_ptr()))
         }
-        row_tail_xor(table, src, dst, blocks * 32);
+        #[inline(always)]
+        unsafe fn load(from: *const u8) -> __m128i {
+            _mm_loadu_si128(from.cast())
+        }
+        #[inline(always)]
+        unsafe fn store(to: *mut u8, v: __m128i) {
+            _mm_storeu_si128(to.cast(), v)
+        }
+        #[inline(always)]
+        unsafe fn zero() -> __m128i {
+            _mm_setzero_si128()
+        }
+        #[inline(always)]
+        unsafe fn xor(a: __m128i, b: __m128i) -> __m128i {
+            _mm_xor_si128(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul((lo, hi): (__m128i, __m128i), v: __m128i) -> __m128i {
+            let mask = _mm_set1_epi8(0x0F);
+            let l = _mm_shuffle_epi8(lo, _mm_and_si128(v, mask));
+            let h = _mm_shuffle_epi8(hi, _mm_and_si128(_mm_srli_epi64(v, 4), mask));
+            _mm_xor_si128(l, h)
+        }
     }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    //! NEON `TBL` kernels.
+    //! The NEON `TBL` rung.
     //!
     //! SAFETY (whole module): reachable only through [`super::Kernel`]
     //! values built after `is_aarch64_feature_detected!("neon")` passed
     //! (NEON is mandatory on AArch64, but the check keeps the argument
-    //! local). `vld1q_u8`/`vst1q_u8` have no alignment requirements and
-    //! all offsets stay inside the slices.
+    //! local). `vld1q_u8`/`vst1q_u8` have no alignment requirements, and
+    //! [`super::accumulate`] keeps every offset inside slices
+    //! [`super::Kernel::run`] asserted equally long.
 
     use std::arch::aarch64::*;
 
-    use super::{row_tail, row_tail_xor};
+    use super::{entry, Lanes};
     use crate::kernels::MulTable;
 
-    pub(super) unsafe fn mul_slice_neon_entry(t: &MulTable, src: &[u8], dst: &mut [u8]) {
-        unsafe { mul_slice_neon(t, src, dst) }
-    }
-
-    pub(super) unsafe fn mul_slice_xor_neon_entry(t: &MulTable, src: &[u8], dst: &mut [u8]) {
-        unsafe { mul_slice_xor_neon(t, src, dst) }
-    }
-
-    /// 16 GF multiplies per step: two `vqtbl1q_u8` nibble lookups + XOR.
-    /// The high nibble comes from a plain per-byte shift (`vshrq_n_u8`),
-    /// no mask needed.
     #[target_feature(enable = "neon")]
-    unsafe fn mul_slice_neon(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        let (lo, hi) = table.nibble_tables();
-        let lo_v = vld1q_u8(lo.as_ptr());
-        let hi_v = vld1q_u8(hi.as_ptr());
-        let mask = vdupq_n_u8(0x0F);
-        let blocks = src.len() / 16;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..blocks {
-            let s = vld1q_u8(sp.add(i * 16));
-            let l = vqtbl1q_u8(lo_v, vandq_u8(s, mask));
-            let h = vqtbl1q_u8(hi_v, vshrq_n_u8(s, 4));
-            vst1q_u8(dp.add(i * 16), veorq_u8(l, h));
-        }
-        row_tail(table, src, dst, blocks * 16);
+    pub(super) unsafe fn neon(terms: &[(&MulTable, &[u8])], dst: &mut [u8], keep: bool) {
+        entry::<Neon>(terms, dst, keep)
     }
 
-    /// `dst ^= c*src`, 16 bytes per step.
-    #[target_feature(enable = "neon")]
-    unsafe fn mul_slice_xor_neon(table: &MulTable, src: &[u8], dst: &mut [u8]) {
-        let (lo, hi) = table.nibble_tables();
-        let lo_v = vld1q_u8(lo.as_ptr());
-        let hi_v = vld1q_u8(hi.as_ptr());
-        let mask = vdupq_n_u8(0x0F);
-        let blocks = src.len() / 16;
-        let sp = src.as_ptr();
-        let dp = dst.as_mut_ptr();
-        for i in 0..blocks {
-            let s = vld1q_u8(sp.add(i * 16));
-            let l = vqtbl1q_u8(lo_v, vandq_u8(s, mask));
-            let h = vqtbl1q_u8(hi_v, vshrq_n_u8(s, 4));
-            let d = vld1q_u8(dp.add(i * 16));
-            vst1q_u8(dp.add(i * 16), veorq_u8(d, veorq_u8(l, h)));
+    /// 16 GF multiplies per register: two `vqtbl1q_u8` nibble lookups +
+    /// XOR — `Ssse3` line for line, except that the high nibble comes from
+    /// a plain per-byte shift (`vshrq_n_u8`), no mask needed.
+    struct Neon;
+
+    impl Lanes for Neon {
+        const BYTES: usize = 16;
+        type V = uint8x16_t;
+        type C<'t> = (uint8x16_t, uint8x16_t);
+        #[inline(always)]
+        unsafe fn constant(table: &MulTable) -> (uint8x16_t, uint8x16_t) {
+            let (lo, hi) = table.nibble_tables();
+            (Self::load(lo.as_ptr()), Self::load(hi.as_ptr()))
         }
-        row_tail_xor(table, src, dst, blocks * 16);
+        #[inline(always)]
+        unsafe fn load(from: *const u8) -> uint8x16_t {
+            vld1q_u8(from)
+        }
+        #[inline(always)]
+        unsafe fn store(to: *mut u8, v: uint8x16_t) {
+            vst1q_u8(to, v)
+        }
+        #[inline(always)]
+        unsafe fn zero() -> uint8x16_t {
+            vdupq_n_u8(0)
+        }
+        #[inline(always)]
+        unsafe fn xor(a: uint8x16_t, b: uint8x16_t) -> uint8x16_t {
+            veorq_u8(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul((lo, hi): (uint8x16_t, uint8x16_t), v: uint8x16_t) -> uint8x16_t {
+            let mask = vdupq_n_u8(0x0F);
+            let l = vqtbl1q_u8(lo, vandq_u8(v, mask));
+            let h = vqtbl1q_u8(hi, vshrq_n_u8(v, 4));
+            veorq_u8(l, h)
+        }
     }
 }
 

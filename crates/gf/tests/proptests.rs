@@ -209,14 +209,17 @@ fn every_constant_matches_scalar_on_unaligned_buffer() {
     }
 }
 
-/// `combine` on every rung, and `combine_into` on the dispatched one, against
-/// term-by-term accumulation through the scalar oracle. Every length
-/// 0..=4096 plus three past the 4 KiB and 64 KiB block edges; the term count
-/// (0..=17) and the source offset (0..=16) are taken from the length, so all
-/// 18 x 17 pairings come round a dozen times. Sources are windows into one
-/// pool, three starts apart, so most sums use a source more than once;
-/// coefficients include 0 and 1; the destination sits at its own offset in a
-/// buffer of garbage that a correct combine overwrites without reading.
+/// All three operations on every rung, and `combine_into` on the dispatched
+/// one, against term-by-term accumulation through the scalar oracle — onto
+/// zeros, or with `keep` onto what the destination held. They are one loop:
+/// `combine` is the sum, `mul_slice` its one-term case and `mul_slice_xor`
+/// the one-term case that keeps `dst`. Every length 0..=4096 plus three past
+/// 4 KiB and 64 KiB, each with one term and with a term count (0..=17) taken,
+/// like the source offset (0..=16), from the length, so all 18 x 17 pairings
+/// come round a dozen times. Sources are windows into one pool, three starts
+/// apart, so most sums use a source more than once; coefficients include 0
+/// and 1; the destination sits at its own offset in a buffer of garbage that
+/// a sum without `keep` overwrites without reading.
 #[test]
 fn combine_matches_scalar_accumulation_on_every_rung() {
     const COEFFS: [u8; 9] = [0x53, 0, 1, 2, 0x1D, 0x8E, 0xFF, 1, 0xB7];
@@ -227,8 +230,9 @@ fn combine_matches_scalar_accumulation_on_every_rung() {
     let pool: Vec<u8> = (0..65_541 + 64)
         .map(|i: usize| (i * 131 + i / 251 + 17) as u8)
         .collect();
-    for len in (0..=4096usize).chain([4097, 65_535, 65_541]) {
-        let (count, off) = (len % 18, len % 17);
+    let lens = (0..=4096usize).chain([4097, 65_535, 65_541]);
+    for (len, count) in lens.flat_map(|len| [(len, len % 18), (len, 1)]) {
+        let off = len % 17;
         let terms: Vec<(&MulTable, &[u8])> = (0..count)
             .map(|t| {
                 (
@@ -237,29 +241,47 @@ fn combine_matches_scalar_accumulation_on_every_rung() {
                 )
             })
             .collect();
-        let mut expect = vec![0u8; len];
-        for (table, src) in &terms {
-            scalar::mul_slice_xor(table.coeff(), src, &mut expect);
-        }
         let dst_off = (off * 5 + 3) % 17;
         let garbage = |i: usize| (i * 59 + 0xA5) as u8;
-        let check = |what: &str, combine: &dyn Fn(&mut [u8])| {
-            let mut backing: Vec<u8> = (0..dst_off + len).map(garbage).collect();
-            combine(&mut backing[dst_off..]);
-            assert!(
-                backing[dst_off..] == expect[..],
-                "{what}: len={len} terms={count} src offset={off} dst offset={dst_off}"
-            );
-            let before = backing[..dst_off].iter().enumerate();
-            assert!(
-                before.into_iter().all(|(i, &b)| b == garbage(i)),
-                "{what}: wrote before dst"
-            );
-        };
-        for kernel in available_kernels() {
-            check(kernel.name(), &|dst| kernel.combine(&terms, dst));
+        for keep in [false, true] {
+            let mut expect: Vec<u8> = (dst_off..dst_off + len)
+                .map(|i| if keep { garbage(i) } else { 0 })
+                .collect();
+            for (table, src) in &terms {
+                scalar::mul_slice_xor(table.coeff(), src, &mut expect);
+            }
+            let check = |what: &str, sum: &dyn Fn(&mut [u8])| {
+                let mut backing: Vec<u8> = (0..dst_off + len).map(garbage).collect();
+                sum(&mut backing[dst_off..]);
+                assert!(
+                    backing[dst_off..] == expect[..],
+                    "{what}: len={len} terms={count} keep={keep} src offset={off} dst offset={dst_off}"
+                );
+                let before = backing[..dst_off].iter().enumerate();
+                assert!(
+                    before.into_iter().all(|(i, &b)| b == garbage(i)),
+                    "{what}: wrote before dst"
+                );
+            };
+            for kernel in available_kernels() {
+                let name = kernel.name();
+                if keep {
+                    check(name, &|dst| {
+                        for (table, src) in &terms {
+                            kernel.mul_slice_xor(table, src, dst);
+                        }
+                    });
+                } else {
+                    check(name, &|dst| kernel.combine(&terms, dst));
+                    if let [(table, src)] = terms[..] {
+                        check(name, &|dst| kernel.mul_slice(table, src, dst));
+                    }
+                }
+            }
+            if !keep {
+                check("combine_into", &|dst| combine_into(&terms, dst));
+            }
         }
-        check("combine_into", &|dst| combine_into(&terms, dst));
     }
 }
 
