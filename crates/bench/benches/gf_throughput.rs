@@ -20,7 +20,7 @@
 
 use std::time::Instant;
 
-use chameleon_bench::table::{print_table, write_json};
+use chameleon_bench::table::{write_result, Table};
 use chameleon_codes::ErasureCode;
 use chameleon_gf::{active_kernel, available_kernels, Gf256, MulTable};
 
@@ -82,7 +82,18 @@ fn main() {
         active_kernel()
     );
 
-    let mut rows = Vec::new();
+    let mut kernels = Table::new(
+        "BENCH_gf",
+        "GF multiply kernels (MB/s of source)",
+        &[
+            ("kernel", "kernel"),
+            ("active", "active"),
+            ("len", "len"),
+            ("mul MB/s", "mul_mbps"),
+            ("mul_xor MB/s", "mul_xor_mbps"),
+            ("combine10 MB/s", "combine10_mbps"),
+        ],
+    );
     let mut json_levels = Vec::new();
     let table = MulTable::new(Gf256::new(0x53));
     let tables: Vec<MulTable> = (0..K as u8)
@@ -102,7 +113,7 @@ fn main() {
             let mul = measure(budget, len, || kernel.mul_slice(&table, &src, &mut dst));
             let mul_xor = measure(budget, len, || kernel.mul_slice_xor(&table, &src, &mut dst));
             let combine = measure(budget, K * len, || kernel.combine(&terms, &mut dst));
-            rows.push(vec![
+            kernels.push(vec![
                 kernel.name().to_string(),
                 if active { "yes" } else { "" }.to_string(),
                 format!("{} KiB", len / 1024),
@@ -118,18 +129,7 @@ fn main() {
             ));
         }
     }
-    print_table(
-        "GF multiply kernels (MB/s of source)",
-        &[
-            "kernel",
-            "active",
-            "len",
-            "mul MB/s",
-            "mul_xor MB/s",
-            "combine10 MB/s",
-        ],
-        &rows,
-    );
+    print!("{kernels}");
 
     let encode = encode_mbps(budget);
     json_levels.push(format!(
@@ -143,7 +143,7 @@ fn main() {
         active_kernel(),
         json_levels.join(",\n")
     );
-    write_json("BENCH_gf", &json);
+    write_result("BENCH_gf.json", &json);
     println!(
         "gate: the active kernel's mul_xor and combine10 MB/s at 1 MiB must each stay within 30% \
          of its row in results/BENCH_gf.baseline.json (run `bench_gate` to check)."

@@ -25,7 +25,7 @@
 
 use std::time::Instant;
 
-use chameleon_bench::table::{print_table, write_json};
+use chameleon_bench::table::{write_result, Table};
 use chameleon_simnet::{FlowSpec, NodeCaps, SimConfig, Simulator, Topology, Traffic};
 
 /// Deterministic LCG: every run replays the identical workload.
@@ -153,11 +153,19 @@ fn main() {
         "simnet throughput: sustained events/sec, closed loop{}",
         if smoke { " (smoke mode)" } else { "" }
     );
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "BENCH_simnet",
+        "simulator throughput (indexed engine)",
+        &[
+            ("nodes", "nodes"),
+            ("concurrent flows", "flows"),
+            ("indexed ev/s", "indexed_events_per_sec"),
+        ],
+    );
     let mut json_levels = Vec::new();
     for &(nodes, flows) in &points {
         let indexed = measure(nodes, flows, budget);
-        rows.push(vec![
+        table.push(vec![
             format!("{nodes}"),
             format!("{flows}"),
             format!("{indexed:.0}"),
@@ -172,7 +180,7 @@ fn main() {
     // saturated resources conduct the dirty closure — a conducting spine
     // would collapse this number).
     let spine = measure_spine(1_000, 1_500, budget);
-    rows.push(vec![
+    table.push(vec![
         "1000 (25 racks, 1:4 spine)".to_string(),
         "1500".to_string(),
         format!("{spine:.0}"),
@@ -182,16 +190,12 @@ fn main() {
          \"indexed_events_per_sec\": {spine:.1}}}"
     ));
 
-    print_table(
-        "simulator throughput (indexed engine)",
-        &["nodes", "concurrent flows", "indexed ev/s"],
-        &rows,
-    );
+    print!("{table}");
     let json = format!(
         "{{\n  \"bench\": \"simnet_throughput\",\n  \"levels\": [\n{}\n  ]\n}}\n",
         json_levels.join(",\n")
     );
-    write_json("BENCH_simnet", &json);
+    write_result("BENCH_simnet.json", &json);
     println!(
         "gate: the 20-node 10k-flow indexed point must stay within 20% of \
          results/BENCH_simnet.baseline.json (run `bench_gate` to check)."

@@ -54,6 +54,18 @@ impl AlgoKind {
         ("etrp", AlgoKind::Etrp),
     ];
 
+    /// `false` for ChameleonEC and its variants (custom `T_phase`, ETRP
+    /// only, the IO variant); `true` for everything it is compared against.
+    pub fn is_baseline(self) -> bool {
+        !matches!(
+            self,
+            AlgoKind::Chameleon
+                | AlgoKind::ChameleonTPhase(_)
+                | AlgoKind::Etrp
+                | AlgoKind::ChameleonIo
+        )
+    }
+
     /// The algorithm a command-line name (`--algo`, `--algos`) stands for.
     pub fn from_name(name: &str) -> Option<AlgoKind> {
         Self::NAMED

@@ -19,16 +19,11 @@
 use std::path::PathBuf;
 
 use chameleon_bench::gate;
-
-fn results_path(name: &str) -> PathBuf {
-    match std::env::var("CARGO_MANIFEST_DIR") {
-        Ok(manifest) => PathBuf::from(manifest).join(format!("../../results/{name}")),
-        Err(_) => PathBuf::from(format!("results/{name}")),
-    }
-}
+use chameleon_bench::table::results_dir;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let results_path = |name: &str| results_dir().join(name);
     let mut current = results_path("BENCH_simnet.json");
     let mut baseline = results_path("BENCH_simnet.baseline.json");
     let mut gf_current = results_path("BENCH_gf.json");

@@ -8,6 +8,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use chameleon_bench::table::results_dir;
+
 fn main() {
     let dir = results_dir();
     let mut entries: Vec<PathBuf> = match fs::read_dir(&dir) {
@@ -48,16 +50,6 @@ fn main() {
             eprintln!("cannot write {}: {e}", out.display());
             std::process::exit(1);
         }
-    }
-}
-
-fn results_dir() -> PathBuf {
-    let manifest = std::env::var("CARGO_MANIFEST_DIR").unwrap_or_else(|_| ".".into());
-    let p = PathBuf::from(&manifest).join("../../results");
-    if p.exists() {
-        p
-    } else {
-        PathBuf::from("results")
     }
 }
 

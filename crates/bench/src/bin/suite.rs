@@ -13,15 +13,16 @@
 //!   --list          print the experiment names and exit
 //! ```
 //!
-//! The scale is `CHAMELEON_SCALE` (small | paper). Experiment stdout is
-//! unchanged by `--jobs` (the grid determinism contract), so this binary's
-//! own timing lines go to stderr and only the JSON summary lands in
-//! `results/`.
+//! The scale is `CHAMELEON_SCALE` (small | paper). Experiments return
+//! their results as data ([`Report`]); [`emit`] is the one place that
+//! prints a table or writes an experiment's files under `results/`. Every
+//! table and artifact is unchanged by `--jobs` (the grid determinism
+//! contract), so this binary's own timing lines go to stderr.
 
 use std::time::Instant;
 
 use chameleon_bench::experiments::{self, Experiment};
-use chameleon_bench::table::write_json;
+use chameleon_bench::table::{write_result, Report};
 use chameleon_bench::{grid, Scale};
 
 struct Timing {
@@ -87,8 +88,9 @@ fn main() {
     for (i, e) in selected.iter().enumerate() {
         eprintln!("[suite] {}/{} {}", i + 1, selected.len(), e.name);
         let start = Instant::now();
-        (e.run)(&scale, jobs);
+        let report = (e.run)(&scale, jobs);
         let secs = start.elapsed().as_secs_f64();
+        emit(e, &report);
         let baseline_secs = baseline.then(|| {
             let start = Instant::now();
             (e.run)(&scale, 1);
@@ -109,8 +111,8 @@ fn main() {
     }
     let wall_secs = suite_start.elapsed().as_secs_f64();
 
-    write_json(
-        "BENCH_experiments",
+    write_result(
+        "BENCH_experiments.json",
         &render_json(&timings, &scale, jobs, wall_secs),
     );
 
@@ -118,6 +120,22 @@ fn main() {
         "[suite] completed in {wall_secs:.1}s ({} experiments, {jobs} worker(s))",
         timings.len()
     );
+}
+
+/// Prints one experiment's report — title, tables, notes — and persists
+/// each table as `results/<stem>.csv` and each artifact under its name.
+fn emit(e: &Experiment, report: &Report) {
+    println!("{}", e.title);
+    for table in &report.tables {
+        print!("{table}");
+        write_result(&format!("{}.csv", table.stem), &table.csv());
+    }
+    for (file_name, contents) in &report.artifacts {
+        write_result(file_name, contents);
+    }
+    for note in &report.notes {
+        println!("{note}");
+    }
 }
 
 /// Hand-rolled JSON (the workspace deliberately has no serde dependency),

@@ -5,18 +5,16 @@
 //! 65.6% on average over CR / PPR / ECPipe across traces, and shortens the
 //! traces' P99 latency by 18.2% / 9.1% / 17.6%.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_traces::TraceKind;
 
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
 use crate::runner::FgSpec;
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
 fn specs(scale: &Scale) -> Vec<(TraceKind, AlgoKind, RunSpec)> {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+    let code = rs(10, 4);
     let cfg = scale.cluster_config(14);
     let mut specs = Vec::new();
     for trace in TraceKind::ALL {
@@ -36,79 +34,62 @@ fn specs(scale: &Scale) -> Vec<(TraceKind, AlgoKind, RunSpec)> {
 }
 
 /// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    println!(
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
         "Exp#1 (Fig. 12): interference study at scale '{}' — RS(10,4), {} clients",
         scale.name(),
         scale.clients
-    );
+    ));
 
     let cells = specs(scale);
     let grid: Vec<RunSpec> = cells.iter().map(|(_, _, s)| s.clone()).collect();
     let outs = run_specs(&grid, jobs);
 
-    let mut rows = Vec::new();
-    let mut cham_tp: Vec<f64> = Vec::new();
-    let mut base_tp: Vec<(AlgoKind, f64)> = Vec::new();
+    let mut table = Table::new(
+        "exp01_interference_study",
+        "repair throughput and trace P99 under interference",
+        &[
+            ("trace", "trace"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+            ("P99 (ms)", "p99_ms"),
+            ("chunk p50 (s)", "chunk_p50_s"),
+            ("chunk p95 (s)", "chunk_p95_s"),
+            ("chunk p99 (s)", "chunk_p99_s"),
+        ],
+    );
+    let mut throughput = Vec::new();
     for ((trace, algo, _), out) in cells.iter().zip(&outs) {
         let mbps = out.repair_mbps();
-        let p99 = out.p99_ms();
-        rows.push(vec![
+        table.push(vec![
             trace.name().to_string(),
             algo.label(),
             format!("{mbps:.1}"),
-            format!("{p99:.3}"),
+            format!("{:.3}", out.p99_ms()),
             format!("{:.3}", out.chunk_pct_secs(0.50)),
             format!("{:.3}", out.chunk_pct_secs(0.95)),
             format!("{:.3}", out.chunk_pct_secs(0.99)),
         ]);
-        if *algo == AlgoKind::Chameleon {
-            cham_tp.push(mbps);
-        } else {
-            base_tp.push((*algo, mbps));
-        }
+        throughput.push((*trace, *algo, mbps));
     }
-
-    print_table(
-        "repair throughput and trace P99 under interference",
-        &[
-            "trace",
-            "algorithm",
-            "repair MB/s",
-            "P99 (ms)",
-            "chunk p50 (s)",
-            "chunk p95 (s)",
-            "chunk p99 (s)",
-        ],
-        &rows,
-    );
-    write_csv(
-        "exp01_interference_study",
-        &[
-            "trace",
-            "algorithm",
-            "repair_mbps",
-            "p99_ms",
-            "chunk_p50_s",
-            "chunk_p95_s",
-            "chunk_p99_s",
-        ],
-        &rows,
-    );
+    report.tables.push(table);
 
     // Summarize ChameleonEC's average gain over each baseline.
     for base in AlgoKind::BASELINES {
-        let gains: Vec<f64> = base_tp
+        let gains: Vec<f64> = TraceKind::ALL
             .iter()
-            .filter(|(a, _)| *a == base)
-            .zip(&cham_tp)
-            .map(|((_, b), c)| improvement(*c, *b))
+            .filter_map(|trace| {
+                let cham = value_of(&throughput, trace, AlgoKind::Chameleon)?;
+                Some(improvement(cham, value_of(&throughput, trace, base)?))
+            })
             .collect();
         let avg = gains.iter().sum::<f64>() / gains.len().max(1) as f64;
-        println!(
+        report.note(format!(
             "ChameleonEC vs {:<8}: {} average repair-throughput gain (paper: +23.5%/+31.4%/+65.6%)",
             base.label(),
             pct(avg)
-        );
+        ));
     }
+    report
 }

@@ -8,16 +8,15 @@
 //! ECPipe.
 
 use std::ops::ControlFlow;
-use std::sync::Arc;
 
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_core::run::{stop_if, Routed};
 use chameleon_simnet::{Event, ResourceKind, Traffic};
 use chameleon_traces::TraceKind;
 
+use super::rs;
 use crate::grid::run_grid;
 use crate::runner::{client_seed, stage, FgSpec};
-use crate::table::{print_table, write_csv};
+use crate::table::{sparkline, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
 const TRANSITION_SECS: f64 = 15.0;
@@ -25,7 +24,7 @@ const TRANSITION_SECS: f64 = 15.0;
 /// Runs a repair while cycling the foreground trace; returns per-window
 /// repair throughput (MB/s) plus the overall repair throughput.
 fn run_one(algo: AlgoKind, scale: &Scale) -> (Vec<f64>, f64) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+    let code = rs(10, 4);
     // 1 Gb/s links + a stressed chunk count so the repair spans several
     // 15 s trace transitions.
     let mut cfg = scale.cluster_config_with_bandwidth(14, 1.25e8, 500e6);
@@ -82,59 +81,59 @@ fn run_one(algo: AlgoKind, scale: &Scale) -> (Vec<f64>, f64) {
 }
 
 /// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
+pub fn run(scale: &Scale, jobs: usize) -> Report {
     let scale = scale.stressed();
-    println!(
+    let mut report = Report::default();
+    report.note(format!(
         "Exp#4 (Fig. 15): repair throughput under trace transitions every {TRANSITION_SECS} s \
          (scale '{}')",
         scale.name()
-    );
+    ));
 
     let algos: Vec<AlgoKind> = AlgoKind::HEADLINE.to_vec();
     let results = run_grid(&algos, jobs, |&algo| run_one(algo, &scale));
 
-    let mut rows = Vec::new();
-    let mut overall = Vec::new();
-    for (&algo, (series, total)) in algos.iter().zip(&results) {
-        println!(
+    let mut table = Table::new(
+        "exp04_adaptivity",
+        "repair throughput over time (5 s windows)",
+        &[
+            ("algorithm", "algorithm"),
+            ("t (s)", "t_secs"),
+            ("repair MB/s", "repair_mbps"),
+        ],
+    );
+    for (&algo, (series, _)) in algos.iter().zip(&results) {
+        report.note(format!(
             "  {:<12} {}  ({} windows)",
             algo.label(),
-            crate::table::sparkline(series),
+            sparkline(series),
             series.len()
-        );
-        overall.push((algo, *total));
+        ));
         for (w, mbps) in series.iter().enumerate() {
-            rows.push(vec![
+            table.push(vec![
                 algo.label(),
                 format!("{:.0}", w as f64 * 5.0),
                 format!("{mbps:.1}"),
             ]);
         }
     }
-    print_table(
-        "repair throughput over time (5 s windows)",
-        &["algorithm", "t (s)", "repair MB/s"],
-        &rows,
-    );
-    write_csv(
-        "exp04_adaptivity",
-        &["algorithm", "t_secs", "repair_mbps"],
-        &rows,
-    );
+    report.tables.push(table);
 
-    println!("\noverall repair throughput:");
-    let cham = overall
+    report.note("\noverall repair throughput:");
+    let overall: Vec<_> = algos
         .iter()
-        .find(|(a, _)| *a == AlgoKind::Chameleon)
-        .map(|(_, t)| *t)
-        .unwrap_or(0.0);
-    for (algo, total) in &overall {
-        let note = if *algo == AlgoKind::Chameleon {
+        .zip(&results)
+        .map(|(&algo, (_, total))| ((), algo, *total))
+        .collect();
+    let cham = value_of(&overall, &(), AlgoKind::Chameleon).unwrap_or(0.0);
+    for (_, algo, total) in &overall {
+        let vs = if *algo == AlgoKind::Chameleon {
             String::new()
         } else {
             format!("  (ChameleonEC {:+.1}%)", (cham / total - 1.0) * 100.0)
         };
-        println!("  {:<12} {:>8.1} MB/s{}", algo.label(), total, note);
+        report.note(format!("  {:<12} {:>8.1} MB/s{}", algo.label(), total, vs));
     }
-    println!("(paper: +51.5%/+53.0%/+97.2% over CR/PPR/ECPipe)");
+    report.note("(paper: +51.5%/+53.0%/+97.2% over CR/PPR/ECPipe)");
+    report
 }

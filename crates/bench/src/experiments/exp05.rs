@@ -6,20 +6,19 @@
 //! Paper result: computation grows with both dimensions but stays tiny —
 //! ~0.55 s to plan 1,000 chunks in a 500-node system.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use chameleon_cluster::{Cluster, ClusterConfig, PlacementStrategy};
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_core::chameleon::{dispatch_chunk, establish_plan, PhaseState};
 use chameleon_core::RepairContext;
 
+use super::rs;
 use crate::grid::run_grid;
-use crate::table::{print_table, write_csv};
+use crate::table::{Report, Table};
 use crate::Scale;
 
 fn plan_time_secs(nodes: usize, chunks: usize) -> f64 {
-    let code = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+    let code = rs(10, 4);
     let width = code.n();
     let cfg = ClusterConfig {
         storage_nodes: nodes,
@@ -63,8 +62,9 @@ fn plan_time_secs(nodes: usize, chunks: usize) -> f64 {
 /// higher per-cell times than `--jobs 1`; the shape (growth with both
 /// dimensions) is unaffected. The `plan_compute_secs` column is also the
 /// observable for the Algorithm 1 pairing-loop optimization.
-pub fn run(_scale: &Scale, jobs: usize) {
-    println!("Exp#5 (Fig. 16): coordinator computation time (wall clock)");
+pub fn run(_scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note("Exp#5 (Fig. 16): coordinator computation time (wall clock)");
     let mut cells = Vec::new();
     for nodes in [50usize, 100, 200, 300, 400, 500] {
         for chunks in [200usize, 400, 600, 800, 1000] {
@@ -77,30 +77,28 @@ pub fn run(_scale: &Scale, jobs: usize) {
     // Wall-clock rows are attributed to the GF kernel in use so breakdown
     // numbers from different machines/overrides can be told apart.
     let kernel = chameleon_gf::active_kernel();
-    let rows: Vec<Vec<String>> = cells
-        .iter()
-        .zip(&times)
-        .map(|(&(nodes, chunks), secs)| {
-            vec![
-                nodes.to_string(),
-                chunks.to_string(),
-                format!("{:.4}", secs),
-                kernel.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "plan-generation time vs nodes and chunks",
-        &["nodes", "chunks", "time (s)", "gf kernel"],
-        &rows,
-    );
-    write_csv(
+    let mut table = Table::new(
         "exp05_computation",
-        &["nodes", "chunks", "plan_compute_secs", "gf_kernel"],
-        &rows,
+        "plan-generation time vs nodes and chunks",
+        &[
+            ("nodes", "nodes"),
+            ("chunks", "chunks"),
+            ("time (s)", "plan_compute_secs"),
+            ("gf kernel", "gf_kernel"),
+        ],
     );
-    println!(
+    for (&(nodes, chunks), secs) in cells.iter().zip(&times) {
+        table.push(vec![
+            nodes.to_string(),
+            chunks.to_string(),
+            format!("{:.4}", secs),
+            kernel.to_string(),
+        ]);
+    }
+    report.tables.push(table);
+    report.note(
         "shape check: grows with both dimensions; the paper reports 0.55 s for \
-         1,000 chunks at 500 nodes."
+         1,000 chunks at 500 nodes.",
     );
+    report
 }

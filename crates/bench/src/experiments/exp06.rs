@@ -6,24 +6,22 @@
 //! 46.2% over RB+CR / RB+PPR / RB+ECPipe — a fixed plan shape re-creates
 //! the bandwidth imbalance RepairBoost tries to remove.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
-
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
 use crate::runner::FgSpec;
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let code = rs(10, 4);
     let cfg = scale.cluster_config(14);
 
-    println!(
+    let mut report = Report::default();
+    report.note(format!(
         "Exp#6 (Fig. 17): RepairBoost-boosted baselines vs ChameleonEC (scale '{}')",
         scale.name()
-    );
+    ));
 
     let algos = [
         AlgoKind::Cr,
@@ -48,43 +46,43 @@ pub fn run(scale: &Scale, jobs: usize) {
         .collect();
     let outs = run_specs(&specs, jobs);
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "exp06_repairboost",
+        "repair throughput under RepairBoost",
+        &[
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+            ("P99 (ms)", "p99_ms"),
+        ],
+    );
     let mut results = Vec::new();
     for (&algo, out) in algos.iter().zip(&outs) {
         let mbps = out.repair_mbps();
-        results.push((algo, mbps));
-        rows.push(vec![
+        results.push(((), algo, mbps));
+        table.push(vec![
             algo.label(),
             format!("{mbps:.1}"),
             format!("{:.2}", out.p99_ms()),
         ]);
     }
-    print_table(
-        "repair throughput under RepairBoost",
-        &["algorithm", "repair MB/s", "P99 (ms)"],
-        &rows,
-    );
-    write_csv(
-        "exp06_repairboost",
-        &["algorithm", "repair_mbps", "p99_ms"],
-        &rows,
-    );
+    report.tables.push(table);
 
-    let get = |kind: AlgoKind| results.iter().find(|(a, _)| *a == kind).map(|(_, t)| *t);
-    let cham = get(AlgoKind::Chameleon).unwrap_or(0.0);
+    let get = |kind: AlgoKind| value_of(&results, &(), kind).unwrap_or(0.0);
+    let cham = get(AlgoKind::Chameleon);
     for (plain, boosted) in [
         (AlgoKind::Cr, AlgoKind::RbCr),
         (AlgoKind::Ppr, AlgoKind::RbPpr),
         (AlgoKind::EcPipe, AlgoKind::RbEcPipe),
     ] {
-        let (p, b) = (get(plain).unwrap_or(0.0), get(boosted).unwrap_or(0.0));
-        println!(
+        let (p, b) = (get(plain), get(boosted));
+        report.note(format!(
             "{:<10}: RB lifts {p:.1} -> {b:.1} MB/s ({}); ChameleonEC still {} better than {}",
             plain.label(),
             pct(improvement(b, p)),
             pct(improvement(cham, b)),
             boosted.label(),
-        );
+        ));
     }
-    println!("(paper: ChameleonEC +34.8%/+16.7%/+46.2% over RB+CR/RB+PPR/RB+ECPipe)");
+    report.note("(paper: ChameleonEC +34.8%/+16.7%/+46.2% over RB+CR/RB+PPR/RB+ECPipe)");
+    report
 }

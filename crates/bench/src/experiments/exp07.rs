@@ -6,30 +6,28 @@
 //! bandwidth-aware dispatch still gives ChameleonEC +25.0–41.3%
 //! (35.1% on average) by balancing multi-chunk repair traffic.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
-
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::runner::FgSpec;
+use crate::table::{chameleon_gains, pct, Cell, Report, Table};
 use crate::{AlgoKind, Scale};
 
-const GBPS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
-
-/// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
-
-    println!(
-        "Exp#7 (Fig. 18): no-foreground repair vs link bandwidth (scale '{}')",
-        scale.name()
-    );
-
+/// The link-bandwidth sweep this experiment (no foreground) and Exp#13
+/// (YCSB foreground) share: the headline algorithms on RS(10,4) at 1, 2, 5
+/// and 10 Gb/s links over 500 MB/s disks. Returns the table and the
+/// measured `(Gb/s, algorithm, repair MB/s)` cells.
+pub(super) fn sweep(
+    scale: &Scale,
+    jobs: usize,
+    fg: Option<FgSpec>,
+    stem: &'static str,
+    title: &'static str,
+) -> (Table, Vec<Cell<f64>>) {
+    let code = rs(10, 4);
     let mut cells = Vec::new();
     let mut specs = Vec::new();
-    for gbps in GBPS {
-        let network = gbps * 1e9 / 8.0;
-        let cfg = scale.cluster_config_with_bandwidth(14, network, 500e6);
+    for gbps in [1.0, 2.0, 5.0, 10.0] {
+        let cfg = scale.cluster_config_with_bandwidth(14, gbps * 1e9 / 8.0, 500e6);
         for algo in AlgoKind::HEADLINE {
             cells.push((gbps, algo));
             specs.push(RunSpec::new(
@@ -37,55 +35,64 @@ pub fn run(scale: &Scale, jobs: usize) {
                 code.clone(),
                 cfg.clone(),
                 algo,
-                None,
+                fg.clone(),
             ));
         }
     }
     let outs = run_specs(&specs, jobs);
 
-    let mut rows = Vec::new();
-    let mut gains = Vec::new();
-    for chunk in cells.chunks(4).zip(outs.chunks(4)) {
-        let (group, group_outs) = chunk;
-        let gbps = group[0].0;
-        let mut best_base = 0.0f64;
-        let mut base_sum = 0.0f64;
-        let mut cham = 0.0f64;
-        for ((_, algo), out) in group.iter().zip(group_outs) {
-            let mbps = out.repair_mbps();
-            rows.push(vec![
-                format!("{gbps:.0}"),
-                algo.label(),
-                format!("{mbps:.1}"),
-            ]);
-            if *algo == AlgoKind::Chameleon {
-                cham = mbps;
-            } else {
-                best_base = best_base.max(mbps);
-                base_sum += mbps;
-            }
-        }
-        let avg_base = base_sum / 3.0;
-        gains.push(improvement(cham, avg_base));
-        println!(
-            "  {gbps:.0} Gb/s: ChameleonEC vs baseline average {}, vs best baseline {}",
-            pct(improvement(cham, avg_base)),
-            pct(improvement(cham, best_base))
-        );
+    let mut table = Table::new(
+        stem,
+        title,
+        &[
+            ("link Gb/s", "link_gbps"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+        ],
+    );
+    let mut throughput = Vec::new();
+    for (&(gbps, algo), out) in cells.iter().zip(&outs) {
+        let mbps = out.repair_mbps();
+        table.push(vec![
+            format!("{gbps:.0}"),
+            algo.label(),
+            format!("{mbps:.1}"),
+        ]);
+        throughput.push((gbps, algo, mbps));
     }
-    print_table(
-        "repair throughput with no foreground traffic",
-        &["link Gb/s", "algorithm", "repair MB/s"],
-        &rows,
-    );
-    write_csv(
+    (table, throughput)
+}
+
+/// Runs the experiment at the given scale across `jobs` workers.
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
+        "Exp#7 (Fig. 18): no-foreground repair vs link bandwidth (scale '{}')",
+        scale.name()
+    ));
+
+    let (table, throughput) = sweep(
+        scale,
+        jobs,
+        None,
         "exp07_no_foreground",
-        &["link_gbps", "algorithm", "repair_mbps"],
-        &rows,
+        "repair throughput with no foreground traffic",
     );
-    let avg = gains.iter().sum::<f64>() / gains.len() as f64;
-    println!(
+    report.tables.push(table);
+
+    let gains = chameleon_gains(&throughput);
+    for g in &gains {
+        report.note(format!(
+            "  {:.0} Gb/s: ChameleonEC vs baseline average {}, vs best baseline {}",
+            g.key,
+            pct(g.vs_average),
+            pct(g.vs_best)
+        ));
+    }
+    let avg = gains.iter().map(|g| g.vs_average).sum::<f64>() / gains.len() as f64;
+    report.note(format!(
         "average ChameleonEC gain over the baseline average: {} (paper: +25.0–41.3%, avg 35.1%)",
         pct(avg)
-    );
+    ));
+    report
 }

@@ -6,17 +6,21 @@
 //! keeps its lead and even grows it (+43.6% at one failure, +65.7% at
 //! three) because it shines when bandwidth is stringent.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
-
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
-use crate::runner::{FgSpec, RunOutput};
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::runner::FgSpec;
+use crate::table::{chameleon_gains, pct, Report, Table};
 use crate::{AlgoKind, Scale};
 
-fn compute(scale: &Scale, jobs: usize) -> (Vec<(usize, AlgoKind)>, Vec<RunOutput>) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+/// Runs the experiment at the given scale across `jobs` workers.
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
+        "Exp#8 (Fig. 19): multi-node repair (scale '{}')",
+        scale.name()
+    ));
+
+    let code = rs(10, 4);
     let cfg = scale.cluster_config(14);
     let mut cells = Vec::new();
     let mut specs = Vec::new();
@@ -36,87 +40,43 @@ fn compute(scale: &Scale, jobs: usize) -> (Vec<(usize, AlgoKind)>, Vec<RunOutput
             );
         }
     }
-    (cells, run_specs(&specs, jobs))
-}
+    let outs = run_specs(&specs, jobs);
 
-fn rows_of(cells: &[(usize, AlgoKind)], outs: &[RunOutput]) -> Vec<Vec<String>> {
-    cells
-        .iter()
-        .zip(outs)
-        .map(|(&(failures, algo), out)| {
-            vec![
-                failures.to_string(),
-                algo.label(),
-                format!("{:.1}", out.repair_mbps()),
-                out.outcome.chunks_repaired.to_string(),
-                format!("{:.3}", out.chunk_pct_secs(0.50)),
-                format!("{:.3}", out.chunk_pct_secs(0.95)),
-                format!("{:.3}", out.chunk_pct_secs(0.99)),
-            ]
-        })
-        .collect()
-}
-
-/// The experiment's CSV rows — exposed for the grid determinism suite,
-/// which compares the byte-rendered rows across `--jobs` settings.
-pub fn csv_rows(scale: &Scale, jobs: usize) -> Vec<Vec<String>> {
-    let (cells, outs) = compute(scale, jobs);
-    rows_of(&cells, &outs)
-}
-
-/// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    println!(
-        "Exp#8 (Fig. 19): multi-node repair (scale '{}')",
-        scale.name()
-    );
-
-    let (cells, outs) = compute(scale, jobs);
-    let rows = rows_of(&cells, &outs);
-
-    for (group, group_outs) in cells.chunks(4).zip(outs.chunks(4)) {
-        let failures = group[0].0;
-        let mut cham = 0.0f64;
-        let mut bases = Vec::new();
-        for ((_, algo), out) in group.iter().zip(group_outs) {
-            let mbps = out.repair_mbps();
-            if *algo == AlgoKind::Chameleon {
-                cham = mbps;
-            } else {
-                bases.push(mbps);
-            }
-        }
-        let avg_base = bases.iter().sum::<f64>() / bases.len() as f64;
-        println!(
-            "  {failures} failed node(s): ChameleonEC vs baseline average: {}",
-            pct(improvement(cham, avg_base))
-        );
-    }
-    print_table(
+    let mut table = Table::new(
+        "exp08_multinode",
         "repair throughput vs number of failed nodes",
         &[
-            "failed nodes",
-            "algorithm",
-            "repair MB/s",
-            "chunks",
-            "chunk p50 (s)",
-            "chunk p95 (s)",
-            "chunk p99 (s)",
+            ("failed nodes", "failed_nodes"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+            ("chunks", "chunks"),
+            ("chunk p50 (s)", "chunk_p50_s"),
+            ("chunk p95 (s)", "chunk_p95_s"),
+            ("chunk p99 (s)", "chunk_p99_s"),
         ],
-        &rows,
     );
-    write_csv(
-        "exp08_multinode",
-        &[
-            "failed_nodes",
-            "algorithm",
-            "repair_mbps",
-            "chunks",
-            "chunk_p50_s",
-            "chunk_p95_s",
-            "chunk_p99_s",
-        ],
-        &rows,
-    );
-    println!("(paper: +43.6% at 1 failure growing to +65.7% at 3)");
+    let mut throughput = Vec::new();
+    for (&(failures, algo), out) in cells.iter().zip(&outs) {
+        table.push(vec![
+            failures.to_string(),
+            algo.label(),
+            format!("{:.1}", out.repair_mbps()),
+            out.outcome.chunks_repaired.to_string(),
+            format!("{:.3}", out.chunk_pct_secs(0.50)),
+            format!("{:.3}", out.chunk_pct_secs(0.95)),
+            format!("{:.3}", out.chunk_pct_secs(0.99)),
+        ]);
+        throughput.push((failures, algo, out.repair_mbps()));
+    }
+    report.tables.push(table);
+
+    for g in chameleon_gains(&throughput) {
+        report.note(format!(
+            "  {} failed node(s): ChameleonEC vs baseline average: {}",
+            g.key,
+            pct(g.vs_average)
+        ));
+    }
+    report.note("(paper: +43.6% at 1 failure growing to +65.7% at 3)");
+    report
 }

@@ -10,23 +10,25 @@
 
 use std::sync::Arc;
 
-use chameleon_codes::{Butterfly, ErasureCode, Lrc, ReedSolomon};
+use chameleon_codes::{Butterfly, ErasureCode, Lrc};
 
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
 use crate::runner::FgSpec;
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::table::{improvement, pct, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    println!(
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
         "Exp#9 (Fig. 20): generality across erasure codes (scale '{}')",
         scale.name()
-    );
+    ));
 
     let codes: Vec<Arc<dyn ErasureCode>> = vec![
-        Arc::new(ReedSolomon::new(8, 3).expect("RS(8,3)")),
-        Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)")),
+        rs(8, 3),
+        rs(10, 4),
         Arc::new(Lrc::new(8, 2, 2).expect("LRC(8,2,2)")),
         Arc::new(Lrc::new(10, 2, 2).expect("LRC(10,2,2)")),
         Arc::new(Butterfly::new()),
@@ -56,7 +58,16 @@ pub fn run(scale: &Scale, jobs: usize) {
     }
     let outs = run_specs(&specs, jobs);
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "exp09_generality",
+        "repair throughput per erasure code",
+        &[
+            ("code", "code"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+            ("vs CR", "vs_cr"),
+        ],
+    );
     let mut cr = 0.0f64;
     for ((code_name, algo), out) in cells.iter().zip(&outs) {
         let mbps = out.repair_mbps();
@@ -68,25 +79,17 @@ pub fn run(scale: &Scale, jobs: usize) {
         } else {
             pct(improvement(mbps, cr))
         };
-        rows.push(vec![
+        table.push(vec![
             code_name.clone(),
             algo.label(),
             format!("{mbps:.1}"),
             vs_cr,
         ]);
     }
-    print_table(
-        "repair throughput per erasure code",
-        &["code", "algorithm", "repair MB/s", "vs CR"],
-        &rows,
-    );
-    write_csv(
-        "exp09_generality",
-        &["code", "algorithm", "repair_mbps", "vs_cr"],
-        &rows,
-    );
-    println!(
+    report.tables.push(table);
+    report.note(
         "shape checks: LRC >> RS throughput (local repair); Butterfly gain small \
-         (paper: ~+4.9%); RS/LRC gains substantial."
+         (paper: ~+4.9%); RS/LRC gains substantial.",
     );
+    report
 }

@@ -7,22 +7,21 @@
 //! 20.9–152.0%; the gain shrinks as k grows (with k = 10, half of a
 //! 20-node testbed already participates, so there is less freedom left).
 
-use std::sync::Arc;
-
 use chameleon_cluster::{ChunkId, Cluster};
-use chameleon_codes::{ErasureCode, ReedSolomon};
 
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
 use crate::runner::FgSpec;
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    println!(
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
         "Exp#10 (Fig. 21): degraded-read throughput (scale '{}')",
         scale.name()
-    );
+    ));
 
     let requested = ChunkId {
         stripe: 0,
@@ -31,7 +30,7 @@ pub fn run(scale: &Scale, jobs: usize) {
     let mut cells = Vec::new();
     let mut specs = Vec::new();
     for (k, m) in [(4usize, 2usize), (6, 3), (8, 3), (10, 4)] {
-        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(k, m).expect("code"));
+        let code = rs(k, m);
         let cfg = scale.cluster_config(k + m);
         // Identify which node holds stripe 0 / chunk 0 so we can fail it
         // and request exactly that chunk.
@@ -55,49 +54,42 @@ pub fn run(scale: &Scale, jobs: usize) {
     }
     let outs = run_specs(&specs, jobs);
 
-    let mut rows = Vec::new();
-    for ((group, group_specs), group_outs) in
-        cells.chunks(4).zip(specs.chunks(4)).zip(outs.chunks(4))
-    {
-        let (k, m, _) = group[0];
-        // Degraded-read throughput = chunk size / restore latency.
-        let per_algo: Vec<(AlgoKind, f64)> = group
-            .iter()
-            .zip(group_specs)
-            .zip(group_outs)
-            .map(|(((_, _, algo), spec), out)| {
-                let latency = out.outcome.duration.expect("finished");
-                (*algo, (spec.cfg.chunk_size as f64 / latency) / 1e6)
-            })
-            .collect();
-        let cham = per_algo
-            .iter()
-            .find(|(a, _)| *a == AlgoKind::Chameleon)
-            .map(|(_, t)| *t)
-            .unwrap_or(0.0);
-        for (algo, mbps) in &per_algo {
-            let vs = if *algo == AlgoKind::Chameleon {
-                "-".into()
-            } else {
-                pct(improvement(cham, *mbps))
-            };
-            rows.push(vec![
-                format!("RS({k},{m})"),
-                algo.label(),
-                format!("{mbps:.1}"),
-                vs,
-            ]);
-        }
-    }
-    print_table(
-        "degraded-read throughput (chunk restored per second, MB/s)",
-        &["code", "algorithm", "DR MB/s", "ChameleonEC gain"],
-        &rows,
-    );
-    write_csv(
+    // Degraded-read throughput = chunk size / restore latency.
+    let throughput: Vec<_> = cells
+        .iter()
+        .zip(&specs)
+        .zip(&outs)
+        .map(|((&(k, m, algo), spec), out)| {
+            let latency = out.outcome.duration.expect("finished");
+            ((k, m), algo, (spec.cfg.chunk_size as f64 / latency) / 1e6)
+        })
+        .collect();
+
+    let mut table = Table::new(
         "exp10_degraded_read",
-        &["code", "algorithm", "dr_mbps", "chameleon_gain"],
-        &rows,
+        "degraded-read throughput (chunk restored per second, MB/s)",
+        &[
+            ("code", "code"),
+            ("algorithm", "algorithm"),
+            ("DR MB/s", "dr_mbps"),
+            ("ChameleonEC gain", "chameleon_gain"),
+        ],
     );
-    println!("shape check: ChameleonEC's gain shrinks as k grows (paper: 59.1% at k=6 -> 35.7% at k=10).");
+    for &((k, m), algo, mbps) in &throughput {
+        let vs = if algo == AlgoKind::Chameleon {
+            "-".into()
+        } else {
+            let cham = value_of(&throughput, &(k, m), AlgoKind::Chameleon).unwrap_or(0.0);
+            pct(improvement(cham, mbps))
+        };
+        table.push(vec![
+            format!("RS({k},{m})"),
+            algo.label(),
+            format!("{mbps:.1}"),
+            vs,
+        ]);
+    }
+    report.tables.push(table);
+    report.note("shape check: ChameleonEC's gain shrinks as k grows (paper: 59.1% at k=6 -> 35.7% at k=10).");
+    report
 }

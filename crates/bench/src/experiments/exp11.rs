@@ -10,15 +10,13 @@
 //! ~31.4% — re-scheduling matters. The later the straggler appears, the
 //! higher everyone's phase throughput.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_core::run::stop_if;
 use chameleon_simnet::{Event, FlowSpec, Traffic};
 
+use super::rs;
 use crate::grid::run_grid;
 use crate::runner::stage;
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// The paper's monitored phase length: the straggler hits inside a 20 s
@@ -30,7 +28,7 @@ const PHASE_SECS: f64 = 20.0;
 /// monitored 20 s phase (repaired bytes written during `[0, 20 s)`), in
 /// MB/s.
 fn run_one(algo: AlgoKind, scale: &Scale, straggle_at: f64) -> f64 {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+    let code = rs(10, 4);
     // 1 Gb/s links + stressed chunk count: the repair spans the monitored
     // 20 s phase so mid-phase stragglers actually overlap it.
     let mut cfg = scale.cluster_config_with_bandwidth(14, 1.25e8, 500e6);
@@ -89,92 +87,64 @@ const ALGOS: [AlgoKind; 5] = [
     AlgoKind::Chameleon,
 ];
 
-/// The (straggler offset, algorithm) grid in spec order.
-fn cells() -> Vec<(f64, AlgoKind)> {
+/// When, inside the monitored phase, the straggler appears (seconds).
+const STRAGGLE_AT: [f64; 3] = [0.0, 5.0, 10.0];
+
+/// Runs the experiment at the given scale across `jobs` workers.
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let scale = scale.stressed();
+    let mut report = Report::default();
+    report.note(format!(
+        "Exp#11 (Fig. 22): breakdown with a straggler at different phase offsets \
+         (scale '{}')",
+        scale.name()
+    ));
+
     let mut cells = Vec::new();
-    for straggle_at in [0.0f64, 5.0, 10.0] {
+    for straggle_at in STRAGGLE_AT {
         for algo in ALGOS {
             cells.push((straggle_at, algo));
         }
     }
-    cells
-}
-
-/// Runs the full grid; returns the cells and their phase throughputs.
-fn compute(scale: &Scale, jobs: usize) -> (Vec<(f64, AlgoKind)>, Vec<f64>) {
-    let cells = cells();
     let results = run_grid(&cells, jobs, |&(straggle_at, algo)| {
-        run_one(algo, scale, straggle_at)
+        run_one(algo, &scale, straggle_at)
     });
-    (cells, results)
-}
 
-fn rows_of(cells: &[(f64, AlgoKind)], results: &[f64]) -> Vec<Vec<String>> {
     // Simulated throughputs are deterministic; the kernel column records
     // which GF code path the (wall-clock-free) run was attributed to.
     let kernel = chameleon_gf::active_kernel();
-    cells
-        .iter()
-        .zip(results)
-        .map(|(&(straggle_at, algo), &mbps)| {
-            vec![
-                format!("{straggle_at:.0}"),
-                algo.label(),
-                format!("{mbps:.1}"),
-                kernel.to_string(),
-            ]
-        })
-        .collect()
-}
-
-/// The experiment's CSV rows — exposed for the grid determinism suite,
-/// which compares the byte-rendered rows across `--jobs` settings.
-pub fn csv_rows(scale: &Scale, jobs: usize) -> Vec<Vec<String>> {
-    let scale = scale.stressed();
-    let (cells, results) = compute(&scale, jobs);
-    rows_of(&cells, &results)
-}
-
-/// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let scale = scale.stressed();
-    println!(
-        "Exp#11 (Fig. 22): breakdown with a straggler at different phase offsets \
-         (scale '{}')",
-        scale.name()
-    );
-
-    let (cells, results) = compute(&scale, jobs);
-    let rows = rows_of(&cells, &results);
-
-    for (group, group_mbps) in cells.chunks(ALGOS.len()).zip(results.chunks(ALGOS.len())) {
-        let straggle_at = group[0].0;
-        let mut etrp = 0.0f64;
-        let mut cham = 0.0f64;
-        for ((_, algo), &mbps) in group.iter().zip(group_mbps) {
-            match algo {
-                AlgoKind::Etrp => etrp = mbps,
-                AlgoKind::Chameleon => cham = mbps,
-                _ => {}
-            }
-        }
-        println!(
-            "  straggler at {straggle_at:.0}s: ETRP+SAR vs ETRP alone: {}",
-            pct(improvement(cham, etrp))
-        );
-    }
-    print_table(
-        "repair throughput with an injected straggler",
-        &["straggler at (s)", "algorithm", "repair MB/s", "gf kernel"],
-        &rows,
-    );
-    write_csv(
+    let mut table = Table::new(
         "exp11_breakdown",
-        &["straggle_at_secs", "algorithm", "repair_mbps", "gf_kernel"],
-        &rows,
+        "repair throughput with an injected straggler",
+        &[
+            ("straggler at (s)", "straggle_at_secs"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+            ("gf kernel", "gf_kernel"),
+        ],
     );
-    println!(
+    let mut throughput = Vec::new();
+    for (&(straggle_at, algo), &mbps) in cells.iter().zip(&results) {
+        table.push(vec![
+            format!("{straggle_at:.0}"),
+            algo.label(),
+            format!("{mbps:.1}"),
+            kernel.to_string(),
+        ]);
+        throughput.push((straggle_at, algo, mbps));
+    }
+    report.tables.push(table);
+
+    for straggle_at in STRAGGLE_AT {
+        let at = |algo| value_of(&throughput, &straggle_at, algo).unwrap_or(0.0);
+        report.note(format!(
+            "  straggler at {straggle_at:.0}s: ETRP+SAR vs ETRP alone: {}",
+            pct(improvement(at(AlgoKind::Chameleon), at(AlgoKind::Etrp)))
+        ));
+    }
+    report.note(
         "(paper: ETRP+SAR beats CR/PPR/ECPipe by 34.5%/18.8%/43.5% and plain ETRP by ~31.4%; \
-         later stragglers hurt less)"
+         later stragglers hurt less)",
     );
+    report
 }

@@ -13,13 +13,14 @@
 
 use std::sync::Arc;
 
-use chameleon_codes::{ErasureCode, ReedSolomon};
+use chameleon_codes::ErasureCode;
 use chameleon_core::run::stop_if;
 use chameleon_simnet::{FlowSpec, Traffic};
 
+use super::rs;
 use crate::grid::run_grid;
 use crate::runner::{stage, FgSpec, RunOutput};
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::table::{chameleon_gains, improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// Nodes with heavy background disk activity (compaction/scrubbing-style
@@ -57,15 +58,16 @@ fn run_one(
 }
 
 /// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let code = rs(10, 4);
 
-    println!(
+    let mut report = Report::default();
+    report.note(format!(
         "Exp#12 (Fig. 23): storage-bottlenecked repair (scale '{}'); nodes {:?} run \
          background compactions (disk-only load, invisible to network monitoring)",
         scale.name(),
         COMPACTING_NODES
-    );
+    ));
 
     let algos = [
         AlgoKind::Cr,
@@ -90,42 +92,41 @@ pub fn run(scale: &Scale, jobs: usize) {
         )
     });
 
-    let mut rows = Vec::new();
-    for (group, group_res) in cells.chunks(algos.len()).zip(results.chunks(algos.len())) {
-        let disk_mbps = group[0].0;
-        let mut cham = 0.0f64;
-        let mut io = 0.0f64;
-        let mut best_base = 0.0f64;
-        for ((_, algo), (mbps, _p99)) in group.iter().zip(group_res) {
-            rows.push(vec![
-                format!("{disk_mbps:.0}"),
-                algo.label(),
-                format!("{mbps:.1}"),
-            ]);
-            match algo {
-                AlgoKind::Chameleon => cham = *mbps,
-                AlgoKind::ChameleonIo => io = *mbps,
-                _ => best_base = best_base.max(*mbps),
-            }
-        }
-        println!(
-            "  disk {disk_mbps:.0} MB/s: ChameleonEC vs best baseline {}, ChameleonEC-IO vs ChameleonEC {}",
-            pct(improvement(cham, best_base)),
-            pct(improvement(io, cham)),
-        );
-    }
-    print_table(
-        "repair throughput under throttled storage bandwidth",
-        &["disk MB/s", "algorithm", "repair MB/s"],
-        &rows,
-    );
-    write_csv(
+    let mut table = Table::new(
         "exp12_storage_bottleneck",
-        &["disk_mbps", "algorithm", "repair_mbps"],
-        &rows,
+        "repair throughput under throttled storage bandwidth",
+        &[
+            ("disk MB/s", "disk_mbps"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+        ],
     );
-    println!(
+    let mut throughput = Vec::new();
+    for (&(disk_mbps, algo), &(mbps, _p99)) in cells.iter().zip(&results) {
+        table.push(vec![
+            format!("{disk_mbps:.0}"),
+            algo.label(),
+            format!("{mbps:.1}"),
+        ]);
+        throughput.push((disk_mbps, algo, mbps));
+    }
+    report.tables.push(table);
+
+    for g in chameleon_gains(&throughput) {
+        let at = |algo| value_of(&throughput, &g.key, algo).unwrap_or(0.0);
+        report.note(format!(
+            "  disk {:.0} MB/s: ChameleonEC vs best baseline {}, ChameleonEC-IO vs ChameleonEC {}",
+            g.key,
+            pct(g.vs_best),
+            pct(improvement(
+                at(AlgoKind::ChameleonIo),
+                at(AlgoKind::Chameleon)
+            )),
+        ));
+    }
+    report.note(
         "(paper: ChameleonEC's gain drops from 43.8% at 500 MB/s to 15.5% at 250 MB/s; \
-         ChameleonEC-IO +35.7% over ChameleonEC when storage is stringent)"
+         ChameleonEC-IO +35.7% over ChameleonEC when storage is stringent)",
     );
+    report
 }

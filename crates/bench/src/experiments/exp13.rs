@@ -7,82 +7,38 @@
 //! 10 Gb/s) — once storage I/O starts to dominate, network-aware
 //! scheduling matters less.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
-
-use crate::grid::{run_specs, RunSpec};
+use super::exp07::sweep;
 use crate::runner::FgSpec;
-use crate::table::{improvement, pct, print_table, write_csv};
-use crate::{AlgoKind, Scale};
-
-const GBPS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
+use crate::table::{chameleon_gains, pct, Report};
+use crate::Scale;
 
 /// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
-
-    println!(
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
         "Exp#13 (Fig. 24): repair throughput vs network bandwidth (scale '{}')",
         scale.name()
-    );
+    ));
 
-    let mut cells = Vec::new();
-    let mut specs = Vec::new();
-    for gbps in GBPS {
-        let cfg = scale.cluster_config_with_bandwidth(14, gbps * 1e9 / 8.0, 500e6);
-        for algo in AlgoKind::HEADLINE {
-            cells.push((gbps, algo));
-            specs.push(RunSpec::new(
-                format!("{gbps:.0}Gbps/{}", algo.label()),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
-            ));
-        }
-    }
-    let outs = run_specs(&specs, jobs);
-
-    let mut rows = Vec::new();
-    let mut gain_series = Vec::new();
-    for (group, group_outs) in cells.chunks(4).zip(outs.chunks(4)) {
-        let gbps = group[0].0;
-        let mut cham = 0.0f64;
-        let mut bases = Vec::new();
-        for ((_, algo), out) in group.iter().zip(group_outs) {
-            let mbps = out.repair_mbps();
-            rows.push(vec![
-                format!("{gbps:.0}"),
-                algo.label(),
-                format!("{mbps:.1}"),
-            ]);
-            if *algo == AlgoKind::Chameleon {
-                cham = mbps;
-            } else {
-                bases.push(mbps);
-            }
-        }
-        let avg_base = bases.iter().sum::<f64>() / bases.len() as f64;
-        let gain = improvement(cham, avg_base);
-        gain_series.push((gbps, gain));
-        println!(
-            "  {gbps:.0} Gb/s: ChameleonEC vs baseline average: {}",
-            pct(gain)
-        );
-    }
-    print_table(
-        "repair throughput vs network bandwidth (YCSB foreground)",
-        &["link Gb/s", "algorithm", "repair MB/s"],
-        &rows,
-    );
-    write_csv(
+    let (table, throughput) = sweep(
+        scale,
+        jobs,
+        Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
         "exp13_bandwidth",
-        &["link_gbps", "algorithm", "repair_mbps"],
-        &rows,
+        "repair throughput vs network bandwidth (YCSB foreground)",
     );
-    println!(
+    report.tables.push(table);
+
+    for g in chameleon_gains(&throughput) {
+        report.note(format!(
+            "  {:.0} Gb/s: ChameleonEC vs baseline average: {}",
+            g.key,
+            pct(g.vs_average)
+        ));
+    }
+    report.note(
         "(paper: gain falls from +64.4% at 1 Gb/s to +40.1% at 10 Gb/s as storage I/O \
-         starts to dominate)"
+         starts to dominate)",
     );
+    report
 }

@@ -10,25 +10,27 @@
 
 use std::sync::Arc;
 
-use chameleon_codes::{ErasureCode, ReedSolomon};
+use chameleon_codes::ErasureCode;
 use chameleon_core::chameleon::{ChameleonConfig, ChameleonDriver, MultiNodePolicy};
 use chameleon_core::run::stop_if;
 use chameleon_core::RepairDriver;
 use chameleon_simnet::{Event, FlowSpec, Traffic};
 
+use super::rs;
 use crate::grid::{run_grid, run_specs, DriverSpec, RunSpec};
 use crate::runner::{stage, FgSpec};
-use crate::table::{print_table, write_csv};
+use crate::table::{Report, Table};
 use crate::Scale;
 
 /// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let code = rs(10, 4);
 
-    println!(
+    let mut report = Report::default();
+    report.note(format!(
         "Ablation (beyond the paper): ChameleonEC design-knob sensitivity (scale '{}')",
         scale.name()
-    );
+    ));
 
     // --- 1. Concurrency cap. ------------------------------------------------
     let cfg = scale.cluster_config(14);
@@ -50,27 +52,23 @@ pub fn run(scale: &Scale, jobs: usize) {
         })
         .collect();
     let outs = run_specs(&specs, jobs);
-    let rows: Vec<Vec<String>> = caps
-        .iter()
-        .zip(&outs)
-        .map(|(cap, out)| {
-            vec![
-                cap.to_string(),
-                format!("{:.1}", out.repair_mbps()),
-                format!("{:.2}", out.p99_ms()),
-            ]
-        })
-        .collect();
-    print_table(
-        "(1) concurrent-chunk cap vs repair throughput / P99",
-        &["cap", "repair MB/s", "P99 (ms)"],
-        &rows,
-    );
-    write_csv(
+    let mut table = Table::new(
         "exp14a_concurrency",
-        &["cap", "repair_mbps", "p99_ms"],
-        &rows,
+        "(1) concurrent-chunk cap vs repair throughput / P99",
+        &[
+            ("cap", "cap"),
+            ("repair MB/s", "repair_mbps"),
+            ("P99 (ms)", "p99_ms"),
+        ],
     );
+    for (cap, out) in caps.iter().zip(&outs) {
+        table.push(vec![
+            cap.to_string(),
+            format!("{:.1}", out.repair_mbps()),
+            format!("{:.2}", out.p99_ms()),
+        ]);
+    }
+    report.tables.push(table);
 
     // --- 2. Straggler-detection aggressiveness. ----------------------------
     let stressed = scale.stressed();
@@ -83,28 +81,25 @@ pub fn run(scale: &Scale, jobs: usize) {
         };
         run_with_straggler(code.clone(), &cfg2, config)
     });
-    let rows: Vec<Vec<String>> = ratios
-        .iter()
-        .zip(&results)
-        .map(|(ratio, (mbps, retunes, reorders))| {
-            vec![
-                format!("{ratio:.2}"),
-                format!("{mbps:.1}"),
-                retunes.to_string(),
-                reorders.to_string(),
-            ]
-        })
-        .collect();
-    print_table(
-        "(2) straggler progress-ratio vs throughput under a straggler",
-        &["ratio", "repair MB/s", "re-tunes", "re-orders"],
-        &rows,
-    );
-    write_csv(
+    let mut table = Table::new(
         "exp14b_straggler_ratio",
-        &["ratio", "repair_mbps", "retunes", "reorders"],
-        &rows,
+        "(2) straggler progress-ratio vs throughput under a straggler",
+        &[
+            ("ratio", "ratio"),
+            ("repair MB/s", "repair_mbps"),
+            ("re-tunes", "retunes"),
+            ("re-orders", "reorders"),
+        ],
     );
+    for (ratio, (mbps, retunes, reorders)) in ratios.iter().zip(&results) {
+        table.push(vec![
+            format!("{ratio:.2}"),
+            format!("{mbps:.1}"),
+            retunes.to_string(),
+            reorders.to_string(),
+        ]);
+    }
+    report.tables.push(table);
 
     // --- 3. Multi-node repair policy. ---------------------------------------
     let cfg3 = scale.cluster_config(14);
@@ -131,27 +126,24 @@ pub fn run(scale: &Scale, jobs: usize) {
         })
         .collect();
     let outs = run_specs(&specs, jobs);
-    let rows: Vec<Vec<String>> = policies
-        .iter()
-        .zip(&outs)
-        .map(|((_, label), out)| {
-            vec![
-                label.to_string(),
-                format!("{:.1}", out.repair_mbps()),
-                format!("{:.3}", out.outcome.mean_chunk_secs()),
-            ]
-        })
-        .collect();
-    print_table(
-        "(3) multi-node ordering policy (2 failed nodes)",
-        &["policy", "repair MB/s", "mean chunk (s)"],
-        &rows,
-    );
-    write_csv(
+    let mut table = Table::new(
         "exp14c_multinode_policy",
-        &["policy", "repair_mbps", "mean_chunk_secs"],
-        &rows,
+        "(3) multi-node ordering policy (2 failed nodes)",
+        &[
+            ("policy", "policy"),
+            ("repair MB/s", "repair_mbps"),
+            ("mean chunk (s)", "mean_chunk_secs"),
+        ],
     );
+    for ((_, label), out) in policies.iter().zip(&outs) {
+        table.push(vec![
+            label.to_string(),
+            format!("{:.1}", out.repair_mbps()),
+            format!("{:.3}", out.outcome.mean_chunk_secs()),
+        ]);
+    }
+    report.tables.push(table);
+    report
 }
 
 /// Repair with a straggler flood at t = 1 s; returns (MB/s, retunes,

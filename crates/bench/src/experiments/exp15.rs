@@ -13,14 +13,12 @@
 //! repair itself runs undisturbed. The sweep exists to show the tunable
 //! plans keep their throughput lead when the helper set shrinks mid-flight.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_simnet::FaultPlan;
 
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
-use crate::runner::{FgSpec, RunOutput};
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::runner::FgSpec;
+use crate::table::{chameleon_gains, pct, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// The algorithms under fault injection: the three §II-D baselines, one
@@ -39,10 +37,15 @@ const CRASH_COUNTS: [usize; 3] = [0, 1, 2];
 /// sweep step draws an independent (node, time) pick.
 const FAULT_SEED: u64 = 0xEC15;
 
-type Cell = (usize, AlgoKind, Option<FaultPlan>);
+/// Runs the experiment at the given scale across `jobs` workers.
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
+        "Exp#15: fault tolerance under mid-repair crashes (scale '{}')",
+        scale.name()
+    ));
 
-fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<RunOutput>) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).expect("RS(4,2)"));
+    let code = rs(4, 2);
     let cfg = scale.cluster_config(6);
     let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
 
@@ -71,7 +74,8 @@ fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<RunOutput>) {
     // Stage 2 — the faulted cells. Node 0 is the repair victim; any other
     // storage node may crash.
     let candidates: Vec<usize> = (1..cfg.storage_nodes).collect();
-    let mut cells: Vec<Cell> = ALGOS.iter().map(|&a| (0, a, None)).collect();
+    let mut cells: Vec<(usize, AlgoKind, Option<FaultPlan>)> =
+        ALGOS.iter().map(|&a| (0, a, None)).collect();
     let mut specs = Vec::new();
     for &count in CRASH_COUNTS.iter().filter(|&&c| c > 0) {
         let plan =
@@ -87,115 +91,67 @@ fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<RunOutput>) {
     }
     let mut outs = control_outs;
     outs.extend(run_specs(&specs, jobs));
-    (cells, outs)
-}
 
-fn rows_of(cells: &[Cell], outs: &[RunOutput]) -> Vec<Vec<String>> {
-    cells
-        .iter()
-        .zip(outs)
-        .map(|((count, algo, plan), out)| {
-            let rec = &out.outcome.recovery;
-            let loss_window = plan
-                .as_ref()
-                .and_then(|p| p.first_crash_secs())
-                .map_or(0.0, |t| out.sim.end_secs() - t);
-            vec![
-                count.to_string(),
-                algo.label(),
-                format!("{:.1}", out.repair_mbps()),
-                out.outcome.chunks_repaired.to_string(),
-                rec.replans.to_string(),
-                rec.retries.to_string(),
-                rec.aborted_flows.to_string(),
-                format!("{:.1}", rec.wasted_repair_bytes / 1e6),
-                rec.given_up.to_string(),
-                format!("{:.2}", loss_window),
-                format!("{:.2}", out.p99_ms()),
-                format!("{:.3}", out.chunk_pct_secs(0.50)),
-                format!("{:.3}", out.chunk_pct_secs(0.95)),
-                format!("{:.3}", out.chunk_pct_secs(0.99)),
-            ]
-        })
-        .collect()
-}
-
-/// The experiment's CSV rows — exposed for the grid determinism suite,
-/// which compares the byte-rendered rows across `--jobs` settings.
-pub fn csv_rows(scale: &Scale, jobs: usize) -> Vec<Vec<String>> {
-    let (cells, outs) = compute(scale, jobs);
-    rows_of(&cells, &outs)
-}
-
-/// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    println!(
-        "Exp#15: fault tolerance under mid-repair crashes (scale '{}')",
-        scale.name()
-    );
-
-    let (cells, outs) = compute(scale, jobs);
-    let rows = rows_of(&cells, &outs);
-
-    for (group, group_outs) in cells.chunks(ALGOS.len()).zip(outs.chunks(ALGOS.len())) {
-        let count = group[0].0;
-        let mut cham = 0.0f64;
-        let mut bases = Vec::new();
-        let mut replans = 0usize;
-        for ((_, algo, _), out) in group.iter().zip(group_outs) {
-            let mbps = out.repair_mbps();
-            if *algo == AlgoKind::Chameleon {
-                cham = mbps;
-            } else {
-                bases.push(mbps);
-            }
-            replans += out.outcome.recovery.replans;
-        }
-        let avg_base = bases.iter().sum::<f64>() / bases.len() as f64;
-        println!(
-            "  {count} crash(es): ChameleonEC vs baseline average: {} ({replans} re-plans)",
-            pct(improvement(cham, avg_base))
-        );
-    }
-    print_table(
+    let mut table = Table::new(
+        "exp15_fault_tolerance",
         "repair under injected crashes",
         &[
-            "crashes",
-            "algorithm",
-            "repair MB/s",
-            "chunks",
-            "replans",
-            "retries",
-            "aborted",
-            "wasted MB",
-            "given up",
-            "loss window s",
-            "P99 ms",
-            "chunk p50 (s)",
-            "chunk p95 (s)",
-            "chunk p99 (s)",
+            ("crashes", "crashes"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+            ("chunks", "chunks"),
+            ("replans", "replans"),
+            ("retries", "retries"),
+            ("aborted", "aborted_flows"),
+            ("wasted MB", "wasted_mb"),
+            ("given up", "given_up"),
+            ("loss window s", "loss_window_secs"),
+            ("P99 ms", "p99_ms"),
+            ("chunk p50 (s)", "chunk_p50_s"),
+            ("chunk p95 (s)", "chunk_p95_s"),
+            ("chunk p99 (s)", "chunk_p99_s"),
         ],
-        &rows,
     );
-    write_csv(
-        "exp15_fault_tolerance",
-        &[
-            "crashes",
-            "algorithm",
-            "repair_mbps",
-            "chunks",
-            "replans",
-            "retries",
-            "aborted_flows",
-            "wasted_mb",
-            "given_up",
-            "loss_window_secs",
-            "p99_ms",
-            "chunk_p50_s",
-            "chunk_p95_s",
-            "chunk_p99_s",
-        ],
-        &rows,
-    );
-    println!("(no paper figure: the evaluation assumes an undisturbed repair)");
+    let mut throughput = Vec::new();
+    for ((count, algo, plan), out) in cells.iter().zip(&outs) {
+        let rec = &out.outcome.recovery;
+        let loss_window = plan
+            .as_ref()
+            .and_then(|p| p.first_crash_secs())
+            .map_or(0.0, |t| out.sim.end_secs() - t);
+        table.push(vec![
+            count.to_string(),
+            algo.label(),
+            format!("{:.1}", out.repair_mbps()),
+            out.outcome.chunks_repaired.to_string(),
+            rec.replans.to_string(),
+            rec.retries.to_string(),
+            rec.aborted_flows.to_string(),
+            format!("{:.1}", rec.wasted_repair_bytes / 1e6),
+            rec.given_up.to_string(),
+            format!("{:.2}", loss_window),
+            format!("{:.2}", out.p99_ms()),
+            format!("{:.3}", out.chunk_pct_secs(0.50)),
+            format!("{:.3}", out.chunk_pct_secs(0.95)),
+            format!("{:.3}", out.chunk_pct_secs(0.99)),
+        ]);
+        throughput.push((*count, *algo, out.repair_mbps()));
+    }
+    report.tables.push(table);
+
+    for g in chameleon_gains(&throughput) {
+        let replans: usize = cells
+            .iter()
+            .zip(&outs)
+            .filter(|((count, _, _), _)| *count == g.key)
+            .map(|(_, out)| out.outcome.recovery.replans)
+            .sum();
+        report.note(format!(
+            "  {} crash(es): ChameleonEC vs baseline average: {} ({replans} re-plans)",
+            g.key,
+            pct(g.vs_average)
+        ));
+    }
+    report.note("(no paper figure: the evaluation assumes an undisturbed repair)");
+    report
 }

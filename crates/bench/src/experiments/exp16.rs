@@ -13,17 +13,14 @@
 //! The sweep exists to show the simulation substrate (and therefore every
 //! other experiment here) scales to production-sized clusters.
 //!
-//! Determinism: the CSV rows contain only simulation results and engine
+//! Determinism: the table contains only simulation results and engine
 //! event counters, which are identical at any `--jobs` count. Wall-clock
-//! timings go to stdout only, never into the CSV.
+//! timings go into a note, never into the table.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
-
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
-use crate::runner::{FgSpec, RunOutput};
-use crate::table::{print_table, write_csv};
+use crate::runner::FgSpec;
+use crate::table::{Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// One baseline and ChameleonEC — enough to show the throughput ordering
@@ -35,10 +32,15 @@ const ALGOS: [AlgoKind; 2] = [AlgoKind::Ppr, AlgoKind::Chameleon];
 /// even the 1000-node point stays CI-affordable at `small` scale.
 const NODE_COUNTS: [usize; 4] = [20, 100, 500, 1000];
 
-type Cell = (usize, AlgoKind);
+/// Runs the experiment at the given scale across `jobs` workers.
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
+        "Exp#16: cluster-size scalability, full-node repair under YCSB-A (scale '{}')",
+        scale.name()
+    ));
 
-fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<RunOutput>) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).expect("RS(4,2)"));
+    let code = rs(4, 2);
     let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
     let mut cells = Vec::new();
     let mut specs = Vec::new();
@@ -55,95 +57,56 @@ fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<RunOutput>) {
             ));
         }
     }
-    let outs = run_specs(&specs, jobs);
-    (cells, outs)
-}
-
-fn rows_of(cells: &[Cell], outs: &[RunOutput]) -> Vec<Vec<String>> {
-    cells
-        .iter()
-        .zip(outs)
-        .map(|((nodes, algo), out)| {
-            let p = out.sim.profile();
-            let incr_share = if p.solves > 0 {
-                p.incremental_solves as f64 / p.solves as f64
-            } else {
-                0.0
-            };
-            vec![
-                nodes.to_string(),
-                algo.label(),
-                format!("{:.1}", out.repair_mbps()),
-                out.outcome.chunks_repaired.to_string(),
-                format!("{:.2}", out.p99_ms()),
-                p.events.to_string(),
-                p.solves.to_string(),
-                format!("{:.3}", incr_share),
-                format!("{:.3}", out.chunk_pct_secs(0.50)),
-                format!("{:.3}", out.chunk_pct_secs(0.99)),
-            ]
-        })
-        .collect()
-}
-
-/// The experiment's CSV rows — exposed for the grid determinism suite,
-/// which compares the byte-rendered rows across `--jobs` settings.
-pub fn csv_rows(scale: &Scale, jobs: usize) -> Vec<Vec<String>> {
-    let (cells, outs) = compute(scale, jobs);
-    rows_of(&cells, &outs)
-}
-
-/// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    println!(
-        "Exp#16: cluster-size scalability, full-node repair under YCSB-A (scale '{}')",
-        scale.name()
-    );
-
     let wall = std::time::Instant::now();
-    let (cells, outs) = compute(scale, jobs);
+    let outs = run_specs(&specs, jobs);
     let wall = wall.elapsed().as_secs_f64();
-    let rows = rows_of(&cells, &outs);
 
-    print_table(
+    let mut table = Table::new(
+        "exp16_scalability",
         "full-node repair vs cluster size",
         &[
-            "nodes",
-            "algorithm",
-            "repair MB/s",
-            "chunks",
-            "P99 ms",
-            "events",
-            "solves",
-            "incr share",
-            "chunk p50 (s)",
-            "chunk p99 (s)",
+            ("nodes", "nodes"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+            ("chunks", "chunks"),
+            ("P99 ms", "p99_ms"),
+            ("events", "events"),
+            ("solves", "solves"),
+            ("incr share", "incremental_share"),
+            ("chunk p50 (s)", "chunk_p50_s"),
+            ("chunk p99 (s)", "chunk_p99_s"),
         ],
-        &rows,
     );
-    write_csv(
-        "exp16_scalability",
-        &[
-            "nodes",
-            "algorithm",
-            "repair_mbps",
-            "chunks",
-            "p99_ms",
-            "events",
-            "solves",
-            "incremental_share",
-            "chunk_p50_s",
-            "chunk_p99_s",
-        ],
-        &rows,
-    );
-    // Wall-clock is machine-dependent: stdout only, never in the CSV.
+    for ((nodes, algo), out) in cells.iter().zip(&outs) {
+        let p = out.sim.profile();
+        let incr_share = if p.solves > 0 {
+            p.incremental_solves as f64 / p.solves as f64
+        } else {
+            0.0
+        };
+        table.push(vec![
+            nodes.to_string(),
+            algo.label(),
+            format!("{:.1}", out.repair_mbps()),
+            out.outcome.chunks_repaired.to_string(),
+            format!("{:.2}", out.p99_ms()),
+            p.events.to_string(),
+            p.solves.to_string(),
+            format!("{:.3}", incr_share),
+            format!("{:.3}", out.chunk_pct_secs(0.50)),
+            format!("{:.3}", out.chunk_pct_secs(0.99)),
+        ]);
+    }
+    report.tables.push(table);
+
+    // Wall-clock is machine-dependent: a note, never a table cell.
     let events: u64 = outs.iter().map(|o| o.sim.profile().events).sum();
-    println!(
+    report.note(format!(
         "wall clock: {wall:.1}s for {} runs ({} engine events, {:.0} events/sec aggregate)",
         outs.len(),
         events,
         events as f64 / wall.max(1e-9)
-    );
-    println!("(no paper figure: the testbed tops out at 20 nodes)");
+    ));
+    report.note("(no paper figure: the testbed tops out at 20 nodes)");
+    report
 }

@@ -19,16 +19,14 @@
 //! closed-form §II-B model the generator is cross-checked against in
 //! `chameleon-cluster`'s `reliability_crosscheck` test.
 
-use std::sync::Arc;
-
 use chameleon_cluster::reliability::ReliabilityModel;
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_core::{BudgetPolicy, OrchestratorConfig, QueuePolicy};
 use chameleon_simnet::{FaultPlan, FaultSpec};
 
+use super::rs;
 use crate::grid::run_grid;
-use crate::runner::{run_orchestrated, FgSpec, OrchestratedRunOutput};
-use crate::table::{print_table, write_csv, write_jsonl};
+use crate::runner::{run_orchestrated, FgSpec};
+use crate::table::{Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// Algorithms under campaign load: the cheapest baseline, the pipelined
@@ -114,8 +112,20 @@ fn crash_count(plan: &FaultPlan) -> usize {
         .count()
 }
 
-fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<OrchestratedRunOutput>) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).expect("RS(4,2)"));
+/// Runs the experiment at the given scale across `jobs` workers.
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
+        "Exp#17: measured reliability under continuous failures (scale '{}')",
+        scale.name()
+    ));
+    report.note(format!(
+        "  fault stream: {} nodes, MTTF {MTTF_SECS:.0}s, horizon {HORIZON_SECS:.0}s, \
+         recovery after {RECOVER_SECS:.0}s",
+        scale.cluster_config(6).storage_nodes
+    ));
+
+    let code = rs(4, 2);
     let cfg = scale.cluster_config(6);
     let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
     let candidates: Vec<usize> = (0..cfg.storage_nodes).collect();
@@ -161,99 +171,88 @@ fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<OrchestratedRunOutput>
             false,
         )
     });
-    (cells, outs)
-}
 
-fn rows_of(cells: &[Cell], outs: &[OrchestratedRunOutput]) -> Vec<Vec<String>> {
-    cells
-        .iter()
-        .zip(outs)
-        .map(|(cell, out)| {
-            let r = &out.report;
-            vec![
-                cell.algo.label(),
-                cell.queue.label().to_string(),
-                cell.budget.label().to_string(),
-                cell.seed.to_string(),
-                crash_count(&cell.faults).to_string(),
-                r.enqueued.to_string(),
-                r.dispatched.to_string(),
-                r.repaired.to_string(),
-                r.restored.to_string(),
-                r.quarantined.to_string(),
-                r.lost_chunks.to_string(),
-                r.resurrected.to_string(),
-                r.data_loss_events.to_string(),
-                r.first_loss_secs
-                    .map_or(String::new(), |t| format!("{t:.2}")),
-                format!("{:.1}", out.run.repair_mbps()),
-                format!("{:.2}", out.run.p99_ms()),
-                r.negotiations.to_string(),
-                format!("{:.1}", r.mean_budget_rate / 1e6),
-                format!("{:.2}", out.run.sim.end_secs()),
-            ]
-        })
-        .collect()
-}
-
-/// The experiment's CSV rows — exposed for the grid determinism suite,
-/// which compares the byte-rendered rows across `--jobs` settings.
-pub fn csv_rows(scale: &Scale, jobs: usize) -> Vec<Vec<String>> {
-    artifacts(scale, jobs).0
-}
-
-/// Both persisted artifacts — CSV rows and the ledger JSONL — from one
-/// grid pass, so the determinism suite can compare each without paying
-/// for the campaigns twice.
-pub fn artifacts(scale: &Scale, jobs: usize) -> (Vec<Vec<String>>, String) {
-    let (cells, outs) = compute(scale, jobs);
-    let rows = rows_of(&cells, &outs);
-    let ledger = ledger_jsonl(&cells, &outs);
-    (rows, ledger)
-}
-
-/// The campaign ledgers as one JSONL document: a `run` header line per
-/// cell, then that cell's data-loss events and ledger entries.
-fn ledger_jsonl(cells: &[Cell], outs: &[OrchestratedRunOutput]) -> String {
-    let mut doc = String::new();
-    for (cell, out) in cells.iter().zip(outs) {
-        doc.push_str(&format!(
+    let mut table = Table::new(
+        "exp17_reliability",
+        "orchestrated campaigns under a Poisson fault stream",
+        &[
+            ("algorithm", "algorithm"),
+            ("queue", "queue"),
+            ("budget", "budget"),
+            ("seed", "seed"),
+            ("crashes", "crashes"),
+            ("enqueued", "enqueued"),
+            ("dispatched", "dispatched"),
+            ("repaired", "repaired"),
+            ("restored", "restored"),
+            ("quarantined", "quarantined"),
+            ("lost_chunks", "lost_chunks"),
+            ("resurrected", "resurrected"),
+            ("loss_events", "loss_events"),
+            ("first_loss_s", "first_loss_s"),
+            ("repair_mbps", "repair_mbps"),
+            ("p99_ms", "p99_ms"),
+            ("negotiations", "negotiations"),
+            ("budget_mbps", "budget_mbps"),
+            ("end_secs", "end_secs"),
+        ],
+    );
+    // The campaign ledgers as one JSONL document: a `run` header line per
+    // cell, then that cell's data-loss events and ledger entries.
+    let mut ledger = String::new();
+    for (cell, out) in cells.iter().zip(&outs) {
+        let r = &out.report;
+        table.push(vec![
+            cell.algo.label(),
+            cell.queue.label().to_string(),
+            cell.budget.label().to_string(),
+            cell.seed.to_string(),
+            crash_count(&cell.faults).to_string(),
+            r.enqueued.to_string(),
+            r.dispatched.to_string(),
+            r.repaired.to_string(),
+            r.restored.to_string(),
+            r.quarantined.to_string(),
+            r.lost_chunks.to_string(),
+            r.resurrected.to_string(),
+            r.data_loss_events.to_string(),
+            r.first_loss_secs
+                .map_or(String::new(), |t| format!("{t:.2}")),
+            format!("{:.1}", out.run.repair_mbps()),
+            format!("{:.2}", out.run.p99_ms()),
+            r.negotiations.to_string(),
+            format!("{:.1}", r.mean_budget_rate / 1e6),
+            format!("{:.2}", out.run.sim.end_secs()),
+        ]);
+        ledger.push_str(&format!(
             "{{\"event\":\"run\",\"label\":\"{}\"}}\n",
             cell.label()
         ));
-        doc.push_str(&out.ledger_jsonl);
+        ledger.push_str(&out.ledger_jsonl);
     }
-    doc
-}
-
-/// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    println!(
-        "Exp#17: measured reliability under continuous failures (scale '{}')",
-        scale.name()
-    );
-    println!(
-        "  fault stream: {} nodes, MTTF {MTTF_SECS:.0}s, horizon {HORIZON_SECS:.0}s, \
-         recovery after {RECOVER_SECS:.0}s",
-        scale.cluster_config(6).storage_nodes
-    );
-
-    let (cells, outs) = compute(scale, jobs);
-    let rows = rows_of(&cells, &outs);
+    report.tables.push(table);
+    report.artifacts.push(("exp17_ledger.jsonl", ledger));
 
     // Per-policy aggregation: measured MTTDL = observed campaign time per
     // data-loss event, pooled over algorithms and seeds.
-    let per_policy = ALGOS.len() * SEEDS.len();
-    for (group, group_outs) in cells.chunks(per_policy).zip(outs.chunks(per_policy)) {
-        let policy = group[0].policy;
-        let losses: usize = group_outs.iter().map(|o| o.report.data_loss_events).sum();
-        let observed: f64 = group_outs.iter().map(|o| o.run.sim.end_secs()).sum();
+    for (policy, _, _) in policies() {
+        let pooled = || {
+            cells
+                .iter()
+                .zip(&outs)
+                .filter(|(cell, _)| cell.policy == policy)
+                .map(|(_, out)| out)
+        };
+        let losses: usize = pooled().map(|o| o.report.data_loss_events).sum();
+        let observed: f64 = pooled().map(|o| o.run.sim.end_secs()).sum();
         let mttdl = if losses > 0 {
             format!("{:.1}s", observed / losses as f64)
         } else {
             format!(">{observed:.1}s (no loss observed)")
         };
-        println!("  {policy}: {losses} data-loss events, measured MTTDL {mttdl}");
+        report.note(format!(
+            "  {policy}: {losses} data-loss events, measured MTTDL {mttdl}"
+        ));
     }
 
     // Closed-form reference (§II-B) at the mean measured repair
@@ -266,42 +265,13 @@ pub fn run(scale: &Scale, jobs: usize) {
             node_capacity_bytes: (scale.chunks_per_node as u64 * scale.chunk_size) as f64,
             node_lifetime_years: MTTF_SECS / (365.25 * 24.0 * 3600.0),
         };
-        println!(
+        report.note(format!(
             "  closed-form reference: P(loss during one node repair) = {:.3e} \
              at {:.1} MB/s measured repair throughput",
             model.data_loss_probability(mean_tp),
             mean_tp / 1e6
-        );
+        ));
     }
-
-    print_table(
-        "orchestrated campaigns under a Poisson fault stream",
-        &HEADERS,
-        &rows,
-    );
-    write_csv("exp17_reliability", &HEADERS, &rows);
-    write_jsonl("exp17_ledger", &ledger_jsonl(&cells, &outs));
-    println!("(no paper figure: the evaluation repairs fixed victim sets only)");
+    report.note("(no paper figure: the evaluation repairs fixed victim sets only)");
+    report
 }
-
-const HEADERS: [&str; 19] = [
-    "algorithm",
-    "queue",
-    "budget",
-    "seed",
-    "crashes",
-    "enqueued",
-    "dispatched",
-    "repaired",
-    "restored",
-    "quarantined",
-    "lost_chunks",
-    "resurrected",
-    "loss_events",
-    "first_loss_s",
-    "repair_mbps",
-    "p99_ms",
-    "negotiations",
-    "budget_mbps",
-    "end_secs",
-];

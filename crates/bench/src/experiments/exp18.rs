@@ -20,18 +20,16 @@
 //! accounting (the sum over ToR uplinks counts every inter-rack byte
 //! exactly once).
 //!
-//! Determinism: CSV rows contain only simulation results; byte-identical
+//! Determinism: the table contains only simulation results; byte-identical
 //! at any `--jobs` count.
 
-use std::sync::Arc;
-
 use chameleon_cluster::TopologySpec;
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_simnet::Traffic;
 
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
 use crate::runner::{FgSpec, RunOutput};
-use crate::table::{print_table, write_csv};
+use crate::table::{value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// The swept fabrics: the rackless oracle, then 3 racks at increasing
@@ -69,10 +67,15 @@ const FABRICS: [(&str, TopologySpec); 5] = [
     ),
 ];
 
-type Cell = (&'static str, AlgoKind);
+/// Runs the experiment at the given scale across `jobs` workers.
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let mut report = Report::default();
+    report.note(format!(
+        "Exp#18: rack/spine fabrics — repair vs oversubscription ratio (scale '{}')",
+        scale.name()
+    ));
 
-fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<RunSpec>, Vec<RunOutput>) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+    let code = rs(10, 4);
     let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
     let mut cells = Vec::new();
     let mut specs = Vec::new();
@@ -91,7 +94,54 @@ fn compute(scale: &Scale, jobs: usize) -> (Vec<Cell>, Vec<RunSpec>, Vec<RunOutpu
         }
     }
     let outs = run_specs(&specs, jobs);
-    (cells, specs, outs)
+
+    let mut table = Table::new(
+        "exp18_topology",
+        "repair and cross-rack traffic vs fabric oversubscription",
+        &[
+            ("fabric", "fabric"),
+            ("algorithm", "algorithm"),
+            ("repair MB/s", "repair_mbps"),
+            ("chunks", "chunks"),
+            ("P99 ms", "p99_ms"),
+            ("x-rack repair MB", "cross_rack_repair_mb"),
+            ("x-rack fg MB", "cross_rack_fg_mb"),
+            ("chunk p50 (s)", "chunk_p50_s"),
+            ("chunk p99 (s)", "chunk_p99_s"),
+        ],
+    );
+    let mut throughput = Vec::new();
+    for ((&(fabric, algo), spec), out) in cells.iter().zip(&specs).zip(&outs) {
+        let repair_x = cross_rack_bytes(spec, out, Traffic::Repair);
+        let fg_x = cross_rack_bytes(spec, out, Traffic::Foreground);
+        table.push(vec![
+            fabric.to_string(),
+            algo.label(),
+            format!("{:.1}", out.repair_mbps()),
+            out.outcome.chunks_repaired.to_string(),
+            format!("{:.2}", out.p99_ms()),
+            format!("{:.1}", repair_x / 1e6),
+            format!("{:.1}", fg_x / 1e6),
+            format!("{:.3}", out.chunk_pct_secs(0.50)),
+            format!("{:.3}", out.chunk_pct_secs(0.99)),
+        ]);
+        throughput.push((fabric, algo, out.repair_mbps()));
+    }
+    report.tables.push(table);
+
+    // The headline readout: how much each algorithm slows down when the
+    // spine is 1:8 oversubscribed vs the non-blocking fabric.
+    for algo in AlgoKind::HEADLINE {
+        let flat = value_of(&throughput, &"flat", algo).unwrap_or(0.0);
+        let tight = value_of(&throughput, &"1:8", algo).unwrap_or(0.0);
+        report.note(format!(
+            "  {}: {flat:.1} MB/s flat -> {tight:.1} MB/s at 1:8 ({:+.1}%)",
+            algo.label(),
+            (tight / flat - 1.0) * 100.0
+        ));
+    }
+    report.note("(no paper figure: the testbed fabric is flat; ratios follow the FB analysis)");
+    report
 }
 
 /// Sums one traffic class over every ToR uplink — each cross-rack byte
@@ -109,96 +159,4 @@ fn cross_rack_bytes(spec: &RunSpec, out: &RunOutput, tag: Traffic) -> f64 {
     (0..topo.rack_count())
         .map(|r| out.sim.monitor().link_total_bytes(topo.tor_up_link(r), tag))
         .sum()
-}
-
-fn rows_of(cells: &[Cell], specs: &[RunSpec], outs: &[RunOutput]) -> Vec<Vec<String>> {
-    cells
-        .iter()
-        .zip(specs)
-        .zip(outs)
-        .map(|((&(fabric, algo), spec), out)| {
-            let repair_x = cross_rack_bytes(spec, out, Traffic::Repair);
-            let fg_x = cross_rack_bytes(spec, out, Traffic::Foreground);
-            vec![
-                fabric.to_string(),
-                algo.label(),
-                format!("{:.1}", out.repair_mbps()),
-                out.outcome.chunks_repaired.to_string(),
-                format!("{:.2}", out.p99_ms()),
-                format!("{:.1}", repair_x / 1e6),
-                format!("{:.1}", fg_x / 1e6),
-                format!("{:.3}", out.chunk_pct_secs(0.50)),
-                format!("{:.3}", out.chunk_pct_secs(0.99)),
-            ]
-        })
-        .collect()
-}
-
-/// The experiment's CSV rows — exposed for the grid determinism suite,
-/// which compares the byte-rendered rows across `--jobs` settings.
-pub fn csv_rows(scale: &Scale, jobs: usize) -> Vec<Vec<String>> {
-    let (cells, specs, outs) = compute(scale, jobs);
-    rows_of(&cells, &specs, &outs)
-}
-
-/// Runs the experiment at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    println!(
-        "Exp#18: rack/spine fabrics — repair vs oversubscription ratio (scale '{}')",
-        scale.name()
-    );
-
-    let (cells, specs, outs) = compute(scale, jobs);
-    let rows = rows_of(&cells, &specs, &outs);
-
-    print_table(
-        "repair and cross-rack traffic vs fabric oversubscription",
-        &[
-            "fabric",
-            "algorithm",
-            "repair MB/s",
-            "chunks",
-            "P99 ms",
-            "x-rack repair MB",
-            "x-rack fg MB",
-            "chunk p50 (s)",
-            "chunk p99 (s)",
-        ],
-        &rows,
-    );
-    write_csv(
-        "exp18_topology",
-        &[
-            "fabric",
-            "algorithm",
-            "repair_mbps",
-            "chunks",
-            "p99_ms",
-            "cross_rack_repair_mb",
-            "cross_rack_fg_mb",
-            "chunk_p50_s",
-            "chunk_p99_s",
-        ],
-        &rows,
-    );
-    // The headline readout: how much each algorithm slows down when the
-    // spine is 1:8 oversubscribed vs the non-blocking fabric.
-    for algo in AlgoKind::HEADLINE {
-        let mbps_at = |fabric: &str| {
-            cells
-                .iter()
-                .zip(&outs)
-                .find(|((f, a), _)| *f == fabric && *a == algo)
-                .map(|(_, out)| out.repair_mbps())
-                .unwrap_or(0.0)
-        };
-        let flat = mbps_at("flat");
-        let tight = mbps_at("1:8");
-        println!(
-            "  {}: {flat:.1} MB/s flat -> {tight:.1} MB/s at 1:8 ({:+.1}%)",
-            algo.label(),
-            (tight / flat - 1.0) * 100.0
-        );
-    }
-    println!("(no paper figure: the testbed fabric is flat; ratios follow the FB analysis)");
 }

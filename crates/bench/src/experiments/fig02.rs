@@ -7,22 +7,31 @@
 
 use chameleon_cluster::reliability::ReliabilityModel;
 
-use crate::table::{print_table, write_csv};
+use crate::table::{Report, Table};
 use crate::Scale;
 
 /// Runs the study (pure closed-form math — the scale and worker count are
 /// ignored; there is nothing to parallelize).
-pub fn run(_scale: &Scale, _jobs: usize) {
+pub fn run(_scale: &Scale, _jobs: usize) -> Report {
     let model = ReliabilityModel::paper_default();
-    println!(
+    let mut report = Report::default();
+    report.note(format!(
         "Fig. 2: Pr_dl vs repair throughput — RS({},{}), {} TB/node, theta = {} years",
         model.k,
         model.m,
         model.node_capacity_bytes / 1e12,
         model.node_lifetime_years
-    );
+    ));
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "fig02_reliability",
+        "data-loss probability vs repair throughput",
+        &[
+            ("repair MB/s", "repair_mbps"),
+            ("repair time (h)", "repair_hours"),
+            ("Pr_dl", "pr_dl"),
+        ],
+    );
     let mut last = f64::INFINITY;
     for mbps in [10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0] {
         let throughput = mbps * 1e6;
@@ -30,21 +39,13 @@ pub fn run(_scale: &Scale, _jobs: usize) {
         let p = model.data_loss_probability(throughput);
         assert!(p <= last, "Pr_dl must fall with throughput");
         last = p;
-        rows.push(vec![
+        table.push(vec![
             format!("{mbps:.0}"),
             format!("{tau_hours:.1}"),
             format!("{p:.3e}"),
         ]);
     }
-    print_table(
-        "data-loss probability vs repair throughput",
-        &["repair MB/s", "repair time (h)", "Pr_dl"],
-        &rows,
-    );
-    write_csv(
-        "fig02_reliability",
-        &["repair_mbps", "repair_hours", "pr_dl"],
-        &rows,
-    );
-    println!("shape check: Pr_dl is monotonically decreasing — matches the paper.");
+    report.tables.push(table);
+    report.note("shape check: Pr_dl is monotonically decreasing — matches the paper.");
+    report
 }

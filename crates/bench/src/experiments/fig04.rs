@@ -5,13 +5,10 @@
 //! Paper result: interference increases repair time by 3.6–91.5% and YCSB
 //! P99 by 4.7–31.5%; both grow with the number of clients.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
-
+use super::rs;
 use crate::grid::{run_grid, run_specs, RunSpec};
 use crate::runner::{run_foreground_only, FgSpec};
-use crate::table::{improvement, pct, print_table, write_csv};
+use crate::table::{improvement, pct, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// One cell of part (b): a repair-free YCSB run or a repair under YCSB.
@@ -21,14 +18,17 @@ enum CellB {
 }
 
 /// Runs the study at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
-    let cfg = scale.cluster_config(14);
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let code = rs(10, 4);
+    let mut cfg = scale.cluster_config(14);
+    // The sweep goes to four clients whatever the scale's own client count.
+    cfg.clients = cfg.clients.max(4);
 
-    println!(
+    let mut report = Report::default();
+    report.note(format!(
         "Fig. 4: repair/foreground interference vs client count (scale '{}')",
         scale.name()
-    );
+    ));
 
     // (a) repair time vs number of clients.
     let mut cells_a = Vec::new();
@@ -48,7 +48,16 @@ pub fn run(scale: &Scale, jobs: usize) {
     }
     let outs_a = run_specs(&specs_a, jobs);
 
-    let mut rows_a = Vec::new();
+    let mut table_a = Table::new(
+        "fig04a_repair_time",
+        "(a) repair time vs clients",
+        &[
+            ("algorithm", "algorithm"),
+            ("clients", "clients"),
+            ("repair time (s)", "repair_secs"),
+            ("vs idle", "slowdown"),
+        ],
+    );
     let mut idle_time = std::collections::HashMap::new();
     for ((algo, clients), out) in cells_a.iter().zip(&outs_a) {
         let secs = out.outcome.duration.expect("finished");
@@ -56,23 +65,14 @@ pub fn run(scale: &Scale, jobs: usize) {
             idle_time.insert(algo.label(), secs);
         }
         let slowdown = improvement(secs, idle_time[&algo.label()]);
-        rows_a.push(vec![
+        table_a.push(vec![
             algo.label(),
             clients.to_string(),
             format!("{secs:.2}"),
             pct(slowdown),
         ]);
     }
-    print_table(
-        "(a) repair time vs clients",
-        &["algorithm", "clients", "repair time (s)", "vs idle"],
-        &rows_a,
-    );
-    write_csv(
-        "fig04a_repair_time",
-        &["algorithm", "clients", "repair_secs", "slowdown"],
-        &rows_a,
-    );
+    report.tables.push(table_a);
 
     // (b) YCSB P99 vs number of clients, with and without repair.
     let mut cells_b = Vec::new();
@@ -99,13 +99,22 @@ pub fn run(scale: &Scale, jobs: usize) {
         }
     });
 
-    let mut rows_b = Vec::new();
+    let mut table_b = Table::new(
+        "fig04b_p99",
+        "(b) YCSB P99 latency vs clients",
+        &[
+            ("workload", "workload"),
+            ("clients", "clients"),
+            ("P99 (ms)", "p99_ms"),
+            ("vs YCSB-only", "inflation"),
+        ],
+    );
     let mut only_p99 = 0.0f64;
     for (cell, p99) in cells_b.iter().zip(&p99s) {
         match cell {
             CellB::Only(clients) => {
                 only_p99 = *p99;
-                rows_b.push(vec![
+                table_b.push(vec![
                     "YCSB-Only".into(),
                     clients.to_string(),
                     format!("{:.2}", p99),
@@ -113,7 +122,7 @@ pub fn run(scale: &Scale, jobs: usize) {
                 ]);
             }
             CellB::Repair(clients, algo) => {
-                rows_b.push(vec![
+                table_b.push(vec![
                     algo.label(),
                     clients.to_string(),
                     format!("{p99:.2}"),
@@ -122,14 +131,6 @@ pub fn run(scale: &Scale, jobs: usize) {
             }
         }
     }
-    print_table(
-        "(b) YCSB P99 latency vs clients",
-        &["workload", "clients", "P99 (ms)", "vs YCSB-only"],
-        &rows_b,
-    );
-    write_csv(
-        "fig04b_p99",
-        &["workload", "clients", "p99_ms", "inflation"],
-        &rows_b,
-    );
+    report.tables.push(table_b);
+    report
 }

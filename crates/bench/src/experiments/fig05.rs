@@ -6,20 +6,18 @@
 //! per window and up to 3.6 Gb/s — repair plans that ignore this cannot
 //! react to contention.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_simnet::{ResourceKind, Traffic};
 use chameleon_traces::TraceKind;
 
+use super::rs;
 use crate::grid::run_grid;
 use crate::runner::{run_foreground_only, FgSpec};
-use crate::table::{print_table, write_csv};
+use crate::table::{Report, Table};
 use crate::Scale;
 
 /// Runs the study at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let code = rs(10, 4);
     let mut cfg = scale.cluster_config(14);
     // The paper analyses 15 s windows over a multi-minute run; at small
     // scale the trace replay is shorter, so shrink the window to keep a
@@ -28,11 +26,12 @@ pub fn run(scale: &Scale, jobs: usize) {
         cfg.monitor_window_secs = 1.0;
     }
 
-    println!(
+    let mut report = Report::default();
+    report.note(format!(
         "Fig. 5: foreground bandwidth fluctuation per {}s window (scale '{}')",
         cfg.monitor_window_secs,
         scale.name()
-    );
+    ));
 
     let traces: Vec<TraceKind> = TraceKind::ALL.to_vec();
     let per_trace = run_grid(&traces, jobs, |&trace| {
@@ -64,19 +63,24 @@ pub fn run(scale: &Scale, jobs: usize) {
         }
         trace_rows
     });
-    let rows: Vec<Vec<String>> = per_trace.into_iter().flatten().collect();
 
-    print_table(
-        "foreground bandwidth fluctuation (Gb/s per window)",
-        &["trace", "direction", "avg", "max", "min"],
-        &rows,
-    );
-    write_csv(
+    let mut table = Table::new(
         "fig05_fluctuation",
-        &["trace", "direction", "avg_gbps", "max_gbps", "min_gbps"],
-        &rows,
+        "foreground bandwidth fluctuation (Gb/s per window)",
+        &[
+            ("trace", "trace"),
+            ("direction", "direction"),
+            ("avg", "avg_gbps"),
+            ("max", "max_gbps"),
+            ("min", "min_gbps"),
+        ],
     );
-    println!(
-        "shape check: nonzero fluctuation everywhere; bursty traces (IBM-COS) fluctuate most."
+    for row in per_trace.into_iter().flatten() {
+        table.push(row);
+    }
+    report.tables.push(table);
+    report.note(
+        "shape check: nonzero fluctuation everywhere; bursty traces (IBM-COS) fluctuate most.",
     );
+    report
 }

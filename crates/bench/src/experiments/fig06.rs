@@ -6,25 +6,24 @@
 //! uplink supplies 110.5% more bandwidth than its least-loaded one.
 //! ChameleonEC balances the links.
 
-use std::sync::Arc;
-
-use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_core::LinkLoadStats;
 
+use super::rs;
 use crate::grid::{run_specs, RunSpec};
 use crate::runner::FgSpec;
-use crate::table::{pct, print_table, write_csv};
+use crate::table::{pct, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// Runs the study at the given scale across `jobs` workers.
-pub fn run(scale: &Scale, jobs: usize) {
-    let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+pub fn run(scale: &Scale, jobs: usize) -> Report {
+    let code = rs(10, 4);
     let cfg = scale.cluster_config(14);
 
-    println!(
+    let mut report = Report::default();
+    report.note(format!(
         "Fig. 6: most/least-loaded link utilization during repair (scale '{}')",
         scale.name()
-    );
+    ));
 
     let algos: Vec<AlgoKind> = AlgoKind::HEADLINE.to_vec();
     let specs: Vec<RunSpec> = algos
@@ -41,7 +40,16 @@ pub fn run(scale: &Scale, jobs: usize) {
         .collect();
     let outs = run_specs(&specs, jobs);
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "fig06_imbalance",
+        "repair / foreground bandwidth of extreme links (Gb/s)",
+        &[
+            ("algorithm", "algorithm"),
+            ("link", "link"),
+            ("repair Gb/s", "repair_gbps"),
+            ("foreground Gb/s", "foreground_gbps"),
+        ],
+    );
     for (&algo, out) in algos.iter().zip(&outs) {
         // Exclude the failed node (0): it has no traffic by definition.
         let alive: Vec<usize> = (1..20).collect();
@@ -53,28 +61,20 @@ pub fn run(scale: &Scale, jobs: usize) {
             ("downlink-ML", stats.most_loaded_down),
             ("downlink-LL", stats.least_loaded_down),
         ] {
-            rows.push(vec![
+            table.push(vec![
                 algo.label(),
                 link.to_string(),
                 format!("{:.3}", gbps(repair)),
                 format!("{:.3}", gbps(fg)),
             ]);
         }
-        println!(
+        report.note(format!(
             "{:<12} uplink ML/LL imbalance: {}",
             algo.label(),
             pct(stats.uplink_imbalance())
-        );
+        ));
     }
-    print_table(
-        "repair / foreground bandwidth of extreme links (Gb/s)",
-        &["algorithm", "link", "repair Gb/s", "foreground Gb/s"],
-        &rows,
-    );
-    write_csv(
-        "fig06_imbalance",
-        &["algorithm", "link", "repair_gbps", "foreground_gbps"],
-        &rows,
-    );
-    println!("shape check: baselines show large ML/LL gaps; ChameleonEC's gap is the smallest.");
+    report.tables.push(table);
+    report.note("shape check: baselines show large ML/LL gaps; ChameleonEC's gap is the smallest.");
+    report
 }

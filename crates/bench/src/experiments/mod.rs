@@ -4,11 +4,12 @@
 //! it *declares* its parameter grid as [`RunSpec`](crate::RunSpec)s (or
 //! bespoke cells for the loops that inject stragglers, transitions, or
 //! compactions), executes the grid on the parallel worker pool
-//! ([`crate::grid::run_grid`]), and formats the results — tables to
-//! stdout, CSVs under `results/`.
+//! ([`crate::grid::run_grid`]), and returns the results as a
+//! [`Report`]: tables, notes, artifacts. No experiment prints or writes.
 //!
 //! The `suite` binary runs them — all, or the ones named with `--only` —
-//! and records the perf trajectory in `results/BENCH_experiments.json`.
+//! prints each report, persists it under `results/`, and records the perf
+//! trajectory in `results/BENCH_experiments.json`.
 
 pub mod exp01;
 pub mod exp02;
@@ -33,7 +34,18 @@ pub mod fig04;
 pub mod fig05;
 pub mod fig06;
 
+use std::sync::Arc;
+
+use chameleon_codes::{ErasureCode, ReedSolomon};
+
 use crate::scale::Scale;
+use crate::table::Report;
+
+/// `RS(k, m)`, the code of every experiment but Exp#9's LRC and Butterfly
+/// rows.
+fn rs(k: usize, m: usize) -> Arc<dyn ErasureCode> {
+    Arc::new(ReedSolomon::new(k, m).unwrap_or_else(|e| panic!("RS({k},{m}): {e:?}")))
+}
 
 /// One experiment of the suite: a name (the CSV stem) and its
 /// entry point.
@@ -44,7 +56,7 @@ pub struct Experiment {
     /// One-line description (the paper artifact it reproduces).
     pub title: &'static str,
     /// Runs the experiment at the given scale with the given worker count.
-    pub run: fn(&Scale, usize),
+    pub run: fn(&Scale, usize) -> Report,
 }
 
 /// Every experiment and figure study, in evaluation order.

@@ -13,10 +13,12 @@
 //!   of the same name (looser, because absolute kernel MB/s varies more
 //!   across runner microarchitectures than simulator events/sec does).
 //!
-//! The parser is a line-oriented key extractor over the repo's own flat
-//! JSON-level schema (one level object per line), like the trace
-//! summarizer — deliberately not a general JSON parser. Speedups over the
+//! The documents are read with the workspace's one flat-JSON field reader
+//! ([`chameleon_simnet::trace::field`]) over the repo's own schema (one
+//! level object per line), like the trace summarizer. Speedups over the
 //! baseline never fail the gate; they are the point of the trajectory.
+
+use chameleon_simnet::trace::{field, num, text};
 
 /// The gate point: the paper's cluster size at the mid concurrency level.
 pub const GATE_NODES: u64 = 20;
@@ -52,46 +54,32 @@ pub const SPINE_MIN_EVENTS_PER_SEC: f64 = 9_000.0;
 /// `"nodes"` key (every level was 20 nodes); those lines match on `flows`
 /// alone.
 pub fn extract_events_per_sec(json: &str, nodes: u64, flows: u64) -> Option<f64> {
-    let nodes_pat = format!("\"nodes\": {nodes},");
-    let flows_pat = format!("\"flows\": {flows},");
-    for line in json.lines() {
+    json.lines()
         // Racked levels (the spine gate point) are a different sweep;
         // they share node/flow counts with flat levels but must never
         // satisfy a flat lookup.
-        if line.contains("\"topology\":") {
-            continue;
-        }
-        if !line.contains(&flows_pat) {
-            continue;
-        }
-        if line.contains("\"nodes\":") && !line.contains(&nodes_pat) {
-            continue;
-        }
-        return number(line, "indexed_events_per_sec");
-    }
-    None
+        .filter(|line| field(line, "topology").is_none())
+        .filter(|line| num(line, "flows") == Some(flows as f64))
+        .find(|line| num(line, "nodes").is_none_or(|n| n == nodes as f64))
+        .and_then(|line| num(line, "indexed_events_per_sec"))
 }
 
 /// Extracts the indexed events/sec of the oversubscribed-spine sweep
 /// point — the level line carrying `"topology": "spine"`.
 pub fn extract_spine_events_per_sec(json: &str) -> Option<f64> {
-    for line in json.lines() {
-        if !line.contains("\"topology\": \"spine\"") {
-            continue;
-        }
-        return number(line, "indexed_events_per_sec");
-    }
-    None
+    json.lines()
+        .find(|line| text(line, "topology") == Some("spine"))
+        .and_then(|line| num(line, "indexed_events_per_sec"))
 }
 
 /// The kernel named on the level line carrying `"active": true` and
 /// `"len": len` in a `BENCH_gf` JSON document: the rung the run that wrote
 /// it dispatched to.
 pub fn extract_gf_active(json: &str, len: u64) -> Option<&str> {
-    let line = gf_line(json, len, "\"active\": true")?;
-    let pat = "\"kernel\": \"";
-    let name = &line[line.find(pat)? + pat.len()..];
-    Some(&name[..name.find('"')?])
+    json.lines()
+        .filter(|line| num(line, "len") == Some(len as f64))
+        .find(|line| field(line, "active") == Some("true"))
+        .and_then(|line| text(line, "kernel"))
 }
 
 /// The MB/s in `column` (`mul_mbps`, `mul_xor_mbps`, `combine10_mbps`) of
@@ -99,26 +87,10 @@ pub fn extract_gf_active(json: &str, len: u64) -> Option<&str> {
 /// active there or not (a document has one row per rung of the host it was
 /// taken on).
 pub fn extract_gf_kernel_mbps(json: &str, kernel: &str, len: u64, column: &str) -> Option<f64> {
-    number(
-        gf_line(json, len, &format!("\"kernel\": \"{kernel}\""))?,
-        column,
-    )
-}
-
-/// The number under `key` on one level line.
-fn number(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let rest = &line[line.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
-/// The first level line of a `BENCH_gf` document carrying `"len": len` and
-/// `marker`.
-fn gf_line<'a>(json: &'a str, len: u64, marker: &str) -> Option<&'a str> {
-    let len_pat = format!("\"len\": {len},");
     json.lines()
-        .find(|line| line.contains(marker) && line.contains(&len_pat))
+        .filter(|line| num(line, "len") == Some(len as f64))
+        .find(|line| text(line, "kernel") == Some(kernel))
+        .and_then(|line| num(line, column))
 }
 
 /// The gate's verdict on one (baseline, current) pair.

@@ -8,7 +8,7 @@
 
 use chameleon_bench::grid::{self, RunSpec};
 use chameleon_bench::runner::FgSpec;
-use chameleon_bench::table::print_table;
+use chameleon_bench::table::Table;
 use chameleon_bench::{AlgoKind, Scale};
 
 use crate::args::{parse_code, parse_faults, Flags};
@@ -97,7 +97,17 @@ pub fn run(args: &[String]) -> Result<(), String> {
         );
     }
 
-    let mut rows = Vec::new();
+    let mut table = Table::new(
+        "sweep",
+        "repair throughput across seeds (YCSB foreground)",
+        &[
+            ("algorithm", "algorithm"),
+            ("mean repair MB/s", "mean_repair_mbps"),
+            ("spread MB/s", "spread_mbps"),
+            ("mean P99 (ms)", "mean_p99_ms"),
+            ("replans", "replans"),
+        ],
+    );
     for (group, group_outs) in cells.chunks(seeds).zip(outs.chunks(seeds)) {
         let algo = group[0].0;
         let mbps: Vec<f64> = group_outs.iter().map(|o| o.repair_mbps()).collect();
@@ -106,7 +116,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let spread = mbps.iter().cloned().fold(f64::MIN, f64::max)
             - mbps.iter().cloned().fold(f64::MAX, f64::min);
         let replans: usize = group_outs.iter().map(|o| o.outcome.recovery.replans).sum();
-        rows.push(vec![
+        table.push(vec![
             algo.label(),
             format!("{:.1}", mean(&mbps)),
             format!("{spread:.1}"),
@@ -114,17 +124,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             replans.to_string(),
         ]);
     }
-    print_table(
-        "repair throughput across seeds (YCSB foreground)",
-        &[
-            "algorithm",
-            "mean repair MB/s",
-            "spread MB/s",
-            "mean P99 (ms)",
-            "replans",
-        ],
-        &rows,
-    );
+    print!("{table}");
     Ok(())
 }
 

@@ -5,13 +5,13 @@
 //! `sweep --trace` — plus the repair-ledger and data-loss records written
 //! by `orchestrate --ledger` — and prints per-class event counts,
 //! delivered bytes, abort causes, span latency percentiles, ledger state
-//! tallies, and the engine counters. The parser is a small key extractor
-//! over the repo's own flat JSONL schema (one object per line, no
-//! nesting) — deliberately not a general JSON parser.
+//! tallies, and the engine counters. Lines are read with the workspace's
+//! one flat-JSON field reader ([`chameleon_simnet::trace::field`]).
 
 use std::collections::BTreeMap;
 
 use chameleon_cluster::stats::LatencySummary;
+use chameleon_simnet::trace::{num, text};
 
 use crate::args::Flags;
 
@@ -75,26 +75,26 @@ struct TraceSummary {
     profile_runs: usize,
 }
 
-fn summarize(text: &str) -> Result<TraceSummary, String> {
+fn summarize(jsonl: &str) -> Result<TraceSummary, String> {
     let mut s = TraceSummary {
         first_at: f64::INFINITY,
         last_at: f64::NEG_INFINITY,
         ..TraceSummary::default()
     };
-    for (i, line) in text.lines().enumerate() {
+    for (i, line) in jsonl.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
         s.lines += 1;
-        let event = json_str(line, "event")
+        let event = text(line, "event")
             .ok_or_else(|| format!("line {}: no \"event\" field: {line}", i + 1))?;
-        if let Some(at) = json_num(line, "at") {
+        if let Some(at) = num(line, "at") {
             s.first_at = s.first_at.min(at);
             s.last_at = s.last_at.max(at);
         }
         match event {
             "admitted" | "rate_changed" | "completed" | "aborted" => {
-                let class = json_str(line, "class")
+                let class = text(line, "class")
                     .ok_or_else(|| format!("line {}: flow event without \"class\"", i + 1))?;
                 let c = s.classes.entry(class.to_string()).or_default();
                 match event {
@@ -102,35 +102,35 @@ fn summarize(text: &str) -> Result<TraceSummary, String> {
                     "rate_changed" => c.rate_changed += 1,
                     "completed" => {
                         c.completed += 1;
-                        c.bytes_completed += json_num(line, "bytes").unwrap_or(0.0);
+                        c.bytes_completed += num(line, "bytes").unwrap_or(0.0);
                     }
                     _ => {
                         c.aborted += 1;
-                        let cause = json_str(line, "cause").unwrap_or("unknown");
+                        let cause = text(line, "cause").unwrap_or("unknown");
                         *s.abort_causes.entry(cause.to_string()).or_default() += 1;
                     }
                 }
             }
             "span" => {
-                let start = json_num(line, "start")
+                let start = num(line, "start")
                     .ok_or_else(|| format!("line {}: span without \"start\"", i + 1))?;
-                let end = json_num(line, "end")
+                let end = num(line, "end")
                     .ok_or_else(|| format!("line {}: span without \"end\"", i + 1))?;
                 s.span_secs.push(end - start);
                 s.first_at = s.first_at.min(start);
                 s.last_at = s.last_at.max(end);
-                if json_num(line, "attempts").unwrap_or(1.0) > 1.0 {
+                if num(line, "attempts").unwrap_or(1.0) > 1.0 {
                     s.span_retries += 1;
                 }
             }
             "given_up" => s.given_up += 1,
             "ledger" => {
-                let state = json_str(line, "state").unwrap_or("unknown");
+                let state = text(line, "state").unwrap_or("unknown");
                 *s.ledger_states.entry(state.to_string()).or_default() += 1;
             }
             "data_loss" => {
                 s.data_loss_events += 1;
-                if let Some(t) = json_num(line, "t") {
+                if let Some(t) = num(line, "t") {
                     s.first_at = s.first_at.min(t);
                     s.last_at = s.last_at.max(t);
                 }
@@ -139,8 +139,7 @@ fn summarize(text: &str) -> Result<TraceSummary, String> {
             "profile" => {
                 s.profile_runs += 1;
                 for key in PROFILE_KEYS {
-                    *s.profile.entry(key.to_string()).or_default() +=
-                        json_num(line, key).unwrap_or(0.0);
+                    *s.profile.entry(key.to_string()).or_default() += num(line, key).unwrap_or(0.0);
                 }
             }
             other => return Err(format!("line {}: unknown event kind `{other}`", i + 1)),
@@ -229,47 +228,9 @@ impl TraceSummary {
     }
 }
 
-/// Extracts a top-level string value (`"key":"value"`) from a flat JSON
-/// line. Returns `None` when the key is absent or holds a non-string.
-fn json_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    Some(&rest[..rest.find('"')?])
-}
-
-/// Extracts a top-level numeric value (`"key":123.5`) from a flat JSON
-/// line. Returns `None` when the key is absent or holds a string.
-fn json_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with('"') {
-        return None;
-    }
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn extracts_keys_from_flat_json() {
-        let line = r#"{"at":1.25,"flow":3,"class":"repair","src":0,"dst":4,"event":"admitted","bytes":67108864}"#;
-        assert_eq!(json_str(line, "event"), Some("admitted"));
-        assert_eq!(json_str(line, "class"), Some("repair"));
-        assert_eq!(json_num(line, "at"), Some(1.25));
-        assert_eq!(json_num(line, "bytes"), Some(67108864.0));
-        assert_eq!(json_num(line, "missing"), None);
-        assert_eq!(
-            json_num(line, "class"),
-            None,
-            "string value is not a number"
-        );
-        assert_eq!(json_str(line, "at"), None, "numeric value is not a string");
-    }
 
     #[test]
     fn summarizes_a_minimal_trace() {

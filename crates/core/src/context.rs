@@ -63,12 +63,6 @@ impl RepairContext {
         }
     }
 
-    /// Replaces the shared retry/backoff policy.
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
     /// Chunk size in bytes.
     pub fn chunk_size(&self) -> u64 {
         self.cluster.config().chunk_size

@@ -17,9 +17,11 @@
 //! - [`ppr`]: partial-parallel repair — binary-tree aggregation
 //!   (Fig. 3(b), Mitra et al. EuroSys 2016).
 //! - [`ecpipe`]: chained repair pipelining (Li et al. ATC 2017).
-//! - [`repairboost`]: a traffic-balancing layer that spreads sources and
-//!   destinations of concurrent chunk repairs across nodes
-//!   (Lin et al. ATC 2021).
+//! - RepairBoost (Lin et al. ATC 2021): its traffic balancing — steer every
+//!   chunk's sources and destination to the least-loaded candidates — is
+//!   [`SourceSelector::balanced`] under a fixed plan shape,
+//!   `baseline::StaticRepairDriver::boosted`. Its transmission scheduling
+//!   is subsumed by the fluid fair sharing of `simnet` (EXPERIMENTS.md, D3).
 //! - [`chameleon`]: **ChameleonEC** — bandwidth-aware task dispatch
 //!   (§III-A), tunable plan establishment (§III-B, Algorithm 1), and
 //!   straggler-aware re-scheduling (§III-C), plus the storage-bottleneck
@@ -53,7 +55,6 @@ pub mod orchestrator;
 mod plan;
 pub mod ppr;
 pub mod recovery;
-pub mod repairboost;
 mod roster;
 pub mod run;
 mod select;

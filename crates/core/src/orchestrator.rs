@@ -1023,6 +1023,161 @@ mod tests {
         );
     }
 
+    /// Every flat JSON line the product writes reads back, value for value,
+    /// through the workspace's one field reader — the trace, span and ledger
+    /// lines (no space after the colon) and the `BENCH_*` level lines (one).
+    #[test]
+    fn every_json_line_the_product_writes_reads_back_through_the_field_reader() {
+        use crate::metrics::{GivenUpChunk, RepairSpan};
+        use chameleon_simnet::trace::{field, num, text};
+        use chameleon_simnet::{AbortCause, EngineProfile, TraceEvent, TraceEventKind, Traffic};
+
+        let aborted = TraceEventKind::Aborted {
+            cause: AbortCause::NodeFailure,
+            remaining: 12.5,
+        };
+        for (kind, label, payload, value) in [
+            (
+                TraceEventKind::Admitted { bytes: 64.0 },
+                "admitted",
+                "bytes",
+                64.0,
+            ),
+            (
+                TraceEventKind::RateChanged { rate: 1.5e8 },
+                "rate_changed",
+                "rate",
+                1.5e8,
+            ),
+            (
+                TraceEventKind::Completed { bytes: 64.0 },
+                "completed",
+                "bytes",
+                64.0,
+            ),
+            (aborted, "aborted", "remaining", 12.5),
+        ] {
+            let line = TraceEvent {
+                at_secs: 1.25,
+                flow: 3,
+                tag: Traffic::Repair,
+                src: 0,
+                dst: 4,
+                kind,
+            }
+            .to_json_line();
+            assert_eq!(text(&line, "event"), Some(label), "{line}");
+            assert_eq!(text(&line, "class"), Some("repair"), "{line}");
+            assert_eq!(num(&line, "at"), Some(1.25), "{line}");
+            assert_eq!(num(&line, "dst"), Some(4.0), "{line}");
+            assert_eq!(num(&line, payload), Some(value), "{line}");
+            let cause = (kind == aborted).then_some("node_failure");
+            assert_eq!(text(&line, "cause"), cause, "{line}");
+        }
+
+        let profile = EngineProfile {
+            events: 10,
+            timers_cancelled: 2,
+            ..EngineProfile::default()
+        };
+        let span = RepairSpan {
+            stripe: 5,
+            index: 2,
+            started_secs: 0.5,
+            finished_secs: 2.0,
+            attempts: 3,
+        };
+        let given_up = GivenUpChunk {
+            stripe: 5,
+            index: 2,
+            attempts: 0,
+        };
+        let loss = DataLossEvent {
+            stripe: 9,
+            at_secs: 86.25,
+            erasures: 3,
+        };
+        let starved = BudgetStarvedEvent {
+            at_secs: 15.0,
+            negotiated_rate: 1e6,
+            clamped_rate: 2.5e7,
+        };
+        let span_fields = [
+            ("stripe", 5.0),
+            ("chunk", 2.0),
+            ("start", 0.5),
+            ("end", 2.0),
+            ("attempts", 3.0),
+        ];
+        for (line, event, numbers) in [
+            // `timers_cancelled` is the last field: the value ends at `}`.
+            (
+                profile.to_json_line(),
+                "profile",
+                &[("events", 10.0), ("timers_cancelled", 2.0)][..],
+            ),
+            (span.to_json_line(), "span", &span_fields[..]),
+            (
+                given_up.to_json_line(),
+                "given_up",
+                &[("stripe", 5.0), ("chunk", 2.0), ("attempts", 0.0)][..],
+            ),
+            (
+                loss.to_json_line(),
+                "data_loss",
+                &[("stripe", 9.0), ("t", 86.25), ("erasures", 3.0)][..],
+            ),
+            (
+                starved.to_json_line(),
+                "budget_starved",
+                &[("t", 15.0), ("negotiated", 1e6), ("clamped", 2.5e7)][..],
+            ),
+        ] {
+            assert_eq!(text(&line, "event"), Some(event), "{line}");
+            for &(key, value) in numbers {
+                assert_eq!(num(&line, key), Some(value), "{key} of {line}");
+            }
+        }
+
+        // A ledger line, against the entry it was rendered from.
+        let plan = FaultPlan::new(vec![FaultSpec::Crash {
+            node: 0,
+            at_secs: 0.5,
+        }]);
+        let (orch, _) = run_campaign(QueuePolicy::Fifo, BudgetPolicy::Unlimited, &plan);
+        let jsonl = orch.ledger_jsonl();
+        let mut lines = jsonl.lines().filter(|l| text(l, "event") == Some("ledger"));
+        let mut entries = 0;
+        for (chunk, entry) in orch.ledger() {
+            let line = lines.next().expect("one line per ledger entry");
+            assert_eq!(num(line, "stripe"), Some(chunk.stripe as f64), "{line}");
+            assert_eq!(num(line, "chunk"), Some(chunk.index as f64), "{line}");
+            assert_eq!(text(line, "state"), Some(entry.state.label()), "{line}");
+            assert_eq!(num(line, "attempts"), Some(entry.attempts as f64));
+            assert_eq!(num(line, "enqueued"), Some(entry.enqueued_secs));
+            assert_eq!(num(line, "updated"), Some(entry.updated_secs));
+            assert_eq!(num(line, "requeues"), Some(entry.requeues as f64));
+            entries += 1;
+        }
+        assert!(entries > 0 && lines.next().is_none());
+
+        // The benches' level lines, as committed in the gate baselines.
+        let gf = include_str!("../../../results/BENCH_gf.baseline.json");
+        let line = gf.lines().find(|l| field(l, "len").is_some()).unwrap();
+        assert!(
+            text(line, "kernel").is_some_and(|k| !k.is_empty()),
+            "{line}"
+        );
+        assert!(matches!(field(line, "active"), Some("true" | "false")));
+        assert!(num(line, "combine10_mbps").is_some_and(|v| v > 0.0));
+        let simnet = include_str!("../../../results/BENCH_simnet.baseline.json");
+        let line = simnet.lines().find(|l| field(l, "topology").is_some());
+        let line = line.expect("the spine level");
+        assert_eq!(text(line, "topology"), Some("spine"));
+        assert_eq!(num(line, "nodes"), Some(1000.0));
+        assert!(num(line, "indexed_events_per_sec").is_some_and(|v| v > 0.0));
+    }
+
     #[test]
     fn identical_seeds_give_identical_ledgers() {
         let candidates: Vec<NodeId> = (0..20).collect();

@@ -564,10 +564,19 @@ impl FaultPlan {
     ///
     /// # Panics
     ///
-    /// Panics if a spec names a node out of range (via timer scheduling
-    /// being fine, the panic surfaces when the fault fires — prefer
-    /// validating node ids against the cluster before injecting).
+    /// Panics here, before any timer is armed, if a spec names a node the
+    /// simulator does not have — not minutes of simulated time later, when
+    /// that fault would fire. Input paths that take specs from a user
+    /// (`--faults`) validate against the cluster first and return an error.
     pub fn inject(&self, sim: &mut Simulator) -> FaultInjector {
+        for spec in &self.specs {
+            assert!(
+                spec.node() < sim.node_count(),
+                "fault {spec:?} names node {}, but the simulator has nodes 0..{}",
+                spec.node(),
+                sim.node_count()
+            );
+        }
         let mut by_timer = IdMap::default();
         // Each scale fault is a *window*: its start and end timers carry the
         // same window id so the injector can retire exactly that window when
@@ -1246,6 +1255,38 @@ mod tests {
         assert!(FaultPlan::parse_list("melt:1@1").is_err());
         assert!(FaultPlan::parse_list("slow:1@1").is_err());
         assert!(FaultPlan::parse_list("").unwrap().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "names node 3, but the simulator has nodes 0..3")]
+    fn a_spec_outside_the_simulator_panics_when_armed_not_when_it_fires() {
+        let mut sim = sim(3);
+        // In range first, and far in the future: arming alone must panic.
+        FaultPlan::new(vec![
+            FaultSpec::Crash {
+                node: 2,
+                at_secs: 1.0,
+            },
+            FaultSpec::Slowdown {
+                node: 3,
+                at_secs: 3600.0,
+                factor: 0.5,
+                duration_secs: 1.0,
+            },
+        ])
+        .inject(&mut sim);
+    }
+
+    #[test]
+    fn a_plan_naming_the_last_node_still_arms() {
+        let mut sim = sim(3);
+        let mut injector = FaultPlan::new(vec![FaultSpec::Crash {
+            node: 2,
+            at_secs: 1.0,
+        }])
+        .inject(&mut sim);
+        let (events, _) = drain(&mut sim, &mut injector);
+        assert_eq!(events, vec![FaultEvent::Crash { node: 2 }]);
     }
 
     #[test]

@@ -28,7 +28,10 @@
 //! [`TraceEvent::to_json_line`] renders the canonical JSONL schema used by
 //! `--trace out.jsonl` and the `trace` summarize subcommand; keeping the
 //! writer next to the event type means there is exactly one copy of the
-//! schema in the workspace.
+//! schema in the workspace. [`field`] / [`num`] / [`text`] read a value
+//! back out of one such line — of any flat JSON line the workspace writes
+//! (trace, span, ledger, `BENCH_*` level lines), with or without a space
+//! after the colon.
 
 use crate::node::{NodeId, Traffic};
 
@@ -280,9 +283,67 @@ impl EngineProfile {
     }
 }
 
+/// The raw value token under `key` on one flat JSON line — `1.25`, `true`,
+/// or `"repair"` with its quotes — or `None` if the line has no such key.
+///
+/// A line-oriented scan over the workspace's own one-object-per-line
+/// schema, deliberately not a JSON parser: values are numbers, booleans or
+/// strings without escaped quotes, and whitespace around the colon is
+/// optional. A string *value* that happens to spell `key` is not a match.
+pub fn field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    let quoted = format!("\"{key}\"");
+    let mut from = 0;
+    while let Some(at) = line[from..].find(&quoted) {
+        from += at + quoted.len();
+        let Some(value) = line[from..].trim_start().strip_prefix(':') else {
+            continue;
+        };
+        let value = value.trim_start();
+        let end = match value.strip_prefix('"') {
+            Some(body) => body.find('"')? + 2,
+            None => value.find([',', '}']).unwrap_or(value.len()),
+        };
+        return Some(value[..end].trim_end());
+    }
+    None
+}
+
+/// The number under `key`; `None` when absent or not a number.
+pub fn num(line: &str, key: &str) -> Option<f64> {
+    field(line, key)?.parse().ok()
+}
+
+/// The string under `key`, without its quotes; `None` when absent or not
+/// a string.
+pub fn text<'a>(line: &'a str, key: &str) -> Option<&'a str> {
+    field(line, key)?.strip_prefix('"')?.strip_suffix('"')
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fields_read_back_with_or_without_a_space_after_the_colon() {
+        for line in [
+            r#"{"at":1.25,"class":"repair","event":"admitted","bytes":67108864}"#,
+            r#"    {"at": 1.25, "class" : "repair", "event": "admitted", "bytes": 67108864 }"#,
+        ] {
+            assert_eq!(field(line, "at"), Some("1.25"));
+            assert_eq!(field(line, "class"), Some("\"repair\""));
+            assert_eq!(num(line, "at"), Some(1.25));
+            assert_eq!(num(line, "bytes"), Some(67108864.0));
+            assert_eq!(text(line, "event"), Some("admitted"));
+            assert_eq!(num(line, "missing"), None);
+            assert_eq!(num(line, "class"), None, "a string is not a number");
+            assert_eq!(text(line, "at"), None, "a number is not a string");
+        }
+        // A value that spells the key is skipped; the real key still reads.
+        let line = r#"{"event":"span","span":7,"active": true}"#;
+        assert_eq!(num(line, "span"), Some(7.0));
+        assert_eq!(field(line, "active"), Some("true"));
+        assert_eq!(field(r#"{"event":"span"}"#, "span"), None);
+    }
 
     #[test]
     fn json_lines_match_schema() {
