@@ -41,6 +41,11 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if !duration.is_finite() || duration <= 0.0 || !mttf.is_finite() || mttf <= 0.0 {
         return Err("--duration and --mttf must be positive seconds".into());
     }
+    if !recover.is_finite() || recover < 0.0 {
+        return Err(format!(
+            "--recover must be finite seconds, 0 for no recovery, got `{recover}`"
+        ));
+    }
     if max_in_flight == 0 {
         return Err("--max-in-flight must be at least 1".into());
     }
@@ -205,6 +210,12 @@ mod tests {
     fn flags_that_used_to_panic_are_errors() {
         let err = run_with(&["--max-in-flight", "0"]).unwrap_err();
         assert!(err.contains("--max-in-flight"), "{err}");
+        // `inf` panicked inside the fault generator; `-5` and `nan` quietly
+        // meant "no recovery".
+        for bad in ["inf", "-5", "nan"] {
+            let err = run_with(&["--recover", bad]).unwrap_err();
+            assert!(err.contains("--recover"), "--recover {bad}: {err}");
+        }
         for (flag, bad) in [("--gbps", "0"), ("--gbps", "-1"), ("--disk-mbps", "nan")] {
             let err = run_with(&[flag, bad]).unwrap_err();
             assert!(err.contains("must be positive"), "{flag} {bad}: {err}");

@@ -393,6 +393,14 @@ impl Cluster {
             .collect()
     }
 
+    /// Number of a stripe's chunks whose nodes are currently failed —
+    /// `alive_chunk_indices(stripe).len()` subtracted from the stripe
+    /// width, without building the list.
+    pub fn erasures(&self, stripe: usize) -> usize {
+        let nodes = self.placement.stripe_nodes(stripe);
+        nodes.iter().filter(|n| self.failed.contains(n)).count()
+    }
+
     /// Records that a chunk was repaired onto `destination`: the metadata
     /// now points there (the paper's heartbeat-driven NameNode update).
     ///

@@ -1,7 +1,80 @@
-//! Property-based tests for placement and failure handling.
+//! Property-based tests for placement and failure handling, and for the
+//! fault and topology spec parsers on arbitrary input.
 
-use chameleon_cluster::{ChunkId, Cluster, ClusterConfig, Placement, PlacementStrategy};
+use chameleon_cluster::{
+    ChunkId, Cluster, ClusterConfig, Placement, PlacementStrategy, TopologySpec,
+};
+use chameleon_simnet::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
+use proptest::test_runner::ProptestConfig;
+
+/// Text over the alphabet the fault and topology grammars are spelled in
+/// (`crash:slowdiskrecover@x+,.-0123456789naif `): up to three
+/// comma-joined specs assembled slot by slot from well-formed and broken
+/// pieces, with one character of the alphabet spliced in one time in four.
+fn spec_text() -> impl Strategy<Value = String> {
+    const ALPHABET: &[u8] = b"crash:slowdiskrecover@x+,.-0123456789naif ";
+    const KINDS: [&str; 7] = [
+        "crash:", "recover:", "slow:", "disk:", "racked:", "slow", "dis:",
+    ];
+    const NODES: [&str; 7] = ["0", "3", "19", "", "-1", "3.5", "99999999999999999999"];
+    const NUMS: [&str; 11] = [
+        "0", "3", "2.5", ".5", "1.", "-0", "1e400", "-1", "nan", "inf", "",
+    ];
+    let n = || 0..NUMS.len();
+    let spec = (
+        0..KINDS.len(),
+        0..NODES.len(),
+        n(),
+        (any::<bool>(), n(), n()),
+    );
+    let specs = proptest::collection::vec(spec, 1..4).prop_map(|specs| {
+        let text = specs
+            .iter()
+            .map(|&(kind, node, at, (window, factor, secs))| {
+                let (node, at) = (NODES[node], NUMS[at]);
+                match KINDS[kind] {
+                    "racked:" => format!("racked:{node},{at}"),
+                    kind if window => format!("{kind}{node}@{at}x{}+{}", NUMS[factor], NUMS[secs]),
+                    kind => format!("{kind}{node}@{at}"),
+                }
+            });
+        text.collect::<Vec<_>>().join(",")
+    });
+    (specs, any::<u64>(), 0..ALPHABET.len()).prop_map(|(mut text, at, c)| {
+        if at % 4 == 0 {
+            text.insert((at / 4) as usize % (text.len() + 1), ALPHABET[c] as char);
+        }
+        text
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+
+    /// The spec parsers return errors, never panic, and whatever they
+    /// accept the plan constructor accepts too: `FaultSpec::parse` and
+    /// `FaultPlan::new` share one check.
+    #[test]
+    fn spec_parsers_never_panic_and_agree_with_the_plan_check(text in spec_text()) {
+        for part in text.split(',') {
+            if let Ok(spec) = FaultSpec::parse(part) {
+                prop_assert_eq!(FaultPlan::new(vec![spec]).specs().to_vec(), vec![spec]);
+            }
+        }
+        // Every tail that starts a spec: the list form, and a topology
+        // spec (which has a comma of its own) standing last.
+        let starts = text.match_indices(',').map(|(i, _)| i + 1);
+        for tail in [0].into_iter().chain(starts).map(|i| &text[i..]) {
+            if let Ok(plan) = FaultPlan::parse_list(tail) {
+                prop_assert_eq!(FaultPlan::new(plan.specs().to_vec()), plan);
+            }
+            if let Ok(TopologySpec::Racked { racks, oversub }) = TopologySpec::parse(tail) {
+                prop_assert!(racks > 0 && oversub.is_finite() && oversub > 0.0);
+            }
+        }
+    }
+}
 
 proptest! {
     #[test]

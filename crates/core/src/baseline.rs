@@ -1,5 +1,5 @@
 //! The static baseline algorithms (CR / PPR / ECPipe, optionally boosted
-//! by RepairBoost selection) as a [`Planner`] for the campaign loop.
+//! by RepairBoost selection) as a `Planner` for the campaign loop.
 
 use chameleon_cluster::ChunkId;
 use chameleon_simnet::NodeId;
@@ -77,7 +77,7 @@ impl Planner for StaticPlanner {
 /// — how HDFS-style reconstruction work queues behave.
 ///
 /// Unrepairable chunks (too many failures) are counted in
-/// [`StaticRepairDriver::skipped`] rather than aborting the campaign.
+/// `StaticRepairDriver::skipped` rather than aborting the campaign.
 pub type StaticRepairDriver = Campaign<StaticPlanner>;
 
 impl StaticRepairDriver {

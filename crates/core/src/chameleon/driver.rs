@@ -234,10 +234,8 @@ impl Planner for ChameleonPlanner {
                 chunks.sort_by_key(|c| (ctx.cluster.placement().node_of(*c), c.stripe));
             }
             MultiNodePolicy::MostFailedFirst => {
-                let width = ctx.cluster.config().stripe_width;
                 chunks.sort_by_key(|c| {
-                    let alive = ctx.cluster.alive_chunk_indices(c.stripe).len();
-                    let failed = width - alive;
+                    let failed = ctx.cluster.erasures(c.stripe);
                     (std::cmp::Reverse(failed), c.stripe, c.index)
                 });
             }

@@ -6,8 +6,9 @@
 //! The orchestrator owns three things the per-campaign drivers do not:
 //!
 //! 1. **A live repair queue.** Chunks lost by crashes are not handed to
-//!    the driver immediately; they enter a priority queue keyed by the
-//!    residual redundancy of their stripe ([`QueuePolicy`]), and at most
+//!    the driver immediately; they queue in arrival order, each pop takes
+//!    the first chunk of the stripe with the least residual redundancy in
+//!    the current view ([`QueuePolicy`]), and at most
 //!    [`OrchestratorConfig::max_in_flight`] chunks are dispatched at a
 //!    time.
 //! 2. **A repair-bandwidth budget.** Admission spends from a token
@@ -24,12 +25,20 @@
 //!    [`DataLossEvent`], the raw material for the measured-MTTDL
 //!    experiment (exp17).
 //!
+//! It stores only what it cannot derive. The report's admissions are the
+//! ledger's entries plus their re-queues, its repairs the harvest cursor
+//! into the driver's spans, its admitted bytes `dispatched × k ×
+//! chunk_size`; an entry's attempts count the spans and failed attempts
+//! harvested for its chunk.
+//!
 //! The driver runs with external admission
 //! ([`RepairDriver::set_external_admission`]): crash faults update its
 //! failure view but the orchestrator alone decides what is repaired
 //! when.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
+use std::ops::RangeInclusive;
 
 use chameleon_cluster::ChunkId;
 use chameleon_simnet::{Event, FaultEvent, ResourceKind, Simulator, TimerId, Traffic};
@@ -41,6 +50,14 @@ use crate::RepairDriver;
 
 /// Timer key for the token-bucket wake-up timer.
 const WAKE_TIMER_KEY: u64 = 0x0BCE;
+
+/// The ledger keys of `stripe`'s chunks.
+fn stripe_chunks(stripe: usize) -> RangeInclusive<ChunkId> {
+    ChunkId { stripe, index: 0 }..=ChunkId {
+        stripe,
+        index: usize::MAX,
+    }
+}
 
 /// How the live repair queue orders chunks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -165,7 +182,8 @@ impl LedgerState {
 pub struct LedgerEntry {
     /// Current lifecycle state.
     pub state: LedgerState,
-    /// Dispatch attempts observed so far (from driver feedback).
+    /// Dispatch attempts harvested so far: one per repair span and one
+    /// per failed attempt the driver reported for the chunk.
     pub attempts: u32,
     /// Simulated second the chunk first entered the ledger.
     pub enqueued_secs: f64,
@@ -283,10 +301,9 @@ pub struct Orchestrator {
     view: RepairContext,
     driver: Box<dyn RepairDriver>,
     config: OrchestratorConfig,
-    /// Live queue ordered by (priority key, arrival seq, chunk).
-    queue: BTreeSet<(u32, u64, ChunkId)>,
-    /// Chunk → its current (key, seq) in `queue`.
-    queue_index: HashMap<ChunkId, (u32, u64)>,
+    /// Live queue in arrival order; priority is read off the view when a
+    /// chunk is popped.
+    queue: Vec<ChunkId>,
     ledger: BTreeMap<ChunkId, LedgerEntry>,
     /// Chunks dispatched to the driver and not yet terminally resolved
     /// (span, retries-exhausted, or unrepairable).
@@ -296,22 +313,19 @@ pub struct Orchestrator {
     data_loss_events: Vec<DataLossEvent>,
     budget_starved: Vec<BudgetStarvedEvent>,
     dispatch_log: Vec<ChunkId>,
-    /// Harvest cursor into the driver's span/plan logs.
+    /// Harvest cursor into the driver's span/plan logs — also the number
+    /// of chunk repairs harvested.
     spans_seen: usize,
     /// Harvest cursor into the driver's error log.
     errors_seen: usize,
-    seq: u64,
     tokens: f64,
     rate: f64,
     last_refill: f64,
     last_negotiation: f64,
     wake_timer: Option<TimerId>,
-    admitted: usize,
     resurrected: usize,
-    repairs_harvested: usize,
     negotiations: usize,
     rate_sum: f64,
-    tokens_spent: f64,
 }
 
 impl std::fmt::Debug for Orchestrator {
@@ -368,8 +382,7 @@ impl Orchestrator {
             view,
             driver,
             config,
-            queue: BTreeSet::new(),
-            queue_index: HashMap::new(),
+            queue: Vec::new(),
             ledger: BTreeMap::new(),
             in_flight: BTreeSet::new(),
             lost_stripes: BTreeSet::new(),
@@ -378,18 +391,14 @@ impl Orchestrator {
             dispatch_log: Vec::new(),
             spans_seen: 0,
             errors_seen: 0,
-            seq: 0,
             tokens,
             rate,
             last_refill: 0.0,
             last_negotiation: 0.0,
             wake_timer: None,
-            admitted: 0,
             resurrected: 0,
-            repairs_harvested: 0,
             negotiations: 0,
             rate_sum: 0.0,
-            tokens_spent: 0.0,
         }
     }
 
@@ -398,57 +407,24 @@ impl Orchestrator {
         self.view.code.k() as f64 * self.view.chunk_size() as f64
     }
 
-    /// Erasure count of a stripe in the orchestrator's view.
-    fn stripe_erasures(&self, stripe: usize) -> usize {
-        let width = self.view.cluster.config().stripe_width;
-        width - self.view.cluster.alive_chunk_indices(stripe).len()
-    }
-
     /// Queue priority key of a stripe (lower = dispatched earlier).
     fn stripe_key(&self, stripe: usize) -> u32 {
         match self.config.queue {
             QueuePolicy::Fifo => 0,
             QueuePolicy::RedundancyPriority => {
                 let m = self.view.code.fault_tolerance();
-                m.saturating_sub(self.stripe_erasures(stripe)) as u32
+                m.saturating_sub(self.view.cluster.erasures(stripe)) as u32
             }
         }
     }
 
-    fn push_queue(&mut self, chunk: ChunkId) {
-        let key = self.stripe_key(chunk.stripe);
-        let seq = self.seq;
-        self.seq += 1;
-        self.queue.insert((key, seq, chunk));
-        self.queue_index.insert(chunk, (key, seq));
-    }
-
-    fn drop_from_queue(&mut self, chunk: ChunkId) {
-        if let Some((key, seq)) = self.queue_index.remove(&chunk) {
-            self.queue.remove(&(key, seq, chunk));
-        }
-    }
-
-    /// Recomputes the priority key of every queued chunk of the given
-    /// stripes (their erasure counts changed).
-    fn rekey_stripes(&mut self, stripes: &BTreeSet<usize>) {
-        if self.config.queue == QueuePolicy::Fifo || stripes.is_empty() {
-            return;
-        }
-        let affected: Vec<(ChunkId, (u32, u64))> = self
-            .queue_index
-            .iter()
-            .filter(|(c, _)| stripes.contains(&c.stripe))
-            .map(|(c, ks)| (*c, *ks))
-            .collect();
-        for (chunk, (key, seq)) in affected {
-            let new_key = self.stripe_key(chunk.stripe);
-            if new_key != key {
-                self.queue.remove(&(key, seq, chunk));
-                self.queue.insert((new_key, seq, chunk));
-                self.queue_index.insert(chunk, (new_key, seq));
-            }
-        }
+    /// Takes the next chunk off the queue: the first in arrival order
+    /// among those whose stripe has the lowest key in the current view.
+    fn pop_queue(&mut self) -> Option<ChunkId> {
+        let keys = self.queue.iter().map(|c| self.stripe_key(c.stripe));
+        // `min_by_key` keeps the first of equal minima.
+        let (i, _) = keys.enumerate().min_by_key(|&(_, key)| key)?;
+        Some(self.queue.remove(i))
     }
 
     /// Accrues tokens at the current rate (capped at two windows, but
@@ -518,14 +494,12 @@ impl Orchestrator {
         let cost = self.chunk_cost();
         let mut batch: Vec<ChunkId> = Vec::new();
         while self.in_flight.len() + batch.len() < self.config.max_in_flight {
-            let Some(&(key, seq, chunk)) = self.queue.iter().next() else {
-                break;
-            };
             if self.rate.is_finite() && self.tokens < cost {
                 break;
             }
-            self.queue.remove(&(key, seq, chunk));
-            self.queue_index.remove(&chunk);
+            let Some(chunk) = self.pop_queue() else {
+                break;
+            };
             let node = self.view.cluster.placement().node_of(chunk);
             let entry = self
                 .ledger
@@ -541,7 +515,6 @@ impl Orchestrator {
             if self.rate.is_finite() {
                 self.tokens -= cost;
             }
-            self.tokens_spent += cost;
             entry.state = LedgerState::InFlight;
             entry.updated_secs = now;
             self.in_flight.insert(chunk);
@@ -565,19 +538,17 @@ impl Orchestrator {
     }
 
     /// Pulls new terminal records (spans, give-ups) out of the driver
-    /// and applies them to the ledger.
+    /// and applies them to the ledger. An entry's attempts count its
+    /// harvested spans and `HelperLost` records, one each.
     fn harvest(&mut self, sim: &Simulator) {
         let now = sim.now().as_secs();
-        let mut repaired_stripes: BTreeSet<usize> = BTreeSet::new();
         let spans = self.driver.spans();
         let plans = self.driver.completed_plans();
         let n = spans.len().min(plans.len());
         for i in self.spans_seen..n {
-            let span = spans[i];
             let chunk = plans[i].chunk();
             let dest = plans[i].destination();
             self.in_flight.remove(&chunk);
-            self.repairs_harvested += 1;
             if let Some(entry) = self.ledger.get_mut(&chunk) {
                 if entry.state == LedgerState::Lost {
                     // The stripe was revived by recoveries and the
@@ -587,8 +558,8 @@ impl Orchestrator {
                     self.resurrected += 1;
                 }
                 entry.state = LedgerState::Repaired;
-                entry.attempts = span.attempts;
-                entry.updated_secs = span.finished_secs;
+                entry.attempts += 1;
+                entry.updated_secs = spans[i].finished_secs;
             }
             // Mirror the driver's relocation so the erasure counts the
             // queue keys on stay in lockstep.
@@ -601,23 +572,13 @@ impl Orchestrator {
             {
                 let _ = self.view.cluster.apply_repair(chunk, dest);
             }
-            repaired_stripes.insert(chunk.stripe);
         }
         self.spans_seen = n;
         let errors = self.driver.errors();
         for error in errors.iter().skip(self.errors_seen) {
             match *error {
-                RepairError::RetriesExhausted { chunk, attempts } => {
-                    self.in_flight.remove(&chunk);
-                    if let Some(entry) = self.ledger.get_mut(&chunk) {
-                        if entry.state != LedgerState::Lost {
-                            entry.state = LedgerState::Quarantined;
-                        }
-                        entry.attempts = attempts;
-                        entry.updated_secs = now;
-                    }
-                }
-                RepairError::Unrepairable { chunk } => {
+                RepairError::RetriesExhausted { chunk, .. }
+                | RepairError::Unrepairable { chunk } => {
                     self.in_flight.remove(&chunk);
                     if let Some(entry) = self.ledger.get_mut(&chunk) {
                         if entry.state != LedgerState::Lost {
@@ -635,7 +596,6 @@ impl Orchestrator {
             }
         }
         self.errors_seen = errors.len();
-        self.rekey_stripes(&repaired_stripes);
     }
 
     fn handle_crash(&mut self, sim: &mut Simulator, node: usize) {
@@ -647,7 +607,7 @@ impl Orchestrator {
             if self.lost_stripes.contains(&stripe) {
                 continue;
             }
-            let erasures = self.stripe_erasures(stripe);
+            let erasures = self.view.cluster.erasures(stripe);
             if erasures > m {
                 self.lost_stripes.insert(stripe);
                 self.data_loss_events.push(DataLossEvent {
@@ -659,71 +619,47 @@ impl Orchestrator {
                 // unreadable. Queued ones leave the queue; in-flight
                 // ones stay with the driver, which aborts and gives
                 // them up — or resurrects them if nodes return.
-                let lo = ChunkId { stripe, index: 0 };
-                let hi = ChunkId {
-                    stripe,
-                    index: usize::MAX,
-                };
-                let marked: Vec<ChunkId> = self
-                    .ledger
-                    .range(lo..=hi)
-                    .filter(|(_, e)| matches!(e.state, LedgerState::Queued | LedgerState::InFlight))
-                    .map(|(c, _)| *c)
-                    .collect();
-                for chunk in marked {
-                    self.drop_from_queue(chunk);
-                    let entry = self.ledger.get_mut(&chunk).expect("marked entry exists");
-                    entry.state = LedgerState::Lost;
-                    entry.updated_secs = now;
+                for (_, entry) in self.ledger.range_mut(stripe_chunks(stripe)) {
+                    if matches!(entry.state, LedgerState::Queued | LedgerState::InFlight) {
+                        entry.state = LedgerState::Lost;
+                        entry.updated_secs = now;
+                    }
                 }
+                self.queue.retain(|c| c.stripe != stripe);
             }
         }
         for chunk in lost {
-            let stripe_lost = self.lost_stripes.contains(&chunk.stripe);
-            match self.ledger.get(&chunk).map(|e| e.state) {
-                None => {
-                    self.admitted += 1;
-                    let state = if stripe_lost {
-                        LedgerState::Lost
-                    } else {
-                        LedgerState::Queued
-                    };
-                    self.ledger.insert(
-                        chunk,
-                        LedgerEntry {
-                            state,
-                            attempts: 0,
-                            enqueued_secs: now,
-                            updated_secs: now,
-                            requeues: 0,
-                        },
-                    );
-                    if !stripe_lost {
-                        self.push_queue(chunk);
-                    }
-                }
-                // A chunk repaired onto this node (or restored with it
-                // earlier) is lost again.
-                Some(LedgerState::Repaired) | Some(LedgerState::Restored) => {
-                    self.admitted += 1;
-                    let entry = self.ledger.get_mut(&chunk).expect("entry exists");
+            // New to the ledger, or lost again: repaired onto this node or
+            // restored with it earlier. Queued / in-flight / lost chunks
+            // are already tracked; quarantined is terminal.
+            let entry = match self.ledger.entry(chunk) {
+                Entry::Vacant(slot) => slot.insert(LedgerEntry {
+                    state: LedgerState::Queued,
+                    attempts: 0,
+                    enqueued_secs: now,
+                    updated_secs: now,
+                    requeues: 0,
+                }),
+                Entry::Occupied(slot)
+                    if matches!(
+                        slot.get().state,
+                        LedgerState::Repaired | LedgerState::Restored
+                    ) =>
+                {
+                    let entry = slot.into_mut();
                     entry.requeues += 1;
-                    entry.updated_secs = now;
-                    entry.state = if stripe_lost {
-                        LedgerState::Lost
-                    } else {
-                        LedgerState::Queued
-                    };
-                    if !stripe_lost {
-                        self.push_queue(chunk);
-                    }
+                    entry
                 }
-                // Queued / in-flight / lost chunks are already tracked;
-                // quarantined is terminal.
-                _ => {}
-            }
+                Entry::Occupied(_) => continue,
+            };
+            entry.updated_secs = now;
+            entry.state = if self.lost_stripes.contains(&chunk.stripe) {
+                LedgerState::Lost
+            } else {
+                self.queue.push(chunk);
+                LedgerState::Queued
+            };
         }
-        self.rekey_stripes(&stripes);
         self.pump(sim);
     }
 
@@ -732,64 +668,44 @@ impl Orchestrator {
         let back = self.view.cluster.placement().chunks_on(node);
         let stripes: BTreeSet<usize> = back.iter().map(|c| c.stripe).collect();
         for chunk in back {
-            let Some(state) = self.ledger.get(&chunk).map(|e| e.state) else {
+            let Some(entry) = self.ledger.get_mut(&chunk) else {
                 continue;
             };
-            let restored = match state {
-                LedgerState::Queued => {
-                    self.drop_from_queue(chunk);
-                    true
-                }
+            match entry.state {
+                LedgerState::Queued => self.queue.retain(|&c| c != chunk),
                 // A lost chunk whose own node returned is readable again
                 // (unless the driver still owns an attempt on it — then
                 // the harvest decides).
-                LedgerState::Lost => !self.in_flight.contains(&chunk),
-                _ => false,
-            };
-            if restored {
-                let entry = self.ledger.get_mut(&chunk).expect("entry exists");
-                entry.state = LedgerState::Restored;
-                entry.updated_secs = now;
+                LedgerState::Lost if !self.in_flight.contains(&chunk) => {}
+                _ => continue,
             }
+            entry.state = LedgerState::Restored;
+            entry.updated_secs = now;
         }
         let m = self.view.code.fault_tolerance();
         for &stripe in &stripes {
-            if !self.lost_stripes.contains(&stripe) || self.stripe_erasures(stripe) > m {
+            if !self.lost_stripes.contains(&stripe) || self.view.cluster.erasures(stripe) > m {
                 continue;
             }
             // The stripe is readable again: re-queue its lost chunks
             // whose nodes are still down (and are not still owned by
             // the driver).
             self.lost_stripes.remove(&stripe);
-            let lo = ChunkId { stripe, index: 0 };
-            let hi = ChunkId {
-                stripe,
-                index: usize::MAX,
-            };
-            let revive: Vec<ChunkId> = self
-                .ledger
-                .range(lo..=hi)
-                .filter(|(c, e)| e.state == LedgerState::Lost && !self.in_flight.contains(*c))
-                .map(|(c, _)| *c)
-                .collect();
-            for chunk in revive {
-                let alive = self
-                    .view
-                    .cluster
-                    .is_alive(self.view.cluster.placement().node_of(chunk));
-                let entry = self.ledger.get_mut(&chunk).expect("entry exists");
+            for (&chunk, entry) in self.ledger.range_mut(stripe_chunks(stripe)) {
+                if entry.state != LedgerState::Lost || self.in_flight.contains(&chunk) {
+                    continue;
+                }
+                let cluster = &self.view.cluster;
                 entry.updated_secs = now;
-                if alive {
+                if cluster.is_alive(cluster.placement().node_of(chunk)) {
                     entry.state = LedgerState::Restored;
                 } else {
                     entry.state = LedgerState::Queued;
                     entry.requeues += 1;
-                    self.admitted += 1;
-                    self.push_queue(chunk);
+                    self.queue.push(chunk);
                 }
             }
         }
-        self.rekey_stripes(&stripes);
         self.pump(sim);
     }
 
@@ -872,7 +788,9 @@ impl Orchestrator {
         let mut quarantined = 0;
         let mut restored = 0;
         let mut lost_chunks = 0;
+        let mut requeues = 0;
         for entry in self.ledger.values() {
+            requeues += entry.requeues as usize;
             match entry.state {
                 LedgerState::Repaired => repaired += 1,
                 LedgerState::Quarantined => quarantined += 1,
@@ -885,9 +803,9 @@ impl Orchestrator {
             algorithm: self.driver.name(),
             queue_policy: self.config.queue.label().to_string(),
             budget_policy: self.config.budget.label().to_string(),
-            enqueued: self.admitted,
+            enqueued: self.ledger.len() + requeues,
             dispatched: self.dispatch_log.len(),
-            chunk_repairs: self.repairs_harvested,
+            chunk_repairs: self.spans_seen,
             repaired,
             quarantined,
             restored,
@@ -904,7 +822,7 @@ impl Orchestrator {
             } else {
                 0.0
             },
-            tokens_spent: self.tokens_spent,
+            tokens_spent: self.dispatch_log.len() as f64 * self.chunk_cost(),
         }
     }
 
@@ -968,20 +886,106 @@ mod tests {
         max_in_flight: usize,
         plan: &FaultPlan,
     ) -> (Orchestrator, Simulator) {
+        let ctx = ctx_rs42();
+        let driver = Box::new(StaticRepairDriver::new(ctx.clone(), PlanShape::Star, 7));
+        orchestrate(ctx, driver, (queue, budget, max_in_flight), plan)
+    }
+
+    /// Drains `plan` through an orchestrator around `driver` to quiescence.
+    fn orchestrate(
+        ctx: RepairContext,
+        driver: Box<dyn RepairDriver>,
+        (queue, budget, max_in_flight): (QueuePolicy, BudgetPolicy, usize),
+        plan: &FaultPlan,
+    ) -> (Orchestrator, Simulator) {
         let config = OrchestratorConfig {
             queue,
             budget,
             max_in_flight,
             window_secs: 5.0,
         };
-        let ctx = ctx_rs42();
         let mut run = Run::new(ctx.clone());
-        let driver = Box::new(StaticRepairDriver::new(ctx.clone(), PlanShape::Star, 7));
         let mut orch = Orchestrator::new(ctx, driver, config);
         run.inject(plan);
         run.drain(&mut orch)
             .unwrap_or_else(|e| panic!("{e}: {orch:?}"));
         (orch, run.sim)
+    }
+
+    /// What the report and the ledger derive — admissions, harvested
+    /// repairs, admitted bytes, attempts — equals what the driver
+    /// recorded, over seeded campaigns with retries and give-ups, for a
+    /// static and an adaptive planner and the queue/budget pairings the
+    /// experiments use.
+    #[test]
+    fn report_and_ledger_agree_with_the_driver_records() {
+        use crate::chameleon::{ChameleonConfig, ChameleonDriver};
+        let candidates: Vec<NodeId> = (0..20).collect();
+        let negotiated = BudgetPolicy::Negotiated {
+            headroom: 0.5,
+            floor: 10e6,
+        };
+        let pairings = [
+            (QueuePolicy::Fifo, BudgetPolicy::Fixed(200e6)),
+            (QueuePolicy::RedundancyPriority, negotiated),
+            (QueuePolicy::RedundancyPriority, BudgetPolicy::Unlimited),
+        ];
+        let (mut retried, mut exhausted) = (0, 0);
+        // Retry budgets from one attempt (every failure exhausts) to the
+        // default four.
+        for (seed, max_attempts) in [(3, 1), (7, 2), (11, 4)] {
+            let plan = FaultPlan::seeded_poisson(seed, &candidates, 20.0, (0.0, 3.0), Some(2.0));
+            for ((queue, budget), chameleon) in
+                pairings.iter().flat_map(|&p| [(p, false), (p, true)])
+            {
+                let mut ctx = ctx_rs42();
+                ctx.recovery.max_attempts = max_attempts;
+                let driver: Box<dyn RepairDriver> = if chameleon {
+                    Box::new(ChameleonDriver::new(
+                        ctx.clone(),
+                        ChameleonConfig::default(),
+                    ))
+                } else {
+                    Box::new(StaticRepairDriver::new(ctx.clone(), PlanShape::Star, 7))
+                };
+                let (orch, sim) = orchestrate(ctx, driver, (queue, budget, 4), &plan);
+                let (report, outcome, ledger) = (orch.report(), orch.outcome(&sim), orch.ledger());
+                let cell = format!("seed {seed}, {queue:?}, {budget:?}, {}", report.algorithm);
+                assert!(ledger.values().all(|e| e.state.is_terminal()), "{cell}");
+                let ended = report.repaired + report.quarantined + report.restored;
+                assert_eq!(ended + report.lost_chunks, ledger.len(), "{cell}");
+                let requeues: usize = ledger.values().map(|e| e.requeues as usize).sum();
+                assert_eq!(report.enqueued, ledger.len() + requeues, "{cell}");
+                let cost = 4.0 * (4u64 << 20) as f64;
+                assert_eq!(
+                    report.tokens_spent,
+                    report.dispatched as f64 * cost,
+                    "{cell}"
+                );
+                assert_eq!(report.chunk_repairs, outcome.chunks_repaired, "{cell}");
+                for (chunk, entry) in ledger {
+                    let of = |stripe, index| (stripe, index) == (chunk.stripe, chunk.index);
+                    if entry.state == LedgerState::Repaired {
+                        let span = outcome.spans.iter().rfind(|s| of(s.stripe, s.index));
+                        assert_eq!(span.map(|s| s.attempts), Some(entry.attempts), "{cell}");
+                    }
+                    // The chunk's last give-up, if that one exhausted retries.
+                    let mut given_up = outcome.given_up_chunks.iter();
+                    let given_up = given_up.rfind(|g| of(g.stripe, g.index));
+                    if let Some(g) = given_up.filter(|g| g.attempts > 0) {
+                        if entry.state == LedgerState::Quarantined {
+                            assert_eq!(entry.attempts, g.attempts, "{cell}");
+                            exhausted += 1;
+                        }
+                    }
+                    retried += usize::from(entry.attempts > 1);
+                }
+            }
+        }
+        assert!(
+            retried > 0 && exhausted > 0,
+            "{retried} retried, {exhausted} exhausted"
+        );
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! A [`FaultPlan`] is an ordered list of [`FaultSpec`]s — either written
 //! out explicitly, parsed from a CLI string ([`FaultPlan::parse_list`]), or
 //! generated from a seed ([`FaultPlan::seeded_crashes`],
-//! [`FaultPlan::seeded_slowdowns`]). [`FaultPlan::inject`] arms the plan on
-//! a simulator: every fault becomes a timer on the engine's timer wheel,
-//! and the returned [`FaultInjector`] is fed each event from the run loop
-//! *before* the repair/foreground drivers. When one of its timers fires it
+//! [`FaultPlan::seeded_poisson`]). [`FaultPlan::inject`] arms the plan on
+//! a simulator: every fault becomes a timer on the engine's timer wheel (a
+//! scale window a second one, for its end). The returned [`FaultInjector`]
+//! stores only the specs it armed, which spec each timer fires, and the
+//! spec indices of the windows open per node and kind; everything else it
+//! reads off the spec. It is fed each event from the run loop *before* the
+//! repair/foreground drivers. When one of its timers fires it
 //! applies the fault atomically ([`Simulator::fail_node`],
 //! [`Simulator::recover_node`], [`Simulator::scale_node_caps`]) and
 //! reports a [`FaultEvent`] the loop can forward to subscribers (the
@@ -123,30 +126,40 @@ impl FaultSpec {
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            self.at_secs().is_finite() && self.at_secs() >= 0.0,
-            "fault time must be finite and non-negative"
-        );
-        if let FaultSpec::Slowdown {
-            factor,
-            duration_secs,
-            ..
+    /// A scale window's `(factor, duration_secs)`; `None` for crashes and
+    /// recoveries.
+    fn window(&self) -> Option<(f64, f64)> {
+        match *self {
+            FaultSpec::Slowdown {
+                factor,
+                duration_secs,
+                ..
+            }
+            | FaultSpec::DiskDegrade {
+                factor,
+                duration_secs,
+                ..
+            } => Some((factor, duration_secs)),
+            FaultSpec::Crash { .. } | FaultSpec::Recover { .. } => None,
         }
-        | FaultSpec::DiskDegrade {
-            factor,
-            duration_secs,
-            ..
-        } = *self
-        {
-            assert!(
-                factor.is_finite() && factor > 0.0,
-                "scale factor must be positive and finite"
-            );
-            assert!(
-                duration_secs.is_finite() && duration_secs > 0.0,
-                "fault duration must be positive and finite"
-            );
+    }
+
+    /// Why the spec cannot be armed, if it cannot: its time is not finite
+    /// and non-negative, or it is a window whose factor is not positive
+    /// and finite or that does not end at a finite time after it starts.
+    fn check(&self) -> Result<(), &'static str> {
+        let at = self.at_secs();
+        if !at.is_finite() || at < 0.0 {
+            return Err("fault time must be finite and non-negative");
+        }
+        match self.window() {
+            Some((factor, _)) if !factor.is_finite() || factor <= 0.0 => {
+                Err("scale factor must be positive and finite")
+            }
+            Some((_, duration)) if duration <= 0.0 || !(at + duration).is_finite() => {
+                Err("fault duration must be positive and finite")
+            }
+            _ => Ok(()),
         }
     }
 
@@ -160,46 +173,30 @@ impl FaultSpec {
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message on malformed input, including
-    /// non-finite (`NaN`/`inf`) or negative times, factors, and durations
-    /// — a bare `f64` parse accepts those, and letting them through here
-    /// would panic later inside [`FaultPlan::new`].
+    /// Returns a human-readable message on malformed input, and on any
+    /// spec [`FaultPlan::new`] would reject (a bare `f64` parse accepts
+    /// `NaN`, `inf` and negative numbers; they fail the same check here).
     pub fn parse(s: &str) -> Result<Self, String> {
         let bad =
             || format!("bad fault spec '{s}' (expected e.g. crash:3@1.5 or slow:5@2x0.25+10)");
         let (kind, rest) = s.split_once(':').ok_or_else(bad)?;
         let (node, timing) = rest.split_once('@').ok_or_else(bad)?;
         let node: NodeId = node.parse().map_err(|_| bad())?;
-        let secs = |v: &str| {
-            let x: f64 = v.parse().map_err(|_| bad())?;
-            if !x.is_finite() || x < 0.0 {
-                return Err(format!(
-                    "bad fault spec '{s}': '{v}' must be a finite, non-negative number"
-                ));
-            }
-            Ok(x)
-        };
-        match kind {
-            "crash" => Ok(FaultSpec::Crash {
+        let num = |v: &str| v.parse::<f64>().map_err(|_| bad());
+        let spec = match kind {
+            "crash" => FaultSpec::Crash {
                 node,
-                at_secs: secs(timing)?,
-            }),
-            "recover" => Ok(FaultSpec::Recover {
+                at_secs: num(timing)?,
+            },
+            "recover" => FaultSpec::Recover {
                 node,
-                at_secs: secs(timing)?,
-            }),
+                at_secs: num(timing)?,
+            },
             "slow" | "disk" => {
                 let (at, mods) = timing.split_once('x').ok_or_else(bad)?;
                 let (factor, duration) = mods.split_once('+').ok_or_else(bad)?;
-                let (at_secs, factor, duration_secs) = (secs(at)?, secs(factor)?, secs(duration)?);
-                if !factor.is_finite()
-                    || factor <= 0.0
-                    || !duration_secs.is_finite()
-                    || duration_secs <= 0.0
-                {
-                    return Err(bad());
-                }
-                Ok(if kind == "slow" {
+                let (at_secs, factor, duration_secs) = (num(at)?, num(factor)?, num(duration)?);
+                if kind == "slow" {
                     FaultSpec::Slowdown {
                         node,
                         at_secs,
@@ -213,10 +210,13 @@ impl FaultSpec {
                         factor,
                         duration_secs,
                     }
-                })
+                }
             }
-            _ => Err(bad()),
-        }
+            _ => return Err(bad()),
+        };
+        spec.check()
+            .map_err(|e| format!("bad fault spec '{s}': {e}"))?;
+        Ok(spec)
     }
 }
 
@@ -304,10 +304,10 @@ impl FaultPlan {
     /// # Panics
     ///
     /// Panics if any spec has a non-finite/negative time, a non-positive
-    /// scale factor, or a non-positive duration.
+    /// scale factor, or a non-positive duration or non-finite end.
     pub fn new(mut specs: Vec<FaultSpec>) -> Self {
         for s in &specs {
-            s.validate();
+            s.check().unwrap_or_else(|e| panic!("{e}"));
         }
         specs.sort_by(|a, b| {
             a.at_secs()
@@ -361,58 +361,6 @@ impl FaultPlan {
         window: (f64, f64),
         recover_after: Option<f64>,
     ) -> Self {
-        let picks = Self::seeded_picks(seed, candidates, count, window);
-        let mut specs = Vec::with_capacity(count * 2);
-        for (node, at_secs) in picks {
-            specs.push(FaultSpec::Crash { node, at_secs });
-            if let Some(after) = recover_after {
-                specs.push(FaultSpec::Recover {
-                    node,
-                    at_secs: at_secs + after,
-                });
-            }
-        }
-        FaultPlan::new(specs)
-    }
-
-    /// Generates `count` transient network slowdowns of distinct nodes
-    /// drawn from `candidates`, at seeded-uniform times in the window,
-    /// each scaling network capacity by `factor` for `duration_secs`.
-    ///
-    /// # Panics
-    ///
-    /// As for [`FaultPlan::seeded_crashes`], plus the factor/duration
-    /// validity rules of [`FaultPlan::new`].
-    pub fn seeded_slowdowns(
-        seed: u64,
-        candidates: &[NodeId],
-        count: usize,
-        window: (f64, f64),
-        factor: f64,
-        duration_secs: f64,
-    ) -> Self {
-        let picks = Self::seeded_picks(seed, candidates, count, window);
-        FaultPlan::new(
-            picks
-                .into_iter()
-                .map(|(node, at_secs)| FaultSpec::Slowdown {
-                    node,
-                    at_secs,
-                    factor,
-                    duration_secs,
-                })
-                .collect(),
-        )
-    }
-
-    /// Draws `count` distinct nodes (seeded Fisher–Yates over a copy of
-    /// `candidates`) and a seeded-uniform fire time in `window` for each.
-    fn seeded_picks(
-        seed: u64,
-        candidates: &[NodeId],
-        count: usize,
-        window: (f64, f64),
-    ) -> Vec<(NodeId, f64)> {
         assert!(
             count <= candidates.len(),
             "cannot draw {count} distinct nodes from {} candidates",
@@ -423,15 +371,22 @@ impl FaultPlan {
             "bad fault window {window:?}"
         );
         let mut state = seed ^ 0xFA17_FA17_FA17_FA17;
+        // Seeded Fisher–Yates over a copy of the candidates.
         let mut pool: Vec<NodeId> = candidates.to_vec();
-        let mut picks = Vec::with_capacity(count);
+        let mut specs = Vec::with_capacity(count * 2);
         for _ in 0..count {
             let i = (splitmix64(&mut state) % pool.len() as u64) as usize;
             let node = pool.swap_remove(i);
-            let at = window.0 + unit(splitmix64(&mut state)) * (window.1 - window.0);
-            picks.push((node, at));
+            let at_secs = window.0 + unit(splitmix64(&mut state)) * (window.1 - window.0);
+            specs.push(FaultSpec::Crash { node, at_secs });
+            if let Some(after) = recover_after {
+                specs.push(FaultSpec::Recover {
+                    node,
+                    at_secs: at_secs + after,
+                });
+            }
         }
-        picks
+        FaultPlan::new(specs)
     }
 
     /// Generates a continuous crash stream: node lifetimes are i.i.d.
@@ -489,33 +444,27 @@ impl FaultPlan {
         let mut specs = Vec::new();
         let mut t = window.0;
         loop {
-            if up.is_empty() {
-                // Everything is down: jump to the next recovery, or stop.
-                let Some(&(rt, _)) = pending.first() else {
-                    break;
-                };
-                if rt >= window.1 {
-                    break;
-                }
+            // The next crash, drawn at the up nodes' aggregate rate — never,
+            // while every node is down.
+            let t_next = if up.is_empty() {
+                f64::INFINITY
+            } else {
+                let rate = up.len() as f64 / mttf_secs;
+                let dt = -(1.0 - unit(splitmix64(&mut state))).ln() / rate;
+                t + dt
+            };
+            // A recovery inside the window and before that crash changes
+            // the aggregate rate; advance to it and redraw (valid by
+            // memorylessness).
+            let rejoin = pending
+                .first()
+                .filter(|&&(rt, _)| rt <= t_next && rt < window.1);
+            if let Some(&(rt, node)) = rejoin {
                 t = rt;
-                let (_, node) = pending.remove(0);
+                pending.remove(0);
                 let pos = up.partition_point(|&n| n < node);
                 up.insert(pos, node);
                 continue;
-            }
-            let rate = up.len() as f64 / mttf_secs;
-            let dt = -(1.0 - unit(splitmix64(&mut state))).ln() / rate;
-            let t_next = t + dt;
-            // A recovery before the drawn crash changes the aggregate
-            // rate; advance to it and redraw (valid by memorylessness).
-            if let Some(&(rt, node)) = pending.first() {
-                if rt <= t_next {
-                    t = rt;
-                    pending.remove(0);
-                    let pos = up.partition_point(|&n| n < node);
-                    up.insert(pos, node);
-                    continue;
-                }
             }
             if t_next >= window.1 {
                 break;
@@ -578,125 +527,39 @@ impl FaultPlan {
             );
         }
         let mut by_timer = IdMap::default();
-        // Each scale fault is a *window*: its start and end timers carry the
-        // same window id so the injector can retire exactly that window when
-        // the end fires, instead of blindly resetting the node to factor 1.0
-        // (which clobbered overlapping same-kind windows).
-        let mut window = 0u64;
-        for spec in &self.specs {
-            match *spec {
-                FaultSpec::Crash { node, at_secs } => {
-                    let t = sim.schedule_in(at_secs, FAULT_TIMER_KEY);
-                    by_timer.insert(t, FaultAction::Crash(node));
-                }
-                FaultSpec::Recover { node, at_secs } => {
-                    let t = sim.schedule_in(at_secs, FAULT_TIMER_KEY);
-                    by_timer.insert(t, FaultAction::Recover(node));
-                }
-                FaultSpec::Slowdown {
-                    node,
-                    at_secs,
-                    factor,
-                    duration_secs,
-                } => {
-                    window += 1;
-                    let t = sim.schedule_in(at_secs, FAULT_TIMER_KEY);
-                    by_timer.insert(
-                        t,
-                        FaultAction::ScaleStart {
-                            kind: ScaleKind::Net,
-                            node,
-                            factor,
-                            window,
-                        },
-                    );
-                    let t = sim.schedule_in(at_secs + duration_secs, FAULT_TIMER_KEY);
-                    by_timer.insert(
-                        t,
-                        FaultAction::ScaleEnd {
-                            kind: ScaleKind::Net,
-                            node,
-                            window,
-                        },
-                    );
-                }
-                FaultSpec::DiskDegrade {
-                    node,
-                    at_secs,
-                    factor,
-                    duration_secs,
-                } => {
-                    window += 1;
-                    let t = sim.schedule_in(at_secs, FAULT_TIMER_KEY);
-                    by_timer.insert(
-                        t,
-                        FaultAction::ScaleStart {
-                            kind: ScaleKind::Disk,
-                            node,
-                            factor,
-                            window,
-                        },
-                    );
-                    let t = sim.schedule_in(at_secs + duration_secs, FAULT_TIMER_KEY);
-                    by_timer.insert(
-                        t,
-                        FaultAction::ScaleEnd {
-                            kind: ScaleKind::Disk,
-                            node,
-                            window,
-                        },
-                    );
-                }
+        for (i, spec) in self.specs.iter().enumerate() {
+            by_timer.insert(sim.schedule_in(spec.at_secs(), FAULT_TIMER_KEY), (i, false));
+            if let Some((_, duration)) = spec.window() {
+                let end = sim.schedule_in(spec.at_secs() + duration, FAULT_TIMER_KEY);
+                by_timer.insert(end, (i, true));
             }
         }
         FaultInjector {
+            specs: self.specs.clone(),
             by_timer,
-            net_windows: HashMap::new(),
-            disk_windows: HashMap::new(),
+            windows: HashMap::new(),
             applied: Vec::new(),
         }
     }
 }
 
-/// Which capacity family a scale window throttles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScaleKind {
-    Net,
-    Disk,
-}
-
-/// What to do when a fault timer fires.
-#[derive(Debug, Clone, Copy)]
-enum FaultAction {
-    Crash(NodeId),
-    Recover(NodeId),
-    ScaleStart {
-        kind: ScaleKind,
-        node: NodeId,
-        factor: f64,
-        window: u64,
-    },
-    ScaleEnd {
-        kind: ScaleKind,
-        node: NodeId,
-        window: u64,
-    },
-}
-
-/// An armed [`FaultPlan`]: owns the timer → fault mapping and the active
-/// scale windows per node. Network and disk faults on one node compose
-/// (they throttle different capacity families); overlapping *same-kind*
-/// windows do not compound — the most recently started window's factor
-/// wins, and when it ends the node falls back to the next still-active
-/// window (or the configured capacities once none remain).
+/// An armed [`FaultPlan`]: its specs, which timer fires which of them,
+/// and the scale windows open on each node. Network and disk faults on
+/// one node compose (they throttle different capacity families);
+/// overlapping *same-kind* windows do not compound — the most recently
+/// started window's factor wins, and when it ends the node falls back to
+/// the next still-open window (or the configured capacities once none
+/// remain).
 #[derive(Debug)]
 pub struct FaultInjector {
-    by_timer: IdMap<TimerId, FaultAction>,
-    /// Active network scale windows per node, in start order (the last
-    /// entry's factor is in force; empty/absent = 1.0).
-    net_windows: HashMap<NodeId, Vec<(u64, f64)>>,
-    /// Active disk scale windows per node, same layout.
-    disk_windows: HashMap<NodeId, Vec<(u64, f64)>>,
+    specs: Vec<FaultSpec>,
+    /// Armed timer → (index of its spec in `specs`, whether it ends the
+    /// spec's window). A window's id is its spec's index.
+    by_timer: IdMap<TimerId, (usize, bool)>,
+    /// Open windows per (node, throttles the disk), in start order as
+    /// (window id, factor): the last one's factor is in force, and an
+    /// absent entry means 1.0.
+    windows: HashMap<(NodeId, bool), Vec<(usize, f64)>>,
     /// Every fault applied so far, in fire order.
     applied: Vec<FaultEvent>,
 }
@@ -717,62 +580,49 @@ impl FaultInjector {
         else {
             return None;
         };
-        let action = self.by_timer.remove(id)?;
-        let fault = match action {
-            FaultAction::Crash(node) => {
+        let (window, ends) = self.by_timer.remove(id)?;
+        let spec = self.specs[window];
+        let node = spec.node();
+        let fault = match spec {
+            FaultSpec::Crash { .. } => {
                 sim.fail_node(node);
                 FaultEvent::Crash { node }
             }
-            FaultAction::Recover(node) => {
+            FaultSpec::Recover { .. } => {
                 sim.recover_node(node);
-                // A node recovering inside an active scale window must come
+                // A node recovering inside an open scale window must come
                 // back at the *scaled* capacities, not the configured ones —
                 // re-assert the factors in force rather than trusting
                 // whatever the capacities drifted to while the node was down.
-                if self.net_windows.contains_key(&node) || self.disk_windows.contains_key(&node) {
+                if self.windows.contains_key(&(node, false))
+                    || self.windows.contains_key(&(node, true))
+                {
                     self.rescale(sim, node);
                 }
                 FaultEvent::Recover { node }
             }
-            FaultAction::ScaleStart {
-                kind,
-                node,
-                factor,
-                window,
-            } => {
-                self.windows_mut(kind)
-                    .entry(node)
-                    .or_default()
-                    .push((window, factor));
-                self.rescale(sim, node);
-                match kind {
-                    ScaleKind::Net => FaultEvent::SlowdownStart { node, factor },
-                    ScaleKind::Disk => FaultEvent::DiskDegradeStart { node, factor },
-                }
-            }
-            FaultAction::ScaleEnd { kind, node, window } => {
-                let windows = self.windows_mut(kind);
-                let restored = if let Some(stack) = windows.get_mut(&node) {
-                    stack.retain(|&(w, _)| w != window);
-                    let rest = stack.last().map(|&(_, f)| f);
-                    if stack.is_empty() {
-                        windows.remove(&node);
-                    }
-                    rest
+            FaultSpec::Slowdown { factor, .. } | FaultSpec::DiskDegrade { factor, .. } => {
+                let disk = matches!(spec, FaultSpec::DiskDegrade { .. });
+                let open = self.windows.entry((node, disk)).or_default();
+                if ends {
+                    open.retain(|&(w, _)| w != window);
                 } else {
-                    None
-                };
+                    open.push((window, factor));
+                }
+                // The factor now in force: the new window's at a start; at an
+                // end, an earlier same-kind window's if one is still open —
+                // the node is not back to full speed then, and straggler-aware
+                // drivers must keep the right picture.
+                let in_force = open.last().map(|&(_, f)| f);
+                if in_force.is_none() {
+                    self.windows.remove(&(node, disk));
+                }
                 self.rescale(sim, node);
-                // If an earlier same-kind window is still open, the node is
-                // not back to full speed — report the factor now in force so
-                // straggler-aware drivers keep the right picture.
-                match (kind, restored) {
-                    (ScaleKind::Net, None) => FaultEvent::SlowdownEnd { node },
-                    (ScaleKind::Net, Some(factor)) => FaultEvent::SlowdownStart { node, factor },
-                    (ScaleKind::Disk, None) => FaultEvent::DiskDegradeEnd { node },
-                    (ScaleKind::Disk, Some(factor)) => {
-                        FaultEvent::DiskDegradeStart { node, factor }
-                    }
+                match (disk, in_force) {
+                    (false, Some(factor)) => FaultEvent::SlowdownStart { node, factor },
+                    (false, None) => FaultEvent::SlowdownEnd { node },
+                    (true, Some(factor)) => FaultEvent::DiskDegradeStart { node, factor },
+                    (true, None) => FaultEvent::DiskDegradeEnd { node },
                 }
             }
         };
@@ -780,18 +630,12 @@ impl FaultInjector {
         Some(fault)
     }
 
-    fn windows_mut(&mut self, kind: ScaleKind) -> &mut HashMap<NodeId, Vec<(u64, f64)>> {
-        match kind {
-            ScaleKind::Net => &mut self.net_windows,
-            ScaleKind::Disk => &mut self.disk_windows,
-        }
-    }
-
     fn rescale(&self, sim: &mut Simulator, node: NodeId) {
-        let factor = |m: &HashMap<NodeId, Vec<(u64, f64)>>| {
-            m.get(&node).and_then(|s| s.last()).map_or(1.0, |&(_, f)| f)
+        let factor = |disk| {
+            let open = self.windows.get(&(node, disk));
+            open.and_then(|o| o.last()).map_or(1.0, |&(_, f)| f)
         };
-        sim.scale_node_caps(node, factor(&self.net_windows), factor(&self.disk_windows));
+        sim.scale_node_caps(node, factor(false), factor(true));
     }
 
     /// Faults applied so far, in fire order.
