@@ -1,10 +1,9 @@
-//! Simulator-throughput benchmark: sustained events/sec at 1k/10k/100k
-//! concurrent flows for the indexed engine (incremental dirty-set max–min
-//! solver, group-level completion tracking, completion heap) — on the
+//! Simulator-throughput benchmark: sustained events/sec of `Simulator`
+//! (incremental dirty-set max–min solver, group-level completion
+//! tracking, completion heap) at 1k/10k/100k concurrent flows — on the
 //! paper's 20-node cluster and on a 1000-node cluster the same workload
-//! generator scales up to. (The full-rescan reference engine is a test
-//! oracle only — `simnet`'s `reference_engine_*` tests and proptests — and
-//! is not raced here.)
+//! generator scales up to. The full-rescan oracle in `simnet::reference`
+//! is not raced.
 //!
 //! Every ChameleonEC experiment replays a trace through `simnet`, so
 //! events/sec is the wall-clock ceiling of the whole evaluation. The

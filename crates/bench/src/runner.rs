@@ -78,7 +78,7 @@ impl FgSpec {
 /// bandwidth monitor plus the final simulated clock.
 ///
 /// Runs used to hand the whole [`Simulator`] back to the caller; in a
-/// parallel grid that kept every finished run's flow slab, heaps, and
+/// parallel grid that kept every finished run's flow map, heaps, and
 /// solver scratch alive until the experiment formatted its rows. The
 /// summary holds only what experiments actually read.
 #[derive(Debug, Clone)]

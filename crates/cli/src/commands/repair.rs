@@ -338,6 +338,12 @@ mod tests {
         driver.start(&mut run.ctx.cluster.build_simulator(), lost);
         let err = drain(&mut run, &mut *driver).unwrap_err();
         assert!(err.contains("repair side did not quiesce"), "{err}");
+        // A campaign that never dispatches (no crash, or nothing stored)
+        // has quiesced; both used to be reported as this error.
+        for args in [&["--duration", "1", "--seed", "1"][..], &["--chunks", "0"]] {
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            crate::commands::orchestrate::run(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+        }
     }
 
     #[test]

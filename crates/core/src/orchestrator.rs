@@ -751,9 +751,12 @@ impl Orchestrator {
     }
 
     /// Whether the campaign has quiesced: nothing queued, nothing in
-    /// flight, and the driver is idle.
+    /// flight, and the driver is idle — as a driver never given a chunk
+    /// is, though it never recorded finishing.
     pub fn is_done(&self) -> bool {
-        self.queue.is_empty() && self.in_flight.is_empty() && self.driver.is_done()
+        self.queue.is_empty()
+            && self.in_flight.is_empty()
+            && (self.dispatch_log.is_empty() || self.driver.is_done())
     }
 
     /// The inner driver's repair outcome.
@@ -1199,6 +1202,32 @@ mod tests {
         assert_eq!(a.ledger_jsonl(), b.ledger_jsonl());
         assert_eq!(a.report(), b.report());
         assert_eq!(a.dispatch_log(), b.dispatch_log());
+    }
+
+    /// A campaign that never dispatches — no fault at all, or a crash on a
+    /// node that holds no chunk — drains at once: its driver was never
+    /// started, so it never records finishing, and that is not a stall.
+    #[test]
+    fn a_campaign_with_nothing_to_repair_quiesces() {
+        let cluster = Cluster::new(ClusterConfig {
+            stripes: 1,
+            ..ClusterConfig::small(6)
+        })
+        .unwrap();
+        let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
+        let holders = ctx.cluster.placement().stripe_nodes(0).to_vec();
+        let idle = (0..20).find(|n| !holders.contains(n)).unwrap();
+        let crash_idle = FaultSpec::Crash {
+            node: idle,
+            at_secs: 1.0,
+        };
+        for plan in [FaultPlan::new(vec![]), FaultPlan::new(vec![crash_idle])] {
+            let driver = Box::new(StaticRepairDriver::new(ctx.clone(), PlanShape::Star, 7));
+            let config = (QueuePolicy::RedundancyPriority, BudgetPolicy::Unlimited, 4);
+            let (orch, _) = orchestrate(ctx.clone(), driver, config, &plan);
+            assert_eq!(orch.report().repaired, 0);
+            assert!(orch.ledger().is_empty(), "{:?}", orch.ledger());
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Ad-hoc breakdown of the indexed engine's per-event cost at 10k flows.
+//! Ad-hoc breakdown of the engine's per-event cost at 10k flows.
 //! Run with: cargo run --release -p chameleon-simnet --example profile_breakdown
 
 use std::time::Instant;

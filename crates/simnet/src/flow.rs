@@ -1,6 +1,7 @@
 //! Flows and timers.
 
 use crate::node::{NodeId, ResourceKind, Traffic};
+use crate::topology::Topology;
 
 /// Unique identifier of a flow within one simulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -242,49 +243,62 @@ impl FlowSpec {
 
 /// A live flow inside the engine.
 ///
-/// The reference engine tracks per-flow `remaining`/`rate` directly. The
-/// indexed engine keeps per-flow state immutable after admission: progress
-/// and rate live on the flow's *group*, and `target` pins the flow's
-/// completion point on the group's cumulative progress counter (the flow
-/// finishes when the counter reaches `target`).
+/// Per-flow state is immutable after admission: progress and rate live on
+/// the flow's *group*, and `target` pins the flow's completion point on
+/// the group's cumulative progress counter (the flow finishes when the
+/// counter reaches `target`).
 #[derive(Debug, Clone)]
 pub(crate) struct Flow {
     pub(crate) spec: FlowSpec,
-    /// Bytes left to transfer (reference engine only; the indexed engine
-    /// derives this from `target` minus group progress).
-    pub(crate) remaining: f64,
-    /// Current max–min rate (reference engine only; the indexed engine
-    /// reads the group's rate).
-    pub(crate) rate: f64,
     /// The flow's resource cells — node cells (`node * 4 + kind`)
-    /// followed by any shared link cells the engine appended for
-    /// cross-rack transfers — packed flat at admission so the per-solve
-    /// hot loops never chase the `spec` constraint vector.
+    /// followed by any shared link cells of a cross-rack transfer —
+    /// packed flat at admission so the per-solve hot loops never chase the
+    /// `spec` constraint vector.
     pub(crate) cells: [u32; MAX_CONSTRAINTS],
     pub(crate) ncells: u8,
     /// Index of the flow group (distinct resource set) this flow belongs
     /// to; assigned by the engine at admission.
     pub(crate) group: u32,
     /// Value of the group's cumulative progress counter at which this
-    /// flow completes (group `done` at admission + flow bytes; indexed
-    /// engine only, immutable).
+    /// flow completes (group `done` at admission + flow bytes; immutable).
     pub(crate) target: f64,
 }
 
 impl Flow {
-    pub(crate) fn new(spec: FlowSpec) -> Self {
-        let remaining = spec.bytes;
+    /// Compiles an admitted spec into resource cells: repeated (node,
+    /// kind) pairs are dropped (a duplicate would double-count the flow's
+    /// load in the solver and double-record its bytes in the monitor),
+    /// the node cells are packed, and under a topology a transfer whose
+    /// source uplink and destination downlink sit in different racks also
+    /// takes the fabric link cells of its path (numbered from
+    /// `link_base`). Same-rack and disk-only flows take no link cells.
+    pub(crate) fn compile(
+        mut spec: FlowSpec,
+        topology: Option<&Topology>,
+        link_base: usize,
+    ) -> Self {
+        spec.constraints.dedup();
         let mut cells = [0u32; MAX_CONSTRAINTS];
         for (c, &(node, kind)) in cells.iter_mut().zip(spec.constraints()) {
             *c = (node * 4 + kind.index()) as u32;
         }
-        let ncells = spec.constraints().len() as u8;
+        let mut ncells = spec.constraints().len();
+        let end = |kind| spec.constraints().iter().find(|c| c.1 == kind).map(|c| c.0);
+        if let (Some(topo), Some(src), Some(dst)) = (
+            topology,
+            end(ResourceKind::Uplink),
+            end(ResourceKind::Downlink),
+        ) {
+            for l in topo.path_links(src, dst) {
+                assert!(ncells < MAX_CONSTRAINTS, "flow cell capacity exceeded");
+                cells[ncells] = (link_base + l) as u32;
+                ncells += 1;
+            }
+        }
         Flow {
             spec,
-            remaining,
-            rate: 0.0,
             cells,
-            ncells,
+            ncells: ncells as u8,
             group: u32::MAX,
             target: 0.0,
         }
@@ -293,17 +307,6 @@ impl Flow {
     /// The packed resource cells this flow traverses.
     pub(crate) fn cells(&self) -> &[u32] {
         &self.cells[..self.ncells as usize]
-    }
-
-    /// Appends one resource cell (used by the engine to attach shared
-    /// link cells to cross-rack flows after node-cell packing).
-    pub(crate) fn push_cell(&mut self, cell: u32) {
-        assert!(
-            (self.ncells as usize) < MAX_CONSTRAINTS,
-            "flow cell capacity exceeded"
-        );
-        self.cells[self.ncells as usize] = cell;
-        self.ncells += 1;
     }
 }
 

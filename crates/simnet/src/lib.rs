@@ -65,6 +65,8 @@ mod idmap;
 pub mod maxmin;
 mod monitor;
 mod node;
+#[doc(hidden)]
+pub mod reference;
 mod time;
 pub mod topology;
 pub mod trace;

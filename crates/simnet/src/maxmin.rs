@@ -23,10 +23,8 @@
 //! index), its unfrozen residents frozen in ascending group order, each
 //! subtracting `share × weight` from every resource it crosses.
 //!
-//! [`mod@reference`] is the original textbook implementation behind
-//! `Simulator::use_reference_engine`, kept verbatim as the second oracle of
-//! the differential proptests and the baseline column of the
-//! simulator-throughput benchmark.
+//! The original textbook implementation, the second oracle of the
+//! differential proptests, lives beside the engine in `simnet::reference`.
 
 /// Computes the max–min fair allocation for a set of flows over shared
 /// capacity-limited resources.
@@ -864,74 +862,10 @@ impl IncrementalSolver {
     }
 }
 
-/// The original O(flows × resources)-per-round progressive-filling solver,
-/// kept as the oracle for differential tests and benchmark baselines.
-pub mod reference {
-    /// Computes the max–min fair allocation exactly like
-    /// [`allocate_rates`](super::allocate_rates), with the pre-index
-    /// full-rescan algorithm.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a flow lists no resources.
-    pub fn allocate_rates(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
-        let mut rates = vec![0.0f64; flows.len()];
-        if flows.is_empty() {
-            return rates;
-        }
-        let mut rem_cap = capacities.to_vec();
-        // Number of unfrozen flows crossing each resource.
-        let mut load = vec![0usize; capacities.len()];
-        for f in flows {
-            assert!(!f.is_empty(), "flow must traverse at least one resource");
-            for &r in f {
-                debug_assert!(r < capacities.len(), "resource index out of range");
-                load[r] += 1;
-            }
-        }
-        let mut frozen = vec![false; flows.len()];
-        let mut unfrozen = flows.len();
-
-        while unfrozen > 0 {
-            // Find the bottleneck: the resource with the smallest equal share.
-            let mut best_share = f64::INFINITY;
-            let mut best_res = usize::MAX;
-            for (r, &l) in load.iter().enumerate() {
-                if l > 0 {
-                    let share = (rem_cap[r] / l as f64).max(0.0);
-                    if share < best_share {
-                        best_share = share;
-                        best_res = r;
-                    }
-                }
-            }
-            debug_assert_ne!(
-                best_res,
-                usize::MAX,
-                "unfrozen flows but no loaded resource"
-            );
-
-            // Freeze every unfrozen flow crossing the bottleneck.
-            for (f, flow) in flows.iter().enumerate() {
-                if frozen[f] || !flow.contains(&best_res) {
-                    continue;
-                }
-                frozen[f] = true;
-                unfrozen -= 1;
-                rates[f] = best_share;
-                for &r in flow {
-                    rem_cap[r] = (rem_cap[r] - best_share).max(0.0);
-                    load[r] -= 1;
-                }
-            }
-        }
-        rates
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} != {b}");

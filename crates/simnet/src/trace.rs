@@ -213,9 +213,7 @@ impl TraceSink {
 ///
 /// Maintained unconditionally (they are integer increments on paths that
 /// already exist); read with
-/// [`Simulator::profile`](crate::Simulator::profile). The solver counters
-/// cover the indexed engine only — the reference engine exists as a
-/// differential oracle and profiles nothing.
+/// [`Simulator::profile`](crate::Simulator::profile).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineProfile {
     /// Events delivered by `next_event` (completions + aborts + timers).
@@ -226,26 +224,26 @@ pub struct EngineProfile {
     pub flow_aborts: u64,
     /// Timers that fired.
     pub timer_fires: u64,
-    /// Rate solves that re-solved at least one group (indexed engine).
+    /// Rate solves that re-solved at least one group.
     pub solves: u64,
-    /// Solves whose dirty closure covered every live group (indexed
-    /// engine; includes the first solve over a populated cluster).
+    /// Solves whose dirty closure covered every live group (including
+    /// the first solve over a populated cluster).
     pub full_solves: u64,
-    /// Solves that re-solved only a proper subset of the live groups
-    /// (indexed engine). `full_solves + incremental_solves == solves`.
+    /// Solves that re-solved only a proper subset of the live groups.
+    /// `full_solves + incremental_solves == solves`.
     pub incremental_solves: u64,
     /// Stale rate refreshes that re-solved nothing: the mutations since the
-    /// last solve had cancelled out, or left only slack behind (indexed
-    /// engine). `solves + elided_solves` is the number of stale refreshes.
+    /// last solve had cancelled out, or left only slack behind.
+    /// `solves + elided_solves` is the number of stale refreshes.
     pub elided_solves: u64,
     /// Fill attempts discarded and redone because a resource that entered
-    /// the closure with slack came out saturated (indexed engine).
+    /// the closure with slack came out saturated.
     pub solve_retries: u64,
     /// Cumulative flow groups re-solved across all solves (the dirty
     /// closure sizes); `dirty_groups / solves` is the mean re-solve
-    /// footprint (indexed engine).
+    /// footprint.
     pub dirty_groups: u64,
-    /// Total progressive-filling rounds across all solves (indexed engine).
+    /// Total progressive-filling rounds across all solves.
     pub solver_rounds: u64,
     /// Wholesale completion-heap rebuilds (vs incremental pushes).
     pub heap_rebuilds: u64,

@@ -4,6 +4,7 @@
 //! incremental class tables, completion heap) matches the reference
 //! engine event for event.
 
+use chameleon_simnet::reference::{self, ReferenceSim};
 use chameleon_simnet::{
     allocate_rates, maxmin, Event, FlowId, FlowOutcome, FlowSpec, IncrementalSolver, MaxMinSolver,
     NodeCaps, ResourceKind, SimConfig, Simulator, Topology, Traffic,
@@ -354,7 +355,7 @@ proptest! {
             .collect();
         prop_assume!(!flows.is_empty());
         let fast = allocate_rates(&caps, &flows);
-        let slow = maxmin::reference::allocate_rates(&caps, &flows);
+        let slow = reference::allocate_rates(&caps, &flows);
         // The indexed solver performs the same float ops in the same
         // order, so the results are bit-identical, not merely close.
         prop_assert_eq!(fast, slow);
@@ -364,11 +365,22 @@ proptest! {
     fn engine_matches_reference_on_dynamic_workloads(
         seed in any::<u64>(),
         op_count in 4usize..24,
+        racks in 1usize..4,
     ) {
         // A scripted dynamic workload: flows admitted at time zero and via
         // timers as the run unfolds, plus occasional cancellations —
         // exercising the completion heap, the incremental class tables,
         // and lazy remaining-materialization against the reference engine.
+        // With `racks > 1` the nodes sit behind round-robin ToRs and a
+        // spine narrow enough to saturate, so link cells join the solve and
+        // the monitor's link totals are compared too.
+        let cfg = || {
+            let mut cfg = SimConfig::uniform(5, NodeCaps::symmetric(40.0, 25.0));
+            if racks > 1 {
+                cfg.topology = Some(Topology::round_robin(5, racks, 90.0, 90.0, Some(60.0)));
+            }
+            cfg
+        };
         let ops: Vec<(u64, u64, u64, u64, u64)> = {
             let mut state = seed | 1;
             let mut next = move || {
@@ -381,9 +393,10 @@ proptest! {
                 .map(|_| (next(), next(), next(), next(), next()))
                 .collect()
         };
-        let run = |reference: bool| {
-            let mut sim = Simulator::new(SimConfig::uniform(5, NodeCaps::symmetric(40.0, 25.0)));
-            sim.use_reference_engine(reference);
+        // One body for both engines: `$sim` is a `Simulator` or a
+        // `ReferenceSim`, which share these method names.
+        macro_rules! run { ($sim:expr) => {{
+            let mut sim = $sim;
             let tags = [Traffic::Foreground, Traffic::Repair, Traffic::Background];
             let mut started = Vec::new();
             let mut pending: Vec<(u64, u64, u64, u64)> = Vec::new();
@@ -429,16 +442,20 @@ proptest! {
                 }
             }
             // Snapshot the monitor per cell for cross-engine comparison.
+            let m = sim.monitor();
             let mut totals = Vec::new();
-            for node in 0..5 {
-                for kind in ResourceKind::ALL {
-                    for tag in Traffic::ALL {
-                        totals.push(sim.monitor().total_bytes(node, kind, tag));
+            for tag in Traffic::ALL {
+                for node in 0..5 {
+                    for kind in ResourceKind::ALL {
+                        totals.push(m.total_bytes(node, kind, tag));
                     }
+                }
+                for link in 0..m.link_count() {
+                    totals.push(m.link_total_bytes(link, tag));
                 }
             }
             (log, totals)
-        };
+        }}}
         // Events at the same instant are a genuine tie: the reference
         // engine recomputes completion times stepwise at every event while
         // the heap keeps the prediction from the last rate change, so
@@ -457,8 +474,8 @@ proptest! {
             }
             out
         };
-        let (fast_log, fast_totals) = run(false);
-        let (slow_log, slow_totals) = run(true);
+        let (fast_log, fast_totals) = run!(Simulator::new(cfg()));
+        let (slow_log, slow_totals) = run!(ReferenceSim::new(cfg()));
         prop_assert_eq!(fast_log.len(), slow_log.len(), "event counts diverge");
         let fast_log = canonicalize(&fast_log);
         let slow_log = canonicalize(&slow_log);
