@@ -6,18 +6,20 @@ use chameleon_simnet::NodeId;
 
 use crate::campaign::{Campaign, Planner};
 use crate::context::RepairContext;
-use crate::plan::RepairPlan;
-use crate::select::{SelectError, SourceSelector};
-use crate::{cr, ecpipe, ppr};
+use crate::plan::{assemble, RepairPlan};
+use crate::select::{SelectError, Selection, SourceSelector};
 
 /// The transmission topology a baseline uses for every chunk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanShape {
-    /// CR: all sources → destination.
+    /// CR: all sources → destination (Fig. 3(a)).
     Star,
-    /// PPR: binary-tree aggregation.
+    /// PPR: binary-tree aggregation of partial decoding results (Mitra et
+    /// al., EuroSys 2016; Fig. 3(b)).
     Tree,
-    /// ECPipe: a single chain.
+    /// ECPipe: a single chain (Li et al., USENIX ATC 2017) — the strictest
+    /// transmission dependency of the three, which is why the paper finds
+    /// it suffers most under foreground interference (§II-D).
     Chain,
 }
 
@@ -30,13 +32,65 @@ impl PlanShape {
             PlanShape::Chain => "ECPipe",
         }
     }
+
+    /// For each of `count` source positions, the position it uploads to
+    /// (`None`: the destination). The tree is PPR's binomial shape: within
+    /// a range the last element is the root, and the left half's root
+    /// forwards to it.
+    pub(crate) fn parents(self, count: usize) -> Vec<Option<usize>> {
+        fn halve(lo: usize, hi: usize, parents: &mut [Option<usize>]) {
+            if hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                parents[mid - 1] = Some(hi - 1);
+                halve(lo, mid, parents);
+                halve(mid, hi, parents);
+            }
+        }
+        match self {
+            PlanShape::Star => vec![None; count],
+            PlanShape::Tree => {
+                let mut parents = vec![None; count];
+                halve(0, count, &mut parents);
+                parents
+            }
+            PlanShape::Chain => (1..=count)
+                .map(|next| (next < count).then_some(next))
+                .collect(),
+        }
+    }
+
+    /// Builds this shape over `selection`. A non-relayable (sub-chunk)
+    /// selection ships its pieces verbatim, so every shape over it is a
+    /// star.
+    ///
+    /// # Errors
+    ///
+    /// [`SelectError::Unrepairable`] if the selection admits no decoding
+    /// coefficients.
+    pub fn build(
+        self,
+        ctx: &RepairContext,
+        chunk: ChunkId,
+        selection: &Selection,
+    ) -> Result<RepairPlan, SelectError> {
+        let shape = if selection.relayable {
+            self
+        } else {
+            PlanShape::Star
+        };
+        assemble(
+            ctx,
+            chunk,
+            selection,
+            &shape.parents(selection.sources.len()),
+        )
+    }
 }
 
 /// A fixed plan shape over a static selection policy.
 pub struct StaticPlanner {
     shape: PlanShape,
     selector: SourceSelector,
-    boosted: bool,
     concurrency: usize,
 }
 
@@ -44,7 +98,7 @@ impl Planner for StaticPlanner {
     type Attempt = ();
 
     fn name(&self) -> String {
-        if self.boosted {
+        if self.selector.is_balanced() {
             format!("RB+{}", self.shape.name())
         } else {
             self.shape.name().to_string()
@@ -63,12 +117,7 @@ impl Planner for StaticPlanner {
         _others_active: bool,
     ) -> Result<Option<(RepairPlan, ())>, SelectError> {
         let selection = self.selector.select(ctx, chunk, promised)?;
-        let plan = match self.shape {
-            PlanShape::Star => cr::build(ctx, chunk, &selection),
-            PlanShape::Tree => ppr::build(ctx, chunk, &selection),
-            PlanShape::Chain => ecpipe::build(ctx, chunk, &selection),
-        }?;
-        Ok(Some((plan, ())))
+        Ok(Some((self.shape.build(ctx, chunk, &selection)?, ())))
     }
 }
 
@@ -86,26 +135,20 @@ impl StaticRepairDriver {
 
     /// Creates a driver with the paper's random source selection.
     pub fn new(ctx: RepairContext, shape: PlanShape, seed: u64) -> Self {
-        Self::with_selector(ctx, shape, SourceSelector::random(seed), false)
+        Self::with_selector(ctx, shape, SourceSelector::random(seed))
     }
 
     /// Creates a RepairBoost-boosted driver: same shape, but sources and
     /// destinations are spread to balance per-node repair traffic
     /// (Exp#6).
     pub fn boosted(ctx: RepairContext, shape: PlanShape, seed: u64) -> Self {
-        Self::with_selector(ctx, shape, SourceSelector::balanced(seed), true)
+        Self::with_selector(ctx, shape, SourceSelector::balanced(seed))
     }
 
-    fn with_selector(
-        ctx: RepairContext,
-        shape: PlanShape,
-        selector: SourceSelector,
-        boosted: bool,
-    ) -> Self {
+    fn with_selector(ctx: RepairContext, shape: PlanShape, selector: SourceSelector) -> Self {
         let planner = StaticPlanner {
             shape,
             selector,
-            boosted,
             concurrency: Self::DEFAULT_CONCURRENCY,
         };
         Campaign::with_planner(ctx, planner)
@@ -120,5 +163,64 @@ impl StaticRepairDriver {
         assert!(concurrency > 0, "concurrency must be positive");
         self.planner.concurrency = concurrency;
         self
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use chameleon_cluster::{Cluster, ClusterConfig};
+    use chameleon_codes::{Butterfly, ErasureCode, ReedSolomon};
+    use std::sync::Arc;
+
+    fn ctx(code: Arc<dyn ErasureCode>) -> RepairContext {
+        let mut cfg = ClusterConfig::small(code.n());
+        cfg.stripes = 2;
+        RepairContext::new(Cluster::new(cfg).unwrap(), code)
+    }
+
+    #[test]
+    fn shapes_match_fig3_for_every_source_count() {
+        // Fig. 3(b), k = 4: 0 -> 1, 1 -> 3, 2 -> 3, 3 -> destination.
+        assert_eq!(
+            PlanShape::Tree.parents(4),
+            vec![Some(1), Some(3), Some(3), None]
+        );
+        let chunk = ChunkId {
+            stripe: 1,
+            index: 0,
+        };
+        for k in 1..=16 {
+            let ctx = ctx(Arc::new(ReedSolomon::new(k, 2).unwrap()));
+            let selection = SourceSelector::random(k as u64)
+                .select(&ctx, chunk, &[])
+                .unwrap();
+            // (shape, depth, destination fan-in)
+            let table = [
+                (PlanShape::Star, 1, k),
+                (PlanShape::Tree, k.ilog2() as usize + 1, 1),
+                (PlanShape::Chain, k, 1),
+            ];
+            for (shape, depth, fan_in) in table {
+                let plan = shape.build(&ctx, chunk, &selection).unwrap();
+                assert_eq!(plan.participants().len(), k, "{shape:?} k={k}");
+                assert_eq!(plan.max_depth(), depth, "{shape:?} k={k}");
+                assert_eq!(
+                    plan.inputs_of(plan.destination()).len(),
+                    fan_in,
+                    "{shape:?} k={k}"
+                );
+            }
+        }
+        // A sub-chunk (Butterfly) selection cannot relay: every shape is
+        // the star.
+        let ctx = ctx(Arc::new(Butterfly::new()));
+        let selection = SourceSelector::random(3).select(&ctx, chunk, &[]).unwrap();
+        assert!(!selection.relayable);
+        let star = PlanShape::Star.build(&ctx, chunk, &selection).unwrap();
+        assert_eq!(star.max_depth(), 1);
+        for shape in [PlanShape::Tree, PlanShape::Chain] {
+            assert_eq!(shape.build(&ctx, chunk, &selection).unwrap(), star);
+        }
     }
 }

@@ -3,11 +3,11 @@
 //! bandwidth, minimum-estimated-time first.
 
 use chameleon_cluster::ChunkId;
-use chameleon_codes::RepairRequirement;
 use chameleon_simnet::{NodeId, ResourceKind, Simulator, Traffic};
 
+use crate::baseline::PlanShape;
 use crate::context::{RepairContext, Resources};
-use crate::select::SelectError;
+use crate::select::{repair_candidates, SelectError, Selection, SourcePick};
 
 /// Hard floor on the usable residual bandwidth, as a fraction of
 /// capacity, so estimates never divide by zero.
@@ -176,8 +176,9 @@ impl PhaseState {
         }
     }
 
-    /// [`PhaseState::up_time`] for a transfer headed to `to_rack`
-    /// (`None` = rack-agnostic).
+    /// Estimated time for `node` to finish its upload tasks plus `extra`
+    /// more, at `chunk_size` bytes per task, for a transfer headed to
+    /// `to_rack` (`None` = rack-agnostic).
     pub fn up_time_to(
         &self,
         node: NodeId,
@@ -188,8 +189,9 @@ impl PhaseState {
         (self.t_up[node] + extra) * chunk_size / self.effective_up(node, to_rack)
     }
 
-    /// [`PhaseState::down_time`] for a transfer arriving from `from_rack`
-    /// (`None` = rack-agnostic).
+    /// Estimated time for `node` to finish its download tasks plus `extra`
+    /// more, for a transfer arriving from `from_rack` (`None` =
+    /// rack-agnostic).
     pub fn down_time_from(
         &self,
         node: NodeId,
@@ -200,72 +202,58 @@ impl PhaseState {
         (self.t_down[node] + extra) * chunk_size / self.effective_down(node, from_rack)
     }
 
-    /// Estimated time for `node` to finish its upload tasks plus `extra`
-    /// more, at `chunk_size` bytes per task.
-    pub fn up_time(&self, node: NodeId, extra: f64, chunk_size: f64) -> f64 {
-        (self.t_up[node] + extra) * chunk_size / self.b_up[node]
-    }
-
-    /// Estimated time for `node` to finish its download tasks plus `extra`
-    /// more.
-    pub fn down_time(&self, node: NodeId, extra: f64, chunk_size: f64) -> f64 {
-        (self.t_down[node] + extra) * chunk_size / self.b_down[node]
-    }
-
     /// The estimated repair time of a node: the max of its upload and
     /// download completion estimates (the paper's `R_i`).
     pub fn node_time(&self, node: NodeId, chunk_size: f64) -> f64 {
-        self.up_time(node, 0.0, chunk_size)
-            .max(self.down_time(node, 0.0, chunk_size))
+        self.up_time_to(node, 0.0, chunk_size, None)
+            .max(self.down_time_from(node, 0.0, chunk_size, None))
     }
 }
 
-/// One selected source and the download tasks routed through it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeTasks {
-    /// The source node.
-    pub node: NodeId,
-    /// Stripe index of its surviving chunk.
-    pub chunk_index: usize,
-    /// Chunk fraction this source reads/uploads (sub-chunk repairs).
-    pub fraction: f64,
-    /// Download tasks assigned to this source (0 for pure uploaders;
-    /// ≥ 1 makes it a relay).
-    pub downloads: f64,
-}
-
-/// The dispatch result for one chunk: destination, per-source task counts,
-/// and the estimated completion time used for phase admission and
-/// straggler expectations.
+/// The dispatch result for one chunk: the selection it settled on, the
+/// download tasks routed through each source, and the estimated completion
+/// time used for phase admission and straggler expectations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskAssignment {
     /// The failed chunk.
     pub chunk: ChunkId,
-    /// The chosen destination.
-    pub destination: NodeId,
-    /// Selected sources with their download-task counts.
-    pub sources: Vec<NodeTasks>,
-    /// Download tasks terminating at the destination.
-    pub dest_downloads: f64,
-    /// Whether relays may combine partial results.
-    pub relayable: bool,
+    /// The chosen destination and sources.
+    pub selection: Selection,
+    /// Download tasks assigned to each source, index-aligned with
+    /// `selection.sources` (0 for pure uploaders; ≥ 1 makes it a relay).
+    pub downloads: Vec<f64>,
     /// Estimated seconds for this chunk's repair under the current phase
     /// load (the max `R_i` over all involved nodes).
     pub estimated_secs: f64,
-    /// The `(node, upload, download)` increments this dispatch applied to
-    /// the phase counters — released again when the chunk completes, so
-    /// the counters always reflect *outstanding* tasks.
-    pub counter_deltas: Vec<(NodeId, f64, f64)>,
 }
 
 impl TaskAssignment {
-    /// Releases this chunk's task counters (called on completion). Values
-    /// are clamped at zero, which also handles chunks that outlive the
-    /// phase they were dispatched in.
-    pub fn release(&self, phase: &mut PhaseState) {
-        for &(node, up, down) in &self.counter_deltas {
+    /// Download tasks terminating at the destination: every upload (in
+    /// chunk equivalents) that no relay receives.
+    pub fn dest_downloads(&self) -> f64 {
+        let uploads: f64 = self.selection.sources.iter().map(|s| s.fraction).sum();
+        uploads - self.downloads.iter().sum::<f64>()
+    }
+
+    /// Releases the task counters that dispatching this chunk under
+    /// `resources` added (called on completion): every source's upload, the
+    /// destination's downloads, and — on the network only, since a relay
+    /// transfer touches no disk — the relays' downloads. Values are clamped
+    /// at zero, which also handles chunks that outlive the phase they were
+    /// dispatched in.
+    pub fn release(&self, phase: &mut PhaseState, resources: Resources) {
+        let mut take = |node: NodeId, up: f64, down: f64| {
             phase.t_up[node] = (phase.t_up[node] - up).max(0.0);
             phase.t_down[node] = (phase.t_down[node] - down).max(0.0);
+        };
+        take(self.selection.destination, 0.0, self.dest_downloads());
+        for (s, &downloads) in self.selection.sources.iter().zip(&self.downloads) {
+            let relayed = if resources == Resources::Network {
+                downloads
+            } else {
+                0.0
+            };
+            take(s.node, s.fraction, relayed);
         }
     }
 }
@@ -300,9 +288,9 @@ pub fn dispatch_chunk(
 /// With [`Resources::Storage`] (ChameleonEC-IO, §III-D) the balanced
 /// quantities are the *disk read* tasks at the sources and the *disk
 /// write* task at the destination; relay transfers consume no storage
-/// bandwidth, so download tasks are routed straight to the destination
-/// and the plan degenerates to a star — exactly the read/write task
-/// dispatch the paper describes for storage-bottlenecked clusters.
+/// bandwidth, so the plan's shape is a fixed balanced tree — exactly the
+/// read/write task dispatch the paper describes for storage-bottlenecked
+/// clusters.
 ///
 /// # Errors
 ///
@@ -315,19 +303,7 @@ pub fn dispatch_chunk_for(
     resources: Resources,
 ) -> Result<TaskAssignment, SelectError> {
     let chunk_size = ctx.chunk_size() as f64;
-    let placement = ctx.cluster.placement();
-    let alive_indices = ctx.cluster.alive_chunk_indices(chunk.stripe);
-    let requirement = ctx
-        .code
-        .repair_requirement(chunk.index, &alive_indices)
-        .map_err(SelectError::from)?;
-
-    let node_of = |index: usize| {
-        placement.node_of(ChunkId {
-            stripe: chunk.stripe,
-            index,
-        })
-    };
+    let (requirement, candidates, count) = repair_candidates(ctx, chunk)?;
 
     // --- Destination: minimum-time-first over off-stripe alive nodes. ---
     // Where the repair traffic will mostly come from: the rack holding the
@@ -335,20 +311,12 @@ pub fn dispatch_chunk_for(
     // cross-fabric clamp, which steers the repair into the sources' rack
     // when the spine is the scarce resource. `None` on a flat fabric.
     let src_rack = if resources == Resources::Network {
-        let source_nodes: Vec<NodeId> = match &requirement {
-            RepairRequirement::AnyOf { candidates, .. } => {
-                candidates.iter().map(|&i| node_of(i)).collect()
-            }
-            RepairRequirement::Exact { sources } => sources.iter().map(|&i| node_of(i)).collect(),
-            RepairRequirement::SubChunk { reads } => {
-                reads.iter().map(|r| node_of(r.chunk)).collect()
-            }
-        };
-        phase.majority_rack(&source_nodes)
+        let nodes: Vec<NodeId> = candidates.iter().map(|s| s.node).collect();
+        phase.majority_rack(&nodes)
     } else {
         None
     };
-    let stripe_nodes = placement.stripe_nodes(chunk.stripe);
+    let stripe_nodes = ctx.cluster.placement().stripe_nodes(chunk.stripe);
     let destination = ctx
         .cluster
         .alive_storage_nodes()
@@ -362,127 +330,105 @@ pub fn dispatch_chunk_for(
                 .then(a.cmp(&b))
         })
         .ok_or(SelectError::NoDestination)?;
-    let dest_rack = phase.rack(destination);
 
-    // --- Sub-chunk repairs: direct transfers only (no elastic plan). ---
-    if let RepairRequirement::SubChunk { reads } = &requirement {
-        let mut sources = Vec::with_capacity(reads.len());
-        let mut dest_downloads = 0.0;
-        let mut counter_deltas = Vec::with_capacity(reads.len() + 1);
-        for r in reads {
-            let node = node_of(r.chunk);
-            phase.t_up[node] += r.fraction;
-            phase.t_down[destination] += r.fraction;
-            counter_deltas.push((node, r.fraction, 0.0));
-            dest_downloads += r.fraction;
-            sources.push(NodeTasks {
-                node,
-                chunk_index: r.chunk,
-                fraction: r.fraction,
-                downloads: 0.0,
-            });
+    let relayable = requirement.supports_relaying();
+    let (sources, downloads) = if !relayable {
+        // Sub-chunk repairs: direct transfers only (no elastic plan).
+        for s in &candidates {
+            phase.t_up[s.node] += s.fraction;
+            phase.t_down[destination] += s.fraction;
         }
-        counter_deltas.push((destination, 0.0, dest_downloads));
-        let estimated_secs = sources
-            .iter()
-            .map(|s| phase.node_time(s.node, chunk_size))
-            .fold(phase.node_time(destination, chunk_size), f64::max);
-        return Ok(TaskAssignment {
-            chunk,
-            destination,
-            sources,
-            dest_downloads,
-            relayable: false,
-            estimated_secs,
-            counter_deltas,
-        });
-    }
-
-    // --- Whole-chunk repairs: place `count` download + `count` upload tasks. ---
-    let (candidates, count): (Vec<usize>, usize) = match &requirement {
-        RepairRequirement::AnyOf { candidates, count } => (candidates.clone(), *count),
-        RepairRequirement::Exact { sources } => (sources.clone(), sources.len()),
-        RepairRequirement::SubChunk { .. } => unreachable!("handled above"),
+        let downloads = vec![0.0; candidates.len()];
+        (candidates, downloads)
+    } else if resources == Resources::Storage {
+        place_disk_tasks(phase, candidates, count, destination, chunk_size)
+    } else {
+        place_network_tasks(phase, candidates, count, destination, src_rack, chunk_size)
     };
-    let candidate_nodes: Vec<(usize, NodeId)> =
-        candidates.iter().map(|&i| (i, node_of(i))).collect();
-
-    if resources == Resources::Storage {
-        // ChameleonEC-IO: only reads (sources) and the write (destination)
-        // consume storage bandwidth; relays would add nothing, so pick the
-        // `count` sources with the most idle disk-read bandwidth and send
-        // everything to the destination.
-        let mut picks: Vec<usize> = (0..candidate_nodes.len()).collect();
-        picks.sort_by(|&a, &b| {
-            phase
-                .up_time(candidate_nodes[a].1, 1.0, chunk_size)
-                .total_cmp(&phase.up_time(candidate_nodes[b].1, 1.0, chunk_size))
-                .then(a.cmp(&b))
-        });
-        picks.truncate(count);
-        picks.sort_unstable();
-        // One disk write at the destination restores the chunk.
-        phase.t_down[destination] += 1.0;
-        let mut counter_deltas = vec![(destination, 0.0, 1.0)];
-        // Without network measurements the transmission topology is fixed:
-        // a balanced aggregation tree over the disk-chosen sources (network
-        // fan-in carries no storage cost, so the download counts below
-        // shape the plan without touching the disk counters).
-        let tree = crate::ppr::tree_targets(count);
-        let mut fan_in = vec![0.0f64; count];
-        for target in tree.iter().flatten() {
-            fan_in[*target] += 1.0;
-        }
-        let mut sources = Vec::with_capacity(count);
-        for (pos, &ci) in picks.iter().enumerate() {
-            let (chunk_index, node) = candidate_nodes[ci];
-            phase.t_up[node] += 1.0;
-            counter_deltas.push((node, 1.0, 0.0));
-            sources.push(NodeTasks {
-                node,
-                chunk_index,
-                fraction: 1.0,
-                downloads: fan_in[pos],
-            });
-        }
-        let estimated_secs = sources
-            .iter()
-            .map(|s| phase.node_time(s.node, chunk_size))
-            .fold(phase.node_time(destination, chunk_size), f64::max);
-        return Ok(TaskAssignment {
-            chunk,
+    let estimated_secs = sources
+        .iter()
+        .map(|s| phase.node_time(s.node, chunk_size))
+        .fold(phase.node_time(destination, chunk_size), f64::max);
+    Ok(TaskAssignment {
+        chunk,
+        selection: Selection {
             destination,
             sources,
-            dest_downloads: 1.0,
-            relayable: true,
-            estimated_secs,
-            counter_deltas,
-        });
-    }
+            relayable,
+        },
+        downloads,
+        estimated_secs,
+    })
+}
 
+/// ChameleonEC-IO: only reads (sources) and the write (destination)
+/// consume storage bandwidth, so pick the `count` sources with the most
+/// idle disk-read bandwidth. Without network measurements the transmission
+/// topology is fixed: a balanced aggregation tree over them, whose fan-in
+/// shapes the plan without touching the disk counters.
+fn place_disk_tasks(
+    phase: &mut PhaseState,
+    candidates: Vec<SourcePick>,
+    count: usize,
+    destination: NodeId,
+    chunk_size: f64,
+) -> (Vec<SourcePick>, Vec<f64>) {
+    let read_time = |s: &SourcePick| phase.up_time_to(s.node, 1.0, chunk_size, None);
+    let mut picks: Vec<usize> = (0..candidates.len()).collect();
+    picks.sort_by(|&a, &b| {
+        read_time(&candidates[a])
+            .total_cmp(&read_time(&candidates[b]))
+            .then(a.cmp(&b))
+    });
+    picks.truncate(count);
+    picks.sort_unstable();
+    // One disk write at the destination restores the chunk.
+    phase.t_down[destination] += 1.0;
+    let mut downloads = vec![0.0; count];
+    for parent in PlanShape::Tree.parents(count).into_iter().flatten() {
+        downloads[parent] += 1.0;
+    }
+    let mut sources = Vec::with_capacity(count);
+    for ci in picks {
+        phase.t_up[candidates[ci].node] += 1.0;
+        sources.push(candidates[ci]);
+    }
+    (sources, downloads)
+}
+
+/// Places a whole-chunk repair's `count` download and `count` upload tasks
+/// on the network, minimum-estimated-time first: each download after the
+/// destination's first goes to the destination or makes a source a relay,
+/// whichever finishes sooner; then the fastest remaining sources fill the
+/// pure-uploader slots.
+fn place_network_tasks(
+    phase: &mut PhaseState,
+    candidates: Vec<SourcePick>,
+    count: usize,
+    destination: NodeId,
+    src_rack: Option<usize>,
+    chunk_size: f64,
+) -> (Vec<SourcePick>, Vec<f64>) {
+    let dest_rack = phase.rack(destination);
     // The destination always takes the first download task.
     phase.t_down[destination] += 1.0;
-    let mut dest_downloads = 1.0;
-
-    // Download tasks routed through this chunk's plan, per candidate node.
-    let mut chunk_downloads: Vec<f64> = vec![0.0; candidate_nodes.len()];
-
+    // Download tasks routed through this chunk's plan, per candidate.
+    let mut downloads = vec![0.0f64; candidates.len()];
     for _ in 1..count {
         // Option A: another download at the destination (arriving from the
         // sources' majority rack).
         let mut best_time = phase
-            .up_time(destination, 0.0, chunk_size)
+            .up_time_to(destination, 0.0, chunk_size, None)
             .max(phase.down_time_from(destination, 1.0, chunk_size, src_rack));
         let mut best: Option<usize> = None; // None = destination
 
         // Option B: a download at candidate source i (making it a relay —
         // its merged upload then heads for the destination's rack).
-        for (ci, &(_, node)) in candidate_nodes.iter().enumerate() {
-            let new_relay = chunk_downloads[ci] == 0.0;
-            let up_extra = if new_relay { 1.0 } else { 0.0 };
+        for (ci, s) in candidates.iter().enumerate() {
+            let up_extra = if downloads[ci] == 0.0 { 1.0 } else { 0.0 };
             let t = phase
-                .up_time_to(node, up_extra, chunk_size, dest_rack)
-                .max(phase.down_time_from(node, 1.0, chunk_size, src_rack));
+                .up_time_to(s.node, up_extra, chunk_size, dest_rack)
+                .max(phase.down_time_from(s.node, 1.0, chunk_size, src_rack));
             if t < best_time {
                 best_time = t;
                 best = Some(ci);
@@ -490,73 +436,41 @@ pub fn dispatch_chunk_for(
         }
 
         match best {
-            None => {
-                phase.t_down[destination] += 1.0;
-                dest_downloads += 1.0;
-            }
+            None => phase.t_down[destination] += 1.0,
             Some(ci) => {
-                let node = candidate_nodes[ci].1;
-                if chunk_downloads[ci] == 0.0 {
+                let node = candidates[ci].node;
+                if downloads[ci] == 0.0 {
                     // Becoming a relay adds the associated upload task.
                     phase.t_up[node] += 1.0;
                 }
                 phase.t_down[node] += 1.0;
-                chunk_downloads[ci] += 1.0;
+                downloads[ci] += 1.0;
             }
         }
     }
 
     // Relay sources are fixed; pick the remaining pure uploaders
     // minimum-time-first among candidates without download tasks.
-    let relay_count = chunk_downloads.iter().filter(|&&d| d > 0.0).count();
-    let mut pure: Vec<usize> = (0..candidate_nodes.len())
-        .filter(|&ci| chunk_downloads[ci] == 0.0)
+    let relay_count = downloads.iter().filter(|&&d| d > 0.0).count();
+    let upload_time = |ci: usize| phase.up_time_to(candidates[ci].node, 1.0, chunk_size, dest_rack);
+    let mut pure: Vec<usize> = (0..candidates.len())
+        .filter(|&ci| downloads[ci] == 0.0)
         .collect();
-    pure.sort_by(|&a, &b| {
-        phase
-            .up_time_to(candidate_nodes[a].1, 1.0, chunk_size, dest_rack)
-            .total_cmp(&phase.up_time_to(candidate_nodes[b].1, 1.0, chunk_size, dest_rack))
-            .then(a.cmp(&b))
-    });
+    pure.sort_by(|&a, &b| upload_time(a).total_cmp(&upload_time(b)).then(a.cmp(&b)));
     pure.truncate(count - relay_count);
     for &ci in &pure {
-        phase.t_up[candidate_nodes[ci].1] += 1.0;
+        phase.t_up[candidates[ci].node] += 1.0;
     }
 
-    let mut sources: Vec<NodeTasks> = Vec::with_capacity(count);
-    let mut counter_deltas = vec![(destination, 0.0, dest_downloads)];
-    for (ci, &(chunk_index, node)) in candidate_nodes.iter().enumerate() {
-        if chunk_downloads[ci] > 0.0 || pure.contains(&ci) {
-            counter_deltas.push((node, 1.0, chunk_downloads[ci]));
-            sources.push(NodeTasks {
-                node,
-                chunk_index,
-                fraction: 1.0,
-                downloads: chunk_downloads[ci],
-            });
-        }
-    }
+    let (sources, downloads): (Vec<SourcePick>, Vec<f64>) = candidates
+        .into_iter()
+        .zip(downloads)
+        .enumerate()
+        .filter(|(ci, (_, d))| *d > 0.0 || pure.contains(ci))
+        .map(|(_, tasks)| tasks)
+        .unzip();
     debug_assert_eq!(sources.len(), count);
-    debug_assert!(
-        (sources.iter().map(|s| s.downloads).sum::<f64>() + dest_downloads - count as f64).abs()
-            < 1e-9,
-        "downloads must total count"
-    );
-
-    let estimated_secs = sources
-        .iter()
-        .map(|s| phase.node_time(s.node, chunk_size))
-        .fold(phase.node_time(destination, chunk_size), f64::max);
-
-    Ok(TaskAssignment {
-        chunk,
-        destination,
-        sources,
-        dest_downloads,
-        relayable: true,
-        estimated_secs,
-        counter_deltas,
-    })
+    (sources, downloads)
 }
 
 #[cfg(test)]
@@ -585,11 +499,10 @@ mod tests {
             index: 1,
         };
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
-        assert_eq!(a.sources.len(), 4);
-        assert!(a.relayable);
-        assert!(a.dest_downloads >= 1.0);
-        let total_downloads: f64 =
-            a.sources.iter().map(|s| s.downloads).sum::<f64>() + a.dest_downloads;
+        assert_eq!(a.selection.sources.len(), 4);
+        assert!(a.selection.relayable);
+        assert!(a.dest_downloads() >= 1.0);
+        let total_downloads: f64 = a.downloads.iter().sum::<f64>() + a.dest_downloads();
         assert!((total_downloads - 4.0).abs() < 1e-9);
         assert!(a.estimated_secs > 0.0);
         // Destination is off-stripe and alive.
@@ -597,7 +510,7 @@ mod tests {
             .cluster
             .placement()
             .stripe_nodes(chunk.stripe)
-            .contains(&a.destination));
+            .contains(&a.selection.destination));
     }
 
     #[test]
@@ -617,7 +530,7 @@ mod tests {
             index: 0,
         };
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
-        assert_eq!(a.destination, idle);
+        assert_eq!(a.selection.destination, idle);
     }
 
     #[test]
@@ -638,8 +551,8 @@ mod tests {
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
         // No source should have been made a relay: relaying needs an
         // extra upload on a clogged uplink.
-        assert!(a.sources.iter().all(|s| s.downloads == 0.0), "{a:?}");
-        assert!((a.dest_downloads - 4.0).abs() < 1e-9);
+        assert!(a.downloads.iter().all(|&d| d == 0.0), "{a:?}");
+        assert!((a.dest_downloads() - 4.0).abs() < 1e-9);
     }
 
     #[test]
@@ -656,7 +569,7 @@ mod tests {
             &[],
         )
         .unwrap();
-        let before = phase.t_down[a1.destination];
+        let before = phase.t_down[a1.selection.destination];
         assert!(before >= 1.0);
         let a2 = dispatch_chunk(
             &ctx,
@@ -681,8 +594,9 @@ mod tests {
         };
         let mut phase = flat_phase(&ctx);
         let first = dispatch_chunk(&ctx, &mut phase.clone(), chunk, &[]).unwrap();
-        let second = dispatch_chunk(&ctx, &mut phase, chunk, &[first.destination]).unwrap();
-        assert_ne!(first.destination, second.destination);
+        let first = first.selection.destination;
+        let second = dispatch_chunk(&ctx, &mut phase, chunk, &[first]).unwrap();
+        assert_ne!(first, second.selection.destination);
     }
 
     #[test]
@@ -707,10 +621,10 @@ mod tests {
             index: 0,
         };
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
-        let source_nodes: Vec<NodeId> = a.sources.iter().map(|s| s.node).collect();
+        let source_nodes: Vec<NodeId> = a.selection.sources.iter().map(|s| s.node).collect();
         let src_rack = phase.majority_rack(&source_nodes).unwrap();
         assert_eq!(
-            phase.rack(a.destination),
+            phase.rack(a.selection.destination),
             Some(src_rack),
             "destination should land in the sources' rack when the fabric is scarce"
         );

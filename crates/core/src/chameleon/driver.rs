@@ -329,7 +329,7 @@ impl Planner for ChameleonPlanner {
         running: &mut Running<ChunkTasks>,
     ) {
         if let Some(state) = self.phase_state.as_mut() {
-            ended.assignment.release(state);
+            ended.assignment.release(state, self.config.resources);
         }
         resume_all(sim, running);
     }
@@ -419,7 +419,7 @@ mod tests {
 
     #[test]
     fn completing_a_chunk_releases_its_task_counters() {
-        use crate::chameleon::dispatch::{dispatch_chunk, PhaseState};
+        use crate::chameleon::dispatch::{dispatch_chunk_for, PhaseState};
         let cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
         let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
         let n = ctx.cluster.storage_nodes();
@@ -428,12 +428,14 @@ mod tests {
             stripe: 0,
             index: 0,
         };
-        let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
-        assert!(phase.t_up.iter().sum::<f64>() > 0.0);
-        assert!(phase.t_down.iter().sum::<f64>() > 0.0);
-        a.release(&mut phase);
-        assert_eq!(phase.t_up.iter().sum::<f64>(), 0.0);
-        assert_eq!(phase.t_down.iter().sum::<f64>(), 0.0);
+        for resources in [Resources::Network, Resources::Storage] {
+            let a = dispatch_chunk_for(&ctx, &mut phase, chunk, &[], resources).unwrap();
+            assert!(phase.t_up.iter().sum::<f64>() > 0.0);
+            assert!(phase.t_down.iter().sum::<f64>() > 0.0);
+            a.release(&mut phase, resources);
+            assert_eq!(phase.t_up.iter().sum::<f64>(), 0.0, "{resources:?}");
+            assert_eq!(phase.t_down.iter().sum::<f64>(), 0.0, "{resources:?}");
+        }
     }
 
     #[test]
@@ -452,7 +454,7 @@ mod tests {
         let a = dispatch_chunk_for(&ctx, &mut phase, chunk, &[], Resources::Storage).unwrap();
         // Exactly one network edge into the destination (the tree root),
         // and one disk write accounted there.
-        assert_eq!(a.dest_downloads, 1.0);
+        assert_eq!(a.dest_downloads(), 1.0);
         let plan = establish_plan(&ctx, &a).unwrap();
         assert!(plan.validate().is_ok());
         assert_eq!(plan.inputs_of(plan.destination()).len(), 1);

@@ -25,6 +25,6 @@ pub mod tunable;
 
 mod driver;
 
-pub use dispatch::{dispatch_chunk, NodeTasks, PhaseState, TaskAssignment};
+pub use dispatch::{dispatch_chunk, PhaseState, TaskAssignment};
 pub use driver::{ChameleonConfig, ChameleonDriver, ChameleonStats, MultiNodePolicy};
 pub use tunable::establish_plan;

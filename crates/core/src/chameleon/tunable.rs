@@ -3,11 +3,9 @@
 
 use std::collections::VecDeque;
 
-use chameleon_gf::Gf256;
-
 use crate::chameleon::dispatch::TaskAssignment;
 use crate::context::RepairContext;
-use crate::plan::{Participant, RepairPlan};
+use crate::plan::{assemble, RepairPlan};
 use crate::select::SelectError;
 
 /// Builds the repair plan for a task assignment by pairing upload tasks
@@ -36,27 +34,20 @@ pub fn establish_plan(
     ctx: &RepairContext,
     assignment: &TaskAssignment,
 ) -> Result<RepairPlan, SelectError> {
-    let coeffs: Vec<Gf256> = if assignment.relayable {
-        let indices: Vec<usize> = assignment.sources.iter().map(|s| s.chunk_index).collect();
-        ctx.code
-            .repair_coefficients(assignment.chunk.index, &indices)
-            .map_err(|_| SelectError::Unrepairable)?
-    } else {
-        vec![Gf256::ONE; assignment.sources.len()]
-    };
-
-    let n = assignment.sources.len();
+    let selection = &assignment.selection;
+    let n = selection.sources.len();
     // Remaining unpaired download tasks per source (integer counts: every
     // whole-chunk transfer pairs one upload with one download).
     let mut downloads: Vec<usize> = assignment
-        .sources
+        .downloads
         .iter()
-        .map(|s| s.downloads.round() as usize)
+        .map(|d| d.round() as usize)
         .collect();
-    // Upload target per source (filled in by the pairing).
-    let mut send_to: Vec<Option<usize>> = vec![None; n]; // None = destination (resolved later)
+    // The source each source uploads to; `None` (the destination) for the
+    // uploads left unpaired at the end.
+    let mut parents: Vec<Option<usize>> = vec![None; n];
 
-    if assignment.relayable {
+    if selection.relayable {
         // E: sources with an unpaired upload and no unpaired downloads.
         let mut ready: VecDeque<usize> = (0..n).filter(|&i| downloads[i] == 0).collect();
 
@@ -73,7 +64,7 @@ pub fn establish_plan(
                 None => {
                     let y = (0..n)
                         .filter(|&i| downloads[i] > 0)
-                        .min_by_key(|&i| (downloads[i], assignment.sources[i].node))
+                        .min_by_key(|&i| (downloads[i], selection.sources[i].node))
                         .expect("some downloads remain");
                     current = Some(y);
                     y
@@ -90,7 +81,7 @@ pub fn establish_plan(
                 }
                 continue;
             };
-            send_to[x] = Some(y);
+            parents[x] = Some(y);
             downloads[y] -= 1;
             remaining -= 1;
             if downloads[y] == 0 {
@@ -98,31 +89,16 @@ pub fn establish_plan(
                 current = None;
             }
         }
-        // Remaining unpaired uploads all go to the destination.
     }
 
-    let participants: Vec<Participant> = assignment
-        .sources
-        .iter()
-        .zip(&coeffs)
-        .zip(&send_to)
-        .map(|((s, &coeff), target)| Participant {
-            node: s.node,
-            chunk_index: s.chunk_index,
-            coeff,
-            send_to: target.map_or(assignment.destination, |t| assignment.sources[t].node),
-            read_fraction: s.fraction,
-        })
-        .collect();
-
-    RepairPlan::new(assignment.chunk, assignment.destination, participants)
-        .map_err(|_| SelectError::Unrepairable)
+    assemble(ctx, assignment.chunk, selection, &parents)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chameleon::dispatch::{dispatch_chunk, NodeTasks, PhaseState, TaskAssignment};
+    use crate::chameleon::dispatch::{dispatch_chunk, PhaseState};
+    use crate::select::{Selection, SourcePick};
     use chameleon_cluster::{ChunkId, Cluster, ClusterConfig};
     use chameleon_codes::ReedSolomon;
     use std::sync::Arc;
@@ -141,49 +117,29 @@ mod tests {
             index: 4, // a parity chunk; any is fine
         };
         let placement = ctx.cluster.placement();
-        let node = |i: usize| {
-            placement.node_of(ChunkId {
-                stripe: 0,
-                index: i,
-            })
-        };
         let stripe_nodes = placement.stripe_nodes(0);
         let destination = (0..ctx.cluster.storage_nodes())
             .find(|n| !stripe_nodes.contains(n))
             .unwrap();
+        let sources = (0..4)
+            .map(|i| SourcePick {
+                chunk_index: i,
+                node: placement.node_of(ChunkId {
+                    stripe: 0,
+                    index: i,
+                }),
+                fraction: 1.0,
+            })
+            .collect();
         TaskAssignment {
             chunk,
-            destination,
-            sources: vec![
-                NodeTasks {
-                    node: node(0),
-                    chunk_index: 0,
-                    fraction: 1.0,
-                    downloads: 0.0,
-                },
-                NodeTasks {
-                    node: node(1),
-                    chunk_index: 1,
-                    fraction: 1.0,
-                    downloads: 2.0,
-                },
-                NodeTasks {
-                    node: node(2),
-                    chunk_index: 2,
-                    fraction: 1.0,
-                    downloads: 1.0,
-                },
-                NodeTasks {
-                    node: node(3),
-                    chunk_index: 3,
-                    fraction: 1.0,
-                    downloads: 0.0,
-                },
-            ],
-            dest_downloads: 1.0,
-            relayable: true,
+            selection: Selection {
+                destination,
+                sources,
+                relayable: true,
+            },
+            downloads: vec![0.0, 2.0, 1.0, 0.0],
             estimated_secs: 1.0,
-            counter_deltas: Vec::new(),
         }
     }
 
@@ -191,6 +147,7 @@ mod tests {
     fn paper_example_pairs_like_figure_9() {
         let ctx = ctx();
         let a = paper_example(&ctx);
+        assert_eq!(a.dest_downloads(), 1.0);
         let plan = establish_plan(&ctx, &a).unwrap();
         assert!(plan.validate().is_ok());
         // The node with 1 download (source 2) is served first by a pure
@@ -203,8 +160,8 @@ mod tests {
                 .copied()
                 .unwrap()
         };
-        let n1 = a.sources[1].node;
-        let n2 = a.sources[2].node;
+        let n1 = a.selection.sources[1].node;
+        let n2 = a.selection.sources[2].node;
         assert_eq!(by_node(0).send_to, n2); // first pure uploader → fewest-downloads node
         assert_eq!(by_node(2).send_to, n1); // once fed, node 2 relays into node 1
         assert_eq!(by_node(3).send_to, n1); // second pure uploader → node 1
@@ -219,10 +176,8 @@ mod tests {
     fn all_downloads_at_destination_yields_a_star() {
         let ctx = ctx();
         let mut a = paper_example(&ctx);
-        for s in &mut a.sources {
-            s.downloads = 0.0;
-        }
-        a.dest_downloads = 4.0;
+        a.downloads = vec![0.0; 4];
+        assert_eq!(a.dest_downloads(), 4.0);
         let plan = establish_plan(&ctx, &a).unwrap();
         assert_eq!(plan.max_depth(), 1);
         assert_eq!(plan.inputs_of(plan.destination()).len(), 4);
@@ -232,11 +187,7 @@ mod tests {
     fn chain_like_assignment_yields_a_chain() {
         let ctx = ctx();
         let mut a = paper_example(&ctx);
-        a.sources[0].downloads = 0.0;
-        a.sources[1].downloads = 1.0;
-        a.sources[2].downloads = 1.0;
-        a.sources[3].downloads = 1.0;
-        a.dest_downloads = 1.0;
+        a.downloads = vec![0.0, 1.0, 1.0, 1.0];
         let plan = establish_plan(&ctx, &a).unwrap();
         assert_eq!(plan.max_depth(), 4);
     }
@@ -258,17 +209,17 @@ mod tests {
                 assert!(plan.validate().is_ok(), "stripe {stripe} index {index}");
                 assert_eq!(plan.participants().len(), 4);
                 // Fan-in at each relay equals its dispatched downloads.
-                for s in &a.sources {
+                for (s, d) in a.selection.sources.iter().zip(&a.downloads) {
                     assert_eq!(
                         plan.inputs_of(s.node).len(),
-                        s.downloads.round() as usize,
+                        d.round() as usize,
                         "stripe {stripe} node {}",
                         s.node
                     );
                 }
                 assert_eq!(
-                    plan.inputs_of(a.destination).len(),
-                    a.dest_downloads.round() as usize
+                    plan.inputs_of(plan.destination()).len(),
+                    a.dest_downloads().round() as usize
                 );
             }
         }

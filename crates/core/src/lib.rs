@@ -10,20 +10,25 @@
 //! [`PlanExecutor`], which pipelines disk reads, network hops, and disk
 //! writes exactly like the sliced transfer paths in the paper's prototype.
 //!
-//! Algorithms:
+//! Algorithms — every plan is a parent vector over one [`Selection`] (the
+//! helper each source uploads to, or the destination), turned into
+//! [`Participant`]s in one place:
 //!
-//! - [`cr`]: conventional repair — all sources send straight to the
-//!   destination (Fig. 3(a)).
-//! - [`ppr`]: partial-parallel repair — binary-tree aggregation
-//!   (Fig. 3(b), Mitra et al. EuroSys 2016).
-//! - [`ecpipe`]: chained repair pipelining (Li et al. ATC 2017).
+//! - [`baseline::PlanShape::Star`]: conventional repair (CR) — all sources
+//!   send straight to the destination (Fig. 3(a)).
+//! - [`baseline::PlanShape::Tree`]: partial-parallel repair (PPR) —
+//!   binary-tree aggregation (Fig. 3(b), Mitra et al. EuroSys 2016).
+//! - [`baseline::PlanShape::Chain`]: chained repair pipelining (ECPipe, Li
+//!   et al. ATC 2017).
 //! - RepairBoost (Lin et al. ATC 2021): its traffic balancing — steer every
 //!   chunk's sources and destination to the least-loaded candidates — is
 //!   [`SourceSelector::balanced`] under a fixed plan shape,
 //!   `baseline::StaticRepairDriver::boosted`. Its transmission scheduling
 //!   is subsumed by the fluid fair sharing of `simnet` (EXPERIMENTS.md, D3).
 //! - [`chameleon`]: **ChameleonEC** — bandwidth-aware task dispatch
-//!   (§III-A), tunable plan establishment (§III-B, Algorithm 1), and
+//!   (§III-A), tunable plan establishment (§III-B, Algorithm 1: a parent
+//!   vector paired from the dispatched task counts, which subsumes the
+//!   three static shapes), and
 //!   straggler-aware re-scheduling (§III-C), plus the storage-bottleneck
 //!   variant ChameleonEC-IO (§III-D).
 //!
@@ -46,14 +51,11 @@ mod campaign;
 pub mod chameleon;
 pub mod coding;
 mod context;
-pub mod cr;
-pub mod ecpipe;
 mod error;
 mod exec;
 mod metrics;
 pub mod orchestrator;
 mod plan;
-pub mod ppr;
 pub mod recovery;
 mod roster;
 pub mod run;

@@ -6,6 +6,53 @@ use chameleon_cluster::ChunkId;
 use chameleon_gf::Gf256;
 use chameleon_simnet::NodeId;
 
+use crate::context::RepairContext;
+use crate::select::{SelectError, Selection};
+
+/// Assembles the plan in which source `i` of `selection` uploads to source
+/// `parents[i]`, or to the destination when that is `None`. Every plan
+/// shape — star, tree, chain and Algorithm 1's tunable tree — is such a
+/// parent vector, and this is the one place that turns one into
+/// [`Participant`]s: decoding coefficients for relayable selections, unit
+/// coefficients for sub-chunk pieces (shipped verbatim).
+///
+/// # Errors
+///
+/// [`SelectError::Unrepairable`] if the sources admit no decoding
+/// coefficients or the parents do not form an in-tree.
+pub(crate) fn assemble(
+    ctx: &RepairContext,
+    chunk: ChunkId,
+    selection: &Selection,
+    parents: &[Option<usize>],
+) -> Result<RepairPlan, SelectError> {
+    let sources = &selection.sources;
+    debug_assert_eq!(sources.len(), parents.len());
+    let coeffs = if selection.relayable {
+        let indices: Vec<usize> = sources.iter().map(|s| s.chunk_index).collect();
+        ctx.code
+            .repair_coefficients(chunk.index, &indices)
+            .map_err(|_| SelectError::Unrepairable)?
+    } else {
+        debug_assert!(parents.iter().all(Option::is_none), "pieces cannot relay");
+        vec![Gf256::ONE; sources.len()]
+    };
+    let participants = sources
+        .iter()
+        .zip(coeffs)
+        .zip(parents)
+        .map(|((s, coeff), parent)| Participant {
+            node: s.node,
+            chunk_index: s.chunk_index,
+            coeff,
+            send_to: parent.map_or(selection.destination, |p| sources[p].node),
+            read_fraction: s.fraction,
+        })
+        .collect();
+    RepairPlan::new(chunk, selection.destination, participants)
+        .map_err(|_| SelectError::Unrepairable)
+}
+
 /// Errors detected by [`RepairPlan::validate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanError {

@@ -136,22 +136,10 @@ impl SourceSelector {
         self.up_load.resize(nodes, 0.0);
         self.down_load.resize(nodes, 0.0);
 
-        let alive_indices = ctx.cluster.alive_chunk_indices(chunk.stripe);
-        let requirement = ctx
-            .code
-            .repair_requirement(chunk.index, &alive_indices)
-            .map_err(SelectError::from)?;
-
-        let placement = ctx.cluster.placement();
-        let node_of = |index: usize| {
-            placement.node_of(ChunkId {
-                stripe: chunk.stripe,
-                index,
-            })
-        };
+        let (requirement, mut sources, count) = repair_candidates(ctx, chunk)?;
 
         // Destination: any alive node not hosting a chunk of this stripe.
-        let stripe_nodes = placement.stripe_nodes(chunk.stripe);
+        let stripe_nodes = ctx.cluster.placement().stripe_nodes(chunk.stripe);
         let mut dest_candidates: Vec<NodeId> = ctx
             .cluster
             .alive_storage_nodes()
@@ -174,59 +162,28 @@ impl SourceSelector {
             }
         };
 
-        let sources: Vec<SourcePick> = match &requirement {
-            RepairRequirement::AnyOf { candidates, count } => {
-                let mut picks: Vec<usize> = candidates.clone();
-                match self.mode {
-                    Mode::Random => {
-                        picks.shuffle(&mut self.rng);
-                    }
-                    Mode::Balanced => {
-                        picks.sort_by(|&a, &b| {
-                            self.up_load[node_of(a)]
-                                .total_cmp(&self.up_load[node_of(b)])
-                                .then(a.cmp(&b))
-                        });
-                    }
-                }
-                // Rack-aware preference: helpers in the destination's rack
-                // keep repair traffic off the (possibly oversubscribed)
-                // spine. The stable sort keeps the mode's order within each
-                // group and consumes no randomness, so flat clusters are
-                // bitwise unaffected.
-                if ctx.cluster.config().topology.rack_count() > 1 {
-                    let cluster = &ctx.cluster;
-                    picks.sort_by_key(|&index| {
-                        usize::from(!cluster.same_rack(node_of(index), destination))
-                    });
-                }
-                picks
-                    .into_iter()
-                    .take(*count)
-                    .map(|index| SourcePick {
-                        chunk_index: index,
-                        node: node_of(index),
-                        fraction: 1.0,
-                    })
-                    .collect()
+        // Only `AnyOf` leaves a choice; `Exact` and `SubChunk` read every
+        // candidate in the code's order.
+        if let RepairRequirement::AnyOf { .. } = requirement {
+            match self.mode {
+                Mode::Random => sources.shuffle(&mut self.rng),
+                Mode::Balanced => sources.sort_by(|a, b| {
+                    self.up_load[a.node]
+                        .total_cmp(&self.up_load[b.node])
+                        .then(a.chunk_index.cmp(&b.chunk_index))
+                }),
             }
-            RepairRequirement::Exact { sources } => sources
-                .iter()
-                .map(|&index| SourcePick {
-                    chunk_index: index,
-                    node: node_of(index),
-                    fraction: 1.0,
-                })
-                .collect(),
-            RepairRequirement::SubChunk { reads } => reads
-                .iter()
-                .map(|r| SourcePick {
-                    chunk_index: r.chunk,
-                    node: node_of(r.chunk),
-                    fraction: r.fraction,
-                })
-                .collect(),
-        };
+            // Rack-aware preference: helpers in the destination's rack
+            // keep repair traffic off the (possibly oversubscribed) spine.
+            // The stable sort keeps the mode's order within each group and
+            // consumes no randomness, so flat clusters are bitwise
+            // unaffected.
+            if ctx.cluster.config().topology.rack_count() > 1 {
+                let cluster = &ctx.cluster;
+                sources.sort_by_key(|s| usize::from(!cluster.same_rack(s.node, destination)));
+            }
+            sources.truncate(count);
+        }
 
         // Account the load for Balanced mode.
         for s in &sources {
@@ -240,6 +197,45 @@ impl SourceSelector {
             relayable: requirement.supports_relaying(),
         })
     }
+
+    /// Whether this is [`SourceSelector::balanced`] (RepairBoost) selection.
+    pub(crate) fn is_balanced(&self) -> bool {
+        self.mode == Mode::Balanced
+    }
+}
+
+/// The code's repair requirement for `chunk` given the surviving chunks,
+/// every source it may read (in the code's order, with the fraction each
+/// read takes), and how many of them one repair reads.
+pub(crate) fn repair_candidates(
+    ctx: &RepairContext,
+    chunk: ChunkId,
+) -> Result<(RepairRequirement, Vec<SourcePick>, usize), SelectError> {
+    let alive_indices = ctx.cluster.alive_chunk_indices(chunk.stripe);
+    let requirement = ctx.code.repair_requirement(chunk.index, &alive_indices)?;
+    let placement = ctx.cluster.placement();
+    let pick = |chunk_index: usize, fraction: f64| SourcePick {
+        chunk_index,
+        node: placement.node_of(ChunkId {
+            stripe: chunk.stripe,
+            index: chunk_index,
+        }),
+        fraction,
+    };
+    let (picks, count): (Vec<SourcePick>, usize) = match &requirement {
+        RepairRequirement::AnyOf { candidates, count } => {
+            (candidates.iter().map(|&i| pick(i, 1.0)).collect(), *count)
+        }
+        RepairRequirement::Exact { sources } => (
+            sources.iter().map(|&i| pick(i, 1.0)).collect(),
+            sources.len(),
+        ),
+        RepairRequirement::SubChunk { reads } => (
+            reads.iter().map(|r| pick(r.chunk, r.fraction)).collect(),
+            reads.len(),
+        ),
+    };
+    Ok((requirement, picks, count))
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@ use proptest::prelude::*;
 
 use chameleon_cluster::{ChunkId, Cluster, ClusterConfig};
 use chameleon_codes::ReedSolomon;
+use chameleon_core::baseline::PlanShape;
 use chameleon_core::chameleon::{dispatch_chunk, establish_plan, PhaseState};
 use chameleon_core::{ExecStatus, Participant, PlanExecutor, RepairContext, RepairPlan};
 use chameleon_gf::Gf256;
@@ -36,33 +37,42 @@ proptest! {
         let chunk = ChunkId { stripe, index };
         let mut phase = PhaseState::flat(b_up, b_down);
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).expect("dispatch");
+        let sources = &a.selection.sources;
         // Task-count invariants (§III-A): k sources, downloads sum to k,
         // destination holds at least one download.
-        prop_assert_eq!(a.sources.len(), k);
-        prop_assert!(a.dest_downloads >= 1.0);
-        let total: f64 = a.sources.iter().map(|s| s.downloads).sum::<f64>() + a.dest_downloads;
+        prop_assert_eq!(sources.len(), k);
+        prop_assert!(a.dest_downloads() >= 1.0);
+        let total: f64 = a.downloads.iter().sum::<f64>() + a.dest_downloads();
         prop_assert!((total - k as f64).abs() < 1e-9);
 
         let plan = establish_plan(&ctx, &a).expect("plan");
         prop_assert!(plan.validate().is_ok());
         // Fan-in at each node equals its dispatched download count.
-        for s in &a.sources {
-            prop_assert_eq!(plan.inputs_of(s.node).len(), s.downloads.round() as usize);
+        for (s, d) in sources.iter().zip(&a.downloads) {
+            prop_assert_eq!(plan.inputs_of(s.node).len(), d.round() as usize);
         }
         prop_assert_eq!(
-            plan.inputs_of(a.destination).len(),
-            a.dest_downloads.round() as usize
+            plan.inputs_of(plan.destination()).len(),
+            a.dest_downloads().round() as usize
         );
-        // Coefficients reconstruct the failed chunk's generator row —
+        // Every plan over the same helper set — Algorithm 1's and the three
+        // static shapes — reconstructs the failed chunk's generator row,
         // verified byte-wise on a tiny stripe.
         let data: Vec<Vec<u8>> = (0..k).map(|i| vec![(i * 37 + 11) as u8; 8]).collect();
         let refs: Vec<&[u8]> = data.iter().map(|c| c.as_slice()).collect();
         let stripe_bytes = ctx.code.encode(&refs).expect("encode");
-        let mut out = vec![0u8; 8];
-        for p in plan.participants() {
-            chameleon_gf::mul_add_slice(p.coeff, &stripe_bytes[p.chunk_index], &mut out);
+        let mut plans = vec![plan];
+        for shape in [PlanShape::Star, PlanShape::Tree, PlanShape::Chain] {
+            plans.push(shape.build(&ctx, chunk, &a.selection).expect("static shape"));
         }
-        prop_assert_eq!(&out, &stripe_bytes[chunk.index]);
+        for plan in &plans {
+            prop_assert_eq!(plan.participants().len(), k);
+            let mut out = vec![0u8; 8];
+            for p in plan.participants() {
+                chameleon_gf::mul_add_slice(p.coeff, &stripe_bytes[p.chunk_index], &mut out);
+            }
+            prop_assert_eq!(&out, &stripe_bytes[chunk.index]);
+        }
     }
 
     #[test]
