@@ -23,6 +23,7 @@ use std::time::Instant;
 use chameleon_bench::table::{write_result, Table};
 use chameleon_codes::ErasureCode;
 use chameleon_gf::{active_kernel, available_kernels, Gf256, MulTable};
+use chameleon_simnet::faults::splitmix64;
 
 /// The gate geometry: RS(10,4) with 1 MiB chunks (the workspace default
 /// chunk slice), matching the ISSUE acceptance point.
@@ -31,15 +32,10 @@ const K: usize = 10;
 const M: usize = 4;
 
 /// Deterministic pseudo-random bytes (SplitMix64 stream).
-fn fill(len: usize, seed: u64) -> Vec<u8> {
+fn fill(len: usize, mut seed: u64) -> Vec<u8> {
     let mut out = vec![0u8; len];
-    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     for word in out.chunks_mut(8) {
-        let mut z = state;
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(&mut seed);
         word.copy_from_slice(&z.to_ne_bytes()[..word.len()]);
     }
     out

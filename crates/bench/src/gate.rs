@@ -50,17 +50,15 @@ pub const SPINE_MIN_EVENTS_PER_SEC: f64 = 9_000.0;
 /// `BENCH_simnet` JSON document.
 ///
 /// Matches the level line carrying `"nodes": nodes` and `"flows": flows`.
-/// Documents from before the cluster-size sweep carried no per-level
-/// `"nodes"` key (every level was 20 nodes); those lines match on `flows`
-/// alone.
 pub fn extract_events_per_sec(json: &str, nodes: u64, flows: u64) -> Option<f64> {
     json.lines()
         // Racked levels (the spine gate point) are a different sweep;
         // they share node/flow counts with flat levels but must never
         // satisfy a flat lookup.
         .filter(|line| field(line, "topology").is_none())
-        .filter(|line| num(line, "flows") == Some(flows as f64))
-        .find(|line| num(line, "nodes").is_none_or(|n| n == nodes as f64))
+        .find(|line| {
+            num(line, "flows") == Some(flows as f64) && num(line, "nodes") == Some(nodes as f64)
+        })
         .and_then(|line| num(line, "indexed_events_per_sec"))
 }
 
@@ -251,13 +249,6 @@ mod tests {
         assert_eq!(extract_events_per_sec(&json, 20, 1_000), Some(40_000.0));
         assert_eq!(extract_events_per_sec(&json, 500, 10_000), None);
         assert_eq!(extract_events_per_sec(&json, 20, 777), None);
-    }
-
-    #[test]
-    fn legacy_documents_without_per_level_nodes_match_on_flows() {
-        let json = "{\n  \"bench\": \"simnet_throughput\",\n  \"nodes\": 20,\n  \"levels\": [\n\
-             {\"flows\": 10000, \"indexed_events_per_sec\": 5012.3}\n  ]\n}\n";
-        assert_eq!(extract_events_per_sec(json, 20, 10_000), Some(5012.3));
     }
 
     #[test]

@@ -8,6 +8,7 @@ use chameleon_core::{
     Orchestrator, OrchestratorConfig, OrchestratorReport, RepairContext, RepairDriver,
     RepairOutcome,
 };
+use chameleon_simnet::faults::splitmix64;
 use chameleon_simnet::{EngineProfile, FaultPlan, Monitor, Simulator, TraceSink};
 use chameleon_traces::{TraceKind, Workload};
 
@@ -23,11 +24,9 @@ use std::sync::Arc;
 /// supposedly independent repetitions. Mixing breaks that: every
 /// (base, client) pair lands in an unrelated part of the sequence.
 pub fn client_seed(base: u64, client: u64) -> u64 {
-    // splitmix64: state = base + (client+1) * golden-gamma, then finalize.
-    let mut z = base.wrapping_add((client + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    // The (client+1)-th splitmix64 draw from `base`, taken directly.
+    let mut state = base.wrapping_add(client.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+    splitmix64(&mut state)
 }
 
 /// Foreground load specification: one workload per client, drawn

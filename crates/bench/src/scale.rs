@@ -57,10 +57,15 @@ impl Scale {
     /// a longer foreground. Used by the time-dependent experiments
     /// (Exp#3, Exp#4, Exp#11), which are meaningless if the repair
     /// finishes inside a single phase.
+    ///
+    /// From `small` up this is at least 60 chunks per node and 20 000
+    /// requests per client; a smaller scale grows by the same factors
+    /// (3× and 5× `small`), so a test's tiny scale stays tiny.
     pub fn stressed(&self) -> Scale {
         Scale {
-            chunks_per_node: self.chunks_per_node.max(60),
-            requests_per_client: self.requests_per_client.max(20_000),
+            chunks_per_node: (3 * self.chunks_per_node).min(self.chunks_per_node.max(60)),
+            requests_per_client: (5 * self.requests_per_client)
+                .min(self.requests_per_client.max(20_000)),
             ..*self
         }
     }
@@ -174,5 +179,21 @@ mod tests {
         assert_eq!(s.chunk_size, 64 << 20);
         assert_eq!(s.name(), "paper");
         assert_eq!(Scale::small().name(), "small");
+    }
+
+    #[test]
+    fn stressed_keeps_the_named_scales_and_shrinks_below_them() {
+        let counts = |s: Scale| {
+            let s = s.stressed();
+            (s.chunks_per_node, s.requests_per_client)
+        };
+        assert_eq!(counts(Scale::small()), (60, 20_000));
+        assert_eq!(counts(Scale::paper()), (200, 100_000));
+        let tiny = Scale {
+            chunks_per_node: 2,
+            requests_per_client: 100,
+            ..Scale::small()
+        };
+        assert_eq!(counts(tiny), (6, 500));
     }
 }

@@ -121,6 +121,13 @@ pub fn parse_code(spec: &str) -> Result<Arc<dyn ErasureCode>, String> {
     }
 }
 
+/// Storage nodes of every command's cluster for a code of width `n`: the
+/// paper's 20, or one more than the stripe, so that every stripe has an
+/// off-stripe node to rebuild onto.
+pub fn storage_nodes(n: usize) -> usize {
+    20.max(n + 1)
+}
+
 /// Parses `--faults` for a cluster of `total_nodes` simulator nodes (storage
 /// and clients). A spec naming a node outside the cluster is rejected here:
 /// the simulator would only notice when the fault's timer fires, and panic.

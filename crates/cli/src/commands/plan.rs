@@ -6,7 +6,7 @@ use chameleon_core::chameleon::{dispatch_chunk, establish_plan, PhaseState};
 use chameleon_core::{RepairContext, RepairPlan};
 use chameleon_simnet::{NodeCaps, NodeId};
 
-use crate::args::{parse_code, Flags};
+use crate::args::{parse_code, storage_nodes, Flags};
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -16,7 +16,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     let gbps = flags.positive_or("gbps", 10.0)?;
     let seed: u64 = flags.num_or("seed", 7)?;
 
-    let storage_nodes = 20.max(code.n() + 1);
+    let storage_nodes = storage_nodes(code.n());
     let cfg = ClusterConfig {
         storage_nodes,
         clients: 0,

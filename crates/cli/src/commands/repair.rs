@@ -7,9 +7,9 @@ use chameleon_bench::AlgoKind;
 use chameleon_cluster::{ClusterConfig, PlacementStrategy, TopologySpec};
 use chameleon_codes::ErasureCode;
 use chameleon_core::run::{RepairSide, Run};
-use chameleon_simnet::NodeCaps;
+use chameleon_simnet::{EngineProfile, NodeCaps};
 
-use crate::args::{parse_code, parse_faults, Flags};
+use crate::args::{parse_code, parse_faults, storage_nodes, Flags};
 
 /// The flags `repair` and `orchestrate` share: code, algorithm, cluster
 /// and foreground.
@@ -53,7 +53,7 @@ pub(crate) fn setup(flags: &Flags, default_code: &str) -> Result<Setup, String> 
     let seed: u64 = flags.num_or("seed", 7)?;
     let topology = TopologySpec::parse(&flags.str_or("topology", "flat"))?;
 
-    let storage_nodes = 20.max(code.n() + 1);
+    let storage_nodes = storage_nodes(code.n());
     let cfg = ClusterConfig {
         storage_nodes,
         clients: clients.max(1),
@@ -85,6 +85,11 @@ pub(crate) fn setup(flags: &Flags, default_code: &str) -> Result<Setup, String> 
 /// not a report.
 pub(crate) fn drain(run: &mut Run, side: &mut (impl RepairSide + ?Sized)) -> Result<(), String> {
     run.drain(side).map_err(|e| e.to_string())
+}
+
+/// The closing `engine:` line; `trace` prints the same counters.
+pub(crate) fn engine_line(profile: &EngineProfile) -> String {
+    format!("engine: {profile}")
 }
 
 /// Runs the subcommand.
@@ -220,22 +225,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let profile = sim.profile();
-    println!(
-        "\nengine: {} events, {} solves ({} full, {} incremental, {} dirty groups, \
-         {} rounds, {} retries) + {} elided, {} heap rebuilds, {} timers ({} cancelled)",
-        profile.events,
-        profile.solves,
-        profile.full_solves,
-        profile.incremental_solves,
-        profile.dirty_groups,
-        profile.solver_rounds,
-        profile.solve_retries,
-        profile.elided_solves,
-        profile.heap_rebuilds,
-        profile.timers_scheduled,
-        profile.timers_cancelled,
-    );
+    println!("\n{}", engine_line(&sim.profile()));
 
     if traced {
         let out = RunOutput::collect(outcome, run);

@@ -11,10 +11,17 @@ use chameleon_bench::runner::FgSpec;
 use chameleon_bench::table::Table;
 use chameleon_bench::{AlgoKind, Scale};
 
-use crate::args::{parse_code, parse_faults, Flags};
+use crate::args::{parse_code, parse_faults, storage_nodes, Flags};
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
+    print!("{}", sweep(args)?);
+    Ok(())
+}
+
+/// Runs the grid, printing its header and trace lines, and returns the
+/// table.
+fn sweep(args: &[String]) -> Result<Table, String> {
     let flags = Flags::parse(args)?;
     flags.ensure_known(&[
         "code", "algos", "seeds", "clients", "requests", "chunks", "jobs", "faults", "trace",
@@ -41,7 +48,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     scale.chunks_per_node = chunks;
     scale.clients = clients;
     scale.requests_per_client = requests;
-    let mut cfg = scale.cluster_config(code.n());
+    let mut cfg = scale.cluster_config_with_nodes(code.n(), storage_nodes(code.n()));
     cfg.topology = topology;
     let faults = parse_faults(&flags, cfg.total_nodes())?;
 
@@ -124,8 +131,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
             replans.to_string(),
         ]);
     }
-    print!("{table}");
-    Ok(())
+    Ok(table)
 }
 
 fn parse_algos(spec: &str) -> Result<Vec<AlgoKind>, String> {
@@ -153,5 +159,20 @@ mod tests {
             err.contains("node 99") && err.contains("the cluster has"),
             "{err}"
         );
+    }
+
+    /// A code as wide as the paper's 20 nodes used to leave no stripe an
+    /// off-stripe destination: every cell repaired nothing and printed
+    /// 0.0 MB/s. The sweep sizes its cluster the way `repair` does.
+    #[test]
+    fn a_code_as_wide_as_the_cluster_still_repairs() {
+        let args = "--code rs:16,4 --seeds 1 --chunks 2 --requests 20 --algos cr,chameleon";
+        let argv: Vec<String> = args.split(' ').map(String::from).collect();
+        let table = sweep(&argv).unwrap();
+        assert_eq!(table.rows().len(), 2);
+        for row in table.rows() {
+            let mbps: f64 = row[1].parse().unwrap();
+            assert!(mbps > 0.0, "{row:?}");
+        }
     }
 }

@@ -12,23 +12,9 @@ use std::collections::BTreeMap;
 
 use chameleon_cluster::stats::LatencySummary;
 use chameleon_simnet::trace::{num, text};
+use chameleon_simnet::EngineProfile;
 
 use crate::args::Flags;
-
-/// The engine counters summed from `"event":"profile"` footers.
-const PROFILE_KEYS: [&str; 11] = [
-    "events",
-    "solves",
-    "full_solves",
-    "incremental_solves",
-    "elided_solves",
-    "solve_retries",
-    "dirty_groups",
-    "solver_rounds",
-    "heap_rebuilds",
-    "timers_scheduled",
-    "timers_cancelled",
-];
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -71,7 +57,7 @@ struct TraceSummary {
     last_at: f64,
     /// Engine counters summed over every profile footer (a sweep trace
     /// concatenates several runs, each with its own footer).
-    profile: BTreeMap<String, f64>,
+    profile: EngineProfile,
     profile_runs: usize,
 }
 
@@ -138,9 +124,7 @@ fn summarize(jsonl: &str) -> Result<TraceSummary, String> {
             "run" => s.campaign_runs += 1,
             "profile" => {
                 s.profile_runs += 1;
-                for key in PROFILE_KEYS {
-                    *s.profile.entry(key.to_string()).or_default() += num(line, key).unwrap_or(0.0);
-                }
+                s.profile.add_json_line(line);
             }
             other => return Err(format!("line {}: unknown event kind `{other}`", i + 1)),
         }
@@ -205,23 +189,9 @@ impl TraceSummary {
             ));
         }
         if self.profile_runs > 0 {
-            let n = |key: &str| self.profile.get(key).copied().unwrap_or(0.0);
             out.push_str(&format!(
-                "  engine profile  : {} run(s): {} events, {} solves ({} full, \
-                 {} incremental, {} dirty groups, {} rounds, {} retries) + {} elided, \
-                 {} heap rebuilds, {} timers ({} cancelled)\n",
-                self.profile_runs,
-                n("events"),
-                n("solves"),
-                n("full_solves"),
-                n("incremental_solves"),
-                n("dirty_groups"),
-                n("solver_rounds"),
-                n("solve_retries"),
-                n("elided_solves"),
-                n("heap_rebuilds"),
-                n("timers_scheduled"),
-                n("timers_cancelled")
+                "  engine profile  : {} run(s): {}\n",
+                self.profile_runs, self.profile
             ));
         }
         out
@@ -269,12 +239,15 @@ mod tests {
         assert_eq!(s.ledger_states["lost"], 1);
         assert_eq!((s.first_at, s.last_at), (0.0, 3.5));
         assert_eq!(s.profile_runs, 1);
-        assert_eq!(s.profile["solver_rounds"], 6.0);
-        assert_eq!(s.profile["full_solves"], 1.0);
-        assert_eq!(s.profile["incremental_solves"], 3.0);
-        assert_eq!(s.profile["elided_solves"], 2.0);
-        assert_eq!(s.profile["solve_retries"], 1.0);
-        assert_eq!(s.profile["dirty_groups"], 5.0);
+        let p = s.profile;
+        assert_eq!(
+            (p.solver_rounds, p.full_solves, p.incremental_solves),
+            (6, 1, 3)
+        );
+        assert_eq!(
+            (p.elided_solves, p.solve_retries, p.dirty_groups),
+            (2, 1, 5)
+        );
         let rendered = s.render("t.jsonl");
         assert!(rendered.contains("repair spans"), "{rendered}");
         assert!(rendered.contains("engine profile"), "{rendered}");
@@ -285,6 +258,53 @@ mod tests {
             "{rendered}"
         );
         assert!(rendered.contains("1 stripe event(s)"), "{rendered}");
+    }
+
+    /// The footer, the summarizer's sums and both human lines come from
+    /// the one field list on `EngineProfile`.
+    #[test]
+    fn profile_footers_read_back_and_sum_field_by_field() {
+        let profile = |base: u64| {
+            let mut p = EngineProfile::default();
+            p.add_json_line(
+                &EngineProfile::FIELDS
+                    .iter()
+                    .enumerate()
+                    .fold(String::from("{\"event\":\"profile\""), |line, (i, key)| {
+                        format!("{line},\"{key}\":{}", base + i as u64)
+                    }),
+            );
+            p
+        };
+        let (a, b) = (profile(100), profile(7_000));
+        assert_eq!(EngineProfile::FIELDS.len(), 14);
+        let a_values: Vec<u64> = a.values().collect();
+        assert_eq!(
+            a_values,
+            (100..114).collect::<Vec<u64>>(),
+            "distinct values"
+        );
+        let footer = a.to_json_line();
+        assert_eq!(text(&footer, "event"), Some("profile"));
+        for (key, value) in EngineProfile::FIELDS.iter().zip(a.values()) {
+            assert_eq!(num(&footer, key), Some(value as f64), "{key} of {footer}");
+        }
+
+        let s = summarize(&format!("{footer}\n{}\n", b.to_json_line())).unwrap();
+        assert_eq!(s.profile_runs, 2);
+        let sums: Vec<u64> = a.values().zip(b.values()).map(|(x, y)| x + y).collect();
+        assert_eq!(s.profile.values().collect::<Vec<_>>(), sums);
+        let rendered = s.render("t.jsonl");
+        let line = rendered
+            .lines()
+            .find(|l| l.contains("engine profile"))
+            .unwrap();
+        let shown = s.profile.to_string();
+        assert!(line.ends_with(&format!("2 run(s): {shown}")), "{line}");
+        assert_eq!(
+            crate::commands::repair::engine_line(&s.profile),
+            format!("engine: {shown}")
+        );
     }
 
     #[test]

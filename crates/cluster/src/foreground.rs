@@ -72,8 +72,6 @@ pub struct ForegroundDriver {
     requests_in_flight: usize,
     /// Clients waiting on a think-time timer.
     thinking: usize,
-    /// Fixed per-request overhead (RTT + server processing), seconds.
-    request_overhead: f64,
     latencies: Vec<f64>,
     total_bytes: f64,
     aborted: usize,
@@ -96,34 +94,12 @@ impl ForegroundDriver {
     /// Fixed per-request overhead modelling RTT and server processing:
     /// 0.5 ms, in the range of a same-AZ key-value operation. Without it,
     /// tiny-value workloads would complete at unphysical rates.
-    pub const DEFAULT_REQUEST_OVERHEAD: f64 = 0.5e-3;
+    pub const REQUEST_OVERHEAD: f64 = 0.5e-3;
 
     /// Creates a driver with one workload per client, each issuing
     /// `requests_per_client` requests (use `usize::MAX` for an open-ended
     /// run stopped via [`ForegroundDriver::stop`]).
     pub fn new(workloads: Vec<Box<dyn Workload>>, requests_per_client: usize) -> Self {
-        Self::with_overhead(
-            workloads,
-            requests_per_client,
-            Self::DEFAULT_REQUEST_OVERHEAD,
-        )
-    }
-
-    /// Like [`ForegroundDriver::new`] with an explicit per-request
-    /// overhead in seconds (0 disables pacing entirely).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the overhead is negative or NaN.
-    pub fn with_overhead(
-        workloads: Vec<Box<dyn Workload>>,
-        requests_per_client: usize,
-        request_overhead: f64,
-    ) -> Self {
-        assert!(
-            request_overhead.is_finite() && request_overhead >= 0.0,
-            "invalid request overhead"
-        );
         let clients = workloads
             .into_iter()
             .map(|workload| Client {
@@ -137,7 +113,6 @@ impl ForegroundDriver {
             clients,
             requests_in_flight: 0,
             thinking: 0,
-            request_overhead,
             latencies: Vec::new(),
             total_bytes: 0.0,
             aborted: 0,
@@ -187,19 +162,17 @@ impl ForegroundDriver {
                 let now = sim.now().as_secs();
                 if outcome.is_delivered() {
                     // Recorded latency includes the fixed request overhead.
-                    self.latencies.push(now - started + self.request_overhead);
+                    self.latencies.push(now - started + Self::REQUEST_OVERHEAD);
                 } else {
                     // The target node crashed mid-request. The request's
                     // budget is spent; the closed loop moves on.
                     self.aborted += 1;
                 }
                 let more = self.clients[client].remaining > 0 && !self.stopped;
-                if more && self.request_overhead > 0.0 {
-                    let t = sim.schedule_in(self.request_overhead, client as u64);
+                if more {
+                    let t = sim.schedule_in(Self::REQUEST_OVERHEAD, client as u64);
                     self.clients[client].think = Some(t);
                     self.thinking += 1;
-                } else if more {
-                    self.issue_next(cluster, sim, client);
                 }
                 self.check_finished(sim);
                 true
@@ -404,33 +377,13 @@ mod tests {
 
     #[test]
     fn request_overhead_paces_the_closed_loop() {
-        let run_with = |overhead: f64| {
-            let cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
-            let mut sim = cluster.build_simulator();
-            let workloads: Vec<Box<dyn Workload>> =
-                vec![Box::new(YcsbA::new(5)) as Box<dyn Workload>];
-            let mut fg = ForegroundDriver::with_overhead(workloads, 100, overhead);
-            fg.start(&cluster, &mut sim);
-            while let Some(ev) = sim.next_event() {
-                fg.on_event(&cluster, &mut sim, &ev);
-            }
-            fg.report(&sim)
-        };
-        let fast = run_with(0.0);
-        let paced = run_with(0.01);
-        assert_eq!(fast.completed, 100);
-        assert_eq!(paced.completed, 100);
-        // 100 requests with 10 ms overhead each need at least 1 s.
-        assert!(paced.execution_time.unwrap() >= 1.0);
-        assert!(paced.execution_time.unwrap() > fast.execution_time.unwrap());
-        // Latencies include the overhead.
-        assert!(paced.mean_latency >= 0.01);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid request overhead")]
-    fn negative_overhead_rejected() {
-        let workloads: Vec<Box<dyn Workload>> = vec![Box::new(YcsbA::new(1)) as Box<dyn Workload>];
-        let _ = ForegroundDriver::with_overhead(workloads, 1, -1.0);
+        let (report, _) = run(1, 100);
+        assert_eq!(report.completed, 100);
+        // Each latency carries the 0.5 ms overhead once, and one client
+        // thinks for it between consecutive requests: 99 times, not 100.
+        let overhead = ForegroundDriver::REQUEST_OVERHEAD;
+        assert_eq!(overhead, 0.5e-3);
+        let busy = report.mean_latency * 100.0 - overhead;
+        assert!((report.execution_time.unwrap() - busy).abs() < 1e-9);
     }
 }

@@ -71,16 +71,6 @@ impl RepairRequirement {
         }
     }
 
-    /// Number of distinct source chunks that will be contacted (for
-    /// `AnyOf`, the required count — the scheduler picks which).
-    pub fn source_count(&self) -> usize {
-        match self {
-            RepairRequirement::AnyOf { count, .. } => *count,
-            RepairRequirement::Exact { sources } => sources.len(),
-            RepairRequirement::SubChunk { reads } => reads.len(),
-        }
-    }
-
     /// Whether relay nodes may linearly combine partial results (enables
     /// ChameleonEC's tunable plans / PPR trees / ECPipe chains).
     pub fn supports_relaying(&self) -> bool {
@@ -99,7 +89,6 @@ mod tests {
             count: 3,
         };
         assert_eq!(any.traffic_chunks(), 3.0);
-        assert_eq!(any.source_count(), 3);
         assert!(any.supports_relaying());
 
         let exact = RepairRequirement::Exact {

@@ -91,7 +91,6 @@ impl PlanShape {
 pub struct StaticPlanner {
     shape: PlanShape,
     selector: SourceSelector,
-    concurrency: usize,
 }
 
 impl Planner for StaticPlanner {
@@ -106,7 +105,7 @@ impl Planner for StaticPlanner {
     }
 
     fn cap(&self) -> usize {
-        self.concurrency
+        StaticRepairDriver::DEFAULT_CONCURRENCY
     }
 
     fn plan(
@@ -122,8 +121,8 @@ impl Planner for StaticPlanner {
 }
 
 /// Runs a full-node (or multi-node) repair with a fixed plan shape and a
-/// static selection policy, repairing up to `concurrency` chunks at a time
-/// — how HDFS-style reconstruction work queues behave.
+/// static selection policy, repairing up to `DEFAULT_CONCURRENCY` (8)
+/// chunks at a time — how HDFS-style reconstruction work queues behave.
 ///
 /// Unrepairable chunks (too many failures) are counted in
 /// `StaticRepairDriver::skipped` rather than aborting the campaign.
@@ -146,23 +145,7 @@ impl StaticRepairDriver {
     }
 
     fn with_selector(ctx: RepairContext, shape: PlanShape, selector: SourceSelector) -> Self {
-        let planner = StaticPlanner {
-            shape,
-            selector,
-            concurrency: Self::DEFAULT_CONCURRENCY,
-        };
-        Campaign::with_planner(ctx, planner)
-    }
-
-    /// Overrides how many chunks repair concurrently.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `concurrency` is zero.
-    pub fn with_concurrency(mut self, concurrency: usize) -> Self {
-        assert!(concurrency > 0, "concurrency must be positive");
-        self.planner.concurrency = concurrency;
-        self
+        Campaign::with_planner(ctx, StaticPlanner { shape, selector })
     }
 }
 

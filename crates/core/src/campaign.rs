@@ -205,11 +205,6 @@ impl<P: Planner> Campaign<P> {
         self.given_up().count()
     }
 
-    /// Chunks currently being repaired.
-    pub fn active_chunks(&self) -> usize {
-        self.running.len()
-    }
-
     /// The terminal give-up records in the error log: retries-exhausted
     /// chunks keep their attempt count, unrepairable chunks report zero.
     fn given_up(&self) -> impl Iterator<Item = GivenUpChunk> + '_ {
@@ -755,11 +750,11 @@ mod tests {
             // frees and the promises can be inspected.
             driver.start(&mut run.sim, lost[..3].to_vec());
             let promised = |d: &Campaign<P>| d.stripe_destinations.values().flatten().count();
-            assert_eq!((driver.active_chunks(), promised(&driver)), (3, 3));
+            assert_eq!((driver.running.len(), promised(&driver)), (3, 3));
             // No event was delivered since dispatch: nothing moved, so the
             // sweep declares all three attempts stalled.
             driver.stall_sweep(&mut run.sim);
-            assert_eq!((driver.active_chunks(), promised(&driver)), (0, 0));
+            assert_eq!((driver.running.len(), promised(&driver)), (0, 0));
             assert_eq!(driver.retry_timers.len(), 3);
             let recovery = driver.outcome(&run.sim).recovery;
             assert_eq!(recovery.replans, 3);
@@ -774,23 +769,25 @@ mod tests {
 
     #[test]
     fn the_in_flight_cap_is_respected_throughout() {
-        fn check<P: Planner>(make: impl FnOnce(RepairContext) -> Campaign<P>) {
+        fn check<P: Planner>(cap: usize, make: impl FnOnce(RepairContext) -> Campaign<P>) {
             let (mut driver, mut run, lost) = campaign(make, 20, &[0]);
-            assert!(lost.len() > 2);
+            assert!(lost.len() > cap);
             driver.start(&mut run.sim, lost);
-            assert_eq!(driver.active_chunks(), 2);
+            assert_eq!(driver.running.len(), cap);
             run.run(&mut driver, |_, driver, _, _| {
-                assert!(driver.active_chunks() <= 2, "cap exceeded");
+                assert!(driver.running.len() <= cap, "cap exceeded");
                 ControlFlow::Continue(())
             })
             .expect("campaign finishes");
         }
-        check(|ctx| StaticRepairDriver::new(ctx, PlanShape::Tree, 1).with_concurrency(2));
+        check(StaticRepairDriver::DEFAULT_CONCURRENCY, |ctx| {
+            StaticRepairDriver::new(ctx, PlanShape::Tree, 1)
+        });
         let config = ChameleonConfig {
             max_concurrent_chunks: 2,
             ..ChameleonConfig::default()
         };
-        check(|ctx| ChameleonDriver::new(ctx, config));
+        check(2, |ctx| ChameleonDriver::new(ctx, config));
     }
 
     /// Runs a full-node repair next to two foreground clients and a stream

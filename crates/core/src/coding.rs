@@ -30,6 +30,7 @@ use std::cmp::Reverse;
 use std::time::Instant;
 
 use chameleon_gf::{mul_slice_with, xor_slice, MulTableCache};
+use chameleon_simnet::faults::splitmix64;
 
 use crate::plan::RepairPlan;
 
@@ -41,8 +42,7 @@ pub const DEFAULT_STRIPE_BYTES: usize = 64 * 1024;
 /// a deterministic prefix of at most this many bytes, so campaigns over
 /// thousands of multi-megabyte chunks still collect coding metrics
 /// cheaply. [`CodingStats::bytes_coded`] always reports the volume that
-/// was actually processed. Use [`PlanCoder::with_stripe`] for
-/// full-chunk-size runs.
+/// was actually processed.
 pub const DEFAULT_SAMPLE_BYTES: u64 = 256 * 1024;
 
 /// Distance between the windows two consecutive sources read out of the
@@ -175,7 +175,7 @@ impl PlanCoder {
     /// # Panics
     ///
     /// Panics if `stripe_bytes` is zero.
-    pub fn with_stripe(chunk_bytes: u64, stripe_bytes: usize) -> Self {
+    pub(crate) fn with_stripe(chunk_bytes: u64, stripe_bytes: usize) -> Self {
         assert!(stripe_bytes > 0, "stripe size must be positive");
         let chunk_bytes = chunk_bytes as usize;
         PlanCoder {
@@ -313,14 +313,9 @@ fn two_blocks(work: &mut [u8], block: usize, src: usize, dst: usize) -> (&[u8], 
 
 /// Deterministic pseudo-random bytes (SplitMix64 stream, little-endian
 /// words: the same on every host).
-fn fill_deterministic(out: &mut [u8], seed: u64) {
-    let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+fn fill_deterministic(out: &mut [u8], mut seed: u64) {
     for word in out.chunks_mut(8) {
-        let mut z = state;
-        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
+        let z = splitmix64(&mut seed);
         word.copy_from_slice(&z.to_le_bytes()[..word.len()]);
     }
 }

@@ -302,12 +302,6 @@ impl PlanExecutor {
         self.finished_at.is_some()
     }
 
-    /// Whether this attempt failed (a participating node crashed, or the
-    /// driver aborted it). A failed executor is inert.
-    pub fn is_failed(&self) -> bool {
-        self.failed
-    }
-
     /// Kills this attempt: cancels every in-flight flow (in flow-id order,
     /// for determinism) and marks the executor failed. Safe to call
     /// repeatedly. Used both internally on an aborted flow and by drivers
@@ -368,11 +362,6 @@ impl PlanExecutor {
         let stats = coder.run(&self.plan);
         self.coding = Some(stats);
         stats
-    }
-
-    /// Stats of [`PlanExecutor::run_coding`], if it ran.
-    pub fn coding_stats(&self) -> Option<CodingStats> {
-        self.coding
     }
 
     /// Fraction of the chunk already written at the destination.
@@ -872,7 +861,7 @@ mod tests {
             }
         }
         assert!(failed);
-        assert!(exec.is_failed());
+        assert!(exec.failed);
         assert!(exec.aborted_flows() >= 1);
         assert!(exec.sent_bytes() > 0.0, "completed sends are accounted");
         // The executor cancelled everything it had in flight; the sim
@@ -890,7 +879,7 @@ mod tests {
         exec.start(&mut s);
         exec.abort(&mut s);
         exec.abort(&mut s);
-        assert!(exec.is_failed());
+        assert!(exec.failed);
         assert_eq!(s.active_flows(), 0);
         // A failed executor never starts new work.
         exec.resume(&mut s);
@@ -991,7 +980,7 @@ mod tests {
                 exec.resume(&mut s);
             }
         }
-        assert!(exec.is_done() || exec.is_failed());
+        assert!(exec.is_done() || exec.failed);
         let log = s.take_trace().expect("tracing is on").to_jsonl();
         (log, statuses)
     }

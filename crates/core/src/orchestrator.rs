@@ -774,12 +774,6 @@ impl Orchestrator {
         &self.data_loss_events
     }
 
-    /// Every negotiation clamped up to the starvation floor, in time
-    /// order.
-    pub fn budget_starved_events(&self) -> &[BudgetStarvedEvent] {
-        &self.budget_starved
-    }
-
     /// Chunks in dispatch order — the admission decisions actually made.
     pub fn dispatch_log(&self) -> &[ChunkId] {
         &self.dispatch_log
@@ -1406,9 +1400,9 @@ mod tests {
         // Every negotiation fell below one chunk per window and was
         // clamped; each clamp is visible in the report and the ledger.
         assert_eq!(report.budget_starved, report.negotiations);
-        assert!(!orch.budget_starved_events().is_empty());
+        assert!(!orch.budget_starved.is_empty());
         let cost = 4.0 * (4u64 << 20) as f64;
-        for e in orch.budget_starved_events() {
+        for e in &orch.budget_starved {
             assert!(e.negotiated_rate < e.clamped_rate);
             assert_eq!(e.clamped_rate, cost / 5.0);
         }

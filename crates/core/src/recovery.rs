@@ -20,6 +20,7 @@
 //! global RNG — so runs with faults stay byte-deterministic.
 
 use chameleon_cluster::ChunkId;
+use chameleon_simnet::faults::{splitmix64, unit};
 
 /// Retry/backoff policy of a repair campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -55,15 +56,6 @@ impl Default for RecoveryPolicy {
     }
 }
 
-/// The splitmix64 mix (same constants as the bench runner's seed
-/// derivation), collapsing a key to one well-mixed draw.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl RecoveryPolicy {
     /// A policy with the given jitter seed and the default shape.
     pub fn seeded(seed: u64) -> Self {
@@ -79,14 +71,13 @@ impl RecoveryPolicy {
     pub fn backoff_secs(&self, chunk: ChunkId, attempt: u32) -> f64 {
         let expo = self.backoff_base_secs * f64::from(1u32 << (attempt - 1).min(20));
         let capped = expo.min(self.backoff_cap_secs);
-        let key = self
+        let mut key = self
             .seed
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((chunk.stripe as u64) << 20)
             .wrapping_add((chunk.index as u64) << 8)
             .wrapping_add(u64::from(attempt));
-        let unit = (mix(key) >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        capped + unit * self.jitter_secs
+        capped + unit(splitmix64(&mut key)) * self.jitter_secs
     }
 }
 

@@ -14,8 +14,8 @@
 //!   ([`MulTableCache`] memoises them; [`mul_add_slice`] builds one on the
 //!   spot). The byte-at-a-time log/exp loops in [`scalar`] are the oracle
 //!   the tests compare everything else against.
-//! - [`Matrix`]: dense row-major matrices over GF(2^8) with Vandermonde and
-//!   Cauchy constructors and Gauss–Jordan inversion, the building blocks of
+//! - [`Matrix`]: dense row-major matrices over GF(2^8) with a Cauchy
+//!   constructor and Gauss–Jordan inversion, the building blocks of
 //!   Reed–Solomon and LRC codes.
 //! - [`simd`]: the kernel ladder those three dispatch into — one
 //!   `dst (^)= Σ cᵢ·srcᵢ` loop over a lane type per rung: a GFNI / AVX-512

@@ -95,19 +95,6 @@ impl Matrix {
         Matrix { rows, cols, data }
     }
 
-    /// Creates a Vandermonde matrix: `m[r][c] = (r+1)^c` (evaluation points
-    /// `1..=rows` so that no row is all-zero).
-    pub fn vandermonde(rows: usize, cols: usize) -> Self {
-        let mut m = Matrix::zero(rows, cols);
-        for r in 0..rows {
-            let x = Gf256::new((r + 1) as u8);
-            for c in 0..cols {
-                m[(r, c)] = x.pow(c as u32);
-            }
-        }
-        m
-    }
-
     /// Creates a Cauchy matrix `m[i][j] = 1 / (x_i + y_j)` with
     /// `x_i = i + cols` and `y_j = j`, which guarantees every square
     /// submatrix is invertible — the property that makes a systematic MDS
@@ -198,26 +185,6 @@ impl Matrix {
                     out[(i, j)] += prod;
                 }
             }
-        }
-        Ok(out)
-    }
-
-    /// Multiplies this matrix by a column vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if `vec.len() != cols`.
-    pub fn mul_vec(&self, vec: &[Gf256]) -> Result<Vec<Gf256>, MatrixError> {
-        if vec.len() != self.cols {
-            return Err(MatrixError::DimensionMismatch);
-        }
-        let mut out = vec![Gf256::ZERO; self.rows];
-        for (i, o) in out.iter_mut().enumerate() {
-            let mut acc = Gf256::ZERO;
-            for (c, &v) in vec.iter().enumerate() {
-                acc += self[(i, c)] * v;
-            }
-            *o = acc;
         }
         Ok(out)
     }
@@ -345,7 +312,7 @@ mod tests {
 
     #[test]
     fn identity_is_multiplicative_identity() {
-        let m = Matrix::vandermonde(4, 4);
+        let m = Matrix::cauchy(4, 4);
         let id = Matrix::identity(4);
         assert_eq!(id.mul(&m).unwrap(), m);
         assert_eq!(m.mul(&id).unwrap(), m);
@@ -393,21 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn rank_of_vandermonde_is_full() {
-        let m = Matrix::vandermonde(6, 4);
+    fn rank_of_tall_cauchy_is_full() {
+        let m = Matrix::cauchy(6, 4);
         assert_eq!(m.rank(), 4);
-    }
-
-    #[test]
-    fn mul_vec_matches_mul() {
-        let m = Matrix::cauchy(3, 4);
-        let v = [Gf256::new(9), Gf256::new(7), Gf256::new(5), Gf256::new(3)];
-        let as_col = Matrix::from_rows(4, 1, v.to_vec());
-        let prod = m.mul(&as_col).unwrap();
-        let direct = m.mul_vec(&v).unwrap();
-        for i in 0..3 {
-            assert_eq!(prod[(i, 0)], direct[i]);
-        }
     }
 
     #[test]
@@ -425,10 +380,6 @@ mod tests {
         let a = Matrix::zero(2, 3);
         let b = Matrix::zero(2, 3);
         assert_eq!(a.mul(&b), Err(MatrixError::DimensionMismatch));
-        assert_eq!(
-            a.mul_vec(&[Gf256::ZERO]),
-            Err(MatrixError::DimensionMismatch)
-        );
         let c = Matrix::zero(2, 4);
         assert_eq!(a.stack(&c), Err(MatrixError::DimensionMismatch));
     }

@@ -146,24 +146,6 @@ impl SimConfig {
         }
     }
 
-    /// Returns the configuration with the given fabric attached.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the topology's node count disagrees with the
-    /// configuration's.
-    pub fn with_topology(mut self, topology: Topology) -> Self {
-        assert_eq!(
-            topology.node_count(),
-            self.nodes.len(),
-            "topology describes {} nodes but the config has {}",
-            topology.node_count(),
-            self.nodes.len()
-        );
-        self.topology = Some(topology);
-        self
-    }
-
     /// Flattened capacities: `node * 4 + kind` for node resources, then
     /// one per shared link of the topology.
     pub(crate) fn capacities(&self) -> Vec<f64> {
@@ -767,8 +749,6 @@ impl Simulator {
             let flow = self.flows.remove(&id).expect("victim flow exists");
             let wasted = self.remaining(&flow);
             self.retire_flow_accounting(&flow);
-            self.monitor
-                .record_abort(node, flow.spec.tag, wasted, self.now.as_secs());
             self.trace_flow(
                 id,
                 &flow.spec,
@@ -852,11 +832,6 @@ impl Simulator {
         self.flows
             .get(&id.0)
             .map(|f| self.groups[f.group as usize].rate)
-    }
-
-    /// Bytes a flow still has to transfer.
-    pub fn flow_remaining(&self, id: FlowId) -> Option<f64> {
-        self.flows.get(&id.0).map(|f| self.remaining(f))
     }
 
     /// Whether an abort notification for `id` is queued but not yet
@@ -1702,8 +1677,6 @@ mod tests {
             }
         }
         assert!(delivered.contains(&ok));
-        // The monitor accounted the killed flows' unsent bytes.
-        assert!(sim.monitor().total_aborted_bytes() > 0.0);
     }
 
     #[test]
@@ -1857,7 +1830,8 @@ mod tests {
         // Admission against the failed node also traces an abort.
         let refused = sim.start_flow(FlowSpec::network(0, 1, 10, Traffic::Repair));
         while sim.next_event().is_some() {}
-        let events = sim.take_trace().unwrap().into_events();
+        let trace = sim.take_trace().unwrap();
+        let events = trace.events();
         let cause_of = |id: FlowId| {
             events.iter().find_map(|e| match e.kind {
                 TraceEventKind::Aborted { cause, .. } if e.flow == id.0 => Some(cause),
@@ -2091,7 +2065,10 @@ mod tests {
     /// 4 nodes, 2 racks (round-robin: 0,2 in rack 0; 1,3 in rack 1).
     fn racked_config(tor: f64, spine: Option<f64>) -> SimConfig {
         let topo = Topology::round_robin(4, 2, tor, tor, spine);
-        SimConfig::uniform(4, NodeCaps::symmetric(100.0, 50.0)).with_topology(topo)
+        SimConfig {
+            topology: Some(topo),
+            ..SimConfig::uniform(4, NodeCaps::symmetric(100.0, 50.0))
+        }
     }
 
     fn racked_sim(tor: f64, spine: Option<f64>) -> Simulator {
@@ -2143,11 +2120,10 @@ mod tests {
         // One rack means no flow ever takes a link cell, so the event log
         // must be bit-identical to the topology-free engine.
         let run = |topo: Option<Topology>| {
-            let mut cfg = SimConfig::uniform(4, NodeCaps::symmetric(10.0, 10.0));
-            if let Some(t) = topo {
-                cfg = cfg.with_topology(t);
-            }
-            let mut sim = Simulator::new(cfg);
+            let mut sim = Simulator::new(SimConfig {
+                topology: topo,
+                ..SimConfig::uniform(4, NodeCaps::symmetric(10.0, 10.0))
+            });
             for i in 0..4u64 {
                 sim.start_flow(FlowSpec::network(
                     i as usize,
@@ -2256,6 +2232,9 @@ mod tests {
     #[should_panic(expected = "topology describes")]
     fn mismatched_topology_node_count_rejected() {
         let topo = Topology::round_robin(3, 1, 10.0, 10.0, None);
-        let _ = Simulator::new(SimConfig::uniform(4, NodeCaps::default()).with_topology(topo));
+        let _ = Simulator::new(SimConfig {
+            topology: Some(topo),
+            ..SimConfig::uniform(4, NodeCaps::default())
+        });
     }
 }

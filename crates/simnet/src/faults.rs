@@ -281,9 +281,11 @@ pub struct FaultPlan {
     specs: Vec<FaultSpec>,
 }
 
-/// The splitmix64 step — the workspace's standard seed-mixing primitive
-/// (same constants as the bench runner's `client_seed`).
-fn splitmix64(state: &mut u64) -> u64 {
+/// The splitmix64 step: advances `state` by the golden gamma and returns
+/// the finalized draw. The workspace's one seed-mixing primitive: fault
+/// plans, retry jitter, client seeds and synthetic coding bytes all draw
+/// from it.
+pub fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -292,7 +294,7 @@ fn splitmix64(state: &mut u64) -> u64 {
 }
 
 /// Maps a 64-bit draw to `[0, 1)`.
-fn unit(x: u64) -> f64 {
+pub fn unit(x: u64) -> f64 {
     (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 

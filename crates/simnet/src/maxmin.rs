@@ -67,7 +67,8 @@ pub fn allocate_rates(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
         offsets.push(targets.len() as u32);
     }
     let mut rates = vec![0.0f64; flows.len()];
-    solver.solve_into(capacities, &offsets, &targets, &mut rates);
+    let ones = vec![1; flows.len()];
+    solver.solve_weighted_into(capacities, &offsets, &targets, &ones, &mut rates);
     rates
 }
 
@@ -86,7 +87,7 @@ pub fn allocate_rates(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
 /// let mut solver = MaxMinSolver::new();
 /// let mut rates = vec![0.0; 2];
 /// // Flow 0 crosses resource 0; flow 1 crosses resources 0 and 1.
-/// solver.solve_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &mut rates);
+/// solver.solve_weighted_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &[1, 1], &mut rates);
 /// assert_eq!(rates, vec![8.0, 2.0]);
 /// ```
 #[derive(Debug, Default)]
@@ -101,8 +102,6 @@ pub struct MaxMinSolver {
     /// Write cursor per resource while building the inverted index.
     cursor: Vec<u32>,
     frozen: Vec<bool>,
-    /// All-ones weight buffer backing the unweighted entry point.
-    ones: Vec<u32>,
     /// Cumulative progressive-filling rounds across all solves.
     rounds: u64,
 }
@@ -118,31 +117,6 @@ impl MaxMinSolver {
     /// `total_rounds / solves` is the mean bottleneck count per solve.
     pub fn total_rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Solves the max–min allocation, writing one rate per flow into
-    /// `rates`.
-    ///
-    /// Equivalent to [`MaxMinSolver::solve_weighted_into`] with every
-    /// weight 1 (and bit-identical to it: a weight-1 freeze performs the
-    /// exact same float operations).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates.len() + 1 != offsets.len()`, if a flow lists no
-    /// resources, or (debug assertions) if a resource index is out of
-    /// range.
-    pub fn solve_into(
-        &mut self,
-        capacities: &[f64],
-        offsets: &[u32],
-        targets: &[u32],
-        rates: &mut [f64],
-    ) {
-        self.ones.resize(rates.len(), 1);
-        let ones = core::mem::take(&mut self.ones);
-        self.solve_weighted_into(capacities, offsets, targets, &ones, rates);
-        self.ones = ones;
     }
 
     /// Solves the max–min allocation over *flow groups*: row `f` of the
@@ -510,11 +484,6 @@ impl IncrementalSolver {
     /// attempts included.
     pub fn total_rounds(&self) -> u64 {
         self.rounds
-    }
-
-    /// Number of currently registered (live) groups.
-    pub fn group_count(&self) -> usize {
-        self.live_groups
     }
 
     /// Last solved rate of a group slot (0 until first solved; stale for
@@ -1008,11 +977,11 @@ mod tests {
     fn rounds_accumulate_across_solves() {
         let mut solver = MaxMinSolver::new();
         let mut rates = vec![0.0; 2];
-        solver.solve_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &mut rates);
+        solver.solve_weighted_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &[1, 1], &mut rates);
         let first = solver.total_rounds();
         // Two distinct bottlenecks (the 2-unit link, then the 10-unit one).
         assert_eq!(first, 2);
-        solver.solve_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &mut rates);
+        solver.solve_weighted_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &[1, 1], &mut rates);
         assert_eq!(solver.total_rounds(), 2 * first);
     }
 
@@ -1111,7 +1080,6 @@ mod tests {
         assert_eq!(inc.rate(1).to_bits(), oracle[1].to_bits());
 
         inc.set_weight(1, 0); // remove
-        assert_eq!(inc.group_count(), 1);
         changed.clear();
         inc.solve(&mut changed);
         let oracle = full_oracle(&caps, &[(0, vec![0], 5)]);
@@ -1518,15 +1486,15 @@ mod tests {
     fn solver_is_reusable_across_solves() {
         let mut solver = MaxMinSolver::new();
         let mut rates = vec![0.0; 2];
-        solver.solve_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &mut rates);
+        solver.solve_weighted_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &[1, 1], &mut rates);
         assert_eq!(rates, vec![8.0, 2.0]);
         // Smaller follow-up problem: buffers shrink logically, not physically.
         let mut rates = vec![0.0; 1];
-        solver.solve_into(&[7.0], &[0, 1], &[0], &mut rates);
+        solver.solve_weighted_into(&[7.0], &[0, 1], &[0], &[1], &mut rates);
         assert_close(rates[0], 7.0);
         // And empty.
         let mut rates: Vec<f64> = Vec::new();
-        solver.solve_into(&[1.0], &[0], &[], &mut rates);
+        solver.solve_weighted_into(&[1.0], &[0], &[], &[], &mut rates);
         assert!(rates.is_empty());
     }
 }

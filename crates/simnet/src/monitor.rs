@@ -44,13 +44,6 @@ pub struct Monitor {
     windows: Vec<Vec<f64>>,
     /// Total simulated time covered so far.
     horizon: f64,
-    /// `aborted[node * TAGS + tag]` = bytes of in-flight transfer killed by
-    /// that node's failure (fault injection); the wasted-work ledger.
-    aborted: Vec<f64>,
-    /// Number of flows killed by node failures.
-    abort_events: usize,
-    /// Time of the most recent abort, in seconds (0 if none).
-    last_abort_secs: f64,
 }
 
 impl Monitor {
@@ -68,9 +61,6 @@ impl Monitor {
             links,
             windows: Vec::new(),
             horizon: 0.0,
-            aborted: vec![0.0; nodes * TAGS],
-            abort_events: 0,
-            last_abort_secs: 0.0,
         }
     }
 
@@ -178,37 +168,6 @@ impl Monitor {
         }
     }
 
-    /// Accounts a flow killed by `node`'s failure: `bytes` of its transfer
-    /// were still in flight (wasted work).
-    pub(crate) fn record_abort(&mut self, node: usize, tag: Traffic, bytes: f64, at_secs: f64) {
-        debug_assert!(node < self.nodes);
-        self.aborted[node * TAGS + tag.index()] += bytes;
-        self.abort_events += 1;
-        self.last_abort_secs = self.last_abort_secs.max(at_secs);
-    }
-
-    /// Bytes of one traffic class that were in flight when flows through
-    /// `node` were killed by its failure.
-    pub fn aborted_bytes(&self, node: usize, tag: Traffic) -> f64 {
-        self.aborted[node * TAGS + tag.index()]
-    }
-
-    /// Total in-flight bytes killed by node failures, across all nodes and
-    /// classes.
-    pub fn total_aborted_bytes(&self) -> f64 {
-        self.aborted.iter().sum()
-    }
-
-    /// Number of flows killed by node failures.
-    pub fn abort_count(&self) -> usize {
-        self.abort_events
-    }
-
-    /// Time of the most recent flow abort, in seconds (0 if none).
-    pub fn last_abort_secs(&self) -> f64 {
-        self.last_abort_secs
-    }
-
     /// The configured window length in seconds.
     pub fn window_secs(&self) -> f64 {
         self.window_secs
@@ -289,17 +248,6 @@ impl Monitor {
     pub fn link_total_bytes(&self, link: usize, tag: Traffic) -> f64 {
         let idx = self.link_idx(link, tag);
         self.windows.iter().map(|w| w[idx]).sum()
-    }
-
-    /// Per-window average rates for one (link, class), in bytes/s.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `link` is out of range.
-    pub fn link_rate_series(&self, link: usize, tag: Traffic) -> Vec<f64> {
-        (0..self.window_count())
-            .map(|w| self.link_usage(w, link, tag).rate())
-            .collect()
     }
 
     /// The fluctuation (max rate − min rate across windows) of a class on a
@@ -640,7 +588,6 @@ mod tests {
         let s = m.link_usage(0, 1, Traffic::Repair);
         assert!((s.bytes - 4.0).abs() < 1e-9);
         assert!((s.rate() - 4.0).abs() < 1e-9);
-        assert_eq!(m.link_rate_series(1, Traffic::Repair).len(), 2);
     }
 
     #[test]

@@ -172,20 +172,6 @@ impl Topology {
         }
     }
 
-    /// Human-readable name of one link resource (`tor_up[r]`,
-    /// `tor_down[r]`, or `spine`).
-    pub fn link_label(&self, link: usize) -> String {
-        if link < 2 * self.racks {
-            if link.is_multiple_of(2) {
-                format!("tor_up[{}]", link / 2)
-            } else {
-                format!("tor_down[{}]", link / 2)
-            }
-        } else {
-            "spine".to_string()
-        }
-    }
-
     /// The link resources a `src → dst` transfer crosses: empty for
     /// same-rack pairs, `[tor_up(src), tor_down(dst)]` plus the spine (in
     /// that order, spine last) otherwise.
@@ -227,9 +213,6 @@ mod tests {
         assert_eq!(t.link_capacity(4), 200.0);
         assert_eq!(t.link_capacity(5), 300.0);
         assert_eq!(t.link_capacity(6), 150.0);
-        assert_eq!(t.link_label(0), "tor_up[0]");
-        assert_eq!(t.link_label(5), "tor_down[2]");
-        assert_eq!(t.link_label(6), "spine");
     }
 
     #[test]

@@ -192,11 +192,6 @@ impl TraceSink {
         self.events.is_empty()
     }
 
-    /// Consumes the sink, returning the events.
-    pub fn into_events(self) -> Vec<TraceEvent> {
-        self.events
-    }
-
     /// Renders the whole sink as JSONL (one event per line, trailing
     /// newline after each).
     pub fn to_jsonl(&self) -> String {
@@ -209,71 +204,114 @@ impl TraceSink {
     }
 }
 
-/// Engine self-profiling counters.
-///
-/// Maintained unconditionally (they are integer increments on paths that
-/// already exist); read with
-/// [`Simulator::profile`](crate::Simulator::profile).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineProfile {
+/// Declares [`EngineProfile`] from one list of counters. The struct, its
+/// JSON footer and the `trace` summarizer's per-key sums all come from that
+/// list, so they cannot disagree.
+macro_rules! engine_profile {
+    ($($(#[doc = $doc:literal])* $field:ident,)*) => {
+        /// Engine self-profiling counters.
+        ///
+        /// Maintained unconditionally (they are integer increments on paths
+        /// that already exist); read with
+        /// [`Simulator::profile`](crate::Simulator::profile).
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct EngineProfile {
+            $($(#[doc = $doc])* pub $field: u64,)*
+        }
+
+        impl EngineProfile {
+            /// The counter names in declaration order: the keys of the
+            /// JSON footer.
+            pub const FIELDS: &'static [&'static str] = &[$(stringify!($field)),*];
+
+            /// The counters, in [`FIELDS`](Self::FIELDS) order.
+            pub fn values(&self) -> impl Iterator<Item = u64> {
+                [$(self.$field),*].into_iter()
+            }
+
+            fn values_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+                [$(&mut self.$field),*].into_iter()
+            }
+        }
+    };
+}
+
+engine_profile! {
     /// Events delivered by `next_event` (completions + aborts + timers).
-    pub events: u64,
+    events,
     /// Flows that delivered their final byte.
-    pub flow_completions: u64,
+    flow_completions,
     /// Flows killed by node failures or admission against a failed node.
-    pub flow_aborts: u64,
+    flow_aborts,
     /// Timers that fired.
-    pub timer_fires: u64,
+    timer_fires,
     /// Rate solves that re-solved at least one group.
-    pub solves: u64,
+    solves,
     /// Solves whose dirty closure covered every live group (including
     /// the first solve over a populated cluster).
-    pub full_solves: u64,
+    full_solves,
     /// Solves that re-solved only a proper subset of the live groups.
     /// `full_solves + incremental_solves == solves`.
-    pub incremental_solves: u64,
+    incremental_solves,
     /// Stale rate refreshes that re-solved nothing: the mutations since the
     /// last solve had cancelled out, or left only slack behind.
     /// `solves + elided_solves` is the number of stale refreshes.
-    pub elided_solves: u64,
+    elided_solves,
     /// Fill attempts discarded and redone because a resource that entered
     /// the closure with slack came out saturated.
-    pub solve_retries: u64,
+    solve_retries,
     /// Cumulative flow groups re-solved across all solves (the dirty
     /// closure sizes); `dirty_groups / solves` is the mean re-solve
     /// footprint.
-    pub dirty_groups: u64,
+    dirty_groups,
     /// Total progressive-filling rounds across all solves.
-    pub solver_rounds: u64,
+    solver_rounds,
     /// Wholesale completion-heap rebuilds (vs incremental pushes).
-    pub heap_rebuilds: u64,
+    heap_rebuilds,
     /// Timers scheduled.
-    pub timers_scheduled: u64,
+    timers_scheduled,
     /// Timers cancelled while still pending.
-    pub timers_cancelled: u64,
+    timers_cancelled,
 }
 
 impl EngineProfile {
     /// Renders the profile as one JSON line (no trailing newline) — the
     /// `"event":"profile"` footer record of a `--trace` JSONL file.
     pub fn to_json_line(&self) -> String {
-        format!(
-            "{{\"event\":\"profile\",\"events\":{},\"flow_completions\":{},\"flow_aborts\":{},\
-             \"timer_fires\":{},\"solves\":{},\"full_solves\":{},\"incremental_solves\":{},\
-             \"elided_solves\":{},\"solve_retries\":{},\
-             \"dirty_groups\":{},\"solver_rounds\":{},\"heap_rebuilds\":{},\
-             \"timers_scheduled\":{},\"timers_cancelled\":{}}}",
+        let mut out = String::from("{\"event\":\"profile\"");
+        for (key, value) in Self::FIELDS.iter().zip(self.values()) {
+            out.push_str(&format!(",\"{key}\":{value}"));
+        }
+        out.push('}');
+        out
+    }
+
+    /// Adds the counters of one footer line (see
+    /// [`to_json_line`](Self::to_json_line)) to this profile; a missing
+    /// key adds 0.
+    pub fn add_json_line(&mut self, line: &str) {
+        for (key, value) in Self::FIELDS.iter().zip(self.values_mut()) {
+            *value += num(line, key).unwrap_or(0.0) as u64;
+        }
+    }
+}
+
+/// The one human rendering, printed by `repair`'s `engine:` line and the
+/// `trace` summary's `engine profile` line.
+impl std::fmt::Display for EngineProfile {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} events, {} solves ({} full, {} incremental, {} dirty groups, \
+             {} rounds, {} retries) + {} elided, {} heap rebuilds, {} timers ({} cancelled)",
             self.events,
-            self.flow_completions,
-            self.flow_aborts,
-            self.timer_fires,
             self.solves,
             self.full_solves,
             self.incremental_solves,
-            self.elided_solves,
-            self.solve_retries,
             self.dirty_groups,
             self.solver_rounds,
+            self.solve_retries,
+            self.elided_solves,
             self.heap_rebuilds,
             self.timers_scheduled,
             self.timers_cancelled

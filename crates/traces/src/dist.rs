@@ -66,11 +66,6 @@ impl Zipfian {
         let spread = self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha);
         (spread as u64).min(self.n - 1)
     }
-
-    /// The size of the key space.
-    pub fn key_space(&self) -> u64 {
-        self.n
-    }
 }
 
 /// A Pareto (power-law) distribution with scale `xm` and shape `alpha`.

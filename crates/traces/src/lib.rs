@@ -32,10 +32,8 @@
 
 mod dist;
 mod workloads;
-mod ycsb;
 
 pub use dist::{GeneralizedExtremeValue, LogNormal, Pareto, Zipfian};
 pub use workloads::{
     FacebookEtc, IbmObjectStore, Op, Request, TraceKind, TwitterMemcached, Workload, YcsbA,
 };
-pub use ycsb::{YcsbB, YcsbC, YcsbD};

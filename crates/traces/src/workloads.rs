@@ -28,15 +28,8 @@ pub struct Request {
 /// A source of foreground requests. Implementations are infinite streams;
 /// experiments bound how many they replay.
 pub trait Workload: Send {
-    /// Short human-readable name, e.g. `YCSB-A`.
-    fn name(&self) -> &'static str;
-
     /// Draws the next request.
     fn next_request(&mut self) -> Request;
-
-    /// The number of requests the paper replays for this trace (used as
-    /// the default experiment length).
-    fn default_request_count(&self) -> usize;
 }
 
 /// Identifies one of the built-in trace families; handy for experiment
@@ -114,10 +107,6 @@ impl YcsbA {
 }
 
 impl Workload for YcsbA {
-    fn name(&self) -> &'static str {
-        "YCSB-A"
-    }
-
     fn next_request(&mut self) -> Request {
         let op = if self.rng.gen_bool(0.5) {
             Op::Get
@@ -129,10 +118,6 @@ impl Workload for YcsbA {
             key: self.keys.sample(&mut self.rng),
             value_size: 512 * 1024,
         }
-    }
-
-    fn default_request_count(&self) -> usize {
-        100_000
     }
 }
 
@@ -164,10 +149,6 @@ impl IbmObjectStore {
 }
 
 impl Workload for IbmObjectStore {
-    fn name(&self) -> &'static str {
-        "IBM-COS"
-    }
-
     fn next_request(&mut self) -> Request {
         let op = if self.rng.gen_bool(0.78) {
             Op::Get
@@ -183,10 +164,6 @@ impl Workload for IbmObjectStore {
             key: self.keys.sample(&mut self.rng),
             value_size: size,
         }
-    }
-
-    fn default_request_count(&self) -> usize {
-        300_000
     }
 }
 
@@ -214,10 +191,6 @@ impl TwitterMemcached {
 }
 
 impl Workload for TwitterMemcached {
-    fn name(&self) -> &'static str {
-        "Memcached"
-    }
-
     fn next_request(&mut self) -> Request {
         let op = if self.rng.gen_bool(0.63) {
             Op::Get
@@ -230,10 +203,6 @@ impl Workload for TwitterMemcached {
             key: self.keys.sample(&mut self.rng),
             value_size: size,
         }
-    }
-
-    fn default_request_count(&self) -> usize {
-        100_000
     }
 }
 
@@ -261,10 +230,6 @@ impl FacebookEtc {
 }
 
 impl Workload for FacebookEtc {
-    fn name(&self) -> &'static str {
-        "FB-ETC"
-    }
-
     fn next_request(&mut self) -> Request {
         let op = if self.rng.gen_ratio(30, 31) {
             Op::Get
@@ -284,10 +249,6 @@ impl Workload for FacebookEtc {
             key,
             value_size: value,
         }
-    }
-
-    fn default_request_count(&self) -> usize {
-        100_000
     }
 }
 
@@ -356,7 +317,6 @@ mod tests {
                 assert_eq!(a.next_request(), b.next_request(), "{kind}");
             }
             assert!(!kind.name().is_empty());
-            assert!(a.default_request_count() >= 100_000);
         }
     }
 

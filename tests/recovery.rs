@@ -11,21 +11,10 @@ use chameleonec::codes::{Butterfly, ErasureCode, Lrc, ReedSolomon};
 use chameleonec::core::baseline::{PlanShape, StaticRepairDriver};
 use chameleonec::core::chameleon::{ChameleonConfig, ChameleonDriver};
 use chameleonec::core::{RepairContext, RepairDriver, RepairOutcome};
+use chameleonec::simnet::faults::{splitmix64, unit};
 use chameleonec::simnet::{FaultPlan, FaultSpec};
 
 use common::{encode_all, failed_context, run_driver, tiny_config, verify_plan_bytes};
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn unit(x: u64) -> f64 {
-    (x >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// The alive storage node sharing the most stripes with `victim` — crashing
 /// it mid-repair turns those stripes into two-erasure repairs.
@@ -45,9 +34,9 @@ fn crash_partner(ctx: &RepairContext, victim: usize) -> usize {
 }
 
 /// A crash instant seeded inside the fault-free campaign's duration.
-fn seeded_crash_at(fault_free: &RepairOutcome, seed: u64) -> f64 {
+fn seeded_crash_at(fault_free: &RepairOutcome, mut seed: u64) -> f64 {
     let duration = fault_free.duration.expect("fault-free run finishes");
-    duration * (0.15 + 0.45 * unit(mix(seed)))
+    duration * (0.15 + 0.45 * unit(splitmix64(&mut seed)))
 }
 
 struct CrashRun {
