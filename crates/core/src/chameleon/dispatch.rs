@@ -6,6 +6,7 @@ use chameleon_cluster::ChunkId;
 use chameleon_simnet::{NodeId, ResourceKind, Simulator, Traffic};
 
 use crate::baseline::PlanShape;
+use crate::chameleon::tunable::pair_tasks;
 use crate::context::{RepairContext, Resources};
 use crate::select::{repair_candidates, SelectError, Selection, SourcePick};
 
@@ -16,12 +17,16 @@ const RESIDUAL_FLOOR: f64 = 0.02;
 /// Per-phase task counters and residual-bandwidth estimates for every
 /// storage node. Task counts are in *chunk equivalents* (sub-chunk tasks
 /// count fractionally), which generalizes the paper's integer counters.
+///
+/// The counters change only through `commit` and `release`, which add and
+/// remove the tasks of one [`TaskAssignment`]'s plan; `cost` prices the
+/// same tasks.
 #[derive(Debug, Clone)]
 pub struct PhaseState {
     /// Upload tasks assigned this phase, per node.
-    pub t_up: Vec<f64>,
+    t_up: Vec<f64>,
     /// Download tasks assigned this phase, per node.
-    pub t_down: Vec<f64>,
+    t_down: Vec<f64>,
     /// Residual "uplink-side" bandwidth per node (bytes/s).
     pub b_up: Vec<f64>,
     /// Residual "downlink-side" bandwidth per node (bytes/s).
@@ -37,6 +42,9 @@ pub struct PhaseState {
     /// Residual cross-rack bandwidth *into* each rack (ToR downlink vs
     /// spine). Empty when `rack_of` is.
     pub cross_down: Vec<f64>,
+    /// What the residuals measure: network links, or disk read/write
+    /// bandwidth (ChameleonEC-IO).
+    pub(crate) resources: Resources,
 }
 
 impl PhaseState {
@@ -101,19 +109,18 @@ impl PhaseState {
             _ => (Vec::new(), Vec::new(), Vec::new()),
         };
         PhaseState {
-            t_up: vec![0.0; nodes],
-            t_down: vec![0.0; nodes],
-            b_up,
-            b_down,
             rack_of,
             cross_up,
             cross_down,
+            resources,
+            ..PhaseState::flat(b_up, b_down)
         }
     }
 
-    /// A phase with no outstanding tasks, the given per-node residuals,
-    /// and a flat fabric (no cross-rack clamping) — the common shape for
-    /// synthetic phases in tests, benchmarks, and the `plan` subcommand.
+    /// A phase with no outstanding tasks, the given per-node network
+    /// residuals, and a flat fabric (no cross-rack clamping) — the common
+    /// shape for synthetic phases in tests, benchmarks, and the `plan`
+    /// subcommand.
     ///
     /// # Panics
     ///
@@ -129,6 +136,7 @@ impl PhaseState {
             rack_of: Vec::new(),
             cross_up: Vec::new(),
             cross_down: Vec::new(),
+            resources: Resources::Network,
         }
     }
 
@@ -202,67 +210,253 @@ impl PhaseState {
         (self.t_down[node] + extra) * chunk_size / self.effective_down(node, from_rack)
     }
 
-    /// The estimated repair time of a node: the max of its upload and
-    /// download completion estimates (the paper's `R_i`).
-    pub fn node_time(&self, node: NodeId, chunk_size: f64) -> f64 {
-        self.up_time_to(node, 0.0, chunk_size, None)
-            .max(self.down_time_from(node, 0.0, chunk_size, None))
+    /// The `(node, up, down)` tasks of the plan in which source `i` of
+    /// `selection` uploads to source `parents[i]` (`None`: the
+    /// destination), destination first: every source uploads its
+    /// `fraction` and its parent downloads it. A relay's downloads count
+    /// on the network only — a relay transfer touches no disk.
+    fn tasks(&self, selection: &Selection, parents: &[Option<usize>]) -> Vec<(NodeId, f64, f64)> {
+        let mut tasks = vec![(selection.destination, 0.0, 0.0)];
+        tasks.extend(selection.sources.iter().map(|s| (s.node, s.fraction, 0.0)));
+        for (s, parent) in selection.sources.iter().zip(parents) {
+            match parent {
+                None => tasks[0].2 += s.fraction,
+                Some(p) if self.resources == Resources::Network => tasks[p + 1].2 += s.fraction,
+                Some(_) => {}
+            }
+        }
+        tasks
+    }
+
+    /// The estimated repair time of the plan `parents` over `selection`
+    /// were it committed: the max over its nodes of their upload and
+    /// download completion estimates (the paper's `R_i`, rack-agnostic).
+    pub(crate) fn cost(
+        &self,
+        selection: &Selection,
+        parents: &[Option<usize>],
+        chunk_size: f64,
+    ) -> f64 {
+        self.tasks(selection, parents)
+            .into_iter()
+            .map(|(node, up, down)| {
+                self.up_time_to(node, up, chunk_size, None)
+                    .max(self.down_time_from(node, down, chunk_size, None))
+            })
+            .reduce(f64::max)
+            .unwrap_or(0.0)
+    }
+
+    /// Adds (`sign` 1) or removes (`sign` −1) an assignment's tasks. The
+    /// counters are clamped at zero, which also handles chunks that
+    /// outlive the phase they were dispatched in.
+    fn apply(&mut self, assignment: &TaskAssignment, sign: f64) {
+        for (node, up, down) in self.tasks(&assignment.selection, &assignment.parents) {
+            self.t_up[node] = (self.t_up[node] + sign * up).max(0.0);
+            self.t_down[node] = (self.t_down[node] + sign * down).max(0.0);
+        }
+    }
+
+    /// Adds an admitted chunk's tasks to the counters.
+    pub(crate) fn commit(&mut self, assignment: &TaskAssignment) {
+        self.apply(assignment, 1.0);
+    }
+
+    /// Removes a chunk's tasks from the counters once it no longer runs.
+    pub(crate) fn release(&mut self, assignment: &TaskAssignment) {
+        self.apply(assignment, -1.0);
+    }
+
+    /// [`dispatch_chunk`] as a pure read: the assignment, priced against
+    /// the current counters, without committing its tasks.
+    ///
+    /// Under [`Resources::Storage`] (ChameleonEC-IO, §III-D) the balanced
+    /// quantities are the *disk read* tasks at the sources and the *disk
+    /// write* task at the destination; relay transfers consume no storage
+    /// bandwidth, so the fan-ins are those of a fixed balanced tree.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`dispatch_chunk`].
+    pub(crate) fn assign(
+        &self,
+        ctx: &RepairContext,
+        chunk: ChunkId,
+        forbidden_destinations: &[NodeId],
+    ) -> Result<TaskAssignment, SelectError> {
+        let chunk_size = ctx.chunk_size() as f64;
+        let (requirement, candidates, count) = repair_candidates(ctx, chunk)?;
+
+        // --- Destination: minimum-time-first over off-stripe alive nodes. ---
+        // Where the repair traffic will mostly come from: the rack holding
+        // the plurality of surviving sources. Destinations outside it pay
+        // the cross-fabric clamp, which steers the repair into the sources'
+        // rack when the spine is the scarce resource. `None` on a flat
+        // fabric.
+        let src_rack = self.majority_rack(&candidates.iter().map(|s| s.node).collect::<Vec<_>>());
+        let stripe_nodes = ctx.cluster.placement().stripe_nodes(chunk.stripe);
+        let destination = ctx
+            .cluster
+            .alive_storage_nodes()
+            .iter()
+            .copied()
+            .filter(|n| !stripe_nodes.contains(n) && !forbidden_destinations.contains(n))
+            .min_by(|&a, &b| {
+                self.down_time_from(a, 1.0, chunk_size, src_rack)
+                    .total_cmp(&self.down_time_from(b, 1.0, chunk_size, src_rack))
+                    .then(a.cmp(&b))
+            })
+            .ok_or(SelectError::NoDestination)?;
+
+        let relayable = requirement.supports_relaying();
+        let (sources, fan_in) = if !relayable {
+            // Sub-chunk repairs: direct transfers only (no elastic plan).
+            let fan_in = vec![0; candidates.len()];
+            (candidates, fan_in)
+        } else if self.resources == Resources::Storage {
+            self.place_disk_tasks(candidates, count, chunk_size)
+        } else {
+            self.place_network_tasks(candidates, count, destination, src_rack, chunk_size)
+        };
+        let nodes: Vec<NodeId> = sources.iter().map(|s| s.node).collect();
+        let parents = pair_tasks(fan_in, &nodes);
+        let selection = Selection {
+            destination,
+            sources,
+            relayable,
+        };
+        let estimated_secs = self.cost(&selection, &parents, chunk_size);
+        Ok(TaskAssignment {
+            chunk,
+            selection,
+            parents,
+            estimated_secs,
+        })
+    }
+
+    /// ChameleonEC-IO: only reads (sources) and the write (destination)
+    /// consume storage bandwidth, so pick the `count` sources with the
+    /// most idle disk-read bandwidth. Without network measurements the
+    /// transmission topology is fixed: the fan-ins of a balanced
+    /// aggregation tree over them.
+    fn place_disk_tasks(
+        &self,
+        candidates: Vec<SourcePick>,
+        count: usize,
+        chunk_size: f64,
+    ) -> (Vec<SourcePick>, Vec<usize>) {
+        let read_time = |ci: usize| self.up_time_to(candidates[ci].node, 1.0, chunk_size, None);
+        let mut picks: Vec<usize> = (0..candidates.len()).collect();
+        picks.sort_by(|&a, &b| read_time(a).total_cmp(&read_time(b)).then(a.cmp(&b)));
+        picks.truncate(count);
+        picks.sort_unstable();
+        let mut fan_in = vec![0; count];
+        for parent in PlanShape::Tree.parents(count).into_iter().flatten() {
+            fan_in[parent] += 1;
+        }
+        (picks.into_iter().map(|ci| candidates[ci]).collect(), fan_in)
+    }
+
+    /// Places a whole-chunk repair's `count` download and `count` upload
+    /// tasks on the network, minimum-estimated-time first: each download
+    /// after the destination's first goes to the destination or makes a
+    /// source a relay, whichever finishes sooner; then the fastest
+    /// remaining sources fill the pure-uploader slots. Returns the sources
+    /// and their fan-ins.
+    fn place_network_tasks(
+        &self,
+        candidates: Vec<SourcePick>,
+        count: usize,
+        destination: NodeId,
+        src_rack: Option<usize>,
+        chunk_size: f64,
+    ) -> (Vec<SourcePick>, Vec<usize>) {
+        let dest_rack = self.rack(destination);
+        // This chunk's download tasks: the destination always takes the
+        // first; `fan_in` counts those routed through each candidate.
+        let mut at_destination = 1usize;
+        let mut fan_in = vec![0usize; candidates.len()];
+        for _ in 1..count {
+            // Option A: another download at the destination (arriving from
+            // the sources' majority rack).
+            let mut best_time =
+                self.up_time_to(destination, 0.0, chunk_size, None)
+                    .max(self.down_time_from(
+                        destination,
+                        (at_destination + 1) as f64,
+                        chunk_size,
+                        src_rack,
+                    ));
+            let mut best: Option<usize> = None; // None = destination
+
+            // Option B: a download at candidate source i (making it a relay
+            // — its merged upload, one task either way, then heads for the
+            // destination's rack).
+            for (ci, s) in candidates.iter().enumerate() {
+                let t =
+                    self.up_time_to(s.node, 1.0, chunk_size, dest_rack)
+                        .max(self.down_time_from(
+                            s.node,
+                            (fan_in[ci] + 1) as f64,
+                            chunk_size,
+                            src_rack,
+                        ));
+                if t < best_time {
+                    best_time = t;
+                    best = Some(ci);
+                }
+            }
+            match best {
+                None => at_destination += 1,
+                Some(ci) => fan_in[ci] += 1,
+            }
+        }
+
+        // Relay sources are fixed; pick the remaining pure uploaders
+        // minimum-time-first among candidates without download tasks.
+        let relay_count = fan_in.iter().filter(|&&d| d > 0).count();
+        let upload_time =
+            |ci: usize| self.up_time_to(candidates[ci].node, 1.0, chunk_size, dest_rack);
+        let mut pure: Vec<usize> = (0..candidates.len())
+            .filter(|&ci| fan_in[ci] == 0)
+            .collect();
+        pure.sort_by(|&a, &b| upload_time(a).total_cmp(&upload_time(b)).then(a.cmp(&b)));
+        pure.truncate(count - relay_count);
+
+        let (sources, fan_in): (Vec<SourcePick>, Vec<usize>) = candidates
+            .into_iter()
+            .zip(fan_in)
+            .enumerate()
+            .filter(|(ci, (_, d))| *d > 0 || pure.contains(ci))
+            .map(|(_, tasks)| tasks)
+            .unzip();
+        debug_assert_eq!(sources.len(), count);
+        (sources, fan_in)
     }
 }
 
 /// The dispatch result for one chunk: the selection it settled on, the
-/// download tasks routed through each source, and the estimated completion
-/// time used for phase admission and straggler expectations.
+/// plan its tasks pair into, and the estimated completion time used for
+/// phase admission and straggler expectations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TaskAssignment {
     /// The failed chunk.
     pub chunk: ChunkId,
     /// The chosen destination and sources.
     pub selection: Selection,
-    /// Download tasks assigned to each source, index-aligned with
-    /// `selection.sources` (0 for pure uploaders; ≥ 1 makes it a relay).
-    pub downloads: Vec<f64>,
-    /// Estimated seconds for this chunk's repair under the current phase
-    /// load (the max `R_i` over all involved nodes).
+    /// The source each source uploads to (`None`: the destination),
+    /// index-aligned with `selection.sources`; a source's fan-in is the
+    /// number of download tasks dispatched to it.
+    pub parents: Vec<Option<usize>>,
+    /// Estimated seconds for this chunk's repair under the phase load it
+    /// was dispatched against: the max over its plan's nodes of their
+    /// upload and download completion estimates.
     pub estimated_secs: f64,
 }
 
-impl TaskAssignment {
-    /// Download tasks terminating at the destination: every upload (in
-    /// chunk equivalents) that no relay receives.
-    pub fn dest_downloads(&self) -> f64 {
-        let uploads: f64 = self.selection.sources.iter().map(|s| s.fraction).sum();
-        uploads - self.downloads.iter().sum::<f64>()
-    }
-
-    /// Releases the task counters that dispatching this chunk under
-    /// `resources` added (called on completion): every source's upload, the
-    /// destination's downloads, and — on the network only, since a relay
-    /// transfer touches no disk — the relays' downloads. Values are clamped
-    /// at zero, which also handles chunks that outlive the phase they were
-    /// dispatched in.
-    pub fn release(&self, phase: &mut PhaseState, resources: Resources) {
-        let mut take = |node: NodeId, up: f64, down: f64| {
-            phase.t_up[node] = (phase.t_up[node] - up).max(0.0);
-            phase.t_down[node] = (phase.t_down[node] - down).max(0.0);
-        };
-        take(self.selection.destination, 0.0, self.dest_downloads());
-        for (s, &downloads) in self.selection.sources.iter().zip(&self.downloads) {
-            let relayed = if resources == Resources::Network {
-                downloads
-            } else {
-                0.0
-            };
-            take(s.node, s.fraction, relayed);
-        }
-    }
-}
-
-/// Dispatches the repair tasks for one failed chunk (§III-A), mutating the
-/// phase counters. Use a cloned [`PhaseState`] to probe without
-/// committing.
-///
-/// Equivalent to [`dispatch_chunk_for`] with [`Resources::Network`].
+/// Dispatches the repair tasks for one failed chunk (§III-A) against the
+/// phase counters and commits them: a minimum-time-first destination,
+/// then the sources and their fan-ins, paired into a plan by Algorithm 1.
 ///
 /// # Errors
 ///
@@ -274,203 +468,9 @@ pub fn dispatch_chunk(
     chunk: ChunkId,
     forbidden_destinations: &[NodeId],
 ) -> Result<TaskAssignment, SelectError> {
-    dispatch_chunk_for(
-        ctx,
-        phase,
-        chunk,
-        forbidden_destinations,
-        Resources::Network,
-    )
-}
-
-/// [`dispatch_chunk`] with an explicit resource model.
-///
-/// With [`Resources::Storage`] (ChameleonEC-IO, §III-D) the balanced
-/// quantities are the *disk read* tasks at the sources and the *disk
-/// write* task at the destination; relay transfers consume no storage
-/// bandwidth, so the plan's shape is a fixed balanced tree — exactly the
-/// read/write task dispatch the paper describes for storage-bottlenecked
-/// clusters.
-///
-/// # Errors
-///
-/// Same as [`dispatch_chunk`].
-pub fn dispatch_chunk_for(
-    ctx: &RepairContext,
-    phase: &mut PhaseState,
-    chunk: ChunkId,
-    forbidden_destinations: &[NodeId],
-    resources: Resources,
-) -> Result<TaskAssignment, SelectError> {
-    let chunk_size = ctx.chunk_size() as f64;
-    let (requirement, candidates, count) = repair_candidates(ctx, chunk)?;
-
-    // --- Destination: minimum-time-first over off-stripe alive nodes. ---
-    // Where the repair traffic will mostly come from: the rack holding the
-    // plurality of surviving sources. Destinations outside it pay the
-    // cross-fabric clamp, which steers the repair into the sources' rack
-    // when the spine is the scarce resource. `None` on a flat fabric.
-    let src_rack = if resources == Resources::Network {
-        let nodes: Vec<NodeId> = candidates.iter().map(|s| s.node).collect();
-        phase.majority_rack(&nodes)
-    } else {
-        None
-    };
-    let stripe_nodes = ctx.cluster.placement().stripe_nodes(chunk.stripe);
-    let destination = ctx
-        .cluster
-        .alive_storage_nodes()
-        .iter()
-        .copied()
-        .filter(|n| !stripe_nodes.contains(n) && !forbidden_destinations.contains(n))
-        .min_by(|&a, &b| {
-            phase
-                .down_time_from(a, 1.0, chunk_size, src_rack)
-                .total_cmp(&phase.down_time_from(b, 1.0, chunk_size, src_rack))
-                .then(a.cmp(&b))
-        })
-        .ok_or(SelectError::NoDestination)?;
-
-    let relayable = requirement.supports_relaying();
-    let (sources, downloads) = if !relayable {
-        // Sub-chunk repairs: direct transfers only (no elastic plan).
-        for s in &candidates {
-            phase.t_up[s.node] += s.fraction;
-            phase.t_down[destination] += s.fraction;
-        }
-        let downloads = vec![0.0; candidates.len()];
-        (candidates, downloads)
-    } else if resources == Resources::Storage {
-        place_disk_tasks(phase, candidates, count, destination, chunk_size)
-    } else {
-        place_network_tasks(phase, candidates, count, destination, src_rack, chunk_size)
-    };
-    let estimated_secs = sources
-        .iter()
-        .map(|s| phase.node_time(s.node, chunk_size))
-        .fold(phase.node_time(destination, chunk_size), f64::max);
-    Ok(TaskAssignment {
-        chunk,
-        selection: Selection {
-            destination,
-            sources,
-            relayable,
-        },
-        downloads,
-        estimated_secs,
-    })
-}
-
-/// ChameleonEC-IO: only reads (sources) and the write (destination)
-/// consume storage bandwidth, so pick the `count` sources with the most
-/// idle disk-read bandwidth. Without network measurements the transmission
-/// topology is fixed: a balanced aggregation tree over them, whose fan-in
-/// shapes the plan without touching the disk counters.
-fn place_disk_tasks(
-    phase: &mut PhaseState,
-    candidates: Vec<SourcePick>,
-    count: usize,
-    destination: NodeId,
-    chunk_size: f64,
-) -> (Vec<SourcePick>, Vec<f64>) {
-    let read_time = |s: &SourcePick| phase.up_time_to(s.node, 1.0, chunk_size, None);
-    let mut picks: Vec<usize> = (0..candidates.len()).collect();
-    picks.sort_by(|&a, &b| {
-        read_time(&candidates[a])
-            .total_cmp(&read_time(&candidates[b]))
-            .then(a.cmp(&b))
-    });
-    picks.truncate(count);
-    picks.sort_unstable();
-    // One disk write at the destination restores the chunk.
-    phase.t_down[destination] += 1.0;
-    let mut downloads = vec![0.0; count];
-    for parent in PlanShape::Tree.parents(count).into_iter().flatten() {
-        downloads[parent] += 1.0;
-    }
-    let mut sources = Vec::with_capacity(count);
-    for ci in picks {
-        phase.t_up[candidates[ci].node] += 1.0;
-        sources.push(candidates[ci]);
-    }
-    (sources, downloads)
-}
-
-/// Places a whole-chunk repair's `count` download and `count` upload tasks
-/// on the network, minimum-estimated-time first: each download after the
-/// destination's first goes to the destination or makes a source a relay,
-/// whichever finishes sooner; then the fastest remaining sources fill the
-/// pure-uploader slots.
-fn place_network_tasks(
-    phase: &mut PhaseState,
-    candidates: Vec<SourcePick>,
-    count: usize,
-    destination: NodeId,
-    src_rack: Option<usize>,
-    chunk_size: f64,
-) -> (Vec<SourcePick>, Vec<f64>) {
-    let dest_rack = phase.rack(destination);
-    // The destination always takes the first download task.
-    phase.t_down[destination] += 1.0;
-    // Download tasks routed through this chunk's plan, per candidate.
-    let mut downloads = vec![0.0f64; candidates.len()];
-    for _ in 1..count {
-        // Option A: another download at the destination (arriving from the
-        // sources' majority rack).
-        let mut best_time = phase
-            .up_time_to(destination, 0.0, chunk_size, None)
-            .max(phase.down_time_from(destination, 1.0, chunk_size, src_rack));
-        let mut best: Option<usize> = None; // None = destination
-
-        // Option B: a download at candidate source i (making it a relay —
-        // its merged upload then heads for the destination's rack).
-        for (ci, s) in candidates.iter().enumerate() {
-            let up_extra = if downloads[ci] == 0.0 { 1.0 } else { 0.0 };
-            let t = phase
-                .up_time_to(s.node, up_extra, chunk_size, dest_rack)
-                .max(phase.down_time_from(s.node, 1.0, chunk_size, src_rack));
-            if t < best_time {
-                best_time = t;
-                best = Some(ci);
-            }
-        }
-
-        match best {
-            None => phase.t_down[destination] += 1.0,
-            Some(ci) => {
-                let node = candidates[ci].node;
-                if downloads[ci] == 0.0 {
-                    // Becoming a relay adds the associated upload task.
-                    phase.t_up[node] += 1.0;
-                }
-                phase.t_down[node] += 1.0;
-                downloads[ci] += 1.0;
-            }
-        }
-    }
-
-    // Relay sources are fixed; pick the remaining pure uploaders
-    // minimum-time-first among candidates without download tasks.
-    let relay_count = downloads.iter().filter(|&&d| d > 0.0).count();
-    let upload_time = |ci: usize| phase.up_time_to(candidates[ci].node, 1.0, chunk_size, dest_rack);
-    let mut pure: Vec<usize> = (0..candidates.len())
-        .filter(|&ci| downloads[ci] == 0.0)
-        .collect();
-    pure.sort_by(|&a, &b| upload_time(a).total_cmp(&upload_time(b)).then(a.cmp(&b)));
-    pure.truncate(count - relay_count);
-    for &ci in &pure {
-        phase.t_up[candidates[ci].node] += 1.0;
-    }
-
-    let (sources, downloads): (Vec<SourcePick>, Vec<f64>) = candidates
-        .into_iter()
-        .zip(downloads)
-        .enumerate()
-        .filter(|(ci, (_, d))| *d > 0.0 || pure.contains(ci))
-        .map(|(_, tasks)| tasks)
-        .unzip();
-    debug_assert_eq!(sources.len(), count);
-    (sources, downloads)
+    let assignment = phase.assign(ctx, chunk, forbidden_destinations)?;
+    phase.commit(&assignment);
+    Ok(assignment)
 }
 
 #[cfg(test)]
@@ -485,6 +485,11 @@ mod tests {
         RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()))
     }
 
+    /// Chunk `index` of `stripe`.
+    fn chunk(stripe: usize, index: usize) -> ChunkId {
+        ChunkId { stripe, index }
+    }
+
     fn flat_phase(ctx: &RepairContext) -> PhaseState {
         let n = ctx.cluster.storage_nodes();
         PhaseState::flat(vec![100.0; n], vec![100.0; n])
@@ -494,16 +499,11 @@ mod tests {
     fn dispatch_produces_k_sources_and_valid_counts() {
         let ctx = ctx();
         let mut phase = flat_phase(&ctx);
-        let chunk = ChunkId {
-            stripe: 0,
-            index: 1,
-        };
+        let chunk = chunk(0, 1);
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
         assert_eq!(a.selection.sources.len(), 4);
         assert!(a.selection.relayable);
-        assert!(a.dest_downloads() >= 1.0);
-        let total_downloads: f64 = a.downloads.iter().sum::<f64>() + a.dest_downloads();
-        assert!((total_downloads - 4.0).abs() < 1e-9);
+        assert!(a.parents.contains(&None));
         assert!(a.estimated_secs > 0.0);
         // Destination is off-stripe and alive.
         assert!(!ctx
@@ -525,10 +525,7 @@ mod tests {
         for n in 0..ctx.cluster.storage_nodes() {
             phase.b_down[n] = if n == idle { 1000.0 } else { 10.0 };
         }
-        let chunk = ChunkId {
-            stripe: 0,
-            index: 0,
-        };
+        let chunk = chunk(0, 0);
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
         assert_eq!(a.selection.destination, idle);
     }
@@ -544,57 +541,34 @@ mod tests {
         for &n in &stripe_nodes {
             phase.b_up[n] = 1.0;
         }
-        let chunk = ChunkId {
-            stripe: 0,
-            index: 0,
-        };
+        let chunk = chunk(0, 0);
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
         // No source should have been made a relay: relaying needs an
         // extra upload on a clogged uplink.
-        assert!(a.downloads.iter().all(|&d| d == 0.0), "{a:?}");
-        assert!((a.dest_downloads() - 4.0).abs() < 1e-9);
+        assert_eq!(a.parents, [None; 4], "{a:?}");
     }
 
     #[test]
     fn counters_accumulate_across_chunks() {
         let ctx = ctx();
         let mut phase = flat_phase(&ctx);
-        let a1 = dispatch_chunk(
-            &ctx,
-            &mut phase,
-            ChunkId {
-                stripe: 0,
-                index: 0,
-            },
-            &[],
-        )
-        .unwrap();
-        let before = phase.t_down[a1.selection.destination];
-        assert!(before >= 1.0);
-        let a2 = dispatch_chunk(
-            &ctx,
-            &mut phase,
-            ChunkId {
-                stripe: 1,
-                index: 0,
-            },
-            &[],
-        )
-        .unwrap();
-        // Second chunk sees the first chunk's load; estimates grow.
+        let a1 = dispatch_chunk(&ctx, &mut phase, chunk(0, 0), &[]).unwrap();
+        assert!(phase.t_down[a1.selection.destination] >= 1.0);
+        // The second chunk sees the first chunk's load; estimates grow.
+        let a2 = dispatch_chunk(&ctx, &mut phase, chunk(1, 0), &[]).unwrap();
         assert!(a2.estimated_secs >= a1.estimated_secs);
     }
 
     #[test]
     fn forbidden_destination_is_respected() {
         let ctx = ctx();
-        let chunk = ChunkId {
-            stripe: 0,
-            index: 0,
-        };
+        let chunk = chunk(0, 0);
         let mut phase = flat_phase(&ctx);
-        let first = dispatch_chunk(&ctx, &mut phase.clone(), chunk, &[]).unwrap();
-        let first = first.selection.destination;
+        let first = phase
+            .assign(&ctx, chunk, &[])
+            .unwrap()
+            .selection
+            .destination;
         let second = dispatch_chunk(&ctx, &mut phase, chunk, &[first]).unwrap();
         assert_ne!(first, second.selection.destination);
     }
@@ -616,10 +590,7 @@ mod tests {
         phase.rack_of = (0..n).map(|i| (i % 2) as u32).collect();
         phase.cross_up = vec![1.0, 1.0];
         phase.cross_down = vec![1.0, 1.0];
-        let chunk = ChunkId {
-            stripe: 0,
-            index: 0,
-        };
+        let chunk = chunk(0, 0);
         let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
         let source_nodes: Vec<NodeId> = a.selection.sources.iter().map(|s| s.node).collect();
         let src_rack = phase.majority_rack(&source_nodes).unwrap();
@@ -665,6 +636,85 @@ mod tests {
         assert_eq!(phase.majority_rack(&[0, 3, 1, 4, 2]), Some(0));
         assert_eq!(phase.majority_rack(&[1, 4, 2, 5]), Some(1));
         assert_eq!(phase.majority_rack(&[2, 1]), Some(1));
+    }
+
+    /// One ledger for every code, resource model and fabric: `cost` prices
+    /// exactly what `commit` adds, and releases in any order take away
+    /// exactly what was added.
+    #[test]
+    fn commit_release_and_cost_read_one_ledger() {
+        use crate::chameleon::establish_plan;
+        use chameleon_cluster::TopologySpec;
+        use chameleon_codes::{Butterfly, ErasureCode, Lrc};
+        let codes: [Arc<dyn ErasureCode>; 3] = [
+            Arc::new(ReedSolomon::new(4, 2).unwrap()),
+            Arc::new(Lrc::new(6, 2, 2).unwrap()),
+            Arc::new(Butterfly::new()),
+        ];
+        let fabrics = [
+            TopologySpec::Flat,
+            TopologySpec::Racked {
+                racks: 3,
+                oversub: 8.0,
+            },
+        ];
+        for code in codes {
+            for topology in fabrics {
+                for resources in [Resources::Network, Resources::Storage] {
+                    let case = format!("{} {topology:?} {resources:?}", code.name());
+                    let mut cfg = ClusterConfig::small(code.n());
+                    cfg.topology = topology;
+                    let ctx = RepairContext::new(Cluster::new(cfg).unwrap(), code.clone());
+                    let chunk_size = ctx.chunk_size() as f64;
+                    let idle =
+                        PhaseState::measure(&mut ctx.cluster.build_simulator(), &ctx, resources);
+                    let mut phase = idle.clone();
+                    let mut dispatched = Vec::new();
+                    for stripe in 0..8 {
+                        let a = phase.assign(&ctx, chunk(stripe, 0), &[]).unwrap();
+                        let cost = phase.cost(&a.selection, &a.parents, chunk_size);
+                        assert_eq!(cost.to_bits(), a.estimated_secs.to_bits(), "{case}");
+                        phase.commit(&a);
+                        let plan = establish_plan(&ctx, &a).unwrap();
+                        let committed = plan
+                            .participants()
+                            .iter()
+                            .map(|p| p.node)
+                            .chain([plan.destination()])
+                            .map(|n| {
+                                phase
+                                    .up_time_to(n, 0.0, chunk_size, None)
+                                    .max(phase.down_time_from(n, 0.0, chunk_size, None))
+                            })
+                            .fold(0.0, f64::max);
+                        assert_eq!(
+                            cost.to_bits(),
+                            committed.to_bits(),
+                            "{case} stripe {stripe}"
+                        );
+                        dispatched.push(a);
+                    }
+                    // Release all but the last, newest first: what remains
+                    // is the last chunk's tasks alone, then nothing.
+                    let last = dispatched.pop().unwrap();
+                    for a in dispatched.iter().rev() {
+                        phase.release(a);
+                    }
+                    let mut alone = idle.clone();
+                    alone.commit(&last);
+                    assert_eq!(
+                        (&phase.t_up, &phase.t_down),
+                        (&alone.t_up, &alone.t_down),
+                        "{case}"
+                    );
+                    phase.release(&last);
+                    assert!(
+                        phase.t_up.iter().chain(&phase.t_down).all(|&t| t == 0.0),
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

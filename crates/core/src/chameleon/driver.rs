@@ -6,7 +6,7 @@ use chameleon_cluster::ChunkId;
 use chameleon_simnet::{NodeId, Simulator, TimerId};
 
 use crate::campaign::{Attempt, Campaign, Planner, Running, TimerClaim};
-use crate::chameleon::dispatch::{dispatch_chunk_for, PhaseState, TaskAssignment};
+use crate::chameleon::dispatch::{PhaseState, TaskAssignment};
 use crate::chameleon::tunable::establish_plan;
 use crate::context::{RepairContext, Resources};
 use crate::plan::RepairPlan;
@@ -102,7 +102,6 @@ pub struct ChameleonStats {
 /// What the planner keeps per in-flight chunk.
 pub struct ChunkTasks {
     assignment: TaskAssignment,
-    estimated_secs: f64,
     /// Simulated time of the last straggler action on this chunk, for
     /// hysteresis (a re-tuned or re-ordered chunk gets time to recover
     /// before being flagged again).
@@ -160,9 +159,10 @@ impl ChameleonPlanner {
                 continue;
             }
             let elapsed = now - exec.started_at().unwrap_or(now);
+            let estimated_secs = &mut a.assignment.estimated_secs;
             if elapsed < self.config.straggler_min_delay_secs
-                || !a.estimated_secs.is_finite()
-                || a.estimated_secs <= 0.0
+                || !estimated_secs.is_finite()
+                || *estimated_secs <= 0.0
             {
                 continue;
             }
@@ -173,7 +173,7 @@ impl ChameleonPlanner {
                     continue;
                 }
             }
-            let expected = (elapsed / a.estimated_secs).min(1.0);
+            let expected = (elapsed / *estimated_secs).min(1.0);
             if exec.progress() >= expected * self.config.straggler_progress_ratio {
                 continue;
             }
@@ -195,7 +195,7 @@ impl ChameleonPlanner {
                     a.last_action_at = Some(now);
                     // The redirected transfer restarts; relax the
                     // expectation accordingly.
-                    a.estimated_secs *= 1.5;
+                    *estimated_secs *= 1.5;
                     continue;
                 }
             }
@@ -206,7 +206,7 @@ impl ChameleonPlanner {
                 pauses_available -= 1;
                 self.stats.reorders += 1;
                 a.last_action_at = Some(now);
-                a.estimated_secs *= 1.5;
+                *estimated_secs *= 1.5;
             }
         }
     }
@@ -287,8 +287,9 @@ impl Planner for ChameleonPlanner {
 
     /// Admits the chunk while its estimated repair time fits within
     /// `T_phase` (the paper's §III-A admission rule; a chunk is always
-    /// admitted when nothing else is in flight). Dispatch runs on a clone
-    /// of the phase state that is committed only with the plan.
+    /// admitted when nothing else is in flight). Dispatch only reads the
+    /// phase state; an admitted chunk's tasks are committed with its
+    /// plan.
     fn plan(
         &mut self,
         ctx: &RepairContext,
@@ -301,21 +302,18 @@ impl Planner for ChameleonPlanner {
             .phase_state
             .as_mut()
             .expect("a round measures the phase before it admits");
-        let mut probe = state.clone();
-        let planned = dispatch_chunk_for(ctx, &mut probe, chunk, promised, self.config.resources)
-            .and_then(|assignment| {
-                if assignment.estimated_secs > self.config.t_phase_secs && others_active {
-                    return Ok(None);
-                }
-                let plan = establish_plan(ctx, &assignment)?;
-                *state = probe;
-                let tasks = ChunkTasks {
-                    estimated_secs: assignment.estimated_secs,
-                    assignment,
-                    last_action_at: None,
-                };
-                Ok(Some((plan, tasks)))
-            });
+        let planned = state.assign(ctx, chunk, promised).and_then(|assignment| {
+            if assignment.estimated_secs > self.config.t_phase_secs && others_active {
+                return Ok(None);
+            }
+            let plan = establish_plan(ctx, &assignment)?;
+            state.commit(&assignment);
+            let tasks = ChunkTasks {
+                assignment,
+                last_action_at: None,
+            };
+            Ok(Some((plan, tasks)))
+        });
         self.stats.plan_compute_secs += compute_start.elapsed().as_secs_f64();
         planned
     }
@@ -329,7 +327,7 @@ impl Planner for ChameleonPlanner {
         running: &mut Running<ChunkTasks>,
     ) {
         if let Some(state) = self.phase_state.as_mut() {
-            ended.assignment.release(state, self.config.resources);
+            state.release(&ended.assignment);
         }
         resume_all(sim, running);
     }
@@ -418,43 +416,19 @@ mod tests {
     }
 
     #[test]
-    fn completing_a_chunk_releases_its_task_counters() {
-        use crate::chameleon::dispatch::{dispatch_chunk_for, PhaseState};
-        let cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
-        let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
-        let n = ctx.cluster.storage_nodes();
-        let mut phase = PhaseState::flat(vec![100.0; n], vec![100.0; n]);
-        let chunk = chameleon_cluster::ChunkId {
-            stripe: 0,
-            index: 0,
-        };
-        for resources in [Resources::Network, Resources::Storage] {
-            let a = dispatch_chunk_for(&ctx, &mut phase, chunk, &[], resources).unwrap();
-            assert!(phase.t_up.iter().sum::<f64>() > 0.0);
-            assert!(phase.t_down.iter().sum::<f64>() > 0.0);
-            a.release(&mut phase, resources);
-            assert_eq!(phase.t_up.iter().sum::<f64>(), 0.0, "{resources:?}");
-            assert_eq!(phase.t_down.iter().sum::<f64>(), 0.0, "{resources:?}");
-        }
-    }
-
-    #[test]
     fn io_variant_builds_tree_shaped_plans() {
-        use crate::chameleon::dispatch::{dispatch_chunk_for, PhaseState};
-        use crate::chameleon::establish_plan;
-        use crate::context::Resources;
+        use crate::chameleon::{dispatch_chunk, establish_plan};
         let cluster = Cluster::new(ClusterConfig::small(6)).unwrap();
         let ctx = RepairContext::new(cluster, Arc::new(ReedSolomon::new(4, 2).unwrap()));
         let n = ctx.cluster.storage_nodes();
         let mut phase = PhaseState::flat(vec![100.0; n], vec![100.0; n]);
+        phase.resources = Resources::Storage;
         let chunk = chameleon_cluster::ChunkId {
             stripe: 0,
             index: 0,
         };
-        let a = dispatch_chunk_for(&ctx, &mut phase, chunk, &[], Resources::Storage).unwrap();
-        // Exactly one network edge into the destination (the tree root),
-        // and one disk write accounted there.
-        assert_eq!(a.dest_downloads(), 1.0);
+        let a = dispatch_chunk(&ctx, &mut phase, chunk, &[]).unwrap();
+        // Exactly one network edge into the destination (the tree root).
         let plan = establish_plan(&ctx, &a).unwrap();
         assert!(plan.validate().is_ok());
         assert_eq!(plan.inputs_of(plan.destination()).len(), 1);
