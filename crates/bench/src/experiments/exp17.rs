@@ -112,6 +112,12 @@ fn crash_count(plan: &FaultPlan) -> usize {
         .count()
 }
 
+/// The header line that opens one cell's records in `exp17_ledger.jsonl`:
+/// `{"event":"run","label":"…"}`.
+pub fn run_line(label: &str) -> String {
+    format!("{{\"event\":\"run\",\"label\":\"{label}\"}}")
+}
+
 /// Runs the experiment at the given scale across `jobs` workers.
 pub fn run(scale: &Scale, jobs: usize) -> Report {
     let mut report = Report::default();
@@ -224,10 +230,8 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             format!("{:.1}", r.mean_budget_rate / 1e6),
             format!("{:.2}", out.run.sim.end_secs()),
         ]);
-        ledger.push_str(&format!(
-            "{{\"event\":\"run\",\"label\":\"{}\"}}\n",
-            cell.label()
-        ));
+        ledger.push_str(&run_line(&cell.label()));
+        ledger.push('\n');
         ledger.push_str(&out.ledger_jsonl);
     }
     report.tables.push(table);

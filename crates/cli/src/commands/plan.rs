@@ -4,7 +4,7 @@
 use chameleon_cluster::{ChunkId, Cluster, ClusterConfig, PlacementStrategy, TopologySpec};
 use chameleon_core::chameleon::{dispatch_chunk, establish_plan, PhaseState};
 use chameleon_core::{RepairContext, RepairPlan};
-use chameleon_simnet::{NodeCaps, NodeId};
+use chameleon_simnet::NodeCaps;
 
 use crate::args::{parse_code, storage_nodes, Flags};
 
@@ -76,21 +76,20 @@ pub fn run(args: &[String]) -> Result<(), String> {
 /// Prints the in-tree rooted at the destination.
 fn print_tree(plan: &RepairPlan) {
     println!("destination: node {}", plan.destination());
-    for input in plan.inputs_of(plan.destination()) {
-        print_subtree(plan, input, 1);
-    }
+    print_inputs(plan, None, 1);
 }
 
-fn print_subtree(plan: &RepairPlan, node: NodeId, depth: usize) {
-    let p = plan.participants()[plan.participant_on(node).expect("participant")];
-    println!(
-        "{}└─ node {} (chunk {}, alpha = {})",
-        "   ".repeat(depth),
-        node,
-        p.chunk_index,
-        p.coeff
-    );
-    for input in plan.inputs_of(node) {
-        print_subtree(plan, input, depth + 1);
+/// Prints the subtrees uploading to `parent` (the destination when `None`).
+fn print_inputs(plan: &RepairPlan, parent: Option<usize>, depth: usize) {
+    for i in plan.inputs(parent) {
+        let p = plan.participants()[i];
+        println!(
+            "{}└─ node {} (chunk {}, alpha = {})",
+            "   ".repeat(depth),
+            p.node,
+            p.chunk_index,
+            p.coeff
+        );
+        print_inputs(plan, Some(i), depth + 1);
     }
 }

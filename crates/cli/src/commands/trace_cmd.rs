@@ -2,11 +2,12 @@
 //!
 //! Reads the flow-lifecycle events, repair-span records, given-up chunk
 //! records, and the engine profile footer written by `repair --trace` /
-//! `sweep --trace` — plus the repair-ledger and data-loss records written
-//! by `orchestrate --ledger` — and prints per-class event counts,
-//! delivered bytes, abort causes, span latency percentiles, ledger state
-//! tallies, and the engine counters. Lines are read with the workspace's
-//! one flat-JSON field reader ([`chameleon_simnet::trace::field`]).
+//! `sweep --trace` — plus the repair-ledger, data-loss and budget-starved
+//! records written by `orchestrate --ledger` — and prints per-class event
+//! counts, delivered bytes, abort causes, span latency percentiles, ledger
+//! state tallies, clamped budget negotiations, and the engine counters.
+//! Lines are read with the workspace's one flat-JSON field reader
+//! ([`chameleon_simnet::trace::field`]).
 
 use std::collections::BTreeMap;
 
@@ -52,6 +53,8 @@ struct TraceSummary {
     /// Terminal-state tallies from `orchestrate` ledger records.
     ledger_states: BTreeMap<String, usize>,
     data_loss_events: usize,
+    /// Budget negotiations the orchestrator clamped up to its floor.
+    budget_starved: usize,
     campaign_runs: usize,
     first_at: f64,
     last_at: f64,
@@ -121,6 +124,7 @@ fn summarize(jsonl: &str) -> Result<TraceSummary, String> {
                     s.last_at = s.last_at.max(t);
                 }
             }
+            "budget_starved" => s.budget_starved += 1,
             "run" => s.campaign_runs += 1,
             "profile" => {
                 s.profile_runs += 1;
@@ -186,6 +190,12 @@ impl TraceSummary {
             out.push_str(&format!(
                 "  data loss       : {} stripe event(s)\n",
                 self.data_loss_events
+            ));
+        }
+        if self.budget_starved > 0 {
+            out.push_str(&format!(
+                "  budget starved  : {} negotiation(s) clamped\n",
+                self.budget_starved
             ));
         }
         if self.profile_runs > 0 {
@@ -304,6 +314,98 @@ mod tests {
         assert_eq!(
             crate::commands::repair::engine_line(&s.profile),
             format!("engine: {shown}")
+        );
+    }
+
+    /// Every record kind a product writer emits reads back: one line of
+    /// each, rendered by the writer itself, not spelled out by hand.
+    #[test]
+    fn every_record_kind_the_product_writes_summarizes() {
+        use chameleon_cluster::ChunkId;
+        use chameleon_core::{
+            BudgetStarvedEvent, DataLossEvent, GivenUpChunk, LedgerEntry, LedgerState, RepairSpan,
+        };
+        use chameleon_simnet::trace::{AbortCause, TraceEvent, TraceEventKind};
+        use chameleon_simnet::Traffic;
+
+        let flow = |kind| TraceEvent {
+            at_secs: 1.0,
+            flow: 3,
+            tag: Traffic::Repair,
+            src: 0,
+            dst: 4,
+            kind,
+        };
+        let lines = [
+            flow(TraceEventKind::Admitted { bytes: 64.0 }).to_json_line(),
+            flow(TraceEventKind::RateChanged { rate: 8.0 }).to_json_line(),
+            flow(TraceEventKind::Completed { bytes: 64.0 }).to_json_line(),
+            flow(TraceEventKind::Aborted {
+                cause: AbortCause::Cancelled,
+                remaining: 2.0,
+            })
+            .to_json_line(),
+            RepairSpan {
+                stripe: 0,
+                index: 1,
+                started_secs: 0.5,
+                finished_secs: 2.0,
+                attempts: 1,
+            }
+            .to_json_line(),
+            GivenUpChunk {
+                stripe: 2,
+                index: 0,
+                attempts: 3,
+            }
+            .to_json_line(),
+            EngineProfile::default().to_json_line(),
+            DataLossEvent {
+                stripe: 7,
+                at_secs: 3.5,
+                erasures: 3,
+            }
+            .to_json_line(),
+            BudgetStarvedEvent {
+                at_secs: 4.0,
+                negotiated_rate: 1.0,
+                clamped_rate: 2.0,
+            }
+            .to_json_line(),
+            LedgerEntry {
+                state: LedgerState::Repaired,
+                attempts: 1,
+                enqueued_secs: 0.5,
+                updated_secs: 2.0,
+                requeues: 0,
+            }
+            .to_json_line(ChunkId {
+                stripe: 0,
+                index: 1,
+            }),
+            chameleon_bench::experiments::exp17::run_line("priority/CR/seed1"),
+        ];
+        let s = summarize(&(lines.join("\n") + "\n")).unwrap();
+        assert_eq!(s.lines, lines.len());
+        let c = s.classes["repair"];
+        assert_eq!([c.admitted, c.rate_changed, c.completed, c.aborted], [1; 4]);
+        assert_eq!(
+            (s.abort_causes["cancelled"], &s.span_secs[..]),
+            (1, &[1.5][..])
+        );
+        assert_eq!([s.given_up, s.profile_runs, s.data_loss_events], [1; 3]);
+        assert_eq!(
+            [
+                s.budget_starved,
+                s.ledger_states["repaired"],
+                s.campaign_runs
+            ],
+            [1; 3]
+        );
+        let rendered = s.render("t.jsonl");
+        assert!(
+            rendered.contains("  budget starved  : 1 negotiation(s) clamped\n"),
+            "{rendered}"
         );
     }
 

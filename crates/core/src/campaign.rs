@@ -331,8 +331,7 @@ impl<P: Planner> Campaign<P> {
         let chunk = a.exec.plan().chunk();
         self.recovery
             .book_failed_attempt(a.exec.aborted_flows(), a.exec.sent_bytes());
-        self.errors
-            .push(RepairError::HelperLost { chunk, node: None });
+        self.errors.push(RepairError::HelperLost { chunk });
         let attempts = self.attempts.get(&chunk).copied().unwrap_or(1);
         let policy = &self.ctx.recovery;
         if attempts >= policy.max_attempts {

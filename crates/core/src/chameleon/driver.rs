@@ -179,18 +179,17 @@ impl ChameleonPlanner {
             }
             // Delayed. Prefer proactive re-tuning: redirect the laggiest
             // pending download at a relay to the destination.
-            let dst = exec.plan().destination();
             let lagging_edge = exec
                 .edge_progress()
                 .into_iter()
-                .filter(|e| e.to != dst && e.delivered < e.end - e.start)
+                .filter(|e| e.to.is_some() && e.delivered < e.end - e.start)
                 .min_by(|x, y| {
                     let fx = x.delivered as f64 / (x.end - x.start).max(1) as f64;
                     let fy = y.delivered as f64 / (y.end - y.start).max(1) as f64;
                     fx.total_cmp(&fy)
                 });
             if let Some(edge) = lagging_edge {
-                if exec.retune_input(sim, edge.to, edge.from) {
+                if exec.retune_input(sim, edge.source) {
                     self.stats.retunes += 1;
                     a.last_action_at = Some(now);
                     // The redirected transfer restarts; relax the
@@ -431,7 +430,7 @@ mod tests {
         // Exactly one network edge into the destination (the tree root).
         let plan = establish_plan(&ctx, &a).unwrap();
         assert!(plan.validate().is_ok());
-        assert_eq!(plan.inputs_of(plan.destination()).len(), 1);
+        assert_eq!(plan.inputs(None).count(), 1);
         // PPR-like balanced tree: depth ~ log2(k) + 1.
         assert!(
             plan.max_depth() >= 2 && plan.max_depth() <= 3,

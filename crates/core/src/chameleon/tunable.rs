@@ -186,12 +186,11 @@ mod tests {
                 assert!(plan.validate().is_ok(), "stripe {stripe} index {index}");
                 assert_eq!(plan.participants().len(), 4);
                 // Fan-in at each relay is its parent-vector fan-in.
-                for (s, d) in a.selection.sources.iter().zip(fan_in(&a.parents)) {
+                for (i, d) in fan_in(&a.parents).into_iter().enumerate() {
                     assert_eq!(
-                        plan.inputs_of(s.node).len(),
+                        plan.inputs(Some(i)).count(),
                         d,
-                        "stripe {stripe} node {}",
-                        s.node
+                        "stripe {stripe} source {i}"
                     );
                 }
             }

@@ -122,9 +122,6 @@ pub struct PlanCoder {
 /// every chunk into the same vectors.
 #[derive(Debug, Default)]
 struct Schedule {
-    /// The participant each participant forwards to (`None`: the
-    /// destination).
-    next: Vec<Option<usize>>,
     /// `(hops from the relay to the destination, relay, input)`, sorted:
     /// relays farther from the destination fold first, so a relay has
     /// received all of its inputs before it is folded into its own target.
@@ -135,27 +132,13 @@ struct Schedule {
 
 impl Schedule {
     fn rebuild(&mut self, plan: &RepairPlan) {
-        self.next.clear();
-        self.next.extend(
-            plan.participants()
-                .iter()
-                .map(|p| plan.participant_on(p.send_to)),
-        );
         self.folds.clear();
         self.roots.clear();
-        for (input, &next) in self.next.iter().enumerate() {
-            let Some(relay) = next else {
-                self.roots.push(input);
-                continue;
-            };
-            // Validated plans are acyclic: the walk ends at the destination.
-            let mut hops = 1;
-            let mut at = relay;
-            while let Some(onward) = self.next[at] {
-                at = onward;
-                hops += 1;
+        for (input, p) in plan.participants().iter().enumerate() {
+            match p.parent {
+                Some(relay) => self.folds.push((Reverse(plan.depth(relay)), relay, input)),
+                None => self.roots.push(input),
             }
-            self.folds.push((Reverse(hops), relay, input));
         }
         self.folds.sort_unstable();
     }
@@ -230,7 +213,7 @@ impl PlanCoder {
         self.reserve(participants.len());
         self.tables.prime(participants.iter().map(|p| p.coeff));
         self.schedule.rebuild(plan);
-        let Schedule { folds, roots, .. } = &self.schedule;
+        let Schedule { folds, roots } = &self.schedule;
 
         let mut off = 0;
         while off < len {
@@ -328,12 +311,13 @@ mod tests {
     use chameleon_gf::{mul_add_slice, Gf256};
     use chameleon_simnet::NodeId;
 
-    fn part(node: NodeId, send_to: NodeId, coeff: u8) -> Participant {
+    /// Participant on node `node` uploading to participant `parent`.
+    fn part(node: NodeId, parent: Option<usize>, coeff: u8) -> Participant {
         Participant {
             node,
             chunk_index: node,
             coeff: Gf256::new(coeff),
-            send_to,
+            parent,
             read_fraction: 1.0,
         }
     }
@@ -345,14 +329,19 @@ mod tests {
         }
     }
 
+    /// Participant `i` on node `i`, with coefficient `coeff(i)`, uploads to
+    /// participant `parents[i]` (the destination when `None`).
+    fn plan(parents: &[Option<usize>], coeff: impl Fn(usize) -> usize) -> RepairPlan {
+        let participants = parents
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| part(i, p, coeff(i) as u8));
+        RepairPlan::new(chunk(), parents.len(), participants.collect()).unwrap()
+    }
+
     #[test]
     fn star_plan_codes_all_stages_but_merge() {
-        let plan = RepairPlan::new(
-            chunk(),
-            4,
-            (0..4).map(|i| part(i, 4, (i + 2) as u8)).collect(),
-        )
-        .unwrap();
+        let plan = plan(&[None; 4], |i| i + 2);
         let mut coder = PlanCoder::new(64 * 1024);
         let stats = coder.run(&plan);
         assert_eq!(stats.chunks_coded, 1);
@@ -365,12 +354,7 @@ mod tests {
 
     #[test]
     fn chain_plan_accounts_relay_merges() {
-        let plan = RepairPlan::new(
-            chunk(),
-            4,
-            vec![part(0, 1, 3), part(1, 2, 5), part(2, 3, 7), part(3, 4, 9)],
-        )
-        .unwrap();
+        let plan = plan(&[Some(1), Some(2), Some(3), None], |i| 2 * i + 3);
         let mut coder = PlanCoder::new(32 * 1024);
         let stats = coder.run(&plan);
         // Three relays each merge one input; one root reaches the
@@ -381,9 +365,9 @@ mod tests {
 
     #[test]
     fn sub_chunk_plan_uses_fractional_reassembly() {
-        let mut a = part(0, 2, 1);
+        let mut a = part(0, None, 1);
         a.read_fraction = 0.5;
-        let mut b = part(1, 2, 1);
+        let mut b = part(1, None, 1);
         b.read_fraction = 0.5;
         let plan = RepairPlan::new(chunk(), 2, vec![a, b]).unwrap();
         let mut coder = PlanCoder::new(64 * 1024);
@@ -419,22 +403,9 @@ mod tests {
         // A 10-source tree whose relay folds fill the work blocks, then a
         // 4-source star over the same blocks; three full blocks and a
         // ragged tail each.
-        let tree = RepairPlan::new(
-            chunk(),
-            10,
-            [1, 3, 3, 7, 5, 7, 7, 10, 9, 10]
-                .iter()
-                .enumerate()
-                .map(|(i, &to)| part(i, to, (3 * i + 2) as u8))
-                .collect(),
-        )
-        .unwrap();
-        let star = RepairPlan::new(
-            chunk(),
-            4,
-            (0..4).map(|i| part(i, 4, (i + 7) as u8)).collect(),
-        )
-        .unwrap();
+        let parents = [1, 3, 3, 7, 5, 7, 7, 10, 9, 10].map(|p| (p < 10).then_some(p));
+        let tree = plan(&parents, |i| 3 * i + 2);
+        let star = plan(&[None; 4], |i| i + 7);
         let mut coder = PlanCoder::with_stripe(3 * 4096 + 100, 4096);
         assert_blocks_are_the_naive_combination(&mut coder, &tree);
         assert_blocks_are_the_naive_combination(&mut coder, &star);
@@ -472,7 +443,7 @@ mod tests {
 
     #[test]
     fn run_records_active_kernel() {
-        let plan = RepairPlan::new(chunk(), 2, vec![part(0, 2, 3), part(1, 2, 5)]).unwrap();
+        let plan = plan(&[None; 2], |i| 2 * i + 3);
         let mut coder = PlanCoder::new(4 * 1024);
         let stats = coder.run(&plan);
         assert_eq!(stats.kernel, chameleon_gf::active_kernel());

@@ -5,31 +5,20 @@
 //! [`RepairError`] is the single error type those paths propagate.
 
 use chameleon_cluster::ChunkId;
-use chameleon_simnet::NodeId;
-
-use crate::plan::PlanError;
-use crate::select::SelectError;
 
 /// Why a repair step failed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RepairError {
-    /// Source selection failed (not enough survivors, or nowhere to put
-    /// the repaired chunk).
-    Select(SelectError),
-    /// A constructed plan violated an invariant.
-    Plan(PlanError),
     /// A helper or the destination was lost mid-attempt.
     HelperLost {
         /// The chunk whose attempt died.
         chunk: ChunkId,
-        /// The node that failed, when known.
-        node: Option<NodeId>,
     },
     /// A chunk was skipped without an attempt: source selection or plan
     /// construction failed terminally (too many erasures, or nowhere to
-    /// put the result). Unlike [`RepairError::Select`], this identifies
-    /// the chunk — orchestration needs every admitted chunk to surface in
-    /// exactly one terminal record (span, retries-exhausted, or this).
+    /// put the result). Orchestration needs every admitted chunk to
+    /// surface in exactly one terminal record (span, retries-exhausted, or
+    /// this).
     Unrepairable {
         /// The chunk that could not be dispatched.
         chunk: ChunkId,
@@ -50,20 +39,11 @@ pub enum RepairError {
 impl std::fmt::Display for RepairError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            RepairError::Select(e) => write!(f, "source selection failed: {e}"),
-            RepairError::Plan(e) => write!(f, "invalid repair plan: {e}"),
-            RepairError::HelperLost { chunk, node } => match node {
-                Some(n) => write!(
-                    f,
-                    "repair of stripe {} chunk {} lost node {n} mid-attempt",
-                    chunk.stripe, chunk.index
-                ),
-                None => write!(
-                    f,
-                    "repair of stripe {} chunk {} lost a participant mid-attempt",
-                    chunk.stripe, chunk.index
-                ),
-            },
+            RepairError::HelperLost { chunk } => write!(
+                f,
+                "repair of stripe {} chunk {} lost a participant mid-attempt",
+                chunk.stripe, chunk.index
+            ),
             RepairError::Unrepairable { chunk } => write!(
                 f,
                 "stripe {} chunk {} is unrepairable (skipped without an attempt)",
@@ -79,27 +59,7 @@ impl std::fmt::Display for RepairError {
     }
 }
 
-impl std::error::Error for RepairError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            RepairError::Select(e) => Some(e),
-            RepairError::Plan(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SelectError> for RepairError {
-    fn from(e: SelectError) -> Self {
-        RepairError::Select(e)
-    }
-}
-
-impl From<PlanError> for RepairError {
-    fn from(e: PlanError) -> Self {
-        RepairError::Plan(e)
-    }
-}
+impl std::error::Error for RepairError {}
 
 #[cfg(test)]
 mod tests {
@@ -111,18 +71,10 @@ mod tests {
             stripe: 3,
             index: 1,
         };
-        let e = RepairError::HelperLost {
-            chunk,
-            node: Some(7),
-        };
+        let e = RepairError::HelperLost { chunk };
         assert!(e.to_string().contains("stripe 3"));
-        assert!(e.to_string().contains("node 7"));
+        assert!(e.to_string().contains("lost a participant"));
         let e = RepairError::RetriesExhausted { chunk, attempts: 4 };
         assert!(e.to_string().contains("4 attempts"));
-        let e: RepairError = SelectError::Unrepairable.into();
-        assert!(matches!(e, RepairError::Select(SelectError::Unrepairable)));
-        assert!(std::error::Error::source(&e).is_some());
-        let e: RepairError = PlanError::Empty.into();
-        assert!(matches!(e, RepairError::Plan(PlanError::Empty)));
     }
 }

@@ -15,7 +15,7 @@
 //! actually executed* (including any re-tuned edges), so drivers can
 //! report per-stage coding nanoseconds alongside the simulated timings.
 
-use chameleon_simnet::{Event, FlowId, FlowSpec, IdMap, NodeId, Simulator, Traffic};
+use chameleon_simnet::{Event, FlowId, FlowSpec, IdMap, Simulator, Traffic};
 
 use crate::coding::{CodingStats, PlanCoder};
 use crate::plan::RepairPlan;
@@ -35,13 +35,14 @@ pub enum ExecStatus {
     Failed,
 }
 
-/// A directed edge carrying slices `[start, end)` from one node to another.
+/// A directed edge carrying slices `[start, end)` from one participant to
+/// another or to the destination.
 #[derive(Debug, Clone)]
 struct Edge {
-    from: NodeId,
-    to: NodeId,
-    /// Slot of `to`: its participant index, or the participant count for
-    /// the destination.
+    /// The sending participant.
+    source: usize,
+    /// The receiving slot: a participant index, or the participant count
+    /// for the destination.
     to_slot: usize,
     /// First slice this edge carries.
     start: usize,
@@ -58,17 +59,11 @@ impl Edge {
     fn covers(&self, slice: usize) -> bool {
         (self.start..self.end).contains(&slice)
     }
-
-    fn done(&self) -> bool {
-        self.delivered >= self.end
-    }
 }
 
 /// Per-participant progress.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct SourceState {
-    node: NodeId,
-    read_fraction: f64,
     /// Completed local slice reads.
     read_done: usize,
     reading: Option<FlowId>,
@@ -80,10 +75,10 @@ struct SourceState {
 /// Public view of one edge's progress (for straggler detection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EdgeProgress {
-    /// Sending node.
-    pub from: NodeId,
-    /// Receiving node.
-    pub to: NodeId,
+    /// Sending participant (an index into the plan's participants).
+    pub source: usize,
+    /// Receiving participant, or `None` for the destination.
+    pub to: Option<usize>,
     /// Slices delivered so far on this edge.
     pub delivered: usize,
     /// First slice the edge carries.
@@ -104,8 +99,9 @@ pub struct PlanExecutor {
     last_slice_bytes: u64,
     sources: Vec<SourceState>,
     edges: Vec<Edge>,
-    /// Edge indices leaving each participant: its plan edge, then the
-    /// redirected remainder if the edge was re-tuned.
+    /// Edge indices leaving each participant: its plan edge (edge `i` is
+    /// participant `i`'s), then the redirected remainder if the edge was
+    /// re-tuned.
     out_edges: Vec<Vec<usize>>,
     /// Edge indices entering each slot (participants by index, the
     /// destination last).
@@ -163,46 +159,29 @@ impl PlanExecutor {
         );
         let slices = chunk_size.div_ceil(slice_size) as usize;
         let last_slice_bytes = chunk_size - (slices as u64 - 1) * slice_size;
-        let sources: Vec<SourceState> = plan
-            .participants()
-            .iter()
-            .map(|p| SourceState {
-                node: p.node,
-                read_fraction: p.read_fraction,
-                read_done: 0,
-                reading: None,
-                sent: 0,
-                sending: None,
-            })
-            .collect();
-        let count = sources.len();
+        let count = plan.participants().len();
         let mut in_edges = vec![Vec::new(); count + 1];
         let mut edges = Vec::with_capacity(count);
         for (i, p) in plan.participants().iter().enumerate() {
-            let to_slot = plan.participant_on(p.send_to).unwrap_or(count);
+            let to_slot = p.parent.unwrap_or(count);
             in_edges[to_slot].push(i);
+            // Relays forward full slices whatever fraction they read.
+            let relays = plan.inputs(Some(i)).next().is_some();
             edges.push(Edge {
-                from: p.node,
-                to: p.send_to,
+                source: i,
                 to_slot,
                 start: 0,
                 end: slices,
                 delivered: 0,
-                bytes_factor: p.read_fraction,
+                bytes_factor: if relays { 1.0 } else { p.read_fraction },
             });
-        }
-        // Relays forward full slices whatever fraction they read.
-        for (edge, inputs) in edges.iter_mut().zip(&in_edges) {
-            if !inputs.is_empty() {
-                edge.bytes_factor = 1.0;
-            }
         }
         PlanExecutor {
             plan,
             slices,
             slice_bytes: slice_size,
             last_slice_bytes,
-            sources,
+            sources: vec![SourceState::default(); count],
             edges,
             out_edges: (0..count).map(|i| vec![i]).collect(),
             in_edges,
@@ -235,11 +214,6 @@ impl PlanExecutor {
     /// The plan being executed (reflects any re-tuning applied so far).
     pub fn plan(&self) -> &RepairPlan {
         &self.plan
-    }
-
-    /// Number of slices per chunk.
-    pub fn slices(&self) -> usize {
-        self.slices
     }
 
     /// Kicks off the repair.
@@ -397,8 +371,8 @@ impl PlanExecutor {
             .iter()
             .filter(|e| e.start < e.end)
             .map(|e| EdgeProgress {
-                from: e.from,
-                to: e.to,
+                source: e.source,
+                to: (e.to_slot < self.sources.len()).then_some(e.to_slot),
                 delivered: e.delivered.saturating_sub(e.start),
                 start: e.start,
                 end: e.end,
@@ -407,51 +381,38 @@ impl PlanExecutor {
     }
 
     /// Repair re-tuning (§III-C, Fig. 10(b)): redirect the *remaining*
-    /// slices of the `from → relay` transfer straight to the destination,
-    /// removing the relay dependency. Returns `false` if no such pending
-    /// edge exists (already finished, or targets the destination).
-    pub fn retune_input(&mut self, sim: &mut Simulator, relay: NodeId, from: NodeId) -> bool {
-        let dst = self.plan.destination();
-        if relay == dst {
+    /// slices participant `source` still owes its relay straight to the
+    /// destination, removing the relay dependency. Returns `false` if there
+    /// is no such pending transfer (`source` is not a participant, already
+    /// uploads to the destination, or has finished its plan edge).
+    pub fn retune_input(&mut self, sim: &mut Simulator, source: usize) -> bool {
+        let count = self.sources.len();
+        // Redirected edges are appended after the plan edges, so edge
+        // `source` is the participant's plan edge.
+        if source >= count || self.edges[source].to_slot == count {
             return false;
         }
-        let Some(eidx) = self
-            .edges
-            .iter()
-            .position(|e| e.from == from && e.to == relay && !e.done())
-        else {
-            return false;
-        };
-        // Cut over after any slice currently in flight on this edge. A
-        // sender missing from the plan means the executor's state has
-        // diverged (e.g. a failed attempt): refuse rather than panic.
-        let Some(sender) = self.plan.participant_on(from) else {
-            return false;
-        };
-        let in_flight =
-            matches!(self.sources[sender].sending, Some((_, s)) if self.edges[eidx].covers(s));
-        let cutover =
-            (self.edges[eidx].delivered + usize::from(in_flight)).min(self.edges[eidx].end);
-        let old_end = self.edges[eidx].end;
+        let edge = &self.edges[source];
+        // Cut over after any slice currently in flight on this edge.
+        let in_flight = matches!(self.sources[source].sending, Some((_, s)) if edge.covers(s));
+        let cutover = (edge.delivered + usize::from(in_flight)).min(edge.end);
+        let (old_end, factor) = (edge.end, edge.bytes_factor);
         if cutover >= old_end {
             return false;
         }
-        self.edges[eidx].end = cutover;
-        let factor = self.edges[eidx].bytes_factor;
-        let redirected = self.edges.len();
-        self.out_edges[sender].push(redirected);
-        self.in_edges[self.sources.len()].push(redirected);
+        self.edges[source].end = cutover;
+        self.out_edges[source].push(self.edges.len());
+        self.in_edges[count].push(self.edges.len());
         self.edges.push(Edge {
-            from,
-            to: dst,
-            to_slot: self.sources.len(),
+            source,
+            to_slot: count,
             start: cutover,
             end: old_end,
             delivered: cutover,
             bytes_factor: factor,
         });
         // Keep the plan view in sync for observers.
-        self.plan.redirect_to_destination(sender);
+        self.plan.redirect_to_destination(source);
         self.pump(sim);
         true
     }
@@ -462,12 +423,6 @@ impl PlanExecutor {
         } else {
             self.slice_bytes
         }
-    }
-
-    /// Number of slices a source must read in total (sub-chunk sources
-    /// read every slice, just proportionally smaller pieces).
-    fn reads_needed(&self) -> usize {
-        self.slices
     }
 
     /// Whether `slot` has received `slice` on every input edge that
@@ -539,13 +494,15 @@ impl PlanExecutor {
 
     /// Disk reads: one outstanding per source, sequential.
     fn try_read(&mut self, sim: &mut Simulator, i: usize) {
-        let s = &self.sources[i];
-        if s.reading.is_some() || s.read_done >= self.reads_needed() {
+        let (s, p) = (&self.sources[i], &self.plan.participants()[i]);
+        // Sub-chunk sources read every slice, in proportionally smaller
+        // pieces.
+        if s.reading.is_some() || s.read_done >= self.slices {
             return;
         }
-        let bytes = (self.slice_len(s.read_done) as f64 * s.read_fraction).ceil() as u64;
+        let bytes = (self.slice_len(s.read_done) as f64 * p.read_fraction).ceil() as u64;
         let id = sim.start_flow(
-            FlowSpec::disk_read(s.node, bytes.max(1), Traffic::Repair).with_owner(self.owner),
+            FlowSpec::disk_read(p.node, bytes.max(1), Traffic::Repair).with_owner(self.owner),
         );
         self.flow_map.insert(id, Step::Read { source: i });
         self.sources[i].reading = Some(id);
@@ -570,8 +527,12 @@ impl PlanExecutor {
         };
         let edge = &self.edges[eidx];
         let bytes = (self.slice_len(slice) as f64 * edge.bytes_factor).ceil() as u64;
+        let participants = self.plan.participants();
+        let to = participants
+            .get(edge.to_slot)
+            .map_or(self.plan.destination(), |p| p.node);
         let id = sim.start_flow(
-            FlowSpec::network(edge.from, edge.to, bytes.max(1), Traffic::Repair)
+            FlowSpec::network(participants[i].node, to, bytes.max(1), Traffic::Repair)
                 .with_owner(self.owner),
         );
         self.flow_map.insert(
@@ -609,7 +570,7 @@ mod tests {
     use crate::plan::Participant;
     use chameleon_cluster::ChunkId;
     use chameleon_gf::Gf256;
-    use chameleon_simnet::{NodeCaps, SimConfig};
+    use chameleon_simnet::{NodeCaps, NodeId, SimConfig};
 
     const MB: u64 = 1 << 20;
 
@@ -626,14 +587,22 @@ mod tests {
         ))
     }
 
-    fn part(node: NodeId, send_to: NodeId) -> Participant {
+    /// Participant on node `node` uploading to participant `parent`.
+    fn part(node: NodeId, parent: Option<usize>) -> Participant {
         Participant {
             node,
             chunk_index: node,
             coeff: Gf256::ONE,
-            send_to,
+            parent,
             read_fraction: 1.0,
         }
+    }
+
+    /// Participant `i` on node `i` uploads to participant `parents[i]`, or
+    /// to the destination (node `parents.len()`) when that is `None`.
+    fn tree(parents: &[Option<usize>]) -> RepairPlan {
+        let participants = parents.iter().enumerate().map(|(i, &p)| part(i, p));
+        RepairPlan::new(chunk(), parents.len(), participants.collect()).unwrap()
     }
 
     fn run_to_completion(exec: &mut PlanExecutor, sim: &mut Simulator) -> f64 {
@@ -657,7 +626,7 @@ mod tests {
     fn star_repair_time_is_bounded_by_destination_downlink() {
         // CR with 4 sources and a 64 MB chunk: destination must download
         // 256 MB at 100 MB/s => ~2.56 s (plus pipeline fill).
-        let plan = RepairPlan::new(chunk(), 4, (0..4).map(|i| part(i, 4)).collect()).unwrap();
+        let plan = tree(&[None; 4]);
         let mut s = sim(5);
         let mut exec = PlanExecutor::new(plan, 64 * MB, MB);
         let t = run_to_completion(&mut exec, &mut s);
@@ -669,12 +638,7 @@ mod tests {
     fn chain_repair_pipelines_to_near_constant_time() {
         // ECPipe with 4 sources: every link carries 64 MB; pipelined, the
         // total is ~one chunk time + per-hop fill = ~0.64 s + small.
-        let plan = RepairPlan::new(
-            chunk(),
-            4,
-            vec![part(0, 1), part(1, 2), part(2, 3), part(3, 4)],
-        )
-        .unwrap();
+        let plan = tree(&[Some(1), Some(2), Some(3), None]);
         let mut s = sim(5);
         let mut exec = PlanExecutor::new(plan, 64 * MB, MB);
         let t = run_to_completion(&mut exec, &mut s);
@@ -686,12 +650,7 @@ mod tests {
     fn tree_is_between_star_and_chain() {
         // PPR-like tree: 0 -> 1, 2 -> 3, 1 -> 3, 3 -> dst. Node 3 downloads
         // 128 MB => >= 1.28 s.
-        let plan = RepairPlan::new(
-            chunk(),
-            4,
-            vec![part(0, 1), part(1, 3), part(2, 3), part(3, 4)],
-        )
-        .unwrap();
+        let plan = tree(&[Some(1), Some(3), Some(3), None]);
         let mut s = sim(5);
         let mut exec = PlanExecutor::new(plan, 64 * MB, MB);
         let t = run_to_completion(&mut exec, &mut s);
@@ -701,7 +660,7 @@ mod tests {
 
     #[test]
     fn progress_and_timestamps_are_monotone() {
-        let plan = RepairPlan::new(chunk(), 2, vec![part(0, 2), part(1, 2)]).unwrap();
+        let plan = tree(&[None; 2]);
         let mut s = sim(3);
         let mut exec = PlanExecutor::new(plan, 8 * MB, MB);
         assert_eq!(exec.progress(), 0.0);
@@ -722,7 +681,7 @@ mod tests {
 
     #[test]
     fn pause_freezes_and_resume_finishes() {
-        let plan = RepairPlan::new(chunk(), 2, vec![part(0, 2), part(1, 2)]).unwrap();
+        let plan = tree(&[None; 2]);
         let mut s = sim(3);
         let mut exec = PlanExecutor::new(plan, 8 * MB, MB);
         exec.start(&mut s);
@@ -750,7 +709,7 @@ mod tests {
     #[test]
     fn retune_redirects_remaining_slices() {
         // Chain 0 -> 1 -> dst; retune the 0 -> 1 edge to the destination.
-        let plan = RepairPlan::new(chunk(), 2, vec![part(0, 1), part(1, 2)]).unwrap();
+        let plan = tree(&[Some(1), None]);
         let mut s = sim(3);
         let mut exec = PlanExecutor::new(plan, 8 * MB, MB);
         exec.start(&mut s);
@@ -758,10 +717,19 @@ mod tests {
             let ev = s.next_event().unwrap();
             exec.on_event(&mut s, &ev);
         }
-        assert!(exec.retune_input(&mut s, 1, 0));
-        // Plan view is updated.
-        let p0 = exec.plan().participants()[0];
-        assert_eq!(p0.send_to, 2);
+        assert!(exec.retune_input(&mut s, 0));
+        // Plan view and edge progress show the cut edge and its remainder.
+        assert_eq!(exec.plan().participants()[0].parent, None);
+        let edges = exec.edge_progress();
+        assert_eq!(edges.len(), 3);
+        let (cut, redirected) = (edges[0], edges[2]);
+        assert_eq!((cut.source, cut.to), (0, Some(1)));
+        assert_eq!((redirected.source, redirected.to), (0, None));
+        assert_eq!(cut.end, redirected.start);
+        assert_eq!(redirected.end, 8);
+        assert!(cut.end < 8);
+        // A cut edge cannot be cut again.
+        assert!(!exec.retune_input(&mut s, 0));
         // Still completes.
         while let Some(ev) = s.next_event() {
             if exec.on_event(&mut s, &ev) == ExecStatus::Done {
@@ -773,23 +741,33 @@ mod tests {
 
     #[test]
     fn retune_missing_edge_returns_false() {
-        let plan = RepairPlan::new(chunk(), 2, vec![part(0, 2), part(1, 2)]).unwrap();
+        let plan = tree(&[Some(1), None]);
         let mut s = sim(3);
         let mut exec = PlanExecutor::new(plan, 8 * MB, MB);
         exec.start(&mut s);
-        assert!(!exec.retune_input(&mut s, 1, 0));
+        assert!(!exec.retune_input(&mut s, 1), "edges to dst can't retune");
+        assert!(!exec.retune_input(&mut s, 2), "past the participants");
         assert!(
-            !exec.retune_input(&mut s, 2, 0),
-            "edges to dst can't retune"
+            !exec.retune_input(&mut s, usize::MAX),
+            "past the participants"
         );
+        // Once participant 0 has delivered every slice to its relay, its
+        // edge is finished and there is nothing left to cut over.
+        while exec.edge_progress()[0].delivered < 8 {
+            let ev = s.next_event().unwrap();
+            exec.on_event(&mut s, &ev);
+        }
+        assert!(!exec.retune_input(&mut s, 0), "finished edge");
+        assert_eq!(exec.plan().participants()[0].parent, Some(1));
+        assert_eq!(exec.edge_progress().len(), 2);
     }
 
     #[test]
     fn sub_chunk_fraction_transfers_less() {
         // Butterfly-style: two sources send half chunks straight to dst.
-        let mut a = part(0, 2);
+        let mut a = part(0, None);
         a.read_fraction = 0.5;
-        let mut b = part(1, 2);
+        let mut b = part(1, None);
         b.read_fraction = 0.5;
         let plan = RepairPlan::new(chunk(), 2, vec![a, b]).unwrap();
         let mut s = sim(3);
@@ -805,10 +783,10 @@ mod tests {
 
     #[test]
     fn single_source_single_slice_plan() {
-        let plan = RepairPlan::new(chunk(), 1, vec![part(0, 1)]).unwrap();
+        let plan = tree(&[None]);
         let mut s = sim(2);
         let mut exec = PlanExecutor::new(plan, MB, MB);
-        assert_eq!(exec.slices(), 1);
+        assert_eq!(exec.edge_progress()[0].end, 1, "one slice");
         let t = run_to_completion(&mut exec, &mut s);
         // 1 MB read (fast disk) + 1 MB network at 100 MB/s + write.
         assert!(t > 0.0 && t < 0.05, "{t}");
@@ -816,7 +794,7 @@ mod tests {
 
     #[test]
     fn pause_before_start_is_harmless() {
-        let plan = RepairPlan::new(chunk(), 1, vec![part(0, 1)]).unwrap();
+        let plan = tree(&[None]);
         let mut s = sim(2);
         let mut exec = PlanExecutor::new(plan, MB, MB);
         exec.pause();
@@ -827,18 +805,17 @@ mod tests {
 
     #[test]
     fn edge_progress_reports_all_edges() {
-        let plan = RepairPlan::new(chunk(), 3, vec![part(0, 1), part(1, 3), part(2, 3)]).unwrap();
-        let mut s = sim(4);
-        let exec = PlanExecutor::new(plan, 4 * MB, MB);
+        let exec = PlanExecutor::new(tree(&[Some(1), None, None]), 4 * MB, MB);
         let edges = exec.edge_progress();
         assert_eq!(edges.len(), 3);
         assert!(edges.iter().all(|e| e.delivered == 0 && e.end == 4));
-        let _ = s.next_event(); // silence unused warnings
+        let ends: Vec<_> = edges.iter().map(|e| (e.source, e.to)).collect();
+        assert_eq!(ends, vec![(0, Some(1)), (1, None), (2, None)]);
     }
 
     #[test]
     fn helper_crash_fails_the_attempt_and_cancels_flows() {
-        let plan = RepairPlan::new(chunk(), 4, (0..4).map(|i| part(i, 4)).collect()).unwrap();
+        let plan = tree(&[None; 4]);
         let mut s = sim(5);
         let mut exec = PlanExecutor::new(plan, 8 * MB, MB);
         exec.start(&mut s);
@@ -873,7 +850,7 @@ mod tests {
 
     #[test]
     fn driver_abort_is_idempotent_and_inert() {
-        let plan = RepairPlan::new(chunk(), 2, vec![part(0, 2), part(1, 2)]).unwrap();
+        let plan = tree(&[None; 2]);
         let mut s = sim(3);
         let mut exec = PlanExecutor::new(plan, 4 * MB, MB);
         exec.start(&mut s);
@@ -888,10 +865,10 @@ mod tests {
 
     #[test]
     fn odd_chunk_size_last_slice_is_short() {
-        let plan = RepairPlan::new(chunk(), 1, vec![part(0, 1)]).unwrap();
+        let plan = tree(&[None]);
         let mut s = sim(2);
         let mut exec = PlanExecutor::new(plan, 5 * MB + 123, 2 * MB);
-        assert_eq!(exec.slices(), 3);
+        assert_eq!(exec.edge_progress()[0].end, 3, "three slices");
         run_to_completion(&mut exec, &mut s);
         let moved =
             s.monitor()
@@ -927,15 +904,15 @@ mod tests {
     ) -> (String, Vec<ExecStatus>) {
         let mut script = Script { state: seed };
         // Participant i sits on node i and the destination on node k;
-        // forwarding only to higher nodes keeps the graph an in-tree.
+        // forwarding only to higher indices keeps the graph an in-tree.
         let participants = (0..k)
             .map(|i| {
-                let send_to = match shape {
+                let parent = match shape {
                     0 => k,
                     1 => i + 1,
                     _ => i + 1 + script.next(k - i),
                 };
-                let mut p = part(i, send_to);
+                let mut p = part(i, (parent < k).then_some(parent));
                 if shape == 0 && script.next(3) == 0 {
                     p.read_fraction = 0.5;
                 }
@@ -968,8 +945,9 @@ mod tests {
             exec.pump(&mut s);
             assert_eq!(exec.flow_map.len(), started, "after {ev:?}");
             match script.next(12) {
+                // One past the participants: a re-tune that must refuse.
                 0 => {
-                    exec.retune_input(&mut s, script.next(k), script.next(k));
+                    exec.retune_input(&mut s, script.next(k + 1));
                 }
                 1 => exec.pause(),
                 2 | 3 => exec.resume(&mut s),

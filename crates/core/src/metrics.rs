@@ -150,20 +150,10 @@ pub struct LinkLoadStats {
 }
 
 impl LinkLoadStats {
-    /// Computes the statistics over the first `storage_nodes` nodes of a
-    /// monitor (client machines are excluded, as in the paper).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `storage_nodes == 0`.
-    pub fn from_monitor(monitor: &Monitor, storage_nodes: usize) -> Self {
-        let nodes: Vec<usize> = (0..storage_nodes).collect();
-        Self::from_monitor_nodes(monitor, &nodes)
-    }
-
-    /// Like [`Self::from_monitor`], restricted to the given nodes — use
-    /// this to exclude failed nodes, which otherwise dominate the
-    /// least-loaded statistic with their zero traffic.
+    /// Computes the statistics over the given nodes of a monitor: storage
+    /// nodes only (client machines are excluded, as in the paper), and
+    /// alive ones, since a failed node would dominate the least-loaded
+    /// statistic with its zero traffic.
     ///
     /// # Panics
     ///

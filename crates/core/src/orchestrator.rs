@@ -194,6 +194,24 @@ pub struct LedgerEntry {
     pub requeues: u32,
 }
 
+impl LedgerEntry {
+    /// Renders `chunk`'s entry as one JSON line, schema-compatible with
+    /// the flow trace / span lines:
+    /// `{"event":"ledger","stripe":S,"chunk":I,"state":"…","attempts":N,…}`.
+    pub fn to_json_line(&self, chunk: ChunkId) -> String {
+        format!(
+            "{{\"event\":\"ledger\",\"stripe\":{},\"chunk\":{},\"state\":\"{}\",\"attempts\":{},\"enqueued\":{},\"updated\":{},\"requeues\":{}}}",
+            chunk.stripe,
+            chunk.index,
+            self.state.label(),
+            self.attempts,
+            self.enqueued_secs,
+            self.updated_secs,
+            self.requeues
+        )
+    }
+}
+
 /// One stripe crossing the data-loss threshold: more erasures than the
 /// code tolerates, so the stripe is unreadable at this instant.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -587,7 +605,7 @@ impl Orchestrator {
                         entry.updated_secs = now;
                     }
                 }
-                RepairError::HelperLost { chunk, .. } => {
+                RepairError::HelperLost { chunk } => {
                     if let Some(entry) = self.ledger.get_mut(&chunk) {
                         entry.attempts += 1;
                     }
@@ -838,16 +856,8 @@ impl Orchestrator {
             out.push('\n');
         }
         for (chunk, entry) in &self.ledger {
-            out.push_str(&format!(
-                "{{\"event\":\"ledger\",\"stripe\":{},\"chunk\":{},\"state\":\"{}\",\"attempts\":{},\"enqueued\":{},\"updated\":{},\"requeues\":{}}}\n",
-                chunk.stripe,
-                chunk.index,
-                entry.state.label(),
-                entry.attempts,
-                entry.enqueued_secs,
-                entry.updated_secs,
-                entry.requeues
-            ));
+            out.push_str(&entry.to_json_line(*chunk));
+            out.push('\n');
         }
         out
     }

@@ -1,6 +1,6 @@
 //! Repair plans: in-trees of chunk transfers rooted at a destination.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 use chameleon_cluster::ChunkId;
 use chameleon_gf::Gf256;
@@ -13,8 +13,9 @@ use crate::select::{SelectError, Selection};
 /// `parents[i]`, or to the destination when that is `None`. Every plan
 /// shape — star, tree, chain and Algorithm 1's tunable tree — is such a
 /// parent vector, and this is the one place that turns one into
-/// [`Participant`]s: decoding coefficients for relayable selections, unit
-/// coefficients for sub-chunk pieces (shipped verbatim).
+/// [`Participant`]s, which keep it as [`Participant::parent`]: decoding
+/// coefficients for relayable selections, unit coefficients for sub-chunk
+/// pieces (shipped verbatim).
 ///
 /// # Errors
 ///
@@ -45,7 +46,7 @@ pub(crate) fn assemble(
             node: s.node,
             chunk_index: s.chunk_index,
             coeff,
-            send_to: parent.map_or(selection.destination, |p| sources[p].node),
+            parent: *parent,
             read_fraction: s.fraction,
         })
         .collect();
@@ -61,8 +62,7 @@ pub enum PlanError {
     /// Two participants on the same node, or a participant on the
     /// destination node.
     DuplicateNode,
-    /// A participant forwards to a node that is neither a participant nor
-    /// the destination.
+    /// A participant's parent index is past the participant list.
     UnknownTarget,
     /// The forwarding graph contains a cycle (never reaches the
     /// destination).
@@ -95,9 +95,10 @@ pub struct Participant {
     /// Decoding coefficient `alpha_i` applied to the local chunk
     /// (Equation (1)); `Gf256::ONE` for XOR codes and sub-chunk repairs.
     pub coeff: Gf256,
-    /// Where this node uploads its (possibly combined) result: another
-    /// participant's node, or the plan destination.
-    pub send_to: NodeId,
+    /// Where this node uploads its (possibly combined) result: the index
+    /// of another participant in [`RepairPlan::participants`], or `None`
+    /// for the plan destination.
+    pub parent: Option<usize>,
     /// Fraction of the chunk read and transferred (1.0 for whole-chunk
     /// repairs; 0.5 for Butterfly half-chunk reads).
     pub read_fraction: f64,
@@ -120,8 +121,8 @@ pub struct Participant {
 ///     ChunkId { stripe: 0, index: 2 },
 ///     9,
 ///     vec![
-///         Participant { node: 0, chunk_index: 0, coeff: Gf256::ONE, send_to: 1, read_fraction: 1.0 },
-///         Participant { node: 1, chunk_index: 1, coeff: Gf256::ONE, send_to: 9, read_fraction: 1.0 },
+///         Participant { node: 0, chunk_index: 0, coeff: Gf256::ONE, parent: Some(1), read_fraction: 1.0 },
+///         Participant { node: 1, chunk_index: 1, coeff: Gf256::ONE, parent: None, read_fraction: 1.0 },
 ///     ],
 /// )?;
 /// assert_eq!(plan.max_depth(), 2);
@@ -169,18 +170,14 @@ impl RepairPlan {
         &self.participants
     }
 
-    /// Index of the participant on `node`, if any.
-    pub fn participant_on(&self, node: NodeId) -> Option<usize> {
-        self.participants.iter().position(|p| p.node == node)
-    }
-
-    /// Nodes that forward into `node` (fan-in edges).
-    pub fn inputs_of(&self, node: NodeId) -> Vec<NodeId> {
+    /// Indices of the participants that upload to `parent` (the
+    /// destination when `None`), in participant order.
+    pub fn inputs(&self, parent: Option<usize>) -> impl Iterator<Item = usize> + '_ {
         self.participants
             .iter()
-            .filter(|p| p.send_to == node)
-            .map(|p| p.node)
-            .collect()
+            .enumerate()
+            .filter(move |(_, p)| p.parent == parent)
+            .map(|(i, _)| i)
     }
 
     /// Total repair traffic in bytes for a given chunk size: each
@@ -189,8 +186,9 @@ impl RepairPlan {
     pub fn traffic_bytes(&self, chunk_size: u64) -> f64 {
         self.participants
             .iter()
-            .map(|p| {
-                let upload = if self.inputs_of(p.node).is_empty() {
+            .enumerate()
+            .map(|(i, p)| {
+                let upload = if self.inputs(Some(i)).next().is_none() {
                     p.read_fraction
                 } else {
                     // A relay uploads a combined (full-size) partial chunk.
@@ -204,25 +202,24 @@ impl RepairPlan {
     /// Length of the longest forwarding path (1 for a pure star, `k` for a
     /// full chain). Deeper plans have stricter transmission dependencies.
     pub fn max_depth(&self) -> usize {
-        let mut depth_cache: BTreeMap<NodeId, usize> = BTreeMap::new();
-        let mut best = 0;
-        for p in &self.participants {
-            best = best.max(self.depth_of(p.node, &mut depth_cache));
-        }
-        best
+        (0..self.participants.len())
+            .map(|i| self.depth(i))
+            .max()
+            .unwrap_or(0)
     }
 
-    fn depth_of(&self, node: NodeId, cache: &mut BTreeMap<NodeId, usize>) -> usize {
-        if let Some(&d) = cache.get(&node) {
-            return d;
+    /// Hops from participant `i` to the destination (1 for a root). A walk
+    /// that cycles stops one hop past the participant count.
+    pub(crate) fn depth(&self, mut i: usize) -> usize {
+        let mut hops = 1;
+        while let Some(parent) = self.participants[i].parent {
+            if hops > self.participants.len() {
+                break;
+            }
+            i = parent;
+            hops += 1;
         }
-        let d = match self.participants.iter().find(|p| p.node == node) {
-            Some(p) if p.send_to == self.destination => 1,
-            Some(p) => 1 + self.depth_of(p.send_to, cache),
-            None => 0,
-        };
-        cache.insert(node, d);
-        d
+        hops
     }
 
     /// Redirects participant `index` to forward straight to the
@@ -233,9 +230,7 @@ impl RepairPlan {
     ///
     /// Panics if `index` is out of range.
     pub fn redirect_to_destination(&mut self, index: usize) {
-        let dst = self.destination;
-        self.participants[index].send_to = dst;
-        debug_assert!(self.validate().is_ok());
+        self.participants[index].parent = None;
     }
 
     /// Checks all plan invariants.
@@ -244,7 +239,8 @@ impl RepairPlan {
     ///
     /// Returns the first violated invariant.
     pub fn validate(&self) -> Result<(), PlanError> {
-        if self.participants.is_empty() {
+        let count = self.participants.len();
+        if count == 0 {
             return Err(PlanError::Empty);
         }
         let mut nodes = BTreeSet::new();
@@ -255,33 +251,14 @@ impl RepairPlan {
             if !(p.read_fraction > 0.0 && p.read_fraction <= 1.0) {
                 return Err(PlanError::BadFraction);
             }
-        }
-        // Every target is a participant or the destination.
-        for p in &self.participants {
-            if p.send_to != self.destination && !nodes.contains(&p.send_to) {
+            if p.parent.is_some_and(|parent| parent >= count) {
                 return Err(PlanError::UnknownTarget);
             }
-            if p.send_to == p.node {
-                return Err(PlanError::Cycle);
-            }
         }
-        // Acyclicity: walk each forwarding chain; it must reach the
-        // destination within |participants| hops.
-        for p in &self.participants {
-            let mut current = p.send_to;
-            let mut hops = 0;
-            while current != self.destination {
-                hops += 1;
-                if hops > self.participants.len() {
-                    return Err(PlanError::Cycle);
-                }
-                current = self
-                    .participants
-                    .iter()
-                    .find(|q| q.node == current)
-                    .expect("target existence checked")
-                    .send_to;
-            }
+        // Acyclicity: every walk reaches the destination within
+        // `count` hops.
+        if (0..count).any(|i| self.depth(i) > count) {
+            return Err(PlanError::Cycle);
         }
         Ok(())
     }
@@ -291,12 +268,13 @@ impl RepairPlan {
 mod tests {
     use super::*;
 
-    fn part(node: NodeId, send_to: NodeId) -> Participant {
+    /// Participant on node `node` uploading to participant `parent`.
+    fn part(node: NodeId, parent: Option<usize>) -> Participant {
         Participant {
             node,
             chunk_index: node,
             coeff: Gf256::ONE,
-            send_to,
+            parent,
             read_fraction: 1.0,
         }
     }
@@ -308,59 +286,71 @@ mod tests {
         }
     }
 
+    /// Participant `i` on node `i` uploads to participant `parents[i]`, or
+    /// to the destination (node 9) when that is `None`.
+    fn tree(parents: &[Option<usize>]) -> Result<RepairPlan, PlanError> {
+        let participants = parents.iter().enumerate().map(|(i, &p)| part(i, p));
+        RepairPlan::new(chunk(), 9, participants.collect())
+    }
+
+    fn inputs(plan: &RepairPlan, parent: Option<usize>) -> Vec<usize> {
+        plan.inputs(parent).collect()
+    }
+
     #[test]
     fn star_plan_is_valid_depth_one() {
-        let plan = RepairPlan::new(chunk(), 9, vec![part(0, 9), part(1, 9), part(2, 9)]).unwrap();
+        let plan = tree(&[None; 3]).unwrap();
         assert_eq!(plan.max_depth(), 1);
-        assert_eq!(plan.inputs_of(9), vec![0, 1, 2]);
+        assert_eq!(inputs(&plan, None), vec![0, 1, 2]);
+        assert!((0..3).all(|i| inputs(&plan, Some(i)).is_empty()));
         assert_eq!(plan.traffic_bytes(100), 300.0);
     }
 
     #[test]
     fn chain_plan_depth_equals_length() {
-        let plan = RepairPlan::new(chunk(), 9, vec![part(0, 1), part(1, 2), part(2, 9)]).unwrap();
+        let plan = tree(&[Some(1), Some(2), None]).unwrap();
         assert_eq!(plan.max_depth(), 3);
-        assert_eq!(plan.inputs_of(1), vec![0]);
-        assert_eq!(plan.inputs_of(9), vec![2]);
+        assert!(inputs(&plan, Some(0)).is_empty());
+        assert_eq!(inputs(&plan, Some(1)), vec![0]);
+        assert_eq!(inputs(&plan, Some(2)), vec![1]);
+        assert_eq!(inputs(&plan, None), vec![2]);
     }
 
     #[test]
     fn cycle_detected() {
-        let err = RepairPlan::new(chunk(), 9, vec![part(0, 1), part(1, 0)]).unwrap_err();
-        assert_eq!(err, PlanError::Cycle);
+        assert_eq!(tree(&[Some(1), Some(0)]), Err(PlanError::Cycle));
+        // A cycle beside a valid root is still a cycle.
+        assert_eq!(tree(&[None, Some(2), Some(1)]), Err(PlanError::Cycle));
     }
 
     #[test]
     fn self_loop_detected() {
-        let err = RepairPlan::new(chunk(), 9, vec![part(0, 0)]).unwrap_err();
-        assert_eq!(err, PlanError::Cycle);
+        assert_eq!(tree(&[Some(0)]), Err(PlanError::Cycle));
     }
 
     #[test]
     fn duplicate_and_destination_overlap_detected() {
-        let err = RepairPlan::new(chunk(), 9, vec![part(0, 9), part(0, 9)]).unwrap_err();
+        let err = RepairPlan::new(chunk(), 9, vec![part(0, None), part(0, None)]).unwrap_err();
         assert_eq!(err, PlanError::DuplicateNode);
-        let err = RepairPlan::new(chunk(), 0, vec![part(0, 0)]).unwrap_err();
+        let err = RepairPlan::new(chunk(), 0, vec![part(0, None)]).unwrap_err();
         assert_eq!(err, PlanError::DuplicateNode);
     }
 
     #[test]
     fn unknown_target_detected() {
-        let err = RepairPlan::new(chunk(), 9, vec![part(0, 7)]).unwrap_err();
-        assert_eq!(err, PlanError::UnknownTarget);
+        // A parent index past the participant list.
+        assert_eq!(tree(&[Some(1)]), Err(PlanError::UnknownTarget));
+        assert_eq!(tree(&[None, Some(7)]), Err(PlanError::UnknownTarget));
     }
 
     #[test]
     fn empty_plan_rejected() {
-        assert_eq!(
-            RepairPlan::new(chunk(), 9, vec![]).unwrap_err(),
-            PlanError::Empty
-        );
+        assert_eq!(tree(&[]), Err(PlanError::Empty));
     }
 
     #[test]
     fn bad_fraction_rejected() {
-        let mut p = part(0, 9);
+        let mut p = part(0, None);
         p.read_fraction = 0.0;
         assert_eq!(
             RepairPlan::new(chunk(), 9, vec![p]).unwrap_err(),
@@ -370,20 +360,26 @@ mod tests {
 
     #[test]
     fn redirect_flattens_relay() {
-        let mut plan = RepairPlan::new(chunk(), 9, vec![part(0, 1), part(1, 9)]).unwrap();
+        // 0 -> 1 -> 2 -> destination; cutting 1 over leaves 0 -> 1 -> dst.
+        let mut plan = tree(&[Some(1), Some(2), None]).unwrap();
+        plan.redirect_to_destination(1);
+        assert_eq!(plan.participants()[1].parent, None);
         assert_eq!(plan.max_depth(), 2);
+        assert_eq!(inputs(&plan, None), vec![1, 2]);
+        assert_eq!(inputs(&plan, Some(1)), vec![0]);
+        assert!(inputs(&plan, Some(2)).is_empty());
         plan.redirect_to_destination(0);
         assert_eq!(plan.max_depth(), 1);
-        assert_eq!(plan.inputs_of(9), vec![0, 1]);
+        assert_eq!(inputs(&plan, None), vec![0, 1, 2]);
     }
 
     #[test]
     fn relay_traffic_counts_full_upload() {
         // Source 0 reads half a chunk but relays through 1: relay uploads
         // a full partial chunk.
-        let mut half = part(0, 1);
+        let mut half = part(0, Some(1));
         half.read_fraction = 0.5;
-        let plan = RepairPlan::new(chunk(), 9, vec![half, part(1, 9)]).unwrap();
+        let plan = RepairPlan::new(chunk(), 9, vec![half, part(1, None)]).unwrap();
         assert_eq!(plan.traffic_bytes(100), 50.0 + 100.0);
     }
 }

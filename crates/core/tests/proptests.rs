@@ -48,11 +48,13 @@ proptest! {
         let plan = establish_plan(&ctx, &a).expect("plan");
         prop_assert!(plan.validate().is_ok());
         // Fan-in at each node equals its dispatched download count.
-        for (i, s) in sources.iter().enumerate() {
+        for (i, (s, p)) in sources.iter().zip(plan.participants()).enumerate() {
+            prop_assert_eq!(p.node, s.node);
+            prop_assert_eq!(p.parent, a.parents[i]);
             let fan_in = a.parents.iter().filter(|&&p| p == Some(i)).count();
-            prop_assert_eq!(plan.inputs_of(s.node).len(), fan_in);
+            prop_assert_eq!(plan.inputs(Some(i)).count(), fan_in);
         }
-        prop_assert_eq!(plan.inputs_of(plan.destination()).len(), roots);
+        prop_assert_eq!(plan.inputs(None).count(), roots);
         // Every plan over the same helper set — Algorithm 1's and the three
         // static shapes — reconstructs the failed chunk's generator row,
         // verified byte-wise on a tiny stripe.
@@ -81,8 +83,8 @@ proptest! {
         slice_kb in 1u64..16,
     ) {
         let slice = (slice_kb * 1024).min(chunk_kb * 1024);
-        // Build a random in-tree: node i sends to a random node in
-        // (i+1..sources) or the destination.
+        // Build a random in-tree: participant i (on node i) sends to a
+        // random participant in (i+1..sources) or the destination.
         let dst = sources;
         let mut state = topology_seed | 1;
         let mut next = move || {
@@ -94,16 +96,16 @@ proptest! {
         let participants: Vec<Participant> = (0..sources)
             .map(|i| {
                 let later = sources - i - 1;
-                let send_to = if later == 0 || next() % 2 == 0 {
-                    dst
+                let parent = if later == 0 || next() % 2 == 0 {
+                    None
                 } else {
-                    i + 1 + (next() as usize % later)
+                    Some(i + 1 + (next() as usize % later))
                 };
                 Participant {
                     node: i,
                     chunk_index: i,
                     coeff: Gf256::ONE,
-                    send_to,
+                    parent,
                     read_fraction: 1.0,
                 }
             })
@@ -152,7 +154,7 @@ proptest! {
                 node: i,
                 chunk_index: i,
                 coeff: Gf256::ONE,
-                send_to: if i + 1 < sources { i + 1 } else { dst },
+                parent: (i + 1 < sources).then_some(i + 1),
                 read_fraction: 1.0,
             })
             .collect();
@@ -172,7 +174,7 @@ proptest! {
             prop_assert!(steps < 1_000_000);
             if steps == retune_after + 1 && !fired {
                 fired = true;
-                let _ = exec.retune_input(&mut sim, 1, 0);
+                let _ = exec.retune_input(&mut sim, 0);
             }
             if exec.on_event(&mut sim, &ev) == ExecStatus::Done {
                 done = true;

@@ -65,9 +65,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         plan.traffic_bytes(ctx.chunk_size()) / 1e6
     );
     for p in plan.participants() {
+        let to = p
+            .parent
+            .map_or(plan.destination(), |i| plan.participants()[i].node);
         println!(
-            "  node {:>2} sends chunk {} (alpha = {}) -> node {}",
-            p.node, p.chunk_index, p.coeff, p.send_to
+            "  node {:>2} sends chunk {} (alpha = {}) -> node {to}",
+            p.node, p.chunk_index, p.coeff
         );
     }
 

@@ -51,13 +51,14 @@ fn allocations_during(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Participant `i` sits on node `i` and forwards to `send_to[i]`; the
-/// destination is the node after the last participant.
-fn plan(send_to: &[usize], read_fraction: f64) -> RepairPlan {
-    let participants = send_to
+/// Participant `i` sits on node `i` and forwards to participant
+/// `parents[i]`, or to the destination (the node after the last
+/// participant) where `parents[i]` is the participant count.
+fn plan(parents: &[usize], read_fraction: f64) -> RepairPlan {
+    let participants = parents
         .iter()
         .enumerate()
-        .map(|(i, &send_to)| Participant {
+        .map(|(i, &parent)| Participant {
             node: i,
             chunk_index: i,
             coeff: Gf256::new(if read_fraction < 1.0 {
@@ -65,7 +66,7 @@ fn plan(send_to: &[usize], read_fraction: f64) -> RepairPlan {
             } else {
                 2 * i as u8 + 3
             }),
-            send_to,
+            parent: (parent < parents.len()).then_some(parent),
             read_fraction,
         })
         .collect();
@@ -73,7 +74,7 @@ fn plan(send_to: &[usize], read_fraction: f64) -> RepairPlan {
         stripe: 0,
         index: 0,
     };
-    RepairPlan::new(chunk, send_to.len(), participants).expect("a valid in-tree")
+    RepairPlan::new(chunk, parents.len(), participants).expect("a valid in-tree")
 }
 
 #[test]
