@@ -1,7 +1,9 @@
 //! A pin across commits: `grid_determinism` compares a commit with itself,
 //! this compares it with the digests recorded when the test was written
-//! (PR 15's parent). Each of the nine algorithms runs one tiny seeded cell
-//! in three modes with the flow trace on; the digest covers the trace
+//! (PR 15's parent; the racked mode was recorded later, before the solver
+//! stopped registering ToR links a narrower spine dominates). Each of the
+//! nine algorithms runs one tiny seeded cell in four modes with the flow
+//! trace on; the digest covers the trace
 //! JSONL (minus the host-time `profile` footer), the per-chunk latencies
 //! bit for bit, the recovery counters and — for the campaign — the ledger.
 //!
@@ -12,6 +14,7 @@
 use std::sync::Arc;
 
 use chameleon_bench::{run_orchestrated, AlgoKind, FgSpec, RunOutput, RunSpec, Scale};
+use chameleon_cluster::TopologySpec;
 use chameleon_codes::{ErasureCode, ReedSolomon};
 use chameleon_core::{BudgetPolicy, OrchestratorConfig, QueuePolicy};
 use chameleon_simnet::{FaultPlan, FaultSpec};
@@ -39,6 +42,19 @@ const PINNED: [[u64; 3]; 9] = [
     [0x30dc4602d3edeb6d, 0xc96e8c78f8166ccd, 0xcec87f4c4ac87abf], // ChameleonEC
     [0x30dc4602d3edeb6d, 0x1712f9c4ad0d0776, 0xcec87f4c4ac87abf], // ETRP
     [0xd3739215280ddab3, 0x6619bada10a1635f, 0x70981768f2e9e041], // ChameleonEC-IO
+];
+
+/// The tiny fault-free cell on [`racked`]'s fabric, per algorithm.
+const PINNED_RACKED: [u64; 9] = [
+    0xf61877e33fa75a1c, // CR
+    0x6e7d2fcf596eff5b, // PPR
+    0x4510ce799d497d25, // ECPipe
+    0x37ffe011947c5b08, // RB+CR
+    0x4b60038b31e7ede6, // RB+PPR
+    0xd3c58c3c1cf05c6f, // RB+ECPipe
+    0x8e406a5ad60bfc17, // ChameleonEC
+    0x8e406a5ad60bfc17, // ETRP
+    0x6e76adf68bcef44f, // ChameleonEC-IO
 ];
 
 /// 20 nodes, RS(4,2), 12 chunks per failed node (more than the in-flight
@@ -76,11 +92,12 @@ fn code() -> Arc<dyn ErasureCode> {
     Arc::new(ReedSolomon::new(4, 2).expect("RS(4,2)"))
 }
 
-fn repair_digest(algo: AlgoKind, faults: Option<FaultPlan>) -> u64 {
+fn repair_digest(algo: AlgoKind, faults: Option<FaultPlan>, topology: TopologySpec) -> u64 {
     let scale = tiny();
     let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
-    let mut spec =
-        RunSpec::new("pin", code(), scale.cluster_config(6), algo, Some(fg)).with_trace();
+    let mut cfg = scale.cluster_config(6);
+    cfg.topology = topology;
+    let mut spec = RunSpec::new("pin", code(), cfg, algo, Some(fg)).with_trace();
     spec.faults = faults;
     digest(&spec.execute(), "")
 }
@@ -102,6 +119,15 @@ fn crash_and_slow() -> FaultPlan {
             at_secs: 0.1,
         },
     ])
+}
+
+/// `fabric20`'s fabric: 22 nodes in 3 racks, 10 GB/s ToR links behind a
+/// 1:8 spine of 3.75 GB/s, so cross-rack flows contend at the spine.
+fn racked() -> TopologySpec {
+    TopologySpec::Racked {
+        racks: 3,
+        oversub: 8.0,
+    }
 }
 
 fn campaign_digest(algo: AlgoKind) -> u64 {
@@ -131,13 +157,14 @@ fn campaign_digest(algo: AlgoKind) -> u64 {
 
 #[test]
 fn every_algorithm_reproduces_the_recorded_digests() {
-    let actual: Vec<[u64; 3]> = ALGOS
+    let actual: Vec<[u64; 4]> = ALGOS
         .iter()
         .map(|&algo| {
             [
-                repair_digest(algo, None),
-                repair_digest(algo, Some(crash_and_slow())),
+                repair_digest(algo, None, TopologySpec::Flat),
+                repair_digest(algo, Some(crash_and_slow()), TopologySpec::Flat),
                 campaign_digest(algo),
+                repair_digest(algo, None, racked()),
             ]
         })
         .collect();
@@ -154,8 +181,18 @@ fn every_algorithm_reproduces_the_recorded_digests() {
             )
         })
         .collect();
+    let racked_table: String = ALGOS
+        .iter()
+        .zip(&actual)
+        .map(|(algo, d)| format!("    {:#018x}, // {}\n", d[3], algo.label()))
+        .collect();
+    let pinned: Vec<[u64; 4]> = PINNED
+        .iter()
+        .zip(PINNED_RACKED)
+        .map(|(&[a, b, c], d)| [a, b, c, d])
+        .collect();
     assert!(
-        actual == PINNED,
-        "the simulation moved; digests now:\n{table}"
+        actual == pinned,
+        "the simulation moved; digests now:\nPINNED\n{table}PINNED_RACKED\n{racked_table}"
     );
 }
