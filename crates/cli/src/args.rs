@@ -3,6 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use chameleon_cluster::ClusterError;
 use chameleon_codes::{Butterfly, ErasureCode, Lrc, ReedSolomon};
 use chameleon_simnet::FaultPlan;
 
@@ -126,6 +127,15 @@ pub fn parse_code(spec: &str) -> Result<Arc<dyn ErasureCode>, String> {
 /// off-stripe node to rebuild onto.
 pub fn storage_nodes(n: usize) -> usize {
     20.max(n + 1)
+}
+
+/// A cluster construction error as every command reports it: too many
+/// racks is a bad `--topology`.
+pub fn cluster_error(e: ClusterError) -> String {
+    match e {
+        ClusterError::RacksExceedNodes { .. } => format!("--topology: {e}"),
+        e => e.to_string(),
+    }
 }
 
 /// Parses `--faults` for a cluster of `total_nodes` simulator nodes (storage

@@ -14,7 +14,7 @@ use chameleon_core::{BudgetPolicy, Orchestrator, OrchestratorConfig, QueuePolicy
 use chameleon_simnet::FaultPlan;
 
 use super::repair::{drain, setup, SHARED_FLAGS};
-use crate::args::Flags;
+use crate::args::{cluster_error, Flags};
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -66,7 +66,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         (recover > 0.0).then_some(recover),
     );
     let (mut run, _) =
-        stage(s.code.clone(), s.cfg, &[], s.fg, Some(&faults), false).map_err(|e| e.to_string())?;
+        stage(s.code.clone(), s.cfg, &[], s.fg, Some(&faults), false).map_err(cluster_error)?;
     println!(
         "cluster: {} nodes, {} Gb/s links, {} MB/s disks, code {}",
         run.ctx.cluster.storage_nodes(),

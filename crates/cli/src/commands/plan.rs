@@ -6,7 +6,7 @@ use chameleon_core::chameleon::{dispatch_chunk, establish_plan, PhaseState};
 use chameleon_core::{RepairContext, RepairPlan};
 use chameleon_simnet::NodeCaps;
 
-use crate::args::{parse_code, storage_nodes, Flags};
+use crate::args::{cluster_error, parse_code, storage_nodes, Flags};
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -29,7 +29,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         monitor_window_secs: 15.0,
         topology: TopologySpec::Flat,
     };
-    let cluster = Cluster::new(cfg).map_err(|e| e.to_string())?;
+    let cluster = Cluster::new(cfg).map_err(cluster_error)?;
     let ctx = RepairContext::new(cluster, code);
 
     // A pseudo-random residual-bandwidth profile (as if measured under

@@ -9,7 +9,7 @@ use chameleon_codes::ErasureCode;
 use chameleon_core::run::{RepairSide, Run};
 use chameleon_simnet::{EngineProfile, NodeCaps};
 
-use crate::args::{parse_code, parse_faults, storage_nodes, Flags};
+use crate::args::{cluster_error, parse_code, parse_faults, storage_nodes, Flags};
 
 /// The flags `repair` and `orchestrate` share: code, algorithm, cluster
 /// and foreground.
@@ -120,7 +120,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         faults.as_ref(),
         traced,
     )
-    .map_err(|e| e.to_string())?;
+    .map_err(cluster_error)?;
     println!(
         "cluster: {} nodes, {} Gb/s links, {} MB/s disks, code {}, {} chunks lost",
         run.ctx.cluster.storage_nodes(),
@@ -340,5 +340,14 @@ mod tests {
     fn bad_topology_flag_is_rejected() {
         assert!(run_with(&["--topology", "racked:0,4"]).is_err());
         assert!(run_with(&["--topology", "mesh"]).is_err());
+        // 20 storage nodes and one client: a 22nd rack would be empty.
+        let err = run_with(&["--topology", "racked:22,8", "--chunks", "2"]).unwrap_err();
+        assert_eq!(
+            err,
+            "--topology: 22 racks but only 21 nodes (storage and clients)"
+        );
+        let args = ["--topology", "racked:22,8", "--chunks", "2"].map(String::from);
+        let err = crate::commands::orchestrate::run(&args).unwrap_err();
+        assert!(err.starts_with("--topology: 22 racks"), "{err}");
     }
 }

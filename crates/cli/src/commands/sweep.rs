@@ -11,7 +11,7 @@ use chameleon_bench::runner::FgSpec;
 use chameleon_bench::table::Table;
 use chameleon_bench::{AlgoKind, Scale};
 
-use crate::args::{parse_code, parse_faults, storage_nodes, Flags};
+use crate::args::{cluster_error, parse_code, parse_faults, storage_nodes, Flags};
 
 /// Runs the subcommand.
 pub fn run(args: &[String]) -> Result<(), String> {
@@ -50,6 +50,8 @@ fn sweep(args: &[String]) -> Result<Table, String> {
     scale.requests_per_client = requests;
     let mut cfg = scale.cluster_config_with_nodes(code.n(), storage_nodes(code.n()));
     cfg.topology = topology;
+    // The grid's workers treat a bad cluster as a bug; reject it here.
+    chameleon_cluster::Cluster::new(cfg.clone()).map_err(cluster_error)?;
     let faults = parse_faults(&flags, cfg.total_nodes())?;
 
     let mut cells = Vec::new();
@@ -157,6 +159,19 @@ mod tests {
         let err = run(&argv).unwrap_err();
         assert!(
             err.contains("node 99") && err.contains("the cluster has"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn more_racks_than_nodes_are_rejected_before_any_cell_runs() {
+        // 20 storage nodes and 4 clients.
+        let argv: Vec<String> = ["--seeds", "1", "--topology", "racked:25,8"]
+            .map(String::from)
+            .into();
+        let err = run(&argv).unwrap_err();
+        assert!(
+            err.starts_with("--topology: 25 racks") && err.contains("24 nodes"),
             "{err}"
         );
     }

@@ -136,6 +136,14 @@ pub enum ClusterError {
     BadConfig,
     /// A referenced node does not exist.
     UnknownNode,
+    /// The topology names more racks than the simulator has nodes
+    /// (storage and clients): the empty racks would still size the spine.
+    RacksExceedNodes {
+        /// Racks the topology asks for.
+        racks: usize,
+        /// Simulator nodes to spread over them.
+        nodes: usize,
+    },
 }
 
 impl std::fmt::Display for ClusterError {
@@ -143,6 +151,12 @@ impl std::fmt::Display for ClusterError {
         match self {
             ClusterError::BadConfig => write!(f, "invalid cluster configuration"),
             ClusterError::UnknownNode => write!(f, "node does not exist"),
+            ClusterError::RacksExceedNodes { racks, nodes } => {
+                write!(
+                    f,
+                    "{racks} racks but only {nodes} nodes (storage and clients)"
+                )
+            }
         }
     }
 }
@@ -250,7 +264,9 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns [`ClusterError::BadConfig`] if the stripe width exceeds the
-    /// node count or any size parameter is zero.
+    /// node count or any size parameter is zero, and
+    /// [`ClusterError::RacksExceedNodes`] if the topology has more racks
+    /// than the simulator has nodes.
     pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
         if config.storage_nodes < config.stripe_width
             || config.stripe_width == 0
@@ -259,6 +275,10 @@ impl Cluster {
             || config.slice_size > config.chunk_size
         {
             return Err(ClusterError::BadConfig);
+        }
+        let (racks, nodes) = (config.topology.rack_count(), config.total_nodes());
+        if racks > nodes {
+            return Err(ClusterError::RacksExceedNodes { racks, nodes });
         }
         let placement = Placement::new(
             config.storage_nodes,
@@ -495,6 +515,34 @@ mod tests {
         let mut cfg = ClusterConfig::small(6);
         cfg.slice_size = cfg.chunk_size * 2;
         assert_eq!(Cluster::new(cfg).unwrap_err(), ClusterError::BadConfig);
+    }
+
+    #[test]
+    fn more_racks_than_nodes_rejected() {
+        // 20 storage nodes and 4 clients: 24 one-node racks are fine, a
+        // 25th would be empty yet still widen the spine.
+        let mut cfg = ClusterConfig::small(6);
+        cfg.topology = TopologySpec::Racked {
+            racks: 24,
+            oversub: 8.0,
+        };
+        assert!(Cluster::new(cfg.clone()).is_ok());
+        cfg.topology = TopologySpec::Racked {
+            racks: 25,
+            oversub: 8.0,
+        };
+        let err = Cluster::new(cfg).unwrap_err();
+        assert_eq!(
+            err,
+            ClusterError::RacksExceedNodes {
+                racks: 25,
+                nodes: 24
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "25 racks but only 24 nodes (storage and clients)"
+        );
     }
 
     #[test]

@@ -245,6 +245,10 @@ pub struct Simulator {
     link_base: usize,
     /// Number of shared link resources (0 without a topology).
     links: usize,
+    /// Per link, whether it can bind ([`Topology::link_can_bind`]): only
+    /// those cells are registered with the solver. Groups, class tables and
+    /// the monitor keep every cell.
+    link_binds: Vec<bool>,
     /// Live flows by id. Nothing walks it in iteration order except
     /// `fail_node`, which sorts what it collects.
     flows: IdMap<u64, Flow>,
@@ -331,6 +335,9 @@ impl Simulator {
         }
         let link_base = config.nodes.len() * KINDS;
         let links = config.topology.as_ref().map_or(0, |t| t.link_count());
+        let link_binds = (0..links)
+            .map(|l| config.topology.as_ref().is_some_and(|t| t.link_can_bind(l)))
+            .collect();
         let caps = config.capacities();
         let monitor = Monitor::new(config.nodes.len(), links, config.monitor_window_secs);
         let cells = (config.nodes.len() * KINDS + links) * TAGS;
@@ -342,6 +349,7 @@ impl Simulator {
             topology: config.topology,
             link_base,
             links,
+            link_binds,
             base_caps: config.nodes.clone(),
             failed_nodes: vec![false; config.nodes.len()],
             pending_aborts: VecDeque::new(),
@@ -570,8 +578,8 @@ impl Simulator {
 
     /// Adds a flow to the group sharing its resource-cell sequence,
     /// creating the group if it is the first member. Registers the
-    /// membership change with the incremental solver and marks the group
-    /// touched.
+    /// membership change with the incremental solver — a new group with
+    /// only the cells that can bind — and marks the group touched.
     fn join_group(&mut self, flow: &Flow, tag: usize) -> u32 {
         use std::collections::hash_map::Entry;
         let (g, created) = match self.group_ids.entry(Self::group_key(flow)) {
@@ -619,8 +627,16 @@ impl Simulator {
         };
         let grp = &self.groups[g as usize];
         if created {
-            self.solver
-                .insert_group(g, &grp.cells[..grp.ncells as usize], 1);
+            let mut cells = [0u32; MAX_CONSTRAINTS];
+            let mut n = 0;
+            for &c in &grp.cells[..grp.ncells as usize] {
+                let link = (c as usize).checked_sub(self.link_base);
+                if link.is_none_or(|l| self.link_binds[l]) {
+                    cells[n] = c;
+                    n += 1;
+                }
+            }
+            self.solver.insert_group(g, &cells[..n], 1);
         } else {
             self.solver.set_weight(g, grp.count);
         }
@@ -2226,6 +2242,32 @@ mod tests {
         sim.verify_against_full_solve();
         while sim.next_event().is_some() {}
         sim.verify_against_full_solve();
+    }
+
+    #[test]
+    fn tor_links_wider_than_the_spine_stay_out_of_the_solver() {
+        // Two racks of three; every ring flow crosses both ToR links of
+        // its pair of racks and the spine.
+        let run = |spine: f64| {
+            let mut sim = Simulator::new(SimConfig {
+                topology: Some(Topology::round_robin(6, 2, 90.0, 90.0, Some(spine))),
+                ..SimConfig::uniform(6, NodeCaps::symmetric(40.0, 25.0))
+            });
+            for src in 0..6 {
+                sim.start_flow(FlowSpec::network(src, (src + 1) % 6, 100, Traffic::Repair));
+            }
+            sim.verify_against_full_solve();
+            let registered: Vec<bool> = (0..sim.link_count())
+                .map(|l| !sim.solver.residents(sim.link_base + l).is_empty())
+                .collect();
+            (registered, sim.link_class_rate(0, Traffic::Repair))
+        };
+        // A 60 B/s spine gives each of the six flows 10 B/s; the 90 B/s ToR
+        // links never bind, yet the class tables still carry rack 0's 30.
+        assert_eq!(run(60.0), (vec![false, false, false, false, true], 30.0));
+        // Behind a 300 B/s spine the ToR links are solved, and bind: three
+        // flows share each 90 B/s link.
+        assert_eq!(run(300.0), (vec![true; 5], 90.0));
     }
 
     #[test]

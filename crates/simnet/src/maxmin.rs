@@ -317,7 +317,7 @@ struct Resource {
     rem_cap: f64,
     /// Total weight of the closure's unfrozen groups on the resource.
     load: u32,
-    /// Position in the (sorted) closure resource list, and so in `share`.
+    /// Position in the closure resource list, and so in `share`.
     pos: u32,
     /// Whether a freeze of the current round moved `rem_cap` or `load`.
     share_stale: bool,
@@ -438,7 +438,7 @@ pub struct IncrementalSolver {
     roots: Vec<u32>,
     stack: Vec<u32>,
     dirty_groups: Vec<u32>,
-    /// The closure's resources; ascending while a fill runs.
+    /// The closure's resources, in visit order.
     dirty_res: Vec<u32>,
     /// Equal share per closure resource, parallel to `dirty_res` — the
     /// dense array the bottleneck scan runs over.
@@ -496,6 +496,12 @@ impl IncrementalSolver {
     /// the flag that decides whether it conducts the next closure walk.
     pub fn is_saturated(&self, res: usize) -> bool {
         self.resources[res].saturated
+    }
+
+    /// The groups registered on a resource, ascending by slot.
+    #[cfg(test)]
+    pub(crate) fn residents(&self, res: usize) -> &[u32] {
+        &self.res_groups[res]
     }
 
     fn seed_res(&mut self, r: u32) {
@@ -742,11 +748,10 @@ impl IncrementalSolver {
     }
 
     /// (Re-)initialises the fill's per-resource remaining capacity, load
-    /// and equal share over the whole closure.
+    /// and equal share over the whole closure. A closure without groups
+    /// gets only its remaining capacities: the saturation flags and the
+    /// retry rule read them, and there is nothing to fill.
     fn prepare_fill(&mut self) {
-        // Ascending resource ids make the scan's first minimum the
-        // tie-break the batch solver applies.
-        self.dirty_res.sort_unstable();
         for (pos, &r) in self.dirty_res.iter().enumerate() {
             let res = &mut self.resources[r as usize];
             res.pos = pos as u32;
@@ -765,6 +770,9 @@ impl IncrementalSolver {
                 }
                 (res.cap - out).max(0.0)
             };
+        }
+        if self.dirty_groups.is_empty() {
+            return;
         }
         for &slot in &self.dirty_groups {
             let g = &mut self.groups[slot as usize];
@@ -789,10 +797,13 @@ impl IncrementalSolver {
         while unfrozen > 0 {
             self.rounds += 1;
             // Bottleneck: smallest equal share, ties to the lowest
-            // resource id.
+            // resource id (the closure list is in visit order).
             let mut best = 0;
             for pos in 1..self.share.len() {
-                if self.share[pos] < self.share[best] {
+                let (share, best_share) = (self.share[pos], self.share[best]);
+                if share < best_share
+                    || (share == best_share && self.dirty_res[pos] < self.dirty_res[best])
+                {
                     best = pos;
                 }
             }

@@ -19,6 +19,17 @@
 //! - rack `r` ToR uplink: `2 r`
 //! - rack `r` ToR downlink: `2 r + 1`
 //! - spine (if any): `2 × racks`
+//!
+//! Every cross-rack path crosses the spine, so a ToR link wider than the
+//! spine can never be a bottleneck ([`Topology::link_can_bind`]); the engine
+//! leaves such links out of its solver and keeps them everywhere else.
+
+/// Relative margin by which a ToR link must exceed the spine before it
+/// counts as unable to bind. Exact arithmetic needs only "wider"; the
+/// margin absorbs the rounding a solve's capacity subtractions accumulate
+/// (each within an ulp of the link's capacity), so the float fill can
+/// never tie the two links either.
+const DOMINANCE_MARGIN: f64 = 1e-6;
 
 /// The rack/spine fabric joining the simulator's nodes.
 ///
@@ -172,6 +183,28 @@ impl Topology {
         }
     }
 
+    /// Whether a link can ever be a max–min bottleneck.
+    ///
+    /// Every flow through a ToR link also crosses the spine, so the ToR link
+    /// carries a subset of the spine's flows and has handed out no more
+    /// than the spine at every step of progressive filling. When its
+    /// capacity exceeds the spine's (by more than a relative 10⁻⁶, which
+    /// absorbs rounding), its equal share therefore stays strictly above
+    /// the spine's, and it never binds. The spine, and a ToR
+    /// link no wider than the spine (on a tie the ToR link has the lower id
+    /// and would win) or under a spineless core, can bind.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `link` is out of range.
+    pub fn link_can_bind(&self, link: usize) -> bool {
+        let cap = self.link_capacity(link);
+        match self.spine {
+            Some(spine) if link < 2 * self.racks => cap <= spine * (1.0 + DOMINANCE_MARGIN),
+            _ => true,
+        }
+    }
+
     /// The link resources a `src → dst` transfer crosses: empty for
     /// same-rack pairs, `[tor_up(src), tor_down(dst)]` plus the spine (in
     /// that order, spine last) otherwise.
@@ -230,6 +263,23 @@ mod tests {
         assert_eq!(t.path_links(0, 3).count(), 0);
         let links: Vec<usize> = t.path_links(0, 1).collect();
         assert_eq!(links, vec![0, 3, 6], "tor_up, tor_down, spine");
+    }
+
+    #[test]
+    fn only_tor_links_wider_than_the_spine_cannot_bind() {
+        // Rack 0 is wider than the spine, rack 1 exactly as wide, rack 2's
+        // uplink narrower.
+        let t = Topology::new(
+            vec![0, 1, 2],
+            vec![90.0, 60.0, 40.0],
+            vec![90.0, 60.0, 90.0],
+            Some(60.0),
+        );
+        let binds: Vec<bool> = (0..t.link_count()).map(|l| t.link_can_bind(l)).collect();
+        assert_eq!(binds, [false, false, true, true, true, false, true]);
+        // Without a spine every ToR link can bind.
+        let t = Topology::round_robin(4, 2, 90.0, 90.0, None);
+        assert!((0..t.link_count()).all(|l| t.link_can_bind(l)));
     }
 
     #[test]

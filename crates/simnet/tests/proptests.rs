@@ -11,6 +11,12 @@ use chameleon_simnet::{
 };
 use proptest::prelude::*;
 
+/// The spine behind the 60 B/s ToR links of the racked differential tests
+/// (two busy 40 B/s uplinks fill one): narrower (so the solver drops every
+/// ToR link), equal, wider, or absent (so every ToR link can bind and is
+/// solved).
+const SPINES: [Option<f64>; 4] = [Some(45.0), Some(60.0), Some(120.0), None];
+
 /// One step of a random solver schedule: what to do to `slot` if it is
 /// free (register `cells` × `weight`) or live (`kind` picks remove /
 /// re-weight / remove-and-re-register / a capacity edit on `res`), and
@@ -366,18 +372,19 @@ proptest! {
         seed in any::<u64>(),
         op_count in 4usize..24,
         racks in 1usize..4,
+        spine in 0usize..SPINES.len(),
     ) {
         // A scripted dynamic workload: flows admitted at time zero and via
         // timers as the run unfolds, plus occasional cancellations —
         // exercising the completion heap, the incremental class tables,
         // and lazy remaining-materialization against the reference engine.
-        // With `racks > 1` the nodes sit behind round-robin ToRs and a
-        // spine narrow enough to saturate, so link cells join the solve and
-        // the monitor's link totals are compared too.
+        // With `racks > 1` the nodes sit behind round-robin ToRs and one
+        // of `SPINES`, so link cells join the solve (all of them, or only
+        // the spine's) and the monitor's link totals are compared too.
         let cfg = || {
             let mut cfg = SimConfig::uniform(5, NodeCaps::symmetric(40.0, 25.0));
             if racks > 1 {
-                cfg.topology = Some(Topology::round_robin(5, racks, 90.0, 90.0, Some(60.0)));
+                cfg.topology = Some(Topology::round_robin(5, racks, 60.0, 60.0, SPINES[spine]));
             }
             cfg
         };
@@ -493,6 +500,7 @@ proptest! {
         seed in any::<u64>(),
         op_count in 4usize..32,
         racks in 1usize..4,
+        spine in 0usize..SPINES.len(),
     ) {
         // The tentpole invariant of the incremental solver: after ANY
         // prefix of a randomized admit / complete / restart / cancel /
@@ -502,13 +510,14 @@ proptest! {
         // full solve over the entire live flow set.
         // `verify_against_full_solve` refreshes and asserts bitwise
         // equality (it panics on the first divergence). With `racks > 1`
-        // the cluster sits behind ToR links and a spine narrow enough to
-        // saturate, so cross-rack flows form one genuinely merged
-        // component.
+        // the cluster sits behind ToR links and one of `SPINES`: a narrow
+        // one merges cross-rack flows into one component the solver sees
+        // without ToR links, a wide or absent one lets the ToR links bind.
+        // The oracle always solves every link.
         let caps = NodeCaps::symmetric(40.0, 25.0);
         let mut cfg = SimConfig::uniform(6, caps);
         if racks > 1 {
-            cfg.topology = Some(Topology::round_robin(6, racks, 90.0, 90.0, Some(60.0)));
+            cfg.topology = Some(Topology::round_robin(6, racks, 60.0, 60.0, SPINES[spine]));
         }
         let mut sim = Simulator::new(cfg);
         let mut state = seed | 1;
