@@ -13,73 +13,64 @@
 //!   a >30% drop of either fails.
 //!   Run `cargo bench --bench gf_throughput` first.
 //!
-//! Usage: `bench_gate [--current <path>] [--baseline <path>]
-//!                    [--gf-current <path>] [--gf-baseline <path>]`
+//! [`COMMAND`] declares the four path flags; a relative path, as each
+//! default is, is read from `results/`.
 
-use std::path::PathBuf;
+use std::process::ExitCode;
 
+use chameleon_bench::flags::{Command, Flags};
 use chameleon_bench::gate;
 use chameleon_bench::table::results_dir;
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let results_path = |name: &str| results_dir().join(name);
-    let mut current = results_path("BENCH_simnet.json");
-    let mut baseline = results_path("BENCH_simnet.baseline.json");
-    let mut gf_current = results_path("BENCH_gf.json");
-    let mut gf_baseline = results_path("BENCH_gf.baseline.json");
-    let mut it = args.iter().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--current" => current = it.next().expect("--current needs a path").into(),
-            "--baseline" => baseline = it.next().expect("--baseline needs a path").into(),
-            "--gf-current" => gf_current = it.next().expect("--gf-current needs a path").into(),
-            "--gf-baseline" => gf_baseline = it.next().expect("--gf-baseline needs a path").into(),
-            other => {
-                eprintln!("bench_gate: unknown argument `{other}`");
-                std::process::exit(2);
-            }
+const COMMAND: Command = Command {
+    name: "bench_gate",
+    about: "Fail on a simnet or GF throughput regression; relative paths are under results/",
+    flags: &[
+        ("current", "BENCH_simnet.json", "fresh simnet JSON"),
+        ("baseline", "BENCH_simnet.baseline.json", "simnet baseline"),
+        ("gf-current", "BENCH_gf.json", "fresh GF JSON"),
+        ("gf-baseline", "BENCH_gf.baseline.json", "GF baseline"),
+    ],
+};
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match gate_all(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => ExitCode::FAILURE,
+        Err(e) => {
+            eprintln!("bench_gate: {e}");
+            ExitCode::from(2)
         }
     }
+}
 
-    let read = |path: &PathBuf| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("bench_gate: cannot read {}: {e}", path.display());
-            std::process::exit(2);
-        })
+/// Runs the three checks and prints their reports; `Ok(false)` when one
+/// regressed, an error when a flag or an input document is bad.
+fn gate_all(args: &[String]) -> Result<bool, String> {
+    let flags = Flags::parse(args, &COMMAND)?;
+    let read = |key: &str| {
+        let path = results_dir().join(flags.str(key));
+        std::fs::read_to_string(&path)
+            .map_err(|e| format!("--{key}: cannot read {}: {e}", path.display()))
     };
+    let [current, baseline, gf_current, gf_baseline] = [
+        read("current")?,
+        read("baseline")?,
+        read("gf-current")?,
+        read("gf-baseline")?,
+    ];
 
-    let current_json = read(&current);
-    let simnet = match gate::check(&current_json, &read(&baseline)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            std::process::exit(2);
-        }
-    };
+    let simnet = gate::check(&current, &baseline)?;
     println!("{}", simnet.render());
-
-    let spine = match gate::check_spine(&current_json) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            std::process::exit(2);
-        }
-    };
+    let spine = gate::check_spine(&current)?;
     println!("{}", spine.render_spine());
-
-    let gf = match gate::check_gf(&read(&gf_current), &read(&gf_baseline)) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("bench_gate: {e}");
-            std::process::exit(2);
-        }
-    };
+    let gf = gate::check_gf(&gf_current, &gf_baseline)?;
     for (column, report) in &gf {
         println!("{}", report.render_gf(column));
     }
 
-    let mut failed = false;
+    let mut passed = true;
     if !spine.pass() {
         eprintln!(
             "bench_gate: the oversubscribed-spine point fell below the absolute \
@@ -87,7 +78,7 @@ fn main() {
              dirty closure through resources that have slack",
             gate::SPINE_MIN_EVENTS_PER_SEC
         );
-        failed = true;
+        passed = false;
     }
     if !simnet.pass() {
         eprintln!(
@@ -96,7 +87,7 @@ fn main() {
              in the same PR and justify it in the description",
             gate::MAX_REGRESSION * 100.0
         );
-        failed = true;
+        passed = false;
     }
     if gf.iter().any(|(_, report)| !report.pass()) {
         eprintln!(
@@ -105,9 +96,7 @@ fn main() {
              in the same PR and justify it in the description",
             gate::GF_MAX_REGRESSION * 100.0
         );
-        failed = true;
+        passed = false;
     }
-    if failed {
-        std::process::exit(1);
-    }
+    Ok(passed)
 }

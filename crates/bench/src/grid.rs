@@ -43,6 +43,7 @@ use chameleon_simnet::{FaultPlan, Simulator};
 use std::sync::Arc;
 
 use crate::algo::AlgoKind;
+use crate::flags::Flag;
 use crate::runner::{run_repair_traced, stage, FgSpec, RunOutput};
 
 /// How a [`RunSpec`] builds its repair driver.
@@ -344,33 +345,25 @@ impl Progress {
     }
 }
 
-/// Resolves the worker count for a grid: the `--jobs N` / `--jobs=N`
-/// command-line flag wins, then the `CHAMELEON_JOBS` environment variable,
-/// then the machine's available parallelism.
-pub fn jobs_from_env() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--jobs" {
-            if let Some(n) = it.next().and_then(|v| v.parse().ok()) {
-                return clamp_jobs(n);
-            }
-        } else if let Some(v) = arg.strip_prefix("--jobs=") {
-            if let Ok(n) = v.parse() {
-                return clamp_jobs(n);
-            }
-        }
-    }
-    if let Ok(v) = std::env::var("CHAMELEON_JOBS") {
-        if let Ok(n) = v.parse() {
-            return clamp_jobs(n);
-        }
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
+/// The `--jobs` flag of every command that runs a grid; [`resolve_jobs`]
+/// reads it.
+pub const JOBS: Flag = (
+    "jobs",
+    "0",
+    "worker threads; 0 = CHAMELEON_JOBS, else the available parallelism",
+);
 
-fn clamp_jobs(n: usize) -> usize {
-    n.max(1)
+/// Resolves a requested worker count: a positive request wins; 0 means the
+/// `CHAMELEON_JOBS` environment variable, then the machine's available
+/// parallelism.
+pub fn resolve_jobs(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
+    }
+    match std::env::var("CHAMELEON_JOBS").map(|v| v.parse::<usize>()) {
+        Ok(Ok(n)) => n.max(1),
+        _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
+    }
 }
 
 /// The simulator type is re-exported here so the Send-bound audit below is
@@ -460,9 +453,23 @@ mod tests {
         assert!(msg.contains("#6"), "message was: {msg}");
     }
 
+    /// The one test in this binary that reads or writes `CHAMELEON_JOBS`.
     #[test]
-    fn jobs_are_clamped() {
-        assert_eq!(clamp_jobs(0), 1);
-        assert_eq!(clamp_jobs(3), 3);
+    fn a_request_of_zero_falls_back_to_the_environment_then_the_host() {
+        let saved = std::env::var("CHAMELEON_JOBS");
+        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::env::set_var("CHAMELEON_JOBS", "3");
+        assert_eq!(resolve_jobs(0), 3);
+        assert_eq!(resolve_jobs(5), 5);
+        std::env::set_var("CHAMELEON_JOBS", "0");
+        assert_eq!(resolve_jobs(0), 1);
+        std::env::set_var("CHAMELEON_JOBS", "not a number");
+        assert_eq!(resolve_jobs(0), host);
+        std::env::remove_var("CHAMELEON_JOBS");
+        assert_eq!(resolve_jobs(0), host);
+        assert_eq!(resolve_jobs(5), 5);
+        if let Ok(v) = saved {
+            std::env::set_var("CHAMELEON_JOBS", v);
+        }
     }
 }

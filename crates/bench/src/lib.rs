@@ -18,6 +18,7 @@
 
 pub mod algo;
 pub mod experiments;
+pub mod flags;
 pub mod gate;
 pub mod grid;
 pub mod runner;

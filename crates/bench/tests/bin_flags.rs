@@ -1,0 +1,77 @@
+//! `suite` and `bench_gate` answer a bad or missing flag value with a
+//! message and exit status 2, before running or reading anything else.
+
+use std::process::Command;
+
+/// Runs `bin` with `args`; returns its exit status and stderr.
+fn run(bin: &str, args: &[&str]) -> (Option<i32>, String) {
+    let out = Command::new(bin)
+        .args(args)
+        .output()
+        .expect("the binary runs");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into(),
+    )
+}
+
+#[test]
+fn suite_rejects_every_bad_flag() {
+    for (args, says) in [
+        (&["--only"][..], "--only needs a value"),
+        (
+            &["--only", "nosuch"],
+            "unknown experiment `nosuch`; experiments: fig02_reliability, ",
+        ),
+        (&["--only", "fig02_reliability,x"], "unknown experiment `x`"),
+        (&["--jobs"], "--jobs needs a value"),
+        (&["--jobs", "x"], "invalid value for --jobs: `x`"),
+        (&["--jobs", "-1"], "invalid value for --jobs: `-1`"),
+        (&["--jobs", "nan"], "invalid value for --jobs: `nan`"),
+        (&["--list"], "unexpected `--list`; suite takes:"),
+        (&["--baseline", "x"], "unexpected `--baseline`"),
+    ] {
+        let (status, stderr) = run(env!("CARGO_BIN_EXE_suite"), args);
+        assert_eq!(status, Some(2), "suite {args:?}: {stderr}");
+        assert!(stderr.contains(says), "suite {args:?}: {stderr}");
+    }
+}
+
+/// Each path flag is tried with the other three naming a readable file, so
+/// the error must come from the flag under test.
+#[test]
+fn bench_gate_rejects_every_bad_flag() {
+    let readable = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    for flag in ["--current", "--baseline", "--gf-current", "--gf-baseline"] {
+        let (status, stderr) = run(env!("CARGO_BIN_EXE_bench_gate"), &[flag]);
+        assert_eq!(status, Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag} needs a value")),
+            "{stderr}"
+        );
+
+        let mut args = Vec::new();
+        for other in ["--current", "--baseline", "--gf-current", "--gf-baseline"] {
+            args.extend([
+                other,
+                if other == flag {
+                    "/nonexistent/x.json"
+                } else {
+                    readable
+                },
+            ]);
+        }
+        let (status, stderr) = run(env!("CARGO_BIN_EXE_bench_gate"), &args);
+        assert_eq!(status, Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("{flag}: cannot read /nonexistent/x.json")),
+            "{stderr}"
+        );
+    }
+    let (status, stderr) = run(env!("CARGO_BIN_EXE_bench_gate"), &["--gf", "x"]);
+    assert_eq!(status, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("unexpected `--gf`; bench_gate takes:"),
+        "{stderr}"
+    );
+}

@@ -9,38 +9,54 @@
 //! threshold. The final report is the measured reliability of the
 //! configuration: repairs, quarantines, losses, and time to first loss.
 
+use chameleon_bench::flags::{Command, Flags};
 use chameleon_bench::runner::stage;
 use chameleon_core::{BudgetPolicy, Orchestrator, OrchestratorConfig, QueuePolicy};
 use chameleon_simnet::FaultPlan;
 
-use super::repair::{drain, setup, SHARED_FLAGS};
-use crate::args::{cluster_error, Flags};
+use super::repair::{self, drain, setup};
+use crate::args::cluster_error;
+
+/// `orchestrate`'s flags.
+pub const COMMAND: Command = Command {
+    name: "orchestrate",
+    about: "Run a multi-failure repair campaign under the cluster-wide orchestrator",
+    flags: &[
+        ("code", "rs:4,2", repair::CODE.2),
+        repair::ALGO,
+        repair::CHUNKS,
+        repair::CLIENTS,
+        repair::REQUESTS,
+        repair::GBPS,
+        repair::DISK_MBPS,
+        repair::CHUNK_MB,
+        repair::SEED,
+        repair::TOPOLOGY,
+        ("duration", "90", "fault-injection horizon in s"),
+        ("mttf", "150", "mean time to failure per node, in s"),
+        ("recover", "30", "s until a crashed node returns; 0: never"),
+        ("policy", "priority", "fifo | priority"),
+        (
+            "budget",
+            "unlimited",
+            "unlimited | MB/s fixed rate | negotiated[:HEADROOM,FLOOR_MBPS]",
+        ),
+        ("max-in-flight", "8", "concurrent chunk repairs"),
+        ("ledger", "", "write the repair ledger as JSONL here"),
+    ],
+};
 
 /// Runs the subcommand.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    let own = [
-        "duration",
-        "mttf",
-        "recover",
-        "policy",
-        "budget",
-        "max-in-flight",
-        "ledger",
-    ];
-    flags.ensure_known(&[&SHARED_FLAGS[..], &own].concat())?;
-    let s = setup(&flags, "rs:4,2")?;
-    let duration: f64 = flags.num_or("duration", 90.0)?;
-    let mttf: f64 = flags.num_or("mttf", 150.0)?;
-    let recover: f64 = flags.num_or("recover", 30.0)?;
-    let policy = flags.str_or("policy", "priority");
-    let budget_spec = flags.str_or("budget", "unlimited");
-    let max_in_flight: usize = flags.num_or("max-in-flight", 8)?;
-    let ledger_path = flags.str_or("ledger", "");
+pub fn run(flags: &Flags) -> Result<(), String> {
+    let s = setup(flags)?;
+    let duration = flags.positive("duration")?;
+    let mttf = flags.positive("mttf")?;
+    let recover: f64 = flags.num("recover")?;
+    let policy = flags.str("policy");
+    let budget_spec = flags.str("budget");
+    let max_in_flight: usize = flags.num("max-in-flight")?;
+    let ledger_path = flags.str("ledger");
 
-    if !duration.is_finite() || duration <= 0.0 || !mttf.is_finite() || mttf <= 0.0 {
-        return Err("--duration and --mttf must be positive seconds".into());
-    }
     if !recover.is_finite() || recover < 0.0 {
         return Err(format!(
             "--recover must be finite seconds, 0 for no recovery, got `{recover}`"
@@ -49,12 +65,12 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if max_in_flight == 0 {
         return Err("--max-in-flight must be at least 1".into());
     }
-    let queue = match policy.as_str() {
+    let queue = match policy {
         "fifo" => QueuePolicy::Fifo,
         "priority" => QueuePolicy::RedundancyPriority,
         other => return Err(format!("unknown --policy `{other}` (fifo | priority)")),
     };
-    let budget = parse_budget(&budget_spec)?;
+    let budget = parse_budget(budget_spec)?;
 
     let clients = s.fg.as_ref().map_or(0, |fg| fg.clients);
     let candidates: Vec<usize> = (0..s.cfg.storage_nodes).collect();
@@ -149,7 +165,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
     if !ledger_path.is_empty() {
         let jsonl = orchestrator.ledger_jsonl();
         let lines = jsonl.lines().count();
-        std::fs::write(&ledger_path, &jsonl)
+        std::fs::write(ledger_path, &jsonl)
             .map_err(|e| format!("cannot write --ledger file `{ledger_path}`: {e}"))?;
         println!("ledger: {lines} records -> {ledger_path}");
     }
@@ -203,7 +219,10 @@ mod tests {
     use super::*;
 
     fn run_with(args: &[&str]) -> Result<(), String> {
-        run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        crate::commands::run(
+            "orchestrate",
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        )
     }
 
     #[test]

@@ -1,20 +1,27 @@
 //! The `plan` subcommand: show the tunable plan ChameleonEC builds for one
 //! chunk, as an ASCII tree.
 
+use chameleon_bench::flags::{Command, Flags};
 use chameleon_cluster::{ChunkId, Cluster, ClusterConfig, PlacementStrategy, TopologySpec};
 use chameleon_core::chameleon::{dispatch_chunk, establish_plan, PhaseState};
 use chameleon_core::{RepairContext, RepairPlan};
 use chameleon_simnet::NodeCaps;
 
-use crate::args::{cluster_error, parse_code, storage_nodes, Flags};
+use super::repair::{CODE, GBPS, SEED};
+use crate::args::{cluster_error, parse_code, storage_nodes};
+
+/// `plan`'s flags.
+pub const COMMAND: Command = Command {
+    name: "plan",
+    about: "Show the repair plan ChameleonEC builds for one chunk",
+    flags: &[CODE, GBPS, SEED],
+};
 
 /// Runs the subcommand.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.ensure_known(&["code", "gbps", "seed"])?;
-    let code = parse_code(&flags.str_or("code", "rs:10,4"))?;
-    let gbps = flags.positive_or("gbps", 10.0)?;
-    let seed: u64 = flags.num_or("seed", 7)?;
+pub fn run(flags: &Flags) -> Result<(), String> {
+    let code = parse_code(flags.str("code"))?;
+    let gbps = flags.positive("gbps")?;
+    let seed: u64 = flags.num("seed")?;
 
     let storage_nodes = storage_nodes(code.n());
     let cfg = ClusterConfig {

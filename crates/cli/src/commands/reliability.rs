@@ -1,19 +1,29 @@
 //! The `reliability` subcommand: the Fig. 2 analytical model.
 
+use chameleon_bench::flags::{Command, Flags};
 use chameleon_cluster::reliability::ReliabilityModel;
 
-use crate::args::Flags;
+/// `reliability`'s flags.
+pub const COMMAND: Command = Command {
+    name: "reliability",
+    about: "Data-loss probability vs repair throughput (Fig. 2)",
+    flags: &[
+        ("throughput", "10,50,100,500,1000", "repair MB/s list"),
+        ("k", "10", "data chunks per stripe"),
+        ("m", "4", "parity chunks per stripe"),
+        ("node-tb", "96", "storage per node in TB"),
+        ("lifetime-years", "10", "mean node lifetime theta in years"),
+    ],
+};
 
 /// Runs the subcommand.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.ensure_known(&["throughput", "k", "m", "node-tb", "lifetime-years"])?;
-    let throughputs = flags.f64_list_or("throughput", &[10.0, 50.0, 100.0, 500.0, 1000.0])?;
+pub fn run(flags: &Flags) -> Result<(), String> {
+    let throughputs = flags.positive_list("throughput")?;
     let model = ReliabilityModel {
-        k: flags.num_or("k", 10usize)?,
-        m: flags.num_or("m", 4usize)?,
-        node_capacity_bytes: flags.num_or("node-tb", 96.0f64)? * 1e12,
-        node_lifetime_years: flags.num_or("lifetime-years", 10.0f64)?,
+        k: flags.num("k")?,
+        m: flags.num("m")?,
+        node_capacity_bytes: flags.positive("node-tb")? * 1e12,
+        node_lifetime_years: flags.positive("lifetime-years")?,
     };
     if model.k == 0 || model.m == 0 {
         return Err("k and m must be positive".to_string());
@@ -29,9 +39,6 @@ pub fn run(args: &[String]) -> Result<(), String> {
     );
     println!("{:>12} {:>16} {:>12}", "MB/s", "repair time (h)", "Pr_dl");
     for mbps in throughputs {
-        if mbps <= 0.0 {
-            return Err("throughput values must be positive".to_string());
-        }
         let bps = mbps * 1e6;
         println!(
             "{:>12.0} {:>16.1} {:>12.3e}",

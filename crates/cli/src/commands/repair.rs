@@ -2,6 +2,7 @@
 
 use std::sync::Arc;
 
+use chameleon_bench::flags::{Command, Flag, Flags};
 use chameleon_bench::runner::{stage, FgSpec, RunOutput};
 use chameleon_bench::AlgoKind;
 use chameleon_cluster::{ClusterConfig, PlacementStrategy, TopologySpec};
@@ -9,24 +10,57 @@ use chameleon_codes::ErasureCode;
 use chameleon_core::run::{RepairSide, Run};
 use chameleon_simnet::{EngineProfile, NodeCaps};
 
-use crate::args::{cluster_error, parse_code, parse_faults, storage_nodes, Flags};
+use crate::args::{cluster_error, parse_code, parse_faults, storage_nodes};
 
-/// The flags `repair` and `orchestrate` share: code, algorithm, cluster
-/// and foreground.
-pub(crate) const SHARED_FLAGS: [&str; 10] = [
-    "code",
-    "algo",
+/// `repair`'s flags.
+pub const COMMAND: Command = Command {
+    name: "repair",
+    about: "Simulate a full-node repair, optionally under foreground load",
+    flags: &[
+        CODE,
+        ALGO,
+        CHUNKS,
+        CLIENTS,
+        REQUESTS,
+        GBPS,
+        DISK_MBPS,
+        CHUNK_MB,
+        SEED,
+        TOPOLOGY,
+        ("failures", "1", "number of failed nodes"),
+        FAULTS,
+        ("trace", "", "write flow, span and profile JSONL here"),
+    ],
+};
+
+// The flags `setup` reads, which `orchestrate` shares; `sweep` and `plan`
+// share some of them.
+pub(crate) const CODE: Flag = ("code", "rs:10,4", "rs:K,M | lrc:K,L,M | butterfly");
+pub(crate) const ALGO: Flag = ("algo", "chameleon", "repair algorithm (see ALGORITHMS)");
+pub(crate) const CHUNKS: Flag = (
     "chunks",
-    "clients",
-    "requests",
-    "gbps",
-    "disk-mbps",
-    "chunk-mb",
-    "seed",
+    "20",
+    "mean chunks per storage node; a failed node loses what placement put there",
+);
+pub(crate) const CLIENTS: Flag = ("clients", "0", "foreground YCSB-A clients");
+pub(crate) const REQUESTS: Flag = ("requests", "4000", "requests per client");
+pub(crate) const GBPS: Flag = ("gbps", "10", "link bandwidth in Gb/s");
+pub(crate) const DISK_MBPS: Flag = ("disk-mbps", "500", "disk bandwidth in MB/s");
+pub(crate) const CHUNK_MB: Flag = ("chunk-mb", "64", "chunk size in MiB");
+pub(crate) const SEED: Flag = ("seed", "7", "RNG seed");
+pub(crate) const TOPOLOGY: Flag = (
     "topology",
-];
+    "flat",
+    "flat | paper | oversub | racked:R,RATIO",
+);
+pub(crate) const FAULTS: Flag = (
+    "faults",
+    "",
+    "comma list of crash:N@T, recover:N@T, slow:N@TxF+D, disk:N@TxF+D; \
+     N: storage nodes, then clients",
+);
 
-/// What [`SHARED_FLAGS`] describe.
+/// What the shared flags describe.
 pub(crate) struct Setup {
     pub code: Arc<dyn ErasureCode>,
     pub algo: AlgoKind,
@@ -39,19 +73,25 @@ pub(crate) struct Setup {
     pub disk_mbps: f64,
 }
 
-/// Reads [`SHARED_FLAGS`]; `default_code` is the command's `--code` default.
-pub(crate) fn setup(flags: &Flags, default_code: &str) -> Result<Setup, String> {
-    let code = parse_code(&flags.str_or("code", default_code))?;
-    let algo = flags.str_or("algo", "chameleon");
-    let algo = AlgoKind::from_name(&algo).ok_or_else(|| format!("unknown algorithm `{algo}`"))?;
-    let chunks: usize = flags.num_or("chunks", 20)?;
-    let clients: usize = flags.num_or("clients", 0)?;
-    let requests: usize = flags.num_or("requests", 4000)?;
-    let gbps = flags.positive_or("gbps", 10.0)?;
-    let disk_mbps = flags.positive_or("disk-mbps", 500.0)?;
-    let chunk_mb: u64 = flags.num_or("chunk-mb", 64)?;
-    let seed: u64 = flags.num_or("seed", 7)?;
-    let topology = TopologySpec::parse(&flags.str_or("topology", "flat"))?;
+/// Reads the flags `repair` and `orchestrate` share.
+pub(crate) fn setup(flags: &Flags) -> Result<Setup, String> {
+    let code = parse_code(flags.str("code"))?;
+    let algo = flags.str("algo");
+    let algo = AlgoKind::from_name(algo).ok_or_else(|| format!("unknown algorithm `{algo}`"))?;
+    let chunks: usize = flags.num("chunks")?;
+    let clients: usize = flags.num("clients")?;
+    let requests: usize = flags.num("requests")?;
+    let gbps = flags.positive("gbps")?;
+    let disk_mbps = flags.positive("disk-mbps")?;
+    let chunk_mb: u64 = flags.num("chunk-mb")?;
+    let max_mb = u64::MAX >> 20;
+    if !(1..=max_mb).contains(&chunk_mb) {
+        return Err(format!(
+            "--chunk-mb must be 1..={max_mb} MiB, got {chunk_mb}"
+        ));
+    }
+    let seed: u64 = flags.num("seed")?;
+    let topology = TopologySpec::parse(flags.str("topology"))?;
 
     let storage_nodes = storage_nodes(code.n());
     let cfg = ClusterConfig {
@@ -59,7 +99,7 @@ pub(crate) fn setup(flags: &Flags, default_code: &str) -> Result<Setup, String> 
         clients: clients.max(1),
         node_caps: NodeCaps::symmetric(gbps * 1e9 / 8.0, disk_mbps * 1e6),
         chunk_size: chunk_mb << 20,
-        slice_size: (1u64 << 20).min(chunk_mb << 20),
+        slice_size: 1 << 20,
         stripe_width: code.n(),
         stripes: (chunks * storage_nodes).div_ceil(code.n()),
         placement: PlacementStrategy::Random(seed),
@@ -93,12 +133,10 @@ pub(crate) fn engine_line(profile: &EngineProfile) -> String {
 }
 
 /// Runs the subcommand.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.ensure_known(&[&SHARED_FLAGS[..], &["failures", "faults", "trace"]].concat())?;
-    let s = setup(&flags, "rs:10,4")?;
-    let failures: usize = flags.num_or("failures", 1)?;
-    let trace_path = flags.str_or("trace", "");
+pub fn run(flags: &Flags) -> Result<(), String> {
+    let s = setup(flags)?;
+    let failures: usize = flags.num("failures")?;
+    let trace_path = flags.str("trace");
 
     if failures == 0 || failures > s.code.fault_tolerance() {
         return Err(format!(
@@ -108,7 +146,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         ));
     }
 
-    let faults = parse_faults(&flags, s.cfg.total_nodes())?;
+    let faults = parse_faults(flags, s.cfg.total_nodes())?;
     let clients = s.fg.as_ref().map_or(0, |fg| fg.clients);
     let victims: Vec<usize> = (0..failures).collect();
     let traced = !trace_path.is_empty();
@@ -232,7 +270,7 @@ pub fn run(args: &[String]) -> Result<(), String> {
         let jsonl = out
             .trace_jsonl()
             .ok_or("tracing was enabled but the engine produced no trace")?;
-        std::fs::write(&trace_path, &jsonl)
+        std::fs::write(trace_path, &jsonl)
             .map_err(|e| format!("cannot write --trace file `{trace_path}`: {e}"))?;
         println!(
             "trace: {} flow events + {} spans + {} given up + profile -> {trace_path}",
@@ -249,7 +287,10 @@ mod tests {
     use super::*;
 
     fn run_with(args: &[&str]) -> Result<(), String> {
-        run(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        crate::commands::run(
+            "repair",
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+        )
     }
 
     #[test]
@@ -296,6 +337,14 @@ mod tests {
             let err = run_with(&[flag, bad]).unwrap_err();
             assert!(err.contains("must be positive"), "{flag} {bad}: {err}");
         }
+        // 2^44 + 1 MiB used to wrap to 1 MiB chunks and repair.
+        for bad in ["0", "17592186044416", "17592186044417"] {
+            let err = run_with(&["--chunk-mb", bad, "--chunks", "2"]).unwrap_err();
+            assert!(
+                err.starts_with("--chunk-mb must be"),
+                "--chunk-mb {bad}: {err}"
+            );
+        }
     }
 
     #[test]
@@ -321,7 +370,7 @@ mod tests {
     /// commands return, not in a normal-looking report.
     #[test]
     fn a_run_that_does_not_quiesce_is_an_error_for_both_commands() {
-        let s = setup(&Flags::default(), "rs:4,2").unwrap();
+        let s = setup(&Flags::parse(&[], &crate::commands::orchestrate::COMMAND).unwrap()).unwrap();
         let (mut run, lost) = stage(s.code, s.cfg, &[0], s.fg, None, false).unwrap();
         let mut driver = s.algo.driver(run.ctx.clone(), s.seed);
         // Its flows live in a simulator nobody drains.
@@ -332,7 +381,7 @@ mod tests {
         // has quiesced; both used to be reported as this error.
         for args in [&["--duration", "1", "--seed", "1"][..], &["--chunks", "0"]] {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            crate::commands::orchestrate::run(&args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            crate::commands::run("orchestrate", &args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
         }
     }
 
@@ -347,7 +396,7 @@ mod tests {
             "--topology: 22 racks but only 21 nodes (storage and clients)"
         );
         let args = ["--topology", "racked:22,8", "--chunks", "2"].map(String::from);
-        let err = crate::commands::orchestrate::run(&args).unwrap_err();
+        let err = crate::commands::run("orchestrate", &args).unwrap_err();
         assert!(err.starts_with("--topology: 22 racks"), "{err}");
     }
 }

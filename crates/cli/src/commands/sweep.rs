@@ -6,43 +6,61 @@
 //! plus a per-algorithm mean across seeds. Results are independent of
 //! `--jobs` (the grid's determinism contract).
 
+use chameleon_bench::flags::{Command, Flags};
 use chameleon_bench::grid::{self, RunSpec};
 use chameleon_bench::runner::FgSpec;
 use chameleon_bench::table::Table;
 use chameleon_bench::{AlgoKind, Scale};
 
-use crate::args::{cluster_error, parse_code, parse_faults, storage_nodes, Flags};
+use super::repair::{CHUNKS, CLIENTS, CODE, FAULTS, REQUESTS, TOPOLOGY};
+use crate::args::{cluster_error, parse_code, parse_faults, storage_nodes};
+
+/// `sweep`'s flags.
+pub const COMMAND: Command = Command {
+    name: "sweep",
+    about: "Run an algorithm x seed grid in parallel worker threads",
+    flags: &[
+        CODE,
+        ("algos", "cr,ppr,ecpipe,chameleon", "comma list of --algo"),
+        ("seeds", "3", "seeds per algorithm"),
+        ("clients", "4", CLIENTS.2),
+        REQUESTS,
+        CHUNKS,
+        grid::JOBS,
+        FAULTS,
+        ("trace", "", "write all cells' JSONL traces here, in order"),
+        TOPOLOGY,
+    ],
+};
 
 /// Runs the subcommand.
-pub fn run(args: &[String]) -> Result<(), String> {
-    print!("{}", sweep(args)?);
+pub fn run(flags: &Flags) -> Result<(), String> {
+    print!("{}", sweep(flags)?);
     Ok(())
 }
 
 /// Runs the grid, printing its header and trace lines, and returns the
 /// table.
-fn sweep(args: &[String]) -> Result<Table, String> {
-    let flags = Flags::parse(args)?;
-    flags.ensure_known(&[
-        "code", "algos", "seeds", "clients", "requests", "chunks", "jobs", "faults", "trace",
-        "topology",
-    ])?;
-    let code = parse_code(&flags.str_or("code", "rs:10,4"))?;
-    let algos = parse_algos(&flags.str_or("algos", "cr,ppr,ecpipe,chameleon"))?;
-    let seeds: usize = flags.num_or("seeds", 3)?;
-    let clients: usize = flags.num_or("clients", 4)?;
-    let requests: usize = flags.num_or("requests", 4000)?;
-    let chunks: usize = flags.num_or("chunks", 20)?;
-    let jobs: usize = match flags.num_or("jobs", 0)? {
-        0 => grid::jobs_from_env(),
-        n => n,
-    };
-    if seeds == 0 {
-        return Err("--seeds must be at least 1".into());
+fn sweep(flags: &Flags) -> Result<Table, String> {
+    let code = parse_code(flags.str("code"))?;
+    let algos = flags
+        .list("algos")
+        .map(|name| {
+            AlgoKind::from_name(name)
+                .ok_or_else(|| format!("unknown algorithm `{name}` in --algos"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let seeds: usize = flags.num("seeds")?;
+    let clients: usize = flags.num("clients")?;
+    let requests: usize = flags.num("requests")?;
+    let chunks: usize = flags.num("chunks")?;
+    let jobs = grid::resolve_jobs(flags.num("jobs")?);
+    if algos.is_empty() || seeds == 0 {
+        return Err("--algos and --seeds must name at least one algorithm and seed".into());
     }
-    let trace_path = flags.str_or("trace", "");
+    let trace_path = flags.str("trace");
 
-    let topology = chameleon_cluster::TopologySpec::parse(&flags.str_or("topology", "flat"))?;
+    let topology = chameleon_cluster::TopologySpec::parse(flags.str("topology"))?;
 
     let mut scale = Scale::small();
     scale.chunks_per_node = chunks;
@@ -52,7 +70,7 @@ fn sweep(args: &[String]) -> Result<Table, String> {
     cfg.topology = topology;
     // The grid's workers treat a bad cluster as a bug; reject it here.
     chameleon_cluster::Cluster::new(cfg.clone()).map_err(cluster_error)?;
-    let faults = parse_faults(&flags, cfg.total_nodes())?;
+    let faults = parse_faults(flags, cfg.total_nodes())?;
 
     let mut cells = Vec::new();
     let mut specs = Vec::new();
@@ -97,7 +115,7 @@ fn sweep(args: &[String]) -> Result<Table, String> {
             .filter_map(|out| out.trace_jsonl())
             .collect::<Vec<_>>()
             .concat();
-        std::fs::write(&trace_path, &jsonl)
+        std::fs::write(trace_path, &jsonl)
             .map_err(|e| format!("cannot write --trace file `{trace_path}`: {e}"))?;
         println!(
             "trace: {} runs, {} lines -> {trace_path}",
@@ -136,27 +154,23 @@ fn sweep(args: &[String]) -> Result<Table, String> {
     Ok(table)
 }
 
-fn parse_algos(spec: &str) -> Result<Vec<AlgoKind>, String> {
-    spec.split(',')
-        .map(|s| {
-            let name = s.trim();
-            AlgoKind::from_name(name)
-                .ok_or_else(|| format!("unknown algorithm `{name}` in --algos"))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn flags(args: &str) -> Flags {
+        let argv: Vec<String> = args.split(' ').map(String::from).collect();
+        Flags::parse(&argv, &COMMAND).unwrap()
+    }
 
     /// The grid runs cells on worker threads; a fault the simulator cannot
     /// apply used to panic there, after the sweep had started.
     #[test]
     fn a_fault_outside_the_cluster_is_rejected_before_any_cell_runs() {
-        let args = "--seeds 1 --chunks 1 --requests 10 --faults crash:99@0.1";
-        let argv: Vec<String> = args.split(' ').map(String::from).collect();
-        let err = run(&argv).unwrap_err();
+        let err = run(&flags(
+            "--seeds 1 --chunks 1 --requests 10 --faults crash:99@0.1",
+        ))
+        .unwrap_err();
         assert!(
             err.contains("node 99") && err.contains("the cluster has"),
             "{err}"
@@ -166,10 +180,7 @@ mod tests {
     #[test]
     fn more_racks_than_nodes_are_rejected_before_any_cell_runs() {
         // 20 storage nodes and 4 clients.
-        let argv: Vec<String> = ["--seeds", "1", "--topology", "racked:25,8"]
-            .map(String::from)
-            .into();
-        let err = run(&argv).unwrap_err();
+        let err = run(&flags("--seeds 1 --topology racked:25,8")).unwrap_err();
         assert!(
             err.starts_with("--topology: 25 racks") && err.contains("24 nodes"),
             "{err}"
@@ -182,8 +193,7 @@ mod tests {
     #[test]
     fn a_code_as_wide_as_the_cluster_still_repairs() {
         let args = "--code rs:16,4 --seeds 1 --chunks 2 --requests 20 --algos cr,chameleon";
-        let argv: Vec<String> = args.split(' ').map(String::from).collect();
-        let table = sweep(&argv).unwrap();
+        let table = sweep(&flags(args)).unwrap();
         assert_eq!(table.rows().len(), 2);
         for row in table.rows() {
             let mbps: f64 = row[1].parse().unwrap();

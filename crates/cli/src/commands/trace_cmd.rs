@@ -11,23 +11,27 @@
 
 use std::collections::BTreeMap;
 
+use chameleon_bench::flags::{Command, Flags};
 use chameleon_cluster::stats::LatencySummary;
 use chameleon_simnet::trace::{num, text};
 use chameleon_simnet::EngineProfile;
 
-use crate::args::Flags;
+/// `trace`'s flags.
+pub const COMMAND: Command = Command {
+    name: "trace",
+    about: "Summarize a JSONL trace written by repair/sweep --trace or orchestrate --ledger",
+    flags: &[("file", "", "the .jsonl file to summarize")],
+};
 
 /// Runs the subcommand.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.ensure_known(&["file"])?;
-    let path = flags.str_or("file", "");
+pub fn run(flags: &Flags) -> Result<(), String> {
+    let path = flags.str("file");
     if path.is_empty() {
         return Err("trace needs --file <trace.jsonl> (write one with `repair --trace`)".into());
     }
-    let text = std::fs::read_to_string(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let summary = summarize(&text)?;
-    print!("{}", summary.render(&path));
+    print!("{}", summary.render(path));
     Ok(())
 }
 

@@ -1,22 +1,30 @@
 //! The `traces` subcommand: sample a synthetic workload and summarize it.
 
+use chameleon_bench::flags::{Command, Flags};
 use chameleon_traces::{Op, TraceKind};
 
-use crate::args::Flags;
+/// `traces`' flags.
+pub const COMMAND: Command = Command {
+    name: "traces",
+    about: "Sample a synthetic workload and print its statistics",
+    flags: &[
+        ("kind", "ycsb", "ycsb | ibm | memcached | etc"),
+        ("count", "100000", "requests to sample"),
+        ("seed", "1", "RNG seed"),
+    ],
+};
 
 /// Runs the subcommand.
-pub fn run(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.ensure_known(&["kind", "count", "seed"])?;
-    let kind = match flags.str_or("kind", "ycsb").as_str() {
+pub fn run(flags: &Flags) -> Result<(), String> {
+    let kind = match flags.str("kind") {
         "ycsb" => TraceKind::YcsbA,
         "ibm" => TraceKind::IbmObjectStore,
         "memcached" => TraceKind::TwitterMemcached,
         "etc" => TraceKind::FacebookEtc,
         other => return Err(format!("unknown trace kind `{other}`")),
     };
-    let count: usize = flags.num_or("count", 100_000)?;
-    let seed: u64 = flags.num_or("seed", 1)?;
+    let count: usize = flags.num("count")?;
+    let seed: u64 = flags.num("seed")?;
     if count == 0 {
         return Err("--count must be positive".to_string());
     }

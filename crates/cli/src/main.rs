@@ -1,15 +1,6 @@
 //! `chameleonec` — command-line driver for ChameleonEC repair experiments.
-//!
-//! ```text
-//! chameleonec repair   --code rs:10,4 --algo chameleon --clients 4
-//! chameleonec orchestrate --duration 90 --mttf 150 --policy priority
-//! chameleonec sweep    --algos cr,chameleon --seeds 5 --jobs 4
-//! chameleonec plan     --code rs:4,2 --algo chameleon
-//! chameleonec trace    --file out.jsonl
-//! chameleonec traces   --kind ycsb --count 10000
-//! chameleonec reliability --throughput 50,100,500
-//! chameleonec help
-//! ```
+//! `chameleonec help` lists the subcommands and their flags, rendered from
+//! the flag tables the subcommands parse with.
 
 mod args;
 mod commands;
@@ -18,23 +9,14 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((command, rest)) = argv.split_first() else {
-        commands::help::print();
-        return ExitCode::SUCCESS;
-    };
-    let result = match command.as_str() {
-        "repair" => commands::repair::run(rest),
-        "orchestrate" => commands::orchestrate::run(rest),
-        "sweep" => commands::sweep::run(rest),
-        "plan" => commands::plan::run(rest),
-        "trace" => commands::trace_cmd::run(rest),
-        "traces" => commands::traces::run(rest),
-        "reliability" => commands::reliability::run(rest),
-        "help" | "--help" | "-h" => {
-            commands::help::print();
+    let result = match argv.split_first() {
+        Some((name, rest)) if !matches!(name.as_str(), "help" | "--help" | "-h") => {
+            commands::run(name, rest)
+        }
+        _ => {
+            print!("{}", commands::help::text());
             Ok(())
         }
-        other => Err(format!("unknown command `{other}`; try `chameleonec help`")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
