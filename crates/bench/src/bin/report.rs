@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use chameleon_bench::table::results_dir;
+use chameleon_bench::table::{parse_csv, results_dir};
 
 fn main() {
     let dir = results_dir();
@@ -60,9 +60,8 @@ fn render_csv(path: &Path) -> Result<String, String> {
         .and_then(|s| s.to_str())
         .unwrap_or("unknown");
     let content = fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let mut lines = content.lines();
-    let header = lines.next().ok_or("empty csv")?;
-    let cols: Vec<&str> = header.split(',').collect();
+    let mut lines = parse_csv(&content).into_iter();
+    let cols = lines.next().ok_or("empty csv")?;
 
     let mut md = String::new();
     let _ = writeln!(md, "\n## {name}\n");
@@ -72,18 +71,9 @@ fn render_csv(path: &Path) -> Result<String, String> {
         "|{}|",
         cols.iter().map(|_| "---").collect::<Vec<_>>().join("|")
     );
-    let mut rows = 0usize;
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let _ = writeln!(
-            md,
-            "| {} |",
-            line.split(',').collect::<Vec<_>>().join(" | ")
-        );
-        rows += 1;
-        if rows >= 200 {
+    for (rows, line) in lines.enumerate() {
+        let _ = writeln!(md, "| {} |", line.join(" | "));
+        if rows + 1 >= 200 {
             let _ = writeln!(md, "\n*(truncated)*");
             break;
         }

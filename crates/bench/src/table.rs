@@ -70,17 +70,68 @@ impl Table {
 
     /// The CSV document persisted as `results/<stem>.csv` — the unit the
     /// grid determinism suite compares across `--jobs` settings.
+    /// A field that holds `,`, `"`, CR or LF is quoted, its quotes doubled
+    /// (RFC 4180); [`parse_csv`] reads it back.
     pub fn csv(&self) -> String {
-        let names: Vec<&str> = self.columns.iter().map(|c| c.1).collect();
         let mut out = String::with_capacity(64 * (self.rows.len() + 1));
-        out.push_str(&names.join(","));
-        out.push('\n');
+        let names = self.columns.iter().map(|c| c.1);
+        csv_line(&mut out, names);
         for row in &self.rows {
-            out.push_str(&row.join(","));
-            out.push('\n');
+            csv_line(&mut out, row.iter().map(String::as_str));
         }
         out
     }
+}
+
+/// Appends one CSV line to `out`.
+fn csv_line<'a>(out: &mut String, fields: impl Iterator<Item = &'a str>) {
+    for (i, field) in fields.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        if field.contains([',', '"', '\r', '\n']) {
+            out.push('"');
+            out.push_str(&field.replace('"', "\"\""));
+            out.push('"');
+        } else {
+            out.push_str(field);
+        }
+    }
+    out.push('\n');
+}
+
+/// Parses a CSV document as [`Table::csv`] writes it (RFC 4180: a quoted
+/// field may hold commas, line breaks and doubled quotes) into its
+/// non-blank lines of fields.
+pub fn parse_csv(text: &str) -> Vec<Vec<String>> {
+    let (mut rows, mut row, mut field) = (Vec::new(), Vec::new(), String::new());
+    let (mut quoted, mut chars) = (false, text.chars().peekable());
+    while let Some(c) = chars.next() {
+        match (quoted, c) {
+            (true, '"') if chars.peek() == Some(&'"') => {
+                chars.next();
+                field.push('"');
+            }
+            (true, '"') => quoted = false,
+            (true, c) => field.push(c),
+            (false, '"') => quoted = true,
+            (false, ',') => row.push(std::mem::take(&mut field)),
+            (false, '\r') if chars.peek() == Some(&'\n') => {}
+            (false, '\n') => {
+                row.push(std::mem::take(&mut field));
+                if row != [""] {
+                    rows.push(std::mem::take(&mut row));
+                }
+                row.clear();
+            }
+            (false, c) => field.push(c),
+        }
+    }
+    if !field.is_empty() || !row.is_empty() {
+        row.push(field);
+        rows.push(row);
+    }
+    rows
 }
 
 /// The fixed-width rendering: a blank line, `== title ==`, right-aligned
@@ -277,10 +328,33 @@ mod tests {
             fixture().csv(),
             "algorithm,repair_mbps\nCR,120.5\nChameleonEC,9.0\n"
         );
+        // A comma-bearing label is one quoted field, its quotes doubled.
+        let mut t = fixture();
+        t.push(vec!["RS(4,2) \"wide\"".into(), "7.5".into()]);
+        let csv = t.csv();
+        assert!(csv.ends_with("\n\"RS(4,2) \"\"wide\"\"\",7.5\n"), "{csv}");
+        let rows = parse_csv(&csv);
+        assert_eq!(rows.len(), 4);
+        assert_eq!(rows[3], ["RS(4,2) \"wide\"", "7.5"]);
         assert_eq!(
             Table::new("e", "e", COLUMNS).csv(),
             "algorithm,repair_mbps\n"
         );
+    }
+
+    #[test]
+    fn parse_csv_reads_quoted_fields_line_breaks_and_crlf() {
+        let text = "a,b\r\n\"x,\ny\",\"\"\r\n\n1,\"say \"\"hi\"\"\"\nlast,";
+        assert_eq!(
+            parse_csv(text),
+            vec![
+                vec!["a", "b"],
+                vec!["x,\ny", ""],
+                vec!["1", "say \"hi\""],
+                vec!["last", ""],
+            ]
+        );
+        assert!(parse_csv("").is_empty());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The grid determinism contract, end to end: every experiment of the
 //! suite, run at `--jobs` 1 and 8, must return byte-identical tables
-//! (as CSV) and artifacts. (CI's suite-smoke job diffs the whole suite's
+//! (as CSV, each line parsing to its header's width) and artifacts. (CI's suite-smoke job diffs the whole suite's
 //! `results/` at `--jobs` 1 vs 4.)
 //!
 //! The loop covers the trickiest shapes among the rest — Exp#2's mixed
@@ -11,6 +11,7 @@
 //! monitor totals. All run at a tiny scale.
 
 use chameleon_bench::experiments;
+use chameleon_bench::table::parse_csv;
 use chameleon_bench::{run_specs, AlgoKind, FgSpec, RunSpec, Scale};
 use chameleon_codes::{ErasureCode, ReedSolomon};
 use std::sync::Arc;
@@ -39,16 +40,28 @@ fn persisted(e: &experiments::Experiment, scale: &Scale, jobs: usize) -> Vec<(St
     tables.chain(artifacts).collect()
 }
 
+/// Every line of every table's CSV parses to its header's width: a label
+/// holding a comma is quoted, not split.
+fn assert_csv_widths(persisted: &[(String, String)]) {
+    for (file, bytes) in persisted.iter().filter(|(f, _)| f.ends_with(".csv")) {
+        let rows = parse_csv(bytes);
+        for (i, row) in rows.iter().enumerate() {
+            assert_eq!(row.len(), rows[0].len(), "{file} line {}: {row:?}", i + 1);
+        }
+    }
+}
+
 #[test]
 fn every_experiment_is_identical_across_job_counts() {
     let scale = tiny();
     for e in &experiments::ALL {
+        let sequential = persisted(e, &scale, 1);
+        assert_csv_widths(&sequential);
         // The one experiment whose cells *are* host time (its doc comment):
         // parallel workers contend for cores, so its numbers move by design.
         if e.name == "exp05_computation" {
             continue;
         }
-        let sequential = persisted(e, &scale, 1);
         for (file, bytes) in &sequential {
             assert!(
                 bytes.lines().count() > 3,

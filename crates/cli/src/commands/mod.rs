@@ -56,5 +56,14 @@ mod tests {
                 }
             }
         }
+        // Finite, positive, and still too many crashes to draw up front.
+        for args in [["--duration", "1e300"], ["--mttf", "1e-300"]] {
+            let args = args.map(String::from);
+            let err = run("orchestrate", &args).expect_err("a crash stream that never ends");
+            assert!(
+                err.contains("--duration") && err.contains("--mttf"),
+                "{err}"
+            );
+        }
     }
 }

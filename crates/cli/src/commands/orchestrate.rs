@@ -46,6 +46,10 @@ pub const COMMAND: Command = Command {
     ],
 };
 
+/// The most crashes (`nodes × duration / mttf`) a campaign may expect: its
+/// fault stream is drawn whole before the run starts.
+const MAX_EXPECTED_CRASHES: f64 = 10_000.0;
+
 /// Runs the subcommand.
 pub fn run(flags: &Flags) -> Result<(), String> {
     let s = setup(flags)?;
@@ -64,6 +68,14 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     }
     if max_in_flight == 0 {
         return Err("--max-in-flight must be at least 1".into());
+    }
+    let expected_crashes = s.cfg.storage_nodes as f64 * duration / mttf;
+    if expected_crashes > MAX_EXPECTED_CRASHES {
+        return Err(format!(
+            "--duration {duration} and --mttf {mttf} expect {expected_crashes:.3e} crashes \
+             over {} nodes; at most {MAX_EXPECTED_CRASHES} are drawn",
+            s.cfg.storage_nodes
+        ));
     }
     let queue = match policy {
         "fifo" => QueuePolicy::Fifo,

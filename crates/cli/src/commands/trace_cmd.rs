@@ -265,7 +265,10 @@ mod tests {
         let rendered = s.render("t.jsonl");
         assert!(rendered.contains("repair spans"), "{rendered}");
         assert!(rendered.contains("engine profile"), "{rendered}");
-        assert!(rendered.contains("1 retries) + 2 elided"), "{rendered}");
+        assert!(
+            rendered.contains("elided_solves=2 solve_retries=1 dirty_groups=5 pruned_groups=0 "),
+            "{rendered}"
+        );
         assert!(rendered.contains("given up"), "{rendered}");
         assert!(
             rendered.contains("lost=1, repaired=1") && rendered.contains("over 1 campaign(s)"),
@@ -291,11 +294,11 @@ mod tests {
             p
         };
         let (a, b) = (profile(100), profile(7_000));
-        assert_eq!(EngineProfile::FIELDS.len(), 14);
+        assert_eq!(EngineProfile::FIELDS.len(), 15);
         let a_values: Vec<u64> = a.values().collect();
         assert_eq!(
             a_values,
-            (100..114).collect::<Vec<u64>>(),
+            (100..115).collect::<Vec<u64>>(),
             "distinct values"
         );
         let footer = a.to_json_line();

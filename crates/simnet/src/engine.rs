@@ -1156,6 +1156,7 @@ impl Simulator {
         }
         self.profile.solve_retries += outcome.retries as u64;
         self.profile.dirty_groups += outcome.dirty_groups as u64;
+        self.profile.pruned_groups += outcome.pruned_groups as u64;
 
         // Apply rate changes per group: materialize the progress counter
         // at the old rate up to now, shift the class-rate cells by

@@ -257,6 +257,11 @@ pub struct SolveOutcome {
     pub dirty_groups: usize,
     /// Number of resources in the re-solved sub-problem.
     pub dirty_resources: usize,
+    /// Residents that conducting resources skipped because their previous
+    /// level lies below the solve's divergence level (see "What a
+    /// conducting resource skips" in the [`IncrementalSolver`] docs); a
+    /// group skipped by two resources counts twice.
+    pub pruned_groups: usize,
     /// Fill attempts thrown away because a resource that entered the
     /// closure with slack came out saturated while it still had residents
     /// outside the closure (see "What conducts" in the type docs).
@@ -275,6 +280,13 @@ const MAX_DEGREE: usize = 8;
 /// capacity subtraction — a few ulps; 1e-9 is comfortably conservative.
 pub const SATURATION_MARGIN: f64 = 1e-9;
 
+/// Relative distance below the divergence level θ under which a resident
+/// may be skipped. Float rounding lets an equal share fall by a few ulps
+/// from one round to the next, so a level a hair below θ can belong to a
+/// round that follows θ's; the margin keeps every skipped freeze clear of
+/// those ties.
+pub const PRUNE_MARGIN: f64 = 1e-9;
+
 /// Slot flags: the slot was mutated since the last solve (its old state is
 /// in `mutated`).
 const MUTATED: u8 = 1;
@@ -285,6 +297,8 @@ const REINSERTED: u8 = 2;
 const IN: u8 = 4;
 /// The group's rate is fixed in the current fill.
 const FROZEN: u8 = 8;
+/// The group is a closure root: genuinely mutated, its stamp stale.
+const ROOT: u8 = 16;
 
 /// One registry slot.
 #[derive(Debug, Clone, Copy, Default)]
@@ -298,7 +312,7 @@ struct Group {
     /// Member count; 0 means the slot holds no group.
     weight: u32,
     ncells: u8,
-    /// `MUTATED | REINSERTED | IN | FROZEN`.
+    /// `MUTATED | REINSERTED | IN | FROZEN | ROOT`.
     flags: u8,
 }
 
@@ -315,6 +329,19 @@ struct Resource {
     cap: f64,
     /// Capacity the current fill has not handed out yet.
     rem_cap: f64,
+    /// The level at which the resource was last a bottleneck, `inf` if it
+    /// was not one in the last fill that re-solved its residents.
+    bind: f64,
+    /// The remaining capacity it enters the fill with if it conducts.
+    entry: f64,
+    /// Total weight of its residents when it was last in a closure (the
+    /// pending mutations add `delta` to it).
+    weight: u32,
+    /// Residents in the closure, and their total weight.
+    in_count: u32,
+    in_weight: u32,
+    /// Net weight the pending mutations add to it (new minus old).
+    delta: i32,
     /// Total weight of the closure's unfrozen groups on the resource.
     load: u32,
     /// Position in the closure resource list, and so in `share`.
@@ -322,8 +349,13 @@ struct Resource {
     /// Whether a freeze of the current round moved `rem_cap` or `load`.
     share_stale: bool,
     in_closure: bool,
-    /// Whether the capacity changed since the last solve.
+    /// Whether a mutation or a capacity change seeded it since the last
+    /// solve.
     seeded: bool,
+    /// Whether its capacity changed since the last solve.
+    recapped: bool,
+    /// Whether the walk skipped any of its residents.
+    skips: bool,
     /// Whether the resource ended its last solve saturated.
     saturated: bool,
 }
@@ -398,8 +430,8 @@ impl Resource {
 /// component. Every resource therefore carries a *saturation flag*, set at
 /// the end of each solve that touches it from the headroom the fill left:
 ///
-/// - a **saturated** resource conducts the walk: all its residents join
-///   the closure and it enters the fill with its full capacity;
+/// - a **saturated** resource conducts the walk: its residents join the
+///   closure (all but those of the next section);
 /// - a resource **with slack** is included — it may bind now — but does
 ///   not conduct: it enters the fill with its capacity reduced by the
 ///   allocation of its residents *outside* the closure, which keep their
@@ -417,9 +449,32 @@ impl Resource {
 /// other: a cut that leaves slack changes nothing, a cut below the current
 /// allocation fails the check and retries conductively, a raise on a
 /// saturated resource re-solves its residents and clears the flag if slack
-/// appears. The differential proptests assert bitwise equality with the
-/// batch solver throughout; the invariant proptests check feasibility,
-/// bottleneck fairness and the flags directly.
+/// appears.
+///
+/// # What a conducting resource skips
+///
+/// A resource's equal share never falls as progressive filling freezes
+/// residents below it, so a resource first binds no lower than its share
+/// before any freeze. The solve's *divergence level* θ is the lowest level
+/// at which a seeded saturated resource can bind before the mutations (the
+/// level it last bound at) or after them (its new initial share, if it
+/// gained weight or changed capacity). Every round below θ replays the
+/// previous fill exactly, and so does every group it froze: a conducting
+/// resource skips residents whose previous level lies below θ (less
+/// [`PRUNE_MARGIN`], which keeps ulp-level ties on the conducting side), and
+/// a skipped group's other cells stay out of the closure. The resource then
+/// enters the fill with the remaining capacity the batch solver holds after
+/// those freezes — replayed, not re-summed: fills stamp their freezes in
+/// order, a saturated resource's residents froze in stamp order, so its
+/// capacity less each skipped `level × weight` in stamp order, with the
+/// fill's own operations, is that value bit for bit. Checks keep this
+/// exact: a resource that keeps a resident stamped before one it skips
+/// skips nothing (nor does any other), a seeded resource whose capacity
+/// changed skips nothing, and a fill round below θ discards the attempt and
+/// lowers θ — to the initial share of a bottleneck with slack, which θ did
+/// not see, else to `-inf`. The differential proptests assert bitwise
+/// equality with the batch solver throughout; the invariant proptests check
+/// feasibility, bottleneck fairness and the flags directly.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
     resources: Vec<Resource>,
@@ -431,7 +486,7 @@ pub struct IncrementalSolver {
     res_groups: Vec<Vec<u32>>,
     /// Slots mutated since the last solve, with their state as of it.
     mutated: Vec<(u32, Group)>,
-    /// Resources whose capacity changed since the last solve.
+    /// Resources a mutation or capacity change seeded since the last solve.
     seeds: Vec<u32>,
     // Solve scratch, reused across solves.
     /// Genuinely mutated live groups (closure roots).
@@ -450,6 +505,28 @@ pub struct IncrementalSolver {
     /// ascending by slot. `report_words` is the touched word range.
     report: Vec<u64>,
     report_words: (usize, usize),
+    /// The divergence level θ of the solve in flight; NaN until the walk
+    /// first needs it.
+    theta: f64,
+    /// θ less [`PRUNE_MARGIN`]: conducting resources skip residents whose
+    /// previous level lies below it. `-inf` (or NaN, before θ is worked
+    /// out) skips nothing.
+    prune_below: f64,
+    /// Residents skipped by the walk so far.
+    skipped: usize,
+    /// Whether some conducting resource kept a resident that froze before
+    /// one it skipped.
+    unordered: bool,
+    /// Per slot, when the fill that set the group's rate froze it:
+    /// freezes are stamped in the order they happen, across solves.
+    stamps: Vec<u32>,
+    /// The groups the current fill froze, in freeze order.
+    frozen: Vec<u32>,
+    /// The residents a conducting resource skips, as (stamp, level,
+    /// weight).
+    skipped_freezes: Vec<(u32, f64, u32)>,
+    /// Freezes stamped so far.
+    stamp: u64,
     rounds: u64,
 }
 
@@ -467,7 +544,11 @@ impl IncrementalSolver {
     /// Panics if shrinking below a resource still referenced by a live
     /// group (debug assertions catch this via out-of-range cells later).
     pub fn set_capacities(&mut self, caps: &[f64]) {
-        self.resources.resize(caps.len(), Resource::default());
+        let fresh = Resource {
+            bind: f64::INFINITY,
+            ..Resource::default()
+        };
+        self.resources.resize(caps.len(), fresh);
         self.res_groups.resize(caps.len(), Vec::new());
         for (r, &cap) in caps.iter().enumerate() {
             self.set_capacity(r, cap);
@@ -477,6 +558,7 @@ impl IncrementalSolver {
     /// Updates one resource's capacity, seeding it.
     pub fn set_capacity(&mut self, res: usize, cap: f64) {
         self.resources[res].cap = cap;
+        self.resources[res].recapped = true;
         self.seed_res(res as u32);
     }
 
@@ -539,6 +621,7 @@ impl IncrementalSolver {
         let s = slot as usize;
         if self.groups.len() <= s {
             self.groups.resize(s + 1, Group::default());
+            self.stamps.resize(s + 1, 0);
             self.report.resize(s / 64 + 1, 0);
         }
         debug_assert_eq!(self.groups[s].weight, 0, "slot already live");
@@ -589,30 +672,56 @@ impl IncrementalSolver {
         self.diff_mutations();
         let mut retries = 0;
         if !self.roots.is_empty() || !self.seeds.is_empty() {
+            // θ is worked out when the walk first reaches a conducting
+            // resource: a closure without one skips nothing.
+            self.set_theta(f64::NAN);
+            self.skipped = 0;
+            self.unordered = false;
             for i in 0..self.roots.len() {
                 self.visit_group(self.roots[i]);
             }
             for i in 0..self.seeds.len() {
                 self.visit_res(self.seeds[i]);
             }
+            self.walk_closure();
             loop {
-                self.walk_closure();
+                if self.unordered {
+                    // A conducting resource kept a resident that froze
+                    // before one it skipped, so the capacity after its last
+                    // skipped freeze is not what the batch solver holds.
+                    self.lower_theta(f64::NEG_INFINITY);
+                    continue;
+                }
                 self.prepare_fill();
-                self.fill_closure();
+                if let Err(theta) = self.fill_closure() {
+                    // Something bound below θ after all: the skipped
+                    // residents' freezes no longer come first.
+                    retries += 1;
+                    self.lower_theta(theta);
+                    continue;
+                }
                 // A resource that went in with slack and came out
                 // saturated is a real constraint; if any of its residents
                 // kept a rate from outside the closure, let it conduct and
-                // redo the fill over the grown closure.
+                // redo the fill over the grown closure. It has no stamped
+                // history to skip by, so θ falls to its lowest resident
+                // outside the closure.
+                let mut lowest = f64::INFINITY;
                 for i in 0..self.dirty_res.len() {
                     let r = self.dirty_res[i] as usize;
                     let res = &mut self.resources[r];
                     if !res.saturated && res.headroom_gone() {
                         res.saturated = true;
-                        let groups = &self.groups;
-                        if self.res_groups[r]
-                            .iter()
-                            .any(|&g| groups[g as usize].flags & IN == 0)
-                        {
+                        res.entry = res.cap;
+                        let mut outside = f64::INFINITY;
+                        for &g in &self.res_groups[r] {
+                            let g = &self.groups[g as usize];
+                            if g.flags & IN == 0 {
+                                outside = outside.min(g.rate);
+                            }
+                        }
+                        if outside < f64::INFINITY {
+                            lowest = lowest.min(outside);
                             self.stack.push(r as u32);
                         }
                     }
@@ -621,17 +730,30 @@ impl IncrementalSolver {
                     break;
                 }
                 retries += 1;
+                self.lower_theta(lowest);
+            }
+            for &slot in &self.frozen {
+                self.stamp += 1;
+                self.stamps[slot as usize] = self.stamp.min(u32::MAX as u64) as u32;
             }
             for &r in &self.dirty_res {
                 let res = &mut self.resources[r as usize];
                 res.in_closure = false;
                 res.saturated = res.headroom_gone();
+                res.skips = false;
+                res.in_count = 0;
+                res.in_weight = 0;
             }
             for &r in &self.seeds {
-                self.resources[r as usize].seeded = false;
+                let res = &mut self.resources[r as usize];
+                res.seeded = false;
+                res.recapped = false;
+                res.delta = 0;
             }
             self.seeds.clear();
             self.roots.clear();
+        } else {
+            self.skipped = 0;
         }
 
         let (lo, hi) = self.report_words;
@@ -661,6 +783,7 @@ impl IncrementalSolver {
             full: self.live_groups > 0 && self.dirty_groups.len() == self.live_groups,
             dirty_groups: self.dirty_groups.len(),
             dirty_resources: self.dirty_res.len(),
+            pruned_groups: self.skipped,
             retries,
         };
         self.dirty_groups.clear();
@@ -676,9 +799,10 @@ impl IncrementalSolver {
     }
 
     /// Compares every mutated slot with its state at the last solve:
-    /// genuine differences seed their old cells and become closure roots,
-    /// net-zero mutations seed nothing (a re-registered group only has its
-    /// retained rate reported again).
+    /// genuine differences seed their old and new cells (noting the weight
+    /// they move there) and become closure roots, net-zero mutations seed
+    /// nothing (a re-registered group only has its retained rate reported
+    /// again).
     fn diff_mutations(&mut self) {
         for i in 0..self.mutated.len() {
             let (slot, old) = self.mutated[i];
@@ -695,18 +819,104 @@ impl IncrementalSolver {
                 }
                 continue;
             }
+            let (cells, n) = (g.cells, g.ncells as usize);
+            // A re-weighted group moves only the difference on its cells.
+            let moved = old.weight > 0 && old.cells() == &cells[..n];
             if weight > 0 {
+                g.flags |= ROOT;
                 self.roots.push(slot);
+                let gained = weight as i32 - if moved { old.weight as i32 } else { 0 };
+                for &c in &cells[..n] {
+                    self.resources[c as usize].delta += gained;
+                    self.seed_res(c);
+                }
             } else {
                 g.flags = 0;
             }
-            if old.weight > 0 {
+            if old.weight > 0 && !(moved && weight > 0) {
                 for &c in old.cells() {
+                    self.resources[c as usize].delta -= old.weight as i32;
                     self.seed_res(c);
                 }
             }
         }
         self.mutated.clear();
+    }
+
+    /// The solve's divergence level θ: no seeded saturated resource can
+    /// bind below it. Before the mutations one bound at the level it last
+    /// bound at. After them one that gained weight or changed capacity
+    /// binds no lower than its new initial share; one that only lost
+    /// weight has a share no lower at any step, so it binds no sooner. A
+    /// changed capacity also voids the remaining capacities its residents'
+    /// freezes recorded, so θ falls to their lowest level and it skips
+    /// nothing.
+    fn divergence_level(&self) -> f64 {
+        if self.stamp >= u32::MAX as u64 {
+            // Stamps no longer order freezes.
+            return f64::NEG_INFINITY;
+        }
+        let mut theta = f64::INFINITY;
+        for &r in &self.seeds {
+            let res = &self.resources[r as usize];
+            if !res.saturated {
+                continue;
+            }
+            theta = theta.min(res.bind);
+            if res.delta > 0 || res.recapped {
+                let weight = res.weight as i64 + res.delta as i64;
+                theta = theta.min(Self::initial_share(res, weight));
+            }
+            if res.recapped {
+                for &g in &self.res_groups[r as usize] {
+                    theta = theta.min(self.groups[g as usize].rate);
+                }
+            }
+        }
+        theta
+    }
+
+    /// A resource's equal share over `weight` before any of it freezes,
+    /// the lowest level it can bind at.
+    fn initial_share(res: &Resource, weight: i64) -> f64 {
+        Resource {
+            rem_cap: res.cap,
+            load: weight as u32,
+            ..*res
+        }
+        .equal_share()
+    }
+
+    fn ensure_theta(&mut self) {
+        if self.theta.is_nan() {
+            self.set_theta(self.divergence_level());
+        }
+    }
+
+    fn set_theta(&mut self, theta: f64) {
+        self.theta = theta;
+        self.prune_below = theta * (1.0 - PRUNE_MARGIN);
+    }
+
+    /// Lowers θ to `theta` if that is lower (`-inf`: skip nothing) and
+    /// walks on from every conducting resource that skipped residents, and
+    /// from those on the stack.
+    #[cold]
+    fn lower_theta(&mut self, theta: f64) {
+        self.ensure_theta();
+        if theta < self.theta {
+            self.set_theta(theta);
+            self.skipped = 0;
+            self.unordered = false;
+            for &r in &self.dirty_res {
+                let res = &mut self.resources[r as usize];
+                if res.skips {
+                    res.skips = false;
+                    self.stack.push(r);
+                }
+            }
+        }
+        self.walk_closure();
     }
 
     /// Includes resource `r` in the closure; only a saturated resource
@@ -730,21 +940,67 @@ impl IncrementalSolver {
             return;
         }
         g.flags |= IN;
-        let (cells, n) = (g.cells, g.ncells as usize);
+        let (cells, n, g_weight) = (g.cells, g.ncells as usize, g.weight);
         self.dirty_groups.push(slot);
         self.report_on(slot);
         for &c in &cells[..n] {
             self.visit_res(c);
+            let res = &mut self.resources[c as usize];
+            res.in_count += 1;
+            res.in_weight += g_weight;
         }
     }
 
-    /// Expands the closure from the conducting resources on the stack.
+    /// Expands the closure from the conducting resources on the stack,
+    /// skipping (and counting) residents whose previous level lies below
+    /// the divergence level. A resource that skips enters the fill with
+    /// its capacity less the skipped freezes, replayed in stamp order, and
+    /// is `unordered` if it keeps a resident stamped before one it skips.
     fn walk_closure(&mut self) {
         while let Some(r) = self.stack.pop() {
+            self.ensure_theta();
+            let mut skips = 0;
             for gi in 0..self.res_groups[r as usize].len() {
-                self.visit_group(self.res_groups[r as usize][gi]);
+                let slot = self.res_groups[r as usize][gi];
+                let g = &self.groups[slot as usize];
+                if g.flags & IN == 0 && g.rate < self.prune_below {
+                    skips += 1;
+                } else {
+                    self.visit_group(slot);
+                }
+            }
+            let res = &mut self.resources[r as usize];
+            res.entry = res.cap;
+            res.skips = skips > 0;
+            if skips > 0 {
+                self.skipped += skips;
+                self.replay_skipped(r as usize);
             }
         }
+    }
+
+    /// Sets a resource's entry capacity to its capacity less its skipped
+    /// residents' freezes, replayed in stamp order, and notes whether it
+    /// kept a resident stamped before one it skipped.
+    #[cold]
+    fn replay_skipped(&mut self, r: usize) {
+        let mut first_kept = u32::MAX;
+        for &slot in &self.res_groups[r] {
+            let g = &self.groups[slot as usize];
+            let stamp = self.stamps[slot as usize];
+            if g.flags & IN == 0 {
+                self.skipped_freezes.push((stamp, g.rate, g.weight));
+            } else if g.flags & ROOT == 0 {
+                first_kept = first_kept.min(stamp);
+            }
+        }
+        self.skipped_freezes.sort_unstable_by_key(|s| s.0);
+        let res = &mut self.resources[r];
+        for &(_, level, weight) in &self.skipped_freezes {
+            res.entry = (res.entry - level * weight as f64).max(0.0);
+        }
+        self.unordered |= self.skipped_freezes.last().expect("skips").0 > first_kept;
+        self.skipped_freezes.clear();
     }
 
     /// (Re-)initialises the fill's per-resource remaining capacity, load
@@ -755,31 +1011,36 @@ impl IncrementalSolver {
         for (pos, &r) in self.dirty_res.iter().enumerate() {
             let res = &mut self.resources[r as usize];
             res.pos = pos as u32;
-            res.load = 0;
-            res.rem_cap = if res.saturated {
-                res.cap
-            } else {
-                // A resource with slack offers the closure only what its
-                // residents outside the closure leave.
-                let mut out = 0.0;
+            res.load = res.in_weight;
+            if !(res.saturated && res.bind < self.prune_below) {
+                res.bind = f64::INFINITY;
+            }
+            let (mut out, mut out_weight) = (0.0, 0);
+            if (res.in_count as usize) < self.res_groups[r as usize].len() {
                 for &g in &self.res_groups[r as usize] {
                     let g = &self.groups[g as usize];
                     if g.flags & IN == 0 {
                         out += g.rate * g.weight as f64;
+                        out_weight += g.weight;
                     }
                 }
+            }
+            res.weight = res.in_weight + out_weight;
+            // A conducting resource enters with what the batch solver holds
+            // at θ; one with slack offers the closure only what its
+            // residents outside the closure leave.
+            res.rem_cap = if res.saturated {
+                res.entry
+            } else {
                 (res.cap - out).max(0.0)
             };
         }
+        self.frozen.clear();
         if self.dirty_groups.is_empty() {
             return;
         }
         for &slot in &self.dirty_groups {
-            let g = &mut self.groups[slot as usize];
-            g.flags &= !FROZEN;
-            for &c in g.cells() {
-                self.resources[c as usize].load += g.weight;
-            }
+            self.groups[slot as usize].flags &= !FROZEN;
         }
         self.share.clear();
         let resources = &self.resources;
@@ -791,8 +1052,18 @@ impl IncrementalSolver {
     }
 
     /// Progressive filling over the closure, in place: the float
-    /// operations of [`MaxMinSolver::solve_weighted_into`] in its order.
-    fn fill_closure(&mut self) {
+    /// operations of [`MaxMinSolver::solve_weighted_into`] in its order,
+    /// each freeze listed in `frozen` (stamped once the fill stands).
+    /// If residents were skipped, a round below the divergence level
+    /// abandons the fill and returns the θ to redo it under: a bottleneck
+    /// with slack (which θ did not see) binds no lower than its initial
+    /// share; anything else, or a share no lower than θ, gets `-inf`.
+    fn fill_closure(&mut self) -> Result<(), f64> {
+        let floor = if self.skipped > 0 {
+            self.theta
+        } else {
+            f64::NEG_INFINITY
+        };
         let mut unfrozen = self.dirty_groups.len();
         while unfrozen > 0 {
             self.rounds += 1;
@@ -812,9 +1083,17 @@ impl IncrementalSolver {
                 best_share.is_finite(),
                 "unfrozen groups but no loaded resource"
             );
+            if best_share < floor {
+                let res = &self.resources[self.dirty_res[best] as usize];
+                let initial = Self::initial_share(res, res.weight as i64);
+                let saw_it = res.saturated || initial >= self.theta;
+                return Err(if saw_it { f64::NEG_INFINITY } else { initial });
+            }
+            let bottleneck = self.dirty_res[best] as usize;
+            self.resources[bottleneck].bind = best_share;
 
             // Freeze the bottleneck's unfrozen residents, ascending.
-            for &slot in &self.res_groups[self.dirty_res[best] as usize] {
+            for &slot in &self.res_groups[bottleneck] {
                 let g = &mut self.groups[slot as usize];
                 if g.flags & (IN | FROZEN) != IN {
                     continue;
@@ -822,6 +1101,7 @@ impl IncrementalSolver {
                 g.flags |= FROZEN;
                 unfrozen -= 1;
                 g.new_rate = best_share;
+                self.frozen.push(slot);
                 let consumed = best_share * g.weight as f64;
                 for &c in g.cells() {
                     let res = &mut self.resources[c as usize];
@@ -839,6 +1119,7 @@ impl IncrementalSolver {
                 self.share[pos as usize] = res.equal_share();
             }
         }
+        Ok(())
     }
 }
 
@@ -1430,14 +1711,16 @@ mod tests {
         let out = inc.solve(&mut changed);
         assert_eq!(out.dirty_groups, 0);
         assert!(changed.is_empty());
-        // Re-registered *and* re-rated in the same solve: one report,
-        // against the fresh group's 0.
+        // Re-registered while its neighbour leaves: group 1 froze at 2 on
+        // resource 1, below the level (4) at which the departure changes
+        // resource 0, so resource 0 skips it. One report, against the
+        // fresh group's 0.
         inc.set_weight(1, 0);
         inc.insert_group(1, &[0, 1], 3);
         inc.set_weight(0, 0);
         changed.clear();
         let out = inc.solve(&mut changed);
-        assert_eq!(out.dirty_groups, 1);
+        assert_eq!((out.dirty_groups, out.pruned_groups), (0, 1));
         assert_eq!(changed, vec![(1, 2.0)]);
         // Registered and removed between two solves: never seen.
         inc.insert_group(0, &[1], 1);
@@ -1507,5 +1790,95 @@ mod tests {
         let mut rates: Vec<f64> = Vec::new();
         solver.solve_weighted_into(&[1.0], &[0], &[], &[], &mut rates);
         assert!(rates.is_empty());
+    }
+
+    #[test]
+    fn residents_frozen_below_the_divergence_level_are_skipped() {
+        // A parking lot with two levels: resource 0 (2 units) holds the
+        // long group 1 and group 0 to 1 each; group 2 then takes the 9
+        // units resource 1 (10) has left. A newcomer on resource 1 cannot
+        // make it bind below its new initial share (10/3), so nothing
+        // changes below that level: resource 1 skips the long group, and
+        // resource 0 stays out.
+        let caps = [2.0, 10.0];
+        let mut inc = IncrementalSolver::new();
+        inc.set_capacities(&caps);
+        inc.insert_group(0, &[0], 1);
+        inc.insert_group(1, &[0, 1], 1);
+        inc.insert_group(2, &[1], 1);
+        let mut changed = Vec::new();
+        inc.solve(&mut changed);
+        assert_eq!((inc.rate(1), inc.rate(2)), (1.0, 9.0));
+        changed.clear();
+        inc.insert_group(3, &[1], 1);
+        let out = inc.solve(&mut changed);
+        assert_eq!(
+            (out.dirty_groups, out.dirty_resources, out.pruned_groups),
+            (2, 1, 1)
+        );
+        assert_eq!(changed, vec![(2, 4.5), (3, 4.5)]);
+        assert_matches_oracle(
+            &inc,
+            &caps,
+            &[
+                (0, vec![0], 1),
+                (1, vec![0, 1], 1),
+                (2, vec![1], 1),
+                (3, vec![1], 1),
+            ],
+        );
+    }
+
+    #[test]
+    fn a_resident_exactly_at_the_divergence_level_conducts() {
+        // Groups 0 and 1 split resource 0 at 1 each. Group 0 leaves: θ is
+        // resource 0's old binding level, 1, exactly group 1's level, and
+        // group 1 must be re-solved (it rises to 2).
+        let caps = [2.0, 10.0];
+        let mut inc = IncrementalSolver::new();
+        inc.set_capacities(&caps);
+        inc.insert_group(0, &[0], 1);
+        inc.insert_group(1, &[0, 1], 1);
+        inc.insert_group(2, &[1], 1);
+        let mut changed = Vec::new();
+        inc.solve(&mut changed);
+        changed.clear();
+        inc.set_weight(0, 0);
+        let out = inc.solve(&mut changed);
+        assert_eq!(out.pruned_groups, 0);
+        assert_eq!(changed, vec![(1, 2.0), (2, 8.0)]);
+        assert_matches_oracle(&inc, &caps, &[(1, vec![0, 1], 1), (2, vec![1], 1)]);
+    }
+
+    #[test]
+    fn a_level_an_ulp_below_the_divergence_level_conducts() {
+        // Four resources tie at 40/3. Group 0 (weight 2) freezes first, at
+        // 13.333333333333334 on resource 2; resource 3's share then rounds
+        // an ulp lower, so group 2 freezes at 13.333333333333332 in a later
+        // round. A newcomer moves resource 1's binding to that tie: group
+        // 2's level lies below θ but its round does not come before θ's,
+        // and only the margin keeps it in the closure.
+        let caps = [39.2, 40.0, 40.0, 40.0, 40.0];
+        let mut inc = IncrementalSolver::new();
+        inc.set_capacities(&caps);
+        let mut groups = vec![
+            (0, vec![3, 2], 2),
+            (1, vec![0, 1], 1),
+            (2, vec![3, 1], 1),
+            (3, vec![4, 2], 1),
+        ];
+        for (slot, cells, weight) in &groups {
+            inc.insert_group(*slot, cells, *weight);
+        }
+        let mut changed = Vec::new();
+        inc.solve(&mut changed);
+        assert_eq!(
+            (inc.rate(0), inc.rate(2)),
+            (13.333333333333334, 13.333333333333332)
+        );
+        inc.insert_group(4, &[4, 1], 1);
+        groups.push((4, vec![4, 1], 1));
+        inc.solve(&mut changed);
+        assert_matches_oracle(&inc, &caps, &groups);
     }
 }

@@ -260,10 +260,15 @@ engine_profile! {
     /// Fill attempts discarded and redone because a resource that entered
     /// the closure with slack came out saturated.
     solve_retries,
-    /// Cumulative flow groups re-solved across all solves (the dirty
-    /// closure sizes); `dirty_groups / solves` is the mean re-solve
-    /// footprint.
+    /// Cumulative groups re-solved across all solves: those the closure
+    /// walk reached and the fill re-rated, not the residents it skipped
+    /// below a solve's divergence level. `dirty_groups / solves` is the
+    /// mean re-solve footprint.
     dirty_groups,
+    /// Cumulative residents that conducting resources skipped because
+    /// their previous level lay below the solve's divergence level: they
+    /// kept their rates without being visited.
+    pruned_groups,
     /// Total progressive-filling rounds across all solves.
     solver_rounds,
     /// Wholesale completion-heap rebuilds (vs incremental pushes).
@@ -297,25 +302,15 @@ impl EngineProfile {
 }
 
 /// The one human rendering, printed by `repair`'s `engine:` line and the
-/// `trace` summary's `engine profile` line.
+/// `trace` summary's `engine profile` line: every counter as `name=value`,
+/// in [`EngineProfile::FIELDS`] order.
 impl std::fmt::Display for EngineProfile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{} events, {} solves ({} full, {} incremental, {} dirty groups, \
-             {} rounds, {} retries) + {} elided, {} heap rebuilds, {} timers ({} cancelled)",
-            self.events,
-            self.solves,
-            self.full_solves,
-            self.incremental_solves,
-            self.dirty_groups,
-            self.solver_rounds,
-            self.solve_retries,
-            self.elided_solves,
-            self.heap_rebuilds,
-            self.timers_scheduled,
-            self.timers_cancelled
-        )
+        for (i, (key, value)) in Self::FIELDS.iter().zip(self.values()).enumerate() {
+            let sep = if i == 0 { "" } else { " " };
+            write!(f, "{sep}{key}={value}")?;
+        }
+        Ok(())
     }
 }
 

@@ -59,6 +59,21 @@ fn solver_op_strategy() -> impl Strategy<Value = SolverOp> {
         )
 }
 
+/// Capacities that make levels collide: equal shares across resources,
+/// exact ties between rounds, dead resources.
+const TIE_CAPS: [f64; 8] = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 12.0, 40.0];
+
+/// A capacity drawn from [`TIE_CAPS`] three times in four, else uniform.
+fn tie_cap_strategy() -> impl Strategy<Value = f64> {
+    (0usize..TIE_CAPS.len() * 4 / 3, 0.5f64..50.0).prop_map(|(i, any)| {
+        if i < TIE_CAPS.len() {
+            TIE_CAPS[i]
+        } else {
+            any
+        }
+    })
+}
+
 /// The max–min invariants, checked on an allocation directly (no second
 /// implementation involved): (i) no resource is over capacity; (ii) every
 /// group crosses a saturated resource on which no resident has a higher
@@ -346,6 +361,92 @@ proptest! {
                 .map(|(&s, &rate)| (shape(s).0.as_slice(), shape(s).1, rate))
                 .collect();
             check_maxmin_invariants(&caps, &batched)?;
+        }
+    }
+
+    #[test]
+    fn incremental_solver_is_the_batch_solver_bit_for_bit(
+        init_caps in proptest::collection::vec(tie_cap_strategy(), SOLVER_RESOURCES),
+        ops in proptest::collection::vec(
+            (solver_op_strategy(), tie_cap_strategy(), 0u8..6),
+            1..64,
+        ),
+    ) {
+        // The exactness of level-aware conduction: registries whose groups
+        // freeze at several distinct levels, with exact ties (capacities
+        // from `TIE_CAPS`), dead resources, capacity cuts and raises,
+        // weight-0 removal and same-slot re-registration, as the same shape
+        // or another. After every solve each rate, and each rate a caller
+        // following `changed` holds, equals the batch solver's bitwise.
+        let mut caps = init_caps;
+        let mut inc = IncrementalSolver::new();
+        inc.set_capacities(&caps);
+        let mut batch = MaxMinSolver::new();
+        let mut live: Vec<Option<(Vec<u32>, u32)>> = vec![None; 12];
+        let mut seen = vec![0.0f64; live.len()];
+        let mut changed = Vec::new();
+        for (op, cap, kind) in &ops {
+            let s = op.slot as usize;
+            match (live[s].clone(), kind) {
+                (None, _) => {
+                    inc.insert_group(op.slot, &op.cells, op.weight);
+                    live[s] = Some((op.cells.clone(), op.weight));
+                    seen[s] = 0.0;
+                }
+                (Some(_), 0) => {
+                    inc.set_weight(op.slot, 0);
+                    live[s] = None;
+                }
+                (Some((cells, _)), 1) => {
+                    inc.set_weight(op.slot, op.weight);
+                    live[s] = Some((cells, op.weight));
+                }
+                (Some((cells, weight)), 2) => {
+                    inc.set_weight(op.slot, 0);
+                    inc.insert_group(op.slot, &cells, weight);
+                    seen[s] = 0.0;
+                }
+                (Some(_), 3) => {
+                    inc.set_weight(op.slot, 0);
+                    inc.insert_group(op.slot, &op.cells, op.weight);
+                    live[s] = Some((op.cells.clone(), op.weight));
+                    seen[s] = 0.0;
+                }
+                (Some(_), 4) => {
+                    // A cut: halved, or dead.
+                    caps[op.res] = if op.cap < 10.0 { 0.0 } else { caps[op.res] / 2.0 };
+                    inc.set_capacity(op.res, caps[op.res]);
+                }
+                (Some(_), _) => {
+                    // A raise, to a tie-prone value or by half again.
+                    caps[op.res] = cap.max(caps[op.res] * 1.5);
+                    inc.set_capacity(op.res, caps[op.res]);
+                }
+            }
+            if !op.solve {
+                continue;
+            }
+            changed.clear();
+            inc.solve(&mut changed);
+            for &(g, rate) in &changed {
+                seen[g as usize] = rate;
+            }
+            let slots: Vec<usize> = (0..live.len()).filter(|&s| live[s].is_some()).collect();
+            let mut offsets = vec![0u32];
+            let mut targets = Vec::new();
+            let mut weights = Vec::new();
+            for &s in &slots {
+                let (cells, weight) = live[s].as_ref().expect("live slot");
+                targets.extend_from_slice(cells);
+                offsets.push(targets.len() as u32);
+                weights.push(*weight);
+            }
+            let mut rates = vec![0.0; slots.len()];
+            batch.solve_weighted_into(&caps, &offsets, &targets, &weights, &mut rates);
+            for (&s, want) in slots.iter().zip(&rates) {
+                prop_assert_eq!(inc.rate(s as u32).to_bits(), want.to_bits(), "slot {}", s);
+                prop_assert_eq!(seen[s].to_bits(), want.to_bits(), "caller's view of slot {}", s);
+            }
         }
     }
 
