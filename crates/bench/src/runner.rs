@@ -196,8 +196,8 @@ pub struct OrchestratedRunOutput {
     pub report: OrchestratorReport,
     /// The underlying repair/foreground/simulator result.
     pub run: RunOutput,
-    /// The repair ledger rendered as JSONL (data-loss events first, then
-    /// one line per ledger entry).
+    /// The repair ledger rendered as JSONL (budget-starved events, then
+    /// data-loss events, then one line per ledger entry).
     pub ledger_jsonl: String,
 }
 

@@ -841,10 +841,10 @@ impl Orchestrator {
         }
     }
 
-    /// Renders the campaign as JSONL: every data-loss event (time
-    /// order), then every ledger entry (chunk order), schema-compatible
-    /// with the flow-trace / span / given-up lines so all can share one
-    /// `.jsonl` file.
+    /// Renders the campaign as JSONL: every budget-starved event, then
+    /// every data-loss event (both in time order), then every ledger entry
+    /// (chunk order), schema-compatible with the flow-trace / span /
+    /// given-up lines so all can share one `.jsonl` file.
     pub fn ledger_jsonl(&self) -> String {
         let mut out = String::new();
         for event in &self.budget_starved {

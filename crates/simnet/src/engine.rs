@@ -30,18 +30,21 @@
 //!   rebuilt wholesale (O(G) heapify instead of G pushes into a heap full
 //!   of dead entries).
 //!
-//! The original full-rescan engine lives beside this one, as
-//! `simnet::reference::ReferenceSim`: the oracle of the differential
-//! tests, sharing no state with [`Simulator`].
+//! Every oracle lives beside this engine, in `simnet::reference`: the
+//! textbook filling `allocate_rates`, which `verify_against_full_solve`
+//! and the solver tests compare rates against bit for bit, and the
+//! full-rescan engine `ReferenceSim`, which the differential tests drive
+//! and which shares no state with [`Simulator`].
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
 use crate::flow::{Flow, FlowId, FlowOutcome, FlowSpec, TimerId, MAX_CONSTRAINTS};
 use crate::idmap::IdMap;
-use crate::maxmin::{IncrementalSolver, MaxMinSolver};
+use crate::maxmin::IncrementalSolver;
 use crate::monitor::Monitor;
 use crate::node::{NodeCaps, NodeId, ResourceKind, Traffic};
+use crate::reference;
 use crate::time::SimTime;
 use crate::topology::Topology;
 use crate::trace::{AbortCause, EngineProfile, TraceEvent, TraceEventKind, TraceSink};
@@ -1316,10 +1319,9 @@ impl Simulator {
     }
 
     /// Differential self-check: verifies that the incremental solver's
-    /// per-group rates are bit-identical to a from-scratch full
-    /// [`MaxMinSolver::solve_weighted_into`] over the live group registry
-    /// (ascending slot order, as the pre-incremental engine solved).
-    /// Test-suite hook.
+    /// per-group rates are bit-identical to a from-scratch
+    /// `simnet::reference::allocate_rates` over the live group registry in
+    /// ascending slot order. Test-suite hook.
     ///
     /// # Panics
     ///
@@ -1327,30 +1329,28 @@ impl Simulator {
     #[doc(hidden)]
     pub fn verify_against_full_solve(&mut self) {
         self.refresh();
-        let mut offsets = vec![0u32];
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        let mut slots = Vec::new();
-        for (g, grp) in self.groups.iter().enumerate() {
-            if grp.count == 0 {
-                continue;
-            }
-            targets.extend_from_slice(&grp.cells[..grp.ncells as usize]);
-            offsets.push(targets.len() as u32);
-            weights.push(grp.count);
-            slots.push(g);
-        }
-        let mut rates = vec![0.0; weights.len()];
-        let mut full = MaxMinSolver::new();
-        full.solve_weighted_into(&self.caps, &offsets, &targets, &weights, &mut rates);
-        for (row, &g) in slots.iter().enumerate() {
+        let live: Vec<usize> = (0..self.groups.len())
+            .filter(|&g| self.groups[g].count > 0)
+            .collect();
+        let cells: Vec<Vec<usize>> = live
+            .iter()
+            .map(|&g| {
+                let grp = &self.groups[g];
+                grp.cells[..grp.ncells as usize]
+                    .iter()
+                    .map(|&c| c as usize)
+                    .collect()
+            })
+            .collect();
+        let weights: Vec<u32> = live.iter().map(|&g| self.groups[g].count).collect();
+        let rates = reference::allocate_rates(&self.caps, &cells, &weights);
+        for (&g, full) in live.iter().zip(rates) {
             assert_eq!(
                 self.groups[g].rate.to_bits(),
-                rates[row].to_bits(),
+                full.to_bits(),
                 "incremental rate diverged from full solve for group {g} \
-                 (incremental {}, full {})",
+                 (incremental {}, full {full})",
                 self.groups[g].rate,
-                rates[row],
             );
         }
     }

@@ -75,7 +75,7 @@ pub use engine::{Event, SimConfig, Simulator, StaleRatesError};
 pub use faults::{FaultEvent, FaultInjector, FaultPlan, FaultSpec};
 pub use flow::{FlowId, FlowOutcome, FlowSpec, TimerId};
 pub use idmap::{IdHasher, IdMap};
-pub use maxmin::{allocate_rates, IncrementalSolver, MaxMinSolver, SolveOutcome};
+pub use maxmin::{IncrementalSolver, SolveOutcome};
 pub use monitor::{Monitor, UsageSample};
 pub use node::{NodeCaps, NodeId, ResourceKind, Traffic};
 pub use time::SimTime;

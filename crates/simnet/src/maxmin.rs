@@ -1,247 +1,22 @@
 //! Max–min fair rate allocation by progressive filling.
 //!
-//! Two solvers, two roles:
+//! [`IncrementalSolver`] is the simulator's solver. It keeps the group
+//! registry, the inverted resource→group index, the last-solved rates and a
+//! per-resource saturation flag *across* solves. Mutations are only
+//! recorded; each solve diffs them against the state of the last solve,
+//! walks the contention closure of the genuine differences (conducting only
+//! through saturated resources) and runs progressive filling in place over
+//! that closure. What a solve costs is what the mutations can change; what
+//! it returns is bit-identical to a from-scratch solve of the whole
+//! registry (see the type docs for why).
 //!
-//! - [`IncrementalSolver`] — the production solver behind the simulator.
-//!   It keeps the group registry, the inverted resource→group index, the
-//!   last-solved rates and a per-resource saturation flag *across* solves.
-//!   Mutations are only recorded; each solve diffs them against the state
-//!   of the last solve, walks the contention closure of the genuine
-//!   differences (conducting only through saturated resources) and runs
-//!   progressive filling in place over that closure. What a solve costs is
-//!   what the mutations can change; what it returns is bit-identical to
-//!   the batch solver over the whole registry (see the type docs for why).
-//! - [`MaxMinSolver`] — the batch solver over a CSR incidence list, and the
-//!   oracle: `Simulator::verify_against_full_solve`, [`allocate_rates`] and
-//!   the differential proptests solve the whole flow set with it and
-//!   compare bitwise. It builds a resource→flow inverted index once per
-//!   solve and keeps per-resource live-load counters, so each freeze round
-//!   touches only the flows that cross the bottleneck.
-//!
-//! Both perform the same floating-point operations in the same order:
-//! bottleneck = smallest `remaining / load` (ties to the lowest resource
-//! index), its unfrozen residents frozen in ascending group order, each
-//! subtracting `share × weight` from every resource it crosses.
-//!
-//! The original textbook implementation, the second oracle of the
-//! differential proptests, lives beside the engine in `simnet::reference`.
-
-/// Computes the max–min fair allocation for a set of flows over shared
-/// capacity-limited resources.
-///
-/// `capacities[r]` is the capacity of resource `r`; `flows[f]` lists the
-/// resources flow `f` traverses (each flow is limited by its tightest
-/// resource share). Returns the rate of each flow.
-///
-/// This is the classic *progressive filling* algorithm: repeatedly find the
-/// bottleneck resource (smallest equal-share), freeze the flows crossing it
-/// at that share, remove their consumption, and continue. The result is the
-/// unique max–min fair allocation, which models how TCP-like congestion
-/// control divides link bandwidth among competing transfers.
-///
-/// # Panics
-///
-/// Panics if a flow references a resource index out of range (debug
-/// assertions) or lists no resources.
-///
-/// # Examples
-///
-/// ```
-/// use chameleon_simnet::allocate_rates;
-/// // One 10-unit link shared by two flows, one of which also crosses a
-/// // 2-unit link: the constrained flow gets 2, the other picks up 8.
-/// let rates = allocate_rates(&[10.0, 2.0], &[vec![0], vec![0, 1]]);
-/// assert_eq!(rates, vec![8.0, 2.0]);
-/// ```
-pub fn allocate_rates(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
-    let mut solver = MaxMinSolver::new();
-    let mut offsets = Vec::with_capacity(flows.len() + 1);
-    let mut targets = Vec::new();
-    offsets.push(0u32);
-    for f in flows {
-        assert!(!f.is_empty(), "flow must traverse at least one resource");
-        for &r in f {
-            debug_assert!(r < capacities.len(), "resource index out of range");
-            targets.push(r as u32);
-        }
-        offsets.push(targets.len() as u32);
-    }
-    let mut rates = vec![0.0f64; flows.len()];
-    let ones = vec![1; flows.len()];
-    solver.solve_weighted_into(capacities, &offsets, &targets, &ones, &mut rates);
-    rates
-}
-
-/// Reusable batch progressive-filling solver over a CSR flow→resource
-/// incidence list — the oracle the incremental solver is checked against.
-///
-/// The caller describes the flow set in compressed sparse row form: flow
-/// `f` traverses `targets[offsets[f]..offsets[f+1]]`. All working memory
-/// (the inverted index, load counters, freeze flags) lives in the solver
-/// and is reused by the next call, so repeated solves are allocation-free.
-///
-/// # Examples
-///
-/// ```
-/// use chameleon_simnet::MaxMinSolver;
-/// let mut solver = MaxMinSolver::new();
-/// let mut rates = vec![0.0; 2];
-/// // Flow 0 crosses resource 0; flow 1 crosses resources 0 and 1.
-/// solver.solve_weighted_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &[1, 1], &mut rates);
-/// assert_eq!(rates, vec![8.0, 2.0]);
-/// ```
-#[derive(Debug, Default)]
-pub struct MaxMinSolver {
-    /// Remaining capacity per resource.
-    rem_cap: Vec<f64>,
-    /// Total weight of unfrozen flows crossing each resource.
-    load: Vec<u32>,
-    /// Inverted index: flows crossing each resource, CSR.
-    res_offsets: Vec<u32>,
-    res_flows: Vec<u32>,
-    /// Write cursor per resource while building the inverted index.
-    cursor: Vec<u32>,
-    frozen: Vec<bool>,
-    /// Cumulative progressive-filling rounds across all solves.
-    rounds: u64,
-}
-
-impl MaxMinSolver {
-    /// Creates an empty solver; buffers grow on first use.
-    pub fn new() -> Self {
-        MaxMinSolver::default()
-    }
-
-    /// Total progressive-filling rounds (bottleneck freezes) performed
-    /// across every solve so far. A round freezes at least one group, so
-    /// `total_rounds / solves` is the mean bottleneck count per solve.
-    pub fn total_rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Solves the max–min allocation over *flow groups*: row `f` of the
-    /// CSR stands for `weights[f]` identical flows, each of which receives
-    /// `rates[f]`.
-    ///
-    /// Flows with the same resource set always freeze in the same round at
-    /// the same share, so grouping them is exact (up to float-op
-    /// reassociation: a group freeze subtracts `share × weight` once
-    /// instead of `share` per member). The simulator exploits this: a
-    /// cluster has O(nodes²) distinct flow shapes no matter how many
-    /// flows are active, collapsing the per-solve cost from
-    /// O(flows × degree) to O(groups × degree + rounds × resources).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rates`, `weights` and `offsets` disagree on the group
-    /// count, if a group lists no resources or has zero weight, or (debug
-    /// assertions) if a resource index is out of range.
-    pub fn solve_weighted_into(
-        &mut self,
-        capacities: &[f64],
-        offsets: &[u32],
-        targets: &[u32],
-        weights: &[u32],
-        rates: &mut [f64],
-    ) {
-        let nflows = rates.len();
-        assert_eq!(offsets.len(), nflows + 1, "offsets must bracket each flow");
-        assert_eq!(weights.len(), nflows, "one weight per flow group");
-        rates.fill(0.0);
-        if nflows == 0 {
-            return;
-        }
-        let nres = capacities.len();
-
-        self.rem_cap.clear();
-        self.rem_cap.extend_from_slice(capacities);
-        self.load.clear();
-        self.load.resize(nres, 0);
-        for f in 0..nflows {
-            assert!(weights[f] > 0, "flow group must have positive weight");
-            for &r in &targets[offsets[f] as usize..offsets[f + 1] as usize] {
-                debug_assert!((r as usize) < nres, "resource index out of range");
-                self.load[r as usize] += weights[f];
-            }
-        }
-
-        // Build the resource→flow inverted index by counting sort, which
-        // keeps flows in ascending order within each bucket — the same
-        // freeze order as the reference solver.
-        self.res_offsets.clear();
-        self.res_offsets.resize(nres + 1, 0);
-        self.cursor.clear();
-        self.cursor.resize(nres, 0);
-        for &r in targets {
-            self.cursor[r as usize] += 1;
-        }
-        for r in 0..nres {
-            self.res_offsets[r + 1] = self.res_offsets[r] + self.cursor[r];
-        }
-        self.cursor.copy_from_slice(&self.res_offsets[..nres]);
-        self.res_flows.clear();
-        self.res_flows.resize(targets.len(), 0);
-        for f in 0..nflows {
-            let (lo, hi) = (offsets[f] as usize, offsets[f + 1] as usize);
-            assert!(lo < hi, "flow must traverse at least one resource");
-            for &r in &targets[lo..hi] {
-                let c = &mut self.cursor[r as usize];
-                self.res_flows[*c as usize] = f as u32;
-                *c += 1;
-            }
-        }
-
-        self.frozen.clear();
-        self.frozen.resize(nflows, false);
-        let mut unfrozen = nflows;
-
-        while unfrozen > 0 {
-            self.rounds += 1;
-            // Find the bottleneck: the resource with the smallest equal
-            // share (ties broken by lowest index, as in the reference).
-            let mut best_share = f64::INFINITY;
-            let mut best_res = usize::MAX;
-            for (r, &l) in self.load.iter().enumerate() {
-                if l > 0 {
-                    let share = (self.rem_cap[r] / l as f64).max(0.0);
-                    if share < best_share {
-                        best_share = share;
-                        best_res = r;
-                    }
-                }
-            }
-            debug_assert_ne!(
-                best_res,
-                usize::MAX,
-                "unfrozen flows but no loaded resource"
-            );
-
-            // Freeze every unfrozen group crossing the bottleneck — via
-            // the inverted index, so only groups actually on `best_res`
-            // are touched.
-            let (lo, hi) = (
-                self.res_offsets[best_res] as usize,
-                self.res_offsets[best_res + 1] as usize,
-            );
-            for i in lo..hi {
-                let f = self.res_flows[i] as usize;
-                if self.frozen[f] {
-                    continue;
-                }
-                self.frozen[f] = true;
-                unfrozen -= 1;
-                rates[f] = best_share;
-                let w = weights[f];
-                let consumed = best_share * w as f64;
-                for &r in &targets[offsets[f] as usize..offsets[f + 1] as usize] {
-                    let r = r as usize;
-                    self.rem_cap[r] = (self.rem_cap[r] - consumed).max(0.0);
-                    self.load[r] -= w;
-                }
-            }
-        }
-    }
-}
+//! The from-scratch solve is the textbook filling in `simnet::reference`,
+//! the oracle that `Simulator::verify_against_full_solve` and the
+//! differential tests compare against bitwise. Both perform the same
+//! floating-point operations in the same order: bottleneck = smallest
+//! `remaining / load` (ties to the lowest resource index), its unfrozen
+//! residents frozen in ascending group order, each subtracting
+//! `share × weight` from every resource it crosses.
 
 /// Outcome of one [`IncrementalSolver::solve`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,9 +180,9 @@ impl Resource {
 ///    over the closure lists: per-resource remaining-capacity and load
 ///    scratch indexed by global resource id, bottleneck ties broken by the
 ///    lowest resource id, the bottleneck's residents frozen in ascending
-///    slot order — the same float operations in the same order as
-///    [`MaxMinSolver::solve_weighted_into`] over the whole registry in slot
-///    order, hence bit-identical rates.
+///    slot order — the same float operations in the same order as a
+///    from-scratch filling of the whole registry in slot order, hence
+///    bit-identical rates.
 /// 4. **Report.** Groups whose rate bit-changed are appended to `changed`
 ///    in ascending slot order; everything else is untouched.
 ///
@@ -463,7 +238,7 @@ impl Resource {
 /// resource skips residents whose previous level lies below θ (less
 /// [`PRUNE_MARGIN`], which keeps ulp-level ties on the conducting side), and
 /// a skipped group's other cells stay out of the closure. The resource then
-/// enters the fill with the remaining capacity the batch solver holds after
+/// enters the fill with the remaining capacity a full filling holds after
 /// those freezes — replayed, not re-summed: fills stamp their freezes in
 /// order, a saturated resource's residents froze in stamp order, so its
 /// capacity less each skipped `level × weight` in stamp order, with the
@@ -473,8 +248,9 @@ impl Resource {
 /// changed skips nothing, and a fill round below θ discards the attempt and
 /// lowers θ — to the initial share of a bottleneck with slack, which θ did
 /// not see, else to `-inf`. The differential proptests assert bitwise
-/// equality with the batch solver throughout; the invariant proptests check
-/// feasibility, bottleneck fairness and the flags directly.
+/// equality with the textbook filling in `simnet::reference` throughout;
+/// the invariant proptests check feasibility, bottleneck fairness and the
+/// flags directly.
 #[derive(Debug, Default)]
 pub struct IncrementalSolver {
     resources: Vec<Resource>,
@@ -688,7 +464,7 @@ impl IncrementalSolver {
                 if self.unordered {
                     // A conducting resource kept a resident that froze
                     // before one it skipped, so the capacity after its last
-                    // skipped freeze is not what the batch solver holds.
+                    // skipped freeze is not what a full filling holds.
                     self.lower_theta(f64::NEG_INFINITY);
                     continue;
                 }
@@ -1026,7 +802,7 @@ impl IncrementalSolver {
                 }
             }
             res.weight = res.in_weight + out_weight;
-            // A conducting resource enters with what the batch solver holds
+            // A conducting resource enters with what a full filling holds
             // at θ; one with slack offers the closure only what its
             // residents outside the closure leave.
             res.rem_cap = if res.saturated {
@@ -1052,7 +828,7 @@ impl IncrementalSolver {
     }
 
     /// Progressive filling over the closure, in place: the float
-    /// operations of [`MaxMinSolver::solve_weighted_into`] in its order,
+    /// operations of a from-scratch filling in its order,
     /// each freeze listed in `frozen` (stamped once the fill stands).
     /// If residents were skipped, a round below the divergence level
     /// abandons the fill and returns the θ to redo it under: a bottleneck
@@ -1128,170 +904,15 @@ mod tests {
     use super::*;
     use crate::reference;
 
-    fn assert_close(a: f64, b: f64) {
-        assert!((a - b).abs() < 1e-9, "{a} != {b}");
-    }
-
-    #[test]
-    fn single_flow_gets_full_capacity() {
-        let rates = allocate_rates(&[5.0], &[vec![0]]);
-        assert_close(rates[0], 5.0);
-    }
-
-    #[test]
-    fn equal_split_on_one_resource() {
-        let rates = allocate_rates(&[9.0], &[vec![0], vec![0], vec![0]]);
-        for r in rates {
-            assert_close(r, 3.0);
-        }
-    }
-
-    #[test]
-    fn bottleneck_releases_capacity_to_others() {
-        // Flow 0 crosses only the big link; flow 1 crosses both.
-        let rates = allocate_rates(&[10.0, 2.0], &[vec![0], vec![0, 1]]);
-        assert_close(rates[1], 2.0);
-        assert_close(rates[0], 8.0);
-    }
-
-    #[test]
-    fn parking_lot_topology() {
-        // Classic max-min example: three links of capacity 1; flow A crosses
-        // all three, flows B, C, D each cross one. Fair share: A = 1/2 on its
-        // tightest link; B, C, D = 1/2 each on their links.
-        let flows = vec![vec![0, 1, 2], vec![0], vec![1], vec![2]];
-        let rates = allocate_rates(&[1.0, 1.0, 1.0], &flows);
-        for r in &rates {
-            assert_close(*r, 0.5);
-        }
-    }
-
-    #[test]
-    fn zero_capacity_resource_starves_flows() {
-        let rates = allocate_rates(&[0.0, 10.0], &[vec![0], vec![1]]);
-        assert_close(rates[0], 0.0);
-        assert_close(rates[1], 10.0);
-    }
-
-    #[test]
-    fn allocation_is_feasible_and_pareto_efficient() {
-        // Random-ish configuration: verify (1) no resource over capacity,
-        // (2) every flow is bottlenecked somewhere (can't be raised alone).
-        let caps = [4.0, 7.0, 3.0, 5.0];
-        let flows = vec![
-            vec![0, 1],
-            vec![1, 2],
-            vec![2, 3],
-            vec![0, 3],
-            vec![1],
-            vec![3],
-        ];
-        let rates = allocate_rates(&caps, &flows);
-        let mut used = [0.0f64; 4];
-        for (f, flow) in flows.iter().enumerate() {
-            for &r in flow {
-                used[r] += rates[f];
-            }
-        }
-        for (u, c) in used.iter().zip(&caps) {
-            assert!(*u <= c + 1e-9, "over capacity: {u} > {c}");
-        }
-        // Pareto: each flow crosses at least one saturated resource.
-        for flow in &flows {
-            assert!(
-                flow.iter().any(|&r| used[r] >= caps[r] - 1e-9),
-                "flow {flow:?} not bottlenecked"
-            );
-        }
-    }
-
-    #[test]
-    fn empty_input() {
-        assert!(allocate_rates(&[1.0], &[]).is_empty());
-    }
-
-    #[test]
-    fn indexed_matches_reference_bit_for_bit() {
-        let caps = [4.0, 7.0, 3.0, 5.0, 0.5, 11.0];
-        let flows = vec![
-            vec![0, 1],
-            vec![1, 2],
-            vec![2, 3],
-            vec![0, 3],
-            vec![1],
-            vec![3],
-            vec![4, 5],
-            vec![5],
-            vec![0, 4],
-            vec![2, 5, 1],
-        ];
-        let a = allocate_rates(&caps, &flows);
-        let b = reference::allocate_rates(&caps, &flows);
-        assert_eq!(a, b, "indexed and reference solvers diverged");
-    }
-
-    #[test]
-    fn duplicate_resource_entries_match_reference() {
-        // A malformed flow listing a resource twice must at least agree
-        // with the reference (the engine dedupes before it gets here).
-        let caps = [6.0, 4.0];
-        let flows = vec![vec![0, 0], vec![0, 1], vec![1]];
-        let a = allocate_rates(&caps, &flows);
-        let b = reference::allocate_rates(&caps, &flows);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn weighted_groups_match_expanded_flows() {
-        // 3 identical flows on link 0 + 2 identical flows on links 0 and 1,
-        // expressed as two weighted groups vs five unit flows.
-        let caps = [10.0, 3.0];
-        let expanded = allocate_rates(&caps, &[vec![0], vec![0], vec![0], vec![0, 1], vec![0, 1]]);
-        let mut solver = MaxMinSolver::new();
-        let mut grouped = vec![0.0; 2];
-        solver.solve_weighted_into(&caps, &[0, 1, 3], &[0, 0, 1], &[3, 2], &mut grouped);
-        assert_close(grouped[0], expanded[0]);
-        assert_close(grouped[1], expanded[3]);
-        // Within a group the expanded flows all agree exactly.
-        assert_eq!(expanded[0], expanded[1]);
-        assert_eq!(expanded[3], expanded[4]);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive weight")]
-    fn zero_weight_group_rejected() {
-        let mut solver = MaxMinSolver::new();
-        let mut rates = vec![0.0; 1];
-        solver.solve_weighted_into(&[1.0], &[0, 1], &[0], &[0], &mut rates);
-    }
-
-    #[test]
-    fn rounds_accumulate_across_solves() {
-        let mut solver = MaxMinSolver::new();
-        let mut rates = vec![0.0; 2];
-        solver.solve_weighted_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &[1, 1], &mut rates);
-        let first = solver.total_rounds();
-        // Two distinct bottlenecks (the 2-unit link, then the 10-unit one).
-        assert_eq!(first, 2);
-        solver.solve_weighted_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &[1, 1], &mut rates);
-        assert_eq!(solver.total_rounds(), 2 * first);
-    }
-
-    /// Full batch solve over the incremental solver's live registry — the
-    /// oracle the incremental tests compare against bitwise.
+    /// Full from-scratch solve of the incremental solver's live registry —
+    /// the oracle the incremental tests compare against bitwise.
     fn full_oracle(caps: &[f64], groups: &[(u32, Vec<u32>, u32)]) -> Vec<f64> {
-        let mut solver = MaxMinSolver::new();
-        let mut offsets = vec![0u32];
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
-        for (_, cells, w) in groups {
-            targets.extend_from_slice(cells);
-            offsets.push(targets.len() as u32);
-            weights.push(*w);
-        }
-        let mut rates = vec![0.0; groups.len()];
-        solver.solve_weighted_into(caps, &offsets, &targets, &weights, &mut rates);
-        rates
+        let cells: Vec<Vec<usize>> = groups
+            .iter()
+            .map(|(_, cells, _)| cells.iter().map(|&r| r as usize).collect())
+            .collect();
+        let weights: Vec<u32> = groups.iter().map(|&(_, _, w)| w).collect();
+        reference::allocate_rates(caps, &cells, &weights)
     }
 
     #[test]
@@ -1516,7 +1137,7 @@ mod tests {
         check_random_schedule(0x9E3779B97F4A7C15, 12, 2, 900);
     }
 
-    /// `inc`'s rates against the batch oracle, bitwise.
+    /// `inc`'s rates against the full oracle, bitwise.
     fn assert_matches_oracle(
         inc: &IncrementalSolver,
         caps: &[f64],
@@ -1774,22 +1395,6 @@ mod tests {
         let out = inc.solve(&mut changed);
         assert_eq!((out.full, out.dirty_groups), (false, 0));
         assert!(!inc.is_saturated(0));
-    }
-
-    #[test]
-    fn solver_is_reusable_across_solves() {
-        let mut solver = MaxMinSolver::new();
-        let mut rates = vec![0.0; 2];
-        solver.solve_weighted_into(&[10.0, 2.0], &[0, 1, 3], &[0, 0, 1], &[1, 1], &mut rates);
-        assert_eq!(rates, vec![8.0, 2.0]);
-        // Smaller follow-up problem: buffers shrink logically, not physically.
-        let mut rates = vec![0.0; 1];
-        solver.solve_weighted_into(&[7.0], &[0, 1], &[0], &[1], &mut rates);
-        assert_close(rates[0], 7.0);
-        // And empty.
-        let mut rates: Vec<f64> = Vec::new();
-        solver.solve_weighted_into(&[1.0], &[0], &[], &[], &mut rates);
-        assert!(rates.is_empty());
     }
 
     #[test]

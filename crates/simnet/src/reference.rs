@@ -1,7 +1,8 @@
-//! The full-rescan oracle the differential tests hold [`Simulator`]
+//! The oracles the differential tests hold [`Simulator`] and its solver
 //! against.
 //!
-//! [`allocate_rates`] is the textbook progressive-filling solver, and
+//! [`allocate_rates`] is the textbook progressive-filling solver over
+//! weighted flows, which the incremental solver must equal bit for bit, and
 //! [`ReferenceSim`] the engine built on it: per-flow `remaining` and
 //! `rate`, a solve over every live flow and a linear completion scan at
 //! each event. Neither shares state with [`Simulator`] — only the spec
@@ -20,26 +21,43 @@ use crate::monitor::Monitor;
 use crate::time::SimTime;
 use crate::topology::Topology;
 
-/// Computes the max–min fair allocation exactly like
-/// [`allocate_rates`](crate::allocate_rates), with the pre-index
-/// full-rescan algorithm: O(flows × resources) per round.
+/// Computes the max–min fair allocation by textbook progressive filling,
+/// O(flows × resources) per round.
+///
+/// `capacities[r]` is the capacity of resource `r`; flow `f` crosses the
+/// resources `flows[f]` and stands for `weights[f]` identical members, each
+/// of which gets the returned `rates[f]`. Each round finds the bottleneck —
+/// the smallest `remaining / load`, ties to the lowest resource id — and
+/// freezes its unfrozen flows in ascending order, each subtracting
+/// `share × weight` from every resource it crosses. These are the float
+/// operations of [`IncrementalSolver`](crate::IncrementalSolver) in its
+/// order, so the differential tests compare the two bit for bit.
 ///
 /// # Panics
 ///
-/// Panics if a flow lists no resources.
-pub fn allocate_rates(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
+/// Panics if `flows` and `weights` differ in length, or if a flow lists no
+/// resources or has zero weight.
+///
+/// # Examples
+///
+/// ```
+/// use chameleon_simnet::reference::allocate_rates;
+/// // One 10-unit link shared by two flows, one of which also crosses a
+/// // 2-unit link: the constrained flow gets 2, the other picks up 8.
+/// let rates = allocate_rates(&[10.0, 2.0], &[vec![0], vec![0, 1]], &[1, 1]);
+/// assert_eq!(rates, vec![8.0, 2.0]);
+/// ```
+pub fn allocate_rates(capacities: &[f64], flows: &[Vec<usize>], weights: &[u32]) -> Vec<f64> {
+    assert_eq!(flows.len(), weights.len(), "one weight per flow");
     let mut rates = vec![0.0f64; flows.len()];
-    if flows.is_empty() {
-        return rates;
-    }
     let mut rem_cap = capacities.to_vec();
-    // Number of unfrozen flows crossing each resource.
-    let mut load = vec![0usize; capacities.len()];
-    for f in flows {
+    // Total weight of the unfrozen flows crossing each resource.
+    let mut load = vec![0u32; capacities.len()];
+    for (f, &w) in flows.iter().zip(weights) {
         assert!(!f.is_empty(), "flow must traverse at least one resource");
+        assert!(w > 0, "flow must have positive weight");
         for &r in f {
-            debug_assert!(r < capacities.len(), "resource index out of range");
-            load[r] += 1;
+            load[r] += w;
         }
     }
     let mut frozen = vec![false; flows.len()];
@@ -72,9 +90,10 @@ pub fn allocate_rates(capacities: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
             frozen[f] = true;
             unfrozen -= 1;
             rates[f] = best_share;
+            let consumed = best_share * weights[f] as f64;
             for &r in flow {
-                rem_cap[r] = (rem_cap[r] - best_share).max(0.0);
-                load[r] -= 1;
+                rem_cap[r] = (rem_cap[r] - consumed).max(0.0);
+                load[r] -= weights[f];
             }
         }
     }
@@ -183,7 +202,7 @@ impl ReferenceSim {
             .values()
             .map(|f| f.flow.cells().iter().map(|&c| c as usize).collect())
             .collect();
-        let rates = allocate_rates(&self.caps, &cells);
+        let rates = allocate_rates(&self.caps, &cells, &vec![1; cells.len()]);
         for (f, rate) in self.flows.values_mut().zip(rates) {
             f.rate = rate;
         }
@@ -243,5 +262,117 @@ impl ReferenceSim {
             }
         }
         self.now = t;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::allocate_rates;
+
+    fn assert_close(a: f64, b: f64) {
+        assert!((a - b).abs() < 1e-9, "{a} != {b}");
+    }
+
+    /// Every flow a single member.
+    fn unit_rates(caps: &[f64], flows: &[Vec<usize>]) -> Vec<f64> {
+        allocate_rates(caps, flows, &vec![1; flows.len()])
+    }
+
+    #[test]
+    fn single_flow_gets_full_capacity() {
+        let rates = unit_rates(&[5.0], &[vec![0]]);
+        assert_close(rates[0], 5.0);
+    }
+
+    #[test]
+    fn equal_split_on_one_resource() {
+        let rates = unit_rates(&[9.0], &[vec![0], vec![0], vec![0]]);
+        for r in rates {
+            assert_close(r, 3.0);
+        }
+    }
+
+    #[test]
+    fn bottleneck_releases_capacity_to_others() {
+        // Flow 0 crosses only the big link; flow 1 crosses both.
+        let rates = unit_rates(&[10.0, 2.0], &[vec![0], vec![0, 1]]);
+        assert_close(rates[1], 2.0);
+        assert_close(rates[0], 8.0);
+    }
+
+    #[test]
+    fn parking_lot_topology() {
+        // Classic max-min example: three links of capacity 1; flow A crosses
+        // all three, flows B, C, D each cross one. Fair share: A = 1/2 on its
+        // tightest link; B, C, D = 1/2 each on their links.
+        let flows = vec![vec![0, 1, 2], vec![0], vec![1], vec![2]];
+        let rates = unit_rates(&[1.0, 1.0, 1.0], &flows);
+        for r in &rates {
+            assert_close(*r, 0.5);
+        }
+    }
+
+    #[test]
+    fn zero_capacity_resource_starves_flows() {
+        let rates = unit_rates(&[0.0, 10.0], &[vec![0], vec![1]]);
+        assert_close(rates[0], 0.0);
+        assert_close(rates[1], 10.0);
+    }
+
+    #[test]
+    fn allocation_is_feasible_and_pareto_efficient() {
+        // Random-ish configuration: verify (1) no resource over capacity,
+        // (2) every flow is bottlenecked somewhere (can't be raised alone).
+        let caps = [4.0, 7.0, 3.0, 5.0];
+        let flows = vec![
+            vec![0, 1],
+            vec![1, 2],
+            vec![2, 3],
+            vec![0, 3],
+            vec![1],
+            vec![3],
+        ];
+        let rates = unit_rates(&caps, &flows);
+        let mut used = [0.0f64; 4];
+        for (f, flow) in flows.iter().enumerate() {
+            for &r in flow {
+                used[r] += rates[f];
+            }
+        }
+        for (u, c) in used.iter().zip(&caps) {
+            assert!(*u <= c + 1e-9, "over capacity: {u} > {c}");
+        }
+        // Pareto: each flow crosses at least one saturated resource.
+        for flow in &flows {
+            assert!(
+                flow.iter().any(|&r| used[r] >= caps[r] - 1e-9),
+                "flow {flow:?} not bottlenecked"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_input() {
+        assert!(unit_rates(&[1.0], &[]).is_empty());
+    }
+
+    #[test]
+    fn weighted_groups_match_expanded_flows() {
+        // 3 identical flows on link 0 + 2 identical flows on links 0 and 1,
+        // expressed as two weighted groups vs five unit flows.
+        let caps = [10.0, 3.0];
+        let expanded = unit_rates(&caps, &[vec![0], vec![0], vec![0], vec![0, 1], vec![0, 1]]);
+        let grouped = allocate_rates(&caps, &[vec![0], vec![0, 1]], &[3, 2]);
+        assert_close(grouped[0], expanded[0]);
+        assert_close(grouped[1], expanded[3]);
+        // Within a group the expanded flows all agree exactly.
+        assert_eq!(expanded[0], expanded[1]);
+        assert_eq!(expanded[3], expanded[4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "positive weight")]
+    fn zero_weight_group_rejected() {
+        allocate_rates(&[1.0], &[vec![0]], &[0]);
     }
 }
