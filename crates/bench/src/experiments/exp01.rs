@@ -8,30 +8,10 @@
 use chameleon_traces::TraceKind;
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
-use crate::runner::FgSpec;
+use crate::grid::{sweep, RunSpec};
+use crate::runner::{FgSpec, RunOutput};
 use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
-
-fn specs(scale: &Scale) -> Vec<(TraceKind, AlgoKind, RunSpec)> {
-    let code = rs(10, 4);
-    let cfg = scale.cluster_config(14);
-    let mut specs = Vec::new();
-    for trace in TraceKind::ALL {
-        for algo in AlgoKind::HEADLINE {
-            let fg = FgSpec::uniform(trace, scale.clients, scale.requests_per_client);
-            let spec = RunSpec::new(
-                format!("{}/{}", trace.name(), algo.label()),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                Some(fg),
-            );
-            specs.push((trace, algo, spec));
-        }
-    }
-    specs
-}
 
 /// Runs the experiment at the given scale across `jobs` workers.
 pub fn run(scale: &Scale, jobs: usize) -> Report {
@@ -42,9 +22,12 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.clients
     ));
 
-    let cells = specs(scale);
-    let grid: Vec<RunSpec> = cells.iter().map(|(_, _, s)| s.clone()).collect();
-    let outs = run_specs(&grid, jobs);
+    let (code, cfg) = (rs(10, 4), scale.cluster_config(14));
+    let rows = sweep(TraceKind::ALL, &AlgoKind::HEADLINE, jobs, |&trace, algo| {
+        let fg = FgSpec::uniform(trace, scale.clients, scale.requests_per_client);
+        let label = format!("{}/{}", trace.name(), algo.label());
+        RunSpec::new(label, code.clone(), cfg.clone(), algo, Some(fg)).execute()
+    });
 
     let mut table = Table::new(
         "exp01_interference_study",
@@ -59,19 +42,16 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("chunk p99 (s)", "chunk_p99_s"),
         ],
     );
-    let mut throughput = Vec::new();
-    for ((trace, algo, _), out) in cells.iter().zip(&outs) {
-        let mbps = out.repair_mbps();
+    for (trace, algo, out) in &rows {
         table.push(vec![
             trace.name().to_string(),
             algo.label(),
-            format!("{mbps:.1}"),
+            format!("{:.1}", out.repair_mbps()),
             format!("{:.3}", out.p99_ms()),
             format!("{:.3}", out.chunk_pct_secs(0.50)),
             format!("{:.3}", out.chunk_pct_secs(0.95)),
             format!("{:.3}", out.chunk_pct_secs(0.99)),
         ]);
-        throughput.push((*trace, *algo, mbps));
     }
     report.tables.push(table);
 
@@ -80,8 +60,8 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         let gains: Vec<f64> = TraceKind::ALL
             .iter()
             .filter_map(|trace| {
-                let cham = value_of(&throughput, trace, AlgoKind::Chameleon)?;
-                Some(improvement(cham, value_of(&throughput, trace, base)?))
+                let mbps = |algo| value_of(&rows, trace, algo, RunOutput::repair_mbps);
+                Some(improvement(mbps(AlgoKind::Chameleon)?, mbps(base)?))
             })
             .collect();
         let avg = gains.iter().sum::<f64>() / gains.len().max(1) as f64;

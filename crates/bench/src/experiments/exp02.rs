@@ -94,8 +94,8 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         let reductions: Vec<f64> = TraceKind::ALL
             .iter()
             .filter_map(|trace| {
-                let c = value_of(&degrees, trace, AlgoKind::Chameleon)?;
-                let b = value_of(&degrees, trace, base)?;
+                let degree = |algo| value_of(&degrees, trace, algo, |&d| d);
+                let (c, b) = (degree(AlgoKind::Chameleon)?, degree(base)?);
                 Some(if b > 0.0 { 1.0 - c / b } else { 0.0 })
             })
             .collect();

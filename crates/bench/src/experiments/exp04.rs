@@ -14,7 +14,7 @@ use chameleon_simnet::{Event, ResourceKind, Traffic};
 use chameleon_traces::TraceKind;
 
 use super::rs;
-use crate::grid::run_grid;
+use crate::grid::sweep;
 use crate::runner::{client_seed, stage, FgSpec};
 use crate::table::{sparkline, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
@@ -29,6 +29,7 @@ fn run_one(algo: AlgoKind, scale: &Scale) -> (Vec<f64>, f64) {
     // 15 s trace transitions.
     let mut cfg = scale.cluster_config_with_bandwidth(14, 1.25e8, 500e6);
     cfg.monitor_window_secs = 5.0;
+    let nodes = cfg.storage_nodes;
     let sequence = TraceKind::ALL;
     let fg = FgSpec::uniform(sequence[0], scale.clients, usize::MAX);
     let (mut run, lost) = stage(code, cfg, &[0], Some(fg), None, false).expect("cluster");
@@ -67,7 +68,7 @@ fn run_one(algo: AlgoKind, scale: &Scale) -> (Vec<f64>, f64) {
     let m = run.sim.monitor();
     let series: Vec<f64> = (0..m.window_count())
         .map(|w| {
-            (0..20)
+            (0..nodes)
                 .map(|node| {
                     m.usage(w, node, ResourceKind::DiskWrite, Traffic::Repair)
                         .bytes
@@ -90,8 +91,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.name()
     ));
 
-    let algos: Vec<AlgoKind> = AlgoKind::HEADLINE.to_vec();
-    let results = run_grid(&algos, jobs, |&algo| run_one(algo, &scale));
+    let rows = sweep([()], &AlgoKind::HEADLINE, jobs, |_, a| run_one(a, &scale));
 
     let mut table = Table::new(
         "exp04_adaptivity",
@@ -102,7 +102,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("repair MB/s", "repair_mbps"),
         ],
     );
-    for (&algo, (series, _)) in algos.iter().zip(&results) {
+    for (_, algo, (series, _)) in &rows {
         report.note(format!(
             "  {:<12} {}  ({} windows)",
             algo.label(),
@@ -120,13 +120,8 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     report.tables.push(table);
 
     report.note("\noverall repair throughput:");
-    let overall: Vec<_> = algos
-        .iter()
-        .zip(&results)
-        .map(|(&algo, (_, total))| ((), algo, *total))
-        .collect();
-    let cham = value_of(&overall, &(), AlgoKind::Chameleon).unwrap_or(0.0);
-    for (_, algo, total) in &overall {
+    let cham = value_of(&rows, &(), AlgoKind::Chameleon, |r| r.1).unwrap_or(0.0);
+    for (_, algo, (_, total)) in &rows {
         let vs = if *algo == AlgoKind::Chameleon {
             String::new()
         } else {

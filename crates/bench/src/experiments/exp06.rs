@@ -7,8 +7,8 @@
 //! the bandwidth imbalance RepairBoost tries to remove.
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
-use crate::runner::FgSpec;
+use crate::grid::{sweep, RunSpec};
+use crate::runner::{FgSpec, RunOutput};
 use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
@@ -32,19 +32,10 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         AlgoKind::RbEcPipe,
         AlgoKind::Chameleon,
     ];
-    let specs: Vec<RunSpec> = algos
-        .iter()
-        .map(|&algo| {
-            RunSpec::new(
-                algo.label(),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
-            )
-        })
-        .collect();
-    let outs = run_specs(&specs, jobs);
+    let rows = sweep([()], &algos, jobs, |_, algo| {
+        let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
+        RunSpec::new(algo.label(), code.clone(), cfg.clone(), algo, Some(fg)).execute()
+    });
 
     let mut table = Table::new(
         "exp06_repairboost",
@@ -55,19 +46,16 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("P99 (ms)", "p99_ms"),
         ],
     );
-    let mut results = Vec::new();
-    for (&algo, out) in algos.iter().zip(&outs) {
-        let mbps = out.repair_mbps();
-        results.push(((), algo, mbps));
+    for (_, algo, out) in &rows {
         table.push(vec![
             algo.label(),
-            format!("{mbps:.1}"),
+            format!("{:.1}", out.repair_mbps()),
             format!("{:.2}", out.p99_ms()),
         ]);
     }
     report.tables.push(table);
 
-    let get = |kind: AlgoKind| value_of(&results, &(), kind).unwrap_or(0.0);
+    let get = |kind| value_of(&rows, &(), kind, RunOutput::repair_mbps).unwrap_or(0.0);
     let cham = get(AlgoKind::Chameleon);
     for (plain, boosted) in [
         (AlgoKind::Cr, AlgoKind::RbCr),

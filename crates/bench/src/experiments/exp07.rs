@@ -7,39 +7,29 @@
 //! (35.1% on average) by balancing multi-chunk repair traffic.
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
-use crate::runner::FgSpec;
-use crate::table::{chameleon_gains, pct, Cell, Report, Table};
+use crate::grid::{sweep, RunSpec};
+use crate::runner::{FgSpec, RunOutput};
+use crate::table::{chameleon_gains, pct, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// The link-bandwidth sweep this experiment (no foreground) and Exp#13
 /// (YCSB foreground) share: the headline algorithms on RS(10,4) at 1, 2, 5
-/// and 10 Gb/s links over 500 MB/s disks. Returns the table and the
-/// measured `(Gb/s, algorithm, repair MB/s)` cells.
-pub(super) fn sweep(
+/// and 10 Gb/s links over 500 MB/s disks. Returns the table and the rows,
+/// keyed by Gb/s.
+pub(super) fn link_sweep(
     scale: &Scale,
     jobs: usize,
     fg: Option<FgSpec>,
     stem: &'static str,
     title: &'static str,
-) -> (Table, Vec<Cell<f64>>) {
+) -> (Table, Vec<(f64, AlgoKind, RunOutput)>) {
     let code = rs(10, 4);
-    let mut cells = Vec::new();
-    let mut specs = Vec::new();
-    for gbps in [1.0, 2.0, 5.0, 10.0] {
+    let links = [1.0, 2.0, 5.0, 10.0];
+    let rows = sweep(links, &AlgoKind::HEADLINE, jobs, |&gbps, algo| {
         let cfg = scale.cluster_config_with_bandwidth(14, gbps * 1e9 / 8.0, 500e6);
-        for algo in AlgoKind::HEADLINE {
-            cells.push((gbps, algo));
-            specs.push(RunSpec::new(
-                format!("{gbps:.0}Gbps/{}", algo.label()),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                fg.clone(),
-            ));
-        }
-    }
-    let outs = run_specs(&specs, jobs);
+        let label = format!("{gbps:.0}Gbps/{}", algo.label());
+        RunSpec::new(label, code.clone(), cfg, algo, fg.clone()).execute()
+    });
 
     let mut table = Table::new(
         stem,
@@ -50,17 +40,14 @@ pub(super) fn sweep(
             ("repair MB/s", "repair_mbps"),
         ],
     );
-    let mut throughput = Vec::new();
-    for (&(gbps, algo), out) in cells.iter().zip(&outs) {
-        let mbps = out.repair_mbps();
+    for (gbps, algo, out) in &rows {
         table.push(vec![
             format!("{gbps:.0}"),
             algo.label(),
-            format!("{mbps:.1}"),
+            format!("{:.1}", out.repair_mbps()),
         ]);
-        throughput.push((gbps, algo, mbps));
     }
-    (table, throughput)
+    (table, rows)
 }
 
 /// Runs the experiment at the given scale across `jobs` workers.
@@ -71,7 +58,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.name()
     ));
 
-    let (table, throughput) = sweep(
+    let (table, rows) = link_sweep(
         scale,
         jobs,
         None,
@@ -80,7 +67,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     );
     report.tables.push(table);
 
-    let gains = chameleon_gains(&throughput);
+    let gains = chameleon_gains(&rows, RunOutput::repair_mbps);
     for g in &gains {
         report.note(format!(
             "  {:.0} Gb/s: ChameleonEC vs baseline average {}, vs best baseline {}",

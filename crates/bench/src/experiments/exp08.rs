@@ -7,8 +7,8 @@
 //! three) because it shines when bandwidth is stringent.
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
-use crate::runner::FgSpec;
+use crate::grid::{sweep, RunSpec};
+use crate::runner::{FgSpec, RunOutput};
 use crate::table::{chameleon_gains, pct, Report, Table};
 use crate::{AlgoKind, Scale};
 
@@ -20,27 +20,14 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.name()
     ));
 
-    let code = rs(10, 4);
-    let cfg = scale.cluster_config(14);
-    let mut cells = Vec::new();
-    let mut specs = Vec::new();
-    for failures in 1usize..=3 {
-        let victims: Vec<usize> = (0..failures).collect();
-        for algo in AlgoKind::HEADLINE {
-            cells.push((failures, algo));
-            specs.push(
-                RunSpec::new(
-                    format!("{failures}fail/{}", algo.label()),
-                    code.clone(),
-                    cfg.clone(),
-                    algo,
-                    Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
-                )
-                .with_victims(victims.clone()),
-            );
-        }
-    }
-    let outs = run_specs(&specs, jobs);
+    let (code, cfg) = (rs(10, 4), scale.cluster_config(14));
+    let rows = sweep(1usize..=3, &AlgoKind::HEADLINE, jobs, |&failures, algo| {
+        let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
+        let label = format!("{failures}fail/{}", algo.label());
+        RunSpec::new(label, code.clone(), cfg.clone(), algo, Some(fg))
+            .with_victims((0..failures).collect())
+            .execute()
+    });
 
     let mut table = Table::new(
         "exp08_multinode",
@@ -55,8 +42,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("chunk p99 (s)", "chunk_p99_s"),
         ],
     );
-    let mut throughput = Vec::new();
-    for (&(failures, algo), out) in cells.iter().zip(&outs) {
+    for (failures, algo, out) in &rows {
         table.push(vec![
             failures.to_string(),
             algo.label(),
@@ -66,11 +52,10 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             format!("{:.3}", out.chunk_pct_secs(0.95)),
             format!("{:.3}", out.chunk_pct_secs(0.99)),
         ]);
-        throughput.push((failures, algo, out.repair_mbps()));
     }
     report.tables.push(table);
 
-    for g in chameleon_gains(&throughput) {
+    for g in chameleon_gains(&rows, RunOutput::repair_mbps) {
         report.note(format!(
             "  {} failed node(s): ChameleonEC vs baseline average: {}",
             g.key,

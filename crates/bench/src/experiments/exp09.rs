@@ -13,7 +13,7 @@ use std::sync::Arc;
 use chameleon_codes::{Butterfly, ErasureCode, Lrc};
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
+use crate::grid::{sweep, RunSpec};
 use crate::runner::FgSpec;
 use crate::table::{improvement, pct, Report, Table};
 use crate::{AlgoKind, Scale};
@@ -26,37 +26,22 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.name()
     ));
 
-    let codes: Vec<Arc<dyn ErasureCode>> = vec![
-        rs(8, 3),
-        rs(10, 4),
-        Arc::new(Lrc::new(8, 2, 2).expect("LRC(8,2,2)")),
-        Arc::new(Lrc::new(10, 2, 2).expect("LRC(10,2,2)")),
-        Arc::new(Butterfly::new()),
-    ];
-
-    let mut cells: Vec<(String, AlgoKind)> = Vec::new();
-    let mut specs = Vec::new();
-    for code in codes {
-        let cfg = scale.cluster_config(code.n());
-        // The paper only compares CR vs ChameleonEC for Butterfly (its
-        // sub-chunk reads cannot be relayed).
-        let algos: Vec<AlgoKind> = if code.name().starts_with("Butterfly") {
-            vec![AlgoKind::Cr, AlgoKind::Chameleon]
-        } else {
-            AlgoKind::HEADLINE.to_vec()
-        };
-        for algo in algos {
-            cells.push((code.name(), algo));
-            specs.push(RunSpec::new(
-                format!("{}/{}", code.name(), algo.label()),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
-            ));
-        }
-    }
-    let outs = run_specs(&specs, jobs);
+    let code_sweep = |codes: Vec<Arc<dyn ErasureCode>>, algos: &[AlgoKind]| {
+        sweep(codes, algos, jobs, |code, algo| {
+            let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
+            let label = format!("{}/{}", code.name(), algo.label());
+            let cfg = scale.cluster_config(code.n());
+            RunSpec::new(label, code.clone(), cfg, algo, Some(fg)).execute()
+        })
+    };
+    let lrc = |k, l, m| -> Arc<dyn ErasureCode> { Arc::new(Lrc::new(k, l, m).expect("LRC")) };
+    let codes = vec![rs(8, 3), rs(10, 4), lrc(8, 2, 2), lrc(10, 2, 2)];
+    let mut rows = code_sweep(codes, &AlgoKind::HEADLINE);
+    // The paper only compares CR vs ChameleonEC for Butterfly (its
+    // sub-chunk reads cannot be relayed). It comes last, as in the figure.
+    let butterfly: Arc<dyn ErasureCode> = Arc::new(Butterfly::new());
+    let versus_cr = [AlgoKind::Cr, AlgoKind::Chameleon];
+    rows.extend(code_sweep(vec![butterfly], &versus_cr));
 
     let mut table = Table::new(
         "exp09_generality",
@@ -69,7 +54,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         ],
     );
     let mut cr = 0.0f64;
-    for ((code_name, algo), out) in cells.iter().zip(&outs) {
+    for (code, algo, out) in &rows {
         let mbps = out.repair_mbps();
         if *algo == AlgoKind::Cr {
             cr = mbps;
@@ -79,12 +64,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         } else {
             pct(improvement(mbps, cr))
         };
-        table.push(vec![
-            code_name.clone(),
-            algo.label(),
-            format!("{mbps:.1}"),
-            vs_cr,
-        ]);
+        table.push(vec![code.name(), algo.label(), format!("{mbps:.1}"), vs_cr]);
     }
     report.tables.push(table);
     report.note(

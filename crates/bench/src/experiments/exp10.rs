@@ -10,7 +10,7 @@
 use chameleon_cluster::{ChunkId, Cluster};
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
+use crate::grid::{sweep, RunSpec};
 use crate::runner::FgSpec;
 use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
@@ -27,43 +27,23 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         stripe: 0,
         index: 0,
     };
-    let mut cells = Vec::new();
-    let mut specs = Vec::new();
-    for (k, m) in [(4usize, 2usize), (6, 3), (8, 3), (10, 4)] {
-        let code = rs(k, m);
+    // Degraded-read throughput = chunk size / restore latency.
+    let codes = [(4usize, 2usize), (6, 3), (8, 3), (10, 4)];
+    let rows = sweep(codes, &AlgoKind::HEADLINE, jobs, |&(k, m), algo| {
         let cfg = scale.cluster_config(k + m);
-        // Identify which node holds stripe 0 / chunk 0 so we can fail it
-        // and request exactly that chunk.
+        // Fail the node that holds stripe 0 / chunk 0 and request exactly
+        // that chunk.
         let probe = Cluster::new(cfg.clone()).expect("cluster");
         let victim = probe.placement().stripe_nodes(0)[0];
-
-        for algo in AlgoKind::HEADLINE {
-            cells.push((k, m, algo));
-            specs.push(
-                RunSpec::new(
-                    format!("RS({k},{m})/{}", algo.label()),
-                    code.clone(),
-                    cfg.clone(),
-                    algo,
-                    Some(FgSpec::ycsb(scale.clients, scale.requests_per_client / 4)),
-                )
-                .with_victims(vec![victim])
-                .degraded_read(requested),
-            );
-        }
-    }
-    let outs = run_specs(&specs, jobs);
-
-    // Degraded-read throughput = chunk size / restore latency.
-    let throughput: Vec<_> = cells
-        .iter()
-        .zip(&specs)
-        .zip(&outs)
-        .map(|((&(k, m, algo), spec), out)| {
-            let latency = out.outcome.duration.expect("finished");
-            ((k, m), algo, (spec.cfg.chunk_size as f64 / latency) / 1e6)
-        })
-        .collect();
+        let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client / 4);
+        let label = format!("RS({k},{m})/{}", algo.label());
+        let out = RunSpec::new(label, rs(k, m), cfg.clone(), algo, Some(fg))
+            .with_victims(vec![victim])
+            .degraded_read(requested)
+            .execute();
+        let latency = out.outcome.duration.expect("finished");
+        (cfg.chunk_size as f64 / latency) / 1e6
+    });
 
     let mut table = Table::new(
         "exp10_degraded_read",
@@ -75,11 +55,11 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("ChameleonEC gain", "chameleon_gain"),
         ],
     );
-    for &((k, m), algo, mbps) in &throughput {
+    for &((k, m), algo, mbps) in &rows {
         let vs = if algo == AlgoKind::Chameleon {
             "-".into()
         } else {
-            let cham = value_of(&throughput, &(k, m), AlgoKind::Chameleon).unwrap_or(0.0);
+            let cham = value_of(&rows, &(k, m), AlgoKind::Chameleon, |&v| v).unwrap_or(0.0);
             pct(improvement(cham, mbps))
         };
         table.push(vec![

@@ -10,11 +10,13 @@
 //! ~31.4% — re-scheduling matters. The later the straggler appears, the
 //! higher everyone's phase throughput.
 
-use chameleon_core::run::stop_if;
-use chameleon_simnet::{Event, FlowSpec, Traffic};
+use chameleon_cluster::ClusterConfig;
+use chameleon_core::run::{stop_if, Run};
+use chameleon_core::{RepairContext, RepairDriver};
+use chameleon_simnet::{Event, FlowSpec, ResourceKind, Traffic};
 
 use super::rs;
-use crate::grid::run_grid;
+use crate::grid::sweep;
 use crate::runner::stage;
 use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
@@ -23,56 +25,57 @@ use crate::{AlgoKind, Scale};
 /// phase and the *phase's* repair throughput is reported.
 const PHASE_SECS: f64 = 20.0;
 
-/// Runs a full-node repair; at `straggle_at` seconds, eight background
-/// readers flood one surviving node. Returns the repair throughput of the
-/// monitored 20 s phase (repaired bytes written during `[0, 20 s)`), in
-/// MB/s.
-fn run_one(algo: AlgoKind, scale: &Scale, straggle_at: f64) -> f64 {
-    let code = rs(10, 4);
-    // 1 Gb/s links + stressed chunk count: the repair spans the monitored
-    // 20 s phase so mid-phase stragglers actually overlap it.
-    let mut cfg = scale.cluster_config_with_bandwidth(14, 1.25e8, 500e6);
-    cfg.monitor_window_secs = PHASE_SECS;
-    let (mut run, lost) = stage(code, cfg, &[0], None, None, false).expect("cluster");
-    let victim = 1usize; // a surviving node that will straggle
-    let mut driver = algo.driver(run.ctx.clone(), 7);
+/// The straggler loop of this experiment and the ablation: an RS(10,4)
+/// repair of node 0 on `cfg` with no foreground, driven by `driver`; at
+/// `at` seconds the `hogs` start (background flows that turn a survivor
+/// into a straggler). Stops once the driver is done.
+pub(super) fn straggled<D: RepairDriver + ?Sized>(
+    cfg: ClusterConfig,
+    driver: impl FnOnce(RepairContext) -> Box<D>,
+    at: f64,
+    hogs: &[FlowSpec],
+) -> (Run, Box<D>) {
+    let (mut run, lost) = stage(rs(10, 4), cfg, &[0], None, None, false).expect("cluster");
+    let mut driver = driver(run.ctx.clone());
     driver.start(&mut run.sim, lost);
-
-    let hog = run.sim.schedule_in(straggle_at, 0);
+    let hog = run.sim.schedule_in(at, 0);
     run.run(&mut *driver, |run, driver, ev, _| {
         if matches!(*ev, Event::Timer { id, .. } if id == hog) {
-            // Eight reader threads pulling from the straggler, and the
-            // symmetric write pressure (the paper's Redis readers).
-            for i in 0..8usize {
-                let peer = 2 + (i % 8);
-                run.sim.start_flow(FlowSpec::network(
-                    victim,
-                    peer,
-                    2 << 30,
-                    Traffic::Background,
-                ));
-                run.sim.start_flow(FlowSpec::network(
-                    peer,
-                    victim,
-                    2 << 30,
-                    Traffic::Background,
-                ));
+            for flow in hogs {
+                run.sim.start_flow(flow.clone());
             }
         }
         stop_if(driver.is_done())
     })
     .expect("repair stuck under straggler");
+    (run, driver)
+}
+
+/// Runs a full-node repair; at `straggle_at` seconds, eight background
+/// readers flood one surviving node. Returns the repair throughput of the
+/// monitored 20 s phase (repaired bytes written during `[0, 20 s)`), in
+/// MB/s.
+fn run_one(algo: AlgoKind, scale: &Scale, straggle_at: f64) -> f64 {
+    // 1 Gb/s links + stressed chunk count: the repair spans the monitored
+    // 20 s phase so mid-phase stragglers actually overlap it.
+    let mut cfg = scale.cluster_config_with_bandwidth(14, 1.25e8, 500e6);
+    cfg.monitor_window_secs = PHASE_SECS;
+    let nodes = cfg.storage_nodes;
+    // Eight reader threads pulling from the straggler (node 1), and the
+    // symmetric write pressure (the paper's Redis readers).
+    let hogs: Vec<FlowSpec> = (2..10)
+        .flat_map(|peer| {
+            [(1, peer), (peer, 1)]
+                .map(|(src, dst)| FlowSpec::network(src, dst, 2 << 30, Traffic::Background))
+        })
+        .collect();
+    let (run, _) = straggled(cfg, |ctx| algo.driver(ctx, 7), straggle_at, &hogs);
     // Repaired data written during the monitored phase.
     let m = run.sim.monitor();
-    let written: f64 = (0..20)
+    let written: f64 = (0..nodes)
         .map(|node| {
-            m.usage(
-                0,
-                node,
-                chameleon_simnet::ResourceKind::DiskWrite,
-                Traffic::Repair,
-            )
-            .bytes
+            m.usage(0, node, ResourceKind::DiskWrite, Traffic::Repair)
+                .bytes
         })
         .sum();
     written / PHASE_SECS / 1e6
@@ -100,13 +103,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.name()
     ));
 
-    let mut cells = Vec::new();
-    for straggle_at in STRAGGLE_AT {
-        for algo in ALGOS {
-            cells.push((straggle_at, algo));
-        }
-    }
-    let results = run_grid(&cells, jobs, |&(straggle_at, algo)| {
+    let rows = sweep(STRAGGLE_AT, &ALGOS, jobs, |&straggle_at, algo| {
         run_one(algo, &scale, straggle_at)
     });
 
@@ -123,20 +120,18 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("gf kernel", "gf_kernel"),
         ],
     );
-    let mut throughput = Vec::new();
-    for (&(straggle_at, algo), &mbps) in cells.iter().zip(&results) {
+    for (straggle_at, algo, mbps) in &rows {
         table.push(vec![
             format!("{straggle_at:.0}"),
             algo.label(),
             format!("{mbps:.1}"),
             kernel.to_string(),
         ]);
-        throughput.push((straggle_at, algo, mbps));
     }
     report.tables.push(table);
 
     for straggle_at in STRAGGLE_AT {
-        let at = |algo| value_of(&throughput, &straggle_at, algo).unwrap_or(0.0);
+        let at = |algo| value_of(&rows, &straggle_at, algo, |&v| v).unwrap_or(0.0);
         report.note(format!(
             "  straggler at {straggle_at:.0}s: ETRP+SAR vs ETRP alone: {}",
             pct(improvement(at(AlgoKind::Chameleon), at(AlgoKind::Etrp)))

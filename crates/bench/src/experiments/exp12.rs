@@ -13,12 +13,13 @@
 
 use std::sync::Arc;
 
+use chameleon_cluster::ClusterConfig;
 use chameleon_codes::ErasureCode;
 use chameleon_core::run::stop_if;
 use chameleon_simnet::{FlowSpec, Traffic};
 
 use super::rs;
-use crate::grid::run_grid;
+use crate::grid::sweep;
 use crate::runner::{stage, FgSpec, RunOutput};
 use crate::table::{chameleon_gains, improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
@@ -29,14 +30,9 @@ use crate::{AlgoKind, Scale};
 const COMPACTING_NODES: [usize; 6] = [2, 5, 8, 11, 14, 17];
 
 /// Runs a repair under YCSB foreground plus background disk load on the
-/// compacting nodes; returns (repair MB/s, P99 ms).
-fn run_one(
-    code: Arc<dyn ErasureCode>,
-    cfg: &chameleon_cluster::ClusterConfig,
-    algo: AlgoKind,
-    fg: FgSpec,
-) -> (f64, f64) {
-    let (mut run, lost) = stage(code, cfg.clone(), &[0], None, None, false).expect("cluster");
+/// compacting nodes; returns the repair MB/s.
+fn run_one(code: Arc<dyn ErasureCode>, cfg: ClusterConfig, algo: AlgoKind, fg: FgSpec) -> f64 {
+    let (mut run, lost) = stage(code, cfg, &[0], None, None, false).expect("cluster");
     // Long-running background disk readers+writers (compaction) that the
     // network monitor cannot see.
     for &node in &COMPACTING_NODES {
@@ -53,8 +49,7 @@ fn run_one(
         stop_if(driver.is_done() && run.foreground.as_ref().is_some_and(|fg| fg.is_done()))
     })
     .expect("repair stuck");
-    let out = RunOutput::collect(driver.outcome(&run.sim), run);
-    (out.repair_mbps(), out.p99_ms())
+    RunOutput::collect(driver.outcome(&run.sim), run).repair_mbps()
 }
 
 /// Runs the experiment at the given scale across `jobs` workers.
@@ -76,20 +71,11 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         AlgoKind::Chameleon,
         AlgoKind::ChameleonIo,
     ];
-    let mut cells = Vec::new();
-    for disk_mbps in [125.0f64, 250.0, 375.0, 500.0] {
-        for algo in algos {
-            cells.push((disk_mbps, algo));
-        }
-    }
-    let results = run_grid(&cells, jobs, |&(disk_mbps, algo)| {
+    let disks = [125.0f64, 250.0, 375.0, 500.0];
+    let rows = sweep(disks, &algos, jobs, |&disk_mbps, algo| {
         let cfg = scale.cluster_config_with_bandwidth(14, 1.25e9, disk_mbps * 1e6);
-        run_one(
-            code.clone(),
-            &cfg,
-            algo,
-            FgSpec::ycsb(scale.clients, scale.requests_per_client),
-        )
+        let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
+        run_one(code.clone(), cfg, algo, fg)
     });
 
     let mut table = Table::new(
@@ -101,19 +87,17 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("repair MB/s", "repair_mbps"),
         ],
     );
-    let mut throughput = Vec::new();
-    for (&(disk_mbps, algo), &(mbps, _p99)) in cells.iter().zip(&results) {
+    for (disk_mbps, algo, mbps) in &rows {
         table.push(vec![
             format!("{disk_mbps:.0}"),
             algo.label(),
             format!("{mbps:.1}"),
         ]);
-        throughput.push((disk_mbps, algo, mbps));
     }
     report.tables.push(table);
 
-    for g in chameleon_gains(&throughput) {
-        let at = |algo| value_of(&throughput, &g.key, algo).unwrap_or(0.0);
+    for g in chameleon_gains(&rows, |&v| v) {
+        let at = |algo| value_of(&rows, &g.key, algo, |&v| v).unwrap_or(0.0);
         report.note(format!(
             "  disk {:.0} MB/s: ChameleonEC vs best baseline {}, ChameleonEC-IO vs ChameleonEC {}",
             g.key,

@@ -7,8 +7,8 @@
 //! 10 Gb/s) — once storage I/O starts to dominate, network-aware
 //! scheduling matters less.
 
-use super::exp07::sweep;
-use crate::runner::FgSpec;
+use super::exp07::link_sweep;
+use crate::runner::{FgSpec, RunOutput};
 use crate::table::{chameleon_gains, pct, Report};
 use crate::Scale;
 
@@ -20,7 +20,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.name()
     ));
 
-    let (table, throughput) = sweep(
+    let (table, rows) = link_sweep(
         scale,
         jobs,
         Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
@@ -29,7 +29,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     );
     report.tables.push(table);
 
-    for g in chameleon_gains(&throughput) {
+    for g in chameleon_gains(&rows, RunOutput::repair_mbps) {
         report.note(format!(
             "  {:.0} Gb/s: ChameleonEC vs baseline average: {}",
             g.key,

@@ -8,17 +8,14 @@
 //! 3. multi-node repair ordering policy (§III-D's three options) under a
 //!    double failure.
 
-use std::sync::Arc;
-
-use chameleon_codes::ErasureCode;
 use chameleon_core::chameleon::{ChameleonConfig, ChameleonDriver, MultiNodePolicy};
-use chameleon_core::run::stop_if;
 use chameleon_core::RepairDriver;
-use chameleon_simnet::{Event, FlowSpec, Traffic};
+use chameleon_simnet::{FlowSpec, Traffic};
 
+use super::exp11::straggled;
 use super::rs;
 use crate::grid::{run_grid, run_specs, DriverSpec, RunSpec};
-use crate::runner::{stage, FgSpec};
+use crate::runner::FgSpec;
 use crate::table::{Report, Table};
 use crate::Scale;
 
@@ -79,7 +76,18 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             straggler_progress_ratio: ratio,
             ..ChameleonConfig::default()
         };
-        run_with_straggler(code.clone(), &cfg2, config)
+        let hogs: Vec<FlowSpec> = (2..10)
+            .map(|peer| FlowSpec::network(1, peer, 1 << 30, Traffic::Background))
+            .collect();
+        let (run, driver) = straggled(
+            cfg2.clone(),
+            |ctx| Box::new(ChameleonDriver::new(ctx, config)),
+            1.0,
+            &hogs,
+        );
+        let stats = driver.stats();
+        let mbps = driver.outcome(&run.sim).throughput() / 1e6;
+        (mbps, stats.retunes, stats.reorders)
     });
     let mut table = Table::new(
         "exp14b_straggler_ratio",
@@ -144,33 +152,4 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     }
     report.tables.push(table);
     report
-}
-
-/// Repair with a straggler flood at t = 1 s; returns (MB/s, retunes,
-/// reorders).
-fn run_with_straggler(
-    code: Arc<dyn ErasureCode>,
-    cfg: &chameleon_cluster::ClusterConfig,
-    config: ChameleonConfig,
-) -> (f64, usize, usize) {
-    let (mut run, lost) = stage(code, cfg.clone(), &[0], None, None, false).expect("cluster");
-    let mut driver = ChameleonDriver::new(run.ctx.clone(), config);
-    driver.start(&mut run.sim, lost);
-    let hog = run.sim.schedule_in(1.0, 0);
-    run.run(&mut driver, |run, driver, ev, _| {
-        if matches!(*ev, Event::Timer { id, .. } if id == hog) {
-            for peer in 2..10usize {
-                run.sim
-                    .start_flow(FlowSpec::network(1, peer, 1 << 30, Traffic::Background));
-            }
-        }
-        stop_if(driver.is_done())
-    })
-    .expect("repair stuck under straggler");
-    let stats = driver.stats();
-    (
-        driver.outcome(&run.sim).throughput() / 1e6,
-        stats.retunes,
-        stats.reorders,
-    )
 }

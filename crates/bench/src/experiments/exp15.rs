@@ -16,8 +16,8 @@
 use chameleon_simnet::FaultPlan;
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
-use crate::runner::FgSpec;
+use crate::grid::{sweep, RunSpec};
+use crate::runner::{FgSpec, RunOutput};
 use crate::table::{chameleon_gains, pct, Report, Table};
 use crate::{AlgoKind, Scale};
 
@@ -30,8 +30,8 @@ const ALGOS: [AlgoKind; 4] = [
     AlgoKind::Chameleon,
 ];
 
-/// Secondary crashes injected mid-repair (0 = the fault-free control).
-const CRASH_COUNTS: [usize; 3] = [0, 1, 2];
+/// Secondary crashes injected mid-repair, after the fault-free control (0).
+const CRASH_COUNTS: [usize; 2] = [1, 2];
 
 /// Seed stem for the crash schedules; the crash count is mixed in so each
 /// sweep step draws an independent (node, time) pick.
@@ -49,48 +49,34 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     let cfg = scale.cluster_config(6);
     let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
 
-    let spec_for = |label: String, faults: Option<FaultPlan>, algo: AlgoKind| {
-        let base = RunSpec::new(label, code.clone(), cfg.clone(), algo, Some(fg.clone()));
-        match faults {
-            Some(plan) => base.with_faults(plan),
-            None => base,
-        }
+    let repair = |count: usize, algo: AlgoKind, faults: Option<FaultPlan>| {
+        let label = format!("{count}crash/{}", algo.label());
+        let mut spec = RunSpec::new(label, code.clone(), cfg.clone(), algo, Some(fg.clone()));
+        spec.faults = faults;
+        spec.execute()
     };
 
     // Stage 1 — the fault-free control runs first: its repair durations fix
     // the crash window, so every algorithm faces the same schedule and
     // every crash lands while even the fastest campaign is still running.
-    let control: Vec<RunSpec> = ALGOS
+    let mut rows = sweep([0], &ALGOS, jobs, |_, algo| repair(0, algo, None));
+    let min_duration = rows
         .iter()
-        .map(|&algo| spec_for(format!("0crash/{}", algo.label()), None, algo))
-        .collect();
-    let control_outs = run_specs(&control, jobs);
-    let min_duration = control_outs
-        .iter()
-        .map(|o| o.outcome.duration.expect("control repair finished"))
+        .map(|(_, _, o)| o.outcome.duration.expect("control repair finished"))
         .fold(f64::INFINITY, f64::min);
     let window = (0.15 * min_duration, 0.6 * min_duration);
 
-    // Stage 2 — the faulted cells. Node 0 is the repair victim; any other
+    // Stage 2 — the faulted rows. Node 0 is the repair victim; any other
     // storage node may crash.
     let candidates: Vec<usize> = (1..cfg.storage_nodes).collect();
-    let mut cells: Vec<(usize, AlgoKind, Option<FaultPlan>)> =
-        ALGOS.iter().map(|&a| (0, a, None)).collect();
-    let mut specs = Vec::new();
-    for &count in CRASH_COUNTS.iter().filter(|&&c| c > 0) {
-        let plan =
-            FaultPlan::seeded_crashes(FAULT_SEED + count as u64, &candidates, count, window, None);
-        for &algo in &ALGOS {
-            cells.push((count, algo, Some(plan.clone())));
-            specs.push(spec_for(
-                format!("{count}crash/{}", algo.label()),
-                Some(plan.clone()),
-                algo,
-            ));
-        }
-    }
-    let mut outs = control_outs;
-    outs.extend(run_specs(&specs, jobs));
+    let plan = |count: usize| {
+        (count > 0).then(|| {
+            FaultPlan::seeded_crashes(FAULT_SEED + count as u64, &candidates, count, window, None)
+        })
+    };
+    rows.extend(sweep(CRASH_COUNTS, &ALGOS, jobs, |&count, algo| {
+        repair(count, algo, plan(count))
+    }));
 
     let mut table = Table::new(
         "exp15_fault_tolerance",
@@ -112,11 +98,9 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("chunk p99 (s)", "chunk_p99_s"),
         ],
     );
-    let mut throughput = Vec::new();
-    for ((count, algo, plan), out) in cells.iter().zip(&outs) {
+    for (count, algo, out) in &rows {
         let rec = &out.outcome.recovery;
-        let loss_window = plan
-            .as_ref()
+        let loss_window = plan(*count)
             .and_then(|p| p.first_crash_secs())
             .map_or(0.0, |t| out.sim.end_secs() - t);
         table.push(vec![
@@ -135,16 +119,14 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             format!("{:.3}", out.chunk_pct_secs(0.95)),
             format!("{:.3}", out.chunk_pct_secs(0.99)),
         ]);
-        throughput.push((*count, *algo, out.repair_mbps()));
     }
     report.tables.push(table);
 
-    for g in chameleon_gains(&throughput) {
-        let replans: usize = cells
+    for g in chameleon_gains(&rows, RunOutput::repair_mbps) {
+        let replans: usize = rows
             .iter()
-            .zip(&outs)
-            .filter(|((count, _, _), _)| *count == g.key)
-            .map(|(_, out)| out.outcome.recovery.replans)
+            .filter(|(count, _, _)| *count == g.key)
+            .map(|(_, _, out)| out.outcome.recovery.replans)
             .sum();
         report.note(format!(
             "  {} crash(es): ChameleonEC vs baseline average: {} ({replans} re-plans)",

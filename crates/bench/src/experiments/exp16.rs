@@ -18,7 +18,7 @@
 //! timings go into a note, never into the table.
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
+use crate::grid::{sweep, RunSpec};
 use crate::runner::FgSpec;
 use crate::table::{Report, Table};
 use crate::{AlgoKind, Scale};
@@ -41,24 +41,13 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     ));
 
     let code = rs(4, 2);
-    let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
-    let mut cells = Vec::new();
-    let mut specs = Vec::new();
-    for &nodes in &NODE_COUNTS {
-        let cfg = scale.cluster_config_with_nodes(6, nodes);
-        for &algo in &ALGOS {
-            cells.push((nodes, algo));
-            specs.push(RunSpec::new(
-                format!("{nodes}n/{}", algo.label()),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                Some(fg.clone()),
-            ));
-        }
-    }
     let wall = std::time::Instant::now();
-    let outs = run_specs(&specs, jobs);
+    let rows = sweep(NODE_COUNTS, &ALGOS, jobs, |&nodes, algo| {
+        let cfg = scale.cluster_config_with_nodes(6, nodes);
+        let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
+        let label = format!("{nodes}n/{}", algo.label());
+        RunSpec::new(label, code.clone(), cfg, algo, Some(fg)).execute()
+    });
     let wall = wall.elapsed().as_secs_f64();
 
     let mut table = Table::new(
@@ -77,7 +66,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("chunk p99 (s)", "chunk_p99_s"),
         ],
     );
-    for ((nodes, algo), out) in cells.iter().zip(&outs) {
+    for (nodes, algo, out) in &rows {
         let p = out.sim.profile();
         let incr_share = if p.solves > 0 {
             p.incremental_solves as f64 / p.solves as f64
@@ -100,10 +89,10 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     report.tables.push(table);
 
     // Wall-clock is machine-dependent: a note, never a table cell.
-    let events: u64 = outs.iter().map(|o| o.sim.profile().events).sum();
+    let events: u64 = rows.iter().map(|(_, _, o)| o.sim.profile().events).sum();
     report.note(format!(
         "wall clock: {wall:.1}s for {} runs ({} engine events, {:.0} events/sec aggregate)",
-        outs.len(),
+        rows.len(),
         events,
         events as f64 / wall.max(1e-9)
     ));

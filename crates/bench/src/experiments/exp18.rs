@@ -27,7 +27,7 @@ use chameleon_cluster::TopologySpec;
 use chameleon_simnet::Traffic;
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
+use crate::grid::{sweep, RunSpec};
 use crate::runner::{FgSpec, RunOutput};
 use crate::table::{value_of, Report, Table};
 use crate::{AlgoKind, Scale};
@@ -76,24 +76,18 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     ));
 
     let code = rs(10, 4);
-    let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
-    let mut cells = Vec::new();
-    let mut specs = Vec::new();
-    for (label, topology) in FABRICS {
+    let rows = sweep(FABRICS, &AlgoKind::HEADLINE, jobs, |&(name, topo), algo| {
         let mut cfg = scale.cluster_config(14);
-        cfg.topology = topology;
-        for algo in AlgoKind::HEADLINE {
-            cells.push((label, algo));
-            specs.push(RunSpec::new(
-                format!("{label}/{}", algo.label()),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                Some(fg.clone()),
-            ));
-        }
-    }
-    let outs = run_specs(&specs, jobs);
+        cfg.topology = topo;
+        let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
+        let label = format!("{name}/{}", algo.label());
+        let out = RunSpec::new(label, code.clone(), cfg.clone(), algo, Some(fg)).execute();
+        // Flat clusters compile to no link resources: no cross-rack bytes.
+        let fabric = topo.compile(cfg.total_nodes(), cfg.node_caps);
+        let m = out.sim.monitor();
+        let cross = |tag| fabric.as_ref().map_or(0.0, |t| t.cross_rack_bytes(m, tag));
+        (cross(Traffic::Repair), cross(Traffic::Foreground), out)
+    });
 
     let mut table = Table::new(
         "exp18_topology",
@@ -110,10 +104,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("chunk p99 (s)", "chunk_p99_s"),
         ],
     );
-    let mut throughput = Vec::new();
-    for ((&(fabric, algo), spec), out) in cells.iter().zip(&specs).zip(&outs) {
-        let repair_x = cross_rack_bytes(spec, out, Traffic::Repair);
-        let fg_x = cross_rack_bytes(spec, out, Traffic::Foreground);
+    for ((fabric, _), algo, (repair_x, fg_x, out)) in &rows {
         table.push(vec![
             fabric.to_string(),
             algo.label(),
@@ -125,15 +116,16 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             format!("{:.3}", out.chunk_pct_secs(0.50)),
             format!("{:.3}", out.chunk_pct_secs(0.99)),
         ]);
-        throughput.push((fabric, algo, out.repair_mbps()));
     }
     report.tables.push(table);
 
     // The headline readout: how much each algorithm slows down when the
-    // spine is 1:8 oversubscribed vs the non-blocking fabric.
+    // spine is 1:8 oversubscribed (the last fabric) vs flat (the first).
+    let [flat_fabric, .., tight_fabric] = &FABRICS;
+    let mbps = |(_, _, out): &(f64, f64, RunOutput)| out.repair_mbps();
     for algo in AlgoKind::HEADLINE {
-        let flat = value_of(&throughput, &"flat", algo).unwrap_or(0.0);
-        let tight = value_of(&throughput, &"1:8", algo).unwrap_or(0.0);
+        let flat = value_of(&rows, flat_fabric, algo, mbps).unwrap_or(0.0);
+        let tight = value_of(&rows, tight_fabric, algo, mbps).unwrap_or(0.0);
         report.note(format!(
             "  {}: {flat:.1} MB/s flat -> {tight:.1} MB/s at 1:8 ({:+.1}%)",
             algo.label(),
@@ -142,21 +134,4 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     }
     report.note("(no paper figure: the testbed fabric is flat; ratios follow the FB analysis)");
     report
-}
-
-/// Sums one traffic class over every ToR uplink — each cross-rack byte
-/// climbs exactly one source-rack ToR, so this is the fabric's total
-/// inter-rack volume for that class (0 on flat clusters, which compile to
-/// no link resources at all).
-fn cross_rack_bytes(spec: &RunSpec, out: &RunOutput, tag: Traffic) -> f64 {
-    let Some(topo) = spec
-        .cfg
-        .topology
-        .compile(spec.cfg.total_nodes(), spec.cfg.node_caps)
-    else {
-        return 0.0;
-    };
-    (0..topo.rack_count())
-        .map(|r| out.sim.monitor().link_total_bytes(topo.tor_up_link(r), tag))
-        .sum()
 }

@@ -6,9 +6,9 @@
 //! P99 by 4.7–31.5%; both grow with the number of clients.
 
 use super::rs;
-use crate::grid::{run_grid, run_specs, RunSpec};
+use crate::grid::{run_grid, sweep, RunSpec};
 use crate::runner::{run_foreground_only, FgSpec};
-use crate::table::{improvement, pct, Report, Table};
+use crate::table::{improvement, pct, value_of, Report, Table};
 use crate::{AlgoKind, Scale};
 
 /// One cell of part (b): a repair-free YCSB run or a repair under YCSB.
@@ -30,23 +30,15 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.name()
     ));
 
-    // (a) repair time vs number of clients.
-    let mut cells_a = Vec::new();
-    let mut specs_a = Vec::new();
-    for algo in AlgoKind::BASELINES {
-        for clients in [0usize, 1, 2, 4] {
-            let fg = (clients > 0).then(|| FgSpec::ycsb(clients, scale.requests_per_client));
-            cells_a.push((algo, clients));
-            specs_a.push(RunSpec::new(
-                format!("{}/{clients}c", algo.label()),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                fg,
-            ));
-        }
-    }
-    let outs_a = run_specs(&specs_a, jobs);
+    // (a) repair time vs number of clients, one block of rows per
+    // algorithm.
+    let clients = [0usize, 1, 2, 4];
+    let rows = sweep(clients, &AlgoKind::BASELINES, jobs, |&c, algo| {
+        let fg = (c > 0).then(|| FgSpec::ycsb(c, scale.requests_per_client));
+        let label = format!("{}/{c}c", algo.label());
+        let out = RunSpec::new(label, code.clone(), cfg.clone(), algo, fg).execute();
+        out.outcome.duration.expect("finished")
+    });
 
     let mut table_a = Table::new(
         "fig04a_repair_time",
@@ -58,19 +50,16 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("vs idle", "slowdown"),
         ],
     );
-    let mut idle_time = std::collections::HashMap::new();
-    for ((algo, clients), out) in cells_a.iter().zip(&outs_a) {
-        let secs = out.outcome.duration.expect("finished");
-        if *clients == 0 {
-            idle_time.insert(algo.label(), secs);
+    for algo in AlgoKind::BASELINES {
+        let secs = |c| value_of(&rows, &c, algo, |&s| s).expect("swept");
+        for c in clients {
+            table_a.push(vec![
+                algo.label(),
+                c.to_string(),
+                format!("{:.2}", secs(c)),
+                pct(improvement(secs(c), secs(0))),
+            ]);
         }
-        let slowdown = improvement(secs, idle_time[&algo.label()]);
-        table_a.push(vec![
-            algo.label(),
-            clients.to_string(),
-            format!("{secs:.2}"),
-            pct(slowdown),
-        ]);
     }
     report.tables.push(table_a);
 

@@ -47,7 +47,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("downlink", ResourceKind::Downlink),
         ] {
             // Fluctuation per storage node; report avg / max / min in Gb/s.
-            let flucts: Vec<f64> = (0..20)
+            let flucts: Vec<f64> = (0..cfg.storage_nodes)
                 .map(|node| m.fluctuation(node, kind, Traffic::Foreground) * 8.0 / 1e9)
                 .collect();
             let avg = flucts.iter().sum::<f64>() / flucts.len() as f64;

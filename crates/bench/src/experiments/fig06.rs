@@ -9,7 +9,7 @@
 use chameleon_core::LinkLoadStats;
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
+use crate::grid::{sweep, RunSpec};
 use crate::runner::FgSpec;
 use crate::table::{pct, Report, Table};
 use crate::{AlgoKind, Scale};
@@ -25,20 +25,15 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
         scale.name()
     ));
 
-    let algos: Vec<AlgoKind> = AlgoKind::HEADLINE.to_vec();
-    let specs: Vec<RunSpec> = algos
-        .iter()
-        .map(|&algo| {
-            RunSpec::new(
-                algo.label(),
-                code.clone(),
-                cfg.clone(),
-                algo,
-                Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
-            )
-        })
-        .collect();
-    let outs = run_specs(&specs, jobs);
+    let rows = sweep([()], &AlgoKind::HEADLINE, jobs, |_, algo| {
+        let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
+        let spec = RunSpec::new(algo.label(), code.clone(), cfg.clone(), algo, Some(fg));
+        // Exclude the failed nodes: they have no traffic by definition.
+        let alive: Vec<usize> = (0..cfg.storage_nodes)
+            .filter(|n| !spec.victims.contains(n))
+            .collect();
+        LinkLoadStats::from_monitor_nodes(spec.execute().sim.monitor(), &alive)
+    });
 
     let mut table = Table::new(
         "fig06_imbalance",
@@ -50,10 +45,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             ("foreground Gb/s", "foreground_gbps"),
         ],
     );
-    for (&algo, out) in algos.iter().zip(&outs) {
-        // Exclude the failed node (0): it has no traffic by definition.
-        let alive: Vec<usize> = (1..20).collect();
-        let stats = LinkLoadStats::from_monitor_nodes(out.sim.monitor(), &alive);
+    for (_, algo, stats) in &rows {
         let gbps = |x: f64| x * 8.0 / 1e9;
         for (link, (repair, fg)) in [
             ("uplink-ML", stats.most_loaded_up),

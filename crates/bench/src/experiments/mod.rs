@@ -1,11 +1,20 @@
 //! The paper's experiments and figure studies as library functions.
 //!
-//! Each module reproduces one artifact of the evaluation (§II-D and §V):
-//! it *declares* its parameter grid as [`RunSpec`](crate::RunSpec)s (or
-//! bespoke cells for the loops that inject stragglers, transitions, or
-//! compactions), executes the grid on the parallel worker pool
-//! ([`crate::grid::run_grid`]), and returns the results as a
-//! [`Report`]: tables, notes, artifacts. No experiment prints or writes.
+//! Each module reproduces one artifact of the evaluation (§II-D and §V)
+//! and returns it as a [`Report`]: tables, notes, artifacts. No experiment
+//! prints or writes.
+//!
+//! Most are one keys × algorithms grid — traces, failure counts,
+//! bandwidths, codes, fabrics or cluster sizes against the repair
+//! algorithms — declared as one [`sweep`](crate::grid::sweep). Its rows
+//! carry their own key and algorithm; a table is one pass over them, and
+//! the gain notes read them through a metric
+//! ([`chameleon_gains`](crate::table::chameleon_gains),
+//! [`value_of`](crate::table::value_of)). The grids of another shape —
+//! Exp#2's and Fig. 4(b)'s interleaved clean and repair runs, Exp#3's
+//! per-key algorithm, Exp#5's host timings, Exp#14's driver knobs, Exp#17's
+//! policies × seeds, Fig. 2 and Fig. 5 — call
+//! [`run_grid`](crate::grid::run_grid) directly.
 //!
 //! The `suite` binary runs them — all, or the ones named with `--only` —
 //! prints each report, persists it under `results/`, and records the perf

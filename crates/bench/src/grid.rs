@@ -300,6 +300,34 @@ pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunOutput> {
     run_grid(specs, jobs, RunSpec::execute)
 }
 
+/// Runs `run` on every `keys` × `algos` pair — keys outer, algorithms
+/// inner — on [`run_grid`], and returns each result as a row next to its
+/// key and algorithm, in that order. The rows are what
+/// [`table::value_of`](crate::table::value_of) and
+/// [`table::chameleon_gains`](crate::table::chameleon_gains) read.
+pub fn sweep<K, R, F>(
+    keys: impl IntoIterator<Item = K>,
+    algos: &[AlgoKind],
+    jobs: usize,
+    run: F,
+) -> Vec<(K, AlgoKind, R)>
+where
+    K: Clone + Sync,
+    R: Send,
+    F: Fn(&K, AlgoKind) -> R + Sync,
+{
+    let cells: Vec<(K, AlgoKind)> = keys
+        .into_iter()
+        .flat_map(|key| algos.iter().map(move |&algo| (key.clone(), algo)))
+        .collect();
+    let results = run_grid(&cells, jobs, |(key, algo)| run(key, *algo));
+    cells
+        .into_iter()
+        .zip(results)
+        .map(|((key, algo), r)| (key, algo, r))
+        .collect()
+}
+
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     payload
         .downcast_ref::<&str>()
@@ -404,6 +432,30 @@ mod tests {
             });
             assert_eq!(out, specs.iter().map(|x| x * 10).collect::<Vec<_>>());
         }
+    }
+
+    #[test]
+    fn a_sweep_is_keys_outer_algorithms_inner_each_row_beside_its_cell() {
+        let algos = [AlgoKind::Cr, AlgoKind::Chameleon];
+        for jobs in [1, 3] {
+            let rows = sweep(["a", "b"], &algos, jobs, |key, algo| {
+                format!("{key}/{algo:?}")
+            });
+            let cells: Vec<_> = rows.iter().map(|(k, a, _)| (*k, *a)).collect();
+            assert_eq!(
+                cells,
+                [
+                    ("a", AlgoKind::Cr),
+                    ("a", AlgoKind::Chameleon),
+                    ("b", AlgoKind::Cr),
+                    ("b", AlgoKind::Chameleon)
+                ]
+            );
+            for (key, algo, r) in &rows {
+                assert_eq!(*r, format!("{key}/{algo:?}"));
+            }
+        }
+        assert!(sweep(0..0, &algos, 2, |_: &i32, _| ()).is_empty());
     }
 
     #[test]

@@ -255,17 +255,18 @@ pub fn improvement(new: f64, base: f64) -> f64 {
     }
 }
 
-/// One measured grid cell — `(group key, algorithm, value)`, higher is
-/// better — kept as the `f64` the run produced, never re-parsed from a
-/// formatted table cell.
-pub type Cell<K> = (K, AlgoKind, f64);
-
-/// The value of the `(key, algo)` cell, if the grid has one.
-pub fn value_of<K: PartialEq>(cells: &[Cell<K>], key: &K, algo: AlgoKind) -> Option<f64> {
-    cells
-        .iter()
+/// The `metric` of the `(key, algo)` row of a [`sweep`](crate::grid::sweep),
+/// if it has one — read from the result the run produced, never re-parsed
+/// from a formatted table cell.
+pub fn value_of<K: PartialEq, R>(
+    rows: &[(K, AlgoKind, R)],
+    key: &K,
+    algo: AlgoKind,
+    metric: impl Fn(&R) -> f64,
+) -> Option<f64> {
+    rows.iter()
         .find(|(k, a, _)| k == key && *a == algo)
-        .map(|c| c.2)
+        .map(|(_, _, r)| metric(r))
 }
 
 /// ChameleonEC against the baselines of one group.
@@ -279,24 +280,28 @@ pub struct Gain<K> {
     pub vs_best: f64,
 }
 
-/// Groups `cells` by key (in first-appearance order) and compares
-/// [`AlgoKind::Chameleon`] with the group's baselines
-/// ([`AlgoKind::is_baseline`]). A group with no ChameleonEC cell or no
+/// Groups a [`sweep`](crate::grid::sweep)'s `rows` by key (in
+/// first-appearance order) and compares [`AlgoKind::Chameleon`]'s `metric`
+/// (higher is better) with the group's baselines
+/// ([`AlgoKind::is_baseline`]). A group with no ChameleonEC row or no
 /// baseline has no gain and is left out.
-pub fn chameleon_gains<K: PartialEq + Clone>(cells: &[Cell<K>]) -> Vec<Gain<K>> {
+pub fn chameleon_gains<K: PartialEq + Clone, R>(
+    rows: &[(K, AlgoKind, R)],
+    metric: impl Fn(&R) -> f64,
+) -> Vec<Gain<K>> {
     let mut keys: Vec<&K> = Vec::new();
-    for (key, _, _) in cells {
+    for (key, _, _) in rows {
         if !keys.contains(&key) {
             keys.push(key);
         }
     }
     keys.into_iter()
         .filter_map(|key| {
-            let cham = value_of(cells, key, AlgoKind::Chameleon)?;
-            let bases: Vec<f64> = cells
+            let cham = value_of(rows, key, AlgoKind::Chameleon, &metric)?;
+            let bases: Vec<f64> = rows
                 .iter()
                 .filter(|(k, a, _)| k == key && a.is_baseline())
-                .map(|c| c.2)
+                .map(|(_, _, r)| metric(r))
                 .collect();
             let best = bases.iter().cloned().reduce(f64::max)?;
             let average = bases.iter().sum::<f64>() / bases.len() as f64;
@@ -379,8 +384,8 @@ mod tests {
     }
 
     #[test]
-    fn gains_are_computed_per_group_from_the_floats() {
-        let cells = [
+    fn gains_are_computed_per_group_through_the_metric() {
+        let rows = [
             ("a", AlgoKind::Cr, 100.0),
             ("a", AlgoKind::Ppr, 200.0),
             ("a", AlgoKind::Chameleon, 300.0),
@@ -393,7 +398,7 @@ mod tests {
             // No baseline either way round.
             ("d", AlgoKind::Chameleon, 10.0),
         ];
-        let gains = chameleon_gains(&cells);
+        let gains = chameleon_gains(&rows, |&v| v);
         assert_eq!(gains.len(), 2);
         assert_eq!(gains[0].key, "a");
         assert!((gains[0].vs_average - 1.0).abs() < 1e-12, "300 vs mean 150");
@@ -402,8 +407,9 @@ mod tests {
         assert!((gains[1].vs_average + 0.2).abs() < 1e-12);
         assert!((gains[1].vs_best + 0.2).abs() < 1e-12);
 
-        assert_eq!(value_of(&cells, &"a", AlgoKind::Ppr), Some(200.0));
-        assert_eq!(value_of(&cells, &"c", AlgoKind::Chameleon), None);
+        assert_eq!(value_of(&rows, &"a", AlgoKind::Ppr, |&v| v), Some(200.0));
+        assert_eq!(value_of(&rows, &"a", AlgoKind::Ppr, |v| -v), Some(-200.0));
+        assert_eq!(value_of(&rows, &"c", AlgoKind::Chameleon, |&v| v), None);
     }
 
     #[test]

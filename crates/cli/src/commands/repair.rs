@@ -237,12 +237,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
 
     if let Some(topo) = sim.topology() {
         if topo.rack_count() > 1 {
-            let topo = topo.clone();
-            let cross = |tag| {
-                (0..topo.rack_count())
-                    .map(|r| sim.monitor().link_total_bytes(topo.tor_up_link(r), tag))
-                    .sum::<f64>()
-            };
+            let cross = |tag| topo.cross_rack_bytes(sim.monitor(), tag);
             println!(
                 "\nfabric ({} racks{}):",
                 topo.rack_count(),

@@ -22,7 +22,7 @@ impl UsageSample {
     }
 }
 
-const KINDS: usize = 4;
+pub(crate) const KINDS: usize = 4;
 const TAGS: usize = 3;
 
 /// Records how many bytes each traffic class moved through each node
@@ -65,7 +65,7 @@ impl Monitor {
     }
 
     fn idx(&self, node: usize, kind: ResourceKind, tag: Traffic) -> usize {
-        debug_assert!(node < self.nodes);
+        assert!(node < self.nodes, "node {node} out of range");
         (node * KINDS + kind.index()) * TAGS + tag.index()
     }
 
@@ -588,6 +588,16 @@ mod tests {
         let s = m.link_usage(0, 1, Traffic::Repair);
         assert!((s.bytes - 4.0).abs() < 1e-9);
         assert!((s.rate() - 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    #[should_panic]
+    fn node_query_out_of_range_panics_instead_of_reading_a_link() {
+        // Past the last node cell come the link cells: node 4 of a 4-node
+        // monitor would read link 0.
+        let mut m = Monitor::new(4, 4, 1.0);
+        m.record_cell(0.0, 1.0, 1e6, 4 * KINDS, Traffic::Foreground);
+        let _ = m.usage(0, 4, ResourceKind::Uplink, Traffic::Foreground);
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //! spine can never be a bottleneck ([`Topology::link_can_bind`]); the engine
 //! leaves such links out of its solver and keeps them everywhere else.
 
+use crate::monitor::Monitor;
+use crate::node::Traffic;
+
 /// Relative margin by which a ToR link must exceed the spine before it
 /// counts as unable to bind. Exact arithmetic needs only "wider"; the
 /// margin absorbs the rounding a solve's capacity subtractions accumulate
@@ -165,6 +168,15 @@ impl Topology {
         self.spine.map(|_| 2 * self.racks)
     }
 
+    /// Bytes of one traffic class that crossed racks, as `monitor`
+    /// recorded them: the sum over the ToR uplinks, which every cross-rack
+    /// byte climbs exactly once.
+    pub fn cross_rack_bytes(&self, monitor: &Monitor, tag: Traffic) -> f64 {
+        (0..self.racks)
+            .map(|r| monitor.link_total_bytes(self.tor_up_link(r), tag))
+            .sum()
+    }
+
     /// Capacity of one link resource, in bytes/s.
     ///
     /// # Panics
@@ -280,6 +292,22 @@ mod tests {
         // Without a spine every ToR link can bind.
         let t = Topology::round_robin(4, 2, 90.0, 90.0, None);
         assert!((0..t.link_count()).all(|l| t.link_can_bind(l)));
+    }
+
+    #[test]
+    fn cross_rack_bytes_count_each_crossing_once_per_class() {
+        // A flow 0 -> 1 crosses rack 0's uplink, rack 1's downlink and the
+        // spine; it counts once, at the uplink.
+        let t = Topology::round_robin(4, 2, 100.0, 100.0, Some(50.0));
+        let mut m = Monitor::new(4, t.link_count(), 1.0);
+        let cell = |link| 4 * crate::monitor::KINDS + link;
+        for link in t.path_links(0, 1) {
+            m.record_cell(0.0, 2.0, 10.0, cell(link), Traffic::Repair);
+        }
+        m.record_cell(0.0, 1.0, 30.0, cell(t.tor_up_link(1)), Traffic::Foreground);
+        assert_eq!(t.cross_rack_bytes(&m, Traffic::Repair), 20.0);
+        assert_eq!(t.cross_rack_bytes(&m, Traffic::Foreground), 30.0);
+        assert_eq!(t.cross_rack_bytes(&m, Traffic::Background), 0.0);
     }
 
     #[test]

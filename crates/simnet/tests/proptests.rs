@@ -6,8 +6,8 @@
 
 use chameleon_simnet::reference::{allocate_rates, ReferenceSim};
 use chameleon_simnet::{
-    maxmin, Event, FlowId, FlowOutcome, FlowSpec, IncrementalSolver, NodeCaps, ResourceKind,
-    SimConfig, Simulator, Topology, Traffic,
+    maxmin, Event, FlowId, FlowOutcome, FlowSpec, IncrementalSolver, Monitor, NodeCaps,
+    ResourceKind, SimConfig, Simulator, Topology, Traffic,
 };
 use proptest::prelude::*;
 
@@ -16,6 +16,22 @@ use proptest::prelude::*;
 /// ToR link), equal, wider, or absent (so every ToR link can bind and is
 /// solved).
 const SPINES: [Option<f64>; 4] = [Some(45.0), Some(60.0), Some(120.0), None];
+
+/// The largest share by which any link of `topo` carried more than its
+/// capacity in any window of `m` (≤ 0 when every link kept within it).
+fn worst_link_overshoot(m: &Monitor, topo: &Topology) -> f64 {
+    let mut worst = f64::NEG_INFINITY;
+    for w in 0..m.window_count() {
+        for link in 0..topo.link_count() {
+            let bytes: f64 = Traffic::ALL
+                .iter()
+                .map(|&tag| m.link_usage(w, link, tag).bytes)
+                .sum();
+            worst = worst.max(bytes / (topo.link_capacity(link) * m.window_secs()) - 1.0);
+        }
+    }
+    worst
+}
 
 /// One step of a random solver schedule: what to do to `slot` if it is
 /// free (register `cells` × `weight`) or live (`kind` picks remove /
@@ -454,11 +470,11 @@ proptest! {
         // With `racks > 1` the nodes sit behind round-robin ToRs and one
         // of `SPINES`, so link cells join the solve (all of them, or only
         // the spine's) and the monitor's link totals are compared too.
+        let topology = (racks > 1)
+            .then(|| Topology::round_robin(5, racks, 60.0, 60.0, SPINES[spine]));
         let cfg = || {
             let mut cfg = SimConfig::uniform(5, NodeCaps::symmetric(40.0, 25.0));
-            if racks > 1 {
-                cfg.topology = Some(Topology::round_robin(5, racks, 60.0, 60.0, SPINES[spine]));
-            }
+            cfg.topology = topology.clone();
             cfg
         };
         let ops: Vec<(u64, u64, u64, u64, u64)> = {
@@ -536,6 +552,10 @@ proptest! {
             }
             // Snapshot the monitor per cell for cross-engine comparison.
             let m = sim.monitor();
+            if let Some(topo) = &topology {
+                let worst = worst_link_overshoot(m, topo);
+                prop_assert!(worst <= 1e-6, "a link carried {} over its capacity", worst);
+            }
             let mut totals = Vec::new();
             for tag in Traffic::ALL {
                 for node in 0..5 {
@@ -602,10 +622,9 @@ proptest! {
         // The oracle always solves every link.
         let caps = NodeCaps::symmetric(40.0, 25.0);
         let mut cfg = SimConfig::uniform(6, caps);
-        if racks > 1 {
-            cfg.topology = Some(Topology::round_robin(6, racks, 60.0, 60.0, SPINES[spine]));
-        }
-        let mut sim = Simulator::new(cfg);
+        cfg.topology = (racks > 1)
+            .then(|| Topology::round_robin(6, racks, 60.0, 60.0, SPINES[spine]));
+        let mut sim = Simulator::new(cfg.clone());
         let mut state = seed | 1;
         let mut next = move || {
             state = state
@@ -712,6 +731,10 @@ proptest! {
         while sim.next_event().is_some() && budget > 0 {
             sim.verify_against_full_solve();
             budget -= 1;
+        }
+        if let Some(topo) = &cfg.topology {
+            let worst = worst_link_overshoot(sim.monitor(), topo);
+            prop_assert!(worst <= 1e-6, "a link carried {} over its capacity", worst);
         }
     }
 
