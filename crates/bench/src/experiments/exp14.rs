@@ -71,20 +71,17 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
     let stressed = scale.stressed();
     let cfg2 = stressed.cluster_config_with_bandwidth(14, 1.25e8, 500e6);
     let ratios = [0.0, 0.25, 0.5, 0.75, 0.95];
+    // At t = 1 s node 1 starts sending to eight peers and straggles.
+    let hogs: Vec<FlowSpec> = (2..10)
+        .map(|peer| FlowSpec::network(1, peer, 1 << 30, Traffic::Background))
+        .collect();
     let results = run_grid(&ratios, jobs, |&ratio| {
         let config = ChameleonConfig {
             straggler_progress_ratio: ratio,
             ..ChameleonConfig::default()
         };
-        let hogs: Vec<FlowSpec> = (2..10)
-            .map(|peer| FlowSpec::network(1, peer, 1 << 30, Traffic::Background))
-            .collect();
-        let (run, driver) = straggled(
-            cfg2.clone(),
-            |ctx| Box::new(ChameleonDriver::new(ctx, config)),
-            1.0,
-            &hogs,
-        );
+        let driver = |ctx| Box::new(ChameleonDriver::new(ctx, config));
+        let (run, driver) = straggled(cfg2.clone(), driver, 1.0, &hogs);
         let stats = driver.stats();
         let mbps = driver.outcome(&run.sim).throughput() / 1e6;
         (mbps, stats.retunes, stats.reorders)
