@@ -151,6 +151,32 @@ mod tests {
         );
     }
 
+    /// The default policy's backoffs, bit for bit: base 0.5 s doubling to
+    /// the 8 s cap, plus the jitter drawn from the default seed.
+    #[test]
+    fn default_backoff_is_pinned_bit_for_bit() {
+        const PINNED: [(usize, usize, u32, u64); 8] = [
+            (0, 0, 1, 0x3fe3_566a_2118_164a),
+            (0, 0, 2, 0x3ff0_d7c0_ae71_e12e),
+            (0, 0, 3, 0x4000_f0ec_c31b_57d5),
+            (0, 0, 4, 0x4010_a05f_735e_ca6c),
+            (0, 0, 5, 0x4020_3256_5d9c_be5e),
+            (3, 7, 1, 0x3fe4_5983_dc78_8b9b),
+            (3, 7, 5, 0x4020_672e_dc12_78ee),
+            (12, 2, 9, 0x4020_139a_9686_8879),
+        ];
+        let p = RecoveryPolicy::default();
+        for (stripe, index, attempt, bits) in PINNED {
+            let got = p.backoff_secs(chunk(stripe, index), attempt);
+            assert_eq!(
+                got.to_bits(),
+                bits,
+                "backoff of ({stripe}, {index}) attempt {attempt}: {got} != {}",
+                f64::from_bits(bits)
+            );
+        }
+    }
+
     #[test]
     fn failed_attempts_book_replans_flows_and_bytes() {
         let mut a = RecoveryStats::default();
