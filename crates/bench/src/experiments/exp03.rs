@@ -7,7 +7,7 @@
 //! management overhead and performance.
 
 use super::rs;
-use crate::grid::{run_specs, RunSpec};
+use crate::grid::{run_grid, RunSpec};
 use crate::runner::FgSpec;
 use crate::table::{Report, Table};
 use crate::{AlgoKind, Scale};
@@ -40,7 +40,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             )
         })
         .collect();
-    let outs = run_specs(&specs, jobs);
+    let outs = run_grid(&specs, jobs, RunSpec::execute);
 
     let mut table = Table::new(
         "exp03_tphase",

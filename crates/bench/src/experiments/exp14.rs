@@ -14,7 +14,7 @@ use chameleon_simnet::{FlowSpec, Traffic};
 
 use super::exp11::straggled;
 use super::rs;
-use crate::grid::{run_grid, run_specs, DriverSpec, RunSpec};
+use crate::grid::{run_grid, DriverSpec, RunSpec};
 use crate::runner::FgSpec;
 use crate::table::{Report, Table};
 use crate::Scale;
@@ -48,7 +48,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             )
         })
         .collect();
-    let outs = run_specs(&specs, jobs);
+    let outs = run_grid(&specs, jobs, RunSpec::execute);
     let mut table = Table::new(
         "exp14a_concurrency",
         "(1) concurrent-chunk cap vs repair throughput / P99",
@@ -130,7 +130,7 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
             .with_victims(vec![0, 1])
         })
         .collect();
-    let outs = run_specs(&specs, jobs);
+    let outs = run_grid(&specs, jobs, RunSpec::execute);
     let mut table = Table::new(
         "exp14c_multinode_policy",
         "(3) multi-node ordering policy (2 failed nodes)",

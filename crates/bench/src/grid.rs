@@ -44,7 +44,7 @@ use std::sync::Arc;
 
 use crate::algo::AlgoKind;
 use crate::flags::Flag;
-use crate::runner::{run_repair_traced, stage, FgSpec, RunOutput};
+use crate::runner::{stage, FgSpec, RunOutput};
 
 /// How a [`RunSpec`] builds its repair driver.
 #[derive(Debug, Clone)]
@@ -187,19 +187,32 @@ impl RunSpec {
 
     /// Executes the spec to completion. Pure function of the spec: no
     /// ambient state is read, so any thread may run it.
+    ///
+    /// A repair run repairs every chunk on the victims, concurrently with
+    /// the foreground and under the fault plan, and drains everything; with
+    /// [`RunSpec::with_trace`] the returned [`SimSummary`](crate::SimSummary)
+    /// carries every flow lifecycle event.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the repair or foreground never finishes (simulation bug).
     pub fn execute(&self) -> RunOutput {
-        match self.mode {
-            RunMode::Repair => run_repair_traced(
-                self.code.clone(),
-                self.cfg.clone(),
-                &self.victims,
-                |ctx| self.driver.build(ctx, self.seed),
-                self.fg.clone(),
-                self.faults.as_ref(),
-                self.trace,
-            ),
-            RunMode::DegradedRead(chunk) => self.execute_degraded_read(chunk),
+        if let RunMode::DegradedRead(chunk) = self.mode {
+            return self.execute_degraded_read(chunk);
         }
+        let (mut run, lost) = stage(
+            self.code.clone(),
+            self.cfg.clone(),
+            &self.victims,
+            self.fg.clone(),
+            self.faults.as_ref(),
+            self.trace,
+        )
+        .expect("valid cluster");
+        let mut driver = self.driver.build(run.ctx.clone(), self.seed);
+        driver.start(&mut run.sim, lost);
+        run.drain(&mut *driver).unwrap_or_else(|e| panic!("{e}"));
+        RunOutput::collect(driver.outcome(&run.sim), run)
     }
 
     /// Restores one chunk while the foreground keeps serving; stops as
@@ -293,11 +306,6 @@ where
             }
         })
         .collect()
-}
-
-/// Executes declarative [`RunSpec`]s on the grid (results in spec order).
-pub fn run_specs(specs: &[RunSpec], jobs: usize) -> Vec<RunOutput> {
-    run_grid(specs, jobs, RunSpec::execute)
 }
 
 /// Runs `run` on every `keys` × `algos` pair — keys outer, algorithms

@@ -26,9 +26,8 @@ pub mod scale;
 pub mod table;
 
 pub use algo::AlgoKind;
-pub use grid::{run_grid, run_specs, DriverSpec, RunMode, RunSpec};
+pub use grid::{run_grid, DriverSpec, RunMode, RunSpec};
 pub use runner::{
-    client_seed, run_orchestrated, run_repair_traced, FgSpec, OrchestratedRunOutput, RunOutput,
-    SimSummary,
+    client_seed, run_orchestrated, FgSpec, OrchestratedRunOutput, RunOutput, SimSummary,
 };
 pub use scale::Scale;

@@ -257,32 +257,6 @@ pub fn run_orchestrated(
     }
 }
 
-/// Runs a repair of every chunk on `victims` to completion, concurrently
-/// with the optional foreground load and under the optional [`FaultPlan`],
-/// draining everything. With `trace` the engine's flow trace is on: the
-/// returned [`SimSummary`] then carries every flow lifecycle event and
-/// [`RunOutput::trace_jsonl`] renders the full observability record.
-///
-/// # Panics
-///
-/// Panics if the repair or foreground never finishes (simulation bug).
-#[allow(clippy::too_many_arguments)]
-pub fn run_repair_traced(
-    code: Arc<dyn ErasureCode>,
-    cfg: ClusterConfig,
-    victims: &[usize],
-    mut make_driver: impl FnMut(RepairContext) -> Box<dyn RepairDriver>,
-    fg: Option<FgSpec>,
-    faults: Option<&FaultPlan>,
-    trace: bool,
-) -> RunOutput {
-    let (mut run, lost) = stage(code, cfg, victims, fg, faults, trace).expect("valid cluster");
-    let mut driver = make_driver(run.ctx.clone());
-    driver.start(&mut run.sim, lost);
-    run.drain(&mut *driver).unwrap_or_else(|e| panic!("{e}"));
-    RunOutput::collect(driver.outcome(&run.sim), run)
-}
-
 /// Runs a foreground-only workload (no repair) and reports it — the
 /// "YCSB-Only" baseline of Fig. 4 and the clean execution time `T` of the
 /// interference degree (Exp#2).

@@ -13,7 +13,7 @@
 
 use chameleon_bench::experiments;
 use chameleon_bench::table::parse_csv;
-use chameleon_bench::{run_specs, AlgoKind, FgSpec, RunSpec, Scale};
+use chameleon_bench::{run_grid, AlgoKind, FgSpec, RunSpec, Scale};
 use chameleon_codes::{ErasureCode, ReedSolomon};
 use std::sync::Arc;
 
@@ -173,7 +173,7 @@ fn traced_runs_render_identical_jsonl_across_job_counts() {
     .collect();
 
     let render = |jobs: usize| -> String {
-        run_specs(&specs, jobs)
+        run_grid(&specs, jobs, RunSpec::execute)
             .iter()
             .map(|out| out.trace_jsonl().expect("traced run must carry a trace"))
             .collect()

@@ -12,26 +12,23 @@
 
 use std::sync::Arc;
 
-use chameleon_bench::{run_repair_traced, FgSpec, RunOutput, Scale};
+use chameleon_bench::{AlgoKind, FgSpec, RunOutput, RunSpec, Scale};
 use chameleon_codes::{ErasureCode, ReedSolomon};
-use chameleon_core::baseline::{PlanShape, StaticRepairDriver};
 use chameleon_simnet::FaultPlan;
 
-fn traced_ppr_run(faults: Option<&FaultPlan>) -> RunOutput {
+/// PPR (the static Tree driver, seed 7) repairing node 0 of a small
+/// RS(4,2) cluster under two clients, traced.
+fn traced_ppr_run(faults: Option<FaultPlan>) -> RunOutput {
     let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).unwrap());
     let mut scale = Scale::small();
     scale.chunks_per_node = 2;
     scale.clients = 2;
     scale.requests_per_client = 100;
-    run_repair_traced(
-        code,
-        scale.cluster_config(6),
-        &[0],
-        |ctx| Box::new(StaticRepairDriver::new(ctx, PlanShape::Tree, 7)),
-        Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
-        faults,
-        true,
-    )
+    let fg = FgSpec::ycsb(scale.clients, scale.requests_per_client);
+    let mut spec =
+        RunSpec::new("", code, scale.cluster_config(6), AlgoKind::Ppr, Some(fg)).with_trace();
+    spec.faults = faults;
+    spec.execute()
 }
 
 /// Asserts the JSONL is structurally sound and its records agree with
@@ -95,7 +92,7 @@ fn faulted_traced_runs_reconcile_abort_counts() {
     let mut total_aborts = 0usize;
     for node in 1..=5usize {
         let faults = FaultPlan::parse_list(&format!("crash:{node}@0.05")).unwrap();
-        let out = traced_ppr_run(Some(&faults));
+        let out = traced_ppr_run(Some(faults));
         let aborts = reconcile(&out);
         assert_eq!(
             aborts, out.outcome.recovery.aborted_flows,

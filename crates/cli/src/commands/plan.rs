@@ -5,6 +5,7 @@ use chameleon_bench::flags::{Command, Flags};
 use chameleon_cluster::{ChunkId, Cluster, ClusterConfig, PlacementStrategy, TopologySpec};
 use chameleon_core::chameleon::{dispatch_chunk, establish_plan, PhaseState};
 use chameleon_core::{RepairContext, RepairPlan};
+use chameleon_simnet::faults::{splitmix64, unit};
 use chameleon_simnet::NodeCaps;
 
 use super::repair::{CODE, GBPS, SEED};
@@ -41,21 +42,12 @@ pub fn run(flags: &Flags) -> Result<(), String> {
 
     // A pseudo-random residual-bandwidth profile (as if measured under
     // foreground load) so the plan shows some shape.
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) as f64 / (1u64 << 31) as f64
-    };
     let base = gbps * 1e9 / 8.0;
+    let mut state = seed;
+    let mut residual = || base * (0.2 + 0.8 * unit(splitmix64(&mut state)));
     let mut phase = PhaseState::flat(
-        (0..storage_nodes)
-            .map(|_| base * (0.2 + 0.8 * next()))
-            .collect(),
-        (0..storage_nodes)
-            .map(|_| base * (0.2 + 0.8 * next()))
-            .collect(),
+        (0..storage_nodes).map(|_| residual()).collect(),
+        (0..storage_nodes).map(|_| residual()).collect(),
     );
 
     let chunk = ChunkId {

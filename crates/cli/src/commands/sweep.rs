@@ -105,7 +105,7 @@ fn sweep(flags: &Flags) -> Result<Table, String> {
         specs.len(),
         code.name()
     );
-    let outs = grid::run_specs(&specs, jobs);
+    let outs = grid::run_grid(&specs, jobs, RunSpec::execute);
 
     // Traces are buffered inside each worker and rendered here, in spec
     // order, so the file is byte-identical at any `--jobs` count.

@@ -99,16 +99,6 @@ impl TopologySpec {
         }
     }
 
-    /// The rack a node lands in (round-robin assignment; 0 for `Flat`).
-    pub fn rack_of(&self, node: NodeId) -> usize {
-        node % self.rack_count()
-    }
-
-    /// Whether two nodes share a rack.
-    pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
-        self.rack_of(a) == self.rack_of(b)
-    }
-
     /// Compiles the spec into a simulator [`Topology`] for `nodes` nodes
     /// of uniform `caps` — `None` for `Flat` (the rackless engine).
     ///
@@ -249,6 +239,9 @@ impl ClusterConfig {
 #[derive(Debug, Clone)]
 pub struct Cluster {
     config: ClusterConfig,
+    /// The compiled fabric (`None` when flat): what the simulator is built
+    /// with and what [`Cluster::same_rack`] reads.
+    topology: Option<Topology>,
     placement: Placement,
     failed: BTreeSet<NodeId>,
     /// Alive storage nodes, ascending — the complement of `failed`, kept
@@ -288,6 +281,7 @@ impl Cluster {
         );
         Ok(Cluster {
             alive: (0..config.storage_nodes).collect(),
+            topology: config.topology.compile(nodes, config.node_caps),
             config,
             placement,
             failed: BTreeSet::new(),
@@ -325,22 +319,14 @@ impl Cluster {
         Simulator::new(SimConfig {
             nodes: vec![self.config.node_caps; self.config.total_nodes()],
             monitor_window_secs: self.config.monitor_window_secs,
-            topology: self
-                .config
-                .topology
-                .compile(self.config.total_nodes(), self.config.node_caps),
+            topology: self.topology.clone(),
         })
     }
 
-    /// The rack a node lands in under the configured topology (0 when
-    /// flat).
-    pub fn rack_of(&self, node: NodeId) -> usize {
-        self.config.topology.rack_of(node)
-    }
-
-    /// Whether two nodes share a rack (always `true` when flat).
+    /// Whether two nodes share a rack of the compiled topology (always
+    /// `true` when flat).
     pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
-        self.config.topology.same_rack(a, b)
+        self.topology.as_ref().is_none_or(|t| t.same_rack(a, b))
     }
 
     /// Marks a storage node failed.
@@ -605,11 +591,11 @@ mod tests {
         assert_eq!(topo.link_capacity(topo.tor_down_link(2)), 800.0);
         let spine = topo.spine_link().expect("oversubscribed spine");
         assert_eq!(topo.link_capacity(spine), 600.0);
-        // Round-robin assignment is exposed through the cluster.
-        assert_eq!(spec.rack_of(0), 0);
-        assert_eq!(spec.rack_of(4), 1);
-        assert!(spec.same_rack(0, 3));
-        assert!(!spec.same_rack(0, 4));
+        // Nodes are assigned to racks round-robin.
+        assert_eq!(topo.rack_of(0), 0);
+        assert_eq!(topo.rack_of(4), 1);
+        assert!(topo.same_rack(0, 3));
+        assert!(!topo.same_rack(0, 4));
     }
 
     #[test]
@@ -626,9 +612,8 @@ mod tests {
         let mut cfg = ClusterConfig::small(6);
         cfg.topology = TopologySpec::oversub();
         let cluster = Cluster::new(cfg).unwrap();
-        assert_eq!(cluster.rack_of(0), 0);
-        assert_eq!(cluster.rack_of(1), 1);
         assert!(cluster.same_rack(0, 3));
+        assert!(!cluster.same_rack(0, 1));
         let sim = cluster.build_simulator();
         assert_eq!(sim.link_count(), 7); // 3 ToR-up + 3 ToR-down + spine
         assert_eq!(sim.topology().unwrap().rack_count(), 3);

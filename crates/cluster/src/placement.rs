@@ -26,9 +26,6 @@ impl std::fmt::Display for ChunkId {
 /// How stripes are spread over nodes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlacementStrategy {
-    /// Stripe `s` places chunk `i` on node `(s + i) mod nodes` — balanced
-    /// and deterministic.
-    Rotation,
     /// Each stripe picks a random `n`-subset of nodes (seeded), as
     /// production systems effectively do.
     Random(u64),
@@ -47,7 +44,7 @@ pub enum PlacementStrategy {
 /// ```
 /// use chameleon_cluster::{ChunkId, Placement, PlacementStrategy};
 ///
-/// let p = Placement::new(20, 14, 10, PlacementStrategy::Rotation);
+/// let p = Placement::new(20, 14, 10, PlacementStrategy::Random(7));
 /// let node = p.node_of(ChunkId { stripe: 0, index: 3 });
 /// assert!(node < 20);
 /// assert_eq!(p.stripes(), 10);
@@ -69,27 +66,19 @@ impl Placement {
     pub fn new(nodes: usize, n: usize, stripes: usize, strategy: PlacementStrategy) -> Self {
         assert!(n > 0, "stripe width must be positive");
         assert!(nodes >= n, "need at least n nodes to place a stripe");
+        let PlacementStrategy::Random(seed) = strategy;
         let mut chunk_node = Vec::with_capacity(stripes * n);
-        match strategy {
-            PlacementStrategy::Rotation => {
-                for s in 0..stripes {
-                    chunk_node.extend((0..n).map(|i| (s + i) % nodes));
-                }
-            }
-            PlacementStrategy::Random(seed) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                // A stripe is the first n of a full shuffle of 0..nodes; the
-                // shuffle always starts from the identity and draws for all
-                // `nodes` positions, so the RNG stream — and with it every
-                // seeded placement — does not depend on `n`.
-                let mut pick: Vec<NodeId> = Vec::with_capacity(nodes);
-                for _ in 0..stripes {
-                    pick.clear();
-                    pick.extend(0..nodes);
-                    pick.shuffle(&mut rng);
-                    chunk_node.extend_from_slice(&pick[..n]);
-                }
-            }
+        let mut rng = StdRng::seed_from_u64(seed);
+        // A stripe is the first n of a full shuffle of 0..nodes; the shuffle
+        // always starts from the identity and draws for all `nodes`
+        // positions, so the RNG stream — and with it every seeded placement
+        // — does not depend on `n`.
+        let mut pick: Vec<NodeId> = Vec::with_capacity(nodes);
+        for _ in 0..stripes {
+            pick.clear();
+            pick.extend(0..nodes);
+            pick.shuffle(&mut rng);
+            chunk_node.extend_from_slice(&pick[..n]);
         }
         Placement {
             nodes,
@@ -188,17 +177,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn rotation_placement_is_valid_and_balanced() {
-        let p = Placement::new(20, 14, 40, PlacementStrategy::Rotation);
-        assert!(p.is_valid());
-        // With 40 stripes of width 14 over 20 nodes, every node holds
-        // 40 * 14 / 20 = 28 chunks.
-        for node in 0..20 {
-            assert_eq!(p.chunks_on(node).len(), 28, "node {node}");
-        }
-    }
-
-    #[test]
     fn random_placement_is_valid_and_deterministic() {
         let a = Placement::new(10, 6, 25, PlacementStrategy::Random(7));
         let b = Placement::new(10, 6, 25, PlacementStrategy::Random(7));
@@ -228,23 +206,17 @@ mod tests {
         stripes: usize,
         strategy: PlacementStrategy,
     ) -> Vec<Vec<NodeId>> {
-        match strategy {
-            PlacementStrategy::Rotation => (0..stripes)
-                .map(|s| (0..n).map(|i| (s + i) % nodes).collect())
-                .collect(),
-            PlacementStrategy::Random(seed) => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let all: Vec<NodeId> = (0..nodes).collect();
-                (0..stripes)
-                    .map(|_| {
-                        let mut pick = all.clone();
-                        pick.shuffle(&mut rng);
-                        pick.truncate(n);
-                        pick
-                    })
-                    .collect()
-            }
-        }
+        let PlacementStrategy::Random(seed) = strategy;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let all: Vec<NodeId> = (0..nodes).collect();
+        (0..stripes)
+            .map(|_| {
+                let mut pick = all.clone();
+                pick.shuffle(&mut rng);
+                pick.truncate(n);
+                pick
+            })
+            .collect()
     }
 
     #[test]
@@ -253,7 +225,6 @@ mod tests {
         for (nodes, n, stripes, strategy) in [
             (20, 14, 86, PlacementStrategy::Random(0xC0DE)),
             (1000, 14, 4286, PlacementStrategy::Random(0xC0DE)),
-            (20, 14, 86, PlacementStrategy::Rotation),
         ] {
             let old = per_stripe_layout(nodes, n, stripes, strategy);
             let mut new = Placement::new(nodes, n, stripes, strategy);
@@ -289,6 +260,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least n nodes")]
     fn too_few_nodes_rejected() {
-        let _ = Placement::new(4, 5, 1, PlacementStrategy::Rotation);
+        let _ = Placement::new(4, 5, 1, PlacementStrategy::Random(0));
     }
 }

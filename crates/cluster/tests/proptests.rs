@@ -83,15 +83,9 @@ proptest! {
         width in 2usize..12,
         stripes in 1usize..50,
         seed in any::<u64>(),
-        rotation in any::<bool>(),
     ) {
         prop_assume!(nodes >= width);
-        let strategy = if rotation {
-            PlacementStrategy::Rotation
-        } else {
-            PlacementStrategy::Random(seed)
-        };
-        let p = Placement::new(nodes, width, stripes, strategy);
+        let p = Placement::new(nodes, width, stripes, PlacementStrategy::Random(seed));
         prop_assert!(p.is_valid());
         // chunks_on and node_of agree.
         for node in 0..nodes {

@@ -4,7 +4,7 @@
 use chameleon_gf::{xor_slice, Gf256};
 
 use crate::linear::solve_combination;
-use crate::{ChunkClass, CodeError, ErasureCode, RepairRequirement, SourceRead};
+use crate::{CodeError, ErasureCode, RepairRequirement, SourceRead};
 
 /// Number of sub-chunks per chunk (the code's sub-packetization).
 const ALPHA: usize = 2;
@@ -129,14 +129,6 @@ impl ErasureCode for Butterfly {
 
     fn fault_tolerance(&self) -> usize {
         N - K
-    }
-
-    fn chunk_class(&self, index: usize) -> Result<ChunkClass, CodeError> {
-        match index {
-            0 | 1 => Ok(ChunkClass::Data),
-            2 | 3 => Ok(ChunkClass::GlobalParity),
-            _ => Err(CodeError::BadIndex),
-        }
     }
 
     fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, CodeError> {
@@ -421,8 +413,5 @@ mod tests {
         assert_eq!(bf.k(), 2);
         assert_eq!(bf.n(), 4);
         assert_eq!(bf.fault_tolerance(), 2);
-        assert_eq!(bf.chunk_class(0).unwrap(), ChunkClass::Data);
-        assert_eq!(bf.chunk_class(2).unwrap(), ChunkClass::GlobalParity);
-        assert_eq!(bf.chunk_class(4), Err(CodeError::BadIndex));
     }
 }

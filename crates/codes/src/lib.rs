@@ -61,7 +61,7 @@ pub use butterfly::Butterfly;
 pub use error::CodeError;
 pub use lrc::Lrc;
 pub use rs::ReedSolomon;
-pub use spec::{ChunkClass, RepairRequirement, SourceRead};
+pub use spec::{RepairRequirement, SourceRead};
 
 use chameleon_gf::Gf256;
 
@@ -82,13 +82,6 @@ pub trait ErasureCode: Send + Sync {
 
     /// Maximum number of arbitrary chunk failures the code always tolerates.
     fn fault_tolerance(&self) -> usize;
-
-    /// Classifies a chunk index as data / local parity / global parity.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CodeError::BadIndex`] if `index >= n()`.
-    fn chunk_class(&self, index: usize) -> Result<ChunkClass, CodeError>;
 
     /// Encodes `k` equally sized data chunks into a full stripe of `n`
     /// chunks (data first, parity after).

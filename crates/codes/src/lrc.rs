@@ -3,7 +3,7 @@
 use chameleon_gf::{Gf256, Matrix};
 
 use crate::linear::LinearCode;
-use crate::{ChunkClass, CodeError, ErasureCode, RepairRequirement};
+use crate::{CodeError, ErasureCode, RepairRequirement};
 
 /// LRC(k, l, m): the `k` data chunks are split into `l` local groups of
 /// `k/l` chunks; each group gets one XOR local parity, and `m` global
@@ -136,18 +136,6 @@ impl ErasureCode for Lrc {
         // MDS over the data); most (m+1)-failure patterns also are, as in
         // Azure LRC, but not all — so we advertise the guaranteed bound.
         self.m
-    }
-
-    fn chunk_class(&self, index: usize) -> Result<ChunkClass, CodeError> {
-        if index >= self.n() {
-            Err(CodeError::BadIndex)
-        } else if index < self.k {
-            Ok(ChunkClass::Data)
-        } else if index < self.k + self.l {
-            Ok(ChunkClass::LocalParity)
-        } else {
-            Ok(ChunkClass::GlobalParity)
-        }
     }
 
     fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, CodeError> {
@@ -348,9 +336,6 @@ mod tests {
     #[test]
     fn chunk_classes_and_groups() {
         let lrc = Lrc::new(6, 2, 2).unwrap();
-        assert_eq!(lrc.chunk_class(0).unwrap(), ChunkClass::Data);
-        assert_eq!(lrc.chunk_class(6).unwrap(), ChunkClass::LocalParity);
-        assert_eq!(lrc.chunk_class(8).unwrap(), ChunkClass::GlobalParity);
         assert_eq!(lrc.group_of(2), Some(0));
         assert_eq!(lrc.group_of(3), Some(1));
         assert_eq!(lrc.group_of(7), Some(1));

@@ -3,7 +3,7 @@
 use chameleon_gf::{Gf256, Matrix};
 
 use crate::linear::LinearCode;
-use crate::{ChunkClass, CodeError, ErasureCode, RepairRequirement};
+use crate::{CodeError, ErasureCode, RepairRequirement};
 
 /// RS(k, m): `k` data chunks, `m` parity chunks, MDS (tolerates any `m`
 /// failures). The parity rows come from a Cauchy matrix, so every `k x k`
@@ -68,17 +68,6 @@ impl ErasureCode for ReedSolomon {
 
     fn fault_tolerance(&self) -> usize {
         self.m
-    }
-
-    fn chunk_class(&self, index: usize) -> Result<ChunkClass, CodeError> {
-        if index >= self.n() {
-            return Err(CodeError::BadIndex);
-        }
-        Ok(if index < self.k() {
-            ChunkClass::Data
-        } else {
-            ChunkClass::GlobalParity
-        })
     }
 
     fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, CodeError> {
@@ -195,15 +184,6 @@ mod tests {
             rs.repair_requirement(0, &[1, 2, 3]),
             Err(CodeError::NotEnoughChunks)
         );
-    }
-
-    #[test]
-    fn chunk_classes() {
-        let rs = ReedSolomon::new(4, 2).unwrap();
-        assert_eq!(rs.chunk_class(0).unwrap(), ChunkClass::Data);
-        assert_eq!(rs.chunk_class(3).unwrap(), ChunkClass::Data);
-        assert_eq!(rs.chunk_class(4).unwrap(), ChunkClass::GlobalParity);
-        assert_eq!(rs.chunk_class(6), Err(CodeError::BadIndex));
     }
 
     #[test]

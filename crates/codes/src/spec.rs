@@ -1,16 +1,5 @@
 //! Repair requirements: what a scheduler must fetch to repair a chunk.
 
-/// The role a chunk plays within a stripe.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ChunkClass {
-    /// An original data chunk.
-    Data,
-    /// A local parity chunk (LRC only), protecting one local group.
-    LocalParity,
-    /// A global parity chunk, protecting the whole stripe.
-    GlobalParity,
-}
-
 /// One source read in a sub-chunk repair: read `fraction` of the chunk at
 /// stripe index `chunk`.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -27,7 +27,7 @@ use crate::error::RepairError;
 use crate::exec::{ExecStatus, PlanExecutor};
 use crate::metrics::{GivenUpChunk, RepairOutcome, RepairSpan};
 use crate::plan::RepairPlan;
-use crate::recovery::RecoveryStats;
+use crate::recovery::{RecoveryStats, STALL_TIMEOUT_SECS};
 use crate::roster::Roster;
 use crate::select::SelectError;
 use crate::RepairDriver;
@@ -293,8 +293,7 @@ impl<P: Planner> Campaign<P> {
 
     fn arm_stall_timer(&mut self, sim: &mut Simulator) {
         if !self.is_done() && self.stall_timer.is_none() {
-            self.stall_timer =
-                Some(sim.schedule_in(self.ctx.recovery.stall_timeout_secs, STALL_TIMER_KEY));
+            self.stall_timer = Some(sim.schedule_in(STALL_TIMEOUT_SECS, STALL_TIMER_KEY));
         }
     }
 

@@ -90,7 +90,6 @@ impl PhaseState {
         // disk bandwidth never crosses the fabric.
         let (rack_of, cross_up, cross_down) = match (resources, sim.topology()) {
             (Resources::Network, Some(topo)) if topo.rack_count() > 1 => {
-                let topo = topo.clone();
                 let racks = topo.rack_count();
                 let link_residual = |link: usize| {
                     sim.link_residual_capacity(link, &other)

@@ -22,62 +22,47 @@
 use chameleon_cluster::ChunkId;
 use chameleon_simnet::faults::{splitmix64, unit};
 
-/// Retry/backoff policy of a repair campaign.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// Backoff before retry `n` is `BACKOFF_BASE_SECS * 2^(n-1)`, capped at
+/// `BACKOFF_CAP_SECS`.
+const BACKOFF_BASE_SECS: f64 = 0.5;
+const BACKOFF_CAP_SECS: f64 = 8.0;
+/// Seeded jitter added to each backoff, uniform in `[0, JITTER_SECS)`.
+const JITTER_SECS: f64 = 0.25;
+/// Seed of the jitter stream (mixed per chunk and attempt).
+const JITTER_SEED: u64 = 0x5EED_FA17;
+/// An attempt making no progress for this long is aborted and re-planned —
+/// how the loop observes helper loss even without an abort notification
+/// (e.g. a helper slowed to a crawl).
+pub(crate) const STALL_TIMEOUT_SECS: f64 = 30.0;
+
+/// Retry policy of a repair campaign.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPolicy {
     /// Maximum attempts per chunk (the first dispatch counts as one);
     /// further failures abandon the chunk as a recorded
     /// [`RepairError::RetriesExhausted`](crate::RepairError).
     pub max_attempts: u32,
-    /// Backoff before retry `n` is `base * 2^(n-1)`, capped below.
-    pub backoff_base_secs: f64,
-    /// Upper bound on the exponential backoff.
-    pub backoff_cap_secs: f64,
-    /// Seeded jitter added to each backoff, uniform in `[0, jitter_secs)`.
-    pub jitter_secs: f64,
-    /// An attempt making no progress for this long is aborted and
-    /// re-planned — how the loop observes helper loss even without an abort
-    /// notification (e.g. a helper slowed to a crawl).
-    pub stall_timeout_secs: f64,
-    /// Seed for the jitter stream (mixed per chunk and attempt).
-    pub seed: u64,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            max_attempts: 4,
-            backoff_base_secs: 0.5,
-            backoff_cap_secs: 8.0,
-            jitter_secs: 0.25,
-            stall_timeout_secs: 30.0,
-            seed: 0x5EED_FA17,
-        }
+        RecoveryPolicy { max_attempts: 4 }
     }
 }
 
 impl RecoveryPolicy {
-    /// A policy with the given jitter seed and the default shape.
-    pub fn seeded(seed: u64) -> Self {
-        RecoveryPolicy {
-            seed,
-            ..RecoveryPolicy::default()
-        }
-    }
-
     /// Virtual-time backoff before retry attempt `attempt` (1-based count
     /// of *failures* so far) of `chunk`: capped exponential plus seeded
-    /// jitter. Deterministic in `(seed, chunk, attempt)`.
+    /// jitter. Deterministic in `(chunk, attempt)`.
     pub fn backoff_secs(&self, chunk: ChunkId, attempt: u32) -> f64 {
-        let expo = self.backoff_base_secs * f64::from(1u32 << (attempt - 1).min(20));
-        let capped = expo.min(self.backoff_cap_secs);
-        let mut key = self
-            .seed
+        let expo = BACKOFF_BASE_SECS * f64::from(1u32 << (attempt - 1).min(20));
+        let capped = expo.min(BACKOFF_CAP_SECS);
+        let mut key = JITTER_SEED
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add((chunk.stripe as u64) << 20)
             .wrapping_add((chunk.index as u64) << 8)
             .wrapping_add(u64::from(attempt));
-        capped + unit(splitmix64(&mut key)) * self.jitter_secs
+        capped + unit(splitmix64(&mut key)) * JITTER_SECS
     }
 }
 
@@ -119,35 +104,30 @@ mod tests {
 
     #[test]
     fn backoff_is_capped_exponential_with_bounded_jitter() {
-        let p = RecoveryPolicy::seeded(7);
+        let p = RecoveryPolicy::default();
         let c = chunk(0, 0);
         let b1 = p.backoff_secs(c, 1);
         let b2 = p.backoff_secs(c, 2);
         let b3 = p.backoff_secs(c, 3);
-        assert!((p.backoff_base_secs..p.backoff_base_secs + p.jitter_secs).contains(&b1));
-        assert!(b2 >= 2.0 * p.backoff_base_secs && b2 < 2.0 * p.backoff_base_secs + p.jitter_secs);
-        assert!(b3 >= 4.0 * p.backoff_base_secs);
+        assert!((BACKOFF_BASE_SECS..BACKOFF_BASE_SECS + JITTER_SECS).contains(&b1));
+        assert!((2.0 * BACKOFF_BASE_SECS..2.0 * BACKOFF_BASE_SECS + JITTER_SECS).contains(&b2));
+        assert!(b3 >= 4.0 * BACKOFF_BASE_SECS);
         // Deep attempts hit the cap (plus jitter at most).
         let b9 = p.backoff_secs(c, 9);
-        assert!(b9 >= p.backoff_cap_secs && b9 < p.backoff_cap_secs + p.jitter_secs);
+        assert!((BACKOFF_CAP_SECS..BACKOFF_CAP_SECS + JITTER_SECS).contains(&b9));
     }
 
     #[test]
     fn backoff_is_deterministic_and_jitter_desynchronizes_chunks() {
-        let p = RecoveryPolicy::seeded(42);
+        let p = RecoveryPolicy::default();
         assert_eq!(
             p.backoff_secs(chunk(1, 2), 1).to_bits(),
             p.backoff_secs(chunk(1, 2), 1).to_bits()
         );
-        // Different chunks (and different seeds) get different jitter.
+        // Different chunks get different jitter.
         assert_ne!(
             p.backoff_secs(chunk(1, 2), 1).to_bits(),
             p.backoff_secs(chunk(1, 3), 1).to_bits()
-        );
-        let q = RecoveryPolicy::seeded(43);
-        assert_ne!(
-            p.backoff_secs(chunk(1, 2), 1).to_bits(),
-            q.backoff_secs(chunk(1, 2), 1).to_bits()
         );
     }
 

@@ -164,27 +164,6 @@ impl SimConfig {
     }
 }
 
-/// Rates have not been re-solved since the last flow-set mutation.
-///
-/// Returned by [`Simulator::check_fresh`]; the panicking read paths
-/// ([`Simulator::flow_rate`], [`Simulator::class_rate`],
-/// [`Simulator::residual_capacity`]) raise the same condition as an
-/// assertion. Fix by calling [`Simulator::refresh`] (or letting
-/// [`Simulator::next_event`] run) before reading rates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StaleRatesError;
-
-impl core::fmt::Display for StaleRatesError {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(
-            "rates are stale: call refresh() (or next_event()) after \
-             mutating flows before reading rates",
-        )
-    }
-}
-
-impl std::error::Error for StaleRatesError {}
-
 /// An observable simulation event, returned by [`Simulator::next_event`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
@@ -822,23 +801,15 @@ impl Simulator {
         self.rates_stale = true;
     }
 
-    /// Checks that rates are fresh, returning a typed error instead of
-    /// panicking — the fallible twin of the internal freshness assertion
-    /// behind [`Simulator::flow_rate`] and friends. Drivers probing
-    /// between mutations can branch on this rather than catch an unwind.
-    pub fn check_fresh(&self) -> Result<(), StaleRatesError> {
-        if self.rates_stale {
-            Err(StaleRatesError)
-        } else {
-            Ok(())
-        }
-    }
-
+    /// Panics unless rates were re-solved since the last flow-set mutation:
+    /// the guard behind [`Simulator::flow_rate`] and the other rate reads.
     #[track_caller]
     fn assert_fresh(&self) {
-        if let Err(e) = self.check_fresh() {
-            panic!("{e}");
-        }
+        assert!(
+            !self.rates_stale,
+            "rates are stale: call refresh() (or next_event()) after \
+             mutating flows before reading rates"
+        );
     }
 
     /// Current max–min fair rate of a flow, in bytes/s.
@@ -960,7 +931,7 @@ impl Simulator {
 
     /// Schedules a timer at an absolute time (clamped to now if in the
     /// past).
-    pub fn schedule_at(&mut self, at: SimTime, key: u64) -> TimerId {
+    fn schedule_at(&mut self, at: SimTime, key: u64) -> TimerId {
         let at = at.max(self.now);
         let id = TimerId(self.next_timer_id);
         self.next_timer_id += 1;
@@ -1970,35 +1941,6 @@ mod tests {
             assert_eq!(ea, eb);
             assert!((ta - tb).abs() < 1e-9, "{ta} vs {tb}");
         }
-    }
-
-    #[test]
-    fn check_fresh_reports_staleness_without_panicking() {
-        let mut sim = two_node_sim();
-        assert!(
-            sim.check_fresh().is_err(),
-            "a new simulator is stale until its seed solve"
-        );
-        sim.refresh();
-        assert!(sim.check_fresh().is_ok());
-        let f = sim.start_flow(FlowSpec::network(0, 1, 100, Traffic::Repair));
-        let err = sim.check_fresh().expect_err("admission staled the rates");
-        assert_eq!(err, StaleRatesError);
-        assert!(err.to_string().contains("rates are stale"));
-        sim.refresh();
-        assert!(sim.check_fresh().is_ok());
-        sim.cancel_flow(f);
-        assert!(sim.check_fresh().is_err(), "cancellation staled the rates");
-        sim.refresh();
-        assert!(sim.check_fresh().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "rates are stale")]
-    fn stale_rate_reads_still_panic() {
-        let mut sim = two_node_sim();
-        let f = sim.start_flow(FlowSpec::network(0, 1, 100, Traffic::Repair));
-        let _ = sim.flow_rate(f);
     }
 
     #[test]

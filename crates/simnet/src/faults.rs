@@ -485,14 +485,6 @@ impl FaultPlan {
         FaultPlan::new(specs)
     }
 
-    /// Merges two plans into one schedule (re-sorted by fire time) — used
-    /// to interleave a generated stream with hand-written specs.
-    pub fn merge(&self, other: &FaultPlan) -> Self {
-        let mut specs = self.specs.clone();
-        specs.extend(other.specs.iter().copied());
-        FaultPlan::new(specs)
-    }
-
     /// Parses a comma-separated list of [`FaultSpec::parse`] forms, e.g.
     /// `crash:3@1.5,slow:5@2x0.25+10,recover:3@20`.
     ///
@@ -1042,7 +1034,7 @@ mod tests {
         let candidates: Vec<NodeId> = (0..6).collect();
         let stream = FaultPlan::seeded_poisson(9, &candidates, 20.0, (5.0, 60.0), Some(10.0));
         let hand = FaultPlan::parse_list("slow:1@2x0.25+10,crash:4@0.5").unwrap();
-        let merged = stream.merge(&hand);
+        let merged = FaultPlan::new([stream.specs(), hand.specs()].concat());
         assert_eq!(
             merged.specs().len(),
             stream.specs().len() + hand.specs().len()

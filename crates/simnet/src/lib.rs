@@ -71,7 +71,7 @@ mod time;
 pub mod topology;
 pub mod trace;
 
-pub use engine::{Event, SimConfig, Simulator, StaleRatesError};
+pub use engine::{Event, SimConfig, Simulator};
 pub use faults::{FaultEvent, FaultInjector, FaultPlan, FaultSpec};
 pub use flow::{FlowId, FlowOutcome, FlowSpec, TimerId};
 pub use idmap::{IdHasher, IdMap};

@@ -200,7 +200,7 @@ impl Monitor {
     }
 
     /// Per-window average rates for one (node, resource, class), in bytes/s.
-    pub fn rate_series(&self, node: usize, kind: ResourceKind, tag: Traffic) -> Vec<f64> {
+    fn rate_series(&self, node: usize, kind: ResourceKind, tag: Traffic) -> Vec<f64> {
         (0..self.window_count())
             .map(|w| self.usage(w, node, kind, tag).rate())
             .collect()
