@@ -223,7 +223,7 @@ impl RunSpec {
             self.cfg.clone(),
             &self.victims,
             self.fg.clone(),
-            None,
+            self.faults.as_ref(),
             self.trace,
         )
         .expect("valid cluster");
@@ -511,6 +511,47 @@ mod tests {
         let payload = result.expect_err("grid must re-raise the run panic");
         let msg = panic_message(&*payload);
         assert!(msg.contains("#6"), "message was: {msg}");
+    }
+
+    /// A degraded read runs under its spec's fault plan: a crash of any
+    /// surviving node of the read chunk's stripe, 0.1 ms in, reaches the
+    /// read (it aborts flows or moves a repair's latency).
+    #[test]
+    fn a_degraded_read_runs_under_its_fault_plan() {
+        use chameleon_cluster::Cluster;
+        use chameleon_codes::ReedSolomon;
+        use chameleon_simnet::{FaultPlan, FaultSpec};
+
+        let mut scale = crate::Scale::small();
+        scale.chunks_per_node = 2;
+        let cfg = scale.cluster_config(6);
+        let stripe = Cluster::new(cfg.clone())
+            .unwrap()
+            .placement()
+            .stripe_nodes(0)
+            .to_vec();
+        let code: Arc<dyn ErasureCode> = Arc::new(ReedSolomon::new(4, 2).unwrap());
+        let chunk = ChunkId {
+            stripe: 0,
+            index: 0,
+        };
+        let spec = RunSpec::new("degraded read", code, cfg, AlgoKind::Cr, None)
+            .with_victims(vec![stripe[0]])
+            .degraded_read(chunk);
+        let clean = spec.execute().outcome;
+        for &node in &stripe[1..] {
+            let crash = FaultPlan::new(vec![FaultSpec::Crash {
+                node,
+                at_secs: 1e-4,
+            }]);
+            let faulted = spec.clone().with_faults(crash).execute().outcome;
+            assert!(
+                faulted.recovery.aborted_flows > 0
+                    || faulted.per_chunk_secs != clean.per_chunk_secs,
+                "a crash of node {node} went unseen: {:?}",
+                faulted.per_chunk_secs
+            );
+        }
     }
 
     /// The one test in this binary that reads or writes `CHAMELEON_JOBS`.

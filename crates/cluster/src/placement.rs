@@ -1,8 +1,7 @@
 //! Stripe-to-node placement.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 use chameleon_simnet::NodeId;
 
@@ -69,15 +68,22 @@ impl Placement {
         let PlacementStrategy::Random(seed) = strategy;
         let mut chunk_node = Vec::with_capacity(stripes * n);
         let mut rng = StdRng::seed_from_u64(seed);
-        // A stripe is the first n of a full shuffle of 0..nodes; the shuffle
-        // always starts from the identity and draws for all `nodes`
-        // positions, so the RNG stream — and with it every seeded placement
-        // — does not depend on `n`.
+        // A stripe is the first n of a full Fisher–Yates permutation of
+        // 0..nodes, drawn as the vendored `rand` permutes a slice: for i from
+        // nodes − 1 down to 1, swap i with `next_u64() % (i + 1)`. It always
+        // starts from the identity and draws for all `nodes` positions, so
+        // the RNG stream — and with it every seeded placement — does not
+        // depend on `n`. Every stripe divides by the same bounds 2..=nodes,
+        // so each bound gets one exact reciprocal, here, instead of a 64-bit
+        // divide per draw (`bounds[i]` is i + 1's).
+        let bounds: Vec<Remainder> = (1..=nodes as u64).map(Remainder::new).collect();
         let mut pick: Vec<NodeId> = Vec::with_capacity(nodes);
         for _ in 0..stripes {
             pick.clear();
             pick.extend(0..nodes);
-            pick.shuffle(&mut rng);
+            for (i, bound) in bounds.iter().enumerate().skip(1).rev() {
+                pick.swap(i, bound.of(rng.next_u64()) as usize);
+            }
             chunk_node.extend_from_slice(&pick[..n]);
         }
         Placement {
@@ -172,9 +178,44 @@ impl Placement {
     }
 }
 
+/// `a % d` for one fixed `d` by multiplications alone: "Faster Remainder by
+/// Direct Computation" (Lemire, Kaser and Kurz, 2019). With
+/// `m = ⌊(2¹²⁸ − 1) / d⌋ + 1`, `a % d` is the high 64 bits of
+/// `(m · a mod 2¹²⁸) · d`; a 128-bit fraction (≥ 64 + log₂ d bits) makes
+/// that exact for every `u64` `a` and every `d ≥ 1` (`m` wraps to 0 at
+/// `d = 1`, and every remainder by 1 is 0).
+#[derive(Clone, Copy)]
+struct Remainder {
+    m: u128,
+    d: u64,
+}
+
+impl Remainder {
+    fn new(d: u64) -> Self {
+        assert!(d > 0, "remainder by zero");
+        Remainder {
+            m: (u128::MAX / u128::from(d)).wrapping_add(1),
+            d,
+        }
+    }
+
+    /// `a % d`.
+    #[inline]
+    fn of(self, a: u64) -> u64 {
+        let low = self.m.wrapping_mul(u128::from(a));
+        // The high 64 bits of the 192-bit product `low · d`.
+        let d = u128::from(self.d);
+        let bottom = (u128::from(low as u64) * d) >> 64;
+        let top = (low >> 64) * d;
+        ((bottom + top) >> 64) as u64
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chameleon_simnet::faults::splitmix64;
+    use rand::seq::SliceRandom;
 
     #[test]
     fn random_placement_is_valid_and_deterministic() {
@@ -224,7 +265,10 @@ mod tests {
         // Every seeded simulation, CSV and pin digest hangs off this.
         for (nodes, n, stripes, strategy) in [
             (20, 14, 86, PlacementStrategy::Random(0xC0DE)),
+            (20, 14, 86, PlacementStrategy::Random(1)),
+            (14, 14, 60, PlacementStrategy::Random(0xC0DE)),
             (1000, 14, 4286, PlacementStrategy::Random(0xC0DE)),
+            (1024, 14, 600, PlacementStrategy::Random(0xC0DE)),
         ] {
             let old = per_stripe_layout(nodes, n, stripes, strategy);
             let mut new = Placement::new(nodes, n, stripes, strategy);
@@ -244,9 +288,10 @@ mod tests {
                 .filter(|c| old[c.stripe][c.index] == 3)
                 .collect();
             assert_eq!(new.chunks_on(3), on_three);
-            let free = (0..nodes)
-                .find(|node| !old[last.stripe].contains(node))
-                .expect("nodes > n");
+            let Some(free) = (0..nodes).find(|node| !old[last.stripe].contains(node)) else {
+                assert_eq!(nodes, n, "only a full-width stripe leaves no node free");
+                continue;
+            };
             new.relocate(last, free);
             assert_eq!(new.node_of(last), free);
             assert_eq!(
@@ -254,6 +299,22 @@ mod tests {
                 old[last.stripe][..n - 1]
             );
             assert!(new.chunks_on(free).contains(&last) && new.is_valid());
+        }
+    }
+
+    #[test]
+    fn reciprocal_remainders_are_exact() {
+        let divisors = (1..=4096)
+            .chain((0..64).map(|p| 1 << p))
+            .chain([u64::from(u32::MAX), u64::MAX]);
+        let mut state = 0x5EED;
+        for d in divisors {
+            let rem = Remainder::new(d);
+            let edges = [0, 1, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1];
+            let words = (0..1000).map(|_| splitmix64(&mut state));
+            for a in edges.into_iter().chain(words) {
+                assert_eq!(rem.of(a), a % d, "{a} % {d}");
+            }
         }
     }
 

@@ -68,6 +68,20 @@ impl Zipfian {
     }
 }
 
+#[cfg(test)]
+impl Zipfian {
+    /// Every field's bits, for comparing two distributions exactly.
+    pub(crate) fn bits(&self) -> [u64; 5] {
+        [
+            self.n,
+            self.theta.to_bits(),
+            self.alpha.to_bits(),
+            self.zetan.to_bits(),
+            self.eta.to_bits(),
+        ]
+    }
+}
+
 /// A Pareto (power-law) distribution with scale `xm` and shape `alpha`.
 ///
 /// Used for Facebook ETC value sizes (Atikoglu et al., SIGMETRICS 2012).

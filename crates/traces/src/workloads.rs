@@ -1,5 +1,7 @@
 //! The four trace families from the paper's evaluation.
 
+use std::sync::LazyLock;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -87,13 +89,20 @@ impl std::fmt::Display for TraceKind {
 /// 20-node cluster.
 const KEY_SPACE: u64 = 10_000;
 
+// Each trace's key popularity. The key space and skews are constants, so a
+// normalisation (a sum of `KEY_SPACE` powers) is computed once per process
+// and every generator borrows it; a client costs its seed, not its keys.
+static YCSB_KEYS: LazyLock<Zipfian> = LazyLock::new(|| Zipfian::new(KEY_SPACE, 0.99));
+static IBM_KEYS: LazyLock<Zipfian> = LazyLock::new(|| Zipfian::new(KEY_SPACE, 0.9));
+static TWITTER_KEYS: LazyLock<Zipfian> = LazyLock::new(|| Zipfian::new(KEY_SPACE, 0.95));
+
 /// YCSB workload A: 50% reads, 50% updates, 512 KB values, Zipfian
 /// (α = 0.99) key popularity — the paper's default foreground load
 /// (§V-A).
 #[derive(Debug)]
 pub struct YcsbA {
     rng: StdRng,
-    keys: Zipfian,
+    keys: &'static Zipfian,
 }
 
 impl YcsbA {
@@ -101,7 +110,7 @@ impl YcsbA {
     pub fn new(seed: u64) -> Self {
         YcsbA {
             rng: StdRng::seed_from_u64(seed),
-            keys: Zipfian::new(KEY_SPACE, 0.99),
+            keys: &YCSB_KEYS,
         }
     }
 }
@@ -128,7 +137,7 @@ impl Workload for YcsbA {
 #[derive(Debug)]
 pub struct IbmObjectStore {
     rng: StdRng,
-    keys: Zipfian,
+    keys: &'static Zipfian,
     sizes: LogNormal,
 }
 
@@ -142,7 +151,7 @@ impl IbmObjectStore {
     pub fn new(seed: u64) -> Self {
         IbmObjectStore {
             rng: StdRng::seed_from_u64(seed),
-            keys: Zipfian::new(KEY_SPACE, 0.9),
+            keys: &IBM_KEYS,
             sizes: LogNormal::with_median(128.0 * 1024.0, 2.5),
         }
     }
@@ -172,7 +181,7 @@ impl Workload for IbmObjectStore {
 #[derive(Debug)]
 pub struct TwitterMemcached {
     rng: StdRng,
-    keys: Zipfian,
+    keys: &'static Zipfian,
     sizes: LogNormal,
 }
 
@@ -184,7 +193,7 @@ impl TwitterMemcached {
         let mu = (20_134.0f64).ln() - 0.32;
         TwitterMemcached {
             rng: StdRng::seed_from_u64(seed),
-            keys: Zipfian::new(KEY_SPACE, 0.95),
+            keys: &TWITTER_KEYS,
             sizes: LogNormal::new(mu, 0.8),
         }
     }
@@ -317,6 +326,52 @@ mod tests {
                 assert_eq!(a.next_request(), b.next_request(), "{kind}");
             }
             assert!(!kind.name().is_empty());
+        }
+    }
+
+    /// Each shared key distribution is the one its generator used to build
+    /// per client: every field bit for bit, and the requests it draws.
+    #[test]
+    fn shared_key_distributions_are_the_per_client_ones_bit_for_bit() {
+        let fresh = |theta: f64| -> &'static Zipfian {
+            Box::leak(Box::new(Zipfian::new(KEY_SPACE, theta)))
+        };
+        for (shared, theta) in [(&YCSB_KEYS, 0.99), (&IBM_KEYS, 0.9), (&TWITTER_KEYS, 0.95)] {
+            assert_eq!(shared.bits(), fresh(theta).bits(), "theta {theta}");
+        }
+        for seed in [1, 7, 0xDEAD_BEEF] {
+            let pairs: [(Box<dyn Workload>, Box<dyn Workload>); 3] = [
+                (
+                    Box::new(YcsbA::new(seed)),
+                    Box::new(YcsbA {
+                        keys: fresh(0.99),
+                        ..YcsbA::new(seed)
+                    }),
+                ),
+                (
+                    Box::new(IbmObjectStore::new(seed)),
+                    Box::new(IbmObjectStore {
+                        keys: fresh(0.9),
+                        ..IbmObjectStore::new(seed)
+                    }),
+                ),
+                (
+                    Box::new(TwitterMemcached::new(seed)),
+                    Box::new(TwitterMemcached {
+                        keys: fresh(0.95),
+                        ..TwitterMemcached::new(seed)
+                    }),
+                ),
+            ];
+            for (mut shared, mut own) in pairs {
+                for draw in 0..10_000 {
+                    assert_eq!(
+                        shared.next_request(),
+                        own.next_request(),
+                        "seed {seed} draw {draw}"
+                    );
+                }
+            }
         }
     }
 
