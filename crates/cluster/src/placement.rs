@@ -63,29 +63,56 @@ impl Placement {
     ///
     /// Panics if `nodes < n` (a stripe cannot fit) or `n == 0`.
     pub fn new(nodes: usize, n: usize, stripes: usize, strategy: PlacementStrategy) -> Self {
+        let draws = stripes as u64 * (nodes as u64).saturating_sub(1);
+        let segments = if draws < 2 * MIN_DRAWS_PER_SEGMENT {
+            1
+        } else {
+            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
+            cores.min((draws / MIN_DRAWS_PER_SEGMENT) as usize)
+        };
+        Self::with_segments(nodes, n, stripes, strategy, segments)
+    }
+
+    /// [`Placement::new`] with the stripes cut into `segments` runs of
+    /// consecutive stripes, drawn concurrently. The layout does not depend
+    /// on `segments`.
+    fn with_segments(
+        nodes: usize,
+        n: usize,
+        stripes: usize,
+        strategy: PlacementStrategy,
+        segments: usize,
+    ) -> Self {
         assert!(n > 0, "stripe width must be positive");
         assert!(nodes >= n, "need at least n nodes to place a stripe");
         let PlacementStrategy::Random(seed) = strategy;
-        let mut chunk_node = Vec::with_capacity(stripes * n);
-        let mut rng = StdRng::seed_from_u64(seed);
+        let rng = StdRng::seed_from_u64(seed);
         // A stripe is the first n of a full Fisher–Yates permutation of
         // 0..nodes, drawn as the vendored `rand` permutes a slice: for i from
         // nodes − 1 down to 1, swap i with `next_u64() % (i + 1)`. It always
         // starts from the identity and draws for all `nodes` positions, so
-        // the RNG stream — and with it every seeded placement — does not
-        // depend on `n`. Every stripe divides by the same bounds 2..=nodes,
-        // so each bound gets one exact reciprocal, here, instead of a 64-bit
-        // divide per draw (`bounds[i]` is i + 1's).
-        let bounds: Vec<Remainder> = (1..=nodes as u64).map(Remainder::new).collect();
-        let mut pick: Vec<NodeId> = Vec::with_capacity(nodes);
-        for _ in 0..stripes {
-            pick.clear();
-            pick.extend(0..nodes);
-            for (i, bound) in bounds.iter().enumerate().skip(1).rev() {
-                pick.swap(i, bound.of(rng.next_u64()) as usize);
+        // each stripe takes exactly nodes − 1 draws of one seeded stream, and
+        // neither the stream nor any seeded placement depends on `n`. Stripe
+        // `a` therefore starts `a × (nodes − 1)` draws into the stream, which
+        // is where each segment jumps to. Every stripe divides by the same
+        // bounds 1..=nodes, so each bound gets one exact reciprocal, here,
+        // instead of a 64-bit divide per draw (`bounds[i]` is i + 1's).
+        let bounds: Vec<Barrett> = (1..=nodes as u64).map(Barrett::new).collect();
+        let mut chunk_node = vec![0; stripes * n];
+        let segments = segments.clamp(1, stripes.max(1));
+        std::thread::scope(|scope| {
+            // Segment s holds stripes stripes·s/segments.. up to the next
+            // segment's first; cut them off the back, the first stays here.
+            let mut rest = chunk_node.as_mut_slice();
+            for s in (1..segments).rev() {
+                let first = stripes * s / segments;
+                let (head, piece) = rest.split_at_mut(first * n);
+                rest = head;
+                let (rng, bounds) = (rng.clone(), &bounds);
+                scope.spawn(move || draw_stripes(rng, first, piece, bounds, n));
             }
-            chunk_node.extend_from_slice(&pick[..n]);
-        }
+            draw_stripes(rng, 0, rest, &bounds, n);
+        });
         Placement {
             nodes,
             n,
@@ -178,36 +205,58 @@ impl Placement {
     }
 }
 
-/// `a % d` for one fixed `d` by multiplications alone: "Faster Remainder by
-/// Direct Computation" (Lemire, Kaser and Kurz, 2019). With
-/// `m = ⌊(2¹²⁸ − 1) / d⌋ + 1`, `a % d` is the high 64 bits of
-/// `(m · a mod 2¹²⁸) · d`; a 128-bit fraction (≥ 64 + log₂ d bits) makes
-/// that exact for every `u64` `a` and every `d ≥ 1` (`m` wraps to 0 at
-/// `d = 1`, and every remainder by 1 is 0).
+/// Fewest draws worth a thread of their own in [`Placement::new`]: about a
+/// millisecond of draws, against tens of microseconds to spawn the thread
+/// and jump its stream. Below twice this, a layout is one inline segment
+/// that neither jumps nor spawns — every 20-node layout is.
+const MIN_DRAWS_PER_SEGMENT: u64 = 1 << 20;
+
+/// Draws stripes `first..` into `out` (`n` ids a stripe) from the seeded
+/// stream `rng`, jumped past the `first × (nodes − 1)` draws of the stripes
+/// before them.
+fn draw_stripes(mut rng: StdRng, first: usize, out: &mut [NodeId], bounds: &[Barrett], n: usize) {
+    let nodes = bounds.len();
+    rng.advance(first as u64 * (nodes as u64 - 1));
+    let mut pick: Vec<NodeId> = Vec::with_capacity(nodes);
+    for stripe in out.chunks_exact_mut(n) {
+        pick.clear();
+        pick.extend(0..nodes);
+        for (i, bound) in bounds.iter().enumerate().skip(1).rev() {
+            pick.swap(i, bound.of(rng.next_u64()) as usize);
+        }
+        stripe.copy_from_slice(&pick[..n]);
+    }
+}
+
+/// `a % d` for one fixed `d` by one 64 × 64 → 128-bit multiplication:
+/// Barrett reduction with `m = ⌊(2⁶⁴ − 1) / d⌋`. Write 2⁶⁴ − 1 = m·d + ρ
+/// with 0 ≤ ρ < d. Then 2⁶⁴ − m·d = ρ + 1 ≤ d, so the quotient estimate
+/// `q = ⌊a·m / 2⁶⁴⌋` is at most ⌊a / d⌋ and misses a / d by
+/// a·(ρ + 1) / (d·2⁶⁴) ≤ a / 2⁶⁴ < 1: q is ⌊a / d⌋ or one less, and
+/// `a − q·d` lies in `[0, 2d)`. One conditional subtraction makes it exact
+/// for every `u64` `a` and every `d ≥ 1`.
 #[derive(Clone, Copy)]
-struct Remainder {
-    m: u128,
+struct Barrett {
+    m: u64,
     d: u64,
 }
 
-impl Remainder {
+impl Barrett {
     fn new(d: u64) -> Self {
         assert!(d > 0, "remainder by zero");
-        Remainder {
-            m: (u128::MAX / u128::from(d)).wrapping_add(1),
-            d,
-        }
+        Barrett { m: u64::MAX / d, d }
     }
 
     /// `a % d`.
     #[inline]
     fn of(self, a: u64) -> u64 {
-        let low = self.m.wrapping_mul(u128::from(a));
-        // The high 64 bits of the 192-bit product `low · d`.
-        let d = u128::from(self.d);
-        let bottom = (u128::from(low as u64) * d) >> 64;
-        let top = (low >> 64) * d;
-        ((bottom + top) >> 64) as u64
+        let q = ((u128::from(a) * u128::from(self.m)) >> 64) as u64;
+        let r = a - q * self.d;
+        if r >= self.d {
+            r - self.d
+        } else {
+            r
+        }
     }
 }
 
@@ -268,6 +317,7 @@ mod tests {
             (20, 14, 86, PlacementStrategy::Random(1)),
             (14, 14, 60, PlacementStrategy::Random(0xC0DE)),
             (1000, 14, 4286, PlacementStrategy::Random(0xC0DE)),
+            (1000, 14, 4287, PlacementStrategy::Random(0xC0DE)),
             (1024, 14, 600, PlacementStrategy::Random(0xC0DE)),
         ] {
             let old = per_stripe_layout(nodes, n, stripes, strategy);
@@ -302,6 +352,32 @@ mod tests {
         }
     }
 
+    /// Each segment jumps the stream to its first stripe, so cutting the
+    /// stripes into any number of segments gives the one-stream layout:
+    /// more segments than stripes, one stripe, none, full-width stripes and
+    /// odd stripe counts included.
+    #[test]
+    fn the_layout_does_not_depend_on_the_segment_count() {
+        let strategy = PlacementStrategy::Random(0xC0DE);
+        for (nodes, n, stripes) in [
+            (20, 14, 86),
+            (20, 14, 3),
+            (20, 14, 1),
+            (10, 4, 0),
+            (14, 14, 61),
+            (101, 6, 37),
+        ] {
+            let old = per_stripe_layout(nodes, n, stripes, strategy);
+            for segments in 1..=5 {
+                let new = Placement::with_segments(nodes, n, stripes, strategy, segments);
+                assert_eq!(new.stripes(), stripes);
+                for (s, row) in old.iter().enumerate() {
+                    assert_eq!(new.stripe_nodes(s), row, "{segments} segments, stripe {s}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn reciprocal_remainders_are_exact() {
         let divisors = (1..=4096)
@@ -309,7 +385,7 @@ mod tests {
             .chain([u64::from(u32::MAX), u64::MAX]);
         let mut state = 0x5EED;
         for d in divisors {
-            let rem = Remainder::new(d);
+            let rem = Barrett::new(d);
             let edges = [0, 1, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1];
             let words = (0..1000).map(|_| splitmix64(&mut state));
             for a in edges.into_iter().chain(words) {
