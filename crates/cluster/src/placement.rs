@@ -205,10 +205,11 @@ impl Placement {
     }
 }
 
-/// Fewest draws worth a thread of their own in [`Placement::new`]: about a
-/// millisecond of draws, against tens of microseconds to spawn the thread
-/// and jump its stream. Below twice this, a layout is one inline segment
-/// that neither jumps nor spawns — every 20-node layout is.
+/// Fewest draws worth a thread of their own in [`Placement::new`]: about
+/// 3 ms of draws on one core, against tens of microseconds to spawn the
+/// thread and jump its stream. Below twice this, a layout is one inline
+/// segment that neither jumps nor spawns, and `available_parallelism`
+/// (which reads the cgroup limits) is not asked — every 20-node layout is.
 const MIN_DRAWS_PER_SEGMENT: u64 = 1 << 20;
 
 /// Draws stripes `first..` into `out` (`n` ids a stripe) from the seeded
