@@ -1,5 +1,7 @@
 //! Stripe-to-node placement.
 
+use std::sync::{Arc, Mutex, PoisonError};
+
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -52,66 +54,51 @@ pub enum PlacementStrategy {
 pub struct Placement {
     nodes: usize,
     n: usize,
-    /// `chunk_node[stripe * n + index]` = node.
-    chunk_node: Vec<NodeId>,
+    /// `chunk_node[stripe * n + index]` = node; shared with the process's
+    /// other placements of the same arguments until a relocation.
+    chunk_node: Arc<Vec<NodeId>>,
 }
 
 impl Placement {
     /// Lays out `stripes` stripes of width `n` across `nodes` nodes.
     ///
+    /// A layout is a pure function of the four arguments, and the cells of
+    /// a grid (or the passes of a benchmark) stage the same configuration
+    /// over and over, so the process keeps the last layout drawn and a call
+    /// with the same arguments shares it instead of drawing it again. The
+    /// first [`relocate`](Placement::relocate) on a shared layout copies
+    /// it, so no placement sees another's moves.
+    ///
     /// # Panics
     ///
     /// Panics if `nodes < n` (a stripe cannot fit) or `n == 0`.
     pub fn new(nodes: usize, n: usize, stripes: usize, strategy: PlacementStrategy) -> Self {
-        let draws = stripes as u64 * (nodes as u64).saturating_sub(1);
-        let segments = if draws < 2 * MIN_DRAWS_PER_SEGMENT {
-            1
-        } else {
-            let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-            cores.min((draws / MIN_DRAWS_PER_SEGMENT) as usize)
-        };
-        Self::with_segments(nodes, n, stripes, strategy, segments)
+        static LAST: LastLayout = Mutex::new(None);
+        Self::shared(&LAST, nodes, n, stripes, strategy)
     }
 
-    /// [`Placement::new`] with the stripes cut into `segments` runs of
-    /// consecutive stripes, drawn concurrently. The layout does not depend
-    /// on `segments`.
-    fn with_segments(
+    /// [`Placement::new`] against the one-entry cache `last`.
+    fn shared(
+        last: &LastLayout,
         nodes: usize,
         n: usize,
         stripes: usize,
         strategy: PlacementStrategy,
-        segments: usize,
     ) -> Self {
         assert!(n > 0, "stripe width must be positive");
         assert!(nodes >= n, "need at least n nodes to place a stripe");
-        let PlacementStrategy::Random(seed) = strategy;
-        let rng = StdRng::seed_from_u64(seed);
-        // A stripe is the first n of a full Fisher–Yates permutation of
-        // 0..nodes, drawn as the vendored `rand` permutes a slice: for i from
-        // nodes − 1 down to 1, swap i with `next_u64() % (i + 1)`. It always
-        // starts from the identity and draws for all `nodes` positions, so
-        // each stripe takes exactly nodes − 1 draws of one seeded stream, and
-        // neither the stream nor any seeded placement depends on `n`. Stripe
-        // `a` therefore starts `a × (nodes − 1)` draws into the stream, which
-        // is where each segment jumps to. Every stripe divides by the same
-        // bounds 1..=nodes, so each bound gets one exact reciprocal, here,
-        // instead of a 64-bit divide per draw (`bounds[i]` is i + 1's).
-        let bounds: Vec<Barrett> = (1..=nodes as u64).map(Barrett::new).collect();
-        let mut chunk_node = vec![0; stripes * n];
-        let segments = segments.clamp(1, stripes.max(1));
-        std::thread::scope(|scope| {
-            // Segment s holds stripes stripes·s/segments.. up to the next
-            // segment's first; cut them off the back, the first stays here.
-            let mut rest = chunk_node.as_mut_slice();
-            for s in (1..segments).rev() {
-                let first = stripes * s / segments;
-                let (head, piece) = rest.split_at_mut(first * n);
-                rest = head;
-                let (rng, bounds) = (rng.clone(), &bounds);
-                scope.spawn(move || draw_stripes(rng, first, piece, bounds, n));
-            }
-            draw_stripes(rng, 0, rest, &bounds, n);
+        let key = (nodes, n, stripes, strategy);
+        let lock = || last.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = lock()
+            .as_ref()
+            .filter(|(drawn, _)| *drawn == key)
+            .map(|(_, layout)| Arc::clone(layout));
+        // Drawn outside the lock: two threads that miss on one key both
+        // draw it, and either result is the same layout.
+        let chunk_node = hit.unwrap_or_else(|| {
+            let layout = Arc::new(draw(nodes, n, stripes, strategy));
+            *lock() = Some((key, Arc::clone(&layout)));
+            layout
         });
         Placement {
             nodes,
@@ -176,7 +163,7 @@ impl Placement {
     /// the stripe's fault tolerance).
     pub fn relocate(&mut self, chunk: ChunkId, node: NodeId) {
         assert!(node < self.nodes, "node out of range");
-        let stripe = &mut self.chunk_node[chunk.stripe * self.n..][..self.n];
+        let stripe = &mut Arc::make_mut(&mut self.chunk_node)[chunk.stripe * self.n..][..self.n];
         assert!(
             stripe
                 .iter()
@@ -205,28 +192,33 @@ impl Placement {
     }
 }
 
-/// Fewest draws worth a thread of their own in [`Placement::new`]: about
-/// 3 ms of draws on one core, against tens of microseconds to spawn the
-/// thread and jump its stream. Below twice this, a layout is one inline
-/// segment that neither jumps nor spawns, and `available_parallelism`
-/// (which reads the cgroup limits) is not asked — every 20-node layout is.
-const MIN_DRAWS_PER_SEGMENT: u64 = 1 << 20;
+/// The arguments of the last layout drawn, and that layout.
+type LastLayout = Mutex<Option<((usize, usize, usize, PlacementStrategy), Arc<Vec<NodeId>>)>>;
 
-/// Draws stripes `first..` into `out` (`n` ids a stripe) from the seeded
-/// stream `rng`, jumped past the `first × (nodes − 1)` draws of the stripes
-/// before them.
-fn draw_stripes(mut rng: StdRng, first: usize, out: &mut [NodeId], bounds: &[Barrett], n: usize) {
-    let nodes = bounds.len();
-    rng.advance(first as u64 * (nodes as u64 - 1));
+/// Draws the `stripes × n` flat layout.
+fn draw(nodes: usize, n: usize, stripes: usize, strategy: PlacementStrategy) -> Vec<NodeId> {
+    let PlacementStrategy::Random(seed) = strategy;
+    let mut chunk_node = Vec::with_capacity(stripes * n);
+    let mut rng = StdRng::seed_from_u64(seed);
+    // A stripe is the first n of a full Fisher–Yates permutation of
+    // 0..nodes, drawn as the vendored `rand` permutes a slice: for i from
+    // nodes − 1 down to 1, swap i with `next_u64() % (i + 1)`. It always
+    // starts from the identity and draws for all `nodes` positions, so
+    // the RNG stream — and with it every seeded placement — does not
+    // depend on `n`. Every stripe divides by the same bounds 1..=nodes,
+    // so each bound gets one exact reciprocal, here, instead of a 64-bit
+    // divide per draw (`bounds[i]` is i + 1's).
+    let bounds: Vec<Barrett> = (1..=nodes as u64).map(Barrett::new).collect();
     let mut pick: Vec<NodeId> = Vec::with_capacity(nodes);
-    for stripe in out.chunks_exact_mut(n) {
+    for _ in 0..stripes {
         pick.clear();
         pick.extend(0..nodes);
         for (i, bound) in bounds.iter().enumerate().skip(1).rev() {
             pick.swap(i, bound.of(rng.next_u64()) as usize);
         }
-        stripe.copy_from_slice(&pick[..n]);
+        chunk_node.extend_from_slice(&pick[..n]);
     }
+    chunk_node
 }
 
 /// `a % d` for one fixed `d` by one 64 × 64 → 128-bit multiplication:
@@ -353,29 +345,50 @@ mod tests {
         }
     }
 
-    /// Each segment jumps the stream to its first stripe, so cutting the
-    /// stripes into any number of segments gives the one-stream layout:
-    /// more segments than stripes, one stripe, none, full-width stripes and
-    /// odd stripe counts included.
+    /// The cache hands a layout out again only for the same four
+    /// arguments: a call differing in any one of them gets its own draw,
+    /// and a repeat shares the last draw, which a relocation on one copy
+    /// does not reach.
     #[test]
-    fn the_layout_does_not_depend_on_the_segment_count() {
-        let strategy = PlacementStrategy::Random(0xC0DE);
-        for (nodes, n, stripes) in [
-            (20, 14, 86),
-            (20, 14, 3),
-            (20, 14, 1),
-            (10, 4, 0),
-            (14, 14, 61),
-            (101, 6, 37),
-        ] {
+    fn a_layout_is_shared_only_with_its_own_arguments() {
+        let last: LastLayout = Mutex::new(None);
+        let seed = PlacementStrategy::Random(0xC0DE);
+        let keys = [
+            (20, 14, 86, seed),
+            (20, 14, 86, seed),
+            (20, 14, 85, seed),
+            (20, 13, 86, seed),
+            (21, 14, 86, seed),
+            (20, 14, 86, PlacementStrategy::Random(1)),
+            (20, 14, 0, seed),
+            (20, 14, 86, seed),
+            (1000, 14, 4286, seed),
+        ];
+        let mut previous: Option<(_, Placement)> = None;
+        for key @ (nodes, n, stripes, strategy) in keys {
             let old = per_stripe_layout(nodes, n, stripes, strategy);
-            for segments in 1..=5 {
-                let new = Placement::with_segments(nodes, n, stripes, strategy, segments);
-                assert_eq!(new.stripes(), stripes);
-                for (s, row) in old.iter().enumerate() {
-                    assert_eq!(new.stripe_nodes(s), row, "{segments} segments, stripe {s}");
-                }
+            let mut new = Placement::shared(&last, nodes, n, stripes, strategy);
+            assert_eq!((new.node_count(), new.stripe_width()), (nodes, n));
+            assert_eq!(new.stripes(), stripes, "{key:?}");
+            for (s, row) in old.iter().enumerate() {
+                assert_eq!(new.stripe_nodes(s), row, "{key:?} stripe {s}");
             }
+            if let Some((drawn, before)) = &previous {
+                let shared = Arc::ptr_eq(&before.chunk_node, &new.chunk_node);
+                assert_eq!(shared, *drawn == key, "{key:?} after {drawn:?}");
+            }
+            if stripes > 0 {
+                let chunk = ChunkId {
+                    stripe: 0,
+                    index: 0,
+                };
+                let free = (0..nodes).find(|node| !old[0].contains(node)).unwrap();
+                new.relocate(chunk, free);
+                let again = Placement::shared(&last, nodes, n, stripes, strategy);
+                assert_eq!(again.stripe_nodes(0), old[0], "{key:?}");
+                assert_eq!(new.node_of(chunk), free);
+            }
+            previous = Some((key, Placement::shared(&last, nodes, n, stripes, strategy)));
         }
     }
 
