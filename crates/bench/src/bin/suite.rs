@@ -104,9 +104,9 @@ fn emit(e: &Experiment, report: &Report) {
     }
 }
 
-/// Hand-rolled JSON (the workspace deliberately has no serde dependency),
-/// in the same style as `results/BENCH_simnet.json`. `host_cpus` records
-/// the machine's available parallelism, which the timings depend on.
+/// Hand-rolled JSON (the workspace deliberately has no serde dependency).
+/// `host_cpus` records the machine's available parallelism, which the
+/// timings depend on.
 fn render_json(timings: &[(&str, f64)], scale: &Scale, jobs: usize, wall_secs: f64) -> String {
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let entries: Vec<String> = timings

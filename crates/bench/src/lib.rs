@@ -19,7 +19,6 @@
 pub mod algo;
 pub mod experiments;
 pub mod flags;
-pub mod gate;
 pub mod grid;
 pub mod runner;
 pub mod scale;

@@ -267,7 +267,7 @@ pub fn run_foreground_only(
 ) -> (ForegroundReport, SimSummary) {
     let (mut run, _) = stage(code, cfg, &[], Some(spec), None, false).expect("valid cluster");
     run.drain(&mut NoRepair).unwrap_or_else(|e| panic!("{e}"));
-    let fg = run.foreground.as_ref().expect("staged with a foreground");
+    let fg = run.foreground.expect("staged with a foreground");
     (fg.report(&run.sim), SimSummary::capture(run.sim))
 }
 

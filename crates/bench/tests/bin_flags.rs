@@ -1,5 +1,5 @@
-//! `suite` and `bench_gate` answer a bad or missing flag value with a
-//! message and exit status 2, before running or reading anything else.
+//! `suite` answers a bad or missing flag value with a message and exit
+//! status 2, before running or reading anything else.
 
 use std::process::Command;
 
@@ -35,43 +35,4 @@ fn suite_rejects_every_bad_flag() {
         assert_eq!(status, Some(2), "suite {args:?}: {stderr}");
         assert!(stderr.contains(says), "suite {args:?}: {stderr}");
     }
-}
-
-/// Each path flag is tried with the other three naming a readable file, so
-/// the error must come from the flag under test.
-#[test]
-fn bench_gate_rejects_every_bad_flag() {
-    let readable = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
-    for flag in ["--current", "--baseline", "--gf-current", "--gf-baseline"] {
-        let (status, stderr) = run(env!("CARGO_BIN_EXE_bench_gate"), &[flag]);
-        assert_eq!(status, Some(2), "{flag}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{flag} needs a value")),
-            "{stderr}"
-        );
-
-        let mut args = Vec::new();
-        for other in ["--current", "--baseline", "--gf-current", "--gf-baseline"] {
-            args.extend([
-                other,
-                if other == flag {
-                    "/nonexistent/x.json"
-                } else {
-                    readable
-                },
-            ]);
-        }
-        let (status, stderr) = run(env!("CARGO_BIN_EXE_bench_gate"), &args);
-        assert_eq!(status, Some(2), "{flag}: {stderr}");
-        assert!(
-            stderr.contains(&format!("{flag}: cannot read /nonexistent/x.json")),
-            "{stderr}"
-        );
-    }
-    let (status, stderr) = run(env!("CARGO_BIN_EXE_bench_gate"), &["--gf", "x"]);
-    assert_eq!(status, Some(2), "{stderr}");
-    assert!(
-        stderr.contains("unexpected `--gf`; bench_gate takes:"),
-        "{stderr}"
-    );
 }

@@ -167,7 +167,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         outcome.throughput() / 1e6,
         sim.now().as_secs()
     );
-    if let Some(fgd) = &run.foreground {
+    if let Some(fgd) = run.foreground.take() {
         let fg_report = fgd.report(sim);
         println!("\nforeground ({clients} YCSB-A clients):");
         println!("  requests        : {}", fg_report.completed);

@@ -223,7 +223,7 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         );
         println!("  given up        : {}", rec.given_up);
     }
-    if let Some(fgd) = &run.foreground {
+    if let Some(fgd) = run.foreground.take() {
         let report = fgd.report(sim);
         println!("\nforeground ({clients} YCSB-A clients):");
         println!("  requests        : {}", report.completed);

@@ -134,6 +134,15 @@ impl ForegroundDriver {
             "cluster has too few client machines"
         );
         self.started_at = Some(sim.now().as_secs());
+        // Every completed request is one sample; an open-ended budget
+        // (`usize::MAX`) reserves nothing.
+        let budget = self
+            .clients
+            .iter()
+            .try_fold(0, |n: usize, c| n.checked_add(c.remaining));
+        if let Some(budget) = budget.filter(|&b| b < usize::MAX) {
+            self.latencies.reserve_exact(budget);
+        }
         for c in 0..self.clients.len() {
             self.issue_next(cluster, sim, c);
         }
@@ -233,10 +242,11 @@ impl ForegroundDriver {
         self.requests_in_flight
     }
 
-    /// The report so far (final once [`ForegroundDriver::is_done`]).
-    pub fn report(&self, _sim: &Simulator) -> ForegroundReport {
-        // One sort of the latency vector serves every percentile.
-        let latency = LatencySummary::from_samples(&self.latencies);
+    /// The report, read once at the end of a run (final once
+    /// [`ForegroundDriver::is_done`]); it sorts the driver's own latency
+    /// samples in place, so it consumes the driver.
+    pub fn report(mut self, _sim: &Simulator) -> ForegroundReport {
+        let latency = LatencySummary::sort_and_summarize(&mut self.latencies);
         ForegroundReport {
             completed: self.latencies.len(),
             mean_latency: latency.map_or(0.0, |l| l.mean),

@@ -22,13 +22,9 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
     if samples.is_empty() {
         return None;
     }
-    Some(nearest_rank(&sorted_copy(samples), p))
-}
-
-fn sorted_copy(samples: &[f64]) -> Vec<f64> {
     let mut sorted = samples.to_vec();
     sorted.sort_by(f64::total_cmp);
-    sorted
+    Some(nearest_rank(&sorted, p))
 }
 
 /// The nearest-rank `p`-quantile of a non-empty ascending sample.
@@ -91,16 +87,22 @@ impl LatencySummary {
     /// Summarizes `samples`; `None` for an empty set (there is no honest
     /// percentile of nothing).
     pub fn from_samples(samples: &[f64]) -> Option<Self> {
+        Self::sort_and_summarize(&mut samples.to_vec())
+    }
+
+    /// [`LatencySummary::from_samples`] without the copy: the mean is summed
+    /// in the samples' order, then one in-place sort serves all four ranks
+    /// and leaves `samples` ascending.
+    pub(crate) fn sort_and_summarize(samples: &mut [f64]) -> Option<Self> {
         let mean = mean(samples)?;
-        // One sort serves all four ranks.
-        let sorted = sorted_copy(samples);
+        samples.sort_by(f64::total_cmp);
         Some(LatencySummary {
             count: samples.len(),
             mean,
-            p50: nearest_rank(&sorted, 0.50),
-            p95: nearest_rank(&sorted, 0.95),
-            p99: nearest_rank(&sorted, 0.99),
-            max: nearest_rank(&sorted, 1.0),
+            p50: nearest_rank(samples, 0.50),
+            p95: nearest_rank(samples, 0.95),
+            p99: nearest_rank(samples, 0.99),
+            max: nearest_rank(samples, 1.0),
         })
     }
 }

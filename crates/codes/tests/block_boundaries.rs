@@ -12,6 +12,8 @@
 
 use chameleon_codes::{Butterfly, ErasureCode, Lrc, ReedSolomon, RepairRequirement};
 use chameleon_gf::scalar;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 const LENGTHS: [usize; 17] = [
     0,
@@ -35,14 +37,10 @@ const LENGTHS: [usize; 17] = [
 
 /// Deterministic pseudo-random data chunks.
 fn make_data(k: usize, len: usize) -> Vec<Vec<u8>> {
-    let mut state = 0x9E37_79B9_7F4A_7C15u64 ^ len as u64;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 56) as u8
-    };
-    (0..k).map(|_| (0..len).map(|_| next()).collect()).collect()
+    let mut rng = StdRng::seed_from_u64(len as u64);
+    (0..k)
+        .map(|_| (0..len).map(|_| rng.gen()).collect())
+        .collect()
 }
 
 fn encode(code: &dyn ErasureCode, data: &[Vec<u8>]) -> Vec<Vec<u8>> {

@@ -3,29 +3,21 @@
 
 use chameleon_codes::{Butterfly, CodeError, ErasureCode, Lrc, ReedSolomon, RepairRequirement};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 /// Deterministic pseudo-random data chunks from a seed.
 fn make_data(k: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 56) as u8
-    };
-    (0..k).map(|_| (0..len).map(|_| next()).collect()).collect()
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..k)
+        .map(|_| (0..len).map(|_| rng.gen()).collect())
+        .collect()
 }
 
 fn erase(n: usize, count: usize, seed: u64) -> Vec<usize> {
     let mut order: Vec<usize> = (0..n).collect();
-    let mut state = seed | 1;
-    for i in (1..order.len()).rev() {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let j = (state >> 33) as usize % (i + 1);
-        order.swap(i, j);
-    }
+    order.shuffle(&mut StdRng::seed_from_u64(seed));
     order.truncate(count);
     order
 }

@@ -555,7 +555,7 @@ mod tests {
     use super::*;
     use crate::baseline::{PlanShape, StaticRepairDriver};
     use crate::chameleon::{ChameleonConfig, ChameleonDriver};
-    use crate::run::{stop_if, Routed, Run};
+    use crate::run::{Routed, Run};
 
     /// Calls the generic `$check(name, constructor)` for CR, PPR, ECPipe,
     /// their RepairBoost variants, ChameleonEC, ETRP and ChameleonEC-IO.
@@ -595,28 +595,31 @@ mod tests {
         (make(ctx.clone()), Run::new(ctx), lost)
     }
 
-    /// Runs the product loop (under `faults`, if any) until the campaign is
-    /// done and every fault has fired, asserting that only the queued abort
-    /// notices of an attempt already torn down go unclaimed; then checks
-    /// the driver left no live timer behind — with it detached, nothing
-    /// fires any more — and lost track of no chunk.
+    /// Runs the product loop (under `faults`, if any) until nothing is left
+    /// to fire, asserting that only the queued abort notices of an attempt
+    /// already torn down go unclaimed and that, while the campaign is done,
+    /// only a fault fires: it left no live timer or flow behind. Then checks
+    /// it lost track of no chunk.
     fn run_to_done<P: Planner>(
         driver: &mut Campaign<P>,
         run: &mut Run,
         faults: Option<&FaultPlan>,
     ) -> RepairOutcome {
         run.injector = faults.map(|plan| plan.inject(&mut run.sim));
-        run.run(driver, |run, driver, ev, routed| {
+        let mut done = false;
+        run.run(driver, |_, driver, ev, routed| {
             let aborted =
                 matches!(ev, Event::FlowCompleted { outcome, .. } if !outcome.is_delivered());
             assert!(routed != Routed::Unclaimed || aborted, "nobody owns {ev:?}");
-            stop_if(driver.is_done() && run.injector.as_ref().is_none_or(|i| i.pending() == 0))
+            let name = driver.name();
+            assert!(!done || routed == Routed::Fault, "{name} left {ev:?}");
+            done = driver.is_done();
+            ControlFlow::Continue(())
         })
         .unwrap_or_else(|e| panic!("{} stuck ({e}): {driver:?}", driver.name()));
         let sim = &mut run.sim;
         assert_eq!(driver.stall_timer, None);
         assert!(driver.retry_timers.is_empty());
-        assert_eq!(sim.next_event(), None, "{} left a timer", driver.name());
         let outcome = driver.outcome(sim);
         assert_eq!(outcome.given_up_chunks.len(), driver.skipped());
         assert_eq!(

@@ -570,6 +570,7 @@ mod tests {
     use crate::plan::Participant;
     use chameleon_cluster::ChunkId;
     use chameleon_gf::Gf256;
+    use chameleon_simnet::faults::splitmix64;
     use chameleon_simnet::{NodeCaps, NodeId, SimConfig};
 
     const MB: u64 = 1 << 20;
@@ -885,11 +886,7 @@ mod tests {
 
     impl Script {
         fn next(&mut self, bound: usize) -> usize {
-            self.state = self
-                .state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((self.state >> 33) as usize) % bound
+            ((splitmix64(&mut self.state) >> 33) as usize) % bound
         }
     }
 

@@ -1035,12 +1035,12 @@ mod tests {
     }
 
     /// Every flat JSON line the product writes reads back, value for value,
-    /// through the workspace's one field reader — the trace, span and ledger
-    /// lines (no space after the colon) and the `BENCH_*` level lines (one).
+    /// through the workspace's one field reader: the trace, span and ledger
+    /// lines.
     #[test]
     fn every_json_line_the_product_writes_reads_back_through_the_field_reader() {
         use crate::metrics::{GivenUpChunk, RepairSpan};
-        use chameleon_simnet::trace::{field, num, text};
+        use chameleon_simnet::trace::{num, text};
         use chameleon_simnet::{AbortCause, EngineProfile, TraceEvent, TraceEventKind, Traffic};
 
         let aborted = TraceEventKind::Aborted {
@@ -1171,22 +1171,6 @@ mod tests {
             entries += 1;
         }
         assert!(entries > 0 && lines.next().is_none());
-
-        // The benches' level lines, as committed in the gate baselines.
-        let gf = include_str!("../../../results/BENCH_gf.baseline.json");
-        let line = gf.lines().find(|l| field(l, "len").is_some()).unwrap();
-        assert!(
-            text(line, "kernel").is_some_and(|k| !k.is_empty()),
-            "{line}"
-        );
-        assert!(matches!(field(line, "active"), Some("true" | "false")));
-        assert!(num(line, "combine10_mbps").is_some_and(|v| v > 0.0));
-        let simnet = include_str!("../../../results/BENCH_simnet.baseline.json");
-        let line = simnet.lines().find(|l| field(l, "topology").is_some());
-        let line = line.expect("the spine level");
-        assert_eq!(text(line, "topology"), Some("spine"));
-        assert_eq!(num(line, "nodes"), Some(1000.0));
-        assert!(num(line, "indexed_events_per_sec").is_some_and(|v| v > 0.0));
     }
 
     #[test]

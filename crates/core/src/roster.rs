@@ -121,6 +121,7 @@ impl<T> IndexMut<usize> for Roster<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chameleon_simnet::faults::splitmix64;
 
     /// Mirrors the roster with a plain `Vec<(key, value)>` and checks
     /// order, key → index resolution and key recycling after every step.
@@ -131,10 +132,7 @@ mod tests {
         let mut retired: Vec<u64> = Vec::new();
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         for step in 0..2000u32 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let roll = (state >> 33) as usize;
+            let roll = (splitmix64(&mut state) >> 33) as usize;
             if model.is_empty() || (model.len() < 12 && !roll.is_multiple_of(3)) {
                 let key = roster.next_key();
                 assert!(

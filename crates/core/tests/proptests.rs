@@ -12,6 +12,7 @@ use chameleon_core::baseline::PlanShape;
 use chameleon_core::chameleon::{dispatch_chunk, establish_plan, PhaseState};
 use chameleon_core::{ExecStatus, Participant, PlanExecutor, RepairContext, RepairPlan};
 use chameleon_gf::Gf256;
+use chameleon_simnet::faults::splitmix64;
 use chameleon_simnet::{NodeCaps, SimConfig, Simulator};
 
 fn ctx(k: usize, m: usize) -> RepairContext {
@@ -86,13 +87,8 @@ proptest! {
         // Build a random in-tree: participant i (on node i) sends to a
         // random participant in (i+1..sources) or the destination.
         let dst = sources;
-        let mut state = topology_seed | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
+        let mut state = topology_seed;
+        let mut next = move || splitmix64(&mut state) >> 33;
         let participants: Vec<Participant> = (0..sources)
             .map(|i| {
                 let later = sources - i - 1;

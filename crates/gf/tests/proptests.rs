@@ -7,6 +7,9 @@ use chameleon_gf::{
     mul_slice_xor_with, scalar, xor_slice, Gf256, Matrix, MulTable,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 fn elem() -> impl Strategy<Value = Gf256> {
     any::<u8>().prop_map(Gf256::new)
@@ -101,13 +104,7 @@ proptest! {
         // selection must always be invertible (MDS property).
         let m = Matrix::cauchy(n + extra, n);
         let mut rows: Vec<usize> = (0..n + extra).collect();
-        // Deterministic shuffle from the seed.
-        let mut state = seed | 1;
-        for i in (1..rows.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            rows.swap(i, j);
-        }
+        rows.shuffle(&mut StdRng::seed_from_u64(seed));
         let sel = m.select_rows(&rows[..n]);
         let inv = sel.invert().unwrap();
         prop_assert_eq!(sel.mul(&inv).unwrap(), Matrix::identity(n));

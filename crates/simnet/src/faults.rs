@@ -638,7 +638,8 @@ impl FaultInjector {
     }
 
     /// Number of armed faults that have not fired yet.
-    pub fn pending(&self) -> usize {
+    #[cfg(test)]
+    fn pending(&self) -> usize {
         self.by_timer.len()
     }
 }

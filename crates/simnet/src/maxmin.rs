@@ -31,7 +31,8 @@ pub struct SolveOutcome {
     /// progressive-filling round ran.
     pub dirty_groups: usize,
     /// Number of resources in the re-solved sub-problem.
-    pub dirty_resources: usize,
+    #[cfg(test)]
+    dirty_resources: usize,
     /// Residents that conducting resources skipped because their previous
     /// level lies below the solve's divergence level (see "What a
     /// conducting resource skips" in the [`IncrementalSolver`] docs); a
@@ -352,7 +353,8 @@ impl IncrementalSolver {
 
     /// Whether a resource ended the last solve that touched it saturated —
     /// the flag that decides whether it conducts the next closure walk.
-    pub fn is_saturated(&self, res: usize) -> bool {
+    #[cfg(test)]
+    fn is_saturated(&self, res: usize) -> bool {
         self.resources[res].saturated
     }
 
@@ -558,6 +560,7 @@ impl IncrementalSolver {
         let outcome = SolveOutcome {
             full: self.live_groups > 0 && self.dirty_groups.len() == self.live_groups,
             dirty_groups: self.dirty_groups.len(),
+            #[cfg(test)]
             dirty_resources: self.dirty_res.len(),
             pruned_groups: self.skipped,
             retries,
@@ -902,6 +905,7 @@ impl IncrementalSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::splitmix64;
     use crate::reference;
 
     /// Full from-scratch solve of the incremental solver's live registry —
@@ -1007,7 +1011,7 @@ mod tests {
         assert_eq!(inc.rate(1).to_bits(), oracle[1].to_bits());
     }
 
-    /// Deterministic LCG-driven schedule of inserts / removals / re-weights
+    /// Deterministic seeded schedule of inserts / removals / re-weights
     /// / capacity edits — with plenty of mutations that cancel out before
     /// the next solve (remove then re-register the same group, weight down
     /// then up) — over `narrow` ordinary resources plus `wide` resources
@@ -1017,12 +1021,7 @@ mod tests {
     /// from-scratch batch solve bitwise.
     fn check_random_schedule(seed: u64, narrow: usize, wide: usize, steps: usize) {
         let mut state = seed;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
+        let mut next = move || splitmix64(&mut state) >> 33;
         let cap_of = |r: usize, roll: u64| {
             if r < narrow {
                 1.0 + (roll % 64) as f64
@@ -1485,5 +1484,268 @@ mod tests {
         groups.push((4, vec![4, 1], 1));
         inc.solve(&mut changed);
         assert_matches_oracle(&inc, &caps, &groups);
+    }
+}
+
+/// The solver's random-schedule properties: max–min invariants checked on
+/// the allocation itself, the saturation flags, and bitwise equality with
+/// the reference filling under level-colliding capacities.
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::reference::allocate_rates;
+    use proptest::prelude::*;
+
+    /// One step of a random solver schedule: what to do to `slot` if it is
+    /// free (register `cells` × `weight`) or live (`kind` picks remove /
+    /// re-weight / remove-and-re-register / a capacity edit on `res`), and
+    /// whether to solve afterwards.
+    #[derive(Debug, Clone)]
+    struct SolverOp {
+        kind: u8,
+        slot: u32,
+        cells: Vec<u32>,
+        weight: u32,
+        res: usize,
+        cap: f64,
+        solve: bool,
+    }
+
+    const SOLVER_RESOURCES: usize = 8;
+
+    fn solver_op_strategy() -> impl Strategy<Value = SolverOp> {
+        (
+            (
+                0u8..5,
+                0u32..12,
+                proptest::collection::btree_set(0..SOLVER_RESOURCES as u32, 1..=3),
+                1u32..5,
+            ),
+            // Mostly ordinary capacities, now and then a dead resource; solve
+            // after three steps in five.
+            (0..SOLVER_RESOURCES, 0u8..10, 0.5f64..100.0, 0u8..5),
+        )
+            .prop_map(
+                |((kind, slot, cells, weight), (res, dead, cap, solve))| SolverOp {
+                    kind,
+                    slot,
+                    cells: cells.into_iter().collect(),
+                    weight,
+                    res,
+                    cap: if dead == 0 { 0.0 } else { cap },
+                    solve: solve < 3,
+                },
+            )
+    }
+
+    /// Capacities that make levels collide: equal shares across resources,
+    /// exact ties between rounds, dead resources.
+    const TIE_CAPS: [f64; 8] = [0.0, 1.0, 2.0, 3.0, 4.0, 6.0, 12.0, 40.0];
+
+    /// A capacity drawn from [`TIE_CAPS`] three times in four, else uniform.
+    fn tie_cap_strategy() -> impl Strategy<Value = f64> {
+        (0usize..TIE_CAPS.len() * 4 / 3, 0.5f64..50.0).prop_map(|(i, any)| {
+            if i < TIE_CAPS.len() {
+                TIE_CAPS[i]
+            } else {
+                any
+            }
+        })
+    }
+
+    /// The max–min invariants, checked on an allocation directly (no second
+    /// implementation involved): (i) no resource is over capacity; (ii) every
+    /// group crosses a saturated resource on which no resident has a higher
+    /// rate — its bottleneck. Returns each resource's total allocation.
+    fn check_maxmin_invariants(
+        caps: &[f64],
+        groups: &[(&[u32], u32, f64)],
+    ) -> Result<Vec<f64>, TestCaseError> {
+        let mut alloc = vec![0.0f64; caps.len()];
+        let mut top = vec![0.0f64; caps.len()];
+        for &(cells, weight, rate) in groups {
+            prop_assert!(rate >= 0.0 && rate.is_finite(), "rate {rate}");
+            for &c in cells {
+                alloc[c as usize] += rate * weight as f64;
+                top[c as usize] = top[c as usize].max(rate);
+            }
+        }
+        for (r, (&a, &cap)) in alloc.iter().zip(caps).enumerate() {
+            prop_assert!(
+                a <= cap * (1.0 + 1e-9),
+                "resource {r} over capacity: {a} > {cap}"
+            );
+        }
+        for &(cells, _, rate) in groups {
+            let bottlenecked = cells.iter().any(|&c| {
+                let c = c as usize;
+                alloc[c] >= caps[c] * (1.0 - 1e-9) && rate >= top[c] * (1.0 - 1e-9)
+            });
+            prop_assert!(
+                bottlenecked,
+                "group on {cells:?} at {rate} has no bottleneck"
+            );
+        }
+        Ok(alloc)
+    }
+
+    /// The live slots of a solver schedule, ascending, as the reference
+    /// solver's flows and weights.
+    fn registry(live: &[Option<(Vec<u32>, u32)>]) -> (Vec<Vec<usize>>, Vec<u32>) {
+        live.iter()
+            .flatten()
+            .map(|(cells, weight)| (cells.iter().map(|&r| r as usize).collect(), *weight))
+            .unzip()
+    }
+
+    proptest! {
+        #[test]
+        fn solvers_keep_maxmin_invariants_under_random_schedules(
+            init_caps in proptest::collection::vec(0.5f64..100.0, SOLVER_RESOURCES),
+            ops in proptest::collection::vec(solver_op_strategy(), 1..48),
+        ) {
+            // Invariants, not a comparison: a bug shared by the incremental
+            // solver and the reference filling cannot hide here. After every
+            // solve of a random insert / re-weight / remove / re-register /
+            // `set_capacity` schedule both allocations must be feasible and give
+            // every group a bottleneck, and every saturation flag of the
+            // incremental solver must equal the flag recomputed from the
+            // registry.
+            let mut caps = init_caps;
+            let mut inc = IncrementalSolver::new();
+            inc.set_capacities(&caps);
+            let mut live: Vec<Option<(Vec<u32>, u32)>> = vec![None; 12];
+            let mut changed = Vec::new();
+            for op in &ops {
+                let s = op.slot as usize;
+                match (live[s].clone(), op.kind) {
+                    (None, _) => {
+                        inc.insert_group(op.slot, &op.cells, op.weight);
+                        live[s] = Some((op.cells.clone(), op.weight));
+                    }
+                    (Some(_), 0) => {
+                        inc.set_weight(op.slot, 0);
+                        live[s] = None;
+                    }
+                    (Some((cells, _)), 1) => {
+                        inc.set_weight(op.slot, op.weight);
+                        live[s] = Some((cells, op.weight));
+                    }
+                    (Some((cells, weight)), 2) => {
+                        // Torn down and re-registered as it was.
+                        inc.set_weight(op.slot, 0);
+                        inc.insert_group(op.slot, &cells, weight);
+                    }
+                    (Some(_), _) => {
+                        caps[op.res] = op.cap;
+                        inc.set_capacity(op.res, op.cap);
+                    }
+                }
+                if !op.solve {
+                    continue;
+                }
+                changed.clear();
+                inc.solve(&mut changed);
+                let slots: Vec<usize> = (0..live.len()).filter(|&s| live[s].is_some()).collect();
+                let shape = |s: usize| live[s].as_ref().expect("live slot");
+                let incremental: Vec<(&[u32], u32, f64)> = slots
+                    .iter()
+                    .map(|&s| (shape(s).0.as_slice(), shape(s).1, inc.rate(s as u32)))
+                    .collect();
+                let alloc = check_maxmin_invariants(&caps, &incremental)?;
+                for (r, (&a, &cap)) in alloc.iter().zip(&caps).enumerate() {
+                    prop_assert_eq!(
+                        inc.is_saturated(r),
+                        a >= cap * (1.0 - SATURATION_MARGIN),
+                        "saturation flag of resource {} (allocated {} of {})", r, a, cap
+                    );
+                }
+
+                let (cells, weights) = registry(&live);
+                let rates = allocate_rates(&caps, &cells, &weights);
+                let batched: Vec<(&[u32], u32, f64)> = slots
+                    .iter()
+                    .zip(&rates)
+                    .map(|(&s, &rate)| (shape(s).0.as_slice(), shape(s).1, rate))
+                    .collect();
+                check_maxmin_invariants(&caps, &batched)?;
+            }
+        }
+
+        #[test]
+        fn incremental_solver_is_the_batch_solver_bit_for_bit(
+            init_caps in proptest::collection::vec(tie_cap_strategy(), SOLVER_RESOURCES),
+            ops in proptest::collection::vec(
+                (solver_op_strategy(), tie_cap_strategy(), 0u8..6),
+                1..64,
+            ),
+        ) {
+            // The exactness of level-aware conduction: registries whose groups
+            // freeze at several distinct levels, with exact ties (capacities
+            // from `TIE_CAPS`), dead resources, capacity cuts and raises,
+            // weight-0 removal and same-slot re-registration, as the same shape
+            // or another. After every solve each rate, and each rate a caller
+            // following `changed` holds, equals the reference filling's bitwise.
+            let mut caps = init_caps;
+            let mut inc = IncrementalSolver::new();
+            inc.set_capacities(&caps);
+            let mut live: Vec<Option<(Vec<u32>, u32)>> = vec![None; 12];
+            let mut seen = vec![0.0f64; live.len()];
+            let mut changed = Vec::new();
+            for (op, cap, kind) in &ops {
+                let s = op.slot as usize;
+                match (live[s].clone(), kind) {
+                    (None, _) => {
+                        inc.insert_group(op.slot, &op.cells, op.weight);
+                        live[s] = Some((op.cells.clone(), op.weight));
+                        seen[s] = 0.0;
+                    }
+                    (Some(_), 0) => {
+                        inc.set_weight(op.slot, 0);
+                        live[s] = None;
+                    }
+                    (Some((cells, _)), 1) => {
+                        inc.set_weight(op.slot, op.weight);
+                        live[s] = Some((cells, op.weight));
+                    }
+                    (Some((cells, weight)), 2) => {
+                        inc.set_weight(op.slot, 0);
+                        inc.insert_group(op.slot, &cells, weight);
+                        seen[s] = 0.0;
+                    }
+                    (Some(_), 3) => {
+                        inc.set_weight(op.slot, 0);
+                        inc.insert_group(op.slot, &op.cells, op.weight);
+                        live[s] = Some((op.cells.clone(), op.weight));
+                        seen[s] = 0.0;
+                    }
+                    (Some(_), 4) => {
+                        // A cut: halved, or dead.
+                        caps[op.res] = if op.cap < 10.0 { 0.0 } else { caps[op.res] / 2.0 };
+                        inc.set_capacity(op.res, caps[op.res]);
+                    }
+                    (Some(_), _) => {
+                        // A raise, to a tie-prone value or by half again.
+                        caps[op.res] = cap.max(caps[op.res] * 1.5);
+                        inc.set_capacity(op.res, caps[op.res]);
+                    }
+                }
+                if !op.solve {
+                    continue;
+                }
+                changed.clear();
+                inc.solve(&mut changed);
+                for &(g, rate) in &changed {
+                    seen[g as usize] = rate;
+                }
+                let slots: Vec<usize> = (0..live.len()).filter(|&s| live[s].is_some()).collect();
+                let (cells, weights) = registry(&live);
+                let rates = allocate_rates(&caps, &cells, &weights);
+                for (&s, want) in slots.iter().zip(&rates) {
+                    prop_assert_eq!(inc.rate(s as u32).to_bits(), want.to_bits(), "slot {}", s);
+                    prop_assert_eq!(seen[s].to_bits(), want.to_bits(), "caller's view of slot {}", s);
+                }
+            }
+        }
     }
 }

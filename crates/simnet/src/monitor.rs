@@ -332,6 +332,7 @@ impl Monitor {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults::splitmix64;
     use proptest::prelude::*;
 
     proptest! {
@@ -353,13 +354,8 @@ mod tests {
             let win = window_decis as f64 * 0.1;
             let mut per_cell = Monitor::new(nodes, links, win);
             let mut batched = Monitor::new(nodes, links, win);
-            let mut state = seed | 1;
-            let mut next = move || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state >> 33
-            };
+            let mut state = seed;
+            let mut next = move || splitmix64(&mut state) >> 33;
             let mut w = if far { 4321 } else { 0 };
             let mut start = w as f64 * win;
             for _ in 0..40 {

@@ -18,7 +18,12 @@
 # With TRAJECTORY (a path), also appends one JSON line to that file: both
 # sides' commits, the host (nproc, CPU model, rustc, GF kernel), the workload
 # and seeds, and per end-to-end metric each side's median, quartiles and n,
-# and the pairs the change won.
+# and the pairs the change won. The line also carries CHANGE's exact counts
+# at seed 1: `counts.quick` holds every `count`-unit metric of a `--quick
+# --trace 1` run of each simulated workload (what scripts/count_gate.sh
+# compares with), `counts.full` those of WORKLOAD's own `--seconds 16 --trace
+# 1` run (none for `codec`). With N = 0 no pair runs and the line holds the
+# counts alone, for a change that claims no timing.
 set -euo pipefail
 
 if [ $# -ne 5 ] && [ $# -ne 6 ]; then
@@ -31,6 +36,10 @@ change=$(cd "$2" && pwd)
 workload=$3
 first_seed=$4
 pairs=$5
+if [ "$pairs" -eq 0 ] && [ -z "$trajectory" ]; then
+    echo "$0: N = 0 (counts only) needs a TRAJECTORY" >&2
+    exit 2
+fi
 
 for dir in "$parent" "$change"; do
     cargo build --release --offline --quiet --manifest-path "$dir/benchmark/Cargo.toml"
@@ -38,7 +47,8 @@ done
 
 rows=$(mktemp)
 hosts=$(mktemp)
-trap 'rm -f "$rows" "$hosts"' EXIT
+counts=$(mktemp)
+trap 'rm -f "$rows" "$hosts" "$counts"' EXIT
 
 run() { # SIDE DIR PAIR SEED
     local out line
@@ -67,6 +77,20 @@ for ((i = 0; i < pairs; i++)); do
     fi
 done
 
+count() { # KIND WORKLOAD ARGS...: one traced run of CHANGE at seed 1
+    local out
+    out=$(cd "$change" && benchmark/target/release/chameleon-benchmark \
+        --workload "$2" --seed 1 --trace 1 "${@:3}")
+    printf '%s\t%s\n' change "$(grep -m 1 '^# nproc=' <<<"$out" || true)" >>"$hosts"
+    printf '%s\t%s\t%s\n' "$1" "$2" "$(tail -n 1 <<<"$out")" >>"$counts"
+}
+if [ -n "$trajectory" ]; then
+    for w in repair20 fabric20 scale1000 campaign20; do
+        count quick "$w" --quick
+    done
+    [ "$workload" = codec ] || count full "$workload" --seconds 16
+fi
+
 commit() { # DIR: HEAD, "+dirty" if the tree has changes, or "unknown"
     local head
     head=$(git -C "$1" rev-parse --short=12 HEAD 2>/dev/null) || { echo unknown; return; }
@@ -75,7 +99,7 @@ commit() { # DIR: HEAD, "+dirty" if the tree has changes, or "unknown"
 }
 cpu=$(grep -m 1 '^model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//' || true)
 python3 - "$rows" "$change/BENCHMARK.json" "$hosts" "$trajectory" "$workload" "$first_seed" "$cpu" \
-    "$(commit "$parent")" "$(commit "$change")" <<'EOF'
+    "$(commit "$parent")" "$(commit "$change")" "$counts" <<'EOF'
 import json, statistics, sys
 
 rows = [line.rstrip("\n").split("\t", 3) for line in open(sys.argv[1])]
@@ -99,7 +123,7 @@ def quartiles(xs):
 
 print(f"\n{len(pairs)} pairs")
 summary = {}
-for m in metrics:
+for m in metrics if pairs else []:
     name, lower = m["name"], m["better"] == "lower"
     p = [runs[i]["parent"][name]["value"] for i in pairs]
     c = [runs[i]["change"][name]["value"] for i in pairs]
@@ -123,6 +147,11 @@ for m in metrics:
     )
 
 if trajectory:
+    counts = {"quick": {}, "full": {}}
+    for line in open(sys.argv[10]):
+        kind, name, result = line.rstrip("\n").split("\t", 2)
+        values = json.loads(result)["metrics"].items()
+        counts[kind][name] = {k: v["value"] for k, v in values if v["unit"] == "count"}
     host = hosts.get("change", {})
     record = {
         "parent_commit": parent_commit,
@@ -134,8 +163,9 @@ if trajectory:
             "gf_kernel": host.get("gf_kernel"),
         },
         "workload": workload,
-        "seeds": [int(first_seed), int(first_seed) + len(pairs) - 1],
+        "seeds": [int(first_seed), int(first_seed) + len(pairs) - 1] if pairs else [],
         "metrics": summary,
+        "counts": counts,
     }
     with open(trajectory, "a") as out:
         out.write(json.dumps(record) + "\n")

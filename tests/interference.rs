@@ -127,7 +127,7 @@ fn repair_and_foreground_bytes_are_accounted_separately() {
     driver.start(&mut run.sim, lost.clone());
     run.drain(&mut driver)
         .expect("repair and foreground finish");
-    let (sim, fg) = (&run.sim, run.foreground.as_ref().expect("started above"));
+    let (sim, fg) = (&run.sim, run.foreground.expect("started above"));
     let m = sim.monitor();
     let mut repair_down = 0.0;
     let mut fg_down = 0.0;
