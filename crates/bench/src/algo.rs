@@ -5,7 +5,7 @@ use chameleon_core::chameleon::{ChameleonConfig, ChameleonDriver};
 use chameleon_core::{RepairContext, RepairDriver};
 
 /// Every repair scheduler the evaluation exercises.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AlgoKind {
     /// Conventional repair.
     Cr,
@@ -21,8 +21,6 @@ pub enum AlgoKind {
     RbEcPipe,
     /// ChameleonEC (full: ETRP + SAR).
     Chameleon,
-    /// ChameleonEC with a custom T_phase (Exp#3).
-    ChameleonTPhase(f64),
     /// Dispatch + tunable plans only, no straggler handling (Exp#11).
     Etrp,
     /// The storage-bottleneck variant (Exp#12).
@@ -54,15 +52,12 @@ impl AlgoKind {
         ("etrp", AlgoKind::Etrp),
     ];
 
-    /// `false` for ChameleonEC and its variants (custom `T_phase`, ETRP
-    /// only, the IO variant); `true` for everything it is compared against.
+    /// `false` for ChameleonEC and its variants (ETRP only, the IO
+    /// variant); `true` for everything it is compared against.
     pub fn is_baseline(self) -> bool {
         !matches!(
             self,
-            AlgoKind::Chameleon
-                | AlgoKind::ChameleonTPhase(_)
-                | AlgoKind::Etrp
-                | AlgoKind::ChameleonIo
+            AlgoKind::Chameleon | AlgoKind::Etrp | AlgoKind::ChameleonIo
         )
     }
 
@@ -85,13 +80,6 @@ impl AlgoKind {
                 Box::new(StaticRepairDriver::boosted(ctx, PlanShape::Chain, seed))
             }
             AlgoKind::Chameleon => Box::new(ChameleonDriver::new(ctx, ChameleonConfig::default())),
-            AlgoKind::ChameleonTPhase(t) => Box::new(ChameleonDriver::new(
-                ctx,
-                ChameleonConfig {
-                    t_phase_secs: t,
-                    ..ChameleonConfig::default()
-                },
-            )),
             AlgoKind::Etrp => Box::new(ChameleonDriver::new(ctx, ChameleonConfig::etrp_only())),
             AlgoKind::ChameleonIo => Box::new(ChameleonDriver::new(ctx, ChameleonConfig::io())),
         }
@@ -107,7 +95,6 @@ impl AlgoKind {
             AlgoKind::RbPpr => "RB+PPR".into(),
             AlgoKind::RbEcPipe => "RB+ECPipe".into(),
             AlgoKind::Chameleon => "ChameleonEC".into(),
-            AlgoKind::ChameleonTPhase(t) => format!("ChameleonEC(T={t}s)"),
             AlgoKind::Etrp => "ETRP".into(),
             AlgoKind::ChameleonIo => "ChameleonEC-IO".into(),
         }

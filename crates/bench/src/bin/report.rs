@@ -1,5 +1,5 @@
 //! `report` — summarizes the CSVs under `results/` into a single
-//! `results/REPORT.md`, so a full `cargo bench` run leaves a browsable
+//! `results/REPORT.md`, so a full `suite` run leaves a browsable
 //! artifact.
 //!
 //! Run with: `cargo run -p chameleon-bench --bin report`
@@ -19,14 +19,14 @@ fn main() {
             .collect(),
         Err(e) => {
             eprintln!("no results directory at {}: {e}", dir.display());
-            eprintln!("run `cargo bench -p chameleon-bench` first");
+            eprintln!("run `cargo run --release -p chameleon-bench --bin suite` first");
             std::process::exit(1);
         }
     };
     entries.sort();
     if entries.is_empty() {
         eprintln!(
-            "no CSVs in {}; run `cargo bench -p chameleon-bench` first",
+            "no CSVs in {}; run `cargo run --release -p chameleon-bench --bin suite` first",
             dir.display()
         );
         std::process::exit(1);

@@ -1,5 +1,5 @@
-//! Runs the experiment suite on the parallel grid and records the
-//! perf trajectory in `results/BENCH_experiments.json`.
+//! Runs the experiment suite on the parallel grid and writes its results
+//! under `results/`.
 //!
 //! ```text
 //! cargo run --release -p chameleon-bench --bin suite [-- --only NAME,NAME --jobs N]
@@ -47,7 +47,6 @@ fn main() -> ExitCode {
     );
 
     let suite_start = Instant::now();
-    let mut timings = Vec::new();
     for (i, e) in selected.iter().enumerate() {
         eprintln!("[suite] {}/{} {}", i + 1, selected.len(), e.name);
         let start = Instant::now();
@@ -55,18 +54,11 @@ fn main() -> ExitCode {
         let secs = start.elapsed().as_secs_f64();
         emit(e, &report);
         eprintln!("[suite] {} done in {secs:.1}s", e.name);
-        timings.push((e.name, secs));
     }
-    let wall_secs = suite_start.elapsed().as_secs_f64();
-
-    write_result(
-        "BENCH_experiments.json",
-        &render_json(&timings, &scale, jobs, wall_secs),
-    );
-
     eprintln!(
-        "[suite] completed in {wall_secs:.1}s ({} experiments, {jobs} worker(s))",
-        timings.len()
+        "[suite] completed in {:.1}s ({} experiments, {jobs} worker(s))",
+        suite_start.elapsed().as_secs_f64(),
+        selected.len()
     );
     ExitCode::SUCCESS
 }
@@ -102,22 +94,4 @@ fn emit(e: &Experiment, report: &Report) {
     for note in &report.notes {
         println!("{note}");
     }
-}
-
-/// Hand-rolled JSON (the workspace deliberately has no serde dependency).
-/// `host_cpus` records the machine's available parallelism, which the
-/// timings depend on.
-fn render_json(timings: &[(&str, f64)], scale: &Scale, jobs: usize, wall_secs: f64) -> String {
-    let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let entries: Vec<String> = timings
-        .iter()
-        .map(|(name, secs)| format!("    {{\"name\": \"{name}\", \"secs\": {secs:.3}}}"))
-        .collect();
-    format!(
-        "{{\n  \"bench\": \"experiment_suite\",\n  \"scale\": \"{}\",\n  \"jobs\": {jobs},\n  \
-         \"host_cpus\": {host_cpus},\n  \
-         \"suite_wall_secs\": {wall_secs:.3},\n  \"experiments\": [\n{}\n  ]\n}}\n",
-        scale.name(),
-        entries.join(",\n")
-    )
 }

@@ -6,11 +6,13 @@
 //! throughput is only 5.4% below the 10 s setting, so 20 s balances
 //! management overhead and performance.
 
+use chameleon_core::chameleon::ChameleonConfig;
+
 use super::rs;
-use crate::grid::{run_grid, RunSpec};
+use crate::grid::{run_grid, DriverSpec, RunSpec};
 use crate::runner::FgSpec;
 use crate::table::{Report, Table};
-use crate::{AlgoKind, Scale};
+use crate::Scale;
 
 const T_PHASES: [f64; 4] = [10.0, 20.0, 30.0, 40.0];
 
@@ -35,7 +37,10 @@ pub fn run(scale: &Scale, jobs: usize) -> Report {
                 format!("T_phase={t_phase:.0}s"),
                 code.clone(),
                 cfg.clone(),
-                AlgoKind::ChameleonTPhase(t_phase),
+                DriverSpec::Chameleon(ChameleonConfig {
+                    t_phase_secs: t_phase,
+                    ..ChameleonConfig::default()
+                }),
                 Some(FgSpec::ycsb(scale.clients, scale.requests_per_client)),
             )
         })

@@ -12,13 +12,12 @@
 //! ([`chameleon_gains`](crate::table::chameleon_gains),
 //! [`value_of`](crate::table::value_of)). The grids of another shape —
 //! Exp#2's and Fig. 4(b)'s interleaved clean and repair runs, Exp#3's
-//! per-key algorithm, Exp#5's host timings, Exp#14's driver knobs, Exp#17's
+//! per-key phase length, Exp#5's host timings, Exp#14's driver knobs, Exp#17's
 //! policies × seeds, Fig. 2 and Fig. 5 — call
 //! [`run_grid`](crate::grid::run_grid) directly.
 //!
 //! The `suite` binary runs them — all, or the ones named with `--only` —
-//! prints each report, persists it under `results/`, and records the perf
-//! trajectory in `results/BENCH_experiments.json`.
+//! prints each report and persists it under `results/`.
 
 pub mod exp01;
 pub mod exp02;

@@ -193,13 +193,18 @@ impl RunSpec {
     /// [`RunSpec::with_trace`] the returned [`SimSummary`](crate::SimSummary)
     /// carries every flow lifecycle event.
     ///
+    /// A degraded read restores one chunk while the foreground keeps
+    /// serving and stops as soon as the chunk is repaired (its restore
+    /// latency is the result). The read owns only that chunk: a crash
+    /// during it updates the driver's failure view (the read's flows
+    /// through the node fail over), but the crashed node's other chunks are
+    /// not queued behind it, so the outcome times exactly the requested
+    /// chunk.
+    ///
     /// # Panics
     ///
     /// Panics if the repair or foreground never finishes (simulation bug).
     pub fn execute(&self) -> RunOutput {
-        if let RunMode::DegradedRead(chunk) = self.mode {
-            return self.execute_degraded_read(chunk);
-        }
         let (mut run, lost) = stage(
             self.code.clone(),
             self.cfg.clone(),
@@ -210,37 +215,21 @@ impl RunSpec {
         )
         .expect("valid cluster");
         let mut driver = self.driver.build(run.ctx.clone(), self.seed);
-        driver.start(&mut run.sim, lost);
-        run.drain(&mut *driver).unwrap_or_else(|e| panic!("{e}"));
-        RunOutput::collect(driver.outcome(&run.sim), run)
-    }
-
-    /// Restores one chunk while the foreground keeps serving; stops as
-    /// soon as the chunk is repaired (its restore latency is the result).
-    ///
-    /// The read owns only that chunk: a crash during it updates the
-    /// driver's failure view (the read's flows through the node fail over),
-    /// but the crashed node's other chunks are not queued behind it, so the
-    /// outcome times exactly the requested chunk.
-    fn execute_degraded_read(&self, chunk: ChunkId) -> RunOutput {
-        let (mut run, _) = stage(
-            self.code.clone(),
-            self.cfg.clone(),
-            &self.victims,
-            self.fg.clone(),
-            self.faults.as_ref(),
-            self.trace,
-        )
-        .expect("valid cluster");
-        let mut driver = self.driver.build(run.ctx.clone(), self.seed);
-        driver.set_external_admission(true);
-        driver.start(&mut run.sim, vec![chunk]);
-        // Measure the read latency; the foreground trace keeps running.
+        let (work, read) = match self.mode {
+            RunMode::Repair => (lost, false),
+            RunMode::DegradedRead(chunk) => {
+                driver.set_external_admission(true);
+                (vec![chunk], true)
+            }
+        };
+        driver.start(&mut run.sim, work);
         run.run(&mut *driver, |_, driver, _, routed| {
-            stop_if(routed == Routed::Repair && driver.is_done())
+            stop_if(read && routed == Routed::Repair && driver.is_done())
         })
-        .unwrap_or_else(|e| panic!("degraded read: {e}"));
-        run.foreground = None; // cut short, not drained: no report
+        .unwrap_or_else(|e| panic!("{e}"));
+        if read {
+            run.foreground = None; // cut short, not drained: no report
+        }
         RunOutput::collect(driver.outcome(&run.sim), run)
     }
 }

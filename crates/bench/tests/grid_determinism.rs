@@ -1,8 +1,8 @@
 //! The grid determinism contract, end to end: every experiment of the
-//! suite, run at `--jobs` 1 and 8, must return byte-identical tables
-//! (as CSV, each line parsing to its header's width) and artifacts. (CI's suite-smoke job diffs the whole suite's
-//! `results/` at `--jobs` 1 vs 4.) The sequential pass is also pinned
-//! across commits: its bytes must hash to [`PINNED_EXPERIMENTS`].
+//! suite but Exp#5 (host time), run at `--jobs` 1 and 8, must return
+//! byte-identical tables (as CSV, each line parsing to its header's width)
+//! and artifacts. The sequential pass is also pinned across commits: its
+//! bytes must hash to [`PINNED_EXPERIMENTS`].
 //!
 //! The loop covers the trickiest shapes among the rest — Exp#2's mixed
 //! clean/repair cells whose formatting depends on the *clean* cell's

@@ -21,7 +21,7 @@
 //! ```
 //! use chameleon_cluster::{Cluster, ClusterConfig};
 //!
-//! let cfg = ClusterConfig::paper_default();
+//! let cfg = ClusterConfig::small(14);
 //! let cluster = Cluster::new(cfg)?;
 //! assert_eq!(cluster.storage_nodes(), 20);
 //! let lost = cluster.lost_chunks(&[3]);

@@ -3,7 +3,8 @@
 use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
-use rand::{RngCore, SeedableRng};
+use rand::seq::SliceRandom;
+use rand::SeedableRng;
 
 use chameleon_simnet::NodeId;
 
@@ -195,69 +196,27 @@ impl Placement {
 /// The arguments of the last layout drawn, and that layout.
 type LastLayout = Mutex<Option<((usize, usize, usize, PlacementStrategy), Arc<Vec<NodeId>>)>>;
 
-/// Draws the `stripes × n` flat layout.
+/// Draws the `stripes × n` flat layout: a stripe is the first `n` of a
+/// fresh shuffle of `0..nodes`. The shuffle always starts from the
+/// identity and draws for all `nodes` positions, so the RNG stream — and
+/// with it every seeded placement — does not depend on `n`.
 fn draw(nodes: usize, n: usize, stripes: usize, strategy: PlacementStrategy) -> Vec<NodeId> {
     let PlacementStrategy::Random(seed) = strategy;
     let mut chunk_node = Vec::with_capacity(stripes * n);
     let mut rng = StdRng::seed_from_u64(seed);
-    // A stripe is the first n of a full Fisher–Yates permutation of
-    // 0..nodes, drawn as the vendored `rand` permutes a slice: for i from
-    // nodes − 1 down to 1, swap i with `next_u64() % (i + 1)`. It always
-    // starts from the identity and draws for all `nodes` positions, so
-    // the RNG stream — and with it every seeded placement — does not
-    // depend on `n`. Every stripe divides by the same bounds 1..=nodes,
-    // so each bound gets one exact reciprocal, here, instead of a 64-bit
-    // divide per draw (`bounds[i]` is i + 1's).
-    let bounds: Vec<Barrett> = (1..=nodes as u64).map(Barrett::new).collect();
     let mut pick: Vec<NodeId> = Vec::with_capacity(nodes);
     for _ in 0..stripes {
         pick.clear();
         pick.extend(0..nodes);
-        for (i, bound) in bounds.iter().enumerate().skip(1).rev() {
-            pick.swap(i, bound.of(rng.next_u64()) as usize);
-        }
+        pick.shuffle(&mut rng);
         chunk_node.extend_from_slice(&pick[..n]);
     }
     chunk_node
 }
 
-/// `a % d` for one fixed `d` by one 64 × 64 → 128-bit multiplication:
-/// Barrett reduction with `m = ⌊(2⁶⁴ − 1) / d⌋`. Write 2⁶⁴ − 1 = m·d + ρ
-/// with 0 ≤ ρ < d. Then 2⁶⁴ − m·d = ρ + 1 ≤ d, so the quotient estimate
-/// `q = ⌊a·m / 2⁶⁴⌋` is at most ⌊a / d⌋ and misses a / d by
-/// a·(ρ + 1) / (d·2⁶⁴) ≤ a / 2⁶⁴ < 1: q is ⌊a / d⌋ or one less, and
-/// `a − q·d` lies in `[0, 2d)`. One conditional subtraction makes it exact
-/// for every `u64` `a` and every `d ≥ 1`.
-#[derive(Clone, Copy)]
-struct Barrett {
-    m: u64,
-    d: u64,
-}
-
-impl Barrett {
-    fn new(d: u64) -> Self {
-        assert!(d > 0, "remainder by zero");
-        Barrett { m: u64::MAX / d, d }
-    }
-
-    /// `a % d`.
-    #[inline]
-    fn of(self, a: u64) -> u64 {
-        let q = ((u128::from(a) * u128::from(self.m)) >> 64) as u64;
-        let r = a - q * self.d;
-        if r >= self.d {
-            r - self.d
-        } else {
-            r
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chameleon_simnet::faults::splitmix64;
-    use rand::seq::SliceRandom;
 
     #[test]
     fn random_placement_is_valid_and_deterministic() {
@@ -389,22 +348,6 @@ mod tests {
                 assert_eq!(new.node_of(chunk), free);
             }
             previous = Some((key, Placement::shared(&last, nodes, n, stripes, strategy)));
-        }
-    }
-
-    #[test]
-    fn reciprocal_remainders_are_exact() {
-        let divisors = (1..=4096)
-            .chain((0..64).map(|p| 1 << p))
-            .chain([u64::from(u32::MAX), u64::MAX]);
-        let mut state = 0x5EED;
-        for d in divisors {
-            let rem = Barrett::new(d);
-            let edges = [0, 1, d - 1, d, d.wrapping_add(1), u64::MAX, u64::MAX - 1];
-            let words = (0..1000).map(|_| splitmix64(&mut state));
-            for a in edges.into_iter().chain(words) {
-                assert_eq!(rem.of(a), a % d, "{a} % {d}");
-            }
         }
     }
 

@@ -458,7 +458,7 @@ impl Simulator {
     /// Starts a flow; it begins transferring immediately.
     ///
     /// Rates are re-solved lazily, so admitting a burst of flows costs a
-    /// single solve (see [`Simulator::start_flows`]).
+    /// single solve.
     ///
     /// # Panics
     ///
@@ -525,20 +525,6 @@ impl Simulator {
         self.flows.insert(id.0, flow);
         self.rates_stale = true;
         id
-    }
-
-    /// Starts a batch of flows at the current time, returning their ids in
-    /// order.
-    ///
-    /// Admission is lazy, so the whole batch is priced by
-    /// one rate solve — the entry point trace replay should use when an
-    /// op fans out into several flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any spec references a node out of range.
-    pub fn start_flows(&mut self, specs: impl IntoIterator<Item = FlowSpec>) -> Vec<FlowId> {
-        specs.into_iter().map(|s| self.start_flow(s)).collect()
     }
 
     /// The group-map key for a flow: its exact cell sequence, padded with
@@ -1747,27 +1733,6 @@ mod tests {
             log
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn batched_admission_equals_sequential() {
-        let specs =
-            || (0..5u64).map(|i| FlowSpec::network(i as usize % 3, 3, 40 + i * 7, Traffic::Repair));
-        let drain = |sim: &mut Simulator| {
-            let mut log = Vec::new();
-            while let Some(ev) = sim.next_event() {
-                log.push((format!("{ev:?}"), sim.now().as_secs().to_bits()));
-            }
-            log
-        };
-        let mut batched = Simulator::new(SimConfig::uniform(4, NodeCaps::symmetric(10.0, 10.0)));
-        let ids = batched.start_flows(specs());
-        assert_eq!(ids.len(), 5);
-        let mut sequential = Simulator::new(SimConfig::uniform(4, NodeCaps::symmetric(10.0, 10.0)));
-        for s in specs() {
-            sequential.start_flow(s);
-        }
-        assert_eq!(drain(&mut batched), drain(&mut sequential));
     }
 
     #[test]

@@ -54,14 +54,14 @@ const MAX_DEGREE: usize = 8;
 /// leaves in the resource, so the margin only has to absorb the
 /// reassociation between summing resident rates and the fill's progressive
 /// capacity subtraction — a few ulps; 1e-9 is comfortably conservative.
-pub const SATURATION_MARGIN: f64 = 1e-9;
+pub(crate) const SATURATION_MARGIN: f64 = 1e-9;
 
 /// Relative distance below the divergence level θ under which a resident
 /// may be skipped. Float rounding lets an equal share fall by a few ulps
 /// from one round to the next, so a level a hair below θ can belong to a
 /// round that follows θ's; the margin keeps every skipped freeze clear of
 /// those ties.
-pub const PRUNE_MARGIN: f64 = 1e-9;
+pub(crate) const PRUNE_MARGIN: f64 = 1e-9;
 
 /// Slot flags: the slot was mutated since the last solve (its old state is
 /// in `mutated`).
@@ -237,7 +237,7 @@ impl Resource {
 /// gained weight or changed capacity). Every round below θ replays the
 /// previous fill exactly, and so does every group it froze: a conducting
 /// resource skips residents whose previous level lies below θ (less
-/// [`PRUNE_MARGIN`], which keeps ulp-level ties on the conducting side), and
+/// `PRUNE_MARGIN`, which keeps ulp-level ties on the conducting side), and
 /// a skipped group's other cells stay out of the closure. The resource then
 /// enters the fill with the remaining capacity a full filling holds after
 /// those freezes — replayed, not re-summed: fills stamp their freezes in
