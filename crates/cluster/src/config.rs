@@ -355,15 +355,7 @@ impl Cluster {
     /// Chunks lost if the given nodes fail (regardless of current failure
     /// state), in stripe order.
     pub fn lost_chunks(&self, nodes: &[NodeId]) -> Vec<ChunkId> {
-        let mut out = Vec::new();
-        for stripe in 0..self.placement.stripes() {
-            for (index, &node) in self.placement.stripe_nodes(stripe).iter().enumerate() {
-                if nodes.contains(&node) {
-                    out.push(ChunkId { stripe, index });
-                }
-            }
-        }
-        out
+        self.placement.chunks_on_any(nodes)
     }
 
     /// Chunk indices of a stripe whose nodes are currently alive.

@@ -6,7 +6,7 @@ use chameleon_cluster::{
 };
 use chameleon_simnet::{FaultPlan, FaultSpec};
 use proptest::prelude::*;
-use proptest::test_runner::ProptestConfig;
+use proptest::test_runner::{ProptestConfig, TestCaseError};
 
 /// Text over the alphabet the fault and topology grammars are spelled in
 /// (`crash:slowdiskrecover@x+,.-0123456789naif `): up to three
@@ -73,6 +73,89 @@ proptest! {
                 prop_assert!(racks > 0 && oversub.is_finite() && oversub > 0.0);
             }
         }
+    }
+}
+
+/// The full scan `Cluster::lost_chunks` and `Placement::chunks_on` made
+/// before the index by node: every slot of every stripe, in stripe order.
+fn scan(p: &Placement, nodes: &[usize]) -> Vec<ChunkId> {
+    (0..p.stripes())
+        .flat_map(|stripe| {
+            let row = p.stripe_nodes(stripe).iter().enumerate();
+            row.filter(|(_, node)| nodes.contains(node))
+                .map(move |(index, _)| ChunkId { stripe, index })
+        })
+        .collect()
+}
+
+/// `lost_chunks` over the victims, and over them twice, and `chunks_on`
+/// over every node and two ids past the last, equal the scan.
+fn agrees_with_the_scan(cluster: &Cluster, victims: &[usize]) -> Result<(), TestCaseError> {
+    let p = cluster.placement();
+    let lost = scan(p, victims);
+    prop_assert_eq!(&cluster.lost_chunks(victims), &lost);
+    prop_assert_eq!(cluster.lost_chunks(&[victims, victims].concat()), lost);
+    for node in 0..p.node_count() + 2 {
+        prop_assert_eq!(p.chunks_on(node), scan(p, &[node]));
+    }
+    Ok(())
+}
+
+proptest! {
+    /// The index by node and its relocation log answer exactly what the
+    /// scan answers: for any layout, for victim lists with repeats and ids
+    /// that are not storage nodes, after any sequence of repairs (onto a
+    /// chunk's own node, back where it was drawn, the same chunk again),
+    /// and for clusters that share one drawn layout, where one cluster's
+    /// repairs never show in another's answers.
+    #[test]
+    fn the_index_by_node_equals_the_full_scan(
+        shape in (2usize..40, 1usize..12, 0usize..40, any::<u64>()),
+        victims in proptest::collection::vec(0usize..44, 0..6),
+        repairs in proptest::collection::vec((any::<u64>(), 0usize..40), 0..24),
+    ) {
+        let (nodes, width, stripes, seed) = shape;
+        prop_assume!(nodes >= width);
+        let cfg = ClusterConfig {
+            storage_nodes: nodes,
+            stripe_width: width,
+            stripes,
+            placement: PlacementStrategy::Random(seed),
+            ..ClusterConfig::small(width)
+        };
+        let mut repaired = Cluster::new(cfg.clone()).unwrap();
+        let untouched = Cluster::new(cfg.clone()).unwrap();
+        let rows = |c: &Cluster| -> Vec<Vec<usize>> {
+            (0..stripes).map(|s| c.placement().stripe_nodes(s).to_vec()).collect()
+        };
+        let drawn = rows(&untouched);
+        agrees_with_the_scan(&repaired, &victims)?;
+        for (pick, to) in repairs {
+            if stripes == 0 {
+                break;
+            }
+            let chunk = ChunkId {
+                stripe: pick as usize % stripes,
+                index: (pick as usize / stripes) % width,
+            };
+            let (to, row) = (to % nodes, repaired.placement().stripe_nodes(chunk.stripe));
+            if (0..width).any(|i| i != chunk.index && row[i] == to) {
+                continue;
+            }
+            let from = row[chunk.index];
+            repaired.apply_repair(chunk, to).unwrap();
+            prop_assert_eq!(repaired.placement().node_of(chunk), to);
+            let p = repaired.placement();
+            prop_assert_eq!(repaired.lost_chunks(&victims), scan(p, &victims));
+            prop_assert_eq!(p.chunks_on(from), scan(p, &[from]));
+            prop_assert_eq!(p.chunks_on(to), scan(p, &[to]));
+        }
+        agrees_with_the_scan(&repaired, &victims)?;
+        agrees_with_the_scan(&untouched, &victims)?;
+        let fresh = Cluster::new(cfg).unwrap();
+        agrees_with_the_scan(&fresh, &victims)?;
+        prop_assert_eq!(&rows(&untouched), &drawn);
+        prop_assert_eq!(&rows(&fresh), &drawn);
     }
 }
 

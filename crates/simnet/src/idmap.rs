@@ -1,8 +1,8 @@
 //! Hash maps keyed by ids the simulation issues itself.
 //!
 //! Every flow and timer crosses several id-keyed maps (the engine's
-//! id → slot index, pending timers, flow-group lookup, the drivers'
-//! flow → step tables). The keys are sequential integers — or short arrays
+//! flows by id, pending timers, flow-group lookup, the drivers'
+//! flow → step tables, retry and fault timers). The keys are sequential integers — or short arrays
 //! of them — minted by this program, never by an outside party, so the
 //! collision resistance SipHash buys is wasted on them while its cost is
 //! paid several times per event. [`IdMap`] is a `HashMap` with one

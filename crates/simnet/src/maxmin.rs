@@ -314,7 +314,11 @@ impl IncrementalSolver {
         IncrementalSolver::default()
     }
 
-    /// Sets (or replaces) the full capacity vector, seeding every resource.
+    /// Sets (or replaces) the full capacity vector, seeding every resource
+    /// — except on a new solver, whose first solve would leave an unloaded
+    /// resource as it found it unless it lacks headroom (a zero or infinite
+    /// capacity): there only those are seeded, so that solve does not walk
+    /// the rest.
     ///
     /// # Panics
     ///
@@ -325,10 +329,20 @@ impl IncrementalSolver {
             bind: f64::INFINITY,
             ..Resource::default()
         };
+        let new = self.resources.is_empty() && self.groups.is_empty();
         self.resources.resize(caps.len(), fresh);
         self.res_groups.resize(caps.len(), Vec::new());
         for (r, &cap) in caps.iter().enumerate() {
-            self.set_capacity(r, cap);
+            let unloaded = Resource {
+                cap,
+                rem_cap: cap,
+                ..fresh
+            };
+            if new && !unloaded.headroom_gone() {
+                self.resources[r].cap = cap;
+            } else {
+                self.set_capacity(r, cap);
+            }
         }
     }
 
@@ -1375,13 +1389,41 @@ mod tests {
         );
     }
 
+    /// A new solver seeds only what its first solve changes: a resource
+    /// without headroom, which that solve flags saturated. The flags come
+    /// out as if every resource had been seeded.
+    #[test]
+    fn a_new_solver_seeds_only_resources_without_headroom() {
+        let caps = [0.0, 5.0, f64::INFINITY, 1e-300];
+        let mut inc = IncrementalSolver::new();
+        inc.set_capacities(&caps);
+        let out = inc.solve(&mut Vec::new());
+        assert_eq!((out.dirty_groups, out.dirty_resources), (0, 2));
+        let mut seeded = IncrementalSolver::new();
+        seeded.set_capacities(&[1.0; 4]);
+        seeded.set_capacities(&caps);
+        let out = seeded.solve(&mut Vec::new());
+        assert_eq!((out.dirty_groups, out.dirty_resources), (0, 4));
+        for r in 0..caps.len() {
+            assert_eq!(inc.is_saturated(r), seeded.is_saturated(r), "resource {r}");
+        }
+        assert!(inc.is_saturated(0) && inc.is_saturated(2) && !inc.is_saturated(1));
+    }
+
     #[test]
     fn empty_closure_is_not_a_full_solve() {
         let mut inc = IncrementalSolver::new();
         inc.set_capacities(&[5.0, 5.0]);
         let mut changed = Vec::new();
-        // Nothing registered: the seed solve touches every resource but
-        // re-solves no group.
+        // Nothing registered: a new solver seeds no resource with headroom,
+        // a later capacity vector seeds every one, and neither solve
+        // re-solves a group.
+        let out = inc.solve(&mut changed);
+        assert_eq!(
+            (out.full, out.dirty_groups, out.dirty_resources),
+            (false, 0, 0)
+        );
+        inc.set_capacities(&[5.0, 5.0]);
         let out = inc.solve(&mut changed);
         assert_eq!(
             (out.full, out.dirty_groups, out.dirty_resources),
