@@ -409,6 +409,8 @@ mod tests {
             if let Some((drawn, before)) = &previous {
                 let shared = Arc::ptr_eq(&before.chunk_node, &new.chunk_node);
                 assert_eq!(shared, *drawn == key, "{key:?} after {drawn:?}");
+                let indexed = Arc::ptr_eq(&before.drawn, &new.drawn);
+                assert_eq!(indexed, shared, "{key:?}: the index goes with its map");
             }
             if stripes > 0 {
                 let chunk = ChunkId {
