@@ -1,5 +1,6 @@
 //! Stripe-to-node placement.
 
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use rand::rngs::StdRng;
@@ -37,12 +38,15 @@ pub enum PlacementStrategy {
 /// that a stripe's `n` chunks land on `n` distinct nodes (so the stripe
 /// tolerates `m` *node* failures, §II-A).
 ///
-/// The map is one flat vector of `stripes × n` node ids — a stripe is the
-/// sub-slice `[stripe * n..][..n]` — so a placement costs `n` ids per
-/// stripe however many nodes the cluster has. Beside it sit the drawn
-/// layout's index by node and a log of the positions moved since, so
+/// The drawn map is one flat vector of `stripes × n` node ids — a stripe
+/// is the sub-slice `[stripe * n..][..n]` — so a layout costs `n` ids per
+/// stripe however many nodes the cluster has. It is never written: it is
+/// shared with the process's other placements of the same draw, and a
+/// stripe this placement [relocated](Placement::relocate) is read from the
+/// placement's own copy of its row instead, `n` ids per relocated stripe.
+/// Beside the map sits the drawn layout's index by node, so
 /// [`chunks_on`](Placement::chunks_on) reads the chunks drawn onto a node
-/// and the moves instead of every slot.
+/// and the relocated rows instead of every slot.
 ///
 /// # Examples
 ///
@@ -58,14 +62,15 @@ pub enum PlacementStrategy {
 pub struct Placement {
     nodes: usize,
     n: usize,
-    /// `chunk_node[stripe * n + index]` = node; shared with the process's
-    /// other placements of the same arguments until a relocation.
+    /// `chunk_node[stripe * n + index]` = node as drawn; shared with the
+    /// process's other placements of the same arguments and never changed.
     chunk_node: Arc<Vec<NodeId>>,
+    /// The current rows of the stripes relocated since the draw, which
+    /// replace theirs in `chunk_node`, in stripe order.
+    relocated: BTreeMap<usize, Box<[NodeId]>>,
     /// The drawn layout by node; shared with every placement of the same
     /// draw and never changed.
     drawn: Arc<NodeIndex>,
-    /// Flat positions relocated since the draw, ascending, each once.
-    moved: Vec<u32>,
 }
 
 impl Placement {
@@ -74,9 +79,10 @@ impl Placement {
     /// A layout is a pure function of the four arguments, and the cells of
     /// a grid (or the passes of a benchmark) stage the same configuration
     /// over and over, so the process keeps the last layout drawn and a call
-    /// with the same arguments shares it instead of drawing it again. The
-    /// first [`relocate`](Placement::relocate) on a shared layout copies
-    /// it, so no placement sees another's moves.
+    /// with the same arguments shares it instead of drawing it again.
+    /// [`relocate`](Placement::relocate) never writes the shared layout: it
+    /// copies the one stripe it changes into the placement, so no
+    /// placement sees another's moves and none copies the whole layout.
     ///
     /// # Panics
     ///
@@ -114,8 +120,8 @@ impl Placement {
             nodes,
             n,
             chunk_node,
+            relocated: BTreeMap::new(),
             drawn,
-            moved: Vec::new(),
         }
     }
 
@@ -149,7 +155,15 @@ impl Placement {
     ///
     /// Panics if the stripe is out of range.
     pub fn stripe_nodes(&self, stripe: usize) -> &[NodeId] {
-        &self.chunk_node[stripe * self.n..][..self.n]
+        match self.relocated.get(&stripe) {
+            Some(row) => row,
+            None => &self.chunk_node[stripe * self.n..][..self.n],
+        }
+    }
+
+    /// The node storing the chunk at flat position `at`.
+    fn node_at(&self, at: usize) -> NodeId {
+        self.stripe_nodes(at / self.n)[at % self.n]
     }
 
     /// All chunks stored on a node, in stripe order.
@@ -159,11 +173,11 @@ impl Placement {
 
     /// All chunks stored on any of `nodes`, in stripe order, each once;
     /// ids that are repeated or not storage nodes add nothing. Costs the
-    /// chunks drawn onto those nodes plus the relocations, not a scan of
+    /// chunks drawn onto those nodes plus the relocated rows, not a scan of
     /// every slot: a drawn position counts while its chunk is still there,
-    /// and a logged move counts where it points now.
+    /// and a relocated row counts as it is now.
     pub(crate) fn chunks_on_any(&self, nodes: &[NodeId]) -> Vec<ChunkId> {
-        let here = |&&at: &&u32| nodes.contains(&self.chunk_node[at as usize]);
+        let here = |&&at: &&u32| nodes.contains(&self.node_at(at as usize));
         let drawn = nodes
             .iter()
             .filter(|&&node| node < self.nodes)
@@ -172,7 +186,14 @@ impl Placement {
         for positions in drawn {
             at.extend(positions.iter().filter(here));
         }
-        at.extend(self.moved.iter().filter(here));
+        for (&stripe, row) in &self.relocated {
+            let on = row
+                .iter()
+                .enumerate()
+                .filter(|(_, node)| nodes.contains(node));
+            // In range of the layout, whose length fits a `u32` (see `draw`).
+            at.extend(on.map(|(index, _)| (stripe * self.n + index) as u32));
+        }
         at.sort_unstable();
         at.dedup();
         at.into_iter()
@@ -193,7 +214,11 @@ impl Placement {
     /// the stripe's fault tolerance).
     pub fn relocate(&mut self, chunk: ChunkId, node: NodeId) {
         assert!(node < self.nodes, "node out of range");
-        let stripe = &mut Arc::make_mut(&mut self.chunk_node)[chunk.stripe * self.n..][..self.n];
+        let drawn = &self.chunk_node[chunk.stripe * self.n..][..self.n];
+        let stripe = self
+            .relocated
+            .entry(chunk.stripe)
+            .or_insert_with(|| drawn.into());
         assert!(
             stripe
                 .iter()
@@ -203,17 +228,13 @@ impl Placement {
             chunk.stripe
         );
         stripe[chunk.index] = node;
-        // In range of the layout, whose length fits a `u32` (see `draw`).
-        let at = (chunk.stripe * self.n + chunk.index) as u32;
-        if let Err(slot) = self.moved.binary_search(&at) {
-            self.moved.insert(slot, at);
-        }
     }
 
     /// Verifies the one-chunk-per-node-per-stripe invariant (used by
     /// tests).
     pub fn is_valid(&self) -> bool {
-        self.chunk_node.chunks_exact(self.n).all(|nodes| {
+        (0..self.stripes()).all(|stripe| {
+            let nodes = self.stripe_nodes(stripe);
             let mut seen = vec![false; self.nodes];
             nodes.iter().all(|&n| {
                 if n >= self.nodes || seen[n] {
@@ -381,7 +402,7 @@ mod tests {
     /// The cache hands a layout out again only for the same four
     /// arguments: a call differing in any one of them gets its own draw,
     /// and a repeat shares the last draw, which a relocation on one copy
-    /// does not reach.
+    /// neither copies nor reaches.
     #[test]
     fn a_layout_is_shared_only_with_its_own_arguments() {
         let last: LastLayout = Mutex::new(None);
@@ -420,7 +441,13 @@ mod tests {
                 let free = (0..nodes).find(|node| !old[0].contains(node)).unwrap();
                 new.relocate(chunk, free);
                 let again = Placement::shared(&last, nodes, n, stripes, strategy);
+                assert!(
+                    Arc::ptr_eq(&new.chunk_node, &again.chunk_node),
+                    "{key:?}: a relocation copied the shared map"
+                );
                 assert_eq!(again.stripe_nodes(0), old[0], "{key:?}");
+                assert_eq!(again.node_of(chunk), old[0][0], "{key:?}");
+                assert!(!again.chunks_on(free).contains(&chunk), "{key:?}");
                 assert_eq!(new.node_of(chunk), free);
             }
             previous = Some((key, Placement::shared(&last, nodes, n, stripes, strategy)));

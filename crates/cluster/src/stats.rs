@@ -23,7 +23,7 @@ pub fn percentile(samples: &[f64], p: f64) -> Option<f64> {
         return None;
     }
     let mut sorted = samples.to_vec();
-    sorted.sort_by(f64::total_cmp);
+    sorted.sort_unstable_by(f64::total_cmp);
     Some(nearest_rank(&sorted, p))
 }
 
@@ -92,10 +92,12 @@ impl LatencySummary {
 
     /// [`LatencySummary::from_samples`] without the copy: the mean is summed
     /// in the samples' order, then one in-place sort serves all four ranks
-    /// and leaves `samples` ascending.
+    /// and leaves `samples` ascending. The sort is unstable, so it needs no
+    /// scratch buffer, and under `total_cmp` only equal bits compare equal:
+    /// the result is bit for bit the stable sort's.
     pub(crate) fn sort_and_summarize(samples: &mut [f64]) -> Option<Self> {
         let mean = mean(samples)?;
-        samples.sort_by(f64::total_cmp);
+        samples.sort_unstable_by(f64::total_cmp);
         Some(LatencySummary {
             count: samples.len(),
             mean,

@@ -1,6 +1,8 @@
-//! Property-based tests for placement and failure handling, and for the
-//! fault and topology spec parsers on arbitrary input.
+//! Property-based tests for placement and failure handling, for the fault
+//! and topology spec parsers on arbitrary input, and for the latency
+//! summaries' sorts.
 
+use chameleon_cluster::stats::{percentile, LatencySummary};
 use chameleon_cluster::{
     ChunkId, Cluster, ClusterConfig, Placement, PlacementStrategy, TopologySpec,
 };
@@ -258,5 +260,62 @@ proptest! {
                 prop_assert_eq!(node, oracle[(key % oracle.len() as u64) as usize]);
             }
         }
+    }
+}
+
+/// A latency-like sample with every kind of tie a float sort can meet:
+/// small integers that repeat, both zeros, NaNs of either sign and with a
+/// payload, both infinities, and arbitrary bit patterns.
+fn sample() -> impl Strategy<Value = f64> {
+    (0usize..12, 0u8..6, any::<u64>()).prop_map(|(pick, small, bits)| match pick {
+        0 => 0.0,
+        1 => -0.0,
+        2 => f64::NAN,
+        3 => -f64::NAN,
+        4 => f64::from_bits(0x7FF0_0000_0000_0001),
+        5 => f64::INFINITY,
+        6 => f64::NEG_INFINITY,
+        7..=9 => f64::from(small) * 1e-3,
+        _ => f64::from_bits(bits),
+    })
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    /// Under `total_cmp` two samples compare equal only when their bits
+    /// are equal, so the unstable in-place sort leaves the very bits the
+    /// stable one leaves, and a summary equals one read off a stably
+    /// sorted copy, field for field.
+    #[test]
+    fn the_unstable_sort_leaves_the_stable_sorts_bits(
+        samples in proptest::collection::vec(sample(), 0..300),
+    ) {
+        let mut stable = samples.clone();
+        stable.sort_by(f64::total_cmp);
+        let mut unstable = samples.clone();
+        unstable.sort_unstable_by(f64::total_cmp);
+        prop_assert_eq!(bits(&unstable), bits(&stable));
+
+        let rank = |p: f64| {
+            let rank = ((p * stable.len() as f64).ceil() as usize).clamp(1, stable.len());
+            stable[rank - 1]
+        };
+        for p in [0.0, 0.5, 0.95, 0.99, 1.0] {
+            let got = percentile(&samples, p).map(f64::to_bits);
+            prop_assert_eq!(got, (!stable.is_empty()).then(|| rank(p).to_bits()));
+        }
+        let Some(summary) = LatencySummary::from_samples(&samples) else {
+            prop_assert!(samples.is_empty());
+            return Ok(());
+        };
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        prop_assert_eq!(summary.count, samples.len());
+        prop_assert_eq!(
+            bits(&[summary.mean, summary.p50, summary.p95, summary.p99, summary.max]),
+            bits(&[mean, rank(0.50), rank(0.95), rank(0.99), rank(1.0)])
+        );
     }
 }

@@ -1,16 +1,8 @@
 //! Shared engine for systematic linear codes described by a generator matrix.
 
-use chameleon_gf::{combine_into, Gf256, Matrix, MulTable};
+use chameleon_gf::{combine_into, Gf256, Matrix, MulTable, BLOCK_BYTES};
 
 use crate::CodeError;
-
-/// Bytes of each chunk one step of [`LinearCode::encode`] covers: the `k`
-/// source blocks of a step are copied into the stripe and then read once per
-/// parity row, so they should still be in L1 for the last row — 10 × 4 KiB
-/// fits a 48 KiB L1d. Swept inside the repository benchmark's `codec`
-/// workload at 4, 16 and 64 KiB: no resolvable difference (DESIGN.md §3.2
-/// has the readings), so the smallest footprint stays.
-const BLOCK_BYTES: usize = 4096;
 
 /// A systematic linear code: `n x k` generator matrix whose first `k` rows
 /// are the identity. Chunk `i` of a stripe equals `G[i] * data`.

@@ -13,12 +13,12 @@
 //! 3. **Reassemble** — the destination XORs the root partial sums into
 //!    the repaired chunk.
 //!
-//! A chunk is walked in cache-sized blocks and all three stages run on a
-//! block before the next one is touched, over buffers the coder owns: a
-//! finished chunk costs its kernel calls, not an allocation, a page fault
-//! or a thread spawn. The stage timers wrap kernel calls only; the
-//! schedule (which relay folds which input, in what order) is worked out
-//! once per chunk, outside them.
+//! A chunk is walked in [`BLOCK_BYTES`] blocks, the step the erasure codes
+//! encode in, and all three stages run on a block before the next one is
+//! touched, over buffers the coder owns: a finished chunk costs its kernel
+//! calls, not an allocation, a page fault or a thread spawn. The stage
+//! timers wrap kernel calls only; the schedule (which relay folds which
+//! input, in what order) is worked out once per chunk, outside them.
 //!
 //! Sub-chunk plans (Butterfly-style `read_fraction < 1`) mix byte
 //! positions inside a chunk, so their arithmetic is not a positional
@@ -29,14 +29,10 @@
 use std::cmp::Reverse;
 use std::time::Instant;
 
-use chameleon_gf::{mul_slice_with, xor_slice, MulTableCache};
+use chameleon_gf::{mul_slice_with, xor_slice, MulTableCache, BLOCK_BYTES};
 use chameleon_simnet::faults::splitmix64;
 
 use crate::plan::RepairPlan;
-
-/// Block granularity of the coding stages: small enough that one block of
-/// every source plus the output stays cache-resident.
-pub const DEFAULT_STRIPE_BYTES: usize = 64 * 1024;
 
 /// Default per-chunk sample cap for [`PlanCoder::new`]: the stages run on
 /// a deterministic prefix of at most this many bytes, so campaigns over
@@ -98,13 +94,15 @@ impl CodingStats {
 /// runs, so a run allocates only when it meets a coefficient it has not
 /// seen or a plan wider than any before it.
 ///
-/// The buffers are sized by the stripe granularity, never by the chunk:
-/// every block of a chunk reuses them, and the sources of a plan read
-/// staggered windows of one synthetic buffer instead of a chunk each.
+/// The buffers are sized by the block, never by the chunk: every block of
+/// a chunk reuses them, and the sources of a plan read staggered windows
+/// of one synthetic buffer instead of a chunk each. A 10-source plan's
+/// blocks, the synthetic buffer's and the output's take about 48 KiB, an
+/// L1d's worth.
 #[derive(Debug)]
 pub struct PlanCoder {
     chunk_bytes: usize,
-    /// Bytes per block: the stripe size, or the whole chunk if smaller.
+    /// Bytes per block: [`BLOCK_BYTES`], or the whole chunk if smaller.
     block: usize,
     tables: MulTableCache,
     /// Synthetic chunk contents, never written by a stage. Source `i`
@@ -145,25 +143,13 @@ impl Schedule {
 }
 
 impl PlanCoder {
-    /// Creates a coder for chunks of the given size with the default
-    /// stripe granularity, sampling at most [`DEFAULT_SAMPLE_BYTES`] per
-    /// chunk.
+    /// Creates a coder for chunks of the given size, sampling at most
+    /// [`DEFAULT_SAMPLE_BYTES`] per chunk.
     pub fn new(chunk_bytes: u64) -> Self {
-        Self::with_stripe(chunk_bytes.min(DEFAULT_SAMPLE_BYTES), DEFAULT_STRIPE_BYTES)
-    }
-
-    /// Creates a coder with an explicit stripe granularity: the block
-    /// size all three stages walk a chunk in.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `stripe_bytes` is zero.
-    pub(crate) fn with_stripe(chunk_bytes: u64, stripe_bytes: usize) -> Self {
-        assert!(stripe_bytes > 0, "stripe size must be positive");
-        let chunk_bytes = chunk_bytes as usize;
+        let chunk_bytes = chunk_bytes.min(DEFAULT_SAMPLE_BYTES) as usize;
         PlanCoder {
             chunk_bytes,
-            block: stripe_bytes.min(chunk_bytes),
+            block: BLOCK_BYTES.min(chunk_bytes),
             tables: MulTableCache::new(),
             pristine: Vec::new(),
             work: Vec::new(),
@@ -381,7 +367,7 @@ mod tests {
     fn assert_blocks_are_the_naive_combination(coder: &mut PlanCoder, plan: &RepairPlan) {
         let mut blocks: Vec<Vec<u8>> = Vec::new();
         let stats = coder.run_blocks(plan, |b| blocks.push(b.to_vec()));
-        let fresh = PlanCoder::with_stripe(coder.chunk_bytes as u64, coder.block).run(plan);
+        let fresh = PlanCoder::new(coder.chunk_bytes as u64).run(plan);
         assert_eq!(stats.bytes_coded, fresh.bytes_coded);
         assert_eq!(stats.chunks_coded, fresh.chunks_coded);
         assert_eq!(
@@ -406,7 +392,7 @@ mod tests {
         let parents = [1, 3, 3, 7, 5, 7, 7, 10, 9, 10].map(|p| (p < 10).then_some(p));
         let tree = plan(&parents, |i| 3 * i + 2);
         let star = plan(&[None; 4], |i| i + 7);
-        let mut coder = PlanCoder::with_stripe(3 * 4096 + 100, 4096);
+        let mut coder = PlanCoder::new(3 * BLOCK_BYTES as u64 + 100);
         assert_blocks_are_the_naive_combination(&mut coder, &tree);
         assert_blocks_are_the_naive_combination(&mut coder, &star);
         assert_blocks_are_the_naive_combination(&mut coder, &tree);

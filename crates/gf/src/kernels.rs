@@ -23,6 +23,15 @@
 
 use crate::field::Gf256;
 
+/// Bytes of a chunk a coder works on before it moves to the next block:
+/// the erasure codes' `encode` and the repair plan coder both walk chunks
+/// in this step. Ten 4 KiB source blocks plus an output block or two fit a
+/// 48 KiB L1d, so every source is still in L1 when the last term reads it.
+/// Swept inside the repository benchmark's `codec` workload at 4, 16 and
+/// 64 KiB: no resolvable difference (DESIGN.md §3.2 has the readings), so
+/// the smallest footprint stays.
+pub const BLOCK_BYTES: usize = 4096;
+
 /// Per-constant multiplication tables in SPLIT_TABLE(8, 4) layout.
 ///
 /// For a constant `c`, `lo[x & 0xF] = c * (x & 0xF)` and

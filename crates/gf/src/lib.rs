@@ -13,7 +13,8 @@
 //!   written once) and [`xor_slice`], driven by a per-constant [`MulTable`]
 //!   ([`MulTableCache`] memoises them; [`mul_add_slice`] builds one on the
 //!   spot). The byte-at-a-time log/exp loops in [`scalar`] are the oracle
-//!   the tests compare everything else against.
+//!   the tests compare everything else against. Coders walk a chunk in
+//!   [`BLOCK_BYTES`] steps.
 //! - [`Matrix`]: dense row-major matrices over GF(2^8) with a Cauchy
 //!   constructor and Gauss–Jordan inversion, the building blocks of
 //!   Reed–Solomon and LRC codes.
@@ -53,7 +54,7 @@ mod tables;
 pub use field::Gf256;
 pub use kernels::{
     combine_into, mul_add_slice, mul_slice_with, mul_slice_xor_with, scalar, xor_slice, MulTable,
-    MulTableCache,
+    MulTableCache, BLOCK_BYTES,
 };
 pub use matrix::{Matrix, MatrixError};
 pub use simd::{active_kernel, available_kernels, Kernel};

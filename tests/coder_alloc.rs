@@ -1,23 +1,52 @@
 //! `PlanCoder::run` owns its buffers: once a coder has served a plan
 //! shape, coding another chunk of it costs kernel calls only — no heap
-//! allocation, and therefore no thread spawn either. One layer down, the
+//! allocation, and therefore no thread spawn either — and its first chunk
+//! allocates an L1d's worth of blocks, not a chunk's. One layer down, the
 //! allocating `encode` / `decode` / `repair` of the linear codes allocate
 //! what they return plus a fixed handful of small vectors, whatever the
 //! chunk length, and never a multiplication table per call on the encode
-//! side.
+//! side. Around them, a foreground report sorts its samples without a
+//! scratch buffer, and a relocation copies one stripe, not the layout.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::BTreeSet;
+use std::sync::Arc;
 
-use chameleonec::cluster::ChunkId;
+use chameleonec::cluster::{ChunkId, Cluster, ClusterConfig, Placement, PlacementStrategy};
 use chameleonec::codes::{ErasureCode, Lrc, ReedSolomon};
-use chameleonec::core::{Participant, PlanCoder, RepairPlan};
-use chameleonec::gf::Gf256;
+use chameleonec::core::run::{NoRepair, Run};
+use chameleonec::core::{Participant, PlanCoder, RepairContext, RepairPlan};
+use chameleonec::gf::{Gf256, MulTable, BLOCK_BYTES};
+use chameleonec::traces::{Workload, YcsbA};
 
 thread_local! {
-    /// Allocations made by the current thread (other test threads and the
-    /// harness do not disturb the count).
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Allocator calls and bytes asked for by the current thread (other
+    /// test threads and the harness do not disturb the count).
+    static ALLOCATED: Cell<Allocations> = const { Cell::new(Allocations { calls: 0, bytes: 0 }) };
+}
+
+/// What a stretch of code asked the allocator for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Allocations {
+    /// `alloc` and `realloc` calls.
+    calls: u64,
+    /// Bytes those calls asked for: an `alloc`'s size and a `realloc`'s
+    /// new size, whatever was freed meanwhile.
+    bytes: u64,
+}
+
+fn count(bytes: usize) {
+    let _ = ALLOCATED.try_with(|a| {
+        let Allocations {
+            calls,
+            bytes: total,
+        } = a.get();
+        a.set(Allocations {
+            calls: calls + 1,
+            bytes: total + bytes as u64,
+        });
+    });
 }
 
 struct CountingAllocator;
@@ -28,7 +57,7 @@ struct CountingAllocator;
 // the thread-local is already torn down.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -37,7 +66,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -45,10 +74,14 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-fn allocations_during(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
+fn allocations_during(f: impl FnOnce()) -> Allocations {
+    let before = ALLOCATED.with(Cell::get);
     f();
-    ALLOCATIONS.with(Cell::get) - before
+    let after = ALLOCATED.with(Cell::get);
+    Allocations {
+        calls: after.calls - before.calls,
+        bytes: after.bytes - before.bytes,
+    }
 }
 
 /// Participant `i` sits on node `i` and forwards to participant
@@ -79,8 +112,12 @@ fn plan(parents: &[usize], read_fraction: f64) -> RepairPlan {
 
 #[test]
 fn coding_a_second_chunk_allocates_nothing() {
-    let counted = allocations_during(|| drop(std::hint::black_box(Box::new(7u8))));
-    assert!(counted > 0, "the counting allocator is not installed");
+    let counted = allocations_during(|| drop(std::hint::black_box(Box::new([7u8; 3]))));
+    assert_eq!(
+        counted,
+        Allocations { calls: 1, bytes: 3 },
+        "the counting allocator is not installed"
+    );
     let shapes = [
         ("star", plan(&[10; 10], 1.0)),
         ("tree", plan(&[1, 3, 3, 7, 5, 7, 7, 10, 9, 10], 1.0)),
@@ -99,7 +136,10 @@ fn coding_a_second_chunk_allocates_nothing() {
                 assert_eq!(again.bytes_coded, first.bytes_coded);
             }
         });
-        assert_eq!(allocations, 0, "{name}: later chunks on a fresh coder");
+        assert_eq!(
+            allocations.calls, 0,
+            "{name}: later chunks on a fresh coder"
+        );
     }
     // One coder alternating between shapes it has already served.
     let allocations = allocations_during(|| {
@@ -107,7 +147,29 @@ fn coding_a_second_chunk_allocates_nothing() {
             shared.run(plan);
         }
     });
-    assert_eq!(allocations, 0, "alternating shapes on one coder");
+    assert_eq!(allocations.calls, 0, "alternating shapes on one coder");
+}
+
+#[test]
+fn a_fresh_coder_allocates_blocks_not_chunks() {
+    let tree = plan(&[1, 3, 3, 7, 5, 7, 7, 10, 9, 10], 1.0);
+    let coeffs: BTreeSet<Gf256> = tree.participants().iter().map(|p| p.coeff).collect();
+    // A sampled chunk of 64 blocks, as in a repair campaign.
+    let mut coder = PlanCoder::new(256 * 1024);
+    let first = allocations_during(|| {
+        coder.run(&tree);
+    });
+    // Ten source blocks, the synthetic block the sources read and the
+    // output block: twelve blocks, an L1d's worth. Beside them, one table
+    // per coefficient and at most 2 KiB of bookkeeping (the sources'
+    // 64-byte staggered windows and the fold schedule).
+    let tables = coeffs.len() * std::mem::size_of::<MulTable>();
+    let bound = 12 * BLOCK_BYTES + tables + 2048;
+    assert!(
+        first.bytes <= bound as u64,
+        "first run asked for {} bytes, more than {bound}",
+        first.bytes
+    );
 }
 
 /// Allocations of one `encode`, then of one `repair` and one `decode` of
@@ -118,12 +180,12 @@ fn codec_allocations(code: &dyn ErasureCode, len: usize) -> [u64; 3] {
         .collect();
     let refs: Vec<&[u8]> = data.iter().map(Vec::as_slice).collect();
     let mut stripe = Vec::new();
-    let encode = allocations_during(|| stripe = code.encode(&refs).expect("encode"));
+    let encode = allocations_during(|| stripe = code.encode(&refs).expect("encode")).calls;
     let survivors: Vec<(usize, &[u8])> = (1..code.n()).map(|i| (i, &stripe[i][..])).collect();
     let mut rebuilt = Vec::new();
-    let repair = allocations_during(|| rebuilt = code.repair(0, &survivors).expect("repair"));
+    let repair = allocations_during(|| rebuilt = code.repair(0, &survivors).expect("repair")).calls;
     assert!(rebuilt == stripe[0]);
-    let decode = allocations_during(|| rebuilt = code.decode(&survivors, 0).expect("decode"));
+    let decode = allocations_during(|| rebuilt = code.decode(&survivors, 0).expect("decode")).calls;
     assert!(rebuilt == stripe[0]);
     [encode, repair, decode]
 }
@@ -161,4 +223,41 @@ fn codec_allocations_do_not_depend_on_the_chunk_length() {
         assert!(repair <= 1 + 4, "{}: repair {repair}", code.name());
         assert!(decode <= 1 + 4, "{}: decode {decode}", code.name());
     }
+}
+
+#[test]
+fn a_foreground_report_allocates_nothing() {
+    let cluster = Cluster::new(ClusterConfig::small(14)).expect("a valid cluster");
+    let code = Arc::new(ReedSolomon::new(10, 4).expect("RS(10,4)"));
+    let mut run = Run::new(RepairContext::new(cluster, code));
+    let clients = (0..4).map(|i| Box::new(YcsbA::new(i)) as Box<dyn Workload>);
+    run.start_foreground(clients.collect(), 250);
+    run.drain(&mut NoRepair).expect("the clients finish");
+    let driver = run.foreground.take().expect("started above");
+    let mut report = None;
+    let allocations = allocations_during(|| report = Some(driver.report(&run.sim)));
+    let report = report.expect("reported above");
+    // More samples than a stable sort's 4 KiB stack buffer holds, so a
+    // stable sort would take its scratch from the heap.
+    assert_eq!(report.completed, 1000);
+    assert_eq!(allocations, Allocations { calls: 0, bytes: 0 });
+}
+
+#[test]
+fn a_relocation_copies_a_stripe_not_the_layout() {
+    // The benchmark's 1000-node layout: 4286 stripes of 14, 0.46 MiB of ids.
+    let strategy = PlacementStrategy::Random(0xC0DE);
+    let cached = Placement::new(1000, 14, 4286, strategy);
+    let mut placement = Placement::new(1000, 14, 4286, strategy);
+    let chunk = ChunkId {
+        stripe: 0,
+        index: 0,
+    };
+    let free = (0..1000)
+        .find(|node| !placement.stripe_nodes(0).contains(node))
+        .expect("a node outside the stripe");
+    let allocations = allocations_during(|| placement.relocate(chunk, free));
+    assert!(allocations.bytes < 1024, "{allocations:?}");
+    assert_eq!(placement.node_of(chunk), free);
+    assert_ne!(cached.node_of(chunk), free);
 }
