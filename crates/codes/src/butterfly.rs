@@ -1,9 +1,8 @@
 //! The Butterfly(4, 2) XOR regenerating code (Pamies-Juarez et al.,
 //! FAST 2016), with sub-packetization 2.
 
-use chameleon_gf::{xor_slice, Gf256};
+use chameleon_gf::{xor_slice, Gf256, Matrix};
 
-use crate::linear::solve_combination;
 use crate::{CodeError, ErasureCode, RepairRequirement, SourceRead};
 
 /// Number of sub-chunks per chunk (the code's sub-packetization).
@@ -184,7 +183,7 @@ impl ErasureCode for Butterfly {
         let mut out = vec![0u8; len];
         for h in 0..ALPHA {
             let target = Self::sub_row(wanted * ALPHA + h);
-            let coeffs = solve_combination(rows.len(), |v| &rows[v], &target)
+            let coeffs = Matrix::combination(rows.iter().map(Vec::as_slice), &target)
                 .ok_or(CodeError::NotEnoughChunks)?;
             let dst = &mut out[h * half..(h + 1) * half];
             for (src, &c) in bytes.iter().zip(&coeffs) {

@@ -18,14 +18,15 @@
 //! [`ErasureCode::encode`] / [`ErasureCode::decode`] /
 //! [`ErasureCode::repair`] for end-to-end correctness checks.
 //!
-//! RS and LRC share one generator-matrix engine. A code builds the
-//! multiplication tables of its parity rows once, when it is constructed;
-//! `encode` then walks a chunk in 4 KiB blocks, appending each source block
-//! to its systematic copy and — while the `k` blocks are hot — combining
-//! them into each parity's next block, so every output byte is written
-//! once. `decode` / `repair` solve for the coefficients and hand the whole
-//! output to one `gf::combine_into`. Apart from the buffers they return,
-//! the calls allocate a fixed handful of small vectors whatever the chunk
+//! RS and LRC share one generator-matrix engine. A code lists its parity
+//! rows' terms once, when it is constructed, each with its compile-time
+//! `gf::MulTable`; `encode` then walks a chunk in 4 KiB blocks, appending
+//! each source block to its systematic copy and — while the `k` blocks are
+//! hot — combining them into each parity's next block, so every output
+//! byte is written once. `decode` / `repair` solve with
+//! `gf::Matrix::combination`, as Butterfly does, and hand the whole output
+//! to one `gf::combine_into`. Apart from the buffers they return, the
+//! calls allocate a fixed handful of small vectors whatever the chunk
 //! length (`tests/coder_alloc.rs` pins the counts).
 //!
 //! # Examples

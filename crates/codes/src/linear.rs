@@ -11,9 +11,8 @@ pub(crate) struct LinearCode {
     generator: Matrix,
     k: usize,
     /// Per parity row `k..n`, its non-zero `(source, multiply-by-G[row][source])`
-    /// terms: an LRC local parity keeps only its group, and no `encode` call
-    /// builds a table.
-    parity_terms: Vec<Vec<(usize, MulTable)>>,
+    /// terms: an LRC local parity keeps only its group.
+    parity_terms: Vec<Vec<(usize, &'static MulTable)>>,
 }
 
 impl LinearCode {
@@ -34,9 +33,13 @@ impl LinearCode {
         let parity_terms = (k..generator.rows())
             .map(|i| {
                 let row = generator.row(i).iter().enumerate();
-                row.filter(|(_, c)| !c.is_zero())
-                    .map(|(j, &c)| (j, MulTable::new(c)))
-                    .collect()
+                // Sized up front, as `decode_into`'s terms are.
+                let mut terms = Vec::with_capacity(k);
+                terms.extend(
+                    row.filter(|(_, c)| !c.is_zero())
+                        .map(|(j, &c)| (j, MulTable::of(c))),
+                );
+                terms
             })
             .collect();
         LinearCode {
@@ -97,7 +100,7 @@ impl LinearCode {
                 terms.clear();
                 terms.extend(
                     row.iter()
-                        .map(|(j, table)| (table, &data[*j][span.clone()])),
+                        .map(|&(j, table)| (table, &data[j][span.clone()])),
                 );
                 combine_into(&terms, block);
                 out.extend_from_slice(block);
@@ -122,7 +125,7 @@ impl LinearCode {
             unit[pos] = Gf256::ONE;
             return Ok(unit);
         }
-        solve_combination(count, |v| self.row(index_of(v)), self.row(wanted))
+        Matrix::combination((0..count).map(|v| self.row(index_of(v))), self.row(wanted))
             .ok_or(CodeError::NotEnoughChunks)
     }
 
@@ -156,9 +159,9 @@ impl LinearCode {
         Ok(out)
     }
 
-    /// Overwrites `out` with chunk `wanted`: one solve, one table per
-    /// non-zero coefficient, one [`combine_into`] over the whole output.
-    /// Every available chunk must be as long as `out`.
+    /// Overwrites `out` with chunk `wanted`: one solve, then one
+    /// [`combine_into`] over the whole output with a term per non-zero
+    /// coefficient. Every available chunk must be as long as `out`.
     fn decode_into(
         &self,
         available: &[(usize, &[u8])],
@@ -166,17 +169,15 @@ impl LinearCode {
         out: &mut [u8],
     ) -> Result<(), CodeError> {
         let coeffs = self.combination(available.len(), |v| available[v].0, wanted)?;
-        let used = || coeffs.iter().zip(available).filter(|(c, _)| !c.is_zero());
-        // Sized up front: a filtered iterator would grow either vector in
+        // Sized up front: a filtered iterator would grow the vector in
         // steps, and the allocation count is pinned by `tests/coder_alloc.rs`.
-        let mut tables = Vec::with_capacity(coeffs.len());
-        tables.extend(used().map(|(&c, _)| MulTable::new(c)));
-        let mut terms: Vec<(&MulTable, &[u8])> = Vec::with_capacity(tables.len());
+        let mut terms: Vec<(&MulTable, &[u8])> = Vec::with_capacity(coeffs.len());
         terms.extend(
-            tables
+            coeffs
                 .iter()
-                .zip(used())
-                .map(|(t, (_, &(_, bytes)))| (t, bytes)),
+                .zip(available)
+                .filter(|(c, _)| !c.is_zero())
+                .map(|(&c, &(_, bytes))| (MulTable::of(c), bytes)),
         );
         combine_into(&terms, out);
         Ok(())
@@ -188,77 +189,11 @@ impl LinearCode {
         failed: usize,
         sources: &[usize],
     ) -> Result<Vec<Gf256>, CodeError> {
-        if failed >= self.n() || sources.iter().any(|&i| i >= self.n()) {
-            return Err(CodeError::BadIndex);
-        }
         if sources.contains(&failed) {
             return Err(CodeError::BadIndex);
         }
-        solve_combination(sources.len(), |v| self.row(sources[v]), self.row(failed))
-            .ok_or(CodeError::NotEnoughChunks)
+        self.combination(sources.len(), |v| sources[v], failed)
     }
-}
-
-/// Solves `sum_v x_v * column(v) = target` over GF(2^8) for `vars` columns;
-/// returns any solution (free variables set to zero), or `None` if the
-/// target is not in the span.
-pub(crate) fn solve_combination<'a>(
-    vars: usize,
-    column: impl Fn(usize) -> &'a [Gf256],
-    target: &[Gf256],
-) -> Option<Vec<Gf256>> {
-    let rows = target.len();
-    debug_assert!((0..vars).all(|v| column(v).len() == rows));
-    // Augmented matrix [A | target], row-major, A[r][v] = column(v)[r].
-    let width = vars + 1;
-    let mut aug = vec![Gf256::ZERO; rows * width];
-    for (r, row) in aug.chunks_exact_mut(width).enumerate() {
-        for (v, cell) in row[..vars].iter_mut().enumerate() {
-            *cell = column(v)[r];
-        }
-        row[vars] = target[r];
-    }
-
-    let mut pivot_row = 0;
-    for col in 0..vars {
-        if pivot_row == rows {
-            break;
-        }
-        let Some(pr) = (pivot_row..rows).find(|&r| !aug[r * width + col].is_zero()) else {
-            continue;
-        };
-        if pr != pivot_row {
-            let (upper, lower) = aug.split_at_mut(pr * width);
-            upper[pivot_row * width..][..width].swap_with_slice(&mut lower[..width]);
-        }
-        let inv = aug[pivot_row * width + col].inv().expect("pivot nonzero");
-        for v in &mut aug[pivot_row * width..][..width] {
-            *v *= inv;
-        }
-        for r in 0..rows {
-            let factor = aug[r * width + col];
-            if r != pivot_row && !factor.is_zero() {
-                for c in 0..width {
-                    let sub = aug[pivot_row * width + c] * factor;
-                    aug[r * width + c] += sub;
-                }
-            }
-        }
-        pivot_row += 1;
-    }
-
-    // Inconsistent system: a zero row with nonzero RHS.
-    if (pivot_row..rows).any(|r| !aug[r * width + vars].is_zero()) {
-        return None;
-    }
-
-    // Reduced row echelon form: a pivot row's leading entry is its pivot.
-    let mut solution = vec![Gf256::ZERO; vars];
-    for row in aug.chunks_exact(width).take(pivot_row) {
-        let col = row.iter().position(|c| !c.is_zero()).expect("pivot is one");
-        solution[col] = row[vars];
-    }
-    Some(solution)
 }
 
 #[cfg(test)]
@@ -339,12 +274,5 @@ mod tests {
         let stripe = code.encode(&data).unwrap();
         assert_eq!(stripe.len(), 5);
         assert!(stripe.iter().all(Vec::is_empty));
-    }
-
-    #[test]
-    fn solve_combination_detects_inconsistency() {
-        let a = [Gf256::ONE, Gf256::ZERO];
-        let target = [Gf256::ZERO, Gf256::ONE];
-        assert!(solve_combination(1, |_| &a, &target).is_none());
     }
 }

@@ -6,8 +6,8 @@
 //! nanoseconds each stage of Equation (1) cost:
 //!
 //! 1. **Source scale** — every source multiplies its local chunk by its
-//!    decoding coefficient (`mul_slice_with`, one cached table per
-//!    coefficient).
+//!    decoding coefficient (`mul_slice_with`, through the coefficient's
+//!    compile-time table, `MulTable::of`).
 //! 2. **Relay merge** — every relay XORs the partial sums it received
 //!    into its own scaled chunk (`xor_slice`).
 //! 3. **Reassemble** — the destination XORs the root partial sums into
@@ -29,7 +29,7 @@
 use std::cmp::Reverse;
 use std::time::Instant;
 
-use chameleon_gf::{mul_slice_with, xor_slice, MulTableCache, BLOCK_BYTES};
+use chameleon_gf::{mul_slice_with, xor_slice, MulTable, BLOCK_BYTES};
 use chameleon_simnet::faults::splitmix64;
 
 use crate::plan::RepairPlan;
@@ -89,10 +89,9 @@ impl CodingStats {
 }
 
 /// Runs the GF arithmetic of repair plans on deterministic synthetic
-/// chunks, timing each stage. One coder serves many plans: the product
-/// tables of recurring coefficients and every buffer are kept across
-/// runs, so a run allocates only when it meets a coefficient it has not
-/// seen or a plan wider than any before it.
+/// chunks, timing each stage. One coder serves many plans: every buffer
+/// is kept across runs, so a run allocates only when it meets a plan
+/// wider than any before it.
 ///
 /// The buffers are sized by the block, never by the chunk: every block of
 /// a chunk reuses them, and the sources of a plan read staggered windows
@@ -104,7 +103,6 @@ pub struct PlanCoder {
     chunk_bytes: usize,
     /// Bytes per block: [`BLOCK_BYTES`], or the whole chunk if smaller.
     block: usize,
-    tables: MulTableCache,
     /// Synthetic chunk contents, never written by a stage. Source `i`
     /// reads the block-long window at `i * SOURCE_STAGGER`.
     pristine: Vec<u8>,
@@ -150,7 +148,6 @@ impl PlanCoder {
         PlanCoder {
             chunk_bytes,
             block: BLOCK_BYTES.min(chunk_bytes),
-            tables: MulTableCache::new(),
             pristine: Vec::new(),
             work: Vec::new(),
             out: Vec::new(),
@@ -197,7 +194,6 @@ impl PlanCoder {
         }
 
         self.reserve(participants.len());
-        self.tables.prime(participants.iter().map(|p| p.coeff));
         self.schedule.rebuild(plan);
         let Schedule { folds, roots } = &self.schedule;
 
@@ -208,9 +204,12 @@ impl PlanCoder {
             // Stage 1: every source scales its chunk by its coefficient.
             let t = Instant::now();
             for (i, p) in participants.iter().enumerate() {
-                let table = self.tables.cached(p.coeff).expect("primed");
                 let scaled = &mut self.work[i * block..][..n];
-                mul_slice_with(table, source_window(&self.pristine, i, n), scaled);
+                mul_slice_with(
+                    MulTable::of(p.coeff),
+                    source_window(&self.pristine, i, n),
+                    scaled,
+                );
             }
             stats.source_scale_nanos += nanos_since(t);
 

@@ -207,11 +207,7 @@ impl Mul for Gf256 {
     type Output = Gf256;
     #[inline]
     fn mul(self, rhs: Gf256) -> Gf256 {
-        if self.0 == 0 || rhs.0 == 0 {
-            return Gf256::ZERO;
-        }
-        let l = LOG[self.0 as usize] as usize + LOG[rhs.0 as usize] as usize;
-        Gf256(EXP[l])
+        Gf256(crate::tables::mul(self.0, rhs.0))
     }
 }
 

@@ -1,12 +1,12 @@
 //! GF(2^8) slice kernels: `dst = c·src`, `dst ^= c·src`, `dst = Σ cᵢ·srcᵢ`
 //! and `dst ^= src`.
 //!
-//! Each constant `c` gets a [`MulTable`] in the SPLIT_TABLE(8, 4) layout
+//! Each constant `c` has a [`MulTable`] in the SPLIT_TABLE(8, 4) layout
 //! popularised by GF-Complete: two 16-entry nibble tables (`c * low_nibble`
 //! and `c * high_nibble`), the 256-entry product row derived from them, and
-//! the same map once more as an 8×8 bit matrix for `GF2P8AFFINEQB`.
-//! [`MulTableCache`] memoises the tables so a matrix–chunk product that
-//! reuses a coefficient never rebuilds one.
+//! the same map once more as an 8×8 bit matrix for `GF2P8AFFINEQB`. All
+//! 256 tables are built at compile time into one static, and
+//! [`MulTable::of`] hands them out: no coder builds or caches a table.
 //!
 //! [`mul_slice_with`], [`mul_slice_xor_with`] and [`combine_into`] are the
 //! only bulk multiply entry points: the zero / one fast paths, then one
@@ -22,6 +22,7 @@
 //! oracle every rung is tested against.
 
 use crate::field::Gf256;
+use crate::tables::mul;
 
 /// Bytes of a chunk a coder works on before it moves to the next block:
 /// the erasure codes' `encode` and the repair plan coder both walk chunks
@@ -47,7 +48,7 @@ pub const BLOCK_BYTES: usize = 4096;
 /// ```
 /// use chameleon_gf::{Gf256, MulTable};
 ///
-/// let t = MulTable::new(Gf256::new(0x53));
+/// let t = MulTable::of(Gf256::new(0x53));
 /// assert_eq!(Gf256::new(t.mul(0xCA)), Gf256::new(0x53) * Gf256::new(0xCA));
 /// ```
 #[derive(Debug, Clone)]
@@ -59,18 +60,45 @@ pub struct MulTable {
     affine: u64,
 }
 
+/// Every constant's table, `TABLES[c]` for `c`: 256 × 304 B of read-only
+/// data, computed by the compiler.
+static TABLES: [MulTable; 256] = {
+    const EMPTY: MulTable = MulTable::new(Gf256::ZERO);
+    let mut tables = [EMPTY; 256];
+    let mut c = 1;
+    while c < 256 {
+        tables[c] = MulTable::new(Gf256::new(c as u8));
+        c += 1;
+    }
+    tables
+};
+
 impl MulTable {
-    /// Builds the nibble tables and full product row for `coeff`.
-    pub fn new(coeff: Gf256) -> Self {
+    /// The table for `coeff`, from the compile-time set: the way coders
+    /// get one.
+    #[inline]
+    pub fn of(coeff: Gf256) -> &'static MulTable {
+        &TABLES[coeff.value() as usize]
+    }
+
+    /// Builds the nibble tables, product row and bit matrix for `coeff`.
+    /// [`MulTable::of`] returns the same table without building it; this
+    /// form exists to compute those tables and to time a build.
+    pub const fn new(coeff: Gf256) -> Self {
+        let c = coeff.value();
         let mut lo = [0u8; 16];
         let mut hi = [0u8; 16];
-        for i in 0..16u8 {
-            lo[i as usize] = (coeff * Gf256::new(i)).value();
-            hi[i as usize] = (coeff * Gf256::new(i << 4)).value();
+        let mut i = 0;
+        while i < 16 {
+            lo[i] = mul(c, i as u8);
+            hi[i] = mul(c, (i as u8) << 4);
+            i += 1;
         }
         let mut row = [0u8; 256];
-        for (x, r) in row.iter_mut().enumerate() {
-            *r = lo[x & 0xF] ^ hi[x >> 4];
+        let mut x = 0;
+        while x < 256 {
+            row[x] = lo[x & 0xF] ^ hi[x >> 4];
+            x += 1;
         }
         // Column j of the matrix is c * 2^j, already in the nibble tables;
         // byte j of `m` holds it, so bit i of byte j is matrix[i][j].
@@ -78,13 +106,17 @@ impl MulTable {
         let mut m = u64::from_le_bytes(columns);
         // 8x8 bit transpose (Hacker's Delight 7-3): swap the off-diagonal
         // 1x1, 2x2 and 4x4 blocks, leaving byte i = row i.
-        for (shift, mask) in [
+        let rounds = [
             (7, 0x00AA_00AA_00AA_00AA),
             (14, 0x0000_CCCC_0000_CCCC),
             (28, 0x0000_0000_F0F0_F0F0u64),
-        ] {
+        ];
+        let mut r = 0;
+        while r < rounds.len() {
+            let (shift, mask) = rounds[r];
             let t = (m ^ (m >> shift)) & mask;
             m ^= t ^ (t << shift);
+            r += 1;
         }
         MulTable {
             coeff,
@@ -123,56 +155,6 @@ impl MulTable {
     #[inline]
     pub fn affine_matrix(&self) -> u64 {
         self.affine
-    }
-}
-
-/// Lazily memoised [`MulTable`]s, one slot per field constant.
-///
-/// Decode paths (Gauss–Jordan back-substitution, matrix–chunk products)
-/// apply the same handful of coefficients to every stripe; caching the
-/// tables makes the table-build cost one-time per coefficient.
-///
-/// # Examples
-///
-/// ```
-/// use chameleon_gf::{Gf256, MulTableCache};
-///
-/// let mut cache = MulTableCache::new();
-/// let c = Gf256::new(0x1D);
-/// cache.get(c); // builds
-/// assert!(cache.cached(c).is_some()); // shared reference, no rebuild
-/// ```
-#[derive(Debug, Default)]
-pub struct MulTableCache {
-    tables: Vec<Option<Box<MulTable>>>,
-}
-
-impl MulTableCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        let mut tables = Vec::new();
-        tables.resize_with(256, || None);
-        MulTableCache { tables }
-    }
-
-    /// Returns the table for `coeff`, building it on first use.
-    pub fn get(&mut self, coeff: Gf256) -> &MulTable {
-        let slot = &mut self.tables[coeff.value() as usize];
-        slot.get_or_insert_with(|| Box::new(MulTable::new(coeff)))
-    }
-
-    /// Builds tables for every coefficient up front, so later shared
-    /// (read-only) access via [`MulTableCache::cached`] always hits.
-    pub fn prime(&mut self, coeffs: impl IntoIterator<Item = Gf256>) {
-        for c in coeffs {
-            self.get(c);
-        }
-    }
-
-    /// Returns the table for `coeff` if it was already built.
-    #[inline]
-    pub fn cached(&self, coeff: Gf256) -> Option<&MulTable> {
-        self.tables[coeff.value() as usize].as_deref()
     }
 }
 
@@ -255,10 +237,10 @@ pub fn mul_slice_xor_with(table: &MulTable, src: &[u8], dst: &mut [u8]) {
 /// ```
 /// use chameleon_gf::{combine_into, Gf256, MulTable};
 ///
-/// let (two, three) = (MulTable::new(Gf256::new(2)), MulTable::new(Gf256::new(3)));
+/// let (two, three) = (MulTable::of(Gf256::new(2)), MulTable::of(Gf256::new(3)));
 /// let src = [1u8, 2, 4];
 /// let mut dst = [0xEEu8; 3];
-/// combine_into(&[(&two, &src), (&three, &src)], &mut dst);
+/// combine_into(&[(two, &src), (three, &src)], &mut dst);
 /// assert_eq!(dst, src); // 2x + 3x = x
 /// ```
 pub fn combine_into(terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
@@ -268,9 +250,7 @@ pub fn combine_into(terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
 /// Multiplies every byte of `src` by `coeff` and XOR-accumulates into `dst`:
 /// `dst[i] ^= coeff * src[i]` — one term of Equation (1) in the paper.
 ///
-/// Builds the [`MulTable`] for `coeff` and calls [`mul_slice_xor_with`];
-/// for repeated use of one constant, build the table once (or use a
-/// [`MulTableCache`]) and call that directly.
+/// [`mul_slice_xor_with`] through the table [`MulTable::of`] `coeff`.
 ///
 /// # Panics
 ///
@@ -287,7 +267,7 @@ pub fn combine_into(terms: &[(&MulTable, &[u8])], dst: &mut [u8]) {
 /// assert_eq!(acc, [0u8; 4]); // x + x = 0
 /// ```
 pub fn mul_add_slice(coeff: Gf256, src: &[u8], dst: &mut [u8]) {
-    mul_slice_xor_with(&MulTable::new(coeff), src, dst);
+    mul_slice_xor_with(MulTable::of(coeff), src, dst);
 }
 
 /// Byte-at-a-time log/exp reference kernels.
@@ -364,20 +344,6 @@ pub mod scalar {
 mod tests {
     use super::*;
 
-    #[test]
-    fn table_matches_field_mul_for_all_pairs() {
-        for c in 0..=255u8 {
-            let t = MulTable::new(Gf256::new(c));
-            for x in 0..=255u8 {
-                assert_eq!(
-                    Gf256::new(t.mul(x)),
-                    Gf256::new(c) * Gf256::new(x),
-                    "c={c} x={x}"
-                );
-            }
-        }
-    }
-
     /// `GF2P8AFFINEQB` in software: bit `i` of the result is the parity of
     /// the matrix's row `i` (byte `7 - i` of the word) ANDed with `x`.
     fn apply_affine(matrix: u64, x: u8) -> u8 {
@@ -387,67 +353,30 @@ mod tests {
         })
     }
 
+    /// Every compile-time table equals a run-time build field for field,
+    /// and multiplies all 256 bytes right three ways: product row, nibble
+    /// tables and bit matrix (checked here, in software, so the matrix is
+    /// verified on hosts whose CPU cannot run the kernel that reads it).
     #[test]
-    fn affine_matrix_multiplies_for_all_pairs() {
-        // Checked here, in software, so the matrix is verified on hosts
-        // whose CPU cannot run the kernel that reads it.
+    fn every_static_table_is_its_runtime_build_and_multiplies() {
+        assert_eq!(std::mem::size_of::<MulTable>(), 304);
         for c in 0..=255u8 {
-            let matrix = MulTable::new(Gf256::new(c)).affine_matrix();
+            let t = MulTable::of(Gf256::new(c));
+            let built = MulTable::new(Gf256::new(std::hint::black_box(c)));
+            let fields = |t: &MulTable| (t.coeff, t.lo, t.hi, t.row, t.affine);
+            assert_eq!(fields(&built), fields(t), "c={c}");
             for x in 0..=255u8 {
-                assert_eq!(
-                    Gf256::new(apply_affine(matrix, x)),
-                    Gf256::new(c) * Gf256::new(x),
-                    "c={c} x={x}"
-                );
+                let product = (Gf256::new(c) * Gf256::new(x)).value();
+                let nibbles = t.lo[(x & 0xF) as usize] ^ t.hi[(x >> 4) as usize];
+                let ways = [t.mul(x), nibbles, apply_affine(t.affine_matrix(), x)];
+                assert_eq!(ways, [product; 3], "c={c} x={x}");
             }
         }
         assert_eq!(
-            MulTable::new(Gf256::ONE).affine_matrix(),
+            MulTable::of(Gf256::ONE).affine_matrix(),
             0x0102_0408_1020_4080,
             "the identity in GF2P8AFFINEQB's row order"
         );
-    }
-
-    #[test]
-    fn nibble_tables_compose_to_row() {
-        let t = MulTable::new(Gf256::new(0xB7));
-        let (lo, hi) = t.nibble_tables();
-        for x in 0..=255u8 {
-            assert_eq!(t.mul(x), lo[(x & 0xF) as usize] ^ hi[(x >> 4) as usize]);
-        }
-    }
-
-    #[test]
-    fn xor_slice_matches_scalar_at_odd_lengths() {
-        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            let init: Vec<u8> = (0..len).map(|i| (i * 101 + 5) as u8).collect();
-            let mut fast = init.clone();
-            let mut slow = init.clone();
-            xor_slice(&src, &mut fast);
-            scalar::xor_slice(&src, &mut slow);
-            assert_eq!(fast, slow, "len={len}");
-        }
-    }
-
-    #[test]
-    fn mul_kernels_match_scalar_at_odd_lengths() {
-        for len in [0usize, 1, 7, 8, 9, 65, 1000] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 29 + 3) as u8).collect();
-            let init: Vec<u8> = (0..len).map(|i| (i * 59 + 7) as u8).collect();
-            for c in [0u8, 1, 2, 0x1D, 0x53, 0xFF] {
-                let c = Gf256::new(c);
-                let t = MulTable::new(c);
-                let (mut f1, mut s1) = (vec![0u8; len], vec![0u8; len]);
-                mul_slice_with(&t, &src, &mut f1);
-                scalar::mul_slice(c, &src, &mut s1);
-                assert_eq!(f1, s1, "mul len={len} c={c}");
-                let (mut f2, mut s2) = (init.clone(), init.clone());
-                mul_slice_xor_with(&t, &src, &mut f2);
-                scalar::mul_slice_xor(c, &src, &mut s2);
-                assert_eq!(f2, s2, "mul_xor len={len} c={c}");
-            }
-        }
     }
 
     #[test]
@@ -471,17 +400,5 @@ mod tests {
         assert_eq!(dst, [1u8; 3]);
         mul_add_slice(Gf256::ONE, &src, &mut dst);
         assert_eq!(dst, [8u8, 9, 6]);
-    }
-
-    #[test]
-    fn cache_builds_once_and_shares() {
-        let mut cache = MulTableCache::new();
-        let c = Gf256::new(0x35);
-        assert!(cache.cached(c).is_none());
-        assert_eq!(cache.get(c).coeff(), c);
-        assert!(cache.cached(c).is_some());
-        cache.prime([Gf256::ZERO, Gf256::ONE, c]);
-        assert!(cache.cached(Gf256::ZERO).is_some());
-        assert!(cache.cached(Gf256::ONE).is_some());
     }
 }

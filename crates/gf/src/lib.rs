@@ -10,14 +10,15 @@
 //!   repaired byte goes through — [`mul_slice_with`] (`dst = c·src`),
 //!   [`mul_slice_xor_with`] (`dst ^= c·src`, one term of Equation (1) of the
 //!   paper), [`combine_into`] (`dst = Σ cᵢ·srcᵢ`, Equation (1) whole, `dst`
-//!   written once) and [`xor_slice`], driven by a per-constant [`MulTable`]
-//!   ([`MulTableCache`] memoises them; [`mul_add_slice`] builds one on the
-//!   spot). The byte-at-a-time log/exp loops in [`scalar`] are the oracle
-//!   the tests compare everything else against. Coders walk a chunk in
-//!   [`BLOCK_BYTES`] steps.
+//!   written once) and [`xor_slice`], driven by a per-constant [`MulTable`].
+//!   All 256 tables are one compile-time static, and [`MulTable::of`] is
+//!   how a coder gets one. The byte-at-a-time log/exp loops in [`scalar`]
+//!   are the oracle the tests compare everything else against. Coders walk
+//!   a chunk in [`BLOCK_BYTES`] steps.
 //! - [`Matrix`]: dense row-major matrices over GF(2^8) with a Cauchy
-//!   constructor and Gauss–Jordan inversion, the building blocks of
-//!   Reed–Solomon and LRC codes.
+//!   constructor and one Gauss–Jordan elimination behind inversion, rank
+//!   and [`Matrix::combination`] (a chunk as a combination of others), the
+//!   building blocks of Reed–Solomon, LRC and Butterfly decoding.
 //! - [`simd`]: the kernel ladder those three dispatch into — one
 //!   `dst (^)= Σ cᵢ·srcᵢ` loop over a lane type per rung: a GFNI / AVX-512
 //!   affine register, AVX2, SSSE3 or NEON byte-shuffle registers where the
@@ -54,7 +55,7 @@ mod tables;
 pub use field::Gf256;
 pub use kernels::{
     combine_into, mul_add_slice, mul_slice_with, mul_slice_xor_with, scalar, xor_slice, MulTable,
-    MulTableCache, BLOCK_BYTES,
+    BLOCK_BYTES,
 };
 pub use matrix::{Matrix, MatrixError};
 pub use simd::{active_kernel, available_kernels, Kernel};

@@ -3,6 +3,7 @@
 use core::fmt;
 
 use crate::field::Gf256;
+use crate::kernels::MulTable;
 
 /// Errors produced by matrix operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -189,7 +190,7 @@ impl Matrix {
         Ok(out)
     }
 
-    /// Computes the inverse via Gauss–Jordan elimination.
+    /// Computes the inverse: Gauss–Jordan elimination of `[self | I]`.
     ///
     /// # Errors
     ///
@@ -209,83 +210,114 @@ impl Matrix {
             return Err(MatrixError::NotSquare);
         }
         let n = self.rows;
-        let mut a = self.clone();
-        let mut inv = Matrix::identity(n);
-
-        for col in 0..n {
-            // Find a pivot row.
-            let pivot = (col..n)
-                .find(|&r| !a[(r, col)].is_zero())
-                .ok_or(MatrixError::Singular)?;
-            if pivot != col {
-                a.swap_rows(pivot, col);
-                inv.swap_rows(pivot, col);
-            }
-            // Normalize the pivot row.
-            let p = a[(col, col)].inv().expect("pivot is nonzero");
-            a.scale_row(col, p);
-            inv.scale_row(col, p);
-            // Eliminate the column everywhere else.
-            for r in 0..n {
-                if r == col {
-                    continue;
-                }
-                let factor = a[(r, col)];
-                if factor.is_zero() {
-                    continue;
-                }
-                a.add_scaled_row(col, r, factor);
-                inv.add_scaled_row(col, r, factor);
-            }
+        let mut aug = Matrix::zero(n, 2 * n);
+        for r in 0..n {
+            aug.data[r * 2 * n..][..n].copy_from_slice(self.row(r));
+            aug[(r, n + r)] = Gf256::ONE;
         }
-        Ok(inv)
+        // A pivot in every column of `self` leaves `[I | self⁻¹]`.
+        if aug.reduce(n) < n {
+            return Err(MatrixError::Singular);
+        }
+        let mut data = Vec::with_capacity(n * n);
+        for row in aug.data.chunks_exact(2 * n) {
+            data.extend_from_slice(&row[n..]);
+        }
+        Ok(Matrix::from_rows(n, n, data))
     }
 
-    /// Computes the rank via Gaussian elimination on a copy.
+    /// Computes the rank by Gauss–Jordan elimination of a copy.
     pub fn rank(&self) -> usize {
-        let mut a = self.clone();
+        self.clone().reduce(self.cols)
+    }
+
+    /// Expresses `target` as a linear combination of `rows`: coefficients
+    /// `x` with `Σ_v x_v · rows[v] = target`, by Gauss–Jordan elimination
+    /// of `[rowsᵀ | target]`. Where the rows are dependent, any solution
+    /// is returned, with the free coefficients zero; `None` if `target` is
+    /// not in their span. Panics unless every row is as long as `target`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use chameleon_gf::{Gf256, Matrix};
+    /// let (a, b) = ([Gf256::ONE, Gf256::ZERO], [Gf256::ONE, Gf256::ONE]);
+    /// let x = Matrix::combination([&a[..], &b[..]], &[Gf256::ZERO, Gf256::ONE]);
+    /// assert_eq!(x, Some(vec![Gf256::ONE, Gf256::ONE])); // a + b
+    /// assert_eq!(Matrix::combination([&a[..]], &[Gf256::ZERO, Gf256::ONE]), None);
+    /// ```
+    pub fn combination<'a, R>(rows: R, target: &[Gf256]) -> Option<Vec<Gf256>>
+    where
+        R: IntoIterator<Item = &'a [Gf256]>,
+        R::IntoIter: ExactSizeIterator,
+    {
+        let rows = rows.into_iter();
+        let (vars, len) = (rows.len(), target.len());
+        let mut aug = Matrix {
+            rows: len,
+            cols: vars + 1,
+            data: vec![Gf256::ZERO; len * (vars + 1)],
+        };
+        for (v, row) in rows.enumerate() {
+            assert_eq!(row.len(), len, "row {v} is not as long as the target");
+            for (r, &x) in row.iter().enumerate() {
+                aug[(r, v)] = x;
+            }
+        }
+        for (r, &t) in target.iter().enumerate() {
+            aug[(r, vars)] = t;
+        }
+        let rank = aug.reduce(vars);
+        // A zero row with a non-zero right-hand side: inconsistent.
+        if (rank..len).any(|r| !aug[(r, vars)].is_zero()) {
+            return None;
+        }
+        // Reduced row echelon form: a pivot row leads with its pivot, one.
+        let mut solution = vec![Gf256::ZERO; vars];
+        for row in aug.data.chunks_exact(vars + 1).take(rank) {
+            let col = row.iter().position(|c| !c.is_zero()).expect("pivot is one");
+            solution[col] = row[vars];
+        }
+        Some(solution)
+    }
+
+    /// The workspace's one Gauss–Jordan elimination: brings the first
+    /// `pivot_cols` columns to reduced row echelon form, taking columns in
+    /// order and, for each, the first non-zero entry at or below the pivot
+    /// row as its pivot. The other columns ride along as right-hand sides.
+    /// Every row operation multiplies through the constant's [`MulTable`].
+    /// Returns the number of pivots: the rank of those columns.
+    fn reduce(&mut self, pivot_cols: usize) -> usize {
+        let width = self.cols;
         let mut rank = 0;
-        for col in 0..a.cols {
-            if rank == a.rows {
+        for col in 0..pivot_cols {
+            if rank == self.rows {
                 break;
             }
-            let pivot = (rank..a.rows).find(|&r| !a[(r, col)].is_zero());
-            let Some(pivot) = pivot else { continue };
-            a.swap_rows(pivot, rank);
-            let p = a[(rank, col)].inv().expect("pivot is nonzero");
-            a.scale_row(rank, p);
-            for r in 0..a.rows {
-                if r != rank && !a[(r, col)].is_zero() {
-                    let factor = a[(r, col)];
-                    a.add_scaled_row(rank, r, factor);
+            let Some(pivot) = (rank..self.rows).find(|&r| !self[(r, col)].is_zero()) else {
+                continue;
+            };
+            let top = rank * width;
+            for c in 0..width {
+                self.data.swap(top + c, pivot * width + c);
+            }
+            let scale = MulTable::of(self[(rank, col)].inv().expect("pivot is non-zero"));
+            for v in &mut self.data[top..top + width] {
+                *v = Gf256::new(scale.mul(v.value()));
+            }
+            for r in (0..self.rows).filter(|&r| r != rank) {
+                let factor = MulTable::of(self[(r, col)]);
+                if factor.coeff().is_zero() {
+                    continue;
+                }
+                for c in 0..width {
+                    let sub = factor.mul(self.data[top + c].value());
+                    self.data[r * width + c] += Gf256::new(sub);
                 }
             }
             rank += 1;
         }
         rank
-    }
-
-    fn swap_rows(&mut self, r1: usize, r2: usize) {
-        if r1 == r2 {
-            return;
-        }
-        for c in 0..self.cols {
-            self.data.swap(r1 * self.cols + c, r2 * self.cols + c);
-        }
-    }
-
-    fn scale_row(&mut self, r: usize, factor: Gf256) {
-        for c in 0..self.cols {
-            self[(r, c)] *= factor;
-        }
-    }
-
-    /// `row[dst] += factor * row[src]`.
-    fn add_scaled_row(&mut self, src: usize, dst: usize, factor: Gf256) {
-        for c in 0..self.cols {
-            let v = self[(src, c)] * factor;
-            self[(dst, c)] += v;
-        }
     }
 }
 
@@ -337,32 +369,9 @@ mod tests {
     }
 
     #[test]
-    fn invert_roundtrip() {
-        let m = Matrix::cauchy(5, 5);
-        let inv = m.invert().unwrap();
-        assert_eq!(m.mul(&inv).unwrap(), Matrix::identity(5));
-        assert_eq!(inv.mul(&m).unwrap(), Matrix::identity(5));
-    }
-
-    #[test]
-    fn singular_matrix_detected() {
-        let mut m = Matrix::zero(3, 3);
-        m[(0, 0)] = Gf256::ONE;
-        m[(1, 0)] = Gf256::ONE; // rank 1
-        assert_eq!(m.invert(), Err(MatrixError::Singular));
-        assert_eq!(m.rank(), 1);
-    }
-
-    #[test]
     fn non_square_invert_rejected() {
         let m = Matrix::zero(2, 3);
         assert_eq!(m.invert(), Err(MatrixError::NotSquare));
-    }
-
-    #[test]
-    fn rank_of_tall_cauchy_is_full() {
-        let m = Matrix::cauchy(6, 4);
-        assert_eq!(m.rank(), 4);
     }
 
     #[test]

@@ -13,6 +13,16 @@ pub(crate) const EXP: [u8; 512] = build_exp();
 /// (unused; multiplication checks for zero operands first).
 pub(crate) const LOG: [u8; 256] = build_log();
 
+/// `a * b` in the field, through the log/exp tables; usable in `const`
+/// context, so the product tables of `kernels` are built at compile time.
+pub(crate) const fn mul(a: u8, b: u8) -> u8 {
+    if a == 0 || b == 0 {
+        0
+    } else {
+        EXP[LOG[a as usize] as usize + LOG[b as usize] as usize]
+    }
+}
+
 const fn build_exp() -> [u8; 512] {
     let mut table = [0u8; 512];
     let mut x: u16 = 1;

@@ -1,6 +1,7 @@
-//! Property-based tests for GF(2^8) field axioms, matrix algebra, and
-//! the equivalence of every rung of the kernel ladder with the
-//! byte-at-a-time scalar reference.
+//! Property-based tests for GF(2^8) field axioms, matrix algebra (the one
+//! Gauss–Jordan elimination against the solve it replaced), and the
+//! equivalence of every rung of the kernel ladder with the byte-at-a-time
+//! scalar reference.
 
 use chameleon_gf::{
     active_kernel, available_kernels, combine_into, mul_add_slice, mul_slice_with,
@@ -9,7 +10,7 @@ use chameleon_gf::{
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn elem() -> impl Strategy<Value = Gf256> {
     any::<u8>().prop_map(Gf256::new)
@@ -83,8 +84,8 @@ proptest! {
 
     #[test]
     fn word_xor_matches_scalar(
-        data in proptest::collection::vec(any::<u8>(), 0..200),
-        init in proptest::collection::vec(any::<u8>(), 0..200),
+        data in proptest::collection::vec(any::<u8>(), 0..1100),
+        init in proptest::collection::vec(any::<u8>(), 0..1100),
     ) {
         let len = data.len().min(init.len());
         let mut fast = init[..len].to_vec();
@@ -109,6 +110,137 @@ proptest! {
         let inv = sel.invert().unwrap();
         prop_assert_eq!(sel.mul(&inv).unwrap(), Matrix::identity(n));
         prop_assert_eq!(inv.mul(&sel).unwrap(), Matrix::identity(n));
+    }
+}
+
+/// The Gauss–Jordan solve `codes` carried before [`Matrix::combination`]
+/// replaced it, kept as its oracle: `Σ_v x_v · rows[v] = target` on one
+/// flat augmented matrix, pivots taken down each column in order, free
+/// coefficients zero.
+fn reference_combination(rows: &[Vec<Gf256>], target: &[Gf256]) -> Option<Vec<Gf256>> {
+    let (vars, len) = (rows.len(), target.len());
+    let width = vars + 1;
+    let mut aug = vec![Gf256::ZERO; len * width];
+    for (r, row) in aug.chunks_exact_mut(width).enumerate() {
+        for (v, cell) in row[..vars].iter_mut().enumerate() {
+            *cell = rows[v][r];
+        }
+        row[vars] = target[r];
+    }
+    let mut pivot_row = 0;
+    for col in 0..vars {
+        if pivot_row == len {
+            break;
+        }
+        let Some(pr) = (pivot_row..len).find(|&r| !aug[r * width + col].is_zero()) else {
+            continue;
+        };
+        if pr != pivot_row {
+            let (upper, lower) = aug.split_at_mut(pr * width);
+            upper[pivot_row * width..][..width].swap_with_slice(&mut lower[..width]);
+        }
+        let inv = aug[pivot_row * width + col].inv().expect("pivot nonzero");
+        for v in &mut aug[pivot_row * width..][..width] {
+            *v *= inv;
+        }
+        for r in 0..len {
+            let factor = aug[r * width + col];
+            if r != pivot_row && !factor.is_zero() {
+                for c in 0..width {
+                    let sub = aug[pivot_row * width + c] * factor;
+                    aug[r * width + c] += sub;
+                }
+            }
+        }
+        pivot_row += 1;
+    }
+    if (pivot_row..len).any(|r| !aug[r * width + vars].is_zero()) {
+        return None;
+    }
+    let mut solution = vec![Gf256::ZERO; vars];
+    for row in aug.chunks_exact(width).take(pivot_row) {
+        let col = row.iter().position(|c| !c.is_zero()).expect("pivot is one");
+        solution[col] = row[vars];
+    }
+    Some(solution)
+}
+
+/// `vars` rows of length `len` spanning at most `rank` dimensions (a rank
+/// below `vars` or `len` makes the system rank-deficient), and a target:
+/// a combination of the rows, or with `outside` a free draw, usually
+/// outside their span. A third of all draws are zero, so a pivot search
+/// has to look down its column.
+fn random_system(
+    len: usize,
+    vars: usize,
+    rank: usize,
+    outside: bool,
+    seed: u64,
+) -> (Vec<Vec<Gf256>>, Vec<Gf256>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sparse = move || {
+        Gf256::new(if rng.gen_bool(1.0 / 3.0) {
+            0
+        } else {
+            rng.gen()
+        })
+    };
+    let mut combine = |of: &[Vec<Gf256>]| {
+        of.iter().fold(vec![Gf256::ZERO; len], |mut sum, row| {
+            let c = sparse();
+            sum.iter_mut().zip(row).for_each(|(s, &x)| *s += c * x);
+            sum
+        })
+    };
+    let units: Vec<Vec<Gf256>> = (0..len).map(|i| unit(len, i)).collect();
+    let basis: Vec<Vec<Gf256>> = (0..rank).map(|_| combine(&units)).collect();
+    let rows: Vec<Vec<Gf256>> = (0..vars).map(|_| combine(&basis)).collect();
+    let target = combine(if outside { &units } else { &rows });
+    (rows, target)
+}
+
+fn unit(len: usize, i: usize) -> Vec<Gf256> {
+    (0..len).map(|j| Gf256::new((i == j) as u8)).collect()
+}
+
+proptest! {
+    // Systems up to 8 x 11: square half the time (so `invert` runs),
+    // otherwise wider than tall or taller than wide; full rank and
+    // rank-deficient; consistent and (with `outside`) mostly not.
+    #[test]
+    fn the_one_elimination_matches_the_reference_solve(
+        len in 1usize..9,
+        other in 0usize..12,
+        square in any::<bool>(),
+        rank in 0usize..9,
+        outside in any::<bool>(),
+        seed in any::<u64>(),
+    ) {
+        let vars = if square { len } else { other };
+        let (rows, target) = random_system(len, vars, rank, outside, seed);
+        let solution = Matrix::combination(rows.iter().map(Vec::as_slice), &target);
+        prop_assert_eq!(&solution, &reference_combination(&rows, &target));
+        if vars == 0 {
+            return Ok(());
+        }
+        // Rank: the rows that are not combinations of the rows before them.
+        let m = Matrix::from_rows(vars, len, rows.concat());
+        let independent = (0..vars)
+            .filter(|&v| reference_combination(&rows[..v], &rows[v]).is_none())
+            .count();
+        prop_assert_eq!(m.rank(), independent);
+        // Inverse: row i is the combination of the rows that gives unit i.
+        if vars == len {
+            let inverse: Option<Vec<Vec<Gf256>>> =
+                (0..len).map(|i| reference_combination(&rows, &unit(len, i))).collect();
+            match (m.invert(), inverse) {
+                (Ok(inv), Some(expect)) => {
+                    prop_assert_eq!(inv, Matrix::from_rows(len, len, expect.concat()))
+                }
+                (Err(e), None) => prop_assert_eq!(e, chameleon_gf::MatrixError::Singular),
+                (got, expect) => prop_assert!(false, "invert {:?}, reference {:?}", got, expect),
+            }
+        }
     }
 }
 

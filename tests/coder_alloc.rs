@@ -4,20 +4,20 @@
 //! allocates an L1d's worth of blocks, not a chunk's. One layer down, the
 //! allocating `encode` / `decode` / `repair` of the linear codes allocate
 //! what they return plus a fixed handful of small vectors, whatever the
-//! chunk length, and never a multiplication table per call on the encode
-//! side. Around them, a foreground report sorts its samples without a
+//! chunk length, and a code's construction a few hundred bytes: the
+//! multiplication tables are compile-time constants, never built or boxed
+//! at run time. Around them, a foreground report sorts its samples without a
 //! scratch buffer, and a relocation copies one stripe, not the layout.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use chameleonec::cluster::{ChunkId, Cluster, ClusterConfig, Placement, PlacementStrategy};
 use chameleonec::codes::{ErasureCode, Lrc, ReedSolomon};
 use chameleonec::core::run::{NoRepair, Run};
 use chameleonec::core::{Participant, PlanCoder, RepairContext, RepairPlan};
-use chameleonec::gf::{Gf256, MulTable, BLOCK_BYTES};
+use chameleonec::gf::{Gf256, BLOCK_BYTES};
 use chameleonec::traces::{Workload, YcsbA};
 
 thread_local! {
@@ -153,18 +153,16 @@ fn coding_a_second_chunk_allocates_nothing() {
 #[test]
 fn a_fresh_coder_allocates_blocks_not_chunks() {
     let tree = plan(&[1, 3, 3, 7, 5, 7, 7, 10, 9, 10], 1.0);
-    let coeffs: BTreeSet<Gf256> = tree.participants().iter().map(|p| p.coeff).collect();
     // A sampled chunk of 64 blocks, as in a repair campaign.
     let mut coder = PlanCoder::new(256 * 1024);
     let first = allocations_during(|| {
         coder.run(&tree);
     });
     // Ten source blocks, the synthetic block the sources read and the
-    // output block: twelve blocks, an L1d's worth. Beside them, one table
-    // per coefficient and at most 2 KiB of bookkeeping (the sources'
-    // 64-byte staggered windows and the fold schedule).
-    let tables = coeffs.len() * std::mem::size_of::<MulTable>();
-    let bound = 12 * BLOCK_BYTES + tables + 2048;
+    // output block: twelve blocks, an L1d's worth. Beside them, at most
+    // 2 KiB of bookkeeping (the sources' 64-byte staggered windows and the
+    // fold schedule), and no table.
+    let bound = 12 * BLOCK_BYTES + 2048;
     assert!(
         first.bytes <= bound as u64,
         "first run asked for {} bytes, more than {bound}",
@@ -219,10 +217,20 @@ fn codec_allocations_do_not_depend_on_the_chunk_length() {
             "{}: encode {encode}",
             code.name()
         );
-        // The chunk, plus the solve (2), the <= k tables (1) and the terms (1).
-        assert!(repair <= 1 + 4, "{}: repair {repair}", code.name());
-        assert!(decode <= 1 + 4, "{}: decode {decode}", code.name());
+        // The chunk, plus the solve's matrix and solution (2) and the terms (1).
+        assert_eq!(repair, 1 + 3, "{}: repair", code.name());
+        assert_eq!(decode, 1 + 3, "{}: decode", code.name());
     }
+}
+
+#[test]
+fn constructing_a_code_builds_no_table() {
+    let mut rs = None;
+    let allocations = allocations_during(|| rs = Some(ReedSolomon::new(10, 4)));
+    assert!(rs.is_some_and(|rs| rs.is_ok()));
+    // The generator, and per parity row its ten `(source, &table)` terms:
+    // 40 tables built here would be 12 160 B on their own.
+    assert!(allocations.bytes < 2048, "{allocations:?}");
 }
 
 #[test]
