@@ -38,7 +38,6 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt::Write;
 use std::ops::RangeInclusive;
 
 use chameleon_cluster::ChunkId;
@@ -200,15 +199,7 @@ impl LedgerEntry {
     /// the flow trace / span lines:
     /// `{"event":"ledger","stripe":S,"chunk":I,"state":"…","attempts":N,…}`.
     pub fn to_json_line(&self, chunk: ChunkId) -> String {
-        let mut line = String::new();
-        self.write_json_line(chunk, &mut line);
-        line
-    }
-
-    /// Appends [`LedgerEntry::to_json_line`] to `out`.
-    fn write_json_line(&self, chunk: ChunkId, out: &mut String) {
-        let _ = write!(
-            out,
+        format!(
             "{{\"event\":\"ledger\",\"stripe\":{},\"chunk\":{},\"state\":\"{}\",\"attempts\":{},\"enqueued\":{},\"updated\":{},\"requeues\":{}}}",
             chunk.stripe,
             chunk.index,
@@ -217,7 +208,7 @@ impl LedgerEntry {
             self.enqueued_secs,
             self.updated_secs,
             self.requeues
-        );
+        )
     }
 }
 
@@ -238,18 +229,10 @@ impl DataLossEvent {
     /// flow trace / span / ledger lines:
     /// `{"event":"data_loss","stripe":S,"t":T,"erasures":E}`.
     pub fn to_json_line(&self) -> String {
-        let mut line = String::new();
-        self.write_json_line(&mut line);
-        line
-    }
-
-    /// Appends [`DataLossEvent::to_json_line`] to `out`.
-    fn write_json_line(&self, out: &mut String) {
-        let _ = write!(
-            out,
+        format!(
             "{{\"event\":\"data_loss\",\"stripe\":{},\"t\":{},\"erasures\":{}}}",
             self.stripe, self.at_secs, self.erasures
-        );
+        )
     }
 }
 
@@ -274,18 +257,10 @@ impl BudgetStarvedEvent {
     /// other ledger lines:
     /// `{"event":"budget_starved","t":T,"negotiated":R,"clamped":C}`.
     pub fn to_json_line(&self) -> String {
-        let mut line = String::new();
-        self.write_json_line(&mut line);
-        line
-    }
-
-    /// Appends [`BudgetStarvedEvent::to_json_line`] to `out`.
-    fn write_json_line(&self, out: &mut String) {
-        let _ = write!(
-            out,
+        format!(
             "{{\"event\":\"budget_starved\",\"t\":{},\"negotiated\":{},\"clamped\":{}}}",
             self.at_secs, self.negotiated_rate, self.clamped_rate
-        );
+        )
     }
 }
 
@@ -869,20 +844,20 @@ impl Orchestrator {
     /// Renders the campaign as JSONL: every budget-starved event, then
     /// every data-loss event (both in time order), then every ledger entry
     /// (chunk order), schema-compatible with the flow-trace / span /
-    /// given-up lines so all can share one `.jsonl` file. Each line is
-    /// written straight into the output, which is returned at its length.
+    /// given-up lines so all can share one `.jsonl` file, returned at its
+    /// length.
     pub fn ledger_jsonl(&self) -> String {
         let mut out = String::new();
         for event in &self.budget_starved {
-            event.write_json_line(&mut out);
+            out.push_str(&event.to_json_line());
             out.push('\n');
         }
         for event in &self.data_loss_events {
-            event.write_json_line(&mut out);
+            out.push_str(&event.to_json_line());
             out.push('\n');
         }
         for (chunk, entry) in &self.ledger {
-            entry.write_json_line(*chunk, &mut out);
+            out.push_str(&entry.to_json_line(*chunk));
             out.push('\n');
         }
         out.shrink_to_fit();
@@ -1184,6 +1159,7 @@ mod tests {
         }]);
         let (orch, _) = run_campaign(QueuePolicy::Fifo, BudgetPolicy::Unlimited, &plan);
         let jsonl = orch.ledger_jsonl();
+        assert_eq!(jsonl.capacity(), jsonl.len(), "returned at its length");
         let mut lines = jsonl.lines().filter(|l| text(l, "event") == Some("ledger"));
         let mut entries = 0;
         for (chunk, entry) in orch.ledger() {
@@ -1198,28 +1174,6 @@ mod tests {
             entries += 1;
         }
         assert!(entries > 0 && lines.next().is_none());
-    }
-
-    #[test]
-    fn the_ledger_is_its_lines_in_one_right_sized_buffer() {
-        // Three crashes in one RS(4,2) stripe under a starved budget: every
-        // kind of line the ledger holds.
-        let crash = |node, at_secs| FaultSpec::Crash { node, at_secs };
-        let plan = FaultPlan::new(vec![crash(0, 0.01), crash(1, 0.02), crash(2, 0.03)]);
-        let starving = BudgetPolicy::Negotiated {
-            headroom: 0.0,
-            floor: 1.0,
-        };
-        let (orch, _) = run_campaign(QueuePolicy::RedundancyPriority, starving, &plan);
-        assert!(!orch.budget_starved.is_empty() && !orch.data_loss_events.is_empty());
-        let lines: String = (orch.budget_starved.iter().map(|e| e.to_json_line()))
-            .chain(orch.data_loss_events.iter().map(|e| e.to_json_line()))
-            .chain(orch.ledger.iter().map(|(chunk, e)| e.to_json_line(*chunk)))
-            .map(|line| line + "\n")
-            .collect();
-        let jsonl = orch.ledger_jsonl();
-        assert_eq!(jsonl, lines);
-        assert_eq!(jsonl.capacity(), jsonl.len());
     }
 
     #[test]

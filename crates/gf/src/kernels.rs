@@ -380,6 +380,39 @@ mod tests {
     }
 
     #[test]
+    fn xor_slice_matches_scalar_at_odd_lengths() {
+        for len in [0usize, 1, 7, 8, 9, 63, 64, 65, 1000] {
+            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
+            let init: Vec<u8> = (0..len).map(|i| (i * 101 + 5) as u8).collect();
+            let mut fast = init.clone();
+            let mut slow = init.clone();
+            xor_slice(&src, &mut fast);
+            scalar::xor_slice(&src, &mut slow);
+            assert_eq!(fast, slow, "len={len}");
+        }
+    }
+
+    #[test]
+    fn mul_kernels_match_scalar_at_odd_lengths() {
+        for len in [0usize, 1, 7, 8, 9, 65, 1000] {
+            let src: Vec<u8> = (0..len).map(|i| (i * 29 + 3) as u8).collect();
+            let init: Vec<u8> = (0..len).map(|i| (i * 59 + 7) as u8).collect();
+            for c in [0u8, 1, 2, 0x1D, 0x53, 0xFF] {
+                let c = Gf256::new(c);
+                let t = MulTable::of(c);
+                let (mut f1, mut s1) = (vec![0u8; len], vec![0u8; len]);
+                mul_slice_with(t, &src, &mut f1);
+                scalar::mul_slice(c, &src, &mut s1);
+                assert_eq!(f1, s1, "mul len={len} c={c}");
+                let (mut f2, mut s2) = (init.clone(), init.clone());
+                mul_slice_xor_with(t, &src, &mut f2);
+                scalar::mul_slice_xor(c, &src, &mut s2);
+                assert_eq!(f2, s2, "mul_xor len={len} c={c}");
+            }
+        }
+    }
+
+    #[test]
     fn mul_add_slice_matches_scalar() {
         let src: Vec<u8> = (0..=255).collect();
         let mut acc: Vec<u8> = src.iter().rev().copied().collect();

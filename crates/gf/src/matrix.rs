@@ -369,9 +369,32 @@ mod tests {
     }
 
     #[test]
+    fn invert_roundtrip() {
+        let m = Matrix::cauchy(5, 5);
+        let inv = m.invert().unwrap();
+        assert_eq!(m.mul(&inv).unwrap(), Matrix::identity(5));
+        assert_eq!(inv.mul(&m).unwrap(), Matrix::identity(5));
+    }
+
+    #[test]
+    fn singular_matrix_detected() {
+        let mut m = Matrix::zero(3, 3);
+        m[(0, 0)] = Gf256::ONE;
+        m[(1, 0)] = Gf256::ONE; // rank 1
+        assert_eq!(m.invert(), Err(MatrixError::Singular));
+        assert_eq!(m.rank(), 1);
+    }
+
+    #[test]
     fn non_square_invert_rejected() {
         let m = Matrix::zero(2, 3);
         assert_eq!(m.invert(), Err(MatrixError::NotSquare));
+    }
+
+    #[test]
+    fn rank_of_tall_cauchy_is_full() {
+        let m = Matrix::cauchy(6, 4);
+        assert_eq!(m.rank(), 4);
     }
 
     #[test]

@@ -604,6 +604,8 @@ mod arm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::Gf256;
+    use crate::kernels::scalar;
 
     #[test]
     fn select_reads_names_off_the_ladder() {
@@ -639,5 +641,58 @@ mod tests {
         assert_eq!(ladder.last().map(Kernel::name), Some("scalar"));
         assert_eq!(ladder.iter().filter(|k| k.name() == "scalar").count(), 1);
         assert!(ladder.iter().any(|k| k.name() == active_kernel()));
+    }
+
+    #[test]
+    fn every_available_kernel_matches_scalar_on_edge_lengths() {
+        // Lengths straddle the 8-byte unroll and the 16-, 32- and 64-byte
+        // lanes, including 0 and lengths that leave 1..=63-byte tails.
+        let lens = [
+            0usize, 1, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 47, 63, 64, 65, 127, 128, 129, 255, 1021,
+        ];
+        for kernel in available_kernels() {
+            for c in [0u8, 1, 2, 0x1D, 0x53, 0x8E, 0xFF] {
+                let c = Gf256::new(c);
+                let table = MulTable::of(c);
+                for &len in &lens {
+                    let src: Vec<u8> = (0..len).map(|i| (i * 41 + 3) as u8).collect();
+                    let init: Vec<u8> = (0..len).map(|i| (i * 97 + 13) as u8).collect();
+                    let (mut fast, mut slow) = (vec![0u8; len], vec![0u8; len]);
+                    kernel.mul_slice(table, &src, &mut fast);
+                    scalar::mul_slice(c, &src, &mut slow);
+                    assert_eq!(fast, slow, "{} mul len={len} c={c}", kernel.name());
+                    let (mut facc, mut sacc) = (init.clone(), init.clone());
+                    kernel.mul_slice_xor(table, &src, &mut facc);
+                    scalar::mul_slice_xor(c, &src, &mut sacc);
+                    assert_eq!(facc, sacc, "{} mul_xor len={len} c={c}", kernel.name());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn misaligned_subslices_match_scalar() {
+        // Carve sub-slices at every offset 0..16 out of a shared buffer so
+        // the vector loops see genuinely misaligned pointers.
+        let backing: Vec<u8> = (0..512).map(|i| (i * 29 + 7) as u8).collect();
+        for kernel in available_kernels() {
+            let table = MulTable::of(Gf256::new(0xB7));
+            for off in 0..16usize {
+                let src = &backing[off..off + 121];
+                let (mut fast, mut slow) = (vec![0u8; 121], vec![0u8; 121]);
+                kernel.mul_slice(table, src, &mut fast);
+                scalar::mul_slice(Gf256::new(0xB7), src, &mut slow);
+                assert_eq!(fast, slow, "{} offset={off}", kernel.name());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn length_mismatch_panics() {
+        let table = MulTable::of(Gf256::new(3));
+        let src = [0u8; 8];
+        let mut dst = [0u8; 9];
+        available_kernels()[0].mul_slice(table, &src, &mut dst);
     }
 }

@@ -84,8 +84,8 @@ proptest! {
 
     #[test]
     fn word_xor_matches_scalar(
-        data in proptest::collection::vec(any::<u8>(), 0..1100),
-        init in proptest::collection::vec(any::<u8>(), 0..1100),
+        data in proptest::collection::vec(any::<u8>(), 0..200),
+        init in proptest::collection::vec(any::<u8>(), 0..200),
     ) {
         let len = data.len().min(init.len());
         let mut fast = init[..len].to_vec();
