@@ -1,7 +1,7 @@
 //! The Butterfly(4, 2) XOR regenerating code (Pamies-Juarez et al.,
 //! FAST 2016), with sub-packetization 2.
 
-use chameleon_gf::{xor_slice, Gf256, Matrix};
+use chameleon_gf::{combine_into, pages, Gf256, Matrix, MulTable};
 
 use crate::{CodeError, ErasureCode, RepairRequirement, SourceRead};
 
@@ -142,24 +142,35 @@ impl ErasureCode for Butterfly {
         let subs: [&[u8]; 4] = [a[0], a[1], b[0], b[1]];
         let half = a[0].len();
 
-        let mut stripe = vec![data[0].to_vec(), data[1].to_vec()];
+        let mut stripe = Vec::with_capacity(N);
+        stripe.extend(data.iter().map(|chunk| {
+            let mut copy = Vec::with_capacity(chunk.len());
+            pages::prepare_output(&mut copy);
+            copy.extend_from_slice(chunk);
+            copy
+        }));
+        // Each parity half is the XOR of the data halves its row selects,
+        // written once by one `combine_into`.
+        let one = MulTable::of(Gf256::ONE);
+        let mut terms: Vec<(&MulTable, &[u8])> = Vec::with_capacity(subs.len());
         for chunk_idx in K..N {
-            let mut chunk = vec![0u8; half * ALPHA];
+            let mut chunk = crate::zeroed_output(half * ALPHA);
             for h in 0..ALPHA {
                 let row = &SUB_ROWS[chunk_idx * ALPHA + h];
-                let out = &mut chunk[h * half..(h + 1) * half];
-                for (col, &bit) in row.iter().enumerate() {
-                    if bit != 0 {
-                        xor_slice(subs[col], out);
-                    }
-                }
+                terms.clear();
+                terms.extend(
+                    row.iter()
+                        .zip(subs)
+                        .filter(|(&bit, _)| bit != 0)
+                        .map(|(_, src)| (one, src)),
+                );
+                combine_into(&terms, &mut chunk[h * half..(h + 1) * half]);
             }
             stripe.push(chunk);
         }
         Ok(stripe)
     }
 
-    #[allow(clippy::needless_range_loop)] // multi-array sub-chunk indexing
     fn decode(&self, available: &[(usize, &[u8])], wanted: usize) -> Result<Vec<u8>, CodeError> {
         if wanted >= N || available.iter().any(|(i, _)| *i >= N) {
             return Err(CodeError::BadIndex);
@@ -180,18 +191,27 @@ impl ErasureCode for Butterfly {
                 bytes.push(piece);
             }
         }
-        let mut out = vec![0u8; len];
-        for h in 0..ALPHA {
-            let target = Self::sub_row(wanted * ALPHA + h);
-            let coeffs = Matrix::combination(rows.iter().map(Vec::as_slice), &target)
-                .ok_or(CodeError::NotEnoughChunks)?;
-            let dst = &mut out[h * half..(h + 1) * half];
-            for (src, &c) in bytes.iter().zip(&coeffs) {
-                // All coefficients are 0/1 over this XOR code.
-                if !c.is_zero() {
-                    xor_slice(src, dst);
-                }
-            }
+        // Both halves' coefficients (0 or 1 over this XOR code) before the
+        // output exists, so a failed solve allocates no chunk.
+        let coeffs = (0..ALPHA)
+            .map(|h| {
+                let target = Self::sub_row(wanted * ALPHA + h);
+                Matrix::combination(rows.iter().map(Vec::as_slice), &target)
+                    .ok_or(CodeError::NotEnoughChunks)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut out = crate::zeroed_output(len);
+        let mut terms: Vec<(&MulTable, &[u8])> = Vec::with_capacity(bytes.len());
+        for (h, coeffs) in coeffs.iter().enumerate() {
+            terms.clear();
+            terms.extend(
+                coeffs
+                    .iter()
+                    .zip(&bytes)
+                    .filter(|(c, _)| !c.is_zero())
+                    .map(|(&c, &src)| (MulTable::of(c), src)),
+            );
+            combine_into(&terms, &mut out[h * half..(h + 1) * half]);
         }
         Ok(out)
     }
@@ -284,12 +304,13 @@ impl ErasureCode for Butterfly {
                 &chunk[h * half..(h + 1) * half]
             })
             .collect();
-        let mut out = vec![0u8; len];
-        for h in 0..ALPHA {
-            let dst = &mut out[h * half..(h + 1) * half];
-            for &pos in rule.rebuild[h] {
-                xor_slice(read_bytes[pos], dst);
-            }
+        let one = MulTable::of(Gf256::ONE);
+        let mut out = crate::zeroed_output(len);
+        let mut terms: Vec<(&MulTable, &[u8])> = Vec::with_capacity(read_bytes.len());
+        for (h, rebuild) in rule.rebuild.iter().enumerate() {
+            terms.clear();
+            terms.extend(rebuild.iter().map(|&pos| (one, read_bytes[pos])));
+            combine_into(&terms, &mut out[h * half..(h + 1) * half]);
         }
         Ok(out)
     }

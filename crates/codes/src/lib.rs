@@ -25,7 +25,11 @@
 //! hot — combining them into each parity's next block, so every output
 //! byte is written once. `decode` / `repair` solve with
 //! `gf::Matrix::combination`, as Butterfly does, and hand the whole output
-//! to one `gf::combine_into`. Apart from the buffers they return, the
+//! to one `gf::combine_into`; Butterfly builds each output half with one
+//! `combine_into` as well. Every returned chunk goes through
+//! `gf::pages::prepare_output` before its first byte is written, so one of
+//! 2 MiB or more is born on huge pages and faulted in by one call.
+//! Apart from the buffers they return, the
 //! calls allocate a fixed handful of small vectors whatever the chunk
 //! length (`tests/coder_alloc.rs` pins the counts).
 //!
@@ -155,4 +159,12 @@ pub trait ErasureCode: Send + Sync {
     fn repair(&self, failed: usize, inputs: &[(usize, &[u8])]) -> Result<Vec<u8>, CodeError> {
         self.decode(inputs, failed)
     }
+}
+
+/// A zeroed `len`-byte output chunk, its pages advised by
+/// [`chameleon_gf::pages::prepare_output`] before anything writes it.
+fn zeroed_output(len: usize) -> Vec<u8> {
+    let mut out = vec![0u8; len];
+    chameleon_gf::pages::prepare_output(&mut out);
+    out
 }

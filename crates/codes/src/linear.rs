@@ -1,6 +1,6 @@
 //! Shared engine for systematic linear codes described by a generator matrix.
 
-use chameleon_gf::{combine_into, Gf256, Matrix, MulTable, BLOCK_BYTES};
+use chameleon_gf::{combine_into, pages, Gf256, Matrix, MulTable, BLOCK_BYTES};
 
 use crate::CodeError;
 
@@ -63,7 +63,8 @@ impl LinearCode {
         self.generator.row(i)
     }
 
-    /// Encodes data chunks into the full stripe (data chunks are copied).
+    /// Encodes data chunks into the full stripe (data chunks are copied),
+    /// each output's pages advised before it is filled.
     pub(crate) fn encode(&self, data: &[&[u8]]) -> Result<Vec<Vec<u8>>, CodeError> {
         if data.len() != self.k {
             return Err(CodeError::WrongChunkCount);
@@ -72,7 +73,13 @@ impl LinearCode {
         if data.iter().any(|c| c.len() != len) {
             return Err(CodeError::ChunkSizeMismatch);
         }
-        let mut stripe: Vec<Vec<u8>> = (0..self.n()).map(|_| Vec::with_capacity(len)).collect();
+        let mut stripe: Vec<Vec<u8>> = (0..self.n())
+            .map(|_| {
+                let mut chunk = Vec::with_capacity(len);
+                pages::prepare_output(&mut chunk);
+                chunk
+            })
+            .collect();
         self.encode_into(data, &mut stripe);
         Ok(stripe)
     }
@@ -154,7 +161,7 @@ impl LinearCode {
         if available.iter().any(|(_, c)| c.len() != len) {
             return Err(CodeError::ChunkSizeMismatch);
         }
-        let mut out = vec![0u8; len];
+        let mut out = crate::zeroed_output(len);
         self.decode_into(available, wanted, &mut out)?;
         Ok(out)
     }

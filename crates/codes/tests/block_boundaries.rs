@@ -8,10 +8,13 @@
 //! have), plus a chunk of several blocks with a ragged tail, so a block or
 //! vector step that is skipped, doubled or mis-offset shows up as a wrong
 //! byte. Parity is checked against the byte-at-a-time `gf::scalar` oracle,
-//! never against the code under test.
+//! never against the code under test. One more length, just past a 2 MiB
+//! huge page and a block, has its own test: it is the smallest whose
+//! outputs `gf::pages::prepare_output` advises, and it is kept out of
+//! `LENGTHS` so that every erasure pair is not run on it in a debug build.
 
 use chameleon_codes::{Butterfly, ErasureCode, Lrc, ReedSolomon, RepairRequirement};
-use chameleon_gf::scalar;
+use chameleon_gf::{scalar, Gf256};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -138,4 +141,64 @@ fn butterfly_is_exact_across_block_boundaries() {
         let stripe = encode(&bf, &make_data(bf.k(), len));
         assert_erasures_recover(&bf, &stripe);
     }
+}
+
+/// 2 MiB + 4 097 bytes: past the first huge page of an output and past a
+/// 4 KiB block, with a ragged tail.
+const HUGE_PAGE_CROSSING: usize = (2 << 20) + 4097;
+
+/// One single-erasure `repair` of chunk 0 from the sources the code asks
+/// for, and one double-erasure `decode` of chunk 0 with the last chunk lost
+/// too.
+fn assert_one_repair_and_one_decode(code: &dyn ErasureCode, stripe: &[Vec<u8>]) {
+    let n = code.n();
+    let alive: Vec<usize> = (1..n).collect();
+    let inputs: Vec<(usize, &[u8])> = repair_sources(code, 0, &alive)
+        .into_iter()
+        .map(|i| (i, stripe[i].as_slice()))
+        .collect();
+    let repaired = code.repair(0, &inputs).expect("repair");
+    assert!(repaired == stripe[0], "{}: repair", code.name());
+    let avail: Vec<(usize, &[u8])> = (1..n - 1).map(|i| (i, stripe[i].as_slice())).collect();
+    let decoded = code.decode(&avail, 0).expect("decode");
+    assert!(decoded == stripe[0], "{}: decode", code.name());
+}
+
+#[test]
+fn chunks_crossing_a_huge_page_are_exact() {
+    let linear: [Box<dyn ErasureCode>; 2] = [
+        Box::new(ReedSolomon::new(10, 4).unwrap()),
+        Box::new(Lrc::new(4, 2, 2).unwrap()),
+    ];
+    for code in &linear {
+        let stripe = encode(code.as_ref(), &make_data(code.k(), HUGE_PAGE_CROSSING));
+        assert_parity_matches_oracle(code.as_ref(), &stripe);
+        assert_one_repair_and_one_decode(code.as_ref(), &stripe);
+    }
+
+    // Sub-packetization 2 needs an even length: one byte more, so each half
+    // is odd.
+    let bf = Butterfly::new();
+    let stripe = encode(&bf, &make_data(bf.k(), HUGE_PAGE_CROSSING + 1));
+    let half = stripe[0].len() / 2;
+    let sub = |chunk: usize, h: usize| &stripe[chunk][h * half..(h + 1) * half];
+    // Butterfly(4,2)'s parity halves as XORs of the data halves (a, b):
+    // H = (a0^b0, a1^b1), Bf = (a1^b0, a0^a1^b1).
+    let parity: [(usize, usize, &[(usize, usize)]); 4] = [
+        (2, 0, &[(0, 0), (1, 0)]),
+        (2, 1, &[(0, 1), (1, 1)]),
+        (3, 0, &[(0, 1), (1, 0)]),
+        (3, 1, &[(0, 0), (0, 1), (1, 1)]),
+    ];
+    for (chunk, h, sources) in parity {
+        let mut expect = vec![0u8; half];
+        for &(c, sh) in sources {
+            scalar::mul_slice_xor(Gf256::ONE, sub(c, sh), &mut expect);
+        }
+        assert!(
+            sub(chunk, h) == expect,
+            "Butterfly: parity {chunk} half {h}"
+        );
+    }
+    assert_one_repair_and_one_decode(&bf, &stripe);
 }

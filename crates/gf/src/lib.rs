@@ -25,6 +25,9 @@
 //!   CPU has them, a `u64` of table lookups everywhere — one rung selected
 //!   per process by runtime feature detection, with a `CHAMELEON_GF_KERNEL`
 //!   override; [`active_kernel`] names the rung in use.
+//! - [`pages`]: [`pages::prepare_output`], the page advice a coder gives a
+//!   fresh output of 2 MiB or more before writing it — huge pages and one
+//!   prefault call instead of a fault per 4 KiB page, on Linux.
 //!
 //! # Examples
 //!
@@ -39,16 +42,18 @@
 //! assert_eq!(m.rows(), 3);
 //! ```
 
-// `unsafe` is denied crate-wide; the `simd` module is the single opt-out
-// (module-level `allow`) because `std::arch` intrinsics require it. Its one
-// unsafe block and one pointer-walking loop carry the safety argument (see
-// DESIGN.md §3.1).
+// `unsafe` is denied crate-wide, with two module-level `allow`s: `simd`,
+// because `std::arch` intrinsics require it (one unsafe call and one
+// pointer-walking loop), and `pages`, whose one unsafe block calls
+// `madvise(2)` on a vector's own allocation. Each module carries its
+// safety argument (see DESIGN.md §3.1).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod field;
 pub mod kernels;
 mod matrix;
+pub mod pages;
 pub mod simd;
 mod tables;
 

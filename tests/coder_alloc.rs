@@ -6,7 +6,8 @@
 //! what they return plus a fixed handful of small vectors, whatever the
 //! chunk length, and a code's construction a few hundred bytes: the
 //! multiplication tables are compile-time constants, never built or boxed
-//! at run time. Around them, a foreground report sorts its samples without a
+//! at run time, and the page advice a large output gets asks the allocator
+//! for nothing. Around them, a foreground report sorts its samples without a
 //! scratch buffer, and a relocation copies one stripe, not the layout.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -14,7 +15,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use chameleonec::cluster::{ChunkId, Cluster, ClusterConfig, Placement, PlacementStrategy};
-use chameleonec::codes::{ErasureCode, Lrc, ReedSolomon};
+use chameleonec::codes::{Butterfly, ErasureCode, Lrc, ReedSolomon};
 use chameleonec::core::run::{NoRepair, Run};
 use chameleonec::core::{Participant, PlanCoder, RepairContext, RepairPlan};
 use chameleonec::gf::{Gf256, BLOCK_BYTES};
@@ -221,6 +222,11 @@ fn codec_allocations_do_not_depend_on_the_chunk_length() {
         assert_eq!(repair, 1 + 3, "{}: repair", code.name());
         assert_eq!(decode, 1 + 3, "{}: decode", code.name());
     }
+    // Butterfly's own sub-chunk passes: the same counts at both lengths,
+    // the huge-page-advised one included.
+    let bf = Butterfly::new();
+    let small = codec_allocations(&bf, 64 << 10);
+    assert_eq!(codec_allocations(&bf, 8 << 20), small, "{}", bf.name());
 }
 
 #[test]
