@@ -184,13 +184,15 @@ fn chunks_crossing_a_huge_page_are_exact() {
     let sub = |chunk: usize, h: usize| &stripe[chunk][h * half..(h + 1) * half];
     // Butterfly(4,2)'s parity halves as XORs of the data halves (a, b):
     // H = (a0^b0, a1^b1), Bf = (a1^b0, a0^a1^b1).
-    let parity: [(usize, usize, &[(usize, usize)]); 4] = [
-        (2, 0, &[(0, 0), (1, 0)]),
-        (2, 1, &[(0, 1), (1, 1)]),
-        (3, 0, &[(0, 1), (1, 0)]),
-        (3, 1, &[(0, 0), (0, 1), (1, 1)]),
+    // A half is `(chunk, which half)`.
+    type Half = (usize, usize);
+    let parity: [(Half, &[Half]); 4] = [
+        ((2, 0), &[(0, 0), (1, 0)]),
+        ((2, 1), &[(0, 1), (1, 1)]),
+        ((3, 0), &[(0, 1), (1, 0)]),
+        ((3, 1), &[(0, 0), (0, 1), (1, 1)]),
     ];
-    for (chunk, h, sources) in parity {
+    for ((chunk, h), sources) in parity {
         let mut expect = vec![0u8; half];
         for &(c, sh) in sources {
             scalar::mul_slice_xor(Gf256::ONE, sub(c, sh), &mut expect);
