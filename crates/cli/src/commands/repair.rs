@@ -10,7 +10,7 @@ use chameleon_codes::ErasureCode;
 use chameleon_core::run::{RepairSide, Run};
 use chameleon_simnet::{EngineProfile, NodeCaps};
 
-use crate::args::{cluster_error, parse_code, parse_faults, storage_nodes};
+use crate::args::{check_sizes, cluster_error, parse_code, parse_faults, storage_nodes};
 
 /// `repair`'s flags.
 pub const COMMAND: Command = Command {
@@ -94,6 +94,7 @@ pub(crate) fn setup(flags: &Flags) -> Result<Setup, String> {
     let topology = TopologySpec::parse(flags.str("topology"))?;
 
     let storage_nodes = storage_nodes(code.n());
+    check_sizes(chunks, storage_nodes, clients, requests)?;
     let cfg = ClusterConfig {
         storage_nodes,
         clients: clients.max(1),
@@ -339,6 +340,24 @@ mod tests {
                 err.starts_with("--chunk-mb must be"),
                 "--chunk-mb {bad}: {err}"
             );
+        }
+    }
+
+    /// Sizes are checked before the layout or the foreground is built:
+    /// `--chunks 4611686018427387909` used to wrap and run as `--chunks 5`.
+    #[test]
+    fn oversized_flags_fail_for_both_commands() {
+        for command in ["repair", "orchestrate"] {
+            for (args, flag) in [
+                ("--chunks 4611686018427387909", "--chunks"),
+                ("--chunks 4611686018427387", "--chunks"),
+                ("--clients 1000000000", "--clients"),
+                ("--clients 4 --requests 4611686018427387904", "--requests"),
+            ] {
+                let argv: Vec<String> = args.split(' ').map(String::from).collect();
+                let err = crate::commands::run(command, &argv).unwrap_err();
+                assert!(err.contains(flag), "{command} {args}: {err}");
+            }
         }
     }
 

@@ -13,7 +13,9 @@ use chameleon_bench::table::Table;
 use chameleon_bench::{AlgoKind, Scale};
 
 use super::repair::{CHUNKS, CLIENTS, CODE, FAULTS, REQUESTS, TOPOLOGY};
-use crate::args::{cluster_error, parse_code, parse_faults, storage_nodes};
+use crate::args::{
+    check_cells, check_sizes, cluster_error, parse_code, parse_faults, storage_nodes,
+};
 
 /// `sweep`'s flags.
 pub const COMMAND: Command = Command {
@@ -58,6 +60,8 @@ fn sweep(flags: &Flags) -> Result<Table, String> {
     if algos.is_empty() || seeds == 0 {
         return Err("--algos and --seeds must name at least one algorithm and seed".into());
     }
+    check_cells(algos.len(), seeds)?;
+    check_sizes(chunks, storage_nodes(code.n()), clients, requests)?;
     let trace_path = flags.str("trace");
 
     let topology = chameleon_cluster::TopologySpec::parse(flags.str("topology"))?;
@@ -175,6 +179,20 @@ mod tests {
             err.contains("node 99") && err.contains("the cluster has"),
             "{err}"
         );
+    }
+
+    /// Every spec is built before the first cell runs: `--seeds
+    /// 100000000000` used to grow until the host ran out of memory.
+    #[test]
+    fn oversized_sweeps_fail_before_any_spec_is_built() {
+        for (args, flag) in [
+            ("--seeds 100000000000 --algos cr", "--seeds"),
+            ("--chunks 4611686018427387909", "--chunks"),
+            ("--requests 4611686018427387904", "--requests"),
+        ] {
+            let err = run(&flags(args)).unwrap_err();
+            assert!(err.contains(flag), "{args}: {err}");
+        }
     }
 
     #[test]

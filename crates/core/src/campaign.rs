@@ -6,8 +6,8 @@
 //! retry/backoff and stall timers, failed-attempt booking, relocation of
 //! the repaired chunk, spans, outcome and the whole [`RepairDriver`] impl —
 //! and consults a [`Planner`] only where the algorithms differ. DESIGN.md
-//! §3.6 has the table of those points and the rules the loop applies for
-//! every planner.
+//! §3.6 (`core`) has the table of those points and the rules the loop
+//! applies for every planner.
 //!
 //! When an attempt dies (a flow aborted by a crash, or the stall sweep
 //! found it motionless) the loop books the wasted work, waits out

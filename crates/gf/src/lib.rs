@@ -46,7 +46,7 @@
 // because `std::arch` intrinsics require it (one unsafe call and one
 // pointer-walking loop), and `pages`, whose one unsafe block calls
 // `madvise(2)` on a vector's own allocation. Each module carries its
-// safety argument (see DESIGN.md §3.1).
+// safety argument (see DESIGN.md §3.1, `gf`).
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -8,7 +8,7 @@
 //!   recorded, and each solve re-runs progressive filling only over the
 //!   contention closure of the mutations that did not cancel out,
 //!   conducting only through saturated resources — bit-identical to a full
-//!   solve (DESIGN.md §3.10);
+//!   solve (DESIGN.md §3.3, `simnet`: incremental solving);
 //! - flows live in one id-keyed map; each flow belongs to a *flow group*
 //!   (its exact resource-cell sequence), and all per-event bookkeeping —
 //!   progress, rates, class tables, completion predictions — happens per
