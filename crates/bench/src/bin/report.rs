@@ -8,6 +8,7 @@ use std::fmt::Write as _;
 use std::fs;
 use std::path::{Path, PathBuf};
 
+use chameleon_bench::flags::write_stdout;
 use chameleon_bench::table::{parse_csv, results_dir};
 
 fn main() {
@@ -44,12 +45,12 @@ fn main() {
         }
     }
     let out = dir.join("REPORT.md");
-    match fs::write(&out, md) {
-        Ok(()) => println!("wrote {}", out.display()),
-        Err(e) => {
-            eprintln!("cannot write {}: {e}", out.display());
-            std::process::exit(1);
-        }
+    let written = fs::write(&out, md)
+        .map_err(|e| format!("cannot write {}: {e}", out.display()))
+        .and_then(|()| write_stdout(&format!("wrote {}\n", out.display())));
+    if let Err(msg) = written {
+        eprintln!("{msg}");
+        std::process::exit(1);
     }
 }
 

@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use chameleon_bench::experiments::{self, Experiment};
-use chameleon_bench::flags::{Command, Flags};
+use chameleon_bench::flags::{write_stdout, Command, Flags};
 use chameleon_bench::table::{write_result, Report};
 use chameleon_bench::{grid, Scale};
 
@@ -52,7 +52,10 @@ fn main() -> ExitCode {
         let start = Instant::now();
         let report = (e.run)(&scale, jobs);
         let secs = start.elapsed().as_secs_f64();
-        emit(e, &report);
+        if let Err(msg) = emit(e, &report) {
+            eprintln!("suite: {msg}");
+            return ExitCode::FAILURE;
+        }
         eprintln!("[suite] {} done in {secs:.1}s", e.name);
     }
     eprintln!(
@@ -81,17 +84,21 @@ fn parse(args: &[String]) -> Result<(Vec<&'static Experiment>, usize), String> {
 }
 
 /// Prints one experiment's report — title, tables, notes — and persists
-/// each table as `results/<stem>.csv` and each artifact under its name.
-fn emit(e: &Experiment, report: &Report) {
-    println!("{}", e.title);
+/// each table as `results/<stem>.csv` and each artifact under its name. A
+/// closed stdout drops the text but not the files.
+fn emit(e: &Experiment, report: &Report) -> Result<(), String> {
+    write_stdout(&format!("{}\n", e.title))?;
     for table in &report.tables {
-        print!("{table}");
-        write_result(&format!("{}.csv", table.stem), &table.csv());
+        write_stdout(&table.to_string())?;
+        write_result(&format!("{}.csv", table.stem), &table.csv())?;
     }
     for (file_name, contents) in &report.artifacts {
-        write_result(file_name, contents);
+        write_result(file_name, contents)?;
     }
-    for note in &report.notes {
-        println!("{note}");
-    }
+    let notes: String = report
+        .notes
+        .iter()
+        .map(|note| format!("{note}\n"))
+        .collect();
+    write_stdout(&notes)
 }

@@ -2,8 +2,10 @@
 //! a table of [`Flag`]s; [`Flags::parse`] rejects names missing from it
 //! and fills every absent flag with its default, and [`Command::help`]
 //! renders it, so the code, the defaults and the help cannot drift apart.
+//! [`write_stdout`] is the one way every binary prints.
 
 use std::collections::BTreeMap;
+use std::io::{ErrorKind, Write as _};
 use std::str::FromStr;
 
 /// One flag a command accepts: its name without the leading `--`, its
@@ -104,6 +106,17 @@ impl Flags {
             .split(',')
             .map(str::trim)
             .filter(|s| !s.is_empty())
+    }
+}
+
+/// Writes `text` to stdout. A reader that has closed the pipe early (`|
+/// head -1`) is not an error: the text is dropped and the caller carries
+/// on. Any other write error is returned.
+pub fn write_stdout(text: &str) -> Result<(), String> {
+    let mut out = std::io::stdout().lock();
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() != ErrorKind::BrokenPipe => Err(format!("cannot write to stdout: {e}")),
+        _ => Ok(()),
     }
 }
 

@@ -7,6 +7,7 @@ use std::fmt;
 use std::fs;
 use std::path::PathBuf;
 
+use crate::flags::write_stdout;
 use crate::AlgoKind;
 
 /// One column, declared once: `(display title, CSV name)`.
@@ -187,19 +188,23 @@ impl Report {
 }
 
 /// Writes `contents` as `results/<file_name>` (relative to the workspace
-/// root when run via cargo). Errors are reported, not fatal — a read-only
-/// filesystem must not kill a benchmark run.
-pub fn write_result(file_name: &str, contents: &str) {
+/// root when run via cargo) and says so on stdout. A file that cannot be
+/// written is reported, not fatal — a read-only filesystem must not kill a
+/// benchmark run; only a stdout error is returned.
+pub fn write_result(file_name: &str, contents: &str) -> Result<(), String> {
     let dir = results_dir();
     if let Err(e) = fs::create_dir_all(&dir) {
         eprintln!("warning: cannot create {}: {e}", dir.display());
-        return;
+        return Ok(());
     }
     let path = dir.join(file_name);
     let kind = path.extension().and_then(|x| x.to_str()).unwrap_or("file");
     match fs::write(&path, contents) {
-        Ok(()) => println!("({kind} written to {})", path.display()),
-        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
+        Ok(()) => write_stdout(&format!("({kind} written to {})\n", path.display())),
+        Err(e) => {
+            eprintln!("warning: cannot write {}: {e}", path.display());
+            Ok(())
+        }
     }
 }
 

@@ -1,4 +1,5 @@
-//! Subcommand implementations, each with its flag table.
+//! Subcommand implementations, each with its flag table. A body returns
+//! its report; `main` writes it.
 
 use chameleon_bench::flags::{Command, Flags};
 
@@ -11,8 +12,8 @@ pub mod sweep;
 pub mod trace_cmd;
 pub mod traces;
 
-/// A subcommand's body, given its parsed flags.
-type Body = fn(&Flags) -> Result<(), String>;
+/// A subcommand's body: its report, given its parsed flags.
+type Body = fn(&Flags) -> Result<String, String>;
 
 /// Every subcommand but `help`, in the order `help` lists them.
 pub const ALL: [(&Command, Body); 7] = [
@@ -26,7 +27,7 @@ pub const ALL: [(&Command, Body); 7] = [
 ];
 
 /// Parses `args` against the named subcommand's flag table and runs it.
-pub fn run(name: &str, args: &[String]) -> Result<(), String> {
+pub fn run(name: &str, args: &[String]) -> Result<String, String> {
     let (command, body) = ALL
         .iter()
         .find(|(command, _)| command.name == name)

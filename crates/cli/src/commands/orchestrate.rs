@@ -3,19 +3,19 @@
 //!
 //! Unlike `repair`, nothing is failed up front: a seeded Poisson stream
 //! of node crashes (with optional recovery) plays against the
-//! cluster-wide [`Orchestrator`], which queues every lost chunk, admits
-//! repairs under a bandwidth budget, and records the campaign in a
-//! persistent ledger — including stripes that cross the data-loss
-//! threshold. The final report is the measured reliability of the
-//! configuration: repairs, quarantines, losses, and time to first loss.
+//! cluster-wide [`chameleon_core::Orchestrator`] of [`run_orchestrated`],
+//! which queues every lost chunk, admits repairs under a bandwidth
+//! budget, and records the campaign in a persistent ledger — including
+//! stripes that cross the data-loss threshold. The final report is the
+//! measured reliability of the configuration: repairs, quarantines,
+//! losses, and time to first loss.
 
 use chameleon_bench::flags::{Command, Flags};
-use chameleon_bench::runner::stage;
-use chameleon_core::{BudgetPolicy, Orchestrator, OrchestratorConfig, QueuePolicy};
-use chameleon_simnet::FaultPlan;
+use chameleon_bench::run_orchestrated;
+use chameleon_core::{BudgetPolicy, OrchestratorConfig, QueuePolicy};
+use chameleon_simnet::{FaultPlan, FaultSpec};
 
-use super::repair::{self, drain, setup};
-use crate::args::cluster_error;
+use super::repair::{self, cluster_line, setup};
 
 /// `orchestrate`'s flags.
 pub const COMMAND: Command = Command {
@@ -51,8 +51,8 @@ pub const COMMAND: Command = Command {
 const MAX_EXPECTED_CRASHES: f64 = 10_000.0;
 
 /// Runs the subcommand.
-pub fn run(flags: &Flags) -> Result<(), String> {
-    let s = setup(flags)?;
+pub fn run(flags: &Flags) -> Result<String, String> {
+    let (spec, _) = setup(flags)?;
     let duration = flags.positive("duration")?;
     let mttf = flags.positive("mttf")?;
     let recover: f64 = flags.num("recover")?;
@@ -69,12 +69,12 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     if max_in_flight == 0 {
         return Err("--max-in-flight must be at least 1".into());
     }
-    let expected_crashes = s.cfg.storage_nodes as f64 * duration / mttf;
+    let nodes = spec.cfg.storage_nodes;
+    let expected_crashes = nodes as f64 * duration / mttf;
     if expected_crashes > MAX_EXPECTED_CRASHES {
         return Err(format!(
             "--duration {duration} and --mttf {mttf} expect {expected_crashes:.3e} crashes \
-             over {} nodes; at most {MAX_EXPECTED_CRASHES} are drawn",
-            s.cfg.storage_nodes
+             over {nodes} nodes; at most {MAX_EXPECTED_CRASHES} are drawn"
         ));
     }
     let queue = match policy {
@@ -84,104 +84,95 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     };
     let budget = parse_budget(budget_spec)?;
 
-    let clients = s.fg.as_ref().map_or(0, |fg| fg.clients);
-    let candidates: Vec<usize> = (0..s.cfg.storage_nodes).collect();
+    let candidates: Vec<usize> = (0..nodes).collect();
     let faults = FaultPlan::seeded_poisson(
-        s.seed,
+        spec.seed,
         &candidates,
         mttf,
         (0.0, duration),
         (recover > 0.0).then_some(recover),
     );
-    let (mut run, _) =
-        stage(s.code.clone(), s.cfg, &[], s.fg, Some(&faults), false).map_err(cluster_error)?;
-    println!(
-        "cluster: {} nodes, {} Gb/s links, {} MB/s disks, code {}",
-        run.ctx.cluster.storage_nodes(),
-        s.gbps,
-        s.disk_mbps,
-        s.code.name()
-    );
-    println!(
-        "campaign: {} crashes over {duration:.0}s (MTTF {mttf:.0}s/node, {}), \
-         {policy} queue, {budget_spec} budget, {max_in_flight} in flight",
-        faults
-            .specs()
-            .iter()
-            .filter(|s| matches!(s, chameleon_simnet::FaultSpec::Crash { .. }))
-            .count(),
-        if recover > 0.0 {
-            format!("recovery after {recover:.0}s")
-        } else {
-            "no recovery".to_string()
-        }
-    );
-
-    let driver = s.algo.driver(run.ctx.clone(), s.seed);
-    let mut orchestrator = Orchestrator::new(
-        run.ctx.clone(),
-        driver,
+    let out = run_orchestrated(
+        spec.code.clone(),
+        spec.cfg.clone(),
+        |ctx| spec.driver.build(ctx, spec.seed),
         OrchestratorConfig {
             queue,
             budget,
             max_in_flight,
             window_secs: 15.0,
         },
+        spec.fg.clone(),
+        &faults,
+        false,
     );
-    drain(&mut run, &mut orchestrator)?;
-    let sim = &run.sim;
 
-    let report = orchestrator.report();
-    let outcome = orchestrator.outcome(sim);
-    println!(
-        "\ncampaign: {} / {} queue / {} budget",
-        report.algorithm, report.queue_policy, report.budget_policy
+    let crashes = faults
+        .specs()
+        .iter()
+        .filter(|f| matches!(f, FaultSpec::Crash { .. }))
+        .count();
+    let recovery = if recover > 0.0 {
+        format!("recovery after {recover:.0}s")
+    } else {
+        "no recovery".to_string()
+    };
+    let report = &out.report;
+    let mut text = format!(
+        "{}\ncampaign: {crashes} crashes over {duration:.0}s (MTTF {mttf:.0}s/node, {recovery}), \
+         {policy} queue, {budget_spec} budget, {max_in_flight} in flight\n\
+         \ncampaign: {} / {} queue / {} budget\n",
+        cluster_line(flags, &spec)?,
+        report.algorithm,
+        report.queue_policy,
+        report.budget_policy
     );
-    println!("  enqueued        : {}", report.enqueued);
-    println!("  dispatched      : {}", report.dispatched);
-    println!("  repaired        : {}", report.repaired);
-    println!("  restored        : {}", report.restored);
-    println!("  quarantined     : {}", report.quarantined);
-    println!("  lost chunks     : {}", report.lost_chunks);
-    println!("  resurrected     : {}", report.resurrected);
-    println!(
-        "  data loss       : {} stripe event(s){}",
-        report.data_loss_events,
-        report
-            .first_loss_secs
-            .map_or(String::new(), |t| format!(", first at {t:.2} s"))
+    let first_loss = report
+        .first_loss_secs
+        .map_or(String::new(), |t| format!(", first at {t:.2} s"));
+    text += &format!(
+        "  enqueued        : {}\n  dispatched      : {}\n  repaired        : {}\n  \
+         restored        : {}\n  quarantined     : {}\n  lost chunks     : {}\n  \
+         resurrected     : {}\n  data loss       : {} stripe event(s){first_loss}\n",
+        report.enqueued,
+        report.dispatched,
+        report.repaired,
+        report.restored,
+        report.quarantined,
+        report.lost_chunks,
+        report.resurrected,
+        report.data_loss_events
     );
     if report.negotiations > 0 {
-        println!(
-            "  budget          : {} renegotiations, mean {:.1} MB/s",
+        text += &format!(
+            "  budget          : {} renegotiations, mean {:.1} MB/s\n",
             report.negotiations,
             report.mean_budget_rate / 1e6
         );
     }
-    println!(
-        "  repair traffic  : {:.1} MB admitted",
-        report.tokens_spent / 1e6
+    text += &format!(
+        "  repair traffic  : {:.1} MB admitted\n  throughput      : {:.1} MB/s over {:.2} s\n",
+        report.tokens_spent / 1e6,
+        out.run.repair_mbps(),
+        out.run.sim.end_secs()
     );
-    println!(
-        "  throughput      : {:.1} MB/s over {:.2} s",
-        outcome.throughput() / 1e6,
-        sim.now().as_secs()
-    );
-    if let Some(fgd) = run.foreground.take() {
-        let fg_report = fgd.report(sim);
-        println!("\nforeground ({clients} YCSB-A clients):");
-        println!("  requests        : {}", fg_report.completed);
-        println!("  P99 latency     : {:.2} ms", fg_report.p99_latency * 1e3);
+    if let (Some(fg_report), Some(fg)) = (&out.run.fg_report, &spec.fg) {
+        text += &format!(
+            "\nforeground ({} YCSB-A clients):\n  requests        : {}\n  \
+             P99 latency     : {:.2} ms\n",
+            fg.clients,
+            fg_report.completed,
+            out.run.p99_ms()
+        );
     }
 
     if !ledger_path.is_empty() {
-        let jsonl = orchestrator.ledger_jsonl();
-        let lines = jsonl.lines().count();
-        std::fs::write(ledger_path, &jsonl)
+        let lines = out.ledger_jsonl.lines().count();
+        std::fs::write(ledger_path, &out.ledger_jsonl)
             .map_err(|e| format!("cannot write --ledger file `{ledger_path}`: {e}"))?;
-        println!("ledger: {lines} records -> {ledger_path}");
+        text += &format!("ledger: {lines} records -> {ledger_path}\n");
     }
-    Ok(())
+    Ok(text)
 }
 
 /// Parses `--budget`: `unlimited`, `negotiated[:HEADROOM,FLOOR_MBPS]`, or
@@ -230,7 +221,7 @@ fn parse_budget(spec: &str) -> Result<BudgetPolicy, String> {
 mod tests {
     use super::*;
 
-    fn run_with(args: &[&str]) -> Result<(), String> {
+    fn run_with(args: &[&str]) -> Result<String, String> {
         crate::commands::run(
             "orchestrate",
             &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
@@ -250,6 +241,16 @@ mod tests {
         for (flag, bad) in [("--gbps", "0"), ("--gbps", "-1"), ("--disk-mbps", "nan")] {
             let err = run_with(&[flag, bad]).unwrap_err();
             assert!(err.contains("must be positive"), "{flag} {bad}: {err}");
+        }
+    }
+
+    /// A campaign that never dispatches (no crash, or nothing stored) has
+    /// quiesced: it reports, not an error.
+    #[test]
+    fn a_campaign_that_never_dispatches_quiesces() {
+        for args in [&["--duration", "1", "--seed", "1"][..], &["--chunks", "0"]] {
+            let text = run_with(args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
+            assert!(text.contains("  dispatched      : 0\n"), "{args:?}: {text}");
         }
     }
 

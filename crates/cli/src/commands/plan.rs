@@ -19,7 +19,7 @@ pub const COMMAND: Command = Command {
 };
 
 /// Runs the subcommand.
-pub fn run(flags: &Flags) -> Result<(), String> {
+pub fn run(flags: &Flags) -> Result<String, String> {
     let code = parse_code(flags.str("code"))?;
     let gbps = flags.positive("gbps")?;
     let seed: u64 = flags.num("seed")?;
@@ -57,38 +57,35 @@ pub fn run(flags: &Flags) -> Result<(), String> {
     let assignment = dispatch_chunk(&ctx, &mut phase, chunk, &[]).map_err(|e| e.to_string())?;
     let plan = establish_plan(&ctx, &assignment).map_err(|e| e.to_string())?;
 
-    println!(
-        "repair plan for {} chunk {chunk} (estimated {:.2} s):\n",
+    let mut text = format!(
+        "repair plan for {} chunk {chunk} (estimated {:.2} s):\n\n\
+         destination: node {}\n",
         ctx.code.name(),
-        assignment.estimated_secs
+        assignment.estimated_secs,
+        plan.destination()
     );
-    print_tree(&plan);
-    println!(
-        "\n{} sources, depth {}, {:.0} MB of repair traffic",
+    render_inputs(&plan, None, 1, &mut text);
+    text += &format!(
+        "\n{} sources, depth {}, {:.0} MB of repair traffic\n",
         plan.participants().len(),
         plan.max_depth(),
         plan.traffic_bytes(ctx.chunk_size()) / 1e6
     );
-    Ok(())
+    Ok(text)
 }
 
-/// Prints the in-tree rooted at the destination.
-fn print_tree(plan: &RepairPlan) {
-    println!("destination: node {}", plan.destination());
-    print_inputs(plan, None, 1);
-}
-
-/// Prints the subtrees uploading to `parent` (the destination when `None`).
-fn print_inputs(plan: &RepairPlan, parent: Option<usize>, depth: usize) {
+/// Renders the subtrees uploading to `parent` (the destination when
+/// `None`) of the in-tree rooted at the destination.
+fn render_inputs(plan: &RepairPlan, parent: Option<usize>, depth: usize, text: &mut String) {
     for i in plan.inputs(parent) {
         let p = plan.participants()[i];
-        println!(
-            "{}└─ node {} (chunk {}, alpha = {})",
+        *text += &format!(
+            "{}└─ node {} (chunk {}, alpha = {})\n",
             "   ".repeat(depth),
             p.node,
             p.chunk_index,
             p.coeff
         );
-        print_inputs(plan, Some(i), depth + 1);
+        render_inputs(plan, Some(i), depth + 1, text);
     }
 }

@@ -17,7 +17,7 @@ pub const COMMAND: Command = Command {
 };
 
 /// Runs the subcommand.
-pub fn run(flags: &Flags) -> Result<(), String> {
+pub fn run(flags: &Flags) -> Result<String, String> {
     let throughputs = flags.positive_list("throughput")?;
     let model = ReliabilityModel {
         k: flags.num("k")?,
@@ -29,23 +29,25 @@ pub fn run(flags: &Flags) -> Result<(), String> {
         return Err("k and m must be positive".to_string());
     }
 
-    println!(
+    let mut text = format!(
         "data-loss probability during single-node repair — RS({},{}), {:.0} TB/node, \
-         theta = {} years",
+         theta = {} years\n{:>12} {:>16} {:>12}\n",
         model.k,
         model.m,
         model.node_capacity_bytes / 1e12,
-        model.node_lifetime_years
+        model.node_lifetime_years,
+        "MB/s",
+        "repair time (h)",
+        "Pr_dl"
     );
-    println!("{:>12} {:>16} {:>12}", "MB/s", "repair time (h)", "Pr_dl");
     for mbps in throughputs {
         let bps = mbps * 1e6;
-        println!(
-            "{:>12.0} {:>16.1} {:>12.3e}",
+        text += &format!(
+            "{:>12.0} {:>16.1} {:>12.3e}\n",
             mbps,
             model.repair_duration_secs(bps) / 3600.0,
             model.data_loss_probability(bps)
         );
     }
-    Ok(())
+    Ok(text)
 }

@@ -1,14 +1,9 @@
 //! The `repair` subcommand: a full experiment run from the command line.
 
-use std::sync::Arc;
-
 use chameleon_bench::flags::{Command, Flag, Flags};
-use chameleon_bench::runner::{stage, FgSpec, RunOutput};
-use chameleon_bench::AlgoKind;
-use chameleon_cluster::{ClusterConfig, PlacementStrategy, TopologySpec};
-use chameleon_codes::ErasureCode;
-use chameleon_core::run::{RepairSide, Run};
-use chameleon_simnet::{EngineProfile, NodeCaps};
+use chameleon_bench::{AlgoKind, FgSpec, RunSpec, Scale};
+use chameleon_cluster::{Cluster, PlacementStrategy, TopologySpec};
+use chameleon_simnet::Traffic;
 
 use crate::args::{check_sizes, cluster_error, parse_code, parse_faults, storage_nodes};
 
@@ -60,21 +55,9 @@ pub(crate) const FAULTS: Flag = (
      N: storage nodes, then clients",
 );
 
-/// What the shared flags describe.
-pub(crate) struct Setup {
-    pub code: Arc<dyn ErasureCode>,
-    pub algo: AlgoKind,
-    pub seed: u64,
-    pub cfg: ClusterConfig,
-    /// `--clients` YCSB-A clients (None for 0).
-    pub fg: Option<FgSpec>,
-    /// `--gbps` and `--disk-mbps` as given, for the banner.
-    pub gbps: f64,
-    pub disk_mbps: f64,
-}
-
-/// Reads the flags `repair` and `orchestrate` share.
-pub(crate) fn setup(flags: &Flags) -> Result<Setup, String> {
+/// Reads the flags `repair` and `orchestrate` share: one run of `--algo`
+/// on victim 0, and the cluster that validates its configuration.
+pub(crate) fn setup(flags: &Flags) -> Result<(RunSpec, Cluster), String> {
     let code = parse_code(flags.str("code"))?;
     let algo = flags.str("algo");
     let algo = AlgoKind::from_name(algo).ok_or_else(|| format!("unknown algorithm `{algo}`"))?;
@@ -95,194 +78,173 @@ pub(crate) fn setup(flags: &Flags) -> Result<Setup, String> {
 
     let storage_nodes = storage_nodes(code.n());
     check_sizes(chunks, storage_nodes, clients, requests)?;
-    let cfg = ClusterConfig {
-        storage_nodes,
+    let scale = Scale {
+        chunks_per_node: chunks,
+        requests_per_client: requests,
         clients: clients.max(1),
-        node_caps: NodeCaps::symmetric(gbps * 1e9 / 8.0, disk_mbps * 1e6),
         chunk_size: chunk_mb << 20,
         slice_size: 1 << 20,
-        stripe_width: code.n(),
-        stripes: (chunks * storage_nodes).div_ceil(code.n()),
-        placement: PlacementStrategy::Random(seed),
-        monitor_window_secs: 15.0,
-        topology,
     };
+    let mut cfg =
+        scale.cluster_config_sized(code.n(), storage_nodes, gbps * 1e9 / 8.0, disk_mbps * 1e6);
+    cfg.placement = PlacementStrategy::Random(seed);
+    cfg.topology = topology;
+    let cluster = Cluster::new(cfg.clone()).map_err(cluster_error)?;
     let fg = (clients > 0).then(|| FgSpec {
         seed,
         ..FgSpec::ycsb(clients, requests)
     });
-    Ok(Setup {
-        code,
-        algo,
-        seed,
-        cfg,
-        fg,
-        gbps,
-        disk_mbps,
-    })
+    let spec = RunSpec::new(algo.label(), code, cfg, algo, fg).with_seed(seed);
+    Ok((spec, cluster))
 }
 
-/// Drains a staged run. One that stops with work outstanding is an error,
-/// not a report.
-pub(crate) fn drain(run: &mut Run, side: &mut (impl RepairSide + ?Sized)) -> Result<(), String> {
-    run.drain(side).map_err(|e| e.to_string())
-}
-
-/// The closing `engine:` line; `trace` prints the same counters.
-pub(crate) fn engine_line(profile: &EngineProfile) -> String {
-    format!("engine: {profile}")
+/// The banner's first line, with `--gbps` and `--disk-mbps` as given.
+pub(crate) fn cluster_line(flags: &Flags, spec: &RunSpec) -> Result<String, String> {
+    Ok(format!(
+        "cluster: {} nodes, {} Gb/s links, {} MB/s disks, code {}",
+        spec.cfg.storage_nodes,
+        flags.positive("gbps")?,
+        flags.positive("disk-mbps")?,
+        spec.code.name()
+    ))
 }
 
 /// Runs the subcommand.
-pub fn run(flags: &Flags) -> Result<(), String> {
-    let s = setup(flags)?;
+pub fn run(flags: &Flags) -> Result<String, String> {
+    let (spec, cluster) = setup(flags)?;
     let failures: usize = flags.num("failures")?;
     let trace_path = flags.str("trace");
-
-    if failures == 0 || failures > s.code.fault_tolerance() {
+    let tolerance = spec.code.fault_tolerance();
+    if failures == 0 || failures > tolerance {
         return Err(format!(
-            "--failures must be 1..={} for {}",
-            s.code.fault_tolerance(),
-            s.code.name()
+            "--failures must be 1..={tolerance} for {}",
+            spec.code.name()
         ));
     }
+    let mut spec = spec.with_victims((0..failures).collect());
+    if let Some(plan) = parse_faults(flags, spec.cfg.total_nodes())? {
+        spec = spec.with_faults(plan);
+    }
+    if !trace_path.is_empty() {
+        spec = spec.with_trace();
+    }
+    let lost = cluster.lost_chunks(&spec.victims).len();
+    let out = spec.execute();
 
-    let faults = parse_faults(flags, s.cfg.total_nodes())?;
-    let clients = s.fg.as_ref().map_or(0, |fg| fg.clients);
-    let victims: Vec<usize> = (0..failures).collect();
-    let traced = !trace_path.is_empty();
-    let (mut run, lost) = stage(
-        s.code.clone(),
-        s.cfg,
-        &victims,
-        s.fg,
-        faults.as_ref(),
-        traced,
-    )
-    .map_err(cluster_error)?;
-    println!(
-        "cluster: {} nodes, {} Gb/s links, {} MB/s disks, code {}, {} chunks lost",
-        run.ctx.cluster.storage_nodes(),
-        s.gbps,
-        s.disk_mbps,
-        s.code.name(),
-        lost.len()
+    let mut text = format!("{}, {lost} chunks lost\n", cluster_line(flags, &spec)?);
+    let o = &out.outcome;
+    text += &format!(
+        "\nrepair: {}\n  chunks repaired : {}\n",
+        o.algorithm, o.chunks_repaired
     );
-
-    let mut driver = s.algo.driver(run.ctx.clone(), s.seed);
-    driver.start(&mut run.sim, lost);
-    drain(&mut run, &mut *driver)?;
-    let sim = &run.sim;
-
-    let outcome = driver.outcome(sim);
-    println!("\nrepair: {}", outcome.algorithm);
-    println!("  chunks repaired : {}", outcome.chunks_repaired);
-    if outcome.chunks_repaired < outcome.chunks_total {
-        let given_up = &outcome.given_up_chunks;
+    if o.chunks_repaired < o.chunks_total {
+        let given_up = &o.given_up_chunks;
         let unrepairable = given_up.iter().filter(|g| g.attempts == 0).count();
-        println!(
-            "  given up        : {} (unrepairable {unrepairable}, retries exhausted {})",
+        text += &format!(
+            "  given up        : {} (unrepairable {unrepairable}, retries exhausted {})\n",
             given_up.len(),
             given_up.len() - unrepairable
         );
     }
-    println!(
-        "  duration        : {:.2} s",
-        outcome.duration.unwrap_or(f64::NAN)
+    text += &format!(
+        "  duration        : {:.2} s\n  throughput      : {:.1} MB/s\n  \
+         mean chunk time : {:.3} s\n",
+        o.duration.unwrap_or(f64::NAN),
+        out.repair_mbps(),
+        o.mean_chunk_secs()
     );
-    println!("  throughput      : {:.1} MB/s", outcome.throughput() / 1e6);
-    println!("  mean chunk time : {:.3} s", outcome.mean_chunk_secs());
-    if let Some(lat) = outcome.chunk_latency() {
-        println!(
-            "  chunk p50/p95/p99 : {:.3} / {:.3} / {:.3} s (max {:.3})",
+    if let Some(lat) = o.chunk_latency() {
+        text += &format!(
+            "  chunk p50/p95/p99 : {:.3} / {:.3} / {:.3} s (max {:.3})\n",
             lat.p50, lat.p95, lat.p99, lat.max
         );
     }
-    if outcome.coding.chunks_coded > 0 {
-        let c = &outcome.coding;
-        println!(
+    let c = &o.coding;
+    if c.chunks_coded > 0 {
+        text += &format!(
             "  coding          : {} chunks, {:.1} MiB in {:.2} ms \
-             (scale {:.2} / merge {:.2} / reassemble {:.2})",
+             (scale {:.2} / merge {:.2} / reassemble {:.2})\n  gf kernel       : {}\n",
             c.chunks_coded,
             c.bytes_coded as f64 / (1 << 20) as f64,
             c.total_nanos() as f64 / 1e6,
             c.source_scale_nanos as f64 / 1e6,
             c.relay_merge_nanos as f64 / 1e6,
             c.reassemble_nanos as f64 / 1e6,
+            c.kernel
         );
-        println!("  gf kernel       : {}", c.kernel);
     }
-    if let Some(inj) = &run.injector {
-        let rec = &outcome.recovery;
-        println!("\nfaults ({} applied):", inj.applied().len());
-        println!("  re-plans        : {}", rec.replans);
-        println!("  retries         : {}", rec.retries);
-        println!("  aborted flows   : {}", rec.aborted_flows);
-        println!(
-            "  wasted traffic  : {:.1} MB",
-            rec.wasted_repair_bytes / 1e6
+    if let Some(plan) = &spec.faults {
+        // Every timer fires before the run ends: one per crash or recovery, a
+        // start and an end per scale window.
+        let applied: usize = plan
+            .specs()
+            .iter()
+            .map(|f| f.window().map_or(1, |_| 2))
+            .sum();
+        let rec = &o.recovery;
+        text += &format!(
+            "\nfaults ({applied} applied):\n  re-plans        : {}\n  retries         : {}\n  \
+             aborted flows   : {}\n  wasted traffic  : {:.1} MB\n  given up        : {}\n",
+            rec.replans,
+            rec.retries,
+            rec.aborted_flows,
+            rec.wasted_repair_bytes / 1e6,
+            rec.given_up
         );
-        println!("  given up        : {}", rec.given_up);
     }
-    if let Some(fgd) = run.foreground.take() {
-        let report = fgd.report(sim);
-        println!("\nforeground ({clients} YCSB-A clients):");
-        println!("  requests        : {}", report.completed);
-        println!("  mean latency    : {:.2} ms", report.mean_latency * 1e3);
+    if let (Some(report), Some(fg)) = (&out.fg_report, &spec.fg) {
+        text += &format!(
+            "\nforeground ({} YCSB-A clients):\n  requests        : {}\n  \
+             mean latency    : {:.2} ms\n",
+            fg.clients,
+            report.completed,
+            report.mean_latency * 1e3
+        );
         if let Some(lat) = report.latency {
-            println!("  P50 latency     : {:.2} ms", lat.p50 * 1e3);
-            println!("  P95 latency     : {:.2} ms", lat.p95 * 1e3);
-        }
-        println!("  P99 latency     : {:.2} ms", report.p99_latency * 1e3);
-    }
-
-    if let Some(topo) = sim.topology() {
-        if topo.rack_count() > 1 {
-            let cross = |tag| topo.cross_rack_bytes(sim.monitor(), tag);
-            println!(
-                "\nfabric ({} racks{}):",
-                topo.rack_count(),
-                if topo.spine_link().is_some() {
-                    ", oversubscribed spine"
-                } else {
-                    ", non-blocking core"
-                }
-            );
-            println!(
-                "  cross-rack repair bytes     : {:.1} MB",
-                cross(chameleon_simnet::Traffic::Repair) / 1e6
-            );
-            println!(
-                "  cross-rack foreground bytes : {:.1} MB",
-                cross(chameleon_simnet::Traffic::Foreground) / 1e6
+            text += &format!(
+                "  P50 latency     : {:.2} ms\n  P95 latency     : {:.2} ms\n",
+                lat.p50 * 1e3,
+                lat.p95 * 1e3
             );
         }
+        text += &format!("  P99 latency     : {:.2} ms\n", out.p99_ms());
     }
+    let cfg = &spec.cfg;
+    let fabric = cfg.topology.compile(cfg.total_nodes(), cfg.node_caps);
+    if let Some(topo) = fabric.filter(|t| t.rack_count() > 1) {
+        let cross = |tag| topo.cross_rack_bytes(out.sim.monitor(), tag) / 1e6;
+        let core = match topo.spine_link() {
+            Some(_) => "oversubscribed spine",
+            None => "non-blocking core",
+        };
+        text += &format!(
+            "\nfabric ({} racks, {core}):\n  cross-rack repair bytes     : {:.1} MB\n  \
+             cross-rack foreground bytes : {:.1} MB\n",
+            topo.rack_count(),
+            cross(Traffic::Repair),
+            cross(Traffic::Foreground)
+        );
+    }
+    text += &format!("\nengine: {}\n", out.sim.profile());
 
-    println!("\n{}", engine_line(&sim.profile()));
-
-    if traced {
-        let out = RunOutput::collect(outcome, run);
-        let jsonl = out
-            .trace_jsonl()
-            .ok_or("tracing was enabled but the engine produced no trace")?;
+    if let Some(jsonl) = out.trace_jsonl() {
         std::fs::write(trace_path, &jsonl)
             .map_err(|e| format!("cannot write --trace file `{trace_path}`: {e}"))?;
-        println!(
-            "trace: {} flow events + {} spans + {} given up + profile -> {trace_path}",
+        text += &format!(
+            "trace: {} flow events + {} spans + {} given up + profile -> {trace_path}\n",
             out.sim.trace().map_or(0, |sink| sink.len()),
-            out.outcome.spans.len(),
-            out.outcome.given_up_chunks.len()
+            o.spans.len(),
+            o.given_up_chunks.len()
         );
     }
-    Ok(())
+    Ok(text)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn run_with(args: &[&str]) -> Result<(), String> {
+    fn run_with(args: &[&str]) -> Result<String, String> {
         crate::commands::run(
             "repair",
             &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
@@ -377,25 +339,6 @@ mod tests {
             let args = format!("--code rs:16,4 --failures 2 --chunks 2 --chunk-mb 1 --algo {name}");
             run_with(&args.split(' ').collect::<Vec<_>>())
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
-        }
-    }
-
-    /// A repair side that never finishes must end in the typed error both
-    /// commands return, not in a normal-looking report.
-    #[test]
-    fn a_run_that_does_not_quiesce_is_an_error_for_both_commands() {
-        let s = setup(&Flags::parse(&[], &crate::commands::orchestrate::COMMAND).unwrap()).unwrap();
-        let (mut run, lost) = stage(s.code, s.cfg, &[0], s.fg, None, false).unwrap();
-        let mut driver = s.algo.driver(run.ctx.clone(), s.seed);
-        // Its flows live in a simulator nobody drains.
-        driver.start(&mut run.ctx.cluster.build_simulator(), lost);
-        let err = drain(&mut run, &mut *driver).unwrap_err();
-        assert!(err.contains("repair side did not quiesce"), "{err}");
-        // A campaign that never dispatches (no crash, or nothing stored)
-        // has quiesced; both used to be reported as this error.
-        for args in [&["--duration", "1", "--seed", "1"][..], &["--chunks", "0"]] {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            crate::commands::run("orchestrate", &args).unwrap_or_else(|e| panic!("{args:?}: {e}"));
         }
     }
 

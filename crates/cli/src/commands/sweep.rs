@@ -36,14 +36,13 @@ pub const COMMAND: Command = Command {
 };
 
 /// Runs the subcommand.
-pub fn run(flags: &Flags) -> Result<(), String> {
-    print!("{}", sweep(flags)?);
-    Ok(())
+pub fn run(flags: &Flags) -> Result<String, String> {
+    let (head, table) = sweep(flags)?;
+    Ok(head + &table.to_string())
 }
 
-/// Runs the grid, printing its header and trace lines, and returns the
-/// table.
-fn sweep(flags: &Flags) -> Result<Table, String> {
+/// Runs the grid and returns its header and trace lines, and the table.
+fn sweep(flags: &Flags) -> Result<(String, Table), String> {
     let code = parse_code(flags.str("code"))?;
     let algos = flags
         .list("algos")
@@ -103,8 +102,8 @@ fn sweep(flags: &Flags) -> Result<Table, String> {
             specs.push(spec);
         }
     }
-    println!(
-        "sweep: {} algorithms x {seeds} seeds = {} runs, code {}, {jobs} worker(s)",
+    let mut head = format!(
+        "sweep: {} algorithms x {seeds} seeds = {} runs, code {}, {jobs} worker(s)\n",
         algos.len(),
         specs.len(),
         code.name()
@@ -121,8 +120,8 @@ fn sweep(flags: &Flags) -> Result<Table, String> {
             .concat();
         std::fs::write(trace_path, &jsonl)
             .map_err(|e| format!("cannot write --trace file `{trace_path}`: {e}"))?;
-        println!(
-            "trace: {} runs, {} lines -> {trace_path}",
+        head += &format!(
+            "trace: {} runs, {} lines -> {trace_path}\n",
             outs.len(),
             jsonl.lines().count()
         );
@@ -155,7 +154,7 @@ fn sweep(flags: &Flags) -> Result<Table, String> {
             replans.to_string(),
         ]);
     }
-    Ok(table)
+    Ok((head, table))
 }
 
 #[cfg(test)]
@@ -211,7 +210,7 @@ mod tests {
     #[test]
     fn a_code_as_wide_as_the_cluster_still_repairs() {
         let args = "--code rs:16,4 --seeds 1 --chunks 2 --requests 20 --algos cr,chameleon";
-        let table = sweep(&flags(args)).unwrap();
+        let (_, table) = sweep(&flags(args)).unwrap();
         assert_eq!(table.rows().len(), 2);
         for row in table.rows() {
             let mbps: f64 = row[1].parse().unwrap();

@@ -24,15 +24,13 @@ pub const COMMAND: Command = Command {
 };
 
 /// Runs the subcommand.
-pub fn run(flags: &Flags) -> Result<(), String> {
+pub fn run(flags: &Flags) -> Result<String, String> {
     let path = flags.str("file");
     if path.is_empty() {
         return Err("trace needs --file <trace.jsonl> (write one with `repair --trace`)".into());
     }
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    let summary = summarize(&text)?;
-    print!("{}", summary.render(path));
-    Ok(())
+    Ok(summarize(&text)?.render(path))
 }
 
 /// Per-traffic-class event tallies.
@@ -277,7 +275,7 @@ mod tests {
         assert!(rendered.contains("1 stripe event(s)"), "{rendered}");
     }
 
-    /// The footer, the summarizer's sums and both human lines come from
+    /// The footer, the summarizer's sums and the human line come from
     /// the one field list on `EngineProfile`.
     #[test]
     fn profile_footers_read_back_and_sum_field_by_field() {
@@ -318,10 +316,6 @@ mod tests {
             .unwrap();
         let shown = s.profile.to_string();
         assert!(line.ends_with(&format!("2 run(s): {shown}")), "{line}");
-        assert_eq!(
-            crate::commands::repair::engine_line(&s.profile),
-            format!("engine: {shown}")
-        );
     }
 
     /// Every record kind a product writer emits reads back: one line of

@@ -1,6 +1,7 @@
 //! The `traces` subcommand: sample a synthetic workload and summarize it.
 
 use chameleon_bench::flags::{Command, Flags};
+use chameleon_cluster::stats::percentile;
 use chameleon_traces::{Op, TraceKind};
 
 /// `traces`' flags.
@@ -15,7 +16,7 @@ pub const COMMAND: Command = Command {
 };
 
 /// Runs the subcommand.
-pub fn run(flags: &Flags) -> Result<(), String> {
+pub fn run(flags: &Flags) -> Result<String, String> {
     let kind = match flags.str("kind") {
         "ycsb" => TraceKind::YcsbA,
         "ibm" => TraceKind::IbmObjectStore,
@@ -40,35 +41,29 @@ pub fn run(flags: &Flags) -> Result<(), String> {
             gets += 1;
         }
         total_bytes += r.value_size;
-        sizes.push(r.value_size);
+        sizes.push(r.value_size as f64);
         *key_hits.entry(r.key).or_insert(0usize) += 1;
     }
-    sizes.sort_unstable();
-    let pctile = |p: f64| sizes[((p * count as f64) as usize).min(count - 1)];
+    let pctile = |p| percentile(&sizes, p).expect("--count is positive");
     let hottest = key_hits.values().max().copied().unwrap_or(0);
 
-    println!("trace {} ({count} requests, seed {seed}):", kind.name());
-    println!(
-        "  op mix          : {:.1}% GET / {:.1}% PUT",
+    Ok(format!(
+        "trace {} ({count} requests, seed {seed}):\n  \
+         op mix          : {:.1}% GET / {:.1}% PUT\n  \
+         value sizes     : p50 {} B, p90 {} B, p99 {} B, max {} B\n  \
+         mean value size : {:.0} B\n  \
+         total volume    : {:.2} GB\n  \
+         key skew        : hottest key gets {:.2}% of requests ({} distinct keys)\n",
+        kind.name(),
         100.0 * gets as f64 / count as f64,
-        100.0 * (count - gets) as f64 / count as f64
-    );
-    println!(
-        "  value sizes     : p50 {} B, p90 {} B, p99 {} B, max {} B",
+        100.0 * (count - gets) as f64 / count as f64,
         pctile(0.50),
         pctile(0.90),
         pctile(0.99),
-        sizes[count - 1]
-    );
-    println!(
-        "  mean value size : {:.0} B",
-        total_bytes as f64 / count as f64
-    );
-    println!("  total volume    : {:.2} GB", total_bytes as f64 / 1e9);
-    println!(
-        "  key skew        : hottest key gets {:.2}% of requests ({} distinct keys)",
+        pctile(1.0),
+        total_bytes as f64 / count as f64,
+        total_bytes as f64 / 1e9,
         100.0 * hottest as f64 / count as f64,
         key_hits.len()
-    );
-    Ok(())
+    ))
 }

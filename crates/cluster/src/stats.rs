@@ -119,6 +119,10 @@ mod tests {
         assert_eq!(percentile(&xs, 0.0), Some(10.0));
         assert_eq!(percentile(&xs, 1.0), Some(30.0));
         assert_eq!(percentile(&xs, 0.34), Some(20.0));
+        // At p·n = 50 000 of 100 000 the rank is the 50 000th value; an
+        // index of floor(p·n) would read the 50 001st.
+        let xs: Vec<f64> = (1..=100_000).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 0.5), Some(50_000.0));
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl FaultSpec {
 
     /// A scale window's `(factor, duration_secs)`; `None` for crashes and
     /// recoveries.
-    fn window(&self) -> Option<(f64, f64)> {
+    pub fn window(&self) -> Option<(f64, f64)> {
         match *self {
             FaultSpec::Slowdown {
                 factor,
